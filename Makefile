@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet tuplex-vet plancheck race check bench-ingest bench-smoke bench-json bench-compare telemetry-smoke serve-smoke trace-demo
+.PHONY: all build test vet tuplex-vet plancheck race check bench bench-check bench-ingest bench-smoke bench-json bench-compare telemetry-smoke serve-smoke trace-demo
 
 all: build test
 
@@ -35,7 +35,17 @@ plancheck:
 race:
 	$(GO) test -race ./...
 
-check: build vet tuplex-vet plancheck test race
+# The repository benchmark (BENCHMARK.json, bench/README.md).
+bench:
+	bash bench/run.sh
+
+# bench/ is a nested Go module, invisible to `go test ./...` above; vet
+# and test it here so a core signature change that breaks the benchmark
+# fails tier-1 instead of the next benchmark run.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+check: build vet tuplex-vet plancheck test race bench-check
 
 bench-ingest:
 	$(GO) test -bench BenchmarkIngest -run '^$$' .
@@ -62,7 +72,7 @@ bench-json:
 # Regression gate: rerun bench-json and compare against the committed
 # BENCH_8.json; fails on >25% throughput drop or >2x allocs growth,
 # with a hard guard on join/sharded allocs/op (the columnar-barrier
-# win pinned down by the BENCH_7 snapshot).
+# win).
 bench-compare:
 	sh scripts/bench_compare.sh
 

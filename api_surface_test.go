@@ -79,13 +79,10 @@ func TestOptionConstructorsCompile(t *testing.T) {
 		WithNullThreshold(0.5),
 		WithNullOptimization(true),
 		WithNullOptimization(false),
-		WithoutNullOptimization(),
 		WithLogicalOptimizations(true, true, false),
 		WithoutLogicalOptimizations(),
 		WithStageFusion(true),
-		WithoutStageFusion(),
 		WithCompilerOptimizations(true),
-		WithoutCompilerOptimizations(),
 		WithSeed(42),
 		WithPartitionRows(1024),
 		WithStreamingIngest(true),

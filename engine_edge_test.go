@@ -122,6 +122,16 @@ func TestEmptyCSVErrors(t *testing.T) {
 	}
 }
 
+// An empty inline text source binds no records at all; the stage must
+// run over zero rows rather than mistake itself for an interior stage.
+func TestEmptyTextYieldsNoRows(t *testing.T) {
+	c := NewContext()
+	res := collect(t, c.Text("", TextData([]byte(""))))
+	if len(res.Rows) != 0 {
+		t.Fatalf("rows = %v", res.Rows)
+	}
+}
+
 func TestMissingFileErrors(t *testing.T) {
 	c := NewContext()
 	if _, err := c.CSV("/nonexistent/definitely/missing.csv").Collect(); err == nil {

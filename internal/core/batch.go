@@ -67,9 +67,9 @@ type batchKernel struct {
 	outTypes []types.Type
 	// perm is the select permutation.
 	perm []int
-	// join state (bkJoin): the materialized build table and the
-	// left-outer flag.
-	join      *buildTable
+	// join state (bkJoin): the build table's index in the run's joins and
+	// the left-outer flag.
+	joinIdx   int
 	leftOuter bool
 }
 
@@ -161,18 +161,18 @@ type batchState struct {
 	noNull    []bool
 }
 
-func newBatchState(cs *compiledStage) *batchState {
+func newBatchState(pl *stagePlan) *batchState {
 	bst := &batchState{}
-	if cs.parse != nil {
-		bst.src = cs.parse.NewVecsFor()
+	if pl.parse != nil {
+		bst.src = pl.parse.NewVecsFor()
 	} else {
-		bst.src = make([]*colvec.Vec, cs.inSchema.Len())
+		bst.src = make([]*colvec.Vec, pl.inSchema.Len())
 		for i := range bst.src {
-			bst.src[i] = colvec.NewVec(cs.inSchema.Col(i).Type)
+			bst.src[i] = colvec.NewVec(pl.inSchema.Col(i).Type)
 		}
 	}
-	bst.derived = make([][]*colvec.Vec, len(cs.batch.kernels))
-	for ki, k := range cs.batch.kernels {
+	bst.derived = make([][]*colvec.Vec, len(pl.batch.kernels))
+	for ki, k := range pl.batch.kernels {
 		if len(k.outTypes) == 0 {
 			continue
 		}
@@ -182,17 +182,17 @@ func newBatchState(cs *compiledStage) *batchState {
 		}
 		bst.derived[ki] = vecs
 	}
-	bst.argBuf = make([]rows.Slot, cs.maxCols)
+	bst.argBuf = make([]rows.Slot, pl.maxCols)
 	return bst
 }
 
 // getBatchState takes a batch-state from the stage pool (or builds one).
-func (cs *compiledStage) getBatchState(ts *task) *batchState {
+func (sr *stageRun) getBatchState(ts *task) *batchState {
 	if ts.bst == nil {
-		if got, ok := cs.bstPool.Get().(*batchState); ok {
+		if got, ok := sr.bstPool.Get().(*batchState); ok {
 			ts.bst = got
 		} else {
-			ts.bst = newBatchState(cs)
+			ts.bst = newBatchState(sr.stagePlan)
 		}
 	}
 	return ts.bst
@@ -202,10 +202,10 @@ func (cs *compiledStage) getBatchState(ts *task) *batchState {
 // it escapes the task (strings are sealed views under the donated-buffer
 // protocol, pooled raw records point at stable input memory or were
 // detached, output rows have fresh backing).
-func (cs *compiledStage) putBatchState(ts *task) {
+func (sr *stageRun) putBatchState(ts *task) {
 	bst := ts.bst
 	ts.bst = nil
-	cs.bstPool.Put(bst)
+	sr.bstPool.Put(bst)
 }
 
 // beginBatch resets the per-batch state: ingest vectors, index-space
@@ -261,22 +261,22 @@ func (bst *batchState) sourceEx(p int, sr int32, ec ECode, op int32) exRow {
 // its first failure; earlier emitted matches stay). Returns 1 iff a new
 // pool entry was made, mirroring the row path's one exception per
 // source row.
-func (cs *compiledStage) failBatchRow(ts *task, bst *batchState, p int, r int32, ec ECode, op int32) int64 {
-	sr := bst.srcOf(r)
+func (sr *stageRun) failBatchRow(ts *task, bst *batchState, p int, r int32, ec ECode, op int32) int64 {
+	src := bst.srcOf(r)
 	if bst.srcIdx != nil {
 		// Join fan-out keeps a source's output rows consecutive, so the
 		// forward scan covers exactly the not-yet-processed siblings.
-		for nr := int(r) + 1; nr < bst.n && bst.srcIdx[nr] == sr; nr++ {
+		for nr := int(r) + 1; nr < bst.n && bst.srcIdx[nr] == src; nr++ {
 			bst.dropped.Set(nr)
 			bst.anyDropped = true
 		}
 	}
-	if bst.anyPooled && bst.pooledSrc.Get(int(sr)) {
+	if bst.anyPooled && bst.pooledSrc.Get(int(src)) {
 		return 0
 	}
-	bst.pooledSrc.Set(int(sr))
+	bst.pooledSrc.Set(int(src))
 	bst.anyPooled = true
-	ts.pool = append(ts.pool, bst.sourceEx(p, sr, ec, op))
+	ts.pool = append(ts.pool, bst.sourceEx(p, src, ec, op))
 	if ts.routeExc != nil {
 		ts.routeExc[op]++
 	}
@@ -286,8 +286,8 @@ func (cs *compiledStage) failBatchRow(ts *task, bst *batchState, p int, r int32,
 // runRecordsColumnar is runRecords on the batch plan: identical order
 // keys, pool entries, counters and routing ledger arithmetic, with the
 // per-row parse/step/render work replaced by per-batch vector loops.
-func (cs *compiledStage) runRecordsColumnar(ts *task, p int, recs [][]byte, baseKey uint64, copyRaw bool) error {
-	bst := cs.getBatchState(ts)
+func (sr *stageRun) runRecordsColumnar(ts *task, p int, recs [][]byte, baseKey uint64, copyRaw bool) error {
+	bst := sr.getBatchState(ts)
 	var input, rejects, normalExc int64
 
 	for start := 0; start < len(recs); start += batchMaxRows {
@@ -305,7 +305,7 @@ func (cs *compiledStage) runRecordsColumnar(ts *task, p int, recs [][]byte, base
 		bst.raws = bst.raws[:0]
 		for i, rec := range sub {
 			key := baseKey + uint64(start+i)
-			if ec := cs.parse.ParseLineVecs(rec, bst.src); ec != 0 {
+			if ec := sr.parse.ParseLineVecs(rec, bst.src); ec != 0 {
 				rejects++
 				ts.pool = append(ts.pool, exRow{part: p, key: key, raw: rec, ec: ec})
 				continue
@@ -313,7 +313,7 @@ func (cs *compiledStage) runRecordsColumnar(ts *task, p int, recs [][]byte, base
 			bst.keys = append(bst.keys, key)
 			bst.raws = append(bst.raws, rec)
 		}
-		normalExc += cs.runBatchBody(ts, bst, p)
+		normalExc += sr.runBatchBody(ts, bst, p)
 	}
 
 	normal := input - rejects - normalExc
@@ -336,16 +336,16 @@ func (cs *compiledStage) runRecordsColumnar(ts *task, p int, recs [][]byte, base
 			}
 		}
 	}
-	cs.putBatchState(ts)
+	sr.putBatchState(ts)
 	return nil
 }
 
 // runSlotsColumnar is the batch plan over a slot-native Parallelize
 // source: conforming rows ingest straight into the source vectors (no
 // boxing); non-conforming rows pool boxed like the row path.
-func (cs *compiledStage) runSlotsColumnar(ts *task, p int) error {
-	bst := cs.getBatchState(ts)
-	rg := cs.partRanges[p]
+func (sr *stageRun) runSlotsColumnar(ts *task, p int) error {
+	bst := sr.getBatchState(ts)
+	rg := sr.partRanges[p]
 	var input, rejects, normalExc int64
 
 	for start := rg[0]; start < rg[1]; start += batchMaxRows {
@@ -359,8 +359,8 @@ func (cs *compiledStage) runSlotsColumnar(ts *task, p int) error {
 		bst.raws = nil
 		bst.srcRows = bst.srcRows[:0]
 		for i := start; i < end; i++ {
-			src := cs.inputSlots[i]
-			if !rowConforms(src, cs.inSchema) {
+			src := sr.inputSlots[i]
+			if !rowConforms(src, sr.inSchema) {
 				rejects++
 				ts.pool = append(ts.pool, exRow{part: p, key: uint64(i), vals: rows.RowToValues(src), ec: pyvalue.ExcBadParse})
 				continue
@@ -371,7 +371,7 @@ func (cs *compiledStage) runSlotsColumnar(ts *task, p int) error {
 			bst.keys = append(bst.keys, uint64(i))
 			bst.srcRows = append(bst.srcRows, src)
 		}
-		normalExc += cs.runBatchBody(ts, bst, p)
+		normalExc += sr.runBatchBody(ts, bst, p)
 	}
 
 	normal := input - rejects - normalExc
@@ -387,15 +387,15 @@ func (cs *compiledStage) runSlotsColumnar(ts *task, p int) error {
 	}
 	ts.flushProbeCounters()
 	ts.flushBatchCounters()
-	cs.putBatchState(ts)
+	sr.putBatchState(ts)
 	return nil
 }
 
 // runBatchBody executes the kernel groups and the terminal (or the
 // row-bridge suffix) over one ingested batch. Returns the normal-path
 // exception count (one per failed source row).
-func (cs *compiledStage) runBatchBody(ts *task, bst *batchState, p int) int64 {
-	bp := cs.batch
+func (sr *stageRun) runBatchBody(ts *task, bst *batchState, p int) int64 {
+	bp := sr.batch
 	n := len(bst.keys)
 	bst.n = n
 	bst.sel = bst.sel[:0]
@@ -408,7 +408,7 @@ func (cs *compiledStage) runBatchBody(ts *task, bst *batchState, p int) int64 {
 	for _, g := range bp.groups {
 		switch g[0].kind {
 		case bkJoin:
-			normalExc += cs.runJoinKernel(ts, bst, g[0], p)
+			normalExc += sr.runJoinKernel(ts, bst, g[0], p)
 		case bkSelect:
 			k := g[0]
 			if ts.route != nil {
@@ -420,30 +420,30 @@ func (cs *compiledStage) runBatchBody(ts *task, bst *batchState, p int) int64 {
 			}
 			bst.cols, bst.cols2 = out, bst.cols
 		default:
-			normalExc += cs.runGroup(ts, bst, g, p)
+			normalExc += sr.runGroup(ts, bst, g, p)
 		}
 	}
 	ts.columnarRows += int64(len(bst.sel))
 
 	if bp.suffix == nil {
 		switch {
-		case cs.sinkCSV:
+		case sr.sinkCSV:
 			if ts.route != nil {
-				ts.route[cs.termRouteIdx] += int64(len(bst.sel))
+				ts.route[sr.termRouteIdx] += int64(len(bst.sel))
 			}
-			cs.renderBatchCSV(ts, bst)
-		case cs.terminal == physical.TerminalUnique:
+			sr.renderBatchCSV(ts, bst)
+		case sr.terminal == physical.TerminalUnique:
 			if ts.route != nil {
-				ts.route[cs.termRouteIdx] += int64(len(bst.sel))
+				ts.route[sr.termRouteIdx] += int64(len(bst.sel))
 			}
-			cs.uniqueBatch(ts, bst)
-		case cs.terminal == physical.TerminalAggregate:
-			normalExc += cs.aggregateBatch(ts, bst, p)
+			sr.uniqueBatch(ts, bst)
+		case sr.terminal == physical.TerminalAggregate:
+			normalExc += sr.aggregateBatch(ts, bst, p)
 		default:
 			if ts.route != nil {
-				ts.route[cs.termRouteIdx] += int64(len(bst.sel))
+				ts.route[sr.termRouteIdx] += int64(len(bst.sel))
 			}
-			cs.gatherBatch(ts, bst)
+			sr.gatherBatch(ts, bst)
 		}
 	} else {
 		// The stage barrier: bounce the surviving rows to the composed
@@ -458,7 +458,7 @@ func (cs *compiledStage) runBatchBody(ts *task, bst *batchState, p int) int64 {
 				row[c] = v.Slot(int(r))
 			}
 			if ec := bp.suffix(ts, bst.keyOf(r), row); ec != 0 {
-				normalExc += cs.failBatchRow(ts, bst, p, r, ec, ts.excOp)
+				normalExc += sr.failBatchRow(ts, bst, p, r, ec, ts.excOp)
 			}
 		}
 	}
@@ -512,7 +512,7 @@ func (bst *batchState) carve(n int) []*colvec.Vec {
 // and that no kernel in the current fused group writes — dispatch to a
 // null-check-elided variant reading a re-sliced typed array (bounds
 // checks hoisted to the [:n] re-slice).
-func (cs *compiledStage) argAccessor(ts *task, bst *batchState, k *batchKernel, view []*colvec.Vec, n int) func(int32) rows.Slot {
+func (sr *stageRun) argAccessor(ts *task, bst *batchState, k *batchKernel, view []*colvec.Vec, n int) func(int32) rows.Slot {
 	if !k.scalar {
 		return func(r int32) rows.Slot { return gatherArgView(k, view, bst, int(r)) }
 	}
@@ -550,8 +550,9 @@ func (cs *compiledStage) argAccessor(ts *task, bst *batchState, k *batchKernel, 
 // runGroup executes one fused pass: every kernel in the group runs over
 // each live row in a single scan of the selection vector, with per-row
 // filter short-circuits and the shared drop/pool failure protocol.
+//
 //tuplex:kernel
-func (cs *compiledStage) runGroup(ts *task, bst *batchState, group []*batchKernel, p int) int64 {
+func (sr *stageRun) runGroup(ts *task, bst *batchState, group []*batchKernel, p int) int64 {
 	n := bst.n
 	// Static per-batch setup: input views, derived vectors grown to the
 	// index space, argument accessors.
@@ -573,7 +574,7 @@ func (cs *compiledStage) runGroup(ts *task, bst *batchState, group []*batchKerne
 	}
 	bst.argFns = bst.argFns[:0]
 	for gi, k := range group {
-		bst.argFns = append(bst.argFns, cs.argAccessor(ts, bst, k, bst.views[gi], n))
+		bst.argFns = append(bst.argFns, sr.argAccessor(ts, bst, k, bst.views[gi], n))
 	}
 
 	var excs int64
@@ -589,7 +590,7 @@ rowLoop:
 			}
 			v, ec := callKernelUDF(ts, k.su, bst.argFns[gi](r))
 			if ec != 0 {
-				excs += cs.failBatchRow(ts, bst, p, r, ec, k.ridx)
+				excs += sr.failBatchRow(ts, bst, p, r, ec, k.ridx)
 				continue rowLoop
 			}
 			derived := bst.derived[k.ki]
@@ -602,7 +603,7 @@ rowLoop:
 				switch {
 				case len(v.Seq) > 0 && (v.Tag == types.KindDict || v.Tag == types.KindTuple):
 					if len(v.Seq) != len(derived) {
-						excs += cs.failBatchRow(ts, bst, p, r, pyvalue.ExcUnsupported, k.ridx)
+						excs += sr.failBatchRow(ts, bst, p, r, pyvalue.ExcUnsupported, k.ridx)
 						continue rowLoop
 					}
 					for j := range derived {
@@ -611,7 +612,7 @@ rowLoop:
 				case len(derived) == 1:
 					derived[0].Set(int(r), v)
 				default:
-					excs += cs.failBatchRow(ts, bst, p, r, pyvalue.ExcUnsupported, k.ridx)
+					excs += sr.failBatchRow(ts, bst, p, r, pyvalue.ExcUnsupported, k.ridx)
 					continue rowLoop
 				}
 			case bkWithColumn, bkMapColumn:
@@ -631,9 +632,10 @@ rowLoop:
 // batch's index space to the fan-out output (srcIdx tracks each output
 // row's source; outKeys carries the key*256+sub order keys the row path
 // produces).
+//
 //tuplex:kernel
-func (cs *compiledStage) runJoinKernel(ts *task, bst *batchState, k *batchKernel, p int) int64 {
-	bt := k.join
+func (sr *stageRun) runJoinKernel(ts *task, bst *batchState, k *batchKernel, p int) int64 {
+	bt := sr.joins[k.joinIdx]
 	derived := bst.derived[k.ki]
 	for _, v := range derived {
 		v.Reset()
@@ -653,7 +655,7 @@ func (cs *compiledStage) runJoinKernel(ts *task, bst *batchState, k *batchKernel
 			ts.route[k.ridx]++
 		}
 		key := bst.keyOf(r)
-		sr := bst.srcOf(r)
+		src := bst.srcOf(r)
 		buf, ok := rows.AppendJoinKey(ts.keyBuf[:0], keyVec.Slot(int(r)))
 		ts.keyBuf = buf
 		var matches []buildRef
@@ -661,7 +663,7 @@ func (cs *compiledStage) runJoinKernel(ts *task, bst *batchState, k *batchKernel
 			if bt.genCount > 0 && len(bt.general[string(buf)]) > 0 {
 				// Normal×exception join pairs run on the exception path
 				// (§4.5 pairwise joins).
-				excs += cs.failBatchRow(ts, bst, p, r, pyvalue.ExcUnsupported, k.ridx)
+				excs += sr.failBatchRow(ts, bst, p, r, pyvalue.ExcUnsupported, k.ridx)
 				continue
 			}
 			matches = bt.lookup(rows.Hash64(buf), buf)
@@ -679,7 +681,7 @@ func (cs *compiledStage) runJoinKernel(ts *task, bst *batchState, k *batchKernel
 			}
 			newSel = append(newSel, int32(m))
 			newKeys = append(newKeys, key*256)
-			newSrc = append(newSrc, sr)
+			newSrc = append(newSrc, src)
 			m++
 			continue
 		}
@@ -699,7 +701,7 @@ func (cs *compiledStage) runJoinKernel(ts *task, bst *batchState, k *batchKernel
 			}
 			newSel = append(newSel, int32(m))
 			newKeys = append(newKeys, key*256+sub)
-			newSrc = append(newSrc, sr)
+			newSrc = append(newSrc, src)
 			m++
 		}
 	}
@@ -719,6 +721,7 @@ func (cs *compiledStage) runJoinKernel(ts *task, bst *batchState, k *batchKernel
 // the kernel's input view: the row tuple with only the accessed (and
 // guarded) columns filled — unread positions keep stale slots that the
 // compiled body never loads.
+//
 //tuplex:kernel
 func gatherArgView(k *batchKernel, view []*colvec.Vec, bst *batchState, r int) rows.Slot {
 	row := bst.argBuf[:k.inCols]
@@ -745,8 +748,9 @@ func callKernelUDF(ts *task, su *stageUDF, arg rows.Slot) (rows.Slot, ECode) {
 // renderBatchCSV renders the live rows straight from the vectors into
 // the task's CSV writer — no row materialization, no per-cell strings.
 // Columns the batch proves all-valid skip the per-cell null check.
+//
 //tuplex:kernel
-func (cs *compiledStage) renderBatchCSV(ts *task, bst *batchState) {
+func (sr *stageRun) renderBatchCSV(ts *task, bst *batchState) {
 	w := ts.csvW
 	noNull := bst.noNull[:0]
 	for _, v := range bst.cols {
@@ -791,8 +795,9 @@ func (cs *compiledStage) renderBatchCSV(ts *task, bst *batchState) {
 // uniqueBatch feeds the live rows into the task's open distinct set (the
 // columnar unique terminal — same encoded row keys and insertion order
 // as the row path's terminal step).
+//
 //tuplex:kernel
-func (cs *compiledStage) uniqueBatch(ts *task, bst *batchState) {
+func (sr *stageRun) uniqueBatch(ts *task, bst *batchState) {
 	for _, r := range bst.sel {
 		row := ts.rowBuf[:len(bst.cols)]
 		for c, v := range bst.cols {
@@ -807,23 +812,24 @@ func (cs *compiledStage) uniqueBatch(ts *task, bst *batchState) {
 // aggregateBatch folds the live rows into the task's accumulator slot
 // (the columnar aggregate terminal); failures pool the source row like
 // every other batch step.
+//
 //tuplex:kernel
-func (cs *compiledStage) aggregateBatch(ts *task, bst *batchState, p int) int64 {
-	su := cs.aggUDF
+func (sr *stageRun) aggregateBatch(ts *task, bst *batchState, p int) int64 {
+	su := sr.aggUDF
 	var excs int64
 	for _, r := range bst.sel {
 		if bst.anyDropped && bst.dropped.Get(int(r)) {
 			continue
 		}
 		if ts.route != nil {
-			ts.route[cs.termRouteIdx]++
+			ts.route[sr.termRouteIdx]++
 		}
 		if su == nil || su.compiled == nil {
-			excs += cs.failBatchRow(ts, bst, p, r, pyvalue.ExcUnsupported, cs.termRouteIdx)
+			excs += sr.failBatchRow(ts, bst, p, r, pyvalue.ExcUnsupported, sr.termRouteIdx)
 			continue
 		}
 		var arg rows.Slot
-		if cs.aggScalar {
+		if sr.aggScalar {
 			arg = bst.cols[0].Slot(int(r))
 		} else {
 			row := ts.rowBuf[:len(bst.cols)]
@@ -834,7 +840,7 @@ func (cs *compiledStage) aggregateBatch(ts *task, bst *batchState, p int) int64 
 		}
 		v, ec := su.compiled.Call2(ts.frames[su.frameIdx], ts.aggSlot, arg)
 		if ec != 0 {
-			excs += cs.failBatchRow(ts, bst, p, r, ec, cs.termRouteIdx)
+			excs += sr.failBatchRow(ts, bst, p, r, ec, sr.termRouteIdx)
 			continue
 		}
 		ts.aggSlot = v
@@ -844,7 +850,7 @@ func (cs *compiledStage) aggregateBatch(ts *task, bst *batchState, p int) int64 
 
 // gatherBatch materializes the live rows (collect/materialize terminal)
 // with one bulk backing allocation per batch.
-func (cs *compiledStage) gatherBatch(ts *task, bst *batchState) {
+func (sr *stageRun) gatherBatch(ts *task, bst *batchState) {
 	b := colvec.Batch{Cols: bst.cols, N: bst.n}
 	got := b.GatherRows(bst.sel)
 	ts.outRows = append(ts.outRows, got...)

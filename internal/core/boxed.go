@@ -44,16 +44,15 @@ type boxedUDF struct {
 	dictParam bool
 }
 
-// compileBoxedUDF prepares a UDF for the exception paths. It is a free
-// function (not an engine method) because cached-plan clones rebuild
-// their boxed programs outside any live run.
-func compileBoxedUDF(spec *logical.UDFSpec) (*boxedUDF, error) {
+// compileBoxedUDF prepares a UDF for the exception paths. A UDF the
+// general path cannot compile still runs on the fallback interpreter.
+func compileBoxedUDF(spec *logical.UDFSpec) *boxedUDF {
 	u := &boxedUDF{spec: spec, ip: interp.New(spec.Globals)}
 	u.dictParam = len(spec.Access.ByName) > 0 || len(spec.Access.ByIndex) == 0
 	if compiled, err := u.ip.Compile(spec.Fn); err == nil {
 		u.compiled = compiled
 	}
-	return u, nil
+	return u
 }
 
 // call runs the UDF in the given mode.
@@ -80,9 +79,12 @@ const (
 	bOpJoin
 )
 
-// boxedOp is one stage operator in boxed form.
+// boxedOp is one stage operator in boxed form. The plan's recipe holds
+// ops with spec set and udf nil; instantiateBoxed fills udf (and the
+// handlers' resolver udfs) with private interpreters.
 type boxedOp struct {
 	kind      bOpKind
+	spec      *logical.UDFSpec
 	udf       *boxedUDF
 	handlers  *opHandlers
 	inSchema  *types.Schema
@@ -91,15 +93,15 @@ type boxedOp struct {
 	colIdx    int
 	scalar    bool
 	sel       []int
-	join      *buildTable
+	joinIdx   int // index into the run's joins (bOpJoin)
 	keyIdx    int
 	leftOuter bool
 	// accessCols caches the row positions of the UDF's accessed columns
 	// (lazily resolved; -1 for columns missing from the schema).
 	accessCols []int
 	// stats counts rows entering this op on the exception paths (nil
-	// below trace.LevelRows); the pointer is shared across
-	// cloneBoxedProgram copies, hence atomics.
+	// below trace.LevelRows); within one run the pointer is shared
+	// across the parallel resolve workers' copies, hence atomics.
 	stats *boxedOpStats
 }
 
@@ -142,29 +144,22 @@ func applyHandlers(h *opHandlers, mode pathMode, call func() (pyvalue.Value, err
 	return nil, err, false
 }
 
-// cloneBoxedProgram builds an independent copy of the boxed op list with
-// fresh interpreter instances, so the general-case path can run in
-// parallel across executors (§4.3's batched slow path; only the
-// interpreter fallback serializes, modeling the GIL).
-func (cs *compiledStage) cloneBoxedProgram() []*boxedOp {
-	out := make([]*boxedOp, len(cs.boxed))
-	cloneUDF := func(u *boxedUDF) *boxedUDF {
-		if u == nil {
-			return nil
-		}
-		nu, err := compileBoxedUDF(u.spec)
-		if err != nil {
-			return u
-		}
-		return nu
-	}
-	for i, op := range cs.boxed {
+// instantiateBoxed copies a boxed op list with fresh interpreter
+// instances: once per run from the plan's recipe, and once per worker
+// from the run's program so the general-case path can run in parallel
+// across executors (§4.3's batched slow path; only the interpreter
+// fallback serializes, modeling the GIL).
+func instantiateBoxed(prog []*boxedOp) []*boxedOp {
+	out := make([]*boxedOp, len(prog))
+	for i, op := range prog {
 		cp := *op
-		cp.udf = cloneUDF(op.udf)
+		if op.spec != nil {
+			cp.udf = compileBoxedUDF(op.spec)
+		}
 		if op.handlers != nil {
 			h := &opHandlers{ignores: op.handlers.ignores}
 			for _, r := range op.handlers.resolvers {
-				h.resolvers = append(h.resolvers, resolverSpec{exc: r.exc, udf: cloneUDF(r.udf)})
+				h.resolvers = append(h.resolvers, resolverSpec{exc: r.exc, spec: r.spec, udf: compileBoxedUDF(r.spec)})
 			}
 			cp.handlers = h
 		}
@@ -177,7 +172,7 @@ func (cs *compiledStage) cloneBoxedProgram() []*boxedOp {
 // returns the output rows (possibly several after joins, or none after
 // filters/inner-join misses). resolved reports whether a user resolver
 // fired.
-func (cs *compiledStage) runBoxedRow(prog []*boxedOp, mode pathMode, vals []pyvalue.Value) (out [][]pyvalue.Value, resolved bool, err error) {
+func (sr *stageRun) runBoxedRow(prog []*boxedOp, mode pathMode, vals []pyvalue.Value) (out [][]pyvalue.Value, resolved bool, err error) {
 	cur := [][]pyvalue.Value{vals}
 	for _, op := range prog {
 		if len(cur) == 0 {
@@ -192,7 +187,7 @@ func (cs *compiledStage) runBoxedRow(prog []*boxedOp, mode pathMode, vals []pyva
 		}
 		var next [][]pyvalue.Value
 		for _, row := range cur {
-			produced, res, err := op.apply(mode, row)
+			produced, res, err := op.apply(sr.joins, mode, row)
 			if err != nil {
 				if errors.Is(err, errDropped) {
 					continue
@@ -260,7 +255,7 @@ func (op *boxedOp) udfArg(row []pyvalue.Value) pyvalue.Value {
 }
 
 // apply runs one boxed operator on one row.
-func (op *boxedOp) apply(mode pathMode, row []pyvalue.Value) ([][]pyvalue.Value, bool, error) {
+func (op *boxedOp) apply(joins []*buildTable, mode pathMode, row []pyvalue.Value) ([][]pyvalue.Value, bool, error) {
 	switch op.kind {
 	case bOpNoop:
 		return [][]pyvalue.Value{row}, false, nil
@@ -329,7 +324,7 @@ func (op *boxedOp) apply(mode pathMode, row []pyvalue.Value) ([][]pyvalue.Value,
 		}
 		return [][]pyvalue.Value{out}, false, nil
 	case bOpJoin:
-		return op.applyJoin(row)
+		return op.applyJoin(joins[op.joinIdx], row)
 	default:
 		return nil, false, fmt.Errorf("core: unknown boxed op %d", op.kind)
 	}
@@ -337,11 +332,10 @@ func (op *boxedOp) apply(mode pathMode, row []pyvalue.Value) ([][]pyvalue.Value,
 
 // applyJoin probes both the sharded normal table and the general build
 // map (§4.5's pairwise NC/EC coverage for exception-side probe rows).
-func (op *boxedOp) applyJoin(row []pyvalue.Value) ([][]pyvalue.Value, bool, error) {
+func (op *boxedOp) applyJoin(bt *buildTable, row []pyvalue.Value) ([][]pyvalue.Value, bool, error) {
 	if op.keyIdx >= len(row) {
 		return nil, false, pyvalue.Raise(pyvalue.ExcKeyError, "row too short for join key")
 	}
-	bt := op.join
 	var out [][]pyvalue.Value
 	if key, ok := rows.AppendJoinKeyValue(nil, row[op.keyIdx]); ok {
 		for _, ref := range bt.lookup(rows.Hash64(key), key) {
@@ -398,15 +392,15 @@ func mapResultRow(v pyvalue.Value, outSchema *types.Schema) ([]pyvalue.Value, er
 // updating the materialization in place. It runs serially — exception
 // rows are rare by construction, and the fallback path models the
 // prototype's GIL.
-func (eng *engine) resolveExceptions(cs *compiledStage, out *mat) error {
+func (eng *engine) resolveExceptions(sr *stageRun, out *mat) error {
 	pool := out.exceptional
 	out.exceptional = nil
 	// Input-materialization exceptions from the previous stage also run
 	// through this stage's boxed program. Source stages (materialized
 	// records or streamed chunks) have no previous stage.
-	if cs.boxedInput != nil && cs.records == nil && cs.stream == nil && cs.inputSlots == nil {
+	if sr.input != nil {
 		n := len(pool)
-		pool = append(pool, cs.boxedInput.exceptional...)
+		pool = append(pool, sr.input.exceptional...)
 		// Carried-over rows raised in a previous stage; their op indexes
 		// don't map to this stage's ledger, so they attribute to the
 		// source entry.
@@ -414,23 +408,23 @@ func (eng *engine) resolveExceptions(cs *compiledStage, out *mat) error {
 			pool[i].op = 0
 		}
 	}
-	cs.poolSize = len(pool)
+	sr.poolSize = len(pool)
 	// rt is this stage's routing ledger (nil below LevelRows); outcome
 	// increments below mirror the Metrics counter sites exactly so the
 	// ledger totals reconcile with the run counters.
-	rt := cs.routing
+	rt := sr.routing
 	addSample := func(ex *exRow, vals []pyvalue.Value, outcome string) {
 		// ec == 0 marks a row carried over from a previous stage's
 		// exception path, not a new exception — don't sample it.
-		if !cs.traceSamples || ex.ec == 0 || len(cs.samples) >= trace.MaxExcSamples {
+		if !sr.traceSamples || ex.ec == 0 || len(sr.samples) >= trace.MaxExcSamples {
 			return
 		}
 		in := renderInput(*ex, vals)
 		if len(in) > trace.MaxSampleInput {
 			in = in[:trace.MaxSampleInput]
 		}
-		cs.samples = append(cs.samples, trace.ExcSample{
-			Op:      cs.opNames[ex.op],
+		sr.samples = append(sr.samples, trace.ExcSample{
+			Op:      sr.opNames[ex.op],
 			Exc:     ex.ec.String(),
 			Input:   in,
 			Outcome: outcome,
@@ -439,12 +433,12 @@ func (eng *engine) resolveExceptions(cs *compiledStage, out *mat) error {
 	// Unique terminal: merge task sets (shard-parallel) before
 	// deduplicating exceptions against them.
 	var uniqSeen *uniqIndex
-	if cs.terminal == physical.TerminalUnique {
-		uniqSeen = eng.mergeUnique(cs, out)
+	if sr.terminal == physical.TerminalUnique {
+		uniqSeen = eng.mergeUnique(sr, out)
 	}
 	c := &eng.res.Metrics.Counters
 	joinScale := uint64(1)
-	for _, op := range cs.boxed {
+	for _, op := range sr.boxed {
 		if op.kind == bOpJoin {
 			joinScale *= 256
 		}
@@ -457,16 +451,16 @@ func (eng *engine) resolveExceptions(cs *compiledStage, out *mat) error {
 		if ex.vals != nil {
 			return ex.vals
 		}
-		if cs.isText {
+		if sr.isText {
 			return []pyvalue.Value{pyvalue.Str(string(ex.raw))}
 		}
 		// Parse generally, then project to the stage's input columns so
 		// positions line up with the (possibly pushdown-narrowed)
 		// schema. Cells missing from short rows become None — the
 		// interpreter view of dirty data.
-		full := csvio.GeneralParse(ex.raw, cs.parse.Delim, cs.nullValues)
-		vals := make([]pyvalue.Value, len(cs.parse.Fields))
-		for i, f := range cs.parse.Fields {
+		full := csvio.GeneralParse(ex.raw, sr.parse.Delim, sr.nullValues)
+		vals := make([]pyvalue.Value, len(sr.parse.Fields))
+		for i, f := range sr.parse.Fields {
 			if f.Col < len(full) {
 				vals[i] = full[f.Col]
 			} else {
@@ -478,11 +472,11 @@ func (eng *engine) resolveExceptions(cs *compiledStage, out *mat) error {
 
 	// runResolve wraps runBoxedRow with per-row resolve-latency
 	// recording; with telemetry off it is the bare call.
-	runResolve := cs.runBoxedRow
+	runResolve := sr.runBoxedRow
 	if eng.mon != nil {
 		runResolve = func(prog []*boxedOp, mode pathMode, vals []pyvalue.Value) ([][]pyvalue.Value, bool, error) {
 			t := time.Now()
-			outRows, resolved, err := cs.runBoxedRow(prog, mode, vals)
+			outRows, resolved, err := sr.runBoxedRow(prog, mode, vals)
 			eng.mon.RecordResolve(time.Since(t))
 			return outRows, resolved, err
 		}
@@ -518,7 +512,7 @@ func (eng *engine) resolveExceptions(cs *compiledStage, out *mat) error {
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
-				prog := cs.cloneBoxedProgram()
+				prog := instantiateBoxed(sr.boxed)
 				for i := lo; i < hi; i++ {
 					if (i-lo)&0xff == 0 && (ctxStop.Load() || eng.canceled() != nil) {
 						ctxStop.Store(true)
@@ -544,7 +538,7 @@ func (eng *engine) resolveExceptions(cs *compiledStage, out *mat) error {
 				}
 			}
 			vals := genVals(&pool[i])
-			outRows, resolved, err := runResolve(cs.boxed, pathGeneral, vals)
+			outRows, resolved, err := runResolve(sr.boxed, pathGeneral, vals)
 			outcomes[i] = exOutcome{vals: vals, outRows: outRows, resolved: resolved, err: err, mode: pathGeneral}
 		}
 	}
@@ -564,7 +558,7 @@ func (eng *engine) resolveExceptions(cs *compiledStage, out *mat) error {
 		outRows, resolved, err := oc.outRows, oc.resolved, oc.err
 		if err != nil && !errors.Is(err, errDropped) {
 			mode = pathFallback
-			outRows, resolved, err = runResolve(cs.boxed, mode, vals)
+			outRows, resolved, err = runResolve(sr.boxed, mode, vals)
 		}
 		if errors.Is(err, errDropped) {
 			c.IgnoredRows.Add(1)
@@ -608,19 +602,19 @@ func (eng *engine) resolveExceptions(cs *compiledStage, out *mat) error {
 			addSample(&ex, vals, "fallback")
 		}
 		// Terminal application.
-		switch cs.terminal {
+		switch sr.terminal {
 		case physical.TerminalAggregate:
 			for _, r := range outRows {
 				acc := boxedAgg
 				if boxedAggRows == 0 {
-					acc = cs.aggInit
+					acc = sr.aggInit
 				}
-				arg := aggRowArg(cs, r)
-				v, aerr := cs.aggUDF.boxed.call(pathFallback, []pyvalue.Value{acc, arg})
+				arg := aggRowArg(sr, r)
+				v, aerr := sr.aggBoxed.call(pathFallback, []pyvalue.Value{acc, arg})
 				if aerr != nil {
 					c.FailedRows.Add(1)
 					if rt != nil {
-						rt[cs.termRouteIdx].Failed++
+						rt[sr.termRouteIdx].Failed++
 					}
 					eng.res.Failed = append(eng.res.Failed, FailedRow{
 						Exc: pyvalue.KindOf(aerr), Msg: aerr.Error(), Input: renderInput(ex, vals)})
@@ -647,8 +641,8 @@ func (eng *engine) resolveExceptions(cs *compiledStage, out *mat) error {
 	}
 
 	// Finalize aggregates: combine task partials plus the boxed partial.
-	if cs.terminal == physical.TerminalAggregate {
-		v, err := eng.combinePartials(cs, boxedAgg, boxedAggRows)
+	if sr.terminal == physical.TerminalAggregate {
+		v, err := eng.combinePartials(sr, boxedAgg, boxedAggRows)
 		if err != nil {
 			return err
 		}
@@ -661,13 +655,13 @@ func (eng *engine) resolveExceptions(cs *compiledStage, out *mat) error {
 }
 
 // aggRowArg builds the row argument for the boxed aggregate UDF.
-func aggRowArg(cs *compiledStage, r []pyvalue.Value) pyvalue.Value {
-	if cs.outSchema.Len() == 1 && len(cs.aggUDF.spec.Access.ByName) == 0 {
+func aggRowArg(sr *stageRun, r []pyvalue.Value) pyvalue.Value {
+	if sr.outSchema.Len() == 1 && len(sr.aggUDF.spec.Access.ByName) == 0 {
 		return r[0]
 	}
-	if cs.aggUDF.boxed.dictParam {
+	if sr.aggBoxed.dictParam {
 		d := pyvalue.NewDict()
-		for i, name := range cs.outSchema.Names() {
+		for i, name := range sr.outSchema.Names() {
 			if i < len(r) {
 				d.Set(name, r[i])
 			}
@@ -686,9 +680,9 @@ func aggRowArg(cs *compiledStage, r []pyvalue.Value) pyvalue.Value {
 // rounds instead of a serial chain. The tree keeps the left-to-right
 // pairing, so for the associative combiners §4.6 requires the result
 // matches the serial fold.
-func (eng *engine) combinePartials(cs *compiledStage, boxedAgg pyvalue.Value, boxedRows int) (pyvalue.Value, error) {
+func (eng *engine) combinePartials(sr *stageRun, boxedAgg pyvalue.Value, boxedRows int) (pyvalue.Value, error) {
 	var partials []pyvalue.Value
-	for _, ts := range cs.tasks {
+	for _, ts := range sr.tasks {
 		if ts != nil && ts.hasAgg {
 			partials = append(partials, ts.aggSlot.Value())
 		}
@@ -697,9 +691,9 @@ func (eng *engine) combinePartials(cs *compiledStage, boxedAgg pyvalue.Value, bo
 		partials = append(partials, boxedAgg)
 	}
 	if len(partials) == 0 {
-		return cs.aggInit, nil
+		return sr.aggInit, nil
 	}
-	if len(partials) > 1 && cs.combUDF == nil {
+	if len(partials) > 1 && sr.combBoxed == nil {
 		return nil, fmt.Errorf("core: aggregate over multiple partitions requires a combiner UDF")
 	}
 	if eng.opts.Executors > 1 && len(partials) >= 4 {
@@ -708,12 +702,7 @@ func (eng *engine) combinePartials(cs *compiledStage, boxedAgg pyvalue.Value, bo
 			next := make([]pyvalue.Value, (len(partials)+1)/2)
 			errs := make([]error, pairs)
 			eng.parallelFor(pairs, func(i int) {
-				cu, err := compileBoxedUDF(cs.combUDF.spec)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				v, err := cu.call(pathFallback, []pyvalue.Value{partials[2*i], partials[2*i+1]})
+				v, err := compileBoxedUDF(sr.combSpec).call(pathFallback, []pyvalue.Value{partials[2*i], partials[2*i+1]})
 				if err != nil {
 					errs[i] = fmt.Errorf("core: combiner failed: %w", err)
 					return
@@ -734,7 +723,7 @@ func (eng *engine) combinePartials(cs *compiledStage, boxedAgg pyvalue.Value, bo
 	}
 	acc := partials[0]
 	for _, p := range partials[1:] {
-		v, err := cs.combUDF.call(pathFallback, []pyvalue.Value{acc, p})
+		v, err := sr.combBoxed.call(pathFallback, []pyvalue.Value{acc, p})
 		if err != nil {
 			return nil, fmt.Errorf("core: combiner failed: %w", err)
 		}

@@ -2,107 +2,158 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"time"
 
-	"github.com/gotuplex/tuplex/internal/csvio"
 	"github.com/gotuplex/tuplex/internal/logical"
 	"github.com/gotuplex/tuplex/internal/metrics"
 	"github.com/gotuplex/tuplex/internal/physical"
 	"github.com/gotuplex/tuplex/internal/telemetry"
 	"github.com/gotuplex/tuplex/internal/trace"
+	"github.com/gotuplex/tuplex/internal/types"
 )
 
-// CompiledPlan is a reusable compilation artifact: the sampled normal
-// case, the generated per-stage closures, the columnar batch plans and
-// the join build tables of one completed run, detached from that run's
-// mutable state. Re-executing it skips sampling, type inference,
-// dataflow analysis and code generation — the amortization a long-lived
-// service needs (Tupleware's "distributed shared jobs"; ROADMAP item 2).
+// CompiledPlan is a reusable compilation artifact: per stage, the
+// sampled normal case, the generated closures and the columnar batch
+// plan (a stagePlan), laid out as the tree of stage chains the run
+// executes. Re-executing it skips sampling, type inference, dataflow
+// analysis and code generation — the amortization a long-lived service
+// needs (Tupleware's "distributed shared jobs"; ROADMAP item 2).
 //
-// A CompiledPlan is immutable after construction and safe for
-// concurrent Execute calls: compile-time artifacts (entry chains, batch
-// programs, build tables, codegen UDFs) are shared read-only, while
-// per-run state (tasks, exception pools, boxed interpreters, routing
-// ledgers, source bindings) is cloned per call.
+// There is one execution path. Every run — Execute, CompileAndExecute or
+// a re-execution — walks the tree with the same per-stage loop: bind the
+// source, compile the stage only if its slot is still empty, run. A
+// first run starts from an empty tree and leaves it full; later runs
+// find every slot full and only bind and run.
 //
-// Correctness does not depend on the new input resembling the sampled
-// one: rows that fall outside the compiled normal case are classifier
-// rejects and flow through the general/fallback paths like any other
-// exception row. A drifted input is merely slow, never wrong — callers
-// (the service cache) key plans by an input fingerprint for performance,
-// not safety.
+// Once full, a CompiledPlan is immutable and safe for concurrent Execute
+// calls. Everything a run produces or reads from the outside world —
+// source bindings, join build tables, tasks, exception pools, boxed
+// interpreters, routing ledgers — lives on that run's stageRuns, which
+// the plan's types cannot reference. In particular every execution
+// re-reads every source, join build sides included, and hashes its own
+// build tables.
+//
+// What a plan bakes in is what compile saw: the pipeline and each
+// source's sampled prefix (header names, column count, normal-case
+// types). Input that differs from the sample beyond that — a drifted
+// tail — is the dual-mode design's ordinary case: non-conforming rows
+// are classifier rejects and take the general/fallback paths, slower
+// but correct. Input that differs in what was baked in (say, renamed
+// header columns) is a different pipeline, and re-executing the old
+// plan over it is wrong; callers that reuse plans (the service cache)
+// key them by pipeline and input prefix (spec.Fingerprint).
 type CompiledPlan struct {
-	opts   Options
-	kind   SinkKind
-	stages []*stageTemplate
+	opts Options
+	kind SinkKind
+	root *chainPlan
 }
 
-// stageTemplate pairs one physical stage with its stripped compiled
-// form. The physical stage is kept for source rebinding (paths, inline
-// data, parallelize rows live on the logical source nodes).
-type stageTemplate struct {
+// chainPlan is the plan of one chain of stages: the pipeline itself or a
+// join's build side.
+type chainPlan struct {
+	stages []*stageSlot
+}
+
+// stageSlot is one stage's place in the plan tree. newChainPlan lays out
+// the physical stage and its join build sides; plan is filled by the
+// first run that reaches the stage.
+type stageSlot struct {
 	st *physical.Stage
-	cs *compiledStage
+	// sinkCSV marks the pipeline's final stage under a CSV sink, which
+	// renders CSV inside its tasks. Build-side chains always materialize
+	// rows for the hash table, whatever the pipeline's sink is.
+	sinkCSV bool
+	// builds holds the build side of each JoinOp in st.Ops, in order.
+	builds []*joinBuild
+	plan   *stagePlan
 }
 
-// newCompiledPlan detaches the engine's captured stages into a reusable
-// plan. Called once, after the capturing run has fully finished, so
-// nulling the per-run fields below cannot race with anything.
-func newCompiledPlan(eng *engine) *CompiledPlan {
-	cp := &CompiledPlan{opts: eng.opts, kind: eng.sink, stages: eng.captured}
-	for _, tpl := range cp.stages {
-		cs := tpl.cs
-		cs.eng = nil
-		cs.records = nil
-		cs.stream = nil
-		cs.tasks = nil
-		cs.routing = nil
-		cs.samples = nil
-		cs.poolSize = 0
-		cs.sampleTime = 0
-		switch tpl.st.Source.(type) {
-		case nil:
-			// Interior stage: the input materialization is per-run.
-			cs.boxedInput = nil
-			cs.partRanges = nil
-		case *logical.ParallelizeSource:
-			// Inline rows are part of the plan; keep slots + ranges.
-		default:
-			// File-backed source: partitioning depends on the file read at
-			// execute time.
-			cs.partRanges = nil
+// joinBuild is the build side of one join: the operator and the chain
+// that produces its rows.
+type joinBuild struct {
+	op    *logical.JoinOp
+	chain *chainPlan
+}
+
+// newChainPlan splits the plan rooted at sinkNode into stages and lays
+// out the (still uncompiled) tree, build sides included.
+func newChainPlan(sinkNode *logical.Node, sink SinkKind, fusion bool) (*chainPlan, error) {
+	pplan, err := physical.Split(sinkNode, physical.Options{Fusion: fusion})
+	if err != nil {
+		return nil, err
+	}
+	c := &chainPlan{stages: make([]*stageSlot, len(pplan.Stages))}
+	for si := range pplan.Stages {
+		st := &pplan.Stages[si]
+		sl := &stageSlot{st: st, sinkCSV: st.Terminal == physical.TerminalSink && sink == SinkCSV}
+		for _, op := range st.Ops {
+			if j, ok := op.(*logical.JoinOp); ok {
+				build, err := newChainPlan(j.Build, SinkCollect, fusion)
+				if err != nil {
+					return nil, err
+				}
+				sl.builds = append(sl.builds, &joinBuild{op: j, chain: build})
+			}
+		}
+		c.stages[si] = sl
+	}
+	return c, nil
+}
+
+// outSchema is the schema of the chain's result (its last stage must
+// have been compiled).
+func (c *chainPlan) outSchema() *types.Schema {
+	return c.stages[len(c.stages)-1].plan.outSchema
+}
+
+// numStages counts the chain's stages, build sides included.
+func (c *chainPlan) numStages() int {
+	n := len(c.stages)
+	for _, sl := range c.stages {
+		for _, jb := range sl.builds {
+			n += jb.chain.numStages()
 		}
 	}
-	return cp
+	return n
 }
 
 // Stages reports the plan's stage count (observability only).
-func (cp *CompiledPlan) Stages() int { return len(cp.stages) }
+func (cp *CompiledPlan) Stages() int { return cp.root.numStages() }
 
 // Kind reports the plan's sink form.
 func (cp *CompiledPlan) Kind() SinkKind { return cp.kind }
 
-// Execute re-runs the compiled plan against its sources under ctx,
-// skipping the sample/compile phases entirely. The run uses the options
-// the plan was compiled with (partitioning, streaming and columnar
-// choices are baked into the compiled artifacts); csvPath optionally
-// redirects a CSV sink to a file, exactly like Execute's parameter.
+// Execute re-runs the compiled plan against its sources under ctx. The
+// run uses the options the plan was compiled with (partitioning,
+// streaming and columnar choices are baked into the compiled
+// artifacts); csvPath optionally redirects a CSV sink to a file, exactly
+// like Execute's parameter.
 func (cp *CompiledPlan) Execute(ctx context.Context, csvPath string) (*Result, error) {
-	return cp.ExecuteLabeled(ctx, csvPath, "")
+	return cp.run(ctx, nil, csvPath, "")
 }
 
 // ExecuteLabeled is Execute with a per-run telemetry label override, so
 // a long-lived service can attribute each warm re-execution of a shared
 // plan to the job that requested it in /metrics and /runz.
 func (cp *CompiledPlan) ExecuteLabeled(ctx context.Context, csvPath, label string) (*Result, error) {
+	return cp.run(ctx, nil, csvPath, label)
+}
+
+// run executes the plan once. sinkNode is non-nil exactly on the first
+// run of a new CompiledPlan (CompileAndExecute), whose tree is laid out
+// here from the optimized logical plan; that is the only difference
+// between a cold and a warm run at this level.
+func (cp *CompiledPlan) run(ctx context.Context, sinkNode *logical.Node, csvPath, label string) (*Result, error) {
 	opts := cp.opts
 	if label != "" {
 		opts.Telemetry.Label = label
 	}
 	res := &Result{Metrics: &metrics.Metrics{}}
 	t0 := time.Now()
-	eng := &engine{ctx: ctx, opts: opts, res: res, sink: cp.kind, tr: trace.New(opts.Trace)}
+	eng := &engine{ctx: ctx, opts: opts, res: res, tr: trace.New(opts.Trace)}
+	// Live monitoring: only when opted in (or an introspection server is
+	// up) does a RunMonitor exist — with mon nil every hook below is a
+	// nil-receiver no-op and the execution path is the unmonitored one.
 	if opts.Telemetry.Enabled || telemetry.AutoEnabled() {
 		eng.mon = telemetry.NewRunMonitor(opts.Telemetry, res.Metrics, opts.Executors)
 		telemetry.Default.Register(eng.mon)
@@ -112,23 +163,33 @@ func (cp *CompiledPlan) ExecuteLabeled(ctx context.Context, csvPath, label strin
 			telemetry.Default.Unregister(eng.mon)
 		}()
 	}
-	eng.tr.Child("plan", 0, trace.Bool("cached", true))
-	eng.res.Metrics.Stages = len(cp.stages)
-	eng.mon.SetStages(len(cp.stages))
 
-	var cur *mat
-	for _, tpl := range cp.stages {
-		if err := eng.canceled(); err != nil {
-			return nil, err
+	if sinkNode != nil {
+		tOpt := time.Now()
+		optimized := opts.Logical != (logical.Options{})
+		if optimized {
+			var err error
+			if sinkNode, err = logical.Optimize(sinkNode, opts.Logical); err != nil {
+				return nil, err
+			}
 		}
-		var err error
-		cur, err = eng.runCachedStage(tpl, cur)
+		root, err := newChainPlan(sinkNode, cp.kind, opts.Fusion)
 		if err != nil {
 			return nil, err
 		}
+		cp.root = root
+		res.Metrics.Timings.Optimize = time.Since(tOpt)
+		eng.tr.Child("plan", res.Metrics.Timings.Optimize, trace.Bool("optimized", optimized))
+	} else {
+		eng.tr.Child("plan", 0, trace.Bool("cached", true))
+	}
+
+	out, err := eng.runChain(cp.root)
+	if err != nil {
+		return nil, err
 	}
 	tSink := time.Now()
-	if err := eng.finish(cur, cp.kind, csvPath, res); err != nil {
+	if err := eng.finish(out, cp.kind, csvPath, res); err != nil {
 		return nil, err
 	}
 	eng.tr.Child("sink", time.Since(tSink),
@@ -139,162 +200,4 @@ func (cp *CompiledPlan) ExecuteLabeled(ctx context.Context, csvPath, label strin
 	res.Metrics.Latency = eng.mon.Latency()
 	res.Trace = eng.tr.Finish()
 	return res, nil
-}
-
-// runCachedStage executes one templated stage: clone the per-run state,
-// rebind the source to fresh data, then run the shared
-// execute-and-resolve path.
-func (eng *engine) runCachedStage(tpl *stageTemplate, input *mat) (*mat, error) {
-	ssp, restore := eng.beginStage(len(tpl.st.Ops))
-	defer restore()
-	cs := tpl.cloneForRun(eng)
-	if err := eng.rebindSource(cs, tpl.st, input); err != nil {
-		return nil, err
-	}
-	return eng.execAndResolve(cs, ssp)
-}
-
-// cloneForRun builds a run-private compiledStage from the template.
-// Copied fields are the immutable compile-time artifacts; everything a
-// run mutates is either freshly allocated here or rebound by
-// rebindSource. The copy is explicit field-by-field (not a struct copy)
-// because compiledStage embeds a sync.Pool, and so the set of shared
-// fields is auditable in one place.
-func (tpl *stageTemplate) cloneForRun(eng *engine) *compiledStage {
-	t := tpl.cs
-	nc := &compiledStage{
-		eng:      eng,
-		terminal: t.terminal,
-		termOp:   t.termOp,
-
-		parse:      t.parse,
-		isText:     t.isText,
-		nFields:    t.nFields,
-		boxedInput: t.boxedInput,
-		inputSlots: t.inputSlots,
-		partRanges: t.partRanges,
-
-		inSchema:   t.inSchema,
-		outSchema:  t.outSchema,
-		nullValues: t.nullValues,
-		srcFacts:   t.srcFacts,
-
-		entry:   t.entry,
-		batch:   t.batch,
-		maxCols: t.maxCols,
-		nUDFs:   t.nUDFs,
-		sinkCSV: t.sinkCSV,
-
-		aggInit:     t.aggInit,
-		aggScalar:   t.aggScalar,
-		aggSlotType: t.aggSlotType,
-
-		opNames:      t.opNames,
-		traceRows:    t.traceRows,
-		traceSamples: t.traceSamples,
-		termRouteIdx: t.termRouteIdx,
-	}
-	// Boxed interpreters are not thread-safe: every run gets a private
-	// program (and private resolver interpreters) via the same cloning
-	// the parallel resolve phase uses.
-	nc.boxed = t.cloneBoxedProgram()
-	if nc.traceRows {
-		// Fresh routing ledger and fresh boxed-path counters: the clone
-		// must not fold its rows into the template's (or a concurrent
-		// run's) ledger.
-		nc.routing = make([]trace.OpRouting, len(nc.opNames))
-		for i, n := range nc.opNames {
-			nc.routing[i].Op = n
-		}
-		for _, op := range nc.boxed {
-			if op.stats != nil {
-				op.stats = &boxedOpStats{}
-			}
-		}
-	}
-	if t.aggUDF != nil {
-		// The terminal's compiled aggregate closure reads only
-		// su.compiled/su.frameIdx (shared-safe); the boxed form holds an
-		// interpreter and must be private.
-		su := *t.aggUDF
-		if fresh, err := compileBoxedUDF(su.spec); err == nil {
-			su.boxed = fresh
-		}
-		nc.aggUDF = &su
-	}
-	if t.combUDF != nil {
-		if fresh, err := compileBoxedUDF(t.combUDF.spec); err == nil {
-			nc.combUDF = fresh
-		} else {
-			nc.combUDF = t.combUDF
-		}
-	}
-	return nc
-}
-
-// rebindSource points a cloned stage at fresh input data: re-open and
-// re-read file-backed sources, or wire the previous stage's output. The
-// sampling prefix read by a streamed source here feeds execution
-// directly — no records are sampled again.
-func (eng *engine) rebindSource(cs *compiledStage, st *physical.Stage, input *mat) error {
-	switch src := st.Source.(type) {
-	case *logical.CSVSource:
-		delim := src.Delim
-		if delim == 0 {
-			delim = ','
-		}
-		if src.Data == nil && eng.opts.Streaming {
-			ss, err := eng.openStreamSource(src.Path, delim, src.Header, csvio.ChunkCSV)
-			if err != nil {
-				return err
-			}
-			if len(ss.prefixRecords()) == 0 {
-				ss.close()
-				return fmt.Errorf("core: empty CSV input %s", src.Path)
-			}
-			cs.stream = ss
-			return nil
-		}
-		records, _, bytesRead, err := readCSVRecords(src, delim)
-		if err != nil {
-			return err
-		}
-		eng.res.Metrics.Ingest.BytesRead.Add(bytesRead)
-		if len(records) == 0 {
-			return fmt.Errorf("core: empty CSV input %s", src.Path)
-		}
-		cs.records = records
-		cs.partRanges = splitRange(len(records), eng.partSize(len(records)))
-	case *logical.TextSource:
-		if src.Data == nil && eng.opts.Streaming {
-			ss, err := eng.openStreamSource(src.Path, 0, false, csvio.ChunkText)
-			if err != nil {
-				return err
-			}
-			cs.stream = ss
-			return nil
-		}
-		lines, bytesRead, err := readTextLines(src)
-		if err != nil {
-			return err
-		}
-		eng.res.Metrics.Ingest.BytesRead.Add(bytesRead)
-		cs.records = lines
-		cs.partRanges = splitRange(len(lines), eng.partSize(len(lines)))
-	case *logical.ParallelizeSource:
-		// Inline rows travel with the template (inputSlots/partRanges
-		// survive the strip); nothing to rebind.
-	case nil:
-		if input == nil {
-			return fmt.Errorf("core: stage without source or input")
-		}
-		cs.boxedInput = input
-		cs.partRanges = make([][2]int, len(input.parts))
-		for i, p := range input.parts {
-			cs.partRanges[i] = [2]int{0, len(p)}
-		}
-	default:
-		return fmt.Errorf("core: unsupported source %T", st.Source)
-	}
-	return nil
 }

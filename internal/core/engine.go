@@ -142,8 +142,8 @@ type Result struct {
 	// the per-cell interface allocations a [][]pyvalue.Value forces).
 	SlotRows []rows.Row
 	CSV      []byte
-	Failed  []FailedRow
-	Metrics *metrics.Metrics
+	Failed   []FailedRow
+	Metrics  *metrics.Metrics
 	// Trace is the run's observability trace (nil when Options.Trace is
 	// trace.LevelOff).
 	Trace *trace.Trace
@@ -167,68 +167,20 @@ func Execute(sinkNode *logical.Node, kind SinkKind, csvPath string, opts Options
 // stops within one partition's worth of work and returns an error
 // wrapping ErrCanceled.
 func ExecuteContext(ctx context.Context, sinkNode *logical.Node, kind SinkKind, csvPath string, opts Options) (*Result, error) {
-	res, _, err := executeWith(ctx, sinkNode, kind, csvPath, opts, false)
+	res, _, err := CompileAndExecute(ctx, sinkNode, kind, csvPath, opts)
 	return res, err
 }
 
-// CompileAndExecute runs the plan like ExecuteContext and additionally
-// captures the compiled stages into a CompiledPlan: the sampled normal
-// case, the generated stage closures, the batch plans and the join build
-// tables survive the run and can be re-executed against fresh inputs
-// with (*CompiledPlan).Execute, skipping sampling and compilation.
+// CompileAndExecute runs the plan like ExecuteContext and also returns
+// the CompiledPlan the run filled in: it starts from an empty plan,
+// compiles each stage as the stage loop first reaches it, and the
+// result can be re-executed against fresh inputs with
+// (*CompiledPlan).Execute, skipping sampling and compilation.
 func CompileAndExecute(ctx context.Context, sinkNode *logical.Node, kind SinkKind, csvPath string, opts Options) (*Result, *CompiledPlan, error) {
-	return executeWith(ctx, sinkNode, kind, csvPath, opts, true)
-}
-
-func executeWith(ctx context.Context, sinkNode *logical.Node, kind SinkKind, csvPath string, opts Options, capture bool) (*Result, *CompiledPlan, error) {
-	opts = opts.withDefaults()
-	res := &Result{Metrics: &metrics.Metrics{}}
-	t0 := time.Now()
-	eng := &engine{ctx: ctx, opts: opts, res: res, sink: kind, tr: trace.New(opts.Trace), capture: capture}
-	// Live monitoring: only when opted in (or an introspection server is
-	// up) does a RunMonitor exist — with mon nil every hook below is a
-	// nil-receiver no-op and the execution path is the unmonitored one.
-	if opts.Telemetry.Enabled || telemetry.AutoEnabled() {
-		eng.mon = telemetry.NewRunMonitor(opts.Telemetry, res.Metrics, opts.Executors)
-		telemetry.Default.Register(eng.mon)
-		eng.mon.Start()
-		defer func() {
-			eng.mon.Stop()
-			telemetry.Default.Unregister(eng.mon)
-		}()
-	}
-
-	tOpt := time.Now()
-	plan := sinkNode
-	var err error
-	optimized := opts.Logical != (logical.Options{})
-	if optimized {
-		plan, err = logical.Optimize(sinkNode, opts.Logical)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	res.Metrics.Timings.Optimize = time.Since(tOpt)
-	eng.tr.Child("plan", res.Metrics.Timings.Optimize, trace.Bool("optimized", optimized))
-
-	out, err := eng.runChain(plan)
+	cp := &CompiledPlan{opts: opts.withDefaults(), kind: kind}
+	res, err := cp.run(ctx, sinkNode, csvPath, "")
 	if err != nil {
 		return nil, nil, err
-	}
-	tSink := time.Now()
-	if err := eng.finish(out, kind, csvPath, res); err != nil {
-		return nil, nil, err
-	}
-	eng.tr.Child("sink", time.Since(tSink),
-		trace.Str("kind", sinkName(kind)),
-		trace.Int("output_rows", res.Metrics.Counters.OutputRows.Load()))
-	res.Metrics.Timings.Total = time.Since(t0)
-	res.Warnings = append(res.Warnings, eng.warns.flush()...)
-	res.Metrics.Latency = eng.mon.Latency()
-	res.Trace = eng.tr.Finish()
-	var cp *CompiledPlan
-	if capture {
-		cp = newCompiledPlan(eng)
 	}
 	return res, cp, nil
 }
@@ -247,16 +199,9 @@ type engine struct {
 	ctx  context.Context
 	opts Options
 	res  *Result
-	// capture/captured collect the compiled stages for CompileAndExecute.
-	capture  bool
-	captured []*stageTemplate
-	// sink is the requested output form; the final stage's terminal
-	// renders CSV directly when it is SinkCSV.
-	sink SinkKind
-	// tr is the run tracer (nil when tracing is off); curStage is the
-	// span routing/samples attach to, stageSeq a run-wide stage counter.
+	// tr is the run tracer (nil when tracing is off), stageSeq a run-wide
+	// stage counter.
 	tr       *trace.Tracer
-	curStage *trace.Span
 	stageSeq int
 	// mon is the live-monitoring hook (nil when telemetry is off; all
 	// its methods are nil-safe).
@@ -315,22 +260,18 @@ type mat struct {
 	isAgg    bool
 }
 
-// runChain executes the full chain of stages for one plan and returns
-// the final materialization.
-func (eng *engine) runChain(sinkNode *logical.Node) (*mat, error) {
-	pplan, err := physical.Split(sinkNode, physical.Options{Fusion: eng.opts.Fusion})
-	if err != nil {
-		return nil, err
-	}
-	eng.res.Metrics.Stages += pplan.NumStages()
+// runChain executes one chain of stages and returns the final
+// materialization.
+func (eng *engine) runChain(c *chainPlan) (*mat, error) {
+	eng.res.Metrics.Stages += len(c.stages)
 	eng.mon.SetStages(eng.res.Metrics.Stages)
 	var cur *mat
-	for si := range pplan.Stages {
+	for _, sl := range c.stages {
 		if err := eng.canceled(); err != nil {
 			return nil, err
 		}
-		st := &pplan.Stages[si]
-		cur, err = eng.runStage(st, cur)
+		var err error
+		cur, err = eng.runStage(sl, cur)
 		if err != nil {
 			return nil, err
 		}
@@ -338,47 +279,56 @@ func (eng *engine) runChain(sinkNode *logical.Node) (*mat, error) {
 	return cur, nil
 }
 
-// beginStage opens a stage span and points eng.curStage at it; the
-// returned func restores the previous current stage (call via defer).
-func (eng *engine) beginStage(nops int) (*trace.Span, func()) {
+// runStage is the stage loop's body, the same for every run: bind the
+// source, run the join build sides (§4.5: every path of a build side
+// finishes before the probe side starts), compile the stage if its plan
+// slot is still empty, then execute and resolve.
+func (eng *engine) runStage(sl *stageSlot, input *mat) (*mat, error) {
 	stageIdx := eng.stageSeq
 	eng.stageSeq++
 	eng.mon.SetStage(stageIdx)
 	ssp := eng.tr.Begin("stage",
 		trace.Int("index", int64(stageIdx)),
-		trace.Int("ops", int64(nops)))
-	prevStage := eng.curStage
-	eng.curStage = ssp
-	return ssp, func() { eng.curStage = prevStage }
-}
+		trace.Int("ops", int64(len(sl.st.Ops))))
 
-// runStage compiles and executes one stage over its input.
-func (eng *engine) runStage(st *physical.Stage, input *mat) (*mat, error) {
-	ssp, restore := eng.beginStage(len(st.Ops))
-	defer restore()
-
-	tCompile := time.Now()
-	cs, err := eng.compileStage(st, input)
+	tBind := time.Now()
+	sr, err := eng.bind(sl.st.Source, input)
 	if err != nil {
 		return nil, err
 	}
-	dCompile := time.Since(tCompile) - cs.sampleTime
-	eng.res.Metrics.Timings.Compile += dCompile
-	eng.res.Metrics.Timings.Sample += cs.sampleTime
-	if cs.sampleTime > 0 {
-		eng.tr.Child("sample", cs.sampleTime)
+	defer sr.closeSource()
+	dBind := time.Since(tBind)
+	for _, jb := range sl.builds {
+		bt, err := eng.buildJoinTable(jb)
+		if err != nil {
+			return nil, err
+		}
+		sr.joins = append(sr.joins, bt)
 	}
-	eng.tr.Child("compile", dCompile, trace.Int("udfs", int64(cs.nUDFs)))
-	if eng.capture {
-		eng.captured = append(eng.captured, &stageTemplate{st: st, cs: cs})
+	if sl.plan == nil {
+		tCompile := time.Now()
+		pl, dSample, err := eng.compileStage(sl, sr)
+		if err != nil {
+			return nil, err
+		}
+		sl.plan = pl
+		dCompile := time.Since(tCompile) - dSample
+		if dSample > 0 {
+			// Reading the sampling prefix is part of sampling.
+			dSample += dBind
+			eng.res.Metrics.Timings.Sample += dSample
+			eng.tr.Child("sample", dSample)
+		}
+		eng.res.Metrics.Timings.Compile += dCompile
+		eng.tr.Child("compile", dCompile, trace.Int("udfs", int64(pl.nUDFs)))
 	}
-	return eng.execAndResolve(cs, ssp)
+	sr.attach(sl.plan)
+	return eng.execAndResolve(sr, ssp)
 }
 
-// execAndResolve runs a compiled stage's partitions and the post-facto
-// exception-resolution pass, closing the stage span. Shared by the cold
-// path (runStage) and the cached path ((*CompiledPlan).Execute).
-func (eng *engine) execAndResolve(cs *compiledStage, ssp *trace.Span) (*mat, error) {
+// execAndResolve runs a bound, compiled stage's partitions and the
+// post-facto exception-resolution pass, closing the stage span.
+func (eng *engine) execAndResolve(sr *stageRun, ssp *trace.Span) (*mat, error) {
 	esp := eng.tr.Begin("execute")
 	tExec := time.Now()
 	bytes0 := eng.res.Metrics.Ingest.BytesRead.Load()
@@ -389,7 +339,7 @@ func (eng *engine) execAndResolve(cs *compiledStage, ssp *trace.Span) (*mat, err
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	mallocs0 := ms.Mallocs
-	out, err := eng.executeStage(cs)
+	out, err := eng.executeStage(sr)
 	if err != nil {
 		return nil, err
 	}
@@ -414,24 +364,24 @@ func (eng *engine) execAndResolve(cs *compiledStage, ssp *trace.Span) (*mat, err
 			trace.Int("null_checked", bm.NullChecked.Load()-checked0))
 	}
 	if esp != nil {
-		esp.Tasks = eng.taskTimings(cs.tasks)
+		esp.Tasks = eng.taskTimings(sr.tasks)
 	}
 	eng.tr.End(esp)
 
 	// Post-facto exception resolution (§4.3): general path, then
 	// fallback, then user resolvers along the way.
 	tRes := time.Now()
-	if err := eng.resolveExceptions(cs, out); err != nil {
+	if err := eng.resolveExceptions(sr, out); err != nil {
 		return nil, err
 	}
 	dRes := time.Since(tRes)
 	eng.res.Metrics.Timings.Resolve += dRes
-	eng.tr.Child("resolve", dRes, trace.Int("pool", int64(cs.poolSize)))
+	eng.tr.Child("resolve", dRes, trace.Int("pool", int64(sr.poolSize)))
 	if eng.tr.Rows() {
-		ssp.Routing = cs.mergedRouting()
+		ssp.Routing = sr.mergedRouting()
 	}
 	if eng.tr.Samples() {
-		ssp.Samples = cs.samples
+		ssp.Samples = sr.samples
 	}
 	eng.tr.End(ssp)
 	return out, nil
@@ -459,19 +409,19 @@ func (eng *engine) taskTimings(tasks []*task) []trace.TaskTiming {
 }
 
 // executeStage drives the partitions through the compiled normal path.
-func (eng *engine) executeStage(cs *compiledStage) (*mat, error) {
-	if cs.stream != nil {
-		return eng.executeStreamed(cs)
+func (eng *engine) executeStage(sr *stageRun) (*mat, error) {
+	if sr.stream != nil {
+		return eng.executeStreamed(sr)
 	}
-	nparts := cs.numPartitions()
+	nparts := sr.numPartitions()
 	out := &mat{
-		schema:     cs.outSchema,
+		schema:     sr.outSchema,
 		parts:      make([][]rows.Row, nparts),
 		keys:       make([][]uint64, nparts),
-		nullValues: cs.nullValues,
-		isCSV:      cs.sinkCSV,
+		nullValues: sr.nullValues,
+		isCSV:      sr.sinkCSV,
 	}
-	if cs.sinkCSV {
+	if sr.sinkCSV {
 		out.csvParts = make([][]byte, nparts)
 		out.csvEnds = make([][]int, nparts)
 	}
@@ -508,7 +458,7 @@ func (eng *engine) executeStage(cs *compiledStage) (*mat, error) {
 						stop.Store(true)
 						continue
 					}
-					ts := cs.newTask(eng, p)
+					ts := sr.newTask(eng, p)
 					ts.worker = w
 					tasks[p] = ts
 					timed := eng.tr != nil || eng.mon != nil
@@ -516,7 +466,7 @@ func (eng *engine) executeStage(cs *compiledStage) (*mat, error) {
 						ts.start = time.Now()
 					}
 					eng.mon.TaskStart()
-					err := cs.runPartition(ts, p)
+					err := sr.runPartition(ts, p)
 					if timed {
 						ts.dur = time.Since(ts.start)
 					}
@@ -559,8 +509,8 @@ func (eng *engine) executeStage(cs *compiledStage) (*mat, error) {
 		}
 		out.exceptional = append(out.exceptional, ts.pool...)
 	}
-	cs.tasks = tasks
-	if cs.terminal == physical.TerminalAggregate {
+	sr.tasks = tasks
+	if sr.terminal == physical.TerminalAggregate {
 		out.isAgg = true
 	}
 	return out, nil

@@ -111,12 +111,12 @@ func (ui *uniqIndex) addRow(r rows.Row) bool {
 // phase 2 merges each shard across tasks (keeping the smallest order key
 // per row), and the surviving entries sort back into input order. It
 // returns the merged index for exception deduplication.
-func (eng *engine) mergeUnique(cs *compiledStage, out *mat) *uniqIndex {
+func (eng *engine) mergeUnique(sr *stageRun, out *mat) *uniqIndex {
 	nshards := shardCount(eng.opts.Executors)
 	mask := uint64(nshards - 1)
 
-	tasks := make([]*task, 0, len(cs.tasks))
-	for _, ts := range cs.tasks {
+	tasks := make([]*task, 0, len(sr.tasks))
+	for _, ts := range sr.tasks {
 		if ts != nil && ts.uniq != nil {
 			tasks = append(tasks, ts)
 		}

@@ -8,6 +8,7 @@ import (
 	"github.com/gotuplex/tuplex/internal/logical"
 	"github.com/gotuplex/tuplex/internal/pyvalue"
 	"github.com/gotuplex/tuplex/internal/rows"
+	"github.com/gotuplex/tuplex/internal/trace"
 	"github.com/gotuplex/tuplex/internal/types"
 )
 
@@ -30,10 +31,12 @@ import (
 // bytes.Equal — no per-row heap allocation. Shards exist so the build
 // can run in parallel across the build side's partitions and so future
 // grouped/shuffled operators can reuse the layout.
+//
+// A buildTable belongs to one run (stageRun.joins): every run re-reads
+// the build side's sources and hashes what it finds, so a plan reused
+// across runs never probes a previous run's data.
 type buildTable struct {
-	schema  *types.Schema // build-side columns in output order (key excluded)
-	keyName string
-	shards  []buildShard
+	shards []buildShard
 	// shardMask is len(shards)-1 (shard count is a power of two).
 	shardMask uint64
 	// bparts holds the build side's contributed columns as column
@@ -160,38 +163,15 @@ type pendingBuildRow struct {
 	ref      buildRef
 }
 
-// buildJoinTable executes the build-side plan and hashes it. Per §4.5,
-// Tuplex "executes all code paths for the build side of the join and
-// resolves its exception rows before executing any code path of the
-// other side". The normal-case rows are hashed in two parallel phases
-// over the existing partitions: each partition encodes its keys into a
-// private arena, appends its projected cells onto per-partition column
-// vectors, and buckets packed row references by shard; then each shard
-// merges its buckets in partition order (so duplicate-key match order
-// stays the input order, exactly as the old single-map build produced).
-func (eng *engine) buildJoinTable(op *logical.JoinOp) (*buildTable, error) {
-	// The build side always materializes rows for the hash table,
-	// whatever the run's final sink is: with the engine-wide sink left
-	// at SinkCSV the sub-chain's terminal stage would render CSV and
-	// materialize nothing, silently emptying every build table.
-	prevSink := eng.sink
-	eng.sink = SinkCollect
-	buildMat, err := eng.runChain(op.Build)
-	eng.sink = prevSink
-	if err != nil {
-		return nil, err
-	}
-	if buildMat.isAgg {
-		return nil, fmt.Errorf("core: cannot join against an aggregate result")
-	}
-	sch := buildMat.schema
+// joinBuildCols derives what a join takes from its build side's output
+// schema: the contributed columns (build side minus the key, prefixed, in
+// output order), their positions in the build rows, and the key's.
+func joinBuildCols(sch *types.Schema, op *logical.JoinOp) (added *types.Schema, colMap []int, keyIdx int, err error) {
 	keyIdx, ok := sch.Lookup(op.RightKey)
 	if !ok {
-		return nil, fmt.Errorf("core: join: build side has no column %q (have %v)", op.RightKey, sch.Names())
+		return nil, nil, 0, fmt.Errorf("core: join: build side has no column %q (have %v)", op.RightKey, sch.Names())
 	}
-	// Output columns: build side minus the key, prefixed.
 	var outCols []types.Column
-	var colMap []int
 	for i := 0; i < sch.Len(); i++ {
 		if i == keyIdx {
 			continue
@@ -206,14 +186,39 @@ func (eng *engine) buildJoinTable(op *logical.JoinOp) (*buildTable, error) {
 		outCols = append(outCols, types.Column{Name: op.RightPrefix + c.Name, Type: t})
 		colMap = append(colMap, i)
 	}
+	return types.NewSchema(outCols), colMap, keyIdx, nil
+}
+
+// buildJoinTable executes the build-side chain and hashes it. Per §4.5,
+// Tuplex "executes all code paths for the build side of the join and
+// resolves its exception rows before executing any code path of the
+// other side". The normal-case rows are hashed in two parallel phases
+// over the existing partitions: each partition encodes its keys into a
+// private arena, appends its projected cells onto per-partition column
+// vectors, and buckets packed row references by shard; then each shard
+// merges its buckets in partition order (so duplicate-key match order
+// stays the input order, exactly as the old single-map build produced).
+func (eng *engine) buildJoinTable(jb *joinBuild) (*buildTable, error) {
+	// The build side's stage spans nest under a join-build span.
+	jsp := eng.tr.Begin("join-build", trace.Str("key", jb.op.RightKey))
+	buildMat, err := eng.runChain(jb.chain)
+	if err != nil {
+		return nil, err
+	}
+	if buildMat.isAgg {
+		return nil, fmt.Errorf("core: cannot join against an aggregate result")
+	}
+	sch := buildMat.schema
+	_, colMap, keyIdx, err := joinBuildCols(sch, jb.op)
+	if err != nil {
+		return nil, err
+	}
 	nshards := shardCount(eng.opts.Executors)
 	bt := &buildTable{
-		schema:    types.NewSchema(outCols),
-		keyName:   op.RightKey,
 		shards:    make([]buildShard, nshards),
 		shardMask: uint64(nshards - 1),
 		general:   make(map[string][][]pyvalue.Value),
-		addedCols: len(outCols),
+		addedCols: len(colMap),
 	}
 
 	// Phase 1 — partition-parallel: encode keys, hash, append projected
@@ -336,16 +341,21 @@ func (eng *engine) buildJoinTable(op *logical.JoinOp) (*buildTable, error) {
 	if m := int64(bt.maxShardRows()); m > jm.MaxShardRows.Load() {
 		jm.MaxShardRows.Store(m)
 	}
+	jsp.Add(trace.Int("build_rows", int64(bt.buildRows)),
+		trace.Int("general_rows", int64(bt.genCount)),
+		trace.Int("shards", int64(len(bt.shards))))
+	eng.tr.End(jsp)
 	return bt, nil
 }
 
-// joinOutputSchema is the probe-side schema after the join.
-func joinOutputSchema(probe *types.Schema, op *logical.JoinOp, bt *buildTable) *types.Schema {
-	cols := make([]types.Column, 0, probe.Len()+bt.schema.Len())
+// joinOutputSchema is the probe-side schema after the join; added is
+// joinBuildCols' contributed-column schema.
+func joinOutputSchema(probe *types.Schema, op *logical.JoinOp, added *types.Schema) *types.Schema {
+	cols := make([]types.Column, 0, probe.Len()+added.Len())
 	for i := 0; i < probe.Len(); i++ {
 		c := probe.Col(i)
 		cols = append(cols, types.Column{Name: op.LeftPrefix + c.Name, Type: c.Type})
 	}
-	cols = append(cols, bt.schema.Columns()...)
+	cols = append(cols, added.Columns()...)
 	return types.NewSchema(cols)
 }

@@ -58,33 +58,30 @@ type opHandlers struct {
 }
 
 type resolverSpec struct {
-	exc pyvalue.ExcKind
-	udf *boxedUDF
+	exc  pyvalue.ExcKind
+	spec *logical.UDFSpec
+	udf  *boxedUDF // nil in the plan's recipe (see boxedOp)
 }
 
-// compiledStage is one stage ready to run.
-type compiledStage struct {
-	eng      *engine
+// stagePlan is the immutable compile product of one stage: everything
+// sampling, inference and code generation decided, and nothing a run
+// produces. Once compileStage returns it, it is only read — by the run
+// that compiled it and by every later run of the same CompiledPlan,
+// concurrently. It deliberately has no field that could hold a source
+// binding, a build table, a task or a routing ledger: compiled closures
+// and batch kernels reach those through the *task they are handed
+// (ts.run), so "shared vs. per-run" is a property of the types.
+type stagePlan struct {
 	terminal physical.TerminalKind
-	termOp   logical.Op
 
-	// Source-side state.
-	records    [][]byte      // raw records for materialized CSV/text sources
-	stream     *streamSource // chunked ingest for file-backed sources
-	parse      *csvio.ParseSpec
-	isText     bool
-	nFields    int               // projected parser field count (source stages)
-	boxedInput *mat        // input materialization for non-source stages
-	inputSlots []rows.Row  // parallelize source (unboxed slot rows)
-	partRanges [][2]int
+	// Source parsing (CSV/text source stages).
+	parse   *csvio.ParseSpec
+	isText  bool
+	nFields int // projected parser field count
 
 	inSchema   *types.Schema
 	outSchema  *types.Schema
 	nullValues []string
-	// srcFacts seeds the dataflow analysis for the first UDF: per-column
-	// type facts plus sampled value statistics (constants, int ranges)
-	// for sources that sample values. Nil means type facts only.
-	srcFacts []dataflow.ColFact
 
 	entry nstep // head of the compiled normal path
 	// batch is the stage's columnar plan (CSV sources with Columnar on);
@@ -95,30 +92,59 @@ type compiledStage struct {
 	// sinkCSV marks a final stage that renders CSV inside the tasks.
 	sinkCSV bool
 
-	// Boxed-path program (general & fallback), parallel to stage ops.
-	boxed []*boxedOp
+	// recipe is the boxed-path program (general & fallback), parallel to
+	// the stage ops, without interpreters: those are not thread-safe, so
+	// every run (and every parallel resolve worker) instantiates its own
+	// from it.
+	recipe []*boxedOp
 
-	// aggregate state
+	// aggregate terminal
 	aggInit     pyvalue.Value
 	aggScalar   bool
 	aggSlotType types.Type
 	aggUDF      *stageUDF
-	combUDF     *boxedUDF
+	combSpec    *logical.UDFSpec
 
-	sampleTime time.Duration
-	tasks      []*task
-
-	// Tracing state. opNames names the routing-ledger entries: index 0
+	// Tracing layout. opNames names the routing-ledger entries: index 0
 	// is the source/parse pseudo-op, 1..len(ops) follow the stage's
-	// operators and the last entry is the terminal. routing accumulates
-	// the serial resolve-phase outcomes (plus merged per-task counters),
-	// samples the bounded exception-row sample.
+	// operators and the last entry is the terminal.
 	opNames      []string
-	routing      []trace.OpRouting
-	samples      []trace.ExcSample
 	traceRows    bool
 	traceSamples bool
 	termRouteIdx int32
+}
+
+// stageRun is one run's private state for one stage: the bound source,
+// the join build tables, the boxed interpreters, and what execution
+// leaves behind (tasks, routing ledger, exception samples). bind creates
+// it before the stage's plan necessarily exists; attach points it at the
+// plan it executes.
+type stageRun struct {
+	*stagePlan
+
+	// Source binding. Interior stages have input set; source stages have
+	// records, stream or inputSlots (all nil for an empty inline source).
+	records     [][]byte      // materialized CSV/text source
+	headerNames []string      // first header row of a materialized CSV source
+	stream      *streamSource // chunked ingest for file-backed sources
+	inputSlots  []rows.Row    // parallelize source (unboxed slot rows)
+	input       *mat          // previous stage's output (interior stages)
+	partRanges  [][2]int
+
+	// joins holds this run's build tables, one per JoinOp in operator
+	// order; join steps and kernels index it by their joinIdx.
+	joins []*buildTable
+
+	// Private boxed interpreters, instantiated from the plan's recipe.
+	boxed     []*boxedOp
+	aggBoxed  *boxedUDF
+	combBoxed *boxedUDF
+
+	tasks []*task
+	// routing accumulates the serial resolve-phase outcomes (plus merged
+	// per-task counters), samples the bounded exception-row sample.
+	routing []trace.OpRouting
+	samples []trace.ExcSample
 	// poolSize is the stage's exception-pool size (set by
 	// resolveExceptions, reported on the resolve span).
 	poolSize int
@@ -130,11 +156,35 @@ type compiledStage struct {
 	bstPool sync.Pool
 }
 
-// stageUDF bundles one operator's three compiled forms.
+// attach points the run at the plan it executes and instantiates the
+// per-run halves of it: private interpreters for the boxed paths and a
+// fresh routing ledger.
+func (sr *stageRun) attach(pl *stagePlan) {
+	sr.stagePlan = pl
+	sr.boxed = instantiateBoxed(pl.recipe)
+	if pl.traceRows {
+		sr.routing = make([]trace.OpRouting, len(pl.opNames))
+		for i, n := range pl.opNames {
+			sr.routing[i].Op = n
+		}
+		for _, op := range sr.boxed {
+			op.stats = &boxedOpStats{}
+		}
+	}
+	if pl.aggUDF != nil {
+		sr.aggBoxed = compileBoxedUDF(pl.aggUDF.spec)
+	}
+	if pl.combSpec != nil {
+		sr.combBoxed = compileBoxedUDF(pl.combSpec)
+	}
+}
+
+// stageUDF is one operator's UDF as the plan holds it: the spec (the
+// boxed paths instantiate interpreters from it per run) and the compiled
+// normal-path form.
 type stageUDF struct {
 	spec     *logical.UDFSpec
 	compiled *codegen.UDF // normal path; nil if not fast-path compilable
-	boxed    *boxedUDF
 	// flow carries the dataflow analysis for the typed normal-case form
 	// (nil when typing failed); consulted for dead-resolver warnings.
 	flow *dataflow.Result
@@ -146,8 +196,10 @@ type stageUDF struct {
 
 // task is per-partition execution state.
 type task struct {
-	eng  *engine
-	cs   *compiledStage
+	eng *engine
+	// run is the stage run this task belongs to — the only route from a
+	// compiled step or kernel to per-run state such as join build tables.
+	run  *stageRun
 	part int
 
 	frames  []*codegen.Frame
@@ -194,45 +246,45 @@ type task struct {
 
 	// Tracing scratch. worker/start/dur/inRows feed the execute span's
 	// task timings (filled only when the tracer is on). route/routeExc
-	// are the task's routing-ledger counters, indexed like cs.opNames
-	// (nil below trace.LevelRows — the default path carries none of
-	// this). excOp is the ledger index of the operator that raised the
+	// are the task's routing-ledger counters, indexed like the plan's
+	// opNames (nil below trace.LevelRows — the default path carries none
+	// of this). excOp is the ledger index of the operator that raised the
 	// current row's normal-path exception; every raise site stores it,
 	// so it is valid exactly when the entry chain returns nonzero.
-	worker int
-	start  time.Time
-	dur    time.Duration
-	inRows int64
+	worker   int
+	start    time.Time
+	dur      time.Duration
+	inRows   int64
 	route    []int64
 	routeExc []int64
 	excOp    int32
 }
 
-func (cs *compiledStage) numPartitions() int { return len(cs.partRanges) }
+func (sr *stageRun) numPartitions() int { return len(sr.partRanges) }
 
-func (cs *compiledStage) newTask(eng *engine, part int) *task {
-	ts := &task{eng: eng, cs: cs, part: part}
-	ts.frames = make([]*codegen.Frame, cs.nUDFs)
+func (sr *stageRun) newTask(eng *engine, part int) *task {
+	ts := &task{eng: eng, run: sr, part: part}
+	ts.frames = make([]*codegen.Frame, sr.nUDFs)
 	for i := range ts.frames {
 		ts.frames[i] = codegen.NewFrame(8)
 		ts.frames[i].Rand = pyre.NewPRNG(eng.opts.Seed + uint64(part)*1000003 + uint64(i))
 	}
-	ts.scratch = make([][]rows.Slot, cs.nUDFs+4)
-	ts.rowBuf = make([]rows.Slot, 0, cs.maxCols)
+	ts.scratch = make([][]rows.Slot, sr.nUDFs+4)
+	ts.rowBuf = make([]rows.Slot, 0, sr.maxCols)
 	ts.keyBuf = make([]byte, 0, 64)
-	if cs.terminal == physical.TerminalUnique {
+	if sr.terminal == physical.TerminalUnique {
 		ts.uniq = newUniqSet()
 	}
-	if cs.terminal == physical.TerminalAggregate {
-		ts.aggSlot = coerceSlot(rows.FromValue(cs.aggInit), cs.aggSlotType)
+	if sr.terminal == physical.TerminalAggregate {
+		ts.aggSlot = coerceSlot(rows.FromValue(sr.aggInit), sr.aggSlotType)
 		ts.hasAgg = true
 	}
-	if cs.sinkCSV {
+	if sr.sinkCSV {
 		ts.csvW = csvio.NewWriterBuf(',', getCSVBuf())
 	}
-	if cs.traceRows {
-		ts.route = make([]int64, len(cs.opNames))
-		ts.routeExc = make([]int64, len(cs.opNames))
+	if sr.traceRows {
+		ts.route = make([]int64, len(sr.opNames))
+		ts.routeExc = make([]int64, len(sr.opNames))
 	}
 	return ts
 }
@@ -250,12 +302,12 @@ func routeWrap(next nstep, ridx int32) nstep {
 
 // mergedRouting folds the per-task ledger counters and the boxed-path
 // atomics into the stage ledger. Called serially after workers join.
-func (cs *compiledStage) mergedRouting() []trace.OpRouting {
-	if cs.routing == nil {
+func (sr *stageRun) mergedRouting() []trace.OpRouting {
+	if sr.routing == nil {
 		return nil
 	}
-	out := cs.routing
-	for _, ts := range cs.tasks {
+	out := sr.routing
+	for _, ts := range sr.tasks {
 		if ts == nil || ts.route == nil {
 			continue
 		}
@@ -266,11 +318,11 @@ func (cs *compiledStage) mergedRouting() []trace.OpRouting {
 		// Rows that fell off the kernel prefix at the stage barrier are
 		// attributed to the barrier op itself, not folded into the
 		// generic boxed counters.
-		if cs.batch != nil && cs.batch.suffix != nil && int(cs.batch.barrierIdx) < len(out) {
-			out[cs.batch.barrierIdx].Bounced += ts.bounced
+		if sr.batch != nil && sr.batch.suffix != nil && int(sr.batch.barrierIdx) < len(out) {
+			out[sr.batch.barrierIdx].Bounced += ts.bounced
 		}
 	}
-	for oi, bop := range cs.boxed {
+	for oi, bop := range sr.boxed {
 		if bop.stats == nil {
 			continue
 		}
@@ -285,9 +337,9 @@ func (cs *compiledStage) mergedRouting() []trace.OpRouting {
 // call — atomics per row would dominate tight loops. copyRaw detaches
 // pooled exception rows from the record storage (required when records
 // alias a reusable chunk buffer).
-func (cs *compiledStage) runRecords(ts *task, p int, recs [][]byte, baseKey uint64, copyRaw bool) error {
-	if cs.batch != nil {
-		return cs.runRecordsColumnar(ts, p, recs, baseKey, copyRaw)
+func (sr *stageRun) runRecords(ts *task, p int, recs [][]byte, baseKey uint64, copyRaw bool) error {
+	if sr.batch != nil {
+		return sr.runRecordsColumnar(ts, p, recs, baseKey, copyRaw)
 	}
 	var input, rejects, normalExc, normal int64
 	for i, rec := range recs {
@@ -295,19 +347,19 @@ func (cs *compiledStage) runRecords(ts *task, p int, recs [][]byte, baseKey uint
 		input++
 		var row rows.Row
 		var ec ECode
-		if cs.isText {
+		if sr.isText {
 			row = ts.rowBuf[:1]
 			row[0] = rows.Str(string(rec))
 		} else {
-			row = ts.rowBuf[:cs.nFields]
-			ec = cs.parse.ParseLine(rec, row)
+			row = ts.rowBuf[:sr.nFields]
+			ec = sr.parse.ParseLine(rec, row)
 		}
 		if ec != 0 {
 			rejects++
 			ts.pool = append(ts.pool, exRow{part: p, key: key, raw: rec, ec: ec})
 			continue
 		}
-		if ec = cs.entry(ts, key, row); ec != 0 {
+		if ec = sr.entry(ts, key, row); ec != 0 {
 			normalExc++
 			ts.pool = append(ts.pool, exRow{part: p, key: key, raw: rec, ec: ec, op: ts.excOp})
 			if ts.routeExc != nil {
@@ -340,28 +392,28 @@ func (cs *compiledStage) runRecords(ts *task, p int, recs [][]byte, baseKey uint
 
 // runPartition feeds a materialized partition's rows through the normal
 // path.
-func (cs *compiledStage) runPartition(ts *task, p int) error {
-	r := cs.partRanges[p]
-	if cs.records != nil {
-		return cs.runRecords(ts, p, cs.records[r[0]:r[1]], uint64(r[0]), false)
+func (sr *stageRun) runPartition(ts *task, p int) error {
+	r := sr.partRanges[p]
+	if sr.records != nil {
+		return sr.runRecords(ts, p, sr.records[r[0]:r[1]], uint64(r[0]), false)
 	}
-	if cs.inputSlots != nil && cs.batch != nil {
-		return cs.runSlotsColumnar(ts, p)
+	if sr.input == nil && sr.batch != nil {
+		return sr.runSlotsColumnar(ts, p)
 	}
 	var input, rejects, normalExc, normal int64
 	switch {
-	case cs.inputSlots != nil:
+	case sr.input == nil:
 		for i := r[0]; i < r[1]; i++ {
 			key := uint64(i)
 			input++
-			src := cs.inputSlots[i]
-			if !rowConforms(src, cs.inSchema) {
+			src := sr.inputSlots[i]
+			if !rowConforms(src, sr.inSchema) {
 				rejects++
 				ts.pool = append(ts.pool, exRow{part: p, key: key, vals: rows.RowToValues(src), ec: pyvalue.ExcBadParse})
 				continue
 			}
 			row := append(ts.rowBuf[:0], src...)
-			if ec := cs.entry(ts, key, row); ec != 0 {
+			if ec := sr.entry(ts, key, row); ec != 0 {
 				normalExc++
 				ts.pool = append(ts.pool, exRow{part: p, key: key, vals: rows.RowToValues(src), ec: ec, op: ts.excOp})
 				if ts.routeExc != nil {
@@ -372,12 +424,12 @@ func (cs *compiledStage) runPartition(ts *task, p int) error {
 			normal++
 		}
 	default:
-		in := cs.boxedInput
+		in := sr.input
 		rowsP, keysP := in.parts[p], in.keys[p]
 		for i := range rowsP {
 			input++
 			row := append(ts.rowBuf[:0], rowsP[i]...)
-			if ec := cs.entry(ts, keysP[i], row); ec != 0 {
+			if ec := sr.entry(ts, keysP[i], row); ec != 0 {
 				normalExc++
 				ts.pool = append(ts.pool, exRow{part: p, key: keysP[i], vals: rows.RowToValues(rowsP[i]), ec: ec, op: ts.excOp})
 				if ts.routeExc != nil {
@@ -472,31 +524,41 @@ func rowConforms(row rows.Row, sch *types.Schema) bool {
 	return true
 }
 
-// compileStage builds the normal and boxed programs for one stage.
-func (eng *engine) compileStage(st *physical.Stage, input *mat) (*compiledStage, error) {
-	cs := &compiledStage{eng: eng, terminal: st.Terminal, termOp: st.TerminalOp}
-	cs.sinkCSV = st.Terminal == physical.TerminalSink && eng.sink == SinkCSV
-	if err := eng.prepareSource(cs, st, input); err != nil {
-		return nil, err
+// compileStage builds the plan for one stage: the source-side decisions
+// from the sample the binding holds (planSource), then the normal and
+// boxed programs (compileOps). It also reports the time spent sampling.
+func (eng *engine) compileStage(sl *stageSlot, sr *stageRun) (*stagePlan, time.Duration, error) {
+	pl := &stagePlan{terminal: sl.st.Terminal, sinkCSV: sl.sinkCSV}
+	srcFacts, dSample, err := eng.planSource(pl, sl.st.Source, sr)
+	if err != nil {
+		return nil, 0, err
 	}
+	if err := eng.compileOps(pl, sl, srcFacts); err != nil {
+		return nil, 0, err
+	}
+	return pl, dSample, nil
+}
 
+// compileOps compiles the stage's operators and terminal into the plan's
+// normal-path chain, batch program and boxed recipe. It sees only plan
+// state — never the run that triggered the compile — so nothing it
+// closes over can be per-run. srcFacts seeds the dataflow analysis for
+// the first UDF: per-column type facts plus sampled value statistics
+// (constants, int ranges) for sources that sample values; nil means type
+// facts only.
+func (eng *engine) compileOps(pl *stagePlan, sl *stageSlot, srcFacts []dataflow.ColFact) error {
+	st := sl.st
 	// Routing-ledger layout (one entry per operator plus the source and
 	// terminal pseudo-entries); counters are only allocated at LevelRows.
-	cs.traceRows = eng.tr.Rows()
-	cs.traceSamples = eng.tr.Samples()
-	cs.opNames = make([]string, 0, len(st.Ops)+2)
-	cs.opNames = append(cs.opNames, "source")
+	pl.traceRows = eng.tr.Rows()
+	pl.traceSamples = eng.tr.Samples()
+	pl.opNames = make([]string, 0, len(st.Ops)+2)
+	pl.opNames = append(pl.opNames, "source")
 	for _, op := range st.Ops {
-		cs.opNames = append(cs.opNames, opName(op))
+		pl.opNames = append(pl.opNames, opName(op))
 	}
-	cs.opNames = append(cs.opNames, terminalName(st.Terminal, cs.sinkCSV))
-	cs.termRouteIdx = int32(len(st.Ops) + 1)
-	if cs.traceRows {
-		cs.routing = make([]trace.OpRouting, len(cs.opNames))
-		for i, n := range cs.opNames {
-			cs.routing[i].Op = n
-		}
-	}
+	pl.opNames = append(pl.opNames, terminalName(st.Terminal, pl.sinkCSV))
+	pl.termRouteIdx = int32(len(st.Ops) + 1)
 
 	// Walk ops: compute schemas, compile UDFs, build step compilers.
 	type compiledOp struct {
@@ -508,17 +570,20 @@ func (eng *engine) compileStage(st *physical.Stage, input *mat) (*compiledStage,
 		batch *batchKernel
 	}
 	var nops []compiledOp
-	schema := cs.inSchema
-	cs.maxCols = schema.Len()
+	schema := pl.inSchema
+	pl.maxCols = schema.Len()
 	frameIdx := 0
 	var lastHandlers *opHandlers
 	// lastUDF tracks the UDF a following resolve() attaches to, for the
 	// dead-resolver lint.
 	var lastUDF *stageUDF
+	// nJoins counts the JoinOps seen so far: the index of the next one's
+	// build side in sl.builds and of its table in a run's joins.
+	nJoins := 0
 	// colFacts tracks the per-column dataflow seeds alongside schema.
 	// Ops that change columns rebuild it (cloning first: earlier UDFs'
 	// analysis results hold references to prior versions).
-	colFacts := cs.srcFacts
+	colFacts := srcFacts
 	if colFacts == nil {
 		colFacts = typeColFacts(schema)
 	}
@@ -528,17 +593,14 @@ func (eng *engine) compileStage(st *physical.Stage, input *mat) (*compiledStage,
 		switch op := op.(type) {
 		case *logical.MapOp:
 			scalar, paramT := paramStyle(op.UDF, schema)
-			su, err := eng.compileUDF(op.UDF, []types.Type{paramT}, scalar, colFacts, opName(op))
-			if err != nil {
-				return nil, err
-			}
+			su := eng.compileUDF(op.UDF, []types.Type{paramT}, scalar, colFacts, opName(op))
 			lastUDF = su
 			su.frameIdx = frameIdx
 			frameIdx++
 			outSchema := mapOutputSchema(su)
 			h := &opHandlers{}
-			bop := &boxedOp{kind: bOpMap, udf: su.boxed, handlers: h, inSchema: schema, outSchema: outSchema, scalar: scalar}
-			cs.boxed = append(cs.boxed, bop)
+			bop := &boxedOp{kind: bOpMap, spec: op.UDF, handlers: h, inSchema: schema, outSchema: outSchema, scalar: scalar}
+			pl.recipe = append(pl.recipe, bop)
 			lastHandlers = h
 			inIdx := 0 // scalar single-column index
 			nCols := outSchema.Len()
@@ -556,7 +618,7 @@ func (eng *engine) compileStage(st *physical.Stage, input *mat) (*compiledStage,
 						ts.excOp = ridx
 						return ec
 					}
-					out := ts.opScratch(scratchIdx, cs.maxCols)
+					out := ts.opScratch(scratchIdx, pl.maxCols)
 					switch {
 					case len(v.Seq) > 0 && (v.Tag == types.KindDict || v.Tag == types.KindTuple):
 						if len(v.Seq) != nCols {
@@ -575,21 +637,18 @@ func (eng *engine) compileStage(st *physical.Stage, input *mat) (*compiledStage,
 			}})
 			schema = outSchema
 			colFacts = typeColFacts(outSchema)
-			if schema.Len() > cs.maxCols {
-				cs.maxCols = schema.Len() + 8
+			if schema.Len() > pl.maxCols {
+				pl.maxCols = schema.Len() + 8
 			}
 
 		case *logical.FilterOp:
 			scalar, paramT := paramStyle(op.UDF, schema)
-			su, err := eng.compileUDF(op.UDF, []types.Type{paramT}, scalar, colFacts, opName(op))
-			if err != nil {
-				return nil, err
-			}
+			su := eng.compileUDF(op.UDF, []types.Type{paramT}, scalar, colFacts, opName(op))
 			lastUDF = su
 			su.frameIdx = frameIdx
 			frameIdx++
 			h := &opHandlers{}
-			cs.boxed = append(cs.boxed, &boxedOp{kind: bOpFilter, udf: su.boxed, handlers: h, inSchema: schema, scalar: scalar})
+			pl.recipe = append(pl.recipe, &boxedOp{kind: bOpFilter, spec: op.UDF, handlers: h, inSchema: schema, scalar: scalar})
 			lastHandlers = h
 			fbk := &batchKernel{kind: bkFilter, su: su, ridx: ridx, scalar: scalar,
 				inCols: schema.Len(), argCols: kernelArgCols(su, schema)}
@@ -609,10 +668,7 @@ func (eng *engine) compileStage(st *physical.Stage, input *mat) (*compiledStage,
 
 		case *logical.WithColumnOp:
 			scalar, paramT := paramStyle(op.UDF, schema)
-			su, err := eng.compileUDF(op.UDF, []types.Type{paramT}, scalar, colFacts, opName(op))
-			if err != nil {
-				return nil, err
-			}
+			su := eng.compileUDF(op.UDF, []types.Type{paramT}, scalar, colFacts, opName(op))
 			lastUDF = su
 			su.frameIdx = frameIdx
 			frameIdx++
@@ -622,7 +678,7 @@ func (eng *engine) compileStage(st *physical.Stage, input *mat) (*compiledStage,
 				replaceIdx = -1
 			}
 			h := &opHandlers{}
-			cs.boxed = append(cs.boxed, &boxedOp{kind: bOpWithColumn, udf: su.boxed, handlers: h, inSchema: schema, col: op.Col, colIdx: replaceIdx, scalar: scalar})
+			pl.recipe = append(pl.recipe, &boxedOp{kind: bOpWithColumn, spec: op.UDF, handlers: h, inSchema: schema, col: op.Col, colIdx: replaceIdx, scalar: scalar})
 			lastHandlers = h
 			wbk := &batchKernel{kind: bkWithColumn, su: su, ridx: ridx, scalar: scalar, colIdx: replaceIdx,
 				inCols: schema.Len(), argCols: kernelArgCols(su, schema), outTypes: []types.Type{retT}}
@@ -649,26 +705,23 @@ func (eng *engine) compileStage(st *physical.Stage, input *mat) (*compiledStage,
 				nf = append(nf, dataflow.ColFact{Type: retT})
 			}
 			colFacts = nf
-			if schema.Len() > cs.maxCols {
-				cs.maxCols = schema.Len() + 8
+			if schema.Len() > pl.maxCols {
+				pl.maxCols = schema.Len() + 8
 			}
 
 		case *logical.MapColumnOp:
 			idx, ok := schema.Lookup(op.Col)
 			if !ok {
-				return nil, fmt.Errorf("core: mapColumn: no column %q in %s", op.Col, schema)
+				return fmt.Errorf("core: mapColumn: no column %q in %s", op.Col, schema)
 			}
 			colT := schema.Col(idx).Type
-			su, err := eng.compileUDF(op.UDF, []types.Type{colT}, true,
+			su := eng.compileUDF(op.UDF, []types.Type{colT}, true,
 				[]dataflow.ColFact{colFacts[idx]}, opName(op))
-			if err != nil {
-				return nil, err
-			}
 			lastUDF = su
 			su.frameIdx = frameIdx
 			frameIdx++
 			h := &opHandlers{}
-			cs.boxed = append(cs.boxed, &boxedOp{kind: bOpMapColumn, udf: su.boxed, handlers: h, inSchema: schema, col: op.Col, colIdx: idx, scalar: true})
+			pl.recipe = append(pl.recipe, &boxedOp{kind: bOpMapColumn, spec: op.UDF, handlers: h, inSchema: schema, col: op.Col, colIdx: idx, scalar: true})
 			lastHandlers = h
 			mbk := &batchKernel{kind: bkMapColumn, su: su, ridx: ridx, scalar: true, colIdx: idx,
 				inCols: schema.Len(), outTypes: []types.Type{su.returnType()}}
@@ -691,15 +744,15 @@ func (eng *engine) compileStage(st *physical.Stage, input *mat) (*compiledStage,
 		case *logical.RenameOp:
 			ns, err := schema.Rename(op.Old, op.New)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			schema = ns
-			cs.boxed = append(cs.boxed, &boxedOp{kind: bOpNoop})
+			pl.recipe = append(pl.recipe, &boxedOp{kind: bOpNoop})
 
 		case *logical.SelectOp:
 			ns, idx, err := schema.Select(op.Cols)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			nf := make([]dataflow.ColFact, len(idx))
 			for i, j := range idx {
@@ -714,7 +767,7 @@ func (eng *engine) compileStage(st *physical.Stage, input *mat) (*compiledStage,
 			sel := append([]int(nil), idx...)
 			selScratch := frameIdx
 			frameIdx++
-			cs.boxed = append(cs.boxed, &boxedOp{kind: bOpSelect, sel: sel})
+			pl.recipe = append(pl.recipe, &boxedOp{kind: bOpSelect, sel: sel})
 			sbk := &batchKernel{kind: bkSelect, ridx: ridx, perm: sel}
 			nops = append(nops, compiledOp{ridx: ridx, batch: sbk, make: func(next nstep) nstep {
 				return func(ts *task, key uint64, row rows.Row) ECode {
@@ -728,14 +781,10 @@ func (eng *engine) compileStage(st *physical.Stage, input *mat) (*compiledStage,
 
 		case *logical.ResolveOp:
 			if lastHandlers == nil {
-				return nil, fmt.Errorf("core: resolve() without a preceding UDF operator")
+				return fmt.Errorf("core: resolve() without a preceding UDF operator")
 			}
-			bu, err := compileBoxedUDF(op.UDF)
-			if err != nil {
-				return nil, err
-			}
-			lastHandlers.resolvers = append(lastHandlers.resolvers, resolverSpec{exc: op.Exc, udf: bu})
-			cs.boxed = append(cs.boxed, &boxedOp{kind: bOpNoop})
+			lastHandlers.resolvers = append(lastHandlers.resolvers, resolverSpec{exc: op.Exc, spec: op.UDF})
+			pl.recipe = append(pl.recipe, &boxedOp{kind: bOpNoop})
 			// Dead-resolver lint: the compiled normal-case path provably
 			// never raises this kind. The resolver still applies on the
 			// general path (non-conforming rows run full Python
@@ -749,41 +798,40 @@ func (eng *engine) compileStage(st *physical.Stage, input *mat) (*compiledStage,
 
 		case *logical.IgnoreOp:
 			if lastHandlers == nil {
-				return nil, fmt.Errorf("core: ignore() without a preceding UDF operator")
+				return fmt.Errorf("core: ignore() without a preceding UDF operator")
 			}
 			lastHandlers.ignores = append(lastHandlers.ignores, op.Exc)
-			cs.boxed = append(cs.boxed, &boxedOp{kind: bOpNoop})
+			pl.recipe = append(pl.recipe, &boxedOp{kind: bOpNoop})
 
 		case *logical.JoinOp:
-			// The build side runs its whole chain here (§4.5), so its
-			// stage spans nest under a join-build span.
-			jsp := eng.tr.Begin("join-build", trace.Str("key", op.RightKey))
-			bt, err := eng.buildJoinTable(op)
+			// The build chain ran (and so compiled) before this stage
+			// compiles; the plan takes only its output schema. The table
+			// itself is per-run: steps and kernels fetch it from the task.
+			ji := nJoins
+			nJoins++
+			added, _, _, err := joinBuildCols(sl.builds[ji].chain.outSchema(), op)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			jsp.Add(trace.Int("build_rows", int64(bt.buildRows)),
-				trace.Int("general_rows", int64(bt.genCount)),
-				trace.Int("shards", int64(len(bt.shards))))
-			eng.tr.End(jsp)
 			keyIdx, ok := schema.Lookup(op.LeftKey)
 			if !ok {
-				return nil, fmt.Errorf("core: join: no column %q in %s", op.LeftKey, schema)
+				return fmt.Errorf("core: join: no column %q in %s", op.LeftKey, schema)
 			}
-			outSchema := joinOutputSchema(schema, op, bt)
+			outSchema := joinOutputSchema(schema, op, added)
 			left := op.Left
-			bAdd := bt.addedCols
+			bAdd := added.Len()
 			scratchIdx := frameIdx
 			frameIdx++ // reserve a scratch slot (no frame needed)
-			cs.boxed = append(cs.boxed, &boxedOp{kind: bOpJoin, join: bt, keyIdx: keyIdx, leftOuter: left, inSchema: schema, outSchema: outSchema})
+			pl.recipe = append(pl.recipe, &boxedOp{kind: bOpJoin, joinIdx: ji, keyIdx: keyIdx, leftOuter: left, inSchema: schema, outSchema: outSchema})
 			jOutTs := make([]types.Type, outSchema.Len())
 			for i := range jOutTs {
 				jOutTs[i] = outSchema.Col(i).Type
 			}
-			jbk := &batchKernel{kind: bkJoin, ridx: ridx, colIdx: keyIdx, join: bt, leftOuter: left,
+			jbk := &batchKernel{kind: bkJoin, ridx: ridx, colIdx: keyIdx, joinIdx: ji, leftOuter: left,
 				inCols: schema.Len(), outTypes: jOutTs}
 			nops = append(nops, compiledOp{ridx: ridx, batch: jbk, make: func(next nstep) nstep {
 				return func(ts *task, key uint64, row rows.Row) ECode {
+					bt := ts.run.joins[ji]
 					// Probe: encode the key into the task scratch buffer,
 					// hash, and look up the shard — no allocation. (The
 					// string(buf) map index below does not allocate; Go
@@ -806,7 +854,7 @@ func (eng *engine) compileStage(st *physical.Stage, input *mat) (*compiledStage,
 						if !left {
 							return 0
 						}
-						out := ts.opScratch(scratchIdx, cs.maxCols)
+						out := ts.opScratch(scratchIdx, pl.maxCols)
 						out = append(out, row...)
 						for range bAdd {
 							out = append(out, rows.Null())
@@ -819,7 +867,7 @@ func (eng *engine) compileStage(st *physical.Stage, input *mat) (*compiledStage,
 						if sub > 255 {
 							sub = 255
 						}
-						out := ts.opScratch(scratchIdx, cs.maxCols)
+						out := ts.opScratch(scratchIdx, pl.maxCols)
 						out = append(out, row...)
 						out = bt.appendRow(out, ref)
 						if ec := next(ts, key*256+sub, out); ec != 0 {
@@ -835,28 +883,26 @@ func (eng *engine) compileStage(st *physical.Stage, input *mat) (*compiledStage,
 			}
 			colFacts = nf
 			schema = outSchema
-			if schema.Len() > cs.maxCols {
-				cs.maxCols = schema.Len() + 8
+			if schema.Len() > pl.maxCols {
+				pl.maxCols = schema.Len() + 8
 			}
 
 		default:
-			return nil, fmt.Errorf("core: unsupported operator %T", op)
+			return fmt.Errorf("core: unsupported operator %T", op)
 		}
 	}
 
-	cs.outSchema = schema
-	cs.nUDFs = frameIdx + 1
+	pl.outSchema = schema
+	pl.nUDFs = frameIdx + 1
 
 	// Terminal handling.
 	if st.Terminal == physical.TerminalAggregate {
 		agg := st.TerminalOp.(*logical.AggregateOp)
-		if err := eng.compileAggregate(cs, agg, schema); err != nil {
-			return nil, err
-		}
+		eng.compileAggregate(pl, agg, schema)
 	}
-	term, err := cs.makeTerminal()
+	term, err := pl.makeTerminal()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Compose the chain back to front; at LevelRows every step (and the
 	// terminal) is preceded by its ledger counter. compose(from) builds
@@ -864,25 +910,26 @@ func (eng *engine) compileStage(st *physical.Stage, input *mat) (*compiledStage,
 	// path, later starts serve as the batch plan's row-at-a-time suffix.
 	compose := func(from int) nstep {
 		entry := term
-		if cs.traceRows {
-			entry = routeWrap(entry, cs.termRouteIdx)
+		if pl.traceRows {
+			entry = routeWrap(entry, pl.termRouteIdx)
 		}
 		for i := len(nops) - 1; i >= from; i-- {
 			entry = nops[i].make(entry)
-			if cs.traceRows {
+			if pl.traceRows {
 				entry = routeWrap(entry, nops[i].ridx)
 			}
 		}
 		return entry
 	}
-	cs.entry = compose(0)
+	pl.entry = compose(0)
 
 	// Columnar batch plan: CSV and Parallelize sources compile the
 	// maximal prefix of batchable ops into kernels; anything after (plus
 	// non-batchable terminals) runs through the composed suffix via the
 	// row bridge. Adjacent per-row kernels group into fused passes that
 	// share one selection-vector scan.
-	if eng.opts.Columnar && ((cs.parse != nil && !cs.isText) || cs.inputSlots != nil) {
+	_, slotSource := st.Source.(*logical.ParallelizeSource)
+	if eng.opts.Columnar && (pl.parse != nil || slotSource) {
 		prefix := 0
 		for prefix < len(nops) && nops[prefix].batch != nil {
 			prefix++
@@ -892,25 +939,20 @@ func (eng *engine) compileStage(st *physical.Stage, input *mat) (*compiledStage,
 			kernels[i] = nops[i].batch
 		}
 		bp := &batchProg{kernels: kernels, groups: fuseKernels(kernels)}
-		batchTerm := cs.terminal == physical.TerminalSink || cs.terminal == physical.TerminalMaterialize ||
-			cs.terminal == physical.TerminalUnique || cs.terminal == physical.TerminalAggregate
+		batchTerm := pl.terminal == physical.TerminalSink || pl.terminal == physical.TerminalMaterialize ||
+			pl.terminal == physical.TerminalUnique || pl.terminal == physical.TerminalAggregate
 		if prefix < len(nops) || !batchTerm {
 			bp.suffix = compose(prefix)
 			// The stage barrier: rows reaching the end of the kernel
 			// prefix bounce to the composed row path at this ledger index.
-			bp.barrierIdx = cs.termRouteIdx
+			bp.barrierIdx = pl.termRouteIdx
 			if prefix < len(nops) {
 				bp.barrierIdx = nops[prefix].ridx
 			}
 		}
-		cs.batch = bp
+		pl.batch = bp
 	}
-	if cs.traceRows {
-		for _, bop := range cs.boxed {
-			bop.stats = &boxedOpStats{}
-		}
-	}
-	return cs, nil
+	return nil
 }
 
 // opName names an operator for the routing ledger and trace output.
@@ -1003,20 +1045,15 @@ func paramStyle(spec *logical.UDFSpec, schema *types.Schema) (scalar bool, param
 	return false, types.Row(schema)
 }
 
-// compileUDF builds the three execution forms for one UDF and runs the
-// static dataflow analysis over the typed normal-case form: its lints
+// compileUDF compiles one UDF's normal-path form and runs the static
+// dataflow analysis over the typed normal-case form: its lints
 // surface as result warnings, and when compiler optimizations are on
 // its facts drive dead-branch pruning, constant folding and check
 // elision in codegen (guarded where they rest on sampled values).
 // colFacts seeds the analysis for the UDF's input columns; label names
 // the operator in warnings and trace output.
-func (eng *engine) compileUDF(spec *logical.UDFSpec, paramTypes []types.Type, scalar bool, colFacts []dataflow.ColFact, label string) (*stageUDF, error) {
+func (eng *engine) compileUDF(spec *logical.UDFSpec, paramTypes []types.Type, scalar bool, colFacts []dataflow.ColFact, label string) *stageUDF {
 	su := &stageUDF{spec: spec, scalarParam: scalar}
-	bu, err := compileBoxedUDF(spec)
-	if err != nil {
-		return nil, err
-	}
-	su.boxed = bu
 	globalTypes := map[string]types.Type{}
 	for k, v := range spec.Globals {
 		globalTypes[k] = typeOfBoxed(v)
@@ -1026,7 +1063,7 @@ func (eng *engine) compileUDF(spec *logical.UDFSpec, paramTypes []types.Type, sc
 	if err != nil {
 		// Structural mismatch (e.g. wrong arity): the UDF can still run
 		// boxed; the fast path is simply absent.
-		return su, nil
+		return su
 	}
 	flow := dataflow.Analyze(info, dataflow.Options{
 		Columns:   colFacts,
@@ -1042,11 +1079,11 @@ func (eng *engine) compileUDF(spec *logical.UDFSpec, paramTypes []types.Type, sc
 	u, err := codegen.Compile(info, spec.Globals, cgOpts)
 	if err != nil {
 		eng.traceAnalyze(label, flow, nil)
-		return su, nil
+		return su
 	}
 	su.compiled = u
 	eng.traceAnalyze(label, flow, u)
-	return su, nil
+	return su
 }
 
 // maxLintWarnings bounds how many lint diagnostics one UDF contributes
@@ -1112,151 +1149,169 @@ func mapOutputSchema(su *stageUDF) *types.Schema {
 	}
 }
 
-// prepareSource loads records / wires the input mat and derives the
-// stage input schema.
-func (eng *engine) prepareSource(cs *compiledStage, st *physical.Stage, input *mat) error {
-	switch src := st.Source.(type) {
+// bind opens a stage's source for this run — the only place sources are
+// opened or read. File-backed sources stream (only the sampling prefix
+// is read here; the rest overlaps disk I/O with parsing and UDF
+// execution at run time) or materialize; inline and parallelize data
+// travel on the source node; interior stages take the previous stage's
+// output. A compiling run samples from what bind already holds, so each
+// file is read once per run, cold or warm.
+func (eng *engine) bind(source logical.Op, input *mat) (*stageRun, error) {
+	sr := &stageRun{}
+	materialized := func(records [][]byte, bytesRead int64) {
+		eng.res.Metrics.Ingest.BytesRead.Add(bytesRead)
+		sr.records = records
+		sr.partRanges = splitRange(len(records), eng.partSize(len(records)))
+	}
+	switch src := source.(type) {
 	case *logical.CSVSource:
-		delim := src.Delim
-		if delim == 0 {
-			delim = ','
-		}
 		var records [][]byte
-		var names []string
 		if src.Data == nil && eng.opts.Streaming {
-			// Chunked, pipelined ingest for file-backed sources: only the
-			// sampling prefix is read here; the rest streams at execute
-			// time, overlapping disk I/O with record splitting, parsing
-			// and UDF execution.
-			t0 := time.Now()
-			ss, err := eng.openStreamSource(src.Path, delim, src.Header, csvio.ChunkCSV)
+			ss, err := eng.openStreamSource(src.Path, csvDelim(src), src.Header, csvio.ChunkCSV)
 			if err != nil {
-				return err
+				return nil, err
 			}
+			sr.stream = ss
 			records = ss.prefixRecords()
-			if len(records) == 0 {
-				ss.close()
-				return fmt.Errorf("core: empty CSV input %s", src.Path)
-			}
-			names = ss.headerNames
-			cs.stream = ss
-			cs.sampleTime = time.Since(t0)
 		} else {
 			var bytesRead int64
 			var err error
-			records, names, bytesRead, err = readCSVRecords(src, delim)
+			records, sr.headerNames, bytesRead, err = readCSVRecords(src, csvDelim(src))
 			if err != nil {
-				return err
+				return nil, err
 			}
-			eng.res.Metrics.Ingest.BytesRead.Add(bytesRead)
-			if len(records) == 0 {
-				return fmt.Errorf("core: empty CSV input %s", src.Path)
+			materialized(records, bytesRead)
+		}
+		if len(records) == 0 {
+			sr.closeSource()
+			return nil, fmt.Errorf("core: empty CSV input %s", src.Path)
+		}
+	case *logical.TextSource:
+		if src.Data == nil && eng.opts.Streaming {
+			ss, err := eng.openStreamSource(src.Path, 0, false, csvio.ChunkText)
+			if err != nil {
+				return nil, err
 			}
-			cs.records = records
-			cs.partRanges = splitRange(len(records), eng.partSize(len(records)))
+			sr.stream = ss
+		} else {
+			lines, bytesRead, err := readTextLines(src)
+			if err != nil {
+				return nil, err
+			}
+			materialized(lines, bytesRead)
+		}
+	case *logical.ParallelizeSource:
+		sr.inputSlots = src.SlotRows
+		if sr.inputSlots == nil && src.Rows != nil {
+			// Legacy boxed form: unbox once up front.
+			sr.inputSlots = make([]rows.Row, len(src.Rows))
+			for i, r := range src.Rows {
+				sr.inputSlots[i] = rows.RowFromValues(r)
+			}
+		}
+		sr.partRanges = splitRange(len(sr.inputSlots), eng.partSize(len(sr.inputSlots)))
+	case nil:
+		if input == nil {
+			return nil, fmt.Errorf("core: stage without source or input")
+		}
+		sr.input = input
+		sr.partRanges = make([][2]int, len(input.parts))
+		for i, p := range input.parts {
+			sr.partRanges[i] = [2]int{0, len(p)}
+		}
+	default:
+		return nil, fmt.Errorf("core: unsupported source %T", source)
+	}
+	return sr, nil
+}
+
+// closeSource releases a streamed binding's file and unconsumed prefix
+// chunks (idempotent; a no-op for every other binding).
+func (sr *stageRun) closeSource() {
+	if sr.stream != nil {
+		sr.stream.close()
+	}
+}
+
+func csvDelim(src *logical.CSVSource) byte {
+	if src.Delim == 0 {
+		return ','
+	}
+	return src.Delim
+}
+
+// planSource makes the plan's source-side decisions — the normal-case
+// schema, the generated parser, null values — from the sample the
+// binding holds, and returns the dataflow seeds for the first UDF and
+// the time spent sampling.
+func (eng *engine) planSource(pl *stagePlan, source logical.Op, sr *stageRun) ([]dataflow.ColFact, time.Duration, error) {
+	pl.nullValues = csvio.DefaultNullValues
+	switch src := source.(type) {
+	case *logical.CSVSource:
+		records, names := sr.records, sr.headerNames
+		if sr.stream != nil {
+			records, names = sr.stream.prefixRecords(), sr.stream.headerNames
 		}
 		if src.Columns != nil {
 			names = src.Columns
 		}
 		t0 := time.Now()
-		plan, err := sample.Sample(records, delim, names, eng.mkSampleCfg(src.NullValues))
-		cs.sampleTime += time.Since(t0)
+		plan, err := sample.Sample(records, csvDelim(src), names, eng.mkSampleCfg(src.NullValues))
+		dSample := time.Since(t0)
 		if err != nil {
-			if cs.stream != nil {
-				cs.stream.close()
-			}
-			return err
+			return nil, 0, err
 		}
 		if plan.AllExceptions {
 			eng.warns.add(warnAdvice,
 				"sample produced only exceptions; revise the pipeline or increase the sample size")
 		}
-		cs.nullValues = plan.Config.NullValues
+		if plan.Config.NullValues != nil {
+			pl.nullValues = plan.Config.NullValues
+		}
 		// Projection pushdown into the generated parser.
-		proj := src.Projected()
-		fields, schema, idxs := projectedFields(plan, proj)
-		cs.parse = csvio.NewParseSpec(delim, plan.NumCols, fields, plan.Config.NullValues)
-		cs.nFields = len(fields)
-		cs.inSchema = schema
-		cs.srcFacts = seedColFacts(schema, plan.Stats, idxs)
-		cs.boxedInput = &mat{schema: plan.GeneralSchema}
+		fields, schema, idxs := projectedFields(plan, src.Projected())
+		pl.parse = csvio.NewParseSpec(csvDelim(src), plan.NumCols, fields, plan.Config.NullValues)
+		pl.nFields = len(fields)
+		pl.inSchema = schema
+		return seedColFacts(schema, plan.Stats, idxs), dSample, nil
 	case *logical.TextSource:
 		colName := src.Column
 		if colName == "" {
 			colName = "value"
 		}
-		cs.isText = true
-		cs.nullValues = csvio.DefaultNullValues
-		cs.inSchema = types.NewSchema([]types.Column{{Name: colName, Type: types.Str}})
-		if src.Data == nil && eng.opts.Streaming {
-			ss, err := eng.openStreamSource(src.Path, 0, false, csvio.ChunkText)
-			if err != nil {
-				return err
-			}
-			cs.stream = ss
-		} else {
-			lines, bytesRead, err := readTextLines(src)
-			if err != nil {
-				return err
-			}
-			eng.res.Metrics.Ingest.BytesRead.Add(bytesRead)
-			cs.records = lines
-			cs.partRanges = splitRange(len(lines), eng.partSize(len(lines)))
-		}
+		pl.isText = true
+		pl.inSchema = types.NewSchema([]types.Column{{Name: colName, Type: types.Str}})
 	case *logical.ParallelizeSource:
 		t0 := time.Now()
-		slotRows := src.SlotRows
-		if slotRows == nil && src.Rows != nil {
-			// Legacy boxed form: unbox once up front.
-			slotRows = make([]rows.Row, len(src.Rows))
-			for i, r := range src.Rows {
-				slotRows[i] = rows.RowFromValues(r)
-			}
-		}
 		// The sampler only reads the prefix; box exactly those rows
 		// instead of the whole input.
 		need := eng.mkSampleCfg(nil).WithDefaults().Size
-		if need > len(slotRows) {
-			need = len(slotRows)
+		if need > len(sr.inputSlots) {
+			need = len(sr.inputSlots)
 		}
 		sampleRows := make([][]pyvalue.Value, need)
 		for i := range sampleRows {
-			sampleRows[i] = rows.RowToValues(slotRows[i])
+			sampleRows[i] = rows.RowToValues(sr.inputSlots[i])
 		}
 		plan, err := sample.SampleValues(sampleRows, src.Names, eng.mkSampleCfg(nil))
-		cs.sampleTime = time.Since(t0)
 		if err != nil {
-			return err
+			return nil, 0, err
 		}
-		cs.inputSlots = slotRows
-		cs.nullValues = csvio.DefaultNullValues
-		cs.inSchema = plan.Schema
-		cs.srcFacts = seedColFacts(plan.Schema, plan.Stats, nil)
-		cs.partRanges = splitRange(len(slotRows), eng.partSize(len(slotRows)))
+		pl.inSchema = plan.Schema
+		return seedColFacts(plan.Schema, plan.Stats, nil), time.Since(t0), nil
 	case nil:
-		if input == nil {
-			return fmt.Errorf("core: stage without source or input")
+		pl.inSchema = sr.input.schema
+		if sr.input.nullValues != nil {
+			pl.nullValues = sr.input.nullValues
 		}
-		cs.boxedInput = input
-		cs.inSchema = input.schema
-		cs.nullValues = input.nullValues
-		cs.partRanges = make([][2]int, len(input.parts))
-		for i, p := range input.parts {
-			cs.partRanges[i] = [2]int{0, len(p)}
-		}
-	default:
-		return fmt.Errorf("core: unsupported source %T", st.Source)
 	}
-	if cs.nullValues == nil {
-		cs.nullValues = csvio.DefaultNullValues
-	}
-	return nil
+	return nil, 0, nil
 }
 
 // readCSVRecords materializes a CSV source's records: inline data, or
 // the paper's ','.join(paths) multi-file spelling. Each file carries its
 // own header; the first one names the columns (unless configured), the
-// rest are dropped. Shared by the cold path and cached-plan rebinding.
+// rest are dropped.
 func readCSVRecords(src *logical.CSVSource, delim byte) (records [][]byte, names []string, bytesRead int64, err error) {
 	addData := func(data []byte) {
 		recs := csvio.SplitRecords(data)
@@ -1284,7 +1339,7 @@ func readCSVRecords(src *logical.CSVSource, delim byte) (records [][]byte, names
 }
 
 // readTextLines materializes a text source's lines (inline data or one
-// file). Shared by the cold path and cached-plan rebinding.
+// file).
 func readTextLines(src *logical.TextSource) ([][]byte, int64, error) {
 	data := src.Data
 	var n int64

@@ -35,9 +35,8 @@ import (
 // index in streamed order keys.
 const streamKeyShift = 32
 
-// streamSource is a chunked file-backed source mid-stream: the sampling
-// prefix has been read at compile time, the rest is produced during
-// execution.
+// streamSource is a chunked file-backed source mid-stream: bind has
+// read the sampling prefix, the rest is produced during execution.
 type streamSource struct {
 	prod *chunkProducer
 	// prefix holds the chunks consumed while sampling; they are emitted
@@ -230,9 +229,8 @@ type chunkTask struct {
 // chunks, opts.Executors workers consuming them through a bounded
 // channel. The first worker error (or producer error) stops the
 // producer and drains the channel so large inputs fail fast.
-func (eng *engine) executeStreamed(cs *compiledStage) (*mat, error) {
-	ss := cs.stream
-	defer ss.prod.close()
+func (eng *engine) executeStreamed(sr *stageRun) (*mat, error) {
+	ss := sr.stream
 
 	workers := eng.opts.Executors
 	if workers < 1 {
@@ -310,20 +308,20 @@ func (eng *engine) executeStreamed(cs *compiledStage) (*mat, error) {
 					}
 					recs := t.recs
 					if recs == nil {
-						if cs.isText {
+						if sr.isText {
 							recs = splitPlainLines(t.chunk.Data)
 						} else {
 							recs = csvio.SplitRecords(t.chunk.Data)
 						}
 					}
-					ts := cs.newTask(eng, t.part)
+					ts := sr.newTask(eng, t.part)
 					ts.worker = w
 					timed := eng.tr != nil || eng.mon != nil
 					if timed {
 						ts.start = time.Now()
 					}
 					eng.mon.TaskStart()
-					err := cs.runRecords(ts, t.part, recs, uint64(t.part)<<streamKeyShift, true)
+					err := sr.runRecords(ts, t.part, recs, uint64(t.part)<<streamKeyShift, true)
 					if timed {
 						ts.dur = time.Since(ts.start)
 					}
@@ -372,13 +370,13 @@ func (eng *engine) executeStreamed(cs *compiledStage) (*mat, error) {
 	// Assemble the dynamic partitions into a materialization.
 	nparts := len(tasks)
 	out := &mat{
-		schema:     cs.outSchema,
+		schema:     sr.outSchema,
 		parts:      make([][]rows.Row, nparts),
 		keys:       make([][]uint64, nparts),
-		nullValues: cs.nullValues,
-		isCSV:      cs.sinkCSV,
+		nullValues: sr.nullValues,
+		isCSV:      sr.sinkCSV,
 	}
-	if cs.sinkCSV {
+	if sr.sinkCSV {
 		out.csvParts = make([][]byte, nparts)
 		out.csvEnds = make([][]int, nparts)
 	}
@@ -394,8 +392,8 @@ func (eng *engine) executeStreamed(cs *compiledStage) (*mat, error) {
 		}
 		out.exceptional = append(out.exceptional, ts.pool...)
 	}
-	cs.tasks = tasks
-	if cs.terminal == physical.TerminalAggregate {
+	sr.tasks = tasks
+	if sr.terminal == physical.TerminalAggregate {
 		out.isAgg = true
 	}
 	return out, nil

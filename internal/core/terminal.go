@@ -14,10 +14,10 @@ import (
 )
 
 // makeTerminal builds the stage's final step.
-func (cs *compiledStage) makeTerminal() (nstep, error) {
-	switch cs.terminal {
+func (pl *stagePlan) makeTerminal() (nstep, error) {
+	switch pl.terminal {
 	case physical.TerminalSink, physical.TerminalMaterialize:
-		if cs.sinkCSV {
+		if pl.sinkCSV {
 			// Render rows straight into the per-task writer — no copy,
 			// no boxing. Byte offsets let the engine splice resolved
 			// exception rows back into position.
@@ -51,9 +51,9 @@ func (cs *compiledStage) makeTerminal() (nstep, error) {
 			return 0
 		}, nil
 	case physical.TerminalAggregate:
-		su := cs.aggUDF
-		scalar := cs.aggScalar
-		ridx := cs.termRouteIdx
+		su := pl.aggUDF
+		scalar := pl.aggScalar
+		ridx := pl.termRouteIdx
 		return func(ts *task, key uint64, row rows.Row) ECode {
 			if su == nil || su.compiled == nil {
 				ts.excOp = ridx
@@ -73,7 +73,7 @@ func (cs *compiledStage) makeTerminal() (nstep, error) {
 			return 0
 		}, nil
 	default:
-		return nil, fmt.Errorf("core: unknown terminal %d", cs.terminal)
+		return nil, fmt.Errorf("core: unknown terminal %d", pl.terminal)
 	}
 }
 
@@ -81,27 +81,15 @@ func (cs *compiledStage) makeTerminal() (nstep, error) {
 // and row types, widening the accumulator type to a fixpoint (int
 // accumulators often become floats after the first few rows, which the
 // normal path must anticipate).
-func (eng *engine) compileAggregate(cs *compiledStage, agg *logical.AggregateOp, schema *types.Schema) error {
-	cs.aggInit = agg.Initial
-	bu, err := compileBoxedUDF(agg.Agg)
-	if err != nil {
-		return err
-	}
-	var comb *boxedUDF
-	if agg.Comb != nil {
-		comb, err = compileBoxedUDF(agg.Comb)
-		if err != nil {
-			return err
-		}
-	}
-	cs.combUDF = comb
-
-	su := &stageUDF{spec: agg.Agg, boxed: bu}
+func (eng *engine) compileAggregate(pl *stagePlan, agg *logical.AggregateOp, schema *types.Schema) {
+	pl.aggInit = agg.Initial
+	pl.combSpec = agg.Comb
+	su := &stageUDF{spec: agg.Agg}
 	accT := typeOfBoxed(agg.Initial)
 	rowT := types.Row(schema)
 	if schema.Len() == 1 && len(agg.Agg.Access.ByName) == 0 {
 		rowT = schema.Col(0).Type
-		cs.aggScalar = true
+		pl.aggScalar = true
 	}
 	globalTypes := map[string]types.Type{}
 	for k, v := range agg.Agg.Globals {
@@ -129,10 +117,9 @@ func (eng *engine) compileAggregate(cs *compiledStage, agg *logical.AggregateOp,
 		}
 		accT = widened
 	}
-	su.frameIdx = cs.nUDFs - 1 // the frame slot reserved for the terminal
-	cs.aggUDF = su
-	cs.aggSlotType = accT
-	return nil
+	su.frameIdx = pl.nUDFs - 1 // the frame slot reserved for the terminal
+	pl.aggUDF = su
+	pl.aggSlotType = accT
 }
 
 // newCSVWriterFor returns a writer with the schema's header already

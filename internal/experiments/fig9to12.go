@@ -215,13 +215,13 @@ func Fig11(scale Scale, w io.Writer) (*Experiment, error) {
 			opts = append(opts, tuplex.WithoutLogicalOptimizations())
 		}
 		if !fusion {
-			opts = append(opts, tuplex.WithoutStageFusion())
+			opts = append(opts, tuplex.WithStageFusion(false))
 		}
 		if !nullOpt {
-			opts = append(opts, tuplex.WithoutNullOptimization())
+			opts = append(opts, tuplex.WithNullOptimization(false))
 		}
 		if !compilerOpt {
-			opts = append(opts, tuplex.WithoutCompilerOptimizations())
+			opts = append(opts, tuplex.WithCompilerOptimizations(false))
 		}
 		return opts
 	}

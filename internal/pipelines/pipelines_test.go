@@ -51,9 +51,9 @@ func TestZillowUnoptimizedMatchesOptimized(t *testing.T) {
 	base := run()
 	for name, opt := range map[string]tuplex.Option{
 		"no-logical":      tuplex.WithoutLogicalOptimizations(),
-		"no-fusion":       tuplex.WithoutStageFusion(),
-		"no-compiler-opt": tuplex.WithoutCompilerOptimizations(),
-		"no-null-opt":     tuplex.WithoutNullOptimization(),
+		"no-fusion":       tuplex.WithStageFusion(false),
+		"no-compiler-opt": tuplex.WithCompilerOptimizations(false),
+		"no-null-opt":     tuplex.WithNullOptimization(false),
 		"parallel":        tuplex.WithExecutors(4),
 	} {
 		got := run(opt)

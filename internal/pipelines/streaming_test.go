@@ -59,6 +59,21 @@ func requireSameRows(t *testing.T, name string, base, got []string) {
 	}
 }
 
+// requireReadOnce asserts a run's ingest equals the total size of the
+// sources its plan names: every file is read exactly once per run,
+// whether the run streams or materializes it (sampling reuses the prefix
+// the source binding already holds).
+func requireReadOnce(t *testing.T, name string, m *tuplex.Metrics, sizes ...int) {
+	t.Helper()
+	var want int64
+	for _, n := range sizes {
+		want += int64(n)
+	}
+	if m.Ingest.BytesRead != want {
+		t.Fatalf("%s: BytesRead = %d, want %d (each source read once)", name, m.Ingest.BytesRead, want)
+	}
+}
+
 func TestStreamingZillowMatchesMaterialized(t *testing.T) {
 	raw := data.Zillow(data.ZillowConfig{Rows: 3000, Seed: 42, DirtyFraction: 0.02})
 	path := writeTemp(t, "zillow.csv", raw)
@@ -74,6 +89,8 @@ func TestStreamingZillowMatchesMaterialized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s tocsv: %v", cfg.name, err)
 		}
+		requireReadOnce(t, cfg.name, res.Metrics, len(raw))
+		requireReadOnce(t, cfg.name+" tocsv", csvRes.Metrics, len(raw))
 		rows := rowStrings(res.Rows)
 		if baseRows == nil {
 			baseRows, baseCSV = rows, csvRes.CSV
@@ -123,6 +140,9 @@ func TestStreamingFlightsMatchesMaterialized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.name, err)
 		}
+		// The airports file backs two sources (origin and destination).
+		requireReadOnce(t, cfg.name, res.Metrics, len(fileA), len(fileB),
+			len(data.Carriers()), len(data.Airports()), len(data.Airports()))
 		rows := rowStrings(res.Rows)
 		if base == nil {
 			base = rows
@@ -167,6 +187,7 @@ func TestStreamingWeblogsMatchesMaterialized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.name, err)
 		}
+		requireReadOnce(t, cfg.name, res.Metrics, len(logs), len(bad))
 		rows := normalize(res.Rows)
 		if base == nil {
 			base = rows
@@ -189,6 +210,7 @@ func TestStreamingThreeOneOneMatchesMaterialized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.name, err)
 		}
+		requireReadOnce(t, cfg.name, res.Metrics, len(raw))
 		// Unique terminal: first-occurrence order must be preserved by
 		// the streamed keys, so exact sequence equality is required.
 		rows := rowStrings(res.Rows)
@@ -207,10 +229,11 @@ func TestStreamingQ6MatchesMaterialized(t *testing.T) {
 	haveBase := false
 	for _, cfg := range ingestConfigs {
 		c := tuplex.NewContext(cfg.opts...)
-		got, _, err := Q6(c.CSV(path))
+		got, res, err := Q6(c.CSV(path))
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.name, err)
 		}
+		requireReadOnce(t, cfg.name, res.Metrics, len(raw))
 		if !haveBase {
 			base, haveBase = got, true
 			if base == 0 {

@@ -226,6 +226,55 @@ func TestSchemaDriftNeverServesStalePlan(t *testing.T) {
 	}
 }
 
+// TestCacheHitRereadsJoinBuildSide: the fingerprint covers each file's
+// size and first 64 KiB, so rewriting the tail of a larger build-side
+// file at the same size is still a cache hit — and the hit must join
+// against what the file holds now, not against the table the compiling
+// job built.
+func TestCacheHitRereadsJoinBuildSide(t *testing.T) {
+	var build bytes.Buffer
+	build.WriteString("id,name\n")
+	const n = 6000 // 13-byte rows: ~76 KiB, past the fingerprinted prefix
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&build, "%d,n%d\n", 10000+i, 10000+i)
+	}
+	path := filepath.Join(t.TempDir(), "build.csv")
+	if err := os.WriteFile(path, build.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	last := 10000 + n - 1
+	jobSpec := fmt.Sprintf(`{"v":1,
+		"source": {"kind":"csv","data":"id,v\n10000,1\n%d,2\n"},
+		"ops": [{"kind":"join","left_key":"id","right_key":"id",
+			"build":{"source":{"kind":"csv","path":%q}}}],
+		"options": {"executors": 1}}`, last, path)
+
+	_, hs := newTestServer(t, Config{MaxConcurrent: 2})
+	submit := func(wantHit bool, wantName string) {
+		t.Helper()
+		code, raw := post(t, hs.URL+"/v1/jobs", jobSpec)
+		if code != http.StatusOK {
+			t.Fatalf("status %d (%s)", code, raw)
+		}
+		st := decodeStatus(t, raw)
+		if st.CacheHit != wantHit {
+			t.Fatalf("cache_hit = %v, want %v", st.CacheHit, wantHit)
+		}
+		want := fmt.Sprintf(`[[10000,1,"n10000"],[%d,2,%q]]`, last, wantName)
+		if got, _ := json.Marshal(st.Result.Rows); string(got) != want {
+			t.Fatalf("cache_hit=%v rows = %s, want %s", st.CacheHit, got, want)
+		}
+	}
+	submit(false, fmt.Sprintf("n%d", last))
+
+	data := build.Bytes()
+	copy(data[len(data)-len("n15999\n"):], "FRESH!\n")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	submit(true, "FRESH!")
+}
+
 // TestFailedRunsAreNotCached checks a failing flight doesn't poison
 // its key: every resubmission retries the compile.
 func TestFailedRunsAreNotCached(t *testing.T) {

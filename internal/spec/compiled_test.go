@@ -4,6 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -153,5 +156,89 @@ func TestCompiledPlanCancellation(t *testing.T) {
 	cancel()
 	if _, err := cp.Execute(ctx, ""); !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
+	}
+}
+
+// TestCompiledPlanJoinWarm: join build tables are per-run state. A warm
+// execution re-reads the build side (once) and probes the table it
+// built itself — never the compiling run's — so rewriting both inputs
+// at the same size between runs shows up in the warm rows, and the warm
+// run does exactly the cold run's I/O and stage work.
+func TestCompiledPlanJoinWarm(t *testing.T) {
+	dir := t.TempDir()
+	probe := filepath.Join(dir, "probe.csv")
+	build := filepath.Join(dir, "build.csv")
+	write := func(path, data string) {
+		t.Helper()
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(probe, "id,v\n1,10\n2,20\n3,30\n")
+	write(build, "id,name\n1,aa\n2,bb\n")
+	p := &Pipeline{
+		V:      Version,
+		Source: Source{Kind: "csv", Path: probe},
+		Ops: []Op{{
+			Kind: "join", LeftKey: "id", RightKey: "id",
+			Build: &Pipeline{Source: Source{Kind: "csv", Path: build}},
+		}},
+		Options: &Options{Executors: 2},
+	}
+	b, err := p.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cold, cp, err := core.CompileAndExecute(ctx, b.Node, b.Kind, b.CSVPath, b.Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rowsJSON(t, cold), `[[1,10,"aa"],[2,20,"bb"]]`; got != want {
+		t.Fatalf("cold rows = %s, want %s", got, want)
+	}
+
+	// Same sizes, new content on both sides.
+	write(probe, "id,v\n1,11\n2,21\n3,31\n")
+	write(build, "id,name\n1,xx\n3,zz\n")
+	const want = `[[1,11,"xx"],[3,31,"zz"]]`
+	check := func(name string, warm *core.Result) {
+		t.Helper()
+		if got := rowsJSON(t, warm); got != want {
+			t.Errorf("%s rows = %s, want %s (stale build table?)", name, got, want)
+		}
+		cm, wm := cold.Metrics, warm.Metrics
+		if c, w := cm.Counters.InputRows.Load(), wm.Counters.InputRows.Load(); c != w {
+			t.Errorf("%s input rows = %d, cold read %d", name, w, c)
+		}
+		if c, w := cm.Ingest.BytesRead.Load(), wm.Ingest.BytesRead.Load(); c != w {
+			t.Errorf("%s bytes read = %d, cold read %d (each file must be read once)", name, w, c)
+		}
+		if cm.Stages != wm.Stages {
+			t.Errorf("%s stages = %d, cold ran %d (build chain must run once)", name, wm.Stages, cm.Stages)
+		}
+	}
+	warm, err := cp.Execute(ctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("warm", warm)
+
+	var wg sync.WaitGroup
+	results := make([]*core.Result, 4)
+	errs := make([]error, 4)
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = cp.Execute(ctx, "")
+		}(i)
+	}
+	wg.Wait()
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("concurrent warm %d: %v", i, errs[i])
+		}
+		check(fmt.Sprintf("concurrent warm %d", i), res)
 	}
 }

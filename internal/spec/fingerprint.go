@@ -12,11 +12,15 @@ import (
 
 // sampleBytes is how much of each input file the fingerprint reads.
 // The engine's normal case is decided by sampling the input prefix, so
-// the prefix (plus the file size) is exactly what determines whether a
-// cached compilation's specialization still matches. Fingerprints are a
-// performance signal only — a collision or drifted tail can never
-// produce wrong results, because non-conforming rows are classifier
-// rejects that flow through the general path.
+// the prefix is what a compiled plan bakes in from a file: header
+// names, column count, normal-case types. Up to there the fingerprint
+// is a correctness input — a plan served across a change to the spec or
+// to a prefix would run the wrong pipeline. Past the prefix it is a
+// performance signal: a file whose tail drifted at the same size keeps
+// its key and reuses the plan. That is safe because a plan holds no
+// input data — every execution re-reads every source, join build sides
+// included — and rows outside the compiled normal case are classifier
+// rejects that flow through the general path: slower, not wrong.
 const sampleBytes = 64 << 10
 
 // Fingerprint derives the compiled-pipeline cache key: a hash over the

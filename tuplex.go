@@ -95,11 +95,6 @@ func WithNullOptimization(on bool) Option {
 	return Option{apply: func(o *core.Options) { o.Sample.DisableNullOpt = !on }}
 }
 
-// WithoutNullOptimization disables normal-case null specialization.
-//
-// Deprecated: use WithNullOptimization(false).
-func WithoutNullOptimization() Option { return WithNullOptimization(false) }
-
 // WithoutLogicalOptimizations disables filter/projection pushdown and
 // join reordering.
 func WithoutLogicalOptimizations() Option {
@@ -123,23 +118,12 @@ func WithStageFusion(on bool) Option {
 	return Option{apply: func(o *core.Options) { o.Fusion = on }}
 }
 
-// WithoutStageFusion makes every UDF operator an optimization barrier.
-//
-// Deprecated: use WithStageFusion(false).
-func WithoutStageFusion() Option { return WithStageFusion(false) }
-
 // WithCompilerOptimizations toggles specialized fast-path code
 // generation. When false, the fast path uses generic boxed dispatch —
 // the "LLVM optimizers disabled" arm of Fig. 11. Default on.
 func WithCompilerOptimizations(on bool) Option {
 	return Option{apply: func(o *core.Options) { o.Codegen = codegen.Options{Specialize: on} }}
 }
-
-// WithoutCompilerOptimizations generates generic (boxed-dispatch) code
-// on the fast path.
-//
-// Deprecated: use WithCompilerOptimizations(false).
-func WithoutCompilerOptimizations() Option { return WithCompilerOptimizations(false) }
 
 // WithSeed seeds random.choice.
 func WithSeed(seed uint64) Option {
