@@ -313,6 +313,24 @@ func BenchmarkFig10Q6(b *testing.B) {
 	})
 }
 
+// BenchmarkVecQ6Fold is Q6 through the engine with the aggregate running
+// as a vector fold (codegen/vec.go). It fails when the aggregate stops
+// vectorizing — a silent fallback to the row closure would only show as
+// a slower number.
+func BenchmarkVecQ6Fold(b *testing.B) {
+	b.SetBytes(int64(len(benchLineitem)))
+	for range b.N {
+		c := tuplex.NewContext(tuplex.WithExecutors(1))
+		_, res, err := pipelines.Q6(c.CSV("", tuplex.CSVData(benchLineitem)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if bm := res.Metrics.Batch; bm.VectorRows != benchQ6Rows || bm.VectorBailRows != 0 {
+			b.Fatalf("vector rows = %d (bail %d), want all %d rows through the vector fold", bm.VectorRows, bm.VectorBailRows, benchQ6Rows)
+		}
+	}
+}
+
 // BenchmarkFig11Factors sweeps the optimization toggles on flights.
 func BenchmarkFig11Factors(b *testing.B) {
 	configs := []struct {

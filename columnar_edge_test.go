@@ -149,3 +149,19 @@ func TestColumnarEmptyChunksFromFilter(t *testing.T) {
 		t.Fatalf("output rows = %d, want 10", on.Metrics.Rows.Output)
 	}
 }
+
+// A bare-value UDF on a one-column input that appends a new column (and
+// so has no replace index) used to index the kernel's argument vector
+// with that missing index. Both a vectorizable and a string body.
+func TestColumnarScalarWithColumnAppend(t *testing.T) {
+	raw := []byte("a\n1\n2\n\n4\n")
+	for _, udf := range []string{"lambda x: x + 1", "lambda x: str(x) + '!'"} {
+		on, off := bothModes(t, func(c *tuplex.Context) (*tuplex.Result, error) {
+			return c.CSV("", tuplex.CSVData(raw)).WithColumn("b", tuplex.UDF(udf)).ToCSV("")
+		})
+		wantSameCSV(t, on, off)
+		if !strings.Contains(string(on.CSV), "\n4,") {
+			t.Fatalf("%s: output lost rows: %q", udf, on.CSV)
+		}
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	tuplex "github.com/gotuplex/tuplex"
+	"github.com/gotuplex/tuplex/internal/csvio"
 	"github.com/gotuplex/tuplex/internal/data"
 	"github.com/gotuplex/tuplex/internal/pipelines"
 )
@@ -50,5 +51,29 @@ func BenchmarkIngest(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkSplitRecords measures the record-boundary scan on a
+// quote-free numeric file (newline jumps only) and on Zillow's quoted
+// cells (quote-parity counts per segment).
+func BenchmarkSplitRecords(b *testing.B) {
+	for _, in := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"lineitem", benchLineitem},
+		{"zillow", benchZillow},
+	} {
+		b.Run(in.name, func(b *testing.B) {
+			want := len(csvio.SplitRecords(in.raw))
+			b.SetBytes(int64(len(in.raw)))
+			b.ResetTimer()
+			for range b.N {
+				if got := len(csvio.SplitRecords(in.raw)); got != want {
+					b.Fatalf("%d records, want %d", got, want)
+				}
+			}
+		})
 	}
 }

@@ -131,6 +131,12 @@ type UDF struct {
 	Guards []dataflow.Guard
 	// Opt reports the optimization decisions made during compilation.
 	Opt OptStats
+	// Vec is the vector-at-a-time form of a one-parameter UDF, Fold of an
+	// aggregate step UDF (vec.go); nil when the body is outside the
+	// vectorizable grammar, in which case callers keep calling the
+	// closures above once per row.
+	Vec  *VecExpr
+	Fold *VecFold
 }
 
 // NumSlots reports the frame size this UDF requires.
@@ -250,6 +256,7 @@ func Compile(info *inference.Info, globals map[string]pyvalue.Value, opts Option
 			u.guards = append(u.guards, compileGuard(g, rowMode))
 		}
 	}
+	c.vectorize(u)
 	return u, nil
 }
 

@@ -1,0 +1,1609 @@
+package codegen
+
+// vec.go — vector-at-a-time expression kernels.
+//
+// The closure tree in expr.go/typed.go runs once per row. For the
+// expressions scan-heavy pipelines are made of — numeric arithmetic,
+// comparisons and boolean combinations over typed columns — this file
+// compiles the same typed AST into a program that runs once per batch:
+// each node loops over whole colvec payload slices ([]int64, []float64,
+// []bool, null bitmaps) at the rows of a selection vector.
+//
+// Values live in dense registers indexed by absolute batch row, like
+// colvec's derived vectors, so a column load is free (the register is the
+// column's payload). Boolean expressions compile to selection
+// refinement: a predicate maps an ascending selection to the ascending
+// subset where it is true, so the right side of `and` only ever sees rows
+// the left side accepted — Python's short-circuit evaluation falls out of
+// the data flow.
+//
+// A vector kernel never raises. Any row on which the row closure would
+// raise or leave the normal case (null operand, zero divisor, guard miss)
+// is marked instead, excluded from the result and reported in
+// VecState.Bail; the caller re-runs exactly those rows through the row
+// closure, which produces the exception code and accounting it always
+// did. UDFs are pure, so replay is safe, and marking too many rows is
+// always correct — the compiler only has to guarantee that an unmarked
+// row computes the row closure's value bit for bit. It mirrors the typed
+// closures' operand promotion rules to do so, and reports "not
+// vectorizable" (nil program) at the first node outside its grammar;
+// the caller then keeps the row closure.
+
+import (
+	"math"
+	"slices"
+
+	"github.com/gotuplex/tuplex/internal/colvec"
+	"github.com/gotuplex/tuplex/internal/dataflow"
+	"github.com/gotuplex/tuplex/internal/inference"
+	"github.com/gotuplex/tuplex/internal/pyast"
+	"github.com/gotuplex/tuplex/internal/pyvalue"
+	"github.com/gotuplex/tuplex/internal/rows"
+	"github.com/gotuplex/tuplex/internal/types"
+)
+
+// argCol is the column index standing for a UDF's bare scalar argument;
+// each run binds it to the kernel's argument column.
+const argCol = -1
+
+// ---- runtime state -------------------------------------------------------
+
+// VecState is the scratch memory vector programs run in: value
+// registers, selection buffers and the bail marks. One state serves any
+// number of programs run one after another (a task owns one); it grows
+// to the largest program and batch it has seen and then stops
+// allocating.
+type VecState struct {
+	cols []*colvec.Vec
+	arg  int
+
+	i [][]int64
+	f [][]float64
+	b [][]bool
+	s [][]int32
+
+	// mark flags the rows of the current run that must be replayed;
+	// marked counts them. finish moves them to bail in selection order
+	// and clears the flags.
+	mark   []bool
+	marked int
+	bail   []int32
+
+	// term is the operand the last VecFold.Select left for Fold*.
+	term vecOperand
+}
+
+// NewVecState returns an empty state.
+func NewVecState() *VecState { return &VecState{} }
+
+// Bail lists, in ascending row order, the rows of the last run's
+// selection the program did not compute. Valid until the next run.
+func (st *VecState) Bail() []int32 { return st.bail }
+
+func (st *VecState) col(c int) *colvec.Vec {
+	if c == argCol {
+		return st.cols[st.arg]
+	}
+	return st.cols[c]
+}
+
+func (st *VecState) markBail(r int32) {
+	if !st.mark[r] {
+		st.mark[r] = true
+		st.marked++
+	}
+}
+
+func growRegs[T any](regs [][]T, k, n int) [][]T {
+	for len(regs) < k {
+		regs = append(regs, nil)
+	}
+	for j := 0; j < k; j++ {
+		if len(regs[j]) < n {
+			regs[j] = make([]T, n)
+		}
+	}
+	return regs
+}
+
+// vecProg is what every vector program shares: its register demand, the
+// columns it reads payloads of, and the guards it must check.
+type vecProg struct {
+	nI, nF, nB, nS int
+	loads          []vecLoad
+	guards         []vecGuard
+}
+
+// vecLoad is one payload read: column col is indexed as kind.
+type vecLoad struct {
+	col  int
+	kind types.Kind
+}
+
+// begin binds the state to one batch and sizes it for p. It reports
+// false — every row of sel listed in Bail — when a column's vector is
+// not of the kind the program was typed against; the schema makes that
+// impossible, and replaying the batch is the answer that is right anyway.
+func (st *VecState) begin(p *vecProg, cols []*colvec.Vec, arg, n int, sel []int32) bool {
+	st.cols, st.arg = cols, arg
+	st.i = growRegs(st.i, p.nI, n)
+	st.f = growRegs(st.f, p.nF, n)
+	st.b = growRegs(st.b, p.nB, n)
+	st.s = growRegs(st.s, p.nS, n)
+	if len(st.mark) < n {
+		st.mark = make([]bool, n)
+	}
+	st.bail = st.bail[:0]
+	for _, ld := range p.loads {
+		if st.col(ld.col).Kind != ld.kind {
+			st.bail = append(st.bail, sel...)
+			return false
+		}
+	}
+	p.checkGuards(st, sel)
+	return true
+}
+
+// finish moves the marked rows of sel into Bail (ascending, like sel) and
+// appends the unmarked rows of res to out.
+//
+//tuplex:kernel
+func (st *VecState) finish(sel, res, out []int32) []int32 {
+	if st.marked == 0 {
+		return append(out, res...)
+	}
+	for _, r := range res {
+		if !st.mark[r] {
+			out = append(out, r)
+		}
+	}
+	for _, r := range sel {
+		if st.mark[r] {
+			st.mark[r] = false
+			st.bail = append(st.bail, r)
+		}
+	}
+	st.marked = 0
+	return out
+}
+
+// ---- guards --------------------------------------------------------------
+
+// vecGuard is one sampled-constraint precondition of the UDF (see
+// UDF.Call): rows failing it never run specialized code.
+type vecGuard struct {
+	col    int
+	isRng  bool
+	lo, hi int64
+	want   rows.Slot
+}
+
+//tuplex:kernel
+func (p *vecProg) checkGuards(st *VecState, sel []int32) {
+	for gi := range p.guards {
+		g := &p.guards[gi]
+		v := st.col(g.col)
+		if g.isRng && v.Kind == types.KindI64 {
+			vals := v.I
+			nullable := v.Nullable && !v.AllValid()
+			for _, r := range sel {
+				if x := vals[r]; x < g.lo || x > g.hi || (nullable && v.Nulls.Get(int(r))) {
+					st.markBail(r)
+				}
+			}
+			continue
+		}
+		for _, r := range sel {
+			s := v.Slot(int(r))
+			ok := false
+			if g.isRng {
+				ok = s.Tag == types.KindI64 && s.I >= g.lo && s.I <= g.hi
+			} else if s.Tag == g.want.Tag {
+				ok = s.Tag == types.KindNull || rows.Equal(s, g.want)
+			}
+			if !ok {
+				st.markBail(r)
+			}
+		}
+	}
+}
+
+// compileVecGuards translates the UDF's prologue guards. rowMode mirrors
+// compileGuard: guard columns index the row parameter's columns, or —
+// for a bare scalar parameter — column 0 is the argument itself.
+func compileVecGuards(gs []dataflow.Guard, rowMode bool) ([]vecGuard, bool) {
+	var out []vecGuard
+	for _, g := range gs {
+		vg := vecGuard{col: g.Col}
+		if !rowMode {
+			if g.Col != 0 {
+				return nil, false
+			}
+			vg.col = argCol
+		}
+		if g.Const != nil {
+			vg.want = rows.FromValue(g.Const)
+		} else {
+			vg.isRng, vg.lo, vg.hi = true, g.Lo, g.Hi
+		}
+		out = append(out, vg)
+	}
+	return out, true
+}
+
+// ---- operands ------------------------------------------------------------
+
+type vecSrc uint8
+
+const (
+	srcConst vecSrc = iota
+	srcCol
+	srcReg
+)
+
+// vecOperand is an evaluated value: where its dense payload lives.
+type vecOperand struct {
+	kind types.Kind // KindI64, KindF64 or KindBool
+	src  vecSrc
+	idx  int // column (srcCol) or register (srcReg)
+	ci   int64
+	cf   float64
+	cb   bool
+}
+
+func (st *VecState) i64s(o *vecOperand) []int64 {
+	switch o.src {
+	case srcCol:
+		return st.col(o.idx).I
+	case srcReg:
+		return st.i[o.idx]
+	}
+	return nil
+}
+
+func (st *VecState) f64s(o *vecOperand) []float64 {
+	switch o.src {
+	case srcCol:
+		return st.col(o.idx).F
+	case srcReg:
+		return st.f[o.idx]
+	}
+	return nil
+}
+
+func (st *VecState) bools(o *vecOperand) []bool {
+	switch o.src {
+	case srcCol:
+		return st.col(o.idx).B
+	case srcReg:
+		return st.b[o.idx]
+	}
+	return nil
+}
+
+// ---- kernels -------------------------------------------------------------
+//
+// Every loop that runs per row lives in one of the functions below.
+
+type vnum interface{ int64 | float64 }
+
+type cmpOp uint8
+
+const (
+	cmpLT cmpOp = iota
+	cmpLE
+	cmpGT
+	cmpGE
+	cmpEQ
+	cmpNE
+)
+
+func cmpOpOf(op string) (cmpOp, bool) {
+	switch op {
+	case "<":
+		return cmpLT, true
+	case "<=":
+		return cmpLE, true
+	case ">":
+		return cmpGT, true
+	case ">=":
+		return cmpGE, true
+	case "==":
+		return cmpEQ, true
+	case "!=":
+		return cmpNE, true
+	}
+	return 0, false
+}
+
+// mirror returns the operator m with (a op b) == (b m a).
+func (o cmpOp) mirror() cmpOp {
+	switch o {
+	case cmpLT:
+		return cmpGT
+	case cmpLE:
+		return cmpGE
+	case cmpGT:
+		return cmpLT
+	case cmpGE:
+		return cmpLE
+	}
+	return o
+}
+
+func cmpScalar[T vnum](op cmpOp, a, b T) bool {
+	switch op {
+	case cmpLT:
+		return a < b
+	case cmpLE:
+		return a <= b
+	case cmpGT:
+		return a > b
+	case cmpGE:
+		return a >= b
+	case cmpEQ:
+		return a == b
+	}
+	return a != b
+}
+
+// b2i is the branch-free bool→int the selection kernels advance their
+// write cursor with: a mispredicted branch per row would cost more than
+// the comparison.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// vecCmpVC writes the rows of sel where a[r] op c to out and returns
+// their count. len(out) >= len(sel).
+//
+//tuplex:kernel
+func vecCmpVC[T vnum](op cmpOp, a []T, c T, sel, out []int32) int {
+	k := 0
+	switch op {
+	case cmpLT:
+		for _, r := range sel {
+			out[k] = r
+			k += b2i(a[r] < c)
+		}
+	case cmpLE:
+		for _, r := range sel {
+			out[k] = r
+			k += b2i(a[r] <= c)
+		}
+	case cmpGT:
+		for _, r := range sel {
+			out[k] = r
+			k += b2i(a[r] > c)
+		}
+	case cmpGE:
+		for _, r := range sel {
+			out[k] = r
+			k += b2i(a[r] >= c)
+		}
+	case cmpEQ:
+		for _, r := range sel {
+			out[k] = r
+			k += b2i(a[r] == c)
+		}
+	default:
+		for _, r := range sel {
+			out[k] = r
+			k += b2i(a[r] != c)
+		}
+	}
+	return k
+}
+
+// vecCmpVV is vecCmpVC against a second vector.
+//
+//tuplex:kernel
+func vecCmpVV[T vnum](op cmpOp, a, b []T, sel, out []int32) int {
+	switch op {
+	case cmpGT:
+		op, a, b = cmpLT, b, a
+	case cmpGE:
+		op, a, b = cmpLE, b, a
+	}
+	k := 0
+	switch op {
+	case cmpLT:
+		for _, r := range sel {
+			out[k] = r
+			k += b2i(a[r] < b[r])
+		}
+	case cmpLE:
+		for _, r := range sel {
+			out[k] = r
+			k += b2i(a[r] <= b[r])
+		}
+	case cmpEQ:
+		for _, r := range sel {
+			out[k] = r
+			k += b2i(a[r] == b[r])
+		}
+	default:
+		for _, r := range sel {
+			out[k] = r
+			k += b2i(a[r] != b[r])
+		}
+	}
+	return k
+}
+
+type arithOp uint8
+
+const (
+	opAdd arithOp = iota
+	opSub
+	opMul
+	opTrueDiv
+	opFloorDiv
+	opMod
+)
+
+// vecArith computes out[r] = a[r] op b[r] for + - *, where either side
+// may be the constant ac/bc instead of a vector.
+//
+//tuplex:kernel
+func vecArith[T vnum](op arithOp, out, a, b []T, ac, bc T, sel []int32) {
+	switch {
+	case b == nil:
+		switch op {
+		case opAdd:
+			for _, r := range sel {
+				out[r] = a[r] + bc
+			}
+		case opSub:
+			for _, r := range sel {
+				out[r] = a[r] - bc
+			}
+		default:
+			for _, r := range sel {
+				out[r] = a[r] * bc
+			}
+		}
+	case a == nil:
+		switch op {
+		case opAdd:
+			for _, r := range sel {
+				out[r] = ac + b[r]
+			}
+		case opSub:
+			for _, r := range sel {
+				out[r] = ac - b[r]
+			}
+		default:
+			for _, r := range sel {
+				out[r] = ac * b[r]
+			}
+		}
+	default:
+		switch op {
+		case opAdd:
+			for _, r := range sel {
+				out[r] = a[r] + b[r]
+			}
+		case opSub:
+			for _, r := range sel {
+				out[r] = a[r] - b[r]
+			}
+		default:
+			for _, r := range sel {
+				out[r] = a[r] * b[r]
+			}
+		}
+	}
+}
+
+// vecDivF computes the float division family; a zero divisor marks the
+// row (ZeroDivisionError on the row path).
+//
+//tuplex:kernel
+func vecDivF(op arithOp, out, a, b []float64, sel []int32, st *VecState) {
+	switch op {
+	case opTrueDiv:
+		for _, r := range sel {
+			if d := b[r]; d != 0 {
+				out[r] = a[r] / d
+			} else {
+				st.markBail(r)
+			}
+		}
+	case opFloorDiv:
+		for _, r := range sel {
+			if d := b[r]; d != 0 {
+				out[r] = math.Floor(a[r] / d)
+			} else {
+				st.markBail(r)
+			}
+		}
+	default:
+		for _, r := range sel {
+			if d := b[r]; d != 0 {
+				out[r] = pyvalue.FloorModFloat(a[r], d)
+			} else {
+				st.markBail(r)
+			}
+		}
+	}
+}
+
+// vecDivI is the integer // and %.
+//
+//tuplex:kernel
+func vecDivI(op arithOp, out, a, b []int64, sel []int32, st *VecState) {
+	if op == opFloorDiv {
+		for _, r := range sel {
+			if d := b[r]; d != 0 {
+				out[r] = pyvalue.FloorDivInt(a[r], d)
+			} else {
+				st.markBail(r)
+			}
+		}
+		return
+	}
+	for _, r := range sel {
+		if d := b[r]; d != 0 {
+			out[r] = pyvalue.FloorModInt(a[r], d)
+		} else {
+			st.markBail(r)
+		}
+	}
+}
+
+//tuplex:kernel
+func vecNeg[T vnum](out, a []T, sel []int32) {
+	for _, r := range sel {
+		out[r] = -a[r]
+	}
+}
+
+//tuplex:kernel
+func vecI2F(out []float64, a []int64, sel []int32) {
+	for _, r := range sel {
+		out[r] = float64(a[r])
+	}
+}
+
+//tuplex:kernel
+func vecCopy[T any](out, a []T, sel []int32) {
+	for _, r := range sel {
+		out[r] = a[r]
+	}
+}
+
+//tuplex:kernel
+func vecFill[T any](out []T, c T, sel []int32) {
+	for _, r := range sel {
+		out[r] = c
+	}
+}
+
+// vecSelTrue writes the rows of sel where b[r] to out.
+//
+//tuplex:kernel
+func vecSelTrue(b []bool, sel, out []int32) int {
+	k := 0
+	for _, r := range sel {
+		out[k] = r
+		k += b2i(b[r])
+	}
+	return k
+}
+
+// vecSelNull writes the rows of sel whose null bit equals want to out.
+//
+//tuplex:kernel
+func vecSelNull(nulls colvec.Bitmap, want bool, sel, out []int32) int {
+	k := 0
+	for _, r := range sel {
+		out[k] = r
+		k += b2i(nulls.Get(int(r)) == want)
+	}
+	return k
+}
+
+//tuplex:kernel
+func (st *VecState) markNulls(nulls colvec.Bitmap, sel []int32) {
+	for _, r := range sel {
+		if nulls.Get(int(r)) {
+			st.markBail(r)
+		}
+	}
+}
+
+// SubtractSel writes sel minus sub to out and returns the count; both
+// ascending, sub a subset of sel, len(out) >= len(sel)-len(sub).
+//
+//tuplex:kernel
+func SubtractSel(sel, sub, out []int32) int {
+	k, j := 0, 0
+	for _, r := range sel {
+		if j < len(sub) && sub[j] == r {
+			j++
+			continue
+		}
+		out[k] = r
+		k++
+	}
+	return k
+}
+
+// MergeSel writes the ascending union of the disjoint ascending
+// selections a and b to out (len(out) >= len(a)+len(b), aliasing neither)
+// and returns the count.
+//
+//tuplex:kernel
+func MergeSel(a, b, out []int32) int {
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if a[i] < b[j] {
+			out[k] = a[i]
+			i++
+		} else {
+			out[k] = b[j]
+			j++
+		}
+		k++
+	}
+	k += copy(out[k:], a[i:])
+	k += copy(out[k:], b[j:])
+	return k
+}
+
+type foldOp uint8
+
+const (
+	foldAdd foldOp = iota
+	foldSub
+	foldMul
+	foldMin
+	foldMax
+)
+
+// vecFold folds t at rows into acc, strictly in the order of rows, with
+// the accumulator in a register. min/max keep the accumulator on ties
+// and compare through float64 like pyvalue.MinMax.
+//
+//tuplex:kernel
+func vecFold[T vnum](op foldOp, acc T, t []T, rows []int32) T {
+	switch op {
+	case foldAdd:
+		for _, r := range rows {
+			acc += t[r]
+		}
+	case foldSub:
+		for _, r := range rows {
+			acc -= t[r]
+		}
+	case foldMul:
+		for _, r := range rows {
+			acc *= t[r]
+		}
+	case foldMin:
+		for _, r := range rows {
+			if v := t[r]; float64(v) < float64(acc) {
+				acc = v
+			}
+		}
+	default:
+		for _, r := range rows {
+			if v := t[r]; float64(v) > float64(acc) {
+				acc = v
+			}
+		}
+	}
+	return acc
+}
+
+// ---- the walker ----------------------------------------------------------
+
+// vecEnv is what a walk needs to know about its UDF — all of it state the
+// compiled UDF retains anyway, so a vector program adds nothing to a
+// cached plan's footprint.
+type vecEnv struct {
+	info    *inference.Info
+	flow    *dataflow.Result
+	globals map[string]rows.Slot
+	// row names the row-typed parameter, scalar the bare-value one (""
+	// when the UDF has none); acc is the aggregate accumulator, which no
+	// vector expression may read.
+	row, scalar, acc string
+}
+
+// vecWalk evaluates a typed expression over one batch, node by node: the
+// typed AST is the program. The same walk serves twice. With st == nil
+// (check mode, once per UDF at compile time) it runs no kernel: it only
+// decides whether every node is inside the grammar — reporting ok=false
+// at the first that is not — and counts the registers a run will take.
+// With a state it runs each node's kernel over the selection it is handed.
+// Register numbers are handed out in walk order, which depends on the AST
+// alone, so a run reuses exactly the registers the check counted.
+type vecWalk struct {
+	env  *vecEnv
+	st   *VecState
+	prog vecProg
+}
+
+func (w *vecWalk) run() bool { return w.st != nil }
+
+func (w *vecWalk) regI() int { w.prog.nI++; return w.prog.nI - 1 }
+func (w *vecWalk) regF() int { w.prog.nF++; return w.prog.nF - 1 }
+func (w *vecWalk) regB() int { w.prog.nB++; return w.prog.nB - 1 }
+
+// buf hands out a selection buffer (run mode: the buffer itself).
+func (w *vecWalk) buf() []int32 {
+	w.prog.nS++
+	if w.st == nil {
+		return nil
+	}
+	return w.st.s[w.prog.nS-1]
+}
+
+// usable rejects nodes whose row-path compile is an exception exit. A
+// run walks only what the check accepted and skips the lookups.
+func (w *vecWalk) usable(n pyast.Node) bool {
+	if w.run() {
+		return true
+	}
+	if _, failed := w.env.info.Failed[n]; failed {
+		return false
+	}
+	if x, ok := n.(pyast.Expr); ok && w.env.flow != nil {
+		if _, raises := w.env.flow.AlwaysRaises(x); raises {
+			return false
+		}
+	}
+	return true
+}
+
+func isVecNum(k types.Kind) bool { return k == types.KindI64 || k == types.KindF64 }
+
+func constOperand(s rows.Slot) (vecOperand, bool) {
+	switch s.Tag {
+	case types.KindI64:
+		return vecOperand{kind: types.KindI64, ci: s.I}, true
+	case types.KindF64:
+		return vecOperand{kind: types.KindF64, cf: s.F}, true
+	case types.KindBool:
+		return vecOperand{kind: types.KindBool, cb: s.B}, true
+	}
+	return vecOperand{}, false
+}
+
+// load reads column col typed t. The payload is the operand; the run only
+// marks null cells, which no supported operator accepts (the row closures
+// raise TypeError on None operands, or — for the None-tolerant == and
+// != — simply get the row back).
+func (w *vecWalk) load(col int, t types.Type, sel []int32) (vecOperand, bool) {
+	k := t.Unwrap().Kind()
+	if !isVecNum(k) && k != types.KindBool {
+		return vecOperand{}, false
+	}
+	if !w.run() {
+		if ld := (vecLoad{col: col, kind: k}); !slices.Contains(w.prog.loads, ld) {
+			w.prog.loads = append(w.prog.loads, ld)
+		}
+	} else if v := w.st.col(col); v.Nullable && !v.AllValid() {
+		w.st.markNulls(v.Nulls, sel)
+	}
+	return vecOperand{kind: k, src: srcCol, idx: col}, true
+}
+
+// column resolves x to the column it reads, if it is a plain column
+// reference: r['c'] / r[i] on the row parameter or the bare scalar
+// parameter itself.
+func (w *vecWalk) column(x pyast.Expr) (int, bool) {
+	switch x := x.(type) {
+	case *pyast.Name:
+		if w.env.scalar != "" && x.Ident == w.env.scalar {
+			return argCol, true
+		}
+	case *pyast.Subscript:
+		if nm, ok := x.X.(*pyast.Name); ok && x.RowIdx >= 0 && w.env.row != "" && nm.Ident == w.env.row {
+			return x.RowIdx, true
+		}
+	}
+	return 0, false
+}
+
+// value evaluates x over sel as a dense value of kind I64, F64 or Bool.
+func (w *vecWalk) value(x pyast.Expr, sel []int32) (vecOperand, bool) {
+	if !w.usable(x) {
+		return vecOperand{}, false
+	}
+	if col, ok := w.column(x); ok {
+		return w.load(col, x.Type(), sel)
+	}
+	switch x := x.(type) {
+	case *pyast.NumLit:
+		if x.IsFloat {
+			return vecOperand{kind: types.KindF64, cf: x.F}, true
+		}
+		return vecOperand{kind: types.KindI64, ci: x.I}, true
+	case *pyast.BoolLit:
+		return vecOperand{kind: types.KindBool, cb: x.B}, true
+	case *pyast.Name:
+		// Parameters shadow globals; the only parameter a vector
+		// expression may name is the column() one.
+		if x.Ident == w.env.row || x.Ident == w.env.acc {
+			return vecOperand{}, false
+		}
+		if g, ok := w.env.globals[x.Ident]; ok && g.Tag == x.Type().Kind() {
+			return constOperand(g)
+		}
+		return vecOperand{}, false
+	case *pyast.UnaryOp:
+		if x.Op == "not" {
+			return w.boolValue(x, sel)
+		}
+		return w.unary(x, sel)
+	case *pyast.BinOp:
+		return w.arith(x, sel)
+	case *pyast.Compare, *pyast.BoolOp:
+		return w.boolValue(x, sel)
+	case *pyast.IfExpr:
+		if x.Type().Kind() == types.KindBool {
+			return w.boolValue(x, sel)
+		}
+		return w.selectValue(x, sel)
+	}
+	return vecOperand{}, false
+}
+
+// boolValue evaluates a bool-typed composite as a predicate and
+// materializes it into a dense bool register.
+func (w *vecWalk) boolValue(x pyast.Expr, sel []int32) (vecOperand, bool) {
+	t, ok := w.pred(x, sel)
+	if !ok {
+		return vecOperand{}, false
+	}
+	reg := w.regB()
+	if w.run() {
+		out := w.st.b[reg]
+		vecFill(out, false, sel)
+		vecFill(out, true, t)
+	}
+	return vecOperand{kind: types.KindBool, src: srcReg, idx: reg}, true
+}
+
+func (w *vecWalk) unary(x *pyast.UnaryOp, sel []int32) (vecOperand, bool) {
+	if x.Op != "-" && x.Op != "+" {
+		return vecOperand{}, false
+	}
+	a, ok := w.value(x.X, sel)
+	if !ok || !isVecNum(a.kind) || x.Type().Kind() != a.kind {
+		return vecOperand{}, false
+	}
+	if x.Op == "+" {
+		return a, true
+	}
+	if a.src == srcConst {
+		a.ci, a.cf = -a.ci, -a.cf
+		return a, true
+	}
+	if a.kind == types.KindI64 {
+		reg := w.regI()
+		if w.run() {
+			vecNeg(w.st.i[reg], w.st.i64s(&a), sel)
+		}
+		return vecOperand{kind: a.kind, src: srcReg, idx: reg}, true
+	}
+	reg := w.regF()
+	if w.run() {
+		vecNeg(w.st.f[reg], w.st.f64s(&a), sel)
+	}
+	return vecOperand{kind: a.kind, src: srcReg, idx: reg}, true
+}
+
+// toF64 promotes an I64 operand the way asF64/f64Nat do: float64(v).
+func (w *vecWalk) toF64(a vecOperand, sel []int32) vecOperand {
+	if a.kind == types.KindF64 {
+		return a
+	}
+	if a.src == srcConst {
+		return vecOperand{kind: types.KindF64, cf: float64(a.ci)}
+	}
+	reg := w.regF()
+	if w.run() {
+		vecI2F(w.st.f[reg], w.st.i64s(&a), sel)
+	}
+	return vecOperand{kind: types.KindF64, src: srcReg, idx: reg}
+}
+
+// dense turns a constant into a filled register, for the kernel shapes
+// that only come in vector form.
+func (w *vecWalk) dense(a vecOperand, sel []int32) vecOperand {
+	if a.src != srcConst {
+		return a
+	}
+	if a.kind == types.KindI64 {
+		reg := w.regI()
+		if w.run() {
+			vecFill(w.st.i[reg], a.ci, sel)
+		}
+		return vecOperand{kind: a.kind, src: srcReg, idx: reg}
+	}
+	reg := w.regF()
+	if w.run() {
+		vecFill(w.st.f[reg], a.cf, sel)
+	}
+	return vecOperand{kind: a.kind, src: srcReg, idx: reg}
+}
+
+// arith evaluates + - * / // % with binOp's typing: an I64 result means
+// integer arithmetic on two I64 operands, anything else float arithmetic
+// on float64-promoted operands.
+func (w *vecWalk) arith(x *pyast.BinOp, sel []int32) (vecOperand, bool) {
+	var op arithOp
+	switch x.Op {
+	case "+":
+		op = opAdd
+	case "-":
+		op = opSub
+	case "*":
+		op = opMul
+	case "/":
+		op = opTrueDiv
+	case "//":
+		op = opFloorDiv
+	case "%":
+		op = opMod
+	default:
+		return vecOperand{}, false
+	}
+	a, ok := w.value(x.Left, sel)
+	if !ok || !isVecNum(a.kind) {
+		return vecOperand{}, false
+	}
+	b, ok := w.value(x.Right, sel)
+	if !ok || !isVecNum(b.kind) {
+		return vecOperand{}, false
+	}
+	resK := x.Type().Kind()
+	switch {
+	case resK == types.KindI64 && op != opTrueDiv && a.kind == types.KindI64 && b.kind == types.KindI64:
+	case resK == types.KindF64 && (op == opTrueDiv || a.kind == types.KindF64 || b.kind == types.KindF64):
+		a, b = w.toF64(a, sel), w.toF64(b, sel)
+	default:
+		return vecOperand{}, false
+	}
+	// The + - * kernels take a constant on either side; the division
+	// family (and constant ⊕ constant) gets filled registers.
+	if op >= opTrueDiv {
+		a, b = w.dense(a, sel), w.dense(b, sel)
+	} else if b.src == srcConst {
+		a = w.dense(a, sel)
+	}
+	st := w.st
+	if resK == types.KindI64 {
+		reg := w.regI()
+		switch {
+		case !w.run():
+		case op >= opTrueDiv:
+			vecDivI(op, st.i[reg], st.i64s(&a), st.i64s(&b), sel, st)
+		default:
+			vecArith(op, st.i[reg], st.i64s(&a), st.i64s(&b), a.ci, b.ci, sel)
+		}
+		return vecOperand{kind: resK, src: srcReg, idx: reg}, true
+	}
+	reg := w.regF()
+	switch {
+	case !w.run():
+	case op >= opTrueDiv:
+		vecDivF(op, st.f[reg], st.f64s(&a), st.f64s(&b), sel, st)
+	default:
+		vecArith(op, st.f[reg], st.f64s(&a), st.f64s(&b), a.cf, b.cf, sel)
+	}
+	return vecOperand{kind: resK, src: srcReg, idx: reg}, true
+}
+
+// liveArms returns the arms of x the row path compiles: both, or only
+// the one inference left alive.
+func (w *vecWalk) liveArms(x *pyast.IfExpr) (then, els bool) {
+	switch w.env.info.Dead[x] {
+	case inference.DeadThen:
+		return false, true
+	case inference.DeadElse:
+		return true, false
+	}
+	return true, true
+}
+
+// split evaluates cond over sel and returns the rows where it holds and
+// the rows where it does not.
+func (w *vecWalk) split(cond pyast.Expr, sel []int32) (t, f []int32, ok bool) {
+	t, ok = w.pred(cond, sel)
+	f = w.buf()
+	if ok && w.run() {
+		f = f[:SubtractSel(sel, t, f)]
+	}
+	return t, f, ok
+}
+
+// selectValue evaluates a numeric `a if c else b`: c splits the
+// selection, each arm is computed only on its side and moved into the
+// result register. The row path returns the taken arm's slot
+// unconverted, so both arms must already have the expression's type.
+func (w *vecWalk) selectValue(x *pyast.IfExpr, sel []int32) (vecOperand, bool) {
+	then, els := w.liveArms(x)
+	if !then {
+		return w.value(x.Else, sel)
+	}
+	if !els {
+		return w.value(x.Then, sel)
+	}
+	k := x.Type().Kind()
+	if !isVecNum(k) || x.Then.Type().Kind() != k || x.Else.Type().Kind() != k {
+		return vecOperand{}, false
+	}
+	t, f, ok := w.split(x.Cond, sel)
+	if !ok {
+		return vecOperand{}, false
+	}
+	a, ok := w.value(x.Then, t)
+	if !ok || a.kind != k {
+		return vecOperand{}, false
+	}
+	b, ok := w.value(x.Else, f)
+	if !ok || b.kind != k {
+		return vecOperand{}, false
+	}
+	st := w.st
+	if k == types.KindI64 {
+		reg := w.regI()
+		if w.run() {
+			moveInto(st.i[reg], st.i64s(&a), a.ci, t)
+			moveInto(st.i[reg], st.i64s(&b), b.ci, f)
+		}
+		return vecOperand{kind: k, src: srcReg, idx: reg}, true
+	}
+	reg := w.regF()
+	if w.run() {
+		moveInto(st.f[reg], st.f64s(&a), a.cf, t)
+		moveInto(st.f[reg], st.f64s(&b), b.cf, f)
+	}
+	return vecOperand{kind: k, src: srcReg, idx: reg}, true
+}
+
+// moveInto writes an operand (vector a, or constant c when a is nil) to
+// out at sel.
+func moveInto[T any](out, a []T, c T, sel []int32) {
+	if a == nil {
+		vecFill(out, c, sel)
+	} else {
+		vecCopy(out, a, sel)
+	}
+}
+
+// ---- predicates ----------------------------------------------------------
+//
+// A predicate refines an ascending selection to the ascending subset
+// where it holds. The result is sel itself or a buffer of the state.
+
+// truth refines sel to the rows where a is truthy.
+func (w *vecWalk) truth(a vecOperand, sel []int32) []int32 {
+	if a.src == srcConst {
+		if a.cb || a.ci != 0 || a.cf != 0 {
+			return sel
+		}
+		return sel[:0]
+	}
+	out := w.buf()
+	if !w.run() {
+		return nil
+	}
+	switch a.kind {
+	case types.KindBool:
+		return out[:vecSelTrue(w.st.bools(&a), sel, out)]
+	case types.KindI64:
+		return out[:vecCmpVC(cmpNE, w.st.i64s(&a), 0, sel, out)]
+	}
+	return out[:vecCmpVC(cmpNE, w.st.f64s(&a), 0, sel, out)]
+}
+
+// pred evaluates x over sel as a selection refinement. x must be exactly
+// bool, i64 or f64 typed: those are the types whose truthiness the row
+// path tests monomorphically.
+func (w *vecWalk) pred(x pyast.Expr, sel []int32) ([]int32, bool) {
+	if !w.usable(x) {
+		return nil, false
+	}
+	switch x := x.(type) {
+	case *pyast.Compare:
+		return w.compare(x, sel)
+	case *pyast.BoolOp:
+		return w.boolOp(x, sel)
+	case *pyast.UnaryOp:
+		if x.Op == "not" {
+			_, f, ok := w.split(x.X, sel)
+			return f, ok
+		}
+	case *pyast.IfExpr:
+		if x.Type().Kind() == types.KindBool {
+			return w.selectPred(x, sel)
+		}
+	}
+	if k := x.Type().Kind(); !isVecNum(k) && k != types.KindBool {
+		return nil, false
+	}
+	a, ok := w.value(x, sel)
+	if !ok {
+		return nil, false
+	}
+	return w.truth(a, sel), true
+}
+
+// boolOp evaluates and/or over bool operands (the only typing under
+// which the operator's value, which Python defines as one of its
+// operands, is its truth). `and` chains the refinements; `or` offers
+// each operand only the rows every earlier one rejected and merges what
+// they accept.
+func (w *vecWalk) boolOp(x *pyast.BoolOp, sel []int32) ([]int32, bool) {
+	if x.Type().Kind() != types.KindBool || len(x.Xs) == 0 {
+		return nil, false
+	}
+	for _, e := range x.Xs {
+		if e.Type().Kind() != types.KindBool {
+			return nil, false
+		}
+	}
+	if x.Op == "and" {
+		for _, e := range x.Xs {
+			var ok bool
+			if sel, ok = w.pred(e, sel); !ok {
+				return nil, false
+			}
+		}
+		return sel, true
+	}
+	acc, ok := w.pred(x.Xs[0], sel)
+	if !ok {
+		return nil, false
+	}
+	for _, e := range x.Xs[1:] {
+		rest, union := w.buf(), w.buf()
+		if w.run() {
+			rest = rest[:SubtractSel(sel, acc, rest)]
+		}
+		t, ok := w.pred(e, rest)
+		if !ok {
+			return nil, false
+		}
+		if w.run() {
+			acc = union[:MergeSel(acc, t, union)]
+		}
+	}
+	return acc, true
+}
+
+// selectPred evaluates a bool-typed `a if c else b`.
+func (w *vecWalk) selectPred(x *pyast.IfExpr, sel []int32) ([]int32, bool) {
+	then, els := w.liveArms(x)
+	if !then {
+		return w.pred(x.Else, sel)
+	}
+	if !els {
+		return w.pred(x.Then, sel)
+	}
+	if x.Then.Type().Kind() != types.KindBool || x.Else.Type().Kind() != types.KindBool {
+		return nil, false
+	}
+	t, f, ok := w.split(x.Cond, sel)
+	if !ok {
+		return nil, false
+	}
+	a, ok := w.pred(x.Then, t)
+	if !ok {
+		return nil, false
+	}
+	b, ok := w.pred(x.Else, f)
+	if !ok {
+		return nil, false
+	}
+	union := w.buf()
+	if w.run() {
+		union = union[:MergeSel(a, b, union)]
+	}
+	return union, true
+}
+
+// compare evaluates a (possibly chained) numeric comparison or a None
+// identity test. A chain a op1 b op2 c evaluates each operand once and
+// offers b op2 c only the rows where a op1 b held.
+//
+// The row path compares two i64 operands as integers only in
+// compareBool's shape — one step, no Option operand; every other shape
+// goes through compareStep, which compares as float64. The same split
+// here keeps results identical beyond 2^53.
+func (w *vecWalk) compare(x *pyast.Compare, sel []int32) ([]int32, bool) {
+	if x.Type().Kind() != types.KindBool || len(x.Ops) == 0 || len(x.Ops) != len(x.Rest) {
+		return nil, false
+	}
+	if len(x.Ops) == 1 && (x.Ops[0] == "is" || x.Ops[0] == "is not") {
+		return w.isNone(x, sel)
+	}
+	asFloat := len(x.Ops) > 1
+	for i := -1; i < len(x.Rest); i++ {
+		t := x.First.Type()
+		if i >= 0 {
+			t = x.Rest[i].Type()
+		}
+		if !isVecNum(t.Unwrap().Kind()) {
+			return nil, false
+		}
+		if t.IsOption() || t.Kind() == types.KindF64 {
+			asFloat = true
+		}
+	}
+	operand := func(e pyast.Expr, sel []int32) (vecOperand, bool) {
+		a, ok := w.value(e, sel)
+		if !ok || !isVecNum(a.kind) {
+			return a, false
+		}
+		if asFloat {
+			a = w.toF64(a, sel)
+		}
+		return a, true
+	}
+	a, ok := operand(x.First, sel)
+	if !ok {
+		return nil, false
+	}
+	for i, s := range x.Ops {
+		op, ok := cmpOpOf(s)
+		if !ok {
+			return nil, false
+		}
+		b, ok := operand(x.Rest[i], sel)
+		if !ok {
+			return nil, false
+		}
+		out := w.buf()
+		switch {
+		case !w.run():
+		case asFloat:
+			sel = out[:cmpOperands(op, w.st.f64s(&a), w.st.f64s(&b), a.cf, b.cf, sel, out)]
+		default:
+			sel = out[:cmpOperands(op, w.st.i64s(&a), w.st.i64s(&b), a.ci, b.ci, sel, out)]
+		}
+		a = b
+	}
+	return sel, true
+}
+
+// cmpOperands dispatches one comparison step on which sides are
+// constants (nil vectors).
+func cmpOperands[T vnum](op cmpOp, a, b []T, ac, bc T, sel, out []int32) int {
+	switch {
+	case a == nil && b == nil:
+		if cmpScalar(op, ac, bc) {
+			return copy(out, sel)
+		}
+		return 0
+	case b == nil:
+		return vecCmpVC(op, a, bc, sel, out)
+	case a == nil:
+		return vecCmpVC(op.mirror(), b, ac, sel, out)
+	}
+	return vecCmpVV(op, a, b, sel, out)
+}
+
+// isNone evaluates `col is None` / `col is not None` straight off the
+// column's null bitmap; no payload is read, so any column kind works.
+func (w *vecWalk) isNone(x *pyast.Compare, sel []int32) ([]int32, bool) {
+	side := x.First
+	if _, ok := side.(*pyast.NoneLit); ok {
+		side = x.Rest[0]
+	} else if _, ok := x.Rest[0].(*pyast.NoneLit); !ok {
+		return nil, false
+	}
+	col, ok := w.column(side)
+	if !ok || !w.usable(side) {
+		return nil, false
+	}
+	wantNull := x.Ops[0] == "is"
+	out := w.buf()
+	if !w.run() {
+		return nil, true
+	}
+	v := w.st.col(col)
+	if allNull := v.Kind == types.KindNull; allNull || !v.Nullable {
+		if allNull == wantNull {
+			return sel, true
+		}
+		return sel[:0], true
+	}
+	return out[:vecSelNull(v.Nulls, wantNull, sel, out)], true
+}
+
+// ---- programs ------------------------------------------------------------
+
+// vecCheck walks x in check mode; on success the returned walk holds the
+// program's register demand and loads.
+func vecCheck(env *vecEnv, walk func(w *vecWalk) bool) (vecProg, bool) {
+	w := &vecWalk{env: env}
+	ok := walk(w)
+	return w.prog, ok
+}
+
+// diverged reports a run-mode walk failing where its check-mode twin
+// succeeded — the two are one code path, so only a bug gets here.
+func diverged() { panic("codegen: vector walk diverged from its check") }
+
+// VecExpr is the vector program of a one-parameter UDF whose body is a
+// single supported expression: Filter runs it as a predicate, Eval as a
+// derived column.
+type VecExpr struct {
+	env  *vecEnv
+	x    pyast.Expr
+	kind types.Kind
+	prog vecProg
+}
+
+// Kind is the expression's value kind: KindBool, KindI64 or KindF64.
+func (p *VecExpr) Kind() types.Kind { return p.kind }
+
+// Filter appends to out the rows of sel (ascending) where the expression
+// is truthy. cols is the UDF's input view, arg the column a bare scalar
+// parameter is bound to, n the batch's row count. Rows in st.Bail() were
+// not decided.
+func (p *VecExpr) Filter(st *VecState, cols []*colvec.Vec, arg, n int, sel, out []int32) []int32 {
+	if !st.begin(&p.prog, cols, arg, n, sel) {
+		return out
+	}
+	w := vecWalk{env: p.env, st: st}
+	res, ok := w.pred(p.x, sel)
+	if !ok {
+		diverged()
+	}
+	return st.finish(sel, res, out)
+}
+
+// Eval writes the expression's value into dst (of the expression's kind,
+// grown to n) at the rows of sel. Rows in st.Bail() were not computed.
+func (p *VecExpr) Eval(st *VecState, cols []*colvec.Vec, arg, n int, sel []int32, dst *colvec.Vec) {
+	if dst.Kind != p.kind {
+		panic("codegen: VecExpr.Eval into a vector of another kind")
+	}
+	if !st.begin(&p.prog, cols, arg, n, sel) {
+		return
+	}
+	w := vecWalk{env: p.env, st: st}
+	v, ok := w.value(p.x, sel)
+	if !ok || v.kind != p.kind {
+		diverged()
+	}
+	switch p.kind {
+	case types.KindI64:
+		moveInto(dst.I, st.i64s(&v), v.ci, sel)
+	case types.KindF64:
+		moveInto(dst.F, st.f64s(&v), v.cf, sel)
+	default:
+		moveInto(dst.B, st.bools(&v), v.cb, sel)
+	}
+	st.finish(sel, nil, nil)
+}
+
+// VecFold is the vector program of an aggregate step UDF whose body
+// matches the fold table:
+//
+//	acc ⊕ t                     ⊕ ∈ + - *  (also t + acc, t * acc)
+//	acc ⊕ t if c else acc       and the mirrored  acc if c else acc ⊕ t
+//	min(acc, t)  max(acc, t)    unconditional or conditional alike
+//
+// with t and c free of acc. Select evaluates c and t over a batch; Fold*
+// then folds in selection order with the accumulator in a register, so
+// the result is the row path's, bit for bit.
+type VecFold struct {
+	env    *vecEnv
+	prog   vecProg
+	kind   types.Kind
+	op     foldOp
+	cond   pyast.Expr // nil: the step applies to every row
+	negate bool       // the step applies where cond is false
+	term   pyast.Expr
+}
+
+// Kind is the accumulator kind, KindI64 or KindF64.
+func (f *VecFold) Kind() types.Kind { return f.kind }
+
+// walk evaluates the condition and the term; applies are the rows the
+// step applies to.
+func (f *VecFold) walk(w *vecWalk, sel []int32) (applies []int32, term vecOperand, ok bool) {
+	applies = sel
+	if f.cond != nil {
+		t, rest, ok := w.split(f.cond, sel)
+		if !ok {
+			return nil, term, false
+		}
+		if applies = t; f.negate {
+			applies = rest
+		}
+	}
+	term, ok = w.value(f.term, applies)
+	if !ok || !isVecNum(term.kind) {
+		return nil, term, false
+	}
+	if f.kind == types.KindF64 {
+		term = w.toF64(term, applies)
+	} else if term.kind != types.KindI64 {
+		return nil, term, false
+	}
+	return applies, w.dense(term, applies), true
+}
+
+// Select evaluates the fold's condition and term and returns the rows
+// (ascending) the fold applies to; on every other unbailed row of sel
+// the step returns its accumulator unchanged. The result — and the term
+// Fold* reads — is valid until the state's next run.
+func (f *VecFold) Select(st *VecState, cols []*colvec.Vec, arg, n int, sel []int32) []int32 {
+	if !st.begin(&f.prog, cols, arg, n, sel) {
+		return nil
+	}
+	w := vecWalk{env: f.env, st: st}
+	applies, term, ok := f.walk(&w, sel)
+	if !ok {
+		diverged()
+	}
+	st.term = term
+	return st.finish(sel, applies, w.buf()[:0])
+}
+
+// FoldI64 folds the term at rows (a sub-slice of Select's result) into
+// acc, in order.
+func (f *VecFold) FoldI64(st *VecState, acc int64, rows []int32) int64 {
+	return vecFold(f.op, acc, st.i64s(&st.term), rows)
+}
+
+// FoldF64 is FoldI64 for a float accumulator.
+func (f *VecFold) FoldF64(st *VecState, acc float64, rows []int32) float64 {
+	return vecFold(f.op, acc, st.f64s(&st.term), rows)
+}
+
+// vectorize attaches the UDF's vector program when its body is a single
+// return of a supported expression. It runs after the guards are fixed
+// and consults only dep-free facts (typing failures, inference's dead
+// arms, always-raises proofs), so it can neither add a guard nor rest on
+// one it does not check.
+func (c *compiler) vectorize(u *UDF) {
+	fn := c.info.Fn
+	if !c.opts.Specialize || len(fn.Body) != 1 {
+		return
+	}
+	ret, ok := fn.Body[0].(*pyast.Return)
+	if !ok || ret.X == nil {
+		return
+	}
+	env := &vecEnv{info: c.info, flow: c.opts.Flow, globals: c.globals}
+	if w := (vecWalk{env: env}); !w.usable(ret) {
+		return
+	}
+	bind := func(param int) {
+		if c.info.ParamTypes[param].Kind() == types.KindRow {
+			env.row = fn.Params[param]
+		} else {
+			env.scalar = fn.Params[param]
+		}
+	}
+	x := ret.X
+	switch len(fn.Params) {
+	case 1:
+		bind(0)
+		guards, ok := compileVecGuards(u.Guards, env.row != "")
+		if !ok {
+			return
+		}
+		e := &VecExpr{env: env, x: x, kind: x.Type().Kind()}
+		if !isVecNum(e.kind) && e.kind != types.KindBool {
+			return
+		}
+		// One check serves Eval and Filter: as a predicate x walks the
+		// nodes its value walk does (less the bool result register), plus
+		// truth's one buffer when x is a bare value.
+		if e.prog, ok = vecCheck(env, func(w *vecWalk) bool { v, ok := w.value(x, nil); return ok && v.kind == e.kind }); !ok {
+			return
+		}
+		e.prog.nS++
+		e.prog.guards = guards
+		u.Vec = e
+	case 2:
+		if len(u.Guards) > 0 {
+			return
+		}
+		env.acc = fn.Params[0]
+		bind(1)
+		u.Fold = matchFold(env, x, c.info.ParamTypes[0])
+	}
+}
+
+// matchFold matches an aggregate body against the fold table.
+func matchFold(env *vecEnv, body pyast.Expr, accT types.Type) *VecFold {
+	w := vecWalk{env: env}
+	isAcc := func(x pyast.Expr) bool {
+		nm, ok := x.(*pyast.Name)
+		return ok && nm.Ident == env.acc && w.usable(x)
+	}
+	k := accT.Kind()
+	if !isVecNum(k) || body.Type().Kind() != k || !w.usable(body) {
+		return nil
+	}
+	f := &VecFold{env: env, kind: k}
+	step := body
+	if ife, ok := body.(*pyast.IfExpr); ok {
+		if then, els := w.liveArms(ife); !then || !els {
+			return nil
+		}
+		switch {
+		case isAcc(ife.Else):
+			step = ife.Then
+		case isAcc(ife.Then):
+			step, f.negate = ife.Else, true
+		default:
+			return nil
+		}
+		if step.Type().Kind() != k || !w.usable(step) {
+			return nil
+		}
+		f.cond = ife.Cond
+	}
+	switch s := step.(type) {
+	case *pyast.BinOp:
+		switch s.Op {
+		case "+":
+			f.op = foldAdd
+		case "-":
+			f.op = foldSub
+		case "*":
+			f.op = foldMul
+		default:
+			return nil
+		}
+		switch {
+		case isAcc(s.Left):
+			f.term = s.Right
+		case f.op != foldSub && isAcc(s.Right): // + and * commute
+			f.term = s.Left
+		default:
+			return nil
+		}
+	case *pyast.Call:
+		nm, ok := s.Fn.(*pyast.Name)
+		if !ok || len(s.Args) != 2 || len(s.KwArgs) != 0 || !isAcc(s.Args[0]) {
+			return nil
+		}
+		if _, shadowed := env.globals[nm.Ident]; shadowed || slices.Contains(env.info.Fn.Params, nm.Ident) {
+			return nil
+		}
+		switch nm.Ident {
+		case "min":
+			f.op = foldMin
+		case "max":
+			f.op = foldMax
+		default:
+			return nil
+		}
+		// MinMax returns the chosen argument unconverted, so the term
+		// must already be of the accumulator's type.
+		if s.Args[1].Type().Kind() != k {
+			return nil
+		}
+		f.term = s.Args[1]
+	default:
+		return nil
+	}
+	var ok bool
+	f.prog, ok = vecCheck(env, func(w *vecWalk) bool {
+		_, _, ok := f.walk(w, nil)
+		w.buf() // Select's result buffer
+		return ok
+	})
+	if !ok {
+		return nil
+	}
+	return f
+}

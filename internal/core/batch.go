@@ -21,6 +21,11 @@ package core
 // rows, while already-emitted earlier matches stay.
 
 import (
+	"cmp"
+	"slices"
+	"strings"
+
+	"github.com/gotuplex/tuplex/internal/codegen"
 	"github.com/gotuplex/tuplex/internal/colvec"
 	"github.com/gotuplex/tuplex/internal/physical"
 	"github.com/gotuplex/tuplex/internal/pyvalue"
@@ -31,6 +36,13 @@ import (
 // batchMaxRows bounds one batch so vector memory stays chunk-sized even
 // for materialized partitions.
 const batchMaxRows = 4096
+
+// vecMinRows is the live-row count below which a batch stays on the row
+// closures: a vector program pays a fixed cost per expression node per
+// batch (the walk, a kernel call, register setup) that only rows
+// amortize, and on a handful of rows — the inline sources of interactive
+// jobs — the closures are cheaper.
+const vecMinRows = 16
 
 // bkKind enumerates batch kernel kinds.
 type bkKind uint8
@@ -52,11 +64,17 @@ type batchKernel struct {
 	// ki is the kernel's index in the stage plan (set by fuseKernels);
 	// it addresses the kernel's derived vectors in batchState.
 	ki int
-	// scalar marks UDFs receiving a bare column value; colIdx is that
-	// column (also the mapColumn target, the withColumn replace index
-	// with -1 = append, and the join probe-key column).
+	// scalar marks UDFs receiving a bare column value, argIdx the column
+	// it is read from. colIdx is the mapColumn target, the withColumn
+	// replace index (-1 = append) and the join probe-key column.
 	scalar bool
+	argIdx int
 	colIdx int
+	// vec is the UDF's vector program (codegen/vec.go) when this kernel
+	// can run it: a filter over any vectorizable expression, a
+	// withColumn/mapColumn whose derived vector has the expression's
+	// kind. nil keeps the row closure.
+	vec *codegen.VecExpr
 	// inCols is the schema width entering the op; argCols lists the
 	// columns a whole-row UDF actually reads (accessed columns plus guard
 	// columns; nil = fill every column).
@@ -92,12 +110,13 @@ type batchProg struct {
 }
 
 // fuseKernels partitions the kernel prefix into fused passes and stamps
-// each kernel's plan index.
+// each kernel's plan index and vector program.
 func fuseKernels(kernels []*batchKernel) [][]*batchKernel {
 	var groups [][]*batchKernel
 	var cur []*batchKernel
 	for i, k := range kernels {
 		k.ki = i
+		k.vec = kernelVec(k)
 		switch k.kind {
 		case bkSelect, bkJoin:
 			if len(cur) > 0 {
@@ -113,6 +132,51 @@ func fuseKernels(kernels []*batchKernel) [][]*batchKernel {
 		groups = append(groups, cur)
 	}
 	return groups
+}
+
+// kernelVec returns the vector program kernel k can run in place of its
+// row closure, or nil.
+func kernelVec(k *batchKernel) *codegen.VecExpr {
+	if k.su == nil || k.su.compiled == nil || k.su.compiled.Vec == nil {
+		return nil
+	}
+	v := k.su.compiled.Vec
+	switch k.kind {
+	case bkFilter:
+		return v
+	case bkWithColumn, bkMapColumn:
+		// The derived vector is typed from the UDF's return type; an
+		// Option or boxed return keeps the row closure.
+		if k.outTypes[0].Kind() == v.Kind() {
+			return v
+		}
+	}
+	return nil
+}
+
+// kernelModes renders the plan's batch kernels (and a batch-executed
+// aggregate terminal) as "op:vec" / "op:row" pairs for the compile span,
+// so a UDF that stopped vectorizing shows without a profiler.
+func (pl *stagePlan) kernelModes() string {
+	if pl.batch == nil {
+		return ""
+	}
+	mode := func(vec bool) string {
+		if vec {
+			return ":vec"
+		}
+		return ":row"
+	}
+	var parts []string
+	for _, k := range pl.batch.kernels {
+		if k.su != nil {
+			parts = append(parts, pl.opNames[k.ridx]+mode(k.vec != nil))
+		}
+	}
+	if pl.batch.suffix == nil && pl.terminal == physical.TerminalAggregate {
+		parts = append(parts, pl.opNames[pl.termRouteIdx]+mode(pl.aggFold != nil))
+	}
+	return strings.Join(parts, ",")
 }
 
 // batchState is the per-task reusable batch memory: ingest target
@@ -159,6 +223,10 @@ type batchState struct {
 	writeSet  []*colvec.Vec
 	argFns    []func(int32) rows.Slot
 	noNull    []bool
+
+	// vec is the scratch of the stage's vector programs (registers,
+	// selection buffers, bail list).
+	vec *codegen.VecState
 }
 
 func newBatchState(pl *stagePlan) *batchState {
@@ -183,6 +251,7 @@ func newBatchState(pl *stagePlan) *batchState {
 		bst.derived[ki] = vecs
 	}
 	bst.argBuf = make([]rows.Slot, pl.maxCols)
+	bst.vec = codegen.NewVecState()
 	return bst
 }
 
@@ -516,7 +585,7 @@ func (sr *stageRun) argAccessor(ts *task, bst *batchState, k *batchKernel, view 
 	if !k.scalar {
 		return func(r int32) rows.Slot { return gatherArgView(k, view, bst, int(r)) }
 	}
-	v := view[k.colIdx]
+	v := view[k.argIdx]
 	writable := false
 	for _, w := range bst.writeSet {
 		if w == v {
@@ -547,15 +616,16 @@ func (sr *stageRun) argAccessor(ts *task, bst *batchState, k *batchKernel, view 
 	return func(r int32) rows.Slot { return v.Slot(int(r)) }
 }
 
-// runGroup executes one fused pass: every kernel in the group runs over
-// each live row in a single scan of the selection vector, with per-row
-// filter short-circuits and the shared drop/pool failure protocol.
-//
-//tuplex:kernel
+// runGroup executes one fused group. Static per-batch setup (input
+// views, derived vectors, argument accessors) is shared; then maximal
+// runs of row kernels execute as one scan of the selection vector with
+// per-row filter short-circuits, and each vector kernel as one pass of
+// its own. Vector kernels run only on batches of at least vecMinRows
+// live rows, and only while the batch is in the source index space: after
+// a join, one failing output row invalidates its not-yet-processed
+// siblings, an order only the row-major scan defines.
 func (sr *stageRun) runGroup(ts *task, bst *batchState, group []*batchKernel, p int) int64 {
 	n := bst.n
-	// Static per-batch setup: input views, derived vectors grown to the
-	// index space, argument accessors.
 	bst.viewArena = bst.viewArena[:0]
 	bst.views = bst.views[:0]
 	cur := bst.cols
@@ -577,6 +647,39 @@ func (sr *stageRun) runGroup(ts *task, bst *batchState, group []*batchKernel, p 
 		bst.argFns = append(bst.argFns, sr.argAccessor(ts, bst, k, bst.views[gi], n))
 	}
 
+	vecOK := bst.srcIdx == nil && len(bst.sel) >= vecMinRows
+	pool0, passes := len(ts.pool), 0
+	var excs int64
+	for lo := 0; lo < len(group); passes++ {
+		if vecOK && group[lo].vec != nil {
+			excs += sr.runVecKernel(ts, bst, group[lo], lo, p)
+			lo++
+			continue
+		}
+		hi := lo + 1
+		for hi < len(group) && !(vecOK && group[hi].vec != nil) {
+			hi++
+		}
+		excs += sr.runRowKernels(ts, bst, group, lo, hi, p)
+		lo = hi
+	}
+	if pooled := ts.pool[pool0:]; passes > 1 && len(pooled) > 1 {
+		// One scan pools a group's failures in row order; several passes
+		// pool them pass by pass. Keys ascend with the rows, so sorting
+		// restores the single scan's pool order.
+		slices.SortFunc(pooled, func(a, b exRow) int { return cmp.Compare(a.key, b.key) })
+	}
+	bst.cols = append(bst.cols[:0], final...)
+	ts.fusedPasses++
+	return excs
+}
+
+// runRowKernels runs kernels group[lo:hi] over each live row in a single
+// scan of the selection vector, with the shared drop/pool failure
+// protocol.
+//
+//tuplex:kernel
+func (sr *stageRun) runRowKernels(ts *task, bst *batchState, group []*batchKernel, lo, hi, p int) int64 {
 	var excs int64
 	newSel := bst.sel2[:0]
 rowLoop:
@@ -584,7 +687,8 @@ rowLoop:
 		if bst.anyDropped && bst.dropped.Get(int(r)) {
 			continue
 		}
-		for gi, k := range group {
+		for gi := lo; gi < hi; gi++ {
+			k := group[gi]
 			if ts.route != nil {
 				ts.route[k.ridx]++
 			}
@@ -622,8 +726,67 @@ rowLoop:
 		newSel = append(newSel, r)
 	}
 	bst.sel, bst.sel2 = newSel, bst.sel
-	bst.cols = append(bst.cols[:0], final...)
-	ts.fusedPasses++
+	return excs
+}
+
+// runVecKernel runs vector kernel group[gi] = k as one pass over the
+// selection: the program refines the selection (filter) or fills the
+// derived vector (withColumn/mapColumn), and the rows it bailed on are
+// replayed through the row closure, which decides them exactly as the
+// row scan would have — same value, same exception, same pool entry.
+//
+//tuplex:kernel
+func (sr *stageRun) runVecKernel(ts *task, bst *batchState, k *batchKernel, gi, p int) int64 {
+	sel, st := bst.sel, bst.vec
+	if ts.route != nil {
+		ts.route[k.ridx] += int64(len(sel))
+	}
+	ts.vectorRows += int64(len(sel))
+	filter := k.kind == bkFilter
+	var out []int32 // filter: the rows the program accepted
+	var d *colvec.Vec
+	if filter {
+		out = k.vec.Filter(st, bst.views[gi], k.argIdx, bst.n, sel, bst.sel2[:0])
+	} else {
+		d = bst.derived[k.ki][0]
+		k.vec.Eval(st, bst.views[gi], k.argIdx, bst.n, sel, d)
+	}
+	bail := st.Bail()
+	ts.vectorBail += int64(len(bail))
+	// Replay. A bailed row is out of a filter's result and still in a
+	// column kernel's selection; bail[:m] collects the rows the replay
+	// decides otherwise — passing filter rows, failed column rows.
+	var excs int64
+	m := 0
+	for _, r := range bail {
+		v, ec := callKernelUDF(ts, k.su, bst.argFns[gi](r))
+		switch {
+		case ec != 0:
+			excs += sr.failBatchRow(ts, bst, p, r, ec, k.ridx)
+			if !filter {
+				bail[m] = r
+				m++
+			}
+		case !filter:
+			d.Set(int(r), v)
+		case v.Truth():
+			bail[m] = r
+			m++
+		}
+	}
+	switch {
+	case !filter && m > 0:
+		out = slices.Grow(bst.sel2[:0], len(sel))[:len(sel)-m]
+		codegen.SubtractSel(sel, bail[:m], out)
+		bst.sel, bst.sel2 = out, sel
+	case filter && m > 0:
+		// The input selection's storage is free once the program is done.
+		merged := sel[:len(out)+m]
+		codegen.MergeSel(out, bail[:m], merged)
+		bst.sel, bst.sel2 = merged, out
+	case filter:
+		bst.sel, bst.sel2 = out, sel
+	}
 	return excs
 }
 
@@ -810,14 +973,62 @@ func (sr *stageRun) uniqueBatch(ts *task, bst *batchState) {
 }
 
 // aggregateBatch folds the live rows into the task's accumulator slot
-// (the columnar aggregate terminal); failures pool the source row like
-// every other batch step.
+// (the columnar aggregate terminal). An aggregate matching the fold
+// table runs as a vector fold while the batch is in the source index
+// space; everything else folds row by row.
+func (sr *stageRun) aggregateBatch(ts *task, bst *batchState, p int) int64 {
+	if f := sr.aggFold; f != nil && bst.srcIdx == nil && len(bst.sel) >= vecMinRows && ts.aggSlot.Tag == f.Kind() {
+		return sr.foldBatch(ts, bst, f, p)
+	}
+	return sr.foldRows(ts, bst, bst.sel, p)
+}
+
+// foldBatch is the vector fold: the program evaluates the aggregate's
+// condition and term over the batch, then one sequential loop folds the
+// rows it applies to — in selection order, accumulator in a register —
+// so float sums are bit-identical to the row fold. Rows the program
+// bailed on fold through the row closure at their own position in that
+// order.
 //
 //tuplex:kernel
-func (sr *stageRun) aggregateBatch(ts *task, bst *batchState, p int) int64 {
+func (sr *stageRun) foldBatch(ts *task, bst *batchState, f *codegen.VecFold, p int) int64 {
+	st := bst.vec
+	applies := f.Select(st, bst.cols, 0, bst.n, bst.sel)
+	bail := st.Bail()
+	ts.vectorRows += int64(len(bst.sel))
+	ts.vectorBail += int64(len(bail))
+	if ts.route != nil {
+		ts.route[sr.termRouteIdx] += int64(len(bst.sel) - len(bail)) // foldRows counts the replays
+	}
+	fold := func(rs []int32) {
+		if f.Kind() == types.KindF64 {
+			ts.aggSlot.F = f.FoldF64(st, ts.aggSlot.F, rs)
+		} else {
+			ts.aggSlot.I = f.FoldI64(st, ts.aggSlot.I, rs)
+		}
+	}
+	var excs int64
+	for bi, r := range bail {
+		i := 0
+		for i < len(applies) && applies[i] < r {
+			i++
+		}
+		fold(applies[:i])
+		applies = applies[i:]
+		excs += sr.foldRows(ts, bst, bail[bi:bi+1], p)
+	}
+	fold(applies)
+	return excs
+}
+
+// foldRows folds the given rows through the aggregate's row closure;
+// failures pool the source row like every other batch step.
+//
+//tuplex:kernel
+func (sr *stageRun) foldRows(ts *task, bst *batchState, sel []int32, p int) int64 {
 	su := sr.aggUDF
 	var excs int64
-	for _, r := range bst.sel {
+	for _, r := range sel {
 		if bst.anyDropped && bst.dropped.Get(int(r)) {
 			continue
 		}

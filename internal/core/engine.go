@@ -320,7 +320,11 @@ func (eng *engine) runStage(sl *stageSlot, input *mat) (*mat, error) {
 			eng.tr.Child("sample", dSample)
 		}
 		eng.res.Metrics.Timings.Compile += dCompile
-		eng.tr.Child("compile", dCompile, trace.Int("udfs", int64(pl.nUDFs)))
+		cattrs := []trace.Attr{trace.Int("udfs", int64(pl.nUDFs))}
+		if km := pl.kernelModes(); km != "" {
+			cattrs = append(cattrs, trace.Str("kernels", km))
+		}
+		eng.tr.Child("compile", dCompile, cattrs...)
 	}
 	sr.attach(sl.plan)
 	return eng.execAndResolve(sr, ssp)
@@ -336,6 +340,7 @@ func (eng *engine) execAndResolve(sr *stageRun, ssp *trace.Span) (*mat, error) {
 	bm := &eng.res.Metrics.Batch
 	columnar0, bounced0 := bm.ColumnarRows.Load(), bm.BouncedRows.Load()
 	fused0, elided0, checked0 := bm.FusedPasses.Load(), bm.NullElisions.Load(), bm.NullChecked.Load()
+	vector0, vbail0 := bm.VectorRows.Load(), bm.VectorBailRows.Load()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	mallocs0 := ms.Mallocs
@@ -361,7 +366,9 @@ func (eng *engine) execAndResolve(sr *stageRun, ssp *trace.Span) (*mat, error) {
 			trace.Int("bounced_rows", bm.BouncedRows.Load()-bounced0),
 			trace.Int("fused_passes", bm.FusedPasses.Load()-fused0),
 			trace.Int("null_elisions", bm.NullElisions.Load()-elided0),
-			trace.Int("null_checked", bm.NullChecked.Load()-checked0))
+			trace.Int("null_checked", bm.NullChecked.Load()-checked0),
+			trace.Int("vector_rows", bm.VectorRows.Load()-vector0),
+			trace.Int("vector_bail_rows", bm.VectorBailRows.Load()-vbail0))
 	}
 	if esp != nil {
 		esp.Tasks = eng.taskTimings(sr.tasks)

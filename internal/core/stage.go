@@ -103,7 +103,10 @@ type stagePlan struct {
 	aggScalar   bool
 	aggSlotType types.Type
 	aggUDF      *stageUDF
-	combSpec    *logical.UDFSpec
+	// aggFold is the aggregate UDF's vector fold (nil when its body is
+	// outside codegen's fold table).
+	aggFold  *codegen.VecFold
+	combSpec *logical.UDFSpec
 
 	// Tracing layout. opNames names the routing-ledger entries: index 0
 	// is the source/parse pseudo-op, 1..len(ops) follow the stage's
@@ -238,8 +241,11 @@ type task struct {
 	// counts rows handed to the row-at-a-time suffix at the stage
 	// barrier; fusedPasses counts fused-group scans over a batch;
 	// nullElided/nullChecked count batch-column dispatches that did /
-	// did not take the no-null inner loop.
+	// did not take the no-null inner loop; vectorRows counts rows entering
+	// a vector kernel or fold, vectorBail those it handed back to the row
+	// closure.
 	columnarRows, bounced   int64
+	vectorRows, vectorBail  int64
 	bouncedFlushed          int64
 	fusedPasses             int64
 	nullElided, nullChecked int64
@@ -483,6 +489,11 @@ func (ts *task) flushBatchCounters() {
 		bm.FusedPasses.Add(ts.fusedPasses)
 		ts.fusedPasses = 0
 	}
+	if ts.vectorRows != 0 {
+		bm.VectorRows.Add(ts.vectorRows)
+		bm.VectorBailRows.Add(ts.vectorBail)
+		ts.vectorRows, ts.vectorBail = 0, 0
+	}
 	if ts.nullElided != 0 {
 		bm.NullElisions.Add(ts.nullElided)
 		ts.nullElided = 0
@@ -609,7 +620,7 @@ func (eng *engine) compileOps(pl *stagePlan, sl *stageSlot, srcFacts []dataflow.
 			for i := range outTs {
 				outTs[i] = outSchema.Col(i).Type
 			}
-			bk := &batchKernel{kind: bkMap, su: su, ridx: ridx, scalar: scalar, colIdx: inIdx,
+			bk := &batchKernel{kind: bkMap, su: su, ridx: ridx, scalar: scalar, argIdx: inIdx,
 				inCols: schema.Len(), argCols: kernelArgCols(su, schema), outTypes: outTs}
 			nops = append(nops, compiledOp{ridx: ridx, batch: bk, make: func(next nstep) nstep {
 				return func(ts *task, key uint64, row rows.Row) ECode {
@@ -723,7 +734,7 @@ func (eng *engine) compileOps(pl *stagePlan, sl *stageSlot, srcFacts []dataflow.
 			h := &opHandlers{}
 			pl.recipe = append(pl.recipe, &boxedOp{kind: bOpMapColumn, spec: op.UDF, handlers: h, inSchema: schema, col: op.Col, colIdx: idx, scalar: true})
 			lastHandlers = h
-			mbk := &batchKernel{kind: bkMapColumn, su: su, ridx: ridx, scalar: true, colIdx: idx,
+			mbk := &batchKernel{kind: bkMapColumn, su: su, ridx: ridx, scalar: true, argIdx: idx, colIdx: idx,
 				inCols: schema.Len(), outTypes: []types.Type{su.returnType()}}
 			nops = append(nops, compiledOp{ridx: ridx, batch: mbk, make: func(next nstep) nstep {
 				return func(ts *task, key uint64, row rows.Row) ECode {

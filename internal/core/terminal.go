@@ -108,6 +108,7 @@ func (eng *engine) compileAggregate(pl *stagePlan, agg *logical.AggregateOp, sch
 			u, cerr := codegen.Compile(info, agg.Agg.Globals, eng.opts.Codegen)
 			if cerr == nil {
 				su.compiled = u
+				pl.aggFold = u.Fold
 			}
 			break
 		}

@@ -1,0 +1,313 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+
+	"github.com/gotuplex/tuplex/internal/data"
+	"github.com/gotuplex/tuplex/internal/logical"
+	"github.com/gotuplex/tuplex/internal/pyvalue"
+	"github.com/gotuplex/tuplex/internal/trace"
+)
+
+// The vector kernels claim to change nothing but speed. These tests run
+// one compiled plan twice — as compiled, and with every vector program
+// stripped from it so the row closures do all the work — and require the
+// two runs to be indistinguishable: result bits, path counters, the
+// per-operator routing ledger, the exception pool's size, its sampled
+// rows and the failed rows.
+
+func mustUDF(t *testing.T, src string) *logical.UDFSpec {
+	t.Helper()
+	u, err := logical.ParseUDF(src, nil)
+	if err != nil {
+		t.Fatalf("ParseUDF(%q): %v", src, err)
+	}
+	return u
+}
+
+// chain links ops source-first into a plan and returns its sink node.
+func chain(ops ...logical.Op) *logical.Node {
+	var n *logical.Node
+	for _, op := range ops {
+		n = &logical.Node{Op: op, Input: n}
+	}
+	return n
+}
+
+// stripVec removes every vector program from the compiled plan and
+// reports how many it found.
+func stripVec(c *chainPlan) (n int) {
+	for _, sl := range c.stages {
+		for _, jb := range sl.builds {
+			n += stripVec(jb.chain)
+		}
+		if sl.plan == nil {
+			continue
+		}
+		if sl.plan.aggFold != nil {
+			sl.plan.aggFold = nil
+			n++
+		}
+		if sl.plan.batch != nil {
+			for _, k := range sl.plan.batch.kernels {
+				if k.vec != nil {
+					k.vec = nil
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// runObs is everything observable about one run except wall time.
+type runObs struct {
+	Result   string
+	Counters [10]int64
+	Ledgers  [][]trace.OpRouting
+	Samples  [][]trace.ExcSample
+	Pools    []string
+	Failed   []FailedRow
+	Vector   int64
+	Bail     int64
+	Kernels  []string
+}
+
+// f64bits folds every NaN to one pattern: the sign and payload a
+// NaN ⊕ NaN instruction keeps is the compiler's choice of operand order
+// on either path, so only NaN-ness is comparable.
+func f64bits(f float64) uint64 {
+	if f != f {
+		return math.Float64bits(math.NaN())
+	}
+	return math.Float64bits(f)
+}
+
+func observe(t *testing.T, res *Result) runObs {
+	t.Helper()
+	var o runObs
+	var sb strings.Builder
+	for _, row := range res.Rows {
+		for _, v := range row {
+			if f, ok := v.(pyvalue.Float); ok {
+				fmt.Fprintf(&sb, "f64:%#x ", f64bits(float64(f)))
+			} else {
+				fmt.Fprintf(&sb, "%T:%v ", v, v)
+			}
+		}
+		sb.WriteString("| ")
+	}
+	for _, row := range res.SlotRows {
+		for _, s := range row {
+			fmt.Fprintf(&sb, "%d:%v:%d:%#x:%q ", s.Tag, s.B, s.I, f64bits(s.F), s.S)
+		}
+		sb.WriteString("| ")
+	}
+	o.Result = sb.String()
+	c := &res.Metrics.Counters
+	o.Counters = [10]int64{c.InputRows.Load(), c.NormalRows.Load(), c.ClassifierRejects.Load(),
+		c.NormalPathExceptions.Load(), c.GeneralResolved.Load(), c.FallbackResolved.Load(),
+		c.ResolverResolved.Load(), c.IgnoredRows.Load(), c.FailedRows.Load(), c.OutputRows.Load()}
+	o.Failed = res.Failed
+	o.Vector = res.Metrics.Batch.VectorRows.Load()
+	o.Bail = res.Metrics.Batch.VectorBailRows.Load()
+	var walk func(s *trace.Span)
+	walk = func(s *trace.Span) {
+		if s.Name == "stage" {
+			o.Ledgers = append(o.Ledgers, s.Routing)
+			o.Samples = append(o.Samples, s.Samples)
+		}
+		for _, a := range s.Attrs {
+			if s.Name == "resolve" && a.Key == "pool" {
+				o.Pools = append(o.Pools, a.Val)
+			}
+			if s.Name == "compile" && a.Key == "kernels" {
+				o.Kernels = append(o.Kernels, a.Val)
+			}
+		}
+		for _, ch := range s.Children {
+			walk(ch)
+		}
+	}
+	walk(res.Trace.Root)
+	return o
+}
+
+// vecOnOff runs the plan warm with and without its vector programs and
+// returns both observations (after checking the row-only run really was
+// row-only).
+func vecOnOff(t *testing.T, sink *logical.Node, executors int) (on, off runObs) {
+	t.Helper()
+	opts := DefaultOptions()
+	opts.Executors = executors
+	opts.Trace = trace.LevelSamples
+	cold, cp, err := CompileAndExecute(context.Background(), sink, SinkCollect, "", opts)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	kernels := observe(t, cold).Kernels
+	run := func() runObs {
+		res, err := cp.Execute(context.Background(), "")
+		if err != nil {
+			t.Fatalf("execute: %v", err)
+		}
+		return observe(t, res)
+	}
+	on = run()
+	on.Kernels = kernels
+	if stripVec(cp.root) == 0 {
+		t.Fatalf("plan holds no vector program (kernels %v)", kernels)
+	}
+	off = run()
+	if off.Vector != 0 || off.Bail != 0 {
+		t.Fatalf("stripped plan still reports vector rows: %d (bail %d)", off.Vector, off.Bail)
+	}
+	return on, off
+}
+
+func requireSameRun(t *testing.T, on, off runObs) {
+	t.Helper()
+	on.Vector, on.Bail, on.Kernels = 0, 0, nil
+	if reflect.DeepEqual(on, off) {
+		return
+	}
+	ov, fv := reflect.ValueOf(on), reflect.ValueOf(off)
+	for i := 0; i < ov.NumField(); i++ {
+		if !reflect.DeepEqual(ov.Field(i).Interface(), fv.Field(i).Interface()) {
+			t.Errorf("%s differs:\n  vector: %+v\n  row:    %+v", ov.Type().Field(i).Name, ov.Field(i).Interface(), fv.Field(i).Interface())
+		}
+	}
+	t.FailNow()
+}
+
+const q6AggSrc = "lambda acc, r: acc + r['l_extendedprice'] * r['l_discount'] if (r['l_shipdate'] >= 731 and r['l_shipdate'] < 1096 and 0.05 <= r['l_discount'] <= 0.07 and r['l_quantity'] < 24) else acc"
+
+func q6Plan(t *testing.T, csv []byte) *logical.Node {
+	return chain(
+		&logical.CSVSource{Data: csv, Header: true},
+		&logical.AggregateOp{Agg: mustUDF(t, q6AggSrc), Comb: mustUDF(t, "lambda a, b: a + b"), Initial: pyvalue.Float(0)},
+	)
+}
+
+// TestVecQ6CleanBitIdentical: on a clean lineitem file every row runs
+// through the vector fold, none bails, and the revenue is the row
+// fold's to the last bit at 1, 2 and 4 executors.
+func TestVecQ6CleanBitIdentical(t *testing.T) {
+	csv := data.TPCHLineitem(data.TPCHConfig{Rows: 20_000, Seed: 13})
+	for _, ex := range []int{1, 2, 4} {
+		on, off := vecOnOff(t, q6Plan(t, csv), ex)
+		if len(on.Kernels) != 1 || on.Kernels[0] != "aggregate:vec" {
+			t.Fatalf("executors=%d: kernels = %v, want [aggregate:vec]", ex, on.Kernels)
+		}
+		if on.Vector != 20_000 || on.Bail != 0 || on.Counters[0] != 20_000 {
+			t.Fatalf("executors=%d: vector rows %d, bail %d, input %d; want 20000, 0, 20000", ex, on.Vector, on.Bail, on.Counters[0])
+		}
+		if !strings.HasPrefix(on.Result, "f64:") {
+			t.Fatalf("executors=%d: result %q is not one float", ex, on.Result)
+		}
+		requireSameRun(t, on, off)
+	}
+}
+
+// dirtyLineitem injects, into l_discount: empty cells often enough that
+// the column types Option[f64] (None reaches the comparison and raises
+// TypeError on the normal path — a vector bail), and unparsable cells
+// (classifier rejects).
+func dirtyLineitem(rows int) []byte {
+	lines := strings.Split(strings.TrimSuffix(string(data.TPCHLineitem(data.TPCHConfig{Rows: rows, Seed: 5})), "\n"), "\n")
+	for i := 1; i < len(lines); i++ {
+		cells := strings.Split(lines[i], ",")
+		switch {
+		case i%9 == 4:
+			cells[2] = ""
+		case i%131 == 7:
+			cells[2] = "n/a"
+		case i%977 == 0:
+			cells[0] = "99999999999999999999" // out of int64: must reject, not wrap
+		}
+		lines[i] = strings.Join(cells, ",")
+	}
+	return []byte(strings.Join(lines, "\n") + "\n")
+}
+
+func TestVecQ6DirtySameAsRowPath(t *testing.T) {
+	csv := dirtyLineitem(12_000)
+	for _, ex := range []int{1, 3} {
+		on, off := vecOnOff(t, q6Plan(t, csv), ex)
+		if on.Bail == 0 {
+			t.Fatalf("executors=%d: no vector bail on a file with null discounts (counters %v)", ex, on.Counters)
+		}
+		if on.Counters[2] == 0 || on.Counters[3] == 0 {
+			t.Fatalf("executors=%d: want classifier rejects and normal-path exceptions, got counters %v", ex, on.Counters)
+		}
+		requireSameRun(t, on, off)
+	}
+}
+
+// TestVecPipelineSameAsRowPath drives vector filter and withColumn
+// kernels fused with a row kernel (the string filter), a resolver, and a
+// conditional vector fold, over data with zero divisors and nulls.
+func TestVecPipelineSameAsRowPath(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("p,q,z,tag,o\n")
+	for i := 0; i < 9_000; i++ {
+		o := fmt.Sprint(i % 17)
+		if i%5 == 3 {
+			o = ""
+		}
+		fmt.Fprintf(&sb, "%d.%02d,%d,%d,%s,%s\n", i%400, i%100, i%13-2, i%7, []string{"x", "yy", "zzz"}[i%3], o)
+	}
+	sink := chain(
+		&logical.CSVSource{Data: []byte(sb.String()), Header: true},
+		&logical.FilterOp{UDF: mustUDF(t, "lambda r: r['q'] != 0 and r['p'] / r['q'] > -3.5")},
+		&logical.WithColumnOp{Col: "u", UDF: mustUDF(t, "lambda r: 100 // r['z']")},
+		&logical.ResolveOp{Exc: pyvalue.ExcZeroDivisionError, UDF: mustUDF(t, "lambda r: -1")},
+		&logical.FilterOp{UDF: mustUDF(t, "lambda r: len(r['tag']) < 3")},
+		&logical.WithColumnOp{Col: "w", UDF: mustUDF(t, "lambda r: r['u'] * 0.5 + r['o']")},
+		&logical.FilterOp{UDF: mustUDF(t, "lambda r: r['w'] == r['w']")},
+		&logical.AggregateOp{
+			Agg:     mustUDF(t, "lambda acc, r: acc + r['w'] * r['p'] if r['q'] > 0 or r['u'] < 50 else acc"),
+			Comb:    mustUDF(t, "lambda a, b: a + b"),
+			Initial: pyvalue.Float(0),
+		},
+	)
+	for _, ex := range []int{1, 2, 4} {
+		on, off := vecOnOff(t, sink, ex)
+		want := "filter:vec,withColumn(u):vec,filter:row,withColumn(w):vec,filter:vec,aggregate:vec"
+		if len(on.Kernels) != 1 || on.Kernels[0] != want {
+			t.Fatalf("executors=%d: kernels = %v, want [%s]", ex, on.Kernels, want)
+		}
+		// Zero divisors bail into the resolver, null o into TypeError.
+		if on.Bail == 0 || on.Counters[6] == 0 || on.Counters[8] == 0 {
+			t.Fatalf("executors=%d: bail=%d counters=%v: want bails, resolver-resolved and failed rows", ex, on.Bail, on.Counters)
+		}
+		requireSameRun(t, on, off)
+	}
+}
+
+// TestVecCollectSameAsRowPath checks derived vectors and refined
+// selections all the way into a collect sink (the cells, not a fold of
+// them), including a scalar-parameter mapColumn.
+func TestVecCollectSameAsRowPath(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("a,b\n")
+	for i := 0; i < 9_000; i++ {
+		fmt.Fprintf(&sb, "%d,%d.5\n", i%23-11, i%9-4)
+	}
+	sink := chain(
+		&logical.CSVSource{Data: []byte(sb.String()), Header: true},
+		&logical.MapColumnOp{Col: "a", UDF: mustUDF(t, "lambda x: x * x - 7 if x < 0 else 14 % x")},
+		&logical.WithColumnOp{Col: "c", UDF: mustUDF(t, "lambda r: r['a'] > 3 or r['b'] < 0.0")},
+		&logical.FilterOp{UDF: mustUDF(t, "lambda r: not r['c'] or r['b'] // 2.0 != -1.0")},
+	)
+	on, off := vecOnOff(t, sink, 2)
+	if on.Bail == 0 {
+		t.Fatalf("14 %% 0 never bailed (counters %v)", on.Counters)
+	}
+	requireSameRun(t, on, off)
+}

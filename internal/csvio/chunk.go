@@ -1,6 +1,7 @@
 package csvio
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"sync"
@@ -165,47 +166,35 @@ func (cr *ChunkReader) Next() (*Chunk, error) {
 
 // lastRecordEnd returns the index just past the last record terminator
 // in data, or 0 if none. data must start at a record boundary, so CSV
-// quote parity starts closed.
+// quote parity starts closed: a newline terminates a record exactly when
+// an even number of '"' precede it. Walking candidates from the end with
+// the vectorized LastIndexByte/Count keeps the single producer goroutine
+// off a per-byte loop — the last newline almost always qualifies.
 func lastRecordEnd(data []byte, mode ChunkMode) int {
-	last := 0
 	if mode == ChunkText {
-		for i := len(data) - 1; i >= 0; i-- {
-			if data[i] == '\n' {
-				return i + 1
-			}
-		}
-		return 0
+		return bytes.LastIndexByte(data, '\n') + 1
 	}
-	inQuote := false
-	for i := 0; i < len(data); i++ {
-		switch data[i] {
-		case '"':
-			inQuote = !inQuote
-		case '\n':
-			if !inQuote {
-				last = i + 1
-			}
+	quotes := bytes.Count(data, quoteSep) // quotes before end
+	end := len(data)
+	for {
+		i := bytes.LastIndexByte(data[:end], '\n')
+		if i < 0 {
+			return 0
 		}
+		quotes -= bytes.Count(data[i:end], quoteSep)
+		if quotes&1 == 0 {
+			return i + 1
+		}
+		end = i
 	}
-	return last
 }
 
 // SkipFirstRecord returns the index just past the first record
 // terminator in data (for header stripping), or len(data) when the data
 // holds a single unterminated record.
 func SkipFirstRecord(data []byte, mode ChunkMode) int {
-	inQuote := false
-	for i := 0; i < len(data); i++ {
-		switch data[i] {
-		case '"':
-			if mode == ChunkCSV {
-				inQuote = !inQuote
-			}
-		case '\n':
-			if !inQuote {
-				return i + 1
-			}
-		}
+	if nl := nextTerminator(data, 0, mode == ChunkCSV); nl >= 0 {
+		return nl + 1
 	}
 	return len(data)
 }

@@ -29,7 +29,42 @@ import (
 // the pipelines' conventions (the flights pipeline passes custom ones).
 var DefaultNullValues = []string{""}
 
-var recordSep = []byte{'\n'}
+var (
+	recordSep = []byte{'\n'}
+	quoteSep  = []byte{'"'}
+)
+
+// nextTerminator returns the index of the first record-terminating '\n'
+// at or after pos, or -1. pos must be a record boundary, so quote parity
+// starts closed; with quotes set, a newline terminates a record only when
+// an even number of '"' precede it in the record (RFC-4180: escaped ""
+// toggles twice). The scan jumps newline to newline with the stdlib's
+// vectorized IndexByte/Count instead of inspecting every byte.
+func nextTerminator(data []byte, pos int, quotes bool) int {
+	odd := false
+	for {
+		i := bytes.IndexByte(data[pos:], '\n')
+		if i < 0 {
+			return -1
+		}
+		nl := pos + i
+		if quotes && bytes.Count(data[pos:nl], quoteSep)&1 == 1 {
+			odd = !odd
+		}
+		if !odd {
+			return nl
+		}
+		pos = nl + 1
+	}
+}
+
+// trimCR drops the '\r' of a CRLF terminator from a record body.
+func trimCR(rec []byte) []byte {
+	if n := len(rec); n > 0 && rec[n-1] == '\r' {
+		return rec[:n-1]
+	}
+	return rec
+}
 
 // SplitRecords splits raw CSV bytes into physical lines, respecting
 // quoted fields that span cell boundaries (quoted newlines are kept
@@ -38,32 +73,19 @@ func SplitRecords(data []byte) [][]byte {
 	// Presize from the newline count (vectorized scan): quoted newlines
 	// overestimate slightly, which only wastes a few spare slots.
 	out := make([][]byte, 0, bytes.Count(data, recordSep)+1)
+	// Quote-free data (every numeric file) never pays the parity counts.
+	quotes := bytes.IndexByte(data, '"') >= 0
 	start := 0
-	inQuote := false
-	for i := 0; i < len(data); i++ {
-		switch data[i] {
-		case '"':
-			inQuote = !inQuote
-		case '\n':
-			if inQuote {
-				continue
+	for start < len(data) {
+		nl := nextTerminator(data, start, quotes)
+		if nl < 0 {
+			if rec := trimCR(data[start:]); len(rec) > 0 {
+				out = append(out, rec)
 			}
-			end := i
-			if end > start && data[end-1] == '\r' {
-				end--
-			}
-			out = append(out, data[start:end])
-			start = i + 1
+			break
 		}
-	}
-	if start < len(data) {
-		end := len(data)
-		if end > start && data[end-1] == '\r' {
-			end--
-		}
-		if end > start {
-			out = append(out, data[start:end])
-		}
+		out = append(out, trimCR(data[start:nl]))
+		start = nl + 1
 	}
 	return out
 }
@@ -361,102 +383,116 @@ func ParseI64Bytes(raw []byte, cell string) (int64, bool) {
 	if raw == nil {
 		return ParseI64(cell)
 	}
-	if len(raw) == 0 {
+	return parseI64(raw)
+}
+
+// parseI64 parses a strict integer spelling (optional sign, digits). A
+// value outside int64 is not an integer cell: it must leave the normal
+// path as ExcBadParse, never wrap into a wrong number that stays on it.
+func parseI64[T string | []byte](s T) (int64, bool) {
+	if len(s) == 0 {
 		return 0, false
 	}
 	i := 0
 	neg := false
-	if raw[0] == '+' || raw[0] == '-' {
-		neg = raw[0] == '-'
+	if s[0] == '+' || s[0] == '-' {
+		neg = s[0] == '-'
 		i = 1
-		if len(raw) == 1 {
+		if len(s) == 1 {
 			return 0, false
 		}
 	}
-	var v int64
-	for ; i < len(raw); i++ {
-		c := raw[i]
+	// Accumulate the magnitude unsigned up to 2^63 (|MinInt64|).
+	const maxMag = uint64(1) << 63
+	var v uint64
+	for ; i < len(s); i++ {
+		c := s[i]
 		if c < '0' || c > '9' {
 			return 0, false
 		}
-		v = v*10 + int64(c-'0')
+		d := uint64(c - '0')
+		if v > (maxMag-d)/10 {
+			return 0, false
+		}
+		v = v*10 + d
 	}
 	if neg {
-		v = -v
+		return -int64(v), true // v == 2^63 wraps to MinInt64, as it should
 	}
-	return v, true
+	if v == maxMag {
+		return 0, false
+	}
+	return int64(v), true
 }
 
-// ParseF64Bytes parses a float from bytes without allocating for the
-// common fixed-point spellings ("123", "-4.5"); other spellings fall
+// ParseF64Bytes parses a float from bytes without allocating for plain
+// decimal spellings ("123", "-4.5", "43503.12"); other spellings fall
 // back to strconv.
 func ParseF64Bytes(raw []byte) (float64, bool) {
+	if f, ok := parseDecimal(raw); ok {
+		return f, true
+	}
 	if len(raw) == 0 {
 		return 0, false
 	}
+	return parseF64Slow(string(raw))
+}
+
+// pow10Table holds the powers of ten a float64 represents exactly.
+var pow10Table = [23]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// parseDecimal is the Clinger fast path for [sign]digits[.digits]: with
+// every digit folded into one integer mantissa below 2^53 and at most 22
+// fraction digits, mantissa and 10^fdigits are both exact float64s, so
+// the single IEEE division is correctly rounded — bit-identical to
+// strconv.ParseFloat (as is the lone conversion of an integer spelling).
+// ok is false for every other spelling (exponents, inf/nan, hex,
+// underscores, "1.", ".5", too many digits).
+func parseDecimal[T string | []byte](s T) (float64, bool) {
 	i := 0
 	neg := false
-	if raw[0] == '+' || raw[0] == '-' {
-		neg = raw[0] == '-'
+	if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
+		neg = s[0] == '-'
 		i = 1
 	}
-	intPart := int64(0)
+	var m uint64
 	digits := 0
-	for i < len(raw) && raw[i] >= '0' && raw[i] <= '9' {
-		intPart = intPart*10 + int64(raw[i]-'0')
+	for i < len(s) && s[i] >= '0' && s[i] <= '9' {
+		m = m*10 + uint64(s[i]-'0')
 		i++
 		digits++
 	}
-	if i == len(raw) && digits > 0 && digits < 19 {
-		f := float64(intPart)
-		if neg {
-			f = -f
-		}
-		return f, true
+	if digits == 0 {
+		return 0, false
 	}
-	if i < len(raw) && raw[i] == '.' {
+	fdigits := 0
+	if i < len(s) && s[i] == '.' {
 		i++
-		frac := int64(0)
-		fdigits := 0
-		for i < len(raw) && raw[i] >= '0' && raw[i] <= '9' {
-			frac = frac*10 + int64(raw[i]-'0')
+		for i < len(s) && s[i] >= '0' && s[i] <= '9' {
+			m = m*10 + uint64(s[i]-'0')
 			i++
 			fdigits++
 		}
-		// Only the exactly-representable fractions take the no-alloc
-		// path ("123.0", "4.5", "2.25"); everything else goes through
-		// strconv so results are bit-identical with the general parsers.
-		if i == len(raw) && digits > 0 && digits < 16 && fdigits > 0 && exactFrac(frac, fdigits) {
-			f := float64(intPart) + float64(frac)/pow10Table[fdigits]
-			if neg {
-				f = -f
-			}
-			return f, true
+		if fdigits == 0 {
+			return 0, false
 		}
 	}
-	return ParseF64(string(raw))
-}
-
-var pow10Table = [16]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
-
-// exactFrac reports whether frac/10^fdigits is exactly representable in
-// a float64 (so the fast path matches strconv bit-for-bit): the reduced
-// denominator must be a power of two, i.e. frac must absorb all factors
-// of 5^fdigits.
-func exactFrac(frac int64, fdigits int) bool {
-	if fdigits >= len(pow10Table) {
-		return false
+	// 19 digits cannot overflow the uint64 mantissa.
+	if i != len(s) || digits+fdigits > 19 {
+		return 0, false
 	}
-	for i := 0; i < fdigits; i++ {
-		if frac%5 != 0 {
-			if frac != 0 {
-				return false
-			}
-			break
+	f := float64(m) // an integer spelling: one correctly rounded conversion
+	if fdigits > 0 {
+		if m >= 1<<53 || fdigits >= len(pow10Table) {
+			return 0, false
 		}
-		frac /= 5
+		f /= pow10Table[fdigits]
 	}
-	return true
+	if neg {
+		f = -f
+	}
+	return f, true
 }
 
 // parseCell parses one cell against its expected type.
@@ -504,38 +540,20 @@ func (p *ParseSpec) parseCell(cell string, quoted bool, t types.Type, out *rows.
 }
 
 // ParseI64 parses a strict integer cell (optional sign, digits).
-func ParseI64(s string) (int64, bool) {
-	if s == "" {
-		return 0, false
-	}
-	i := 0
-	neg := false
-	if s[0] == '+' || s[0] == '-' {
-		neg = s[0] == '-'
-		i = 1
-		if len(s) == 1 {
-			return 0, false
-		}
-	}
-	var v int64
-	for ; i < len(s); i++ {
-		c := s[i]
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		v = v*10 + int64(c-'0')
-	}
-	if neg {
-		v = -v
-	}
-	return v, true
-}
+func ParseI64(s string) (int64, bool) { return parseI64(s) }
 
 // ParseF64 parses a float cell (accepts integer spellings too).
 func ParseF64(s string) (float64, bool) {
+	if f, ok := parseDecimal(s); ok {
+		return f, true
+	}
 	if s == "" {
 		return 0, false
 	}
+	return parseF64Slow(s)
+}
+
+func parseF64Slow(s string) (float64, bool) {
 	f, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		return 0, false

@@ -105,3 +105,74 @@ func kernelWithSetupClosure(sel []int32) {
 		t.Fatalf("diagnostics = %v, want none", diags)
 	}
 }
+
+// Vector expression kernels (codegen/vec.go) are generic functions over
+// payload slices that write through a cursor into a preallocated
+// selection buffer; the directive must cover that shape — and catch the
+// tempting per-row growth of the output selection into a fresh slice.
+func TestHotAllocVectorKernelShapes(t *testing.T) {
+	good := `package codegen
+
+type vnum interface{ int64 | float64 }
+
+//tuplex:kernel
+func vecCmpVC[T vnum](a []T, c T, sel, out []int32) int {
+	k := 0
+	for _, r := range sel {
+		out[k] = r
+		if a[r] < c {
+			k++
+		}
+	}
+	return k
+}
+
+//tuplex:kernel
+func (st *state) finish(sel, res, out []int32) []int32 {
+	for _, r := range res {
+		if !st.mark[r] {
+			out = append(out, r) // amortized self-append into the caller's buffer
+		}
+	}
+	for _, r := range sel {
+		if st.mark[r] {
+			st.bail = append(st.bail, r)
+		}
+	}
+	return out
+}
+
+type state struct {
+	mark []bool
+	bail []int32
+}
+`
+	if diags := analyze(t, "internal/codegen", good, HotAlloc); len(diags) != 0 {
+		t.Fatalf("diagnostics = %v, want none", diags)
+	}
+
+	bad := `package codegen
+
+type vnum interface{ int64 | float64 }
+
+//tuplex:kernel
+func vecCmpLeaky[T vnum](a []T, c T, sel []int32) [][]int32 {
+	var runs [][]int32
+	for _, r := range sel {
+		hit := append([]int32(nil), r) // fresh selection per row: flagged
+		tmp := make([]T, 1)            // per-row register: flagged
+		tmp[0] = a[r]
+		if tmp[0] < c {
+			runs = append(runs, hit)
+		}
+	}
+	return runs
+}
+`
+	diags := analyze(t, "internal/codegen", bad, HotAlloc)
+	wantDiag(t, diags, "hotalloc", "append to a different slice")
+	wantDiag(t, diags, "hotalloc", "make inside kernel loop")
+	if len(diags) != 2 {
+		t.Fatalf("diagnostics = %d, want 2: %v", len(diags), diags)
+	}
+}

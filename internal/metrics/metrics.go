@@ -115,6 +115,14 @@ type Batch struct {
 	// that kept its per-row null check.
 	NullElisions atomic.Int64
 	NullChecked  atomic.Int64
+	// VectorRows counts rows entering a vector-at-a-time expression
+	// kernel or aggregate fold (once per kernel); VectorBailRows those a
+	// kernel handed back to the row closure (null operand, zero divisor,
+	// guard miss). A UDF that stopped vectorizing shows as VectorRows
+	// falling to 0, data the kernels cannot decide as the bail share
+	// rising.
+	VectorRows     atomic.Int64
+	VectorBailRows atomic.Int64
 }
 
 // ElisionRate reports the fraction of batch argument bindings that
@@ -251,8 +259,9 @@ func (m *Metrics) String() string {
 		}
 	}
 	if b := &m.Batch; b.ColumnarRows.Load() > 0 || b.BouncedRows.Load() > 0 {
-		fmt.Fprintf(&sb, " | batch: columnar=%d bounced=%d fused_passes=%d elision=%.2f",
-			b.ColumnarRows.Load(), b.BouncedRows.Load(), b.FusedPasses.Load(), b.ElisionRate())
+		fmt.Fprintf(&sb, " | batch: columnar=%d bounced=%d fused_passes=%d elision=%.2f vector=%d vector_bail=%d",
+			b.ColumnarRows.Load(), b.BouncedRows.Load(), b.FusedPasses.Load(), b.ElisionRate(),
+			b.VectorRows.Load(), b.VectorBailRows.Load())
 	}
 	for _, s := range m.Stage {
 		if s.Records == 0 && s.Bytes == 0 {

@@ -141,6 +141,8 @@ type RunReport struct {
 	BouncedRows     int64   `json:"bounced_rows"`
 	FusedPasses     int64   `json:"fused_passes"`
 	NullElisionRate float64 `json:"null_elision_rate"`
+	VectorRows      int64   `json:"vector_rows"`
+	VectorBailRows  int64   `json:"vector_bail_rows"`
 
 	// Samples is the time-series tail (?samples=N, newest last).
 	Samples []Sample `json:"samples,omitempty"`
@@ -266,6 +268,8 @@ func runReport(m *RunMonitor, live bool, maxSamples int) RunReport {
 		r.BouncedRows = b.BouncedRows.Load()
 		r.FusedPasses = b.FusedPasses.Load()
 		r.NullElisionRate = b.ElisionRate()
+		r.VectorRows = b.VectorRows.Load()
+		r.VectorBailRows = b.VectorBailRows.Load()
 	}
 	// Counter reads go through the last sample so live and finished
 	// runs report from the same source the sampler wrote.

@@ -140,6 +140,12 @@ type BatchMetrics struct {
 	// that kept its per-row null check.
 	NullElisions int64 `json:"null_elisions"`
 	NullChecked  int64 `json:"null_checked"`
+	// VectorRows counts rows entering a vector-at-a-time expression
+	// kernel or aggregate fold (once per kernel); VectorBailRows those a
+	// kernel handed back to the row-at-a-time closure (null operand, zero
+	// divisor, guard miss).
+	VectorRows     int64 `json:"vector_rows"`
+	VectorBailRows int64 `json:"vector_bail_rows"`
 }
 
 // ElisionRate reports the fraction of batch argument bindings that
@@ -254,6 +260,9 @@ func newMetrics(m *metrics.Metrics) *Metrics {
 			FusedPasses:  m.Batch.FusedPasses.Load(),
 			NullElisions: m.Batch.NullElisions.Load(),
 			NullChecked:  m.Batch.NullChecked.Load(),
+
+			VectorRows:     m.Batch.VectorRows.Load(),
+			VectorBailRows: m.Batch.VectorBailRows.Load(),
 		},
 		NumStages: m.Stages,
 		Latency: LatencyMetrics{
@@ -315,8 +324,8 @@ func (m *Metrics) String() string {
 		}
 	}
 	if b := m.Batch; b.ColumnarRows > 0 || b.BouncedRows > 0 {
-		fmt.Fprintf(&sb, " | batch: columnar=%d bounced=%d fused_passes=%d elision=%.2f",
-			b.ColumnarRows, b.BouncedRows, b.FusedPasses, b.ElisionRate())
+		fmt.Fprintf(&sb, " | batch: columnar=%d bounced=%d fused_passes=%d elision=%.2f vector=%d vector_bail=%d",
+			b.ColumnarRows, b.BouncedRows, b.FusedPasses, b.ElisionRate(), b.VectorRows, b.VectorBailRows)
 	}
 	for _, s := range m.Stages {
 		if s.Records == 0 && s.Bytes == 0 {
