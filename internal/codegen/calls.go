@@ -447,32 +447,26 @@ func truncToward0(f float64) float64 {
 }
 
 // parseIntPython parses like Python's int(str): surrounding whitespace
-// allowed, sign, decimal digits. Hand-rolled rather than
-// strconv.ParseInt so the (common, data-driven) failure case costs no
-// error allocation — bad cells are normal traffic on the fast path.
+// allowed, sign, decimal digits, underscores ignored. Hand-rolled rather
+// than strconv.ParseInt so neither the (common, data-driven) failure case
+// nor a grouped literal costs an allocation — bad cells are normal
+// traffic on the fast path.
 func parseIntPython(s string) (int64, ECode) {
 	t := strings.TrimSpace(s)
-	if t == "" {
-		return 0, pyvalue.ExcValueError
-	}
-	if strings.ContainsRune(t, '_') {
-		t = strings.ReplaceAll(t, "_", "")
-		if t == "" {
-			return 0, pyvalue.ExcValueError
-		}
-	}
-	neg := false
-	i := 0
-	if t[0] == '+' || t[0] == '-' {
-		neg = t[0] == '-'
-		i++
-	}
-	if i >= len(t) {
-		return 0, pyvalue.ExcValueError
-	}
+	neg, started, digits := false, false, false
 	var n uint64
-	for ; i < len(t); i++ {
+	for i := 0; i < len(t); i++ {
 		c := t[i]
+		if c == '_' {
+			continue
+		}
+		if !started {
+			started = true
+			if c == '+' || c == '-' {
+				neg = c == '-'
+				continue
+			}
+		}
 		if c < '0' || c > '9' {
 			return 0, pyvalue.ExcValueError
 		}
@@ -485,6 +479,10 @@ func parseIntPython(s string) (int64, ECode) {
 		if n > 1<<63 {
 			return 0, pyvalue.ExcValueError
 		}
+		digits = true
+	}
+	if !digits {
+		return 0, pyvalue.ExcValueError
 	}
 	if neg {
 		return -int64(n), 0

@@ -45,9 +45,6 @@ type Frame struct {
 	Slots []rows.Slot
 	// Rand powers random.choice on the fast path.
 	Rand *pyre.PRNG
-	// argBuf backs Call1/Call2 so per-row calls never allocate an args
-	// slice; Call copies the slots out before returning.
-	argBuf [2]rows.Slot
 	// Scratch is reusable byte scratch for string-building operations
 	// (case folding, replace, percent formatting). Leaf-use only: a
 	// closure may use it strictly between — never across — nested
@@ -110,7 +107,8 @@ type OptStats struct {
 	RaiseExits int
 }
 
-type guardFn func(args []rows.Slot) bool
+// guardFn tests one guard against the parameters already in the frame.
+type guardFn func(fr *Frame) bool
 
 // UDF is a compiled normal-case UDF.
 type UDF struct {
@@ -137,6 +135,10 @@ type UDF struct {
 	// closures above once per row.
 	Vec  *VecExpr
 	Fold *VecFold
+	// VecDecline says, when both are nil, what kept the body on the row
+	// path: the first node outside the grammar ("Call:re.search", "For",
+	// "local p type-unstable").
+	VecDecline string
 }
 
 // NumSlots reports the frame size this UDF requires.
@@ -148,28 +150,52 @@ func (u *UDF) ReturnType() types.Type { return u.Info.ReturnType }
 // Call runs the UDF on args using (and resizing) fr. Args are typically
 // row slots wrapped per parameter; see rows.Tuple for row parameters.
 func (u *UDF) Call(fr *Frame, args []rows.Slot) (rows.Slot, ECode) {
+	u.enter(fr)
+	for i, p := range u.params {
+		fr.Slots[p] = args[i]
+	}
+	return u.run(fr)
+}
+
+// Call1 invokes a one-parameter UDF with the argument written straight
+// into its parameter slot (the hot-path form used by per-row and batch
+// kernels): no args slice, one Slot copy.
+func (u *UDF) Call1(fr *Frame, arg rows.Slot) (rows.Slot, ECode) {
+	u.enter(fr)
+	fr.Slots[u.params[0]] = arg
+	return u.run(fr)
+}
+
+// Call2 invokes a two-parameter UDF (aggregate step) the same way.
+func (u *UDF) Call2(fr *Frame, a, b rows.Slot) (rows.Slot, ECode) {
+	u.enter(fr)
+	fr.Slots[u.params[0]], fr.Slots[u.params[1]] = a, b
+	return u.run(fr)
+}
+
+// enter sizes the frame for u and resets the slots a body could read
+// before assigning; the caller then writes the parameters.
+func (u *UDF) enter(fr *Frame) {
+	if cap(fr.Slots) < u.nslots {
+		fr.Slots = make([]rows.Slot, u.nslots)
+		return
+	}
+	fr.Slots = fr.Slots[:u.nslots]
+	for _, s := range u.clearSlots {
+		fr.Slots[s] = rows.Slot{} // Tag 0 = unassigned
+	}
+}
+
+// run checks the guards against the parameters in the frame and executes
+// the body.
+func (u *UDF) run(fr *Frame) (rows.Slot, ECode) {
 	for _, g := range u.guards {
-		if !g(args) {
+		if !g(fr) {
 			// A sampled constraint the specialization rests on does not
 			// hold for this row: bail to the general path before any
 			// specialized code runs.
 			return rows.Slot{}, pyvalue.ExcUnsupported
 		}
-	}
-	if cap(fr.Slots) < u.nslots {
-		fr.Slots = make([]rows.Slot, u.nslots)
-		fr.Slots = fr.Slots[:u.nslots]
-		for i := range fr.Slots {
-			fr.Slots[i] = rows.Slot{}
-		}
-	} else {
-		fr.Slots = fr.Slots[:u.nslots]
-		for _, s := range u.clearSlots {
-			fr.Slots[s] = rows.Slot{} // Tag 0 = unassigned
-		}
-	}
-	for i, p := range u.params {
-		fr.Slots[p] = args[i]
 	}
 	for _, st := range u.body {
 		c, v, ec := st(fr)
@@ -181,20 +207,6 @@ func (u *UDF) Call(fr *Frame, args []rows.Slot) (rows.Slot, ECode) {
 		}
 	}
 	return rows.Null(), 0
-}
-
-// Call1 invokes a one-parameter UDF without allocating the args slice
-// (the hot-path form used by per-row and batch kernels).
-func (u *UDF) Call1(fr *Frame, arg rows.Slot) (rows.Slot, ECode) {
-	fr.argBuf[0] = arg
-	return u.Call(fr, fr.argBuf[:1])
-}
-
-// Call2 invokes a two-parameter UDF (aggregate step) without allocating
-// the args slice.
-func (u *UDF) Call2(fr *Frame, a, b rows.Slot) (rows.Slot, ECode) {
-	fr.argBuf[0], fr.argBuf[1] = a, b
-	return u.Call(fr, fr.argBuf[:2])
 }
 
 // compiler carries compilation state.
@@ -253,41 +265,44 @@ func Compile(info *inference.Info, globals map[string]pyvalue.Value, opts Option
 		rowMode := len(u.params) == 1 && info.ParamTypes[0].Kind() == types.KindRow
 		u.Guards = opts.Flow.RequiredGuards()
 		for _, g := range u.Guards {
-			u.guards = append(u.guards, compileGuard(g, rowMode))
+			u.guards = append(u.guards, compileGuard(g, rowMode, u.params))
 		}
 	}
 	c.vectorize(u)
 	return u, nil
 }
 
-// compileGuard builds the runtime precondition check for one guard.
-func compileGuard(g dataflow.Guard, rowMode bool) guardFn {
+// compileGuard builds the runtime precondition check for one guard over
+// the parameter slots: column g.Col of the row parameter, or — without a
+// row parameter — parameter g.Col itself.
+func compileGuard(g dataflow.Guard, rowMode bool, params []int) guardFn {
 	col := g.Col
-	slot := func(args []rows.Slot) (rows.Slot, bool) {
+	slot := func(fr *Frame) (*rows.Slot, bool) {
 		if rowMode {
-			if len(args) != 1 || col >= len(args[0].Seq) {
-				return rows.Slot{}, false
+			row := &fr.Slots[params[0]]
+			if col >= len(row.Seq) {
+				return nil, false
 			}
-			return args[0].Seq[col], true
+			return &row.Seq[col], true
 		}
-		if col >= len(args) {
-			return rows.Slot{}, false
+		if col >= len(params) {
+			return nil, false
 		}
-		return args[col], true
+		return &fr.Slots[params[col]], true
 	}
 	if g.Const != nil {
 		want := rows.FromValue(g.Const)
-		return func(args []rows.Slot) bool {
-			s, ok := slot(args)
+		return func(fr *Frame) bool {
+			s, ok := slot(fr)
 			if !ok || s.Tag != want.Tag {
 				return false
 			}
-			return s.Tag == types.KindNull || rows.Equal(s, want)
+			return s.Tag == types.KindNull || rows.Equal(*s, want)
 		}
 	}
 	lo, hi := g.Lo, g.Hi
-	return func(args []rows.Slot) bool {
-		s, ok := slot(args)
+	return func(fr *Frame) bool {
+		s, ok := slot(fr)
 		return ok && s.Tag == types.KindI64 && s.I >= lo && s.I <= hi
 	}
 }

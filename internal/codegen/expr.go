@@ -486,15 +486,11 @@ func (c *compiler) subscript(x *pyast.Subscript) (exprFn, error) {
 			if ec != 0 {
 				return rows.Slot{}, ec
 			}
-			i := iv.I
-			n := int64(len(s.S))
-			if i < 0 {
-				i += n
-			}
-			if i < 0 || i >= n {
+			ch, ok := strIndex(s.S, iv.I)
+			if !ok {
 				return rows.Slot{}, pyvalue.ExcIndexError
 			}
-			return rows.Str(s.S[i : i+1]), 0
+			return rows.Str(ch), 0
 		}, nil
 	case types.KindList, types.KindTuple:
 		idx, err := c.intExpr(x.Index)

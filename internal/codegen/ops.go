@@ -408,13 +408,7 @@ func (c *compiler) binOp(op string, l, r exprFn, lx, rx pyast.Expr, lt, rt, resT
 				if ec != 0 {
 					return rows.Slot{}, ec
 				}
-				if a == "" {
-					return rows.Str(b), 0
-				}
-				if b == "" {
-					return rows.Str(a), 0
-				}
-				return rows.Str(fr.Arena.Concat(a, b)), 0
+				return rows.Str(fr.intern(appendConcat(fr.Scratch[:0], a, b))), 0
 			}, nil
 		}
 		if op == "*" && lu.Kind() == types.KindStr && ru.IsNumeric() {
@@ -437,7 +431,13 @@ func (c *compiler) binOp(op string, l, r exprFn, lx, rx pyast.Expr, lt, rt, resT
 		if op == "%" && lu.Kind() == types.KindStr {
 			// printf-style formatting: the shared formatter appends into
 			// the frame's scratch buffer and the result is arena-interned,
-			// so a hot-loop format pays only the operand boxing.
+			// so a hot-loop format pays only the operand boxing — and not
+			// even that for a literal format over ints.
+			if lx != nil && rx != nil {
+				if f, err := c.percentIntNat(lx, rx); err != nil || f != nil {
+					return wrapStr(f), err
+				}
+			}
 			ls := c.strOpFB(lx, lt, l, pyvalue.ExcTypeError)
 			return func(fr *Frame) (rows.Slot, ECode) {
 				a, ec := ls(fr)

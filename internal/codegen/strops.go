@@ -68,16 +68,11 @@ func (c *compiler) strMethodCall(x *pyast.Call, attr *pyast.Attr) (exprFn, error
 			if ec != 0 {
 				return rows.Slot{}, ec
 			}
-			var i int
-			if last {
-				i = strings.LastIndex(s, needle)
-			} else {
-				i = strings.Index(s, needle)
-			}
+			i := strFind(s, needle, last)
 			if i < 0 && raises {
 				return rows.Slot{}, pyvalue.ExcValueError
 			}
-			return rows.I64(int64(i)), 0
+			return rows.I64(i), 0
 		}, nil
 	case "lower":
 		return wrapStr(strCaseFoldS(recv, false)), nil
@@ -92,7 +87,7 @@ func (c *compiler) strMethodCall(x *pyast.Call, attr *pyast.Attr) (exprFn, error
 		if len(args) >= 1 {
 			cut = strArg(0)
 		}
-		return wrapStr(strStripS(recv, cut, attr.Name)), nil
+		return wrapStr(strStripS(recv, cut, stripModeOf(attr.Name))), nil
 	case "replace":
 		return wrapStr(strReplaceS(recv, strArg(0), strArg(1))), nil
 	case "split":
@@ -214,6 +209,9 @@ func (c *compiler) strMethodCall(x *pyast.Call, attr *pyast.Attr) (exprFn, error
 			return rows.Bool(bool(res.(pyvalue.Bool))), 0
 		}, nil
 	case "format":
+		if f, err := c.intFormatNat(attr.X, x.Args, false); err != nil || f != nil {
+			return wrapStr(f), err
+		}
 		return func(fr *Frame) (rows.Slot, ECode) {
 			f, ec := recv(fr)
 			if ec != 0 {
@@ -270,53 +268,21 @@ func strUnaryS(recv strFn, f func(string) string) strFn {
 	}
 }
 
-// strCaseFoldS is lower()/upper() with an ASCII fast path: unchanged
-// input is returned as-is (no allocation), changed ASCII input is
-// folded into frame scratch and arena-interned, and any non-ASCII byte
-// falls back to the stdlib's full Unicode case mapping.
+// strCaseFoldS is lower()/upper(): an already-folded receiver is returned
+// as-is (no allocation), a changed one is folded into frame scratch and
+// arena-interned.
 func strCaseFoldS(recv strFn, upper bool) strFn {
 	return func(fr *Frame) (string, ECode) {
 		s, ec := recv(fr)
 		if ec != 0 {
 			return "", ec
 		}
-		changed := false
-		for i := 0; i < len(s); i++ {
-			c := s[i]
-			if c >= 0x80 {
-				if upper {
-					return strings.ToUpper(s), 0
-				}
-				return strings.ToLower(s), 0
-			}
-			if upper {
-				changed = changed || (c >= 'a' && c <= 'z')
-			} else {
-				changed = changed || (c >= 'A' && c <= 'Z')
-			}
-		}
-		if !changed {
-			return s, 0
-		}
-		buf := fr.Scratch[:0]
-		for i := 0; i < len(s); i++ {
-			c := s[i]
-			if upper {
-				if c >= 'a' && c <= 'z' {
-					c -= 'a' - 'A'
-				}
-			} else if c >= 'A' && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			buf = append(buf, c)
-		}
-		fr.Scratch = buf[:0]
-		return fr.Arena.Intern(buf), 0
+		return fr.intern(appendCaseFold(fr.Scratch[:0], s, upper)), 0
 	}
 }
 
-// strReplaceS is str.replace with no-match and empty-needle handled
-// without rebuilding, and rebuilt results arena-interned.
+// strReplaceS is str.replace with no-match handled without rebuilding, and
+// rebuilt results arena-interned.
 func strReplaceS(recv, oldA, newA strFn) strFn {
 	return func(fr *Frame) (string, ECode) {
 		s, ec := recv(fr)
@@ -331,52 +297,29 @@ func strReplaceS(recv, oldA, newA strFn) strFn {
 		if ec != 0 {
 			return "", ec
 		}
-		if o == "" || !strings.Contains(s, o) {
+		if o == "" {
 			// Python's ''.replace('', n) interleaves n between
-			// characters; rare enough to leave to the stdlib. No match
-			// returns the receiver unchanged: zero cost.
-			if o == "" {
-				return strings.ReplaceAll(s, o, n), 0
-			}
-			return s, 0
+			// characters; rare enough to leave to the stdlib.
+			return strings.ReplaceAll(s, o, n), 0
 		}
-		buf := fr.Scratch[:0]
-		for {
-			i := strings.Index(s, o)
-			if i < 0 {
-				buf = append(buf, s...)
-				break
-			}
-			buf = append(buf, s[:i]...)
-			buf = append(buf, n...)
-			s = s[i+len(o):]
-		}
-		fr.Scratch = buf[:0]
-		return fr.Arena.Intern(buf), 0
+		return fr.intern(appendReplace(fr.Scratch[:0], s, o, n)), 0
 	}
 }
 
 // strStripS is strip/lstrip/rstrip; cut nil means whitespace.
-func strStripS(recv, cut strFn, name string) strFn {
+func strStripS(recv, cut strFn, mode stripMode) strFn {
 	return func(fr *Frame) (string, ECode) {
 		s, ec := recv(fr)
 		if ec != 0 {
 			return "", ec
 		}
-		cutset := " \t\n\r\v\f"
+		cutset := pyWhitespace
 		if cut != nil {
 			cutset, ec = cut(fr)
 			if ec != 0 {
 				return "", ec
 			}
 		}
-		switch name {
-		case "strip":
-			return strings.Trim(s, cutset), 0
-		case "lstrip":
-			return strings.TrimLeft(s, cutset), 0
-		default:
-			return strings.TrimRight(s, cutset), 0
-		}
+		return strStrip(s, cutset, mode), 0
 	}
 }

@@ -16,7 +16,6 @@ package codegen
 
 import (
 	"math"
-	"strings"
 
 	"github.com/gotuplex/tuplex/internal/pyast"
 	"github.com/gotuplex/tuplex/internal/pyvalue"
@@ -345,14 +344,11 @@ func (c *compiler) strNat(x pyast.Expr, onNull ECode) (strFn, error) {
 				if ec != 0 {
 					return "", ec
 				}
-				n := int64(len(s))
-				if i < 0 {
-					i += n
-				}
-				if i < 0 || i >= n {
+				ch, ok := strIndex(s, i)
+				if !ok {
 					return "", pyvalue.ExcIndexError
 				}
-				return s[i : i+1], 0
+				return ch, 0
 			}, nil
 		}
 		return nil, nil
@@ -383,18 +379,15 @@ func (c *compiler) strNat(x pyast.Expr, onNull ECode) (strFn, error) {
 				if ec != 0 {
 					return "", ec
 				}
-				if a == "" {
-					return b, 0
-				}
-				if b == "" {
-					return a, 0
-				}
-				return fr.Arena.Concat(a, b), 0
+				return fr.intern(appendConcat(fr.Scratch[:0], a, b)), 0
 			}, nil
 		case "%":
 			if x.Type().Unwrap().Kind() != types.KindStr ||
 				x.Left.Type().Unwrap().Kind() != types.KindStr {
 				return nil, nil
+			}
+			if f, err := c.percentIntNat(x.Left, x.Right); err != nil || f != nil {
+				return f, err
 			}
 			ls, err := c.strChild(x.Left, pyvalue.ExcTypeError)
 			if err != nil {
@@ -471,12 +464,89 @@ func (c *compiler) strSliceNat(x *pyast.Slice) (strFn, error) {
 			}
 			h = &v
 		}
-		start, stop := pyvalue.SliceBounds(l, h, 1, int64(len(s)))
-		if start >= stop {
-			return "", 0
-		}
-		return s[start:stop], 0
+		return strSlice(s, l, h), 0
 	}, nil
+}
+
+// maxIntFormatArgs bounds the arguments of a compiled integer format: the
+// row closure stages them in a stack array, the vector kernel in a fixed
+// operand list.
+const maxIntFormatArgs = 4
+
+// percentArgs lists the arguments of `fmt % right`: the elements of a
+// tuple display, or right itself.
+func percentArgs(right pyast.Expr) []pyast.Expr {
+	if t, ok := right.(*pyast.TupleLit); ok {
+		return t.Elts
+	}
+	return []pyast.Expr{right}
+}
+
+// intFormatOf compiles `fmt % args` / `fmt.format(args)` when fmt is a
+// literal the integer formatter covers and every argument is statically
+// an int; nil otherwise.
+func intFormatOf(format pyast.Expr, args []pyast.Expr, percent bool) *pyvalue.IntFormat {
+	lit, ok := format.(*pyast.StrLit)
+	if !ok || len(args) == 0 || len(args) > maxIntFormatArgs {
+		return nil
+	}
+	for _, a := range args {
+		if t := a.Type(); t.IsOption() || t.Kind() != types.KindI64 {
+			return nil
+		}
+	}
+	compile := pyvalue.CompileStrFormatInt
+	if percent {
+		compile = pyvalue.CompilePercentInt
+	}
+	f, ok := compile(lit.S)
+	if !ok || !f.Accepts(len(args)) {
+		return nil
+	}
+	return f
+}
+
+// intFormatNat compiles a literal format over int arguments into the
+// shared integer formatter: no operand boxing, no per-row format parse.
+// nil when the shape is not covered (the caller keeps the generic
+// formatter).
+func (c *compiler) intFormatNat(format pyast.Expr, args []pyast.Expr, percent bool) (strFn, error) {
+	if !c.opts.Specialize || c.nativeBail(format) {
+		return nil, nil
+	}
+	f := intFormatOf(format, args, percent)
+	if f == nil {
+		return nil, nil
+	}
+	fns := make([]i64Fn, len(args))
+	for i, a := range args {
+		fn, err := c.i64Child(a)
+		if err != nil {
+			return nil, err
+		}
+		fns[i] = fn
+	}
+	return func(fr *Frame) (string, ECode) {
+		var vals [maxIntFormatArgs]int64
+		for i, fn := range fns {
+			v, ec := fn(fr)
+			if ec != 0 {
+				return "", ec
+			}
+			vals[i] = v
+		}
+		return fr.intern(f.Append(fr.Scratch[:0], vals[:len(fns)]), ""), 0
+	}, nil
+}
+
+// percentIntNat is intFormatNat for `format % right`; a right operand the
+// generic compile turns into an exception exit or a folded constant keeps
+// the generic formatter.
+func (c *compiler) percentIntNat(format, right pyast.Expr) (strFn, error) {
+	if c.nativeBail(right) {
+		return nil, nil
+	}
+	return c.intFormatNat(format, percentArgs(right), true)
 }
 
 // strCallNat compiles the string-returning string methods whose bodies
@@ -545,7 +615,7 @@ func (c *compiler) strCallNat(x *pyast.Call) (strFn, error) {
 				return nil, err
 			}
 		}
-		return strStripS(recv, cut, attr.Name), nil
+		return strStripS(recv, cut, stripModeOf(attr.Name)), nil
 	}
 }
 
@@ -1069,9 +1139,8 @@ func (c *compiler) compareBool(x *pyast.Compare) (boolFn, error) {
 	}
 	lu, ru := lt.Unwrap(), rt.Unwrap()
 	if lu.Kind() == types.KindStr && ru.Kind() == types.KindStr {
-		switch op {
-		case "==", "!=", "<", "<=", ">", ">=", "in", "not in":
-		default:
+		o, ok := strCmpOpOf(op)
+		if !ok {
 			return nil, nil
 		}
 		a, err := c.strChild(l, pyvalue.ExcTypeError)
@@ -1082,7 +1151,6 @@ func (c *compiler) compareBool(x *pyast.Compare) (boolFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		o := op
 		return func(fr *Frame) (bool, ECode) {
 			av, ec := a(fr)
 			if ec != 0 {
@@ -1092,24 +1160,7 @@ func (c *compiler) compareBool(x *pyast.Compare) (boolFn, error) {
 			if ec != 0 {
 				return false, ec
 			}
-			switch o {
-			case "==":
-				return av == bv, 0
-			case "!=":
-				return av != bv, 0
-			case "<":
-				return av < bv, 0
-			case "<=":
-				return av <= bv, 0
-			case ">":
-				return av > bv, 0
-			case ">=":
-				return av >= bv, 0
-			case "in":
-				return strings.Contains(bv, av), 0
-			default: // "not in"
-				return !strings.Contains(bv, av), 0
-			}
+			return strCompare(o, av, bv), 0
 		}, nil
 	}
 	if lu.IsNumeric() && ru.IsNumeric() {

@@ -2,12 +2,15 @@ package codegen
 
 // vec.go — vector-at-a-time expression kernels.
 //
-// The closure tree in expr.go/typed.go runs once per row. For the
-// expressions scan-heavy pipelines are made of — numeric arithmetic,
-// comparisons and boolean combinations over typed columns — this file
-// compiles the same typed AST into a program that runs once per batch:
-// each node loops over whole colvec payload slices ([]int64, []float64,
-// []bool, null bitmaps) at the rows of a selection vector.
+// The closure tree in expr.go/typed.go runs once per row. For the UDF
+// bodies dataframe pipelines are made of — numeric arithmetic, comparisons
+// and boolean combinations over typed columns (this file), the string
+// methods, slices, parses and formats of data cleaning (vecstr.go), and
+// straight-line or branching statement bodies over locals (vecstmt.go) —
+// this package compiles the same typed AST into a program that runs once
+// per batch: each node loops over whole colvec payload slices ([]int64,
+// []float64, []bool, string spans, null bitmaps) at the rows of a
+// selection vector.
 //
 // Values live in dense registers indexed by absolute batch row, like
 // colvec's derived vectors, so a column load is free (the register is the
@@ -57,10 +60,22 @@ type VecState struct {
 	cols []*colvec.Vec
 	arg  int
 
-	i [][]int64
-	f [][]float64
-	b [][]bool
-	s [][]int32
+	i   [][]int64
+	f   [][]float64
+	b   [][]bool
+	str [][]string
+	s   [][]int32
+
+	// arena holds the bytes string producers built during the current
+	// run; string registers alias it. Reset by begin, so a register's
+	// strings are valid only until the state's next run.
+	arena []byte
+
+	// loc holds the bindings of the running body's locals, saved the
+	// bindings of its enclosing ifs (vecstmt.go); nulls lists the rows of
+	// the current run that returned None.
+	loc, saved []vecOperand
+	nulls      []int32
 
 	// mark flags the rows of the current run that must be replayed;
 	// marked counts them. finish moves them to bail in selection order
@@ -109,9 +124,12 @@ func growRegs[T any](regs [][]T, k, n int) [][]T {
 // vecProg is what every vector program shares: its register demand, the
 // columns it reads payloads of, and the guards it must check.
 type vecProg struct {
-	nI, nF, nB, nS int
-	loads          []vecLoad
-	guards         []vecGuard
+	nI, nF, nB, nStr, nS int
+	loads                []vecLoad
+	guards               []vecGuard
+	// formats are the integer formats of the body's literal `%` and
+	// .format nodes, in walk order.
+	formats []*pyvalue.IntFormat
 }
 
 // vecLoad is one payload read: column col is indexed as kind.
@@ -129,11 +147,12 @@ func (st *VecState) begin(p *vecProg, cols []*colvec.Vec, arg, n int, sel []int3
 	st.i = growRegs(st.i, p.nI, n)
 	st.f = growRegs(st.f, p.nF, n)
 	st.b = growRegs(st.b, p.nB, n)
+	st.str = growRegs(st.str, p.nStr, n)
 	st.s = growRegs(st.s, p.nS, n)
 	if len(st.mark) < n {
 		st.mark = make([]bool, n)
 	}
-	st.bail = st.bail[:0]
+	st.bail, st.arena, st.nulls = st.bail[:0], st.arena[:0], st.nulls[:0]
 	for _, ld := range p.loads {
 		if st.col(ld.col).Kind != ld.kind {
 			st.bail = append(st.bail, sel...)
@@ -243,12 +262,13 @@ const (
 
 // vecOperand is an evaluated value: where its dense payload lives.
 type vecOperand struct {
-	kind types.Kind // KindI64, KindF64 or KindBool
+	kind types.Kind // KindI64, KindF64, KindBool or KindStr
 	src  vecSrc
 	idx  int // column (srcCol) or register (srcReg)
 	ci   int64
 	cf   float64
 	cb   bool
+	cs   string
 }
 
 func (st *VecState) i64s(o *vecOperand) []int64 {
@@ -713,6 +733,8 @@ type vecEnv struct {
 	// when the UDF has none); acc is the aggregate accumulator, which no
 	// vector expression may read.
 	row, scalar, acc string
+	// locals are the names the body assigns (vecstmt.go).
+	locals []string
 }
 
 // vecWalk evaluates a typed expression over one batch, node by node: the
@@ -727,9 +749,47 @@ type vecWalk struct {
 	env  *vecEnv
 	st   *VecState
 	prog vecProg
+
+	// checked is the program a run executes (nil in check mode) and nFmt
+	// the walk's position in its formats.
+	checked *vecProg
+	nFmt    int
+	// why is, in check mode, the first node found outside the grammar.
+	why string
+
+	// Statement bodies (vecstmt.go): the result kind and whether None is a
+	// result, the current bindings of the locals and the stack of saved
+	// ones, and the result so far — res at the rows resRows, from nret
+	// return sites.
+	kind     types.Kind
+	nullable bool
+	loc      []vecOperand
+	saved    []vecOperand
+	res      vecOperand
+	resRows  []int32
+	nret     int
 }
 
 func (w *vecWalk) run() bool { return w.st != nil }
+
+// decline records why a check-mode walk is about to fail; the first
+// reason, the innermost node, is the one reported.
+func (w *vecWalk) decline(why string) {
+	if w.why == "" {
+		w.why = why
+	}
+}
+
+// no declines at node n.
+func (w *vecWalk) no(n pyast.Node) (vecOperand, bool) {
+	w.decline(nodeLabel(n))
+	return vecOperand{}, false
+}
+
+func (w *vecWalk) noSel(n pyast.Node) ([]int32, bool) {
+	w.decline(nodeLabel(n))
+	return nil, false
+}
 
 func (w *vecWalk) regI() int { w.prog.nI++; return w.prog.nI - 1 }
 func (w *vecWalk) regF() int { w.prog.nF++; return w.prog.nF - 1 }
@@ -763,6 +823,11 @@ func (w *vecWalk) usable(n pyast.Node) bool {
 
 func isVecNum(k types.Kind) bool { return k == types.KindI64 || k == types.KindF64 }
 
+// isVecKind reports the kinds a vector program computes and returns.
+func isVecKind(k types.Kind) bool {
+	return isVecNum(k) || k == types.KindBool || k == types.KindStr
+}
+
 func constOperand(s rows.Slot) (vecOperand, bool) {
 	switch s.Tag {
 	case types.KindI64:
@@ -771,6 +836,8 @@ func constOperand(s rows.Slot) (vecOperand, bool) {
 		return vecOperand{kind: types.KindF64, cf: s.F}, true
 	case types.KindBool:
 		return vecOperand{kind: types.KindBool, cb: s.B}, true
+	case types.KindStr:
+		return vecOperand{kind: types.KindStr, cs: s.S}, true
 	}
 	return vecOperand{}, false
 }
@@ -779,10 +846,10 @@ func constOperand(s rows.Slot) (vecOperand, bool) {
 // marks null cells, which no supported operator accepts (the row closures
 // raise TypeError on None operands, or — for the None-tolerant == and
 // != — simply get the row back).
-func (w *vecWalk) load(col int, t types.Type, sel []int32) (vecOperand, bool) {
-	k := t.Unwrap().Kind()
-	if !isVecNum(k) && k != types.KindBool {
-		return vecOperand{}, false
+func (w *vecWalk) load(x pyast.Expr, col int, sel []int32) (vecOperand, bool) {
+	k := x.Type().Unwrap().Kind()
+	if !isVecKind(k) {
+		return w.no(x)
 	}
 	if !w.run() {
 		if ld := (vecLoad{col: col, kind: k}); !slices.Contains(w.prog.loads, ld) {
@@ -811,13 +878,14 @@ func (w *vecWalk) column(x pyast.Expr) (int, bool) {
 	return 0, false
 }
 
-// value evaluates x over sel as a dense value of kind I64, F64 or Bool.
+// value evaluates x over sel as a dense value of kind I64, F64, Bool or
+// Str.
 func (w *vecWalk) value(x pyast.Expr, sel []int32) (vecOperand, bool) {
 	if !w.usable(x) {
-		return vecOperand{}, false
+		return w.no(x)
 	}
 	if col, ok := w.column(x); ok {
-		return w.load(col, x.Type(), sel)
+		return w.load(x, col, sel)
 	}
 	switch x := x.(type) {
 	case *pyast.NumLit:
@@ -827,23 +895,17 @@ func (w *vecWalk) value(x pyast.Expr, sel []int32) (vecOperand, bool) {
 		return vecOperand{kind: types.KindI64, ci: x.I}, true
 	case *pyast.BoolLit:
 		return vecOperand{kind: types.KindBool, cb: x.B}, true
+	case *pyast.StrLit:
+		return vecOperand{kind: types.KindStr, cs: x.S}, true
 	case *pyast.Name:
-		// Parameters shadow globals; the only parameter a vector
-		// expression may name is the column() one.
-		if x.Ident == w.env.row || x.Ident == w.env.acc {
-			return vecOperand{}, false
-		}
-		if g, ok := w.env.globals[x.Ident]; ok && g.Tag == x.Type().Kind() {
-			return constOperand(g)
-		}
-		return vecOperand{}, false
+		return w.name(x)
 	case *pyast.UnaryOp:
 		if x.Op == "not" {
 			return w.boolValue(x, sel)
 		}
 		return w.unary(x, sel)
 	case *pyast.BinOp:
-		return w.arith(x, sel)
+		return w.binary(x, x.Op, x.Left, x.Right, x.Type().Kind(), sel)
 	case *pyast.Compare, *pyast.BoolOp:
 		return w.boolValue(x, sel)
 	case *pyast.IfExpr:
@@ -851,8 +913,41 @@ func (w *vecWalk) value(x pyast.Expr, sel []int32) (vecOperand, bool) {
 			return w.boolValue(x, sel)
 		}
 		return w.selectValue(x, sel)
+	case *pyast.Subscript:
+		return w.strSubscript(x, sel)
+	case *pyast.Slice:
+		return w.strSliceExpr(x, sel)
+	case *pyast.Call:
+		return w.call(x, sel)
 	}
-	return vecOperand{}, false
+	return w.no(x)
+}
+
+// name reads a local's binding or a module constant. Parameters shadow
+// globals; the only parameter a vector expression may name is the
+// column() one.
+func (w *vecWalk) name(x *pyast.Name) (vecOperand, bool) {
+	if i := w.env.local(x.Ident); i >= 0 {
+		a := w.loc[i]
+		switch t := x.Type(); {
+		case a.kind == 0:
+			w.decline("local " + x.Ident + " read before assignment")
+			return a, false
+		case t.IsOption() || t.Kind() != a.kind:
+			w.decline("local " + x.Ident + " type-unstable")
+			return a, false
+		}
+		return a, true
+	}
+	if w.env.binds(x.Ident) || x.Ident == w.env.acc {
+		return w.no(x)
+	}
+	if g, ok := w.env.globals[x.Ident]; ok && g.Tag == x.Type().Kind() {
+		if a, ok := constOperand(g); ok {
+			return a, true
+		}
+	}
+	return w.no(x)
 }
 
 // boolValue evaluates a bool-typed composite as a predicate and
@@ -873,11 +968,11 @@ func (w *vecWalk) boolValue(x pyast.Expr, sel []int32) (vecOperand, bool) {
 
 func (w *vecWalk) unary(x *pyast.UnaryOp, sel []int32) (vecOperand, bool) {
 	if x.Op != "-" && x.Op != "+" {
-		return vecOperand{}, false
+		return w.no(x)
 	}
 	a, ok := w.value(x.X, sel)
 	if !ok || !isVecNum(a.kind) || x.Type().Kind() != a.kind {
-		return vecOperand{}, false
+		return w.no(x)
 	}
 	if x.Op == "+" {
 		return a, true
@@ -935,12 +1030,25 @@ func (w *vecWalk) dense(a vecOperand, sel []int32) vecOperand {
 	return vecOperand{kind: a.kind, src: srcReg, idx: reg}
 }
 
+// binary evaluates `left op right` — node x, a BinOp or the target of an
+// augmented assignment — whose result has kind resK: string + and %, or
+// numeric arithmetic.
+func (w *vecWalk) binary(x pyast.Node, op string, left, right pyast.Expr, resK types.Kind, sel []int32) (vecOperand, bool) {
+	if isStrType(left.Type()) {
+		if resK != types.KindStr {
+			return w.no(x)
+		}
+		return w.strBinary(x, op, left, right, sel)
+	}
+	return w.arith(x, op, left, right, resK, sel)
+}
+
 // arith evaluates + - * / // % with binOp's typing: an I64 result means
 // integer arithmetic on two I64 operands, anything else float arithmetic
 // on float64-promoted operands.
-func (w *vecWalk) arith(x *pyast.BinOp, sel []int32) (vecOperand, bool) {
+func (w *vecWalk) arith(x pyast.Node, opName string, left, right pyast.Expr, resK types.Kind, sel []int32) (vecOperand, bool) {
 	var op arithOp
-	switch x.Op {
+	switch opName {
 	case "+":
 		op = opAdd
 	case "-":
@@ -954,23 +1062,22 @@ func (w *vecWalk) arith(x *pyast.BinOp, sel []int32) (vecOperand, bool) {
 	case "%":
 		op = opMod
 	default:
-		return vecOperand{}, false
+		return w.no(x)
 	}
-	a, ok := w.value(x.Left, sel)
+	a, ok := w.value(left, sel)
 	if !ok || !isVecNum(a.kind) {
-		return vecOperand{}, false
+		return w.no(x)
 	}
-	b, ok := w.value(x.Right, sel)
+	b, ok := w.value(right, sel)
 	if !ok || !isVecNum(b.kind) {
-		return vecOperand{}, false
+		return w.no(x)
 	}
-	resK := x.Type().Kind()
 	switch {
 	case resK == types.KindI64 && op != opTrueDiv && a.kind == types.KindI64 && b.kind == types.KindI64:
 	case resK == types.KindF64 && (op == opTrueDiv || a.kind == types.KindF64 || b.kind == types.KindF64):
 		a, b = w.toF64(a, sel), w.toF64(b, sel)
 	default:
-		return vecOperand{}, false
+		return w.no(x)
 	}
 	// The + - * kernels take a constant on either side; the division
 	// family (and constant ⊕ constant) gets filled registers.
@@ -1025,7 +1132,7 @@ func (w *vecWalk) split(cond pyast.Expr, sel []int32) (t, f []int32, ok bool) {
 	return t, f, ok
 }
 
-// selectValue evaluates a numeric `a if c else b`: c splits the
+// selectValue evaluates a numeric or string `a if c else b`: c splits the
 // selection, each arm is computed only on its side and moved into the
 // result register. The row path returns the taken arm's slot
 // unconverted, so both arms must already have the expression's type.
@@ -1038,8 +1145,8 @@ func (w *vecWalk) selectValue(x *pyast.IfExpr, sel []int32) (vecOperand, bool) {
 		return w.value(x.Then, sel)
 	}
 	k := x.Type().Kind()
-	if !isVecNum(k) || x.Then.Type().Kind() != k || x.Else.Type().Kind() != k {
-		return vecOperand{}, false
+	if !isVecNum(k) && k != types.KindStr || x.Then.Type().Kind() != k || x.Else.Type().Kind() != k {
+		return w.no(x)
 	}
 	t, f, ok := w.split(x.Cond, sel)
 	if !ok {
@@ -1047,27 +1154,18 @@ func (w *vecWalk) selectValue(x *pyast.IfExpr, sel []int32) (vecOperand, bool) {
 	}
 	a, ok := w.value(x.Then, t)
 	if !ok || a.kind != k {
-		return vecOperand{}, false
+		return w.no(x)
 	}
 	b, ok := w.value(x.Else, f)
 	if !ok || b.kind != k {
-		return vecOperand{}, false
+		return w.no(x)
 	}
-	st := w.st
-	if k == types.KindI64 {
-		reg := w.regI()
-		if w.run() {
-			moveInto(st.i[reg], st.i64s(&a), a.ci, t)
-			moveInto(st.i[reg], st.i64s(&b), b.ci, f)
-		}
-		return vecOperand{kind: k, src: srcReg, idx: reg}, true
-	}
-	reg := w.regF()
+	out := w.reg(k)
 	if w.run() {
-		moveInto(st.f[reg], st.f64s(&a), a.cf, t)
-		moveInto(st.f[reg], st.f64s(&b), b.cf, f)
+		w.store(out, a, t)
+		w.store(out, b, f)
 	}
-	return vecOperand{kind: k, src: srcReg, idx: reg}, true
+	return out, true
 }
 
 // moveInto writes an operand (vector a, or constant c when a is nil) to
@@ -1088,7 +1186,7 @@ func moveInto[T any](out, a []T, c T, sel []int32) {
 // truth refines sel to the rows where a is truthy.
 func (w *vecWalk) truth(a vecOperand, sel []int32) []int32 {
 	if a.src == srcConst {
-		if a.cb || a.ci != 0 || a.cf != 0 {
+		if a.cb || a.ci != 0 || a.cf != 0 || a.cs != "" {
 			return sel
 		}
 		return sel[:0]
@@ -1102,16 +1200,18 @@ func (w *vecWalk) truth(a vecOperand, sel []int32) []int32 {
 		return out[:vecSelTrue(w.st.bools(&a), sel, out)]
 	case types.KindI64:
 		return out[:vecCmpVC(cmpNE, w.st.i64s(&a), 0, sel, out)]
+	case types.KindStr:
+		return out[:vecStrTruthy(w.st.strs(&a), sel, out)]
 	}
 	return out[:vecCmpVC(cmpNE, w.st.f64s(&a), 0, sel, out)]
 }
 
 // pred evaluates x over sel as a selection refinement. x must be exactly
-// bool, i64 or f64 typed: those are the types whose truthiness the row
-// path tests monomorphically.
+// bool, i64, f64 or str typed: those are the types whose truthiness the
+// row path tests monomorphically.
 func (w *vecWalk) pred(x pyast.Expr, sel []int32) ([]int32, bool) {
 	if !w.usable(x) {
-		return nil, false
+		return w.noSel(x)
 	}
 	switch x := x.(type) {
 	case *pyast.Compare:
@@ -1128,8 +1228,8 @@ func (w *vecWalk) pred(x pyast.Expr, sel []int32) ([]int32, bool) {
 			return w.selectPred(x, sel)
 		}
 	}
-	if k := x.Type().Kind(); !isVecNum(k) && k != types.KindBool {
-		return nil, false
+	if !isVecKind(x.Type().Kind()) {
+		return w.noSel(x)
 	}
 	a, ok := w.value(x, sel)
 	if !ok {
@@ -1145,11 +1245,11 @@ func (w *vecWalk) pred(x pyast.Expr, sel []int32) ([]int32, bool) {
 // they accept.
 func (w *vecWalk) boolOp(x *pyast.BoolOp, sel []int32) ([]int32, bool) {
 	if x.Type().Kind() != types.KindBool || len(x.Xs) == 0 {
-		return nil, false
+		return w.noSel(x)
 	}
 	for _, e := range x.Xs {
 		if e.Type().Kind() != types.KindBool {
-			return nil, false
+			return w.noSel(x)
 		}
 	}
 	if x.Op == "and" {
@@ -1191,7 +1291,7 @@ func (w *vecWalk) selectPred(x *pyast.IfExpr, sel []int32) ([]int32, bool) {
 		return w.pred(x.Then, sel)
 	}
 	if x.Then.Type().Kind() != types.KindBool || x.Else.Type().Kind() != types.KindBool {
-		return nil, false
+		return w.noSel(x)
 	}
 	t, f, ok := w.split(x.Cond, sel)
 	if !ok {
@@ -1222,23 +1322,35 @@ func (w *vecWalk) selectPred(x *pyast.IfExpr, sel []int32) ([]int32, bool) {
 // here keeps results identical beyond 2^53.
 func (w *vecWalk) compare(x *pyast.Compare, sel []int32) ([]int32, bool) {
 	if x.Type().Kind() != types.KindBool || len(x.Ops) == 0 || len(x.Ops) != len(x.Rest) {
-		return nil, false
+		return w.noSel(x)
 	}
 	if len(x.Ops) == 1 && (x.Ops[0] == "is" || x.Ops[0] == "is not") {
 		return w.isNone(x, sel)
 	}
 	asFloat := len(x.Ops) > 1
+	nStr := 0
 	for i := -1; i < len(x.Rest); i++ {
 		t := x.First.Type()
 		if i >= 0 {
 			t = x.Rest[i].Type()
 		}
+		if isStrType(t) {
+			nStr++
+			continue
+		}
 		if !isVecNum(t.Unwrap().Kind()) {
-			return nil, false
+			return w.noSel(x)
 		}
 		if t.IsOption() || t.Kind() == types.KindF64 {
 			asFloat = true
 		}
+	}
+	switch nStr {
+	case 0:
+	case len(x.Rest) + 1:
+		return w.strCompare(x, sel)
+	default:
+		return w.noSel(x)
 	}
 	operand := func(e pyast.Expr, sel []int32) (vecOperand, bool) {
 		a, ok := w.value(e, sel)
@@ -1257,7 +1369,7 @@ func (w *vecWalk) compare(x *pyast.Compare, sel []int32) ([]int32, bool) {
 	for i, s := range x.Ops {
 		op, ok := cmpOpOf(s)
 		if !ok {
-			return nil, false
+			return w.noSel(x)
 		}
 		b, ok := operand(x.Rest[i], sel)
 		if !ok {
@@ -1300,11 +1412,11 @@ func (w *vecWalk) isNone(x *pyast.Compare, sel []int32) ([]int32, bool) {
 	if _, ok := side.(*pyast.NoneLit); ok {
 		side = x.Rest[0]
 	} else if _, ok := x.Rest[0].(*pyast.NoneLit); !ok {
-		return nil, false
+		return w.noSel(x)
 	}
 	col, ok := w.column(side)
 	if !ok || !w.usable(side) {
-		return nil, false
+		return w.noSel(x)
 	}
 	wantNull := x.Ops[0] == "is"
 	out := w.buf()
@@ -1323,49 +1435,79 @@ func (w *vecWalk) isNone(x *pyast.Compare, sel []int32) ([]int32, bool) {
 
 // ---- programs ------------------------------------------------------------
 
-// vecCheck walks x in check mode; on success the returned walk holds the
-// program's register demand and loads.
-func vecCheck(env *vecEnv, walk func(w *vecWalk) bool) (vecProg, bool) {
-	w := &vecWalk{env: env}
-	ok := walk(w)
-	return w.prog, ok
+// reason is why a failed check-mode walk declined.
+func (w *vecWalk) reason() string {
+	if w.why == "" {
+		return "outside the grammar"
+	}
+	return w.why
 }
 
 // diverged reports a run-mode walk failing where its check-mode twin
 // succeeded — the two are one code path, so only a bug gets here.
 func diverged() { panic("codegen: vector walk diverged from its check") }
 
-// VecExpr is the vector program of a one-parameter UDF whose body is a
-// single supported expression: Filter runs it as a predicate, Eval as a
-// derived column.
+// VecExpr is the vector program of a one-parameter UDF whose body is
+// inside the grammar: Filter runs it as a predicate, Eval as a derived
+// column.
 type VecExpr struct {
-	env  *vecEnv
-	x    pyast.Expr
-	kind types.Kind
-	prog vecProg
+	env *vecEnv
+	// x is the returned expression of a body that is one return statement
+	// (every lambda); nil for a statement body.
+	x        pyast.Expr
+	kind     types.Kind
+	nullable bool
+	prog     vecProg
 }
 
-// Kind is the expression's value kind: KindBool, KindI64 or KindF64.
+// Kind is the kind of the values the program computes: KindBool, KindI64,
+// KindF64 or KindStr. A program whose UDF returns Option[kind] also
+// produces nulls.
 func (p *VecExpr) Kind() types.Kind { return p.kind }
 
-// Filter appends to out the rows of sel (ascending) where the expression
-// is truthy. cols is the UDF's input view, arg the column a bare scalar
-// parameter is bound to, n the batch's row count. Rows in st.Bail() were
-// not decided.
+// walk runs the body over sel and returns the result: the operand holds
+// the value of the rows in rows, and st.nulls the rows that returned None.
+func (p *VecExpr) walk(w *vecWalk, sel []int32) (res vecOperand, rows []int32, ok bool) {
+	w.kind, w.nullable = p.kind, p.nullable
+	if p.x == nil {
+		ok = w.body(p.env.info.Fn.Body, sel)
+		return w.res, w.resRows, ok
+	}
+	if !w.ret(p.x, sel) {
+		return res, nil, false
+	}
+	return w.res, w.resRows, w.nret > 0
+}
+
+// Filter appends to out the rows of sel (ascending) where the body's
+// result is truthy. cols is the UDF's input view, arg the column a bare
+// scalar parameter is bound to, n the batch's row count. Rows in
+// st.Bail() were not decided.
 func (p *VecExpr) Filter(st *VecState, cols []*colvec.Vec, arg, n int, sel, out []int32) []int32 {
 	if !st.begin(&p.prog, cols, arg, n, sel) {
 		return out
 	}
-	w := vecWalk{env: p.env, st: st}
-	res, ok := w.pred(p.x, sel)
-	if !ok {
-		diverged()
+	w := vecWalk{env: p.env, st: st, checked: &p.prog}
+	var res []int32
+	if p.x != nil && !p.nullable {
+		// A bare expression refines the selection directly, without
+		// materializing its value.
+		var ok bool
+		if res, ok = w.pred(p.x, sel); !ok {
+			diverged()
+		}
+	} else {
+		v, rows, ok := p.walk(&w, sel)
+		if !ok {
+			diverged()
+		}
+		res = w.truth(v, rows)
 	}
 	return st.finish(sel, res, out)
 }
 
-// Eval writes the expression's value into dst (of the expression's kind,
-// grown to n) at the rows of sel. Rows in st.Bail() were not computed.
+// Eval writes the body's result into dst (of the program's kind, grown to
+// n) at the rows of sel. Rows in st.Bail() were not computed.
 func (p *VecExpr) Eval(st *VecState, cols []*colvec.Vec, arg, n int, sel []int32, dst *colvec.Vec) {
 	if dst.Kind != p.kind {
 		panic("codegen: VecExpr.Eval into a vector of another kind")
@@ -1373,18 +1515,25 @@ func (p *VecExpr) Eval(st *VecState, cols []*colvec.Vec, arg, n int, sel []int32
 	if !st.begin(&p.prog, cols, arg, n, sel) {
 		return
 	}
-	w := vecWalk{env: p.env, st: st}
-	v, ok := w.value(p.x, sel)
+	w := vecWalk{env: p.env, st: st, checked: &p.prog}
+	v, rows, ok := p.walk(&w, sel)
 	if !ok || v.kind != p.kind {
 		diverged()
 	}
 	switch p.kind {
 	case types.KindI64:
-		moveInto(dst.I, st.i64s(&v), v.ci, sel)
+		moveInto(dst.I, st.i64s(&v), v.ci, rows)
 	case types.KindF64:
-		moveInto(dst.F, st.f64s(&v), v.cf, sel)
+		moveInto(dst.F, st.f64s(&v), v.cf, rows)
+	case types.KindBool:
+		moveInto(dst.B, st.bools(&v), v.cb, rows)
 	default:
-		moveInto(dst.B, st.bools(&v), v.cb, sel)
+		st.storeStrs(dst, st.strs(&v), rows)
+	}
+	for _, r := range st.nulls {
+		if !st.mark[r] { // a marked row's replay writes the cell, null or not
+			dst.SetNull(int(r))
+		}
 	}
 	st.finish(sel, nil, nil)
 }
@@ -1445,7 +1594,7 @@ func (f *VecFold) Select(st *VecState, cols []*colvec.Vec, arg, n int, sel []int
 	if !st.begin(&f.prog, cols, arg, n, sel) {
 		return nil
 	}
-	w := vecWalk{env: f.env, st: st}
+	w := vecWalk{env: f.env, st: st, checked: &f.prog}
 	applies, term, ok := f.walk(&w, sel)
 	if !ok {
 		diverged()
@@ -1465,24 +1614,18 @@ func (f *VecFold) FoldF64(st *VecState, acc float64, rows []int32) float64 {
 	return vecFold(f.op, acc, st.f64s(&st.term), rows)
 }
 
-// vectorize attaches the UDF's vector program when its body is a single
-// return of a supported expression. It runs after the guards are fixed
-// and consults only dep-free facts (typing failures, inference's dead
-// arms, always-raises proofs), so it can neither add a guard nor rest on
-// one it does not check.
+// vectorize attaches the UDF's vector program when its body is inside the
+// grammar, and otherwise records in VecDecline what put it outside. It
+// runs after the guards are fixed and consults only dep-free facts (typing
+// failures, inference's dead arms, always-raises proofs), so it can
+// neither add a guard nor rest on one it does not check.
 func (c *compiler) vectorize(u *UDF) {
 	fn := c.info.Fn
-	if !c.opts.Specialize || len(fn.Body) != 1 {
-		return
-	}
-	ret, ok := fn.Body[0].(*pyast.Return)
-	if !ok || ret.X == nil {
+	if !c.opts.Specialize {
+		u.VecDecline = "unspecialized"
 		return
 	}
 	env := &vecEnv{info: c.info, flow: c.opts.Flow, globals: c.globals}
-	if w := (vecWalk{env: env}); !w.usable(ret) {
-		return
-	}
 	bind := func(param int) {
 		if c.info.ParamTypes[param].Kind() == types.KindRow {
 			env.row = fn.Params[param]
@@ -1490,35 +1633,67 @@ func (c *compiler) vectorize(u *UDF) {
 			env.scalar = fn.Params[param]
 		}
 	}
-	x := ret.X
+	// x is the whole body when that is one return statement.
+	var x pyast.Expr
+	if len(fn.Body) == 1 {
+		if ret, ok := fn.Body[0].(*pyast.Return); ok {
+			if !(&vecWalk{env: env}).usable(ret) {
+				u.VecDecline = "Return failed typing"
+				return
+			}
+			x = ret.X
+		}
+	}
 	switch len(fn.Params) {
 	case 1:
 		bind(0)
-		guards, ok := compileVecGuards(u.Guards, env.row != "")
-		if !ok {
-			return
-		}
-		e := &VecExpr{env: env, x: x, kind: x.Type().Kind()}
-		if !isVecNum(e.kind) && e.kind != types.KindBool {
-			return
-		}
-		// One check serves Eval and Filter: as a predicate x walks the
-		// nodes its value walk does (less the bool result register), plus
-		// truth's one buffer when x is a bare value.
-		if e.prog, ok = vecCheck(env, func(w *vecWalk) bool { v, ok := w.value(x, nil); return ok && v.kind == e.kind }); !ok {
-			return
-		}
-		e.prog.nS++
-		e.prog.guards = guards
-		u.Vec = e
+		u.Vec, u.VecDecline = vecExprOf(env, x, u.Guards)
 	case 2:
-		if len(u.Guards) > 0 {
-			return
-		}
 		env.acc = fn.Params[0]
 		bind(1)
-		u.Fold = matchFold(env, x, c.info.ParamTypes[0])
+		switch {
+		case len(u.Guards) > 0:
+			u.VecDecline = "guarded aggregate"
+		case x == nil:
+			u.VecDecline = "aggregate body is not one expression"
+		default:
+			if u.Fold = matchFold(env, x, c.info.ParamTypes[0]); u.Fold == nil {
+				u.VecDecline = "outside the fold table"
+			}
+		}
+	default:
+		u.VecDecline = "not a one-parameter UDF"
 	}
+}
+
+// vecExprOf checks a one-parameter UDF's body — the expression x, or the
+// statements of env's function when x is nil — against the grammar.
+func vecExprOf(env *vecEnv, x pyast.Expr, gs []dataflow.Guard) (*VecExpr, string) {
+	guards, ok := compileVecGuards(gs, env.row != "")
+	if !ok {
+		return nil, "guard on another parameter"
+	}
+	ret := env.info.ReturnType
+	e := &VecExpr{env: env, x: x, kind: ret.Unwrap().Kind(), nullable: ret.IsOption()}
+	if !isVecKind(e.kind) {
+		return nil, "returns " + ret.String()
+	}
+	if x == nil {
+		if env.locals, ok = assignedLocals(env.info.Fn.Body); !ok {
+			return nil, "assignment to a subscript or tuple"
+		}
+	}
+	// One check serves Eval and Filter: as a predicate a bare expression
+	// walks the nodes its value walk does (less the bool result register);
+	// every other filter tests the result's truth, with one more buffer.
+	w := &vecWalk{env: env}
+	if v, _, ok := e.walk(w, nil); !ok || v.kind != e.kind {
+		return nil, w.reason()
+	}
+	e.prog = w.prog
+	e.prog.nS++
+	e.prog.guards = guards
+	return e, ""
 }
 
 // matchFold matches an aggregate body against the fold table.
@@ -1596,14 +1771,11 @@ func matchFold(env *vecEnv, body pyast.Expr, accT types.Type) *VecFold {
 	default:
 		return nil
 	}
-	var ok bool
-	f.prog, ok = vecCheck(env, func(w *vecWalk) bool {
-		_, _, ok := f.walk(w, nil)
-		w.buf() // Select's result buffer
-		return ok
-	})
-	if !ok {
+	check := &vecWalk{env: env}
+	if _, _, ok := f.walk(check, nil); !ok {
 		return nil
 	}
+	check.buf() // Select's result buffer
+	f.prog = check.prog
 	return f
 }

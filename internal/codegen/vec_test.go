@@ -33,9 +33,11 @@ var vecCols = []types.Column{
 	{Name: "h", Type: types.Bool},
 	{Name: "k", Type: types.I64},
 	{Name: "s", Type: types.Option(types.Str)},
+	{Name: "t", Type: types.Str},
+	{Name: "u", Type: types.Str},
 }
 
-var vecGlobals = map[string]pyvalue.Value{"KI": pyvalue.Int(3), "KF": pyvalue.Float(0.25), "KB": pyvalue.Bool(true)}
+var vecGlobals = map[string]pyvalue.Value{"KI": pyvalue.Int(3), "KF": pyvalue.Float(0.25), "KB": pyvalue.Bool(true), "KS": pyvalue.Str("Sale")}
 
 var (
 	intPool   = []int64{0, 0, 1, -1, 2, -2, 3, 7, -7, 10, 24, 100, -100, 1 << 53, 1<<53 + 1, -(1<<53 + 1), math.MaxInt64, math.MinInt64, math.MaxInt64 - 1}
@@ -153,7 +155,7 @@ func compileVecUDF(t testing.TB, src string, params []types.Type, seeded bool) *
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	gt := map[string]types.Type{"KI": types.I64, "KF": types.F64, "KB": types.Bool}
+	gt := map[string]types.Type{"KI": types.I64, "KF": types.F64, "KB": types.Bool, "KS": types.Str}
 	info, err := inference.TypeFunction(fn, params, gt, inference.Options{})
 	if err != nil {
 		t.Fatalf("inference %q: %v", src, err)
@@ -191,6 +193,9 @@ func f64bits(f float64) uint64 {
 
 // sameValue compares a row-closure slot with a vector cell bit for bit.
 func sameValue(kind types.Kind, v *colvec.Vec, r int, want rows.Slot) bool {
+	if want.Tag == types.KindNull || v.IsNull(r) {
+		return want.Tag == types.KindNull && v.IsNull(r)
+	}
 	if want.Tag != kind {
 		return false
 	}
@@ -199,6 +204,8 @@ func sameValue(kind types.Kind, v *colvec.Vec, r int, want rows.Slot) bool {
 		return v.I[r] == want.I
 	case types.KindF64:
 		return f64bits(v.F[r]) == f64bits(want.F)
+	case types.KindStr:
+		return string(v.RawStr(r)) == want.S
 	}
 	return v.B[r] == want.B
 }
@@ -358,31 +365,49 @@ func TestVecShortCircuit(t *testing.T) {
 // TestVecDeclines lists bodies outside the grammar: the compiler must
 // return no program rather than a wrong one.
 func TestVecDeclines(t *testing.T) {
-	for _, src := range []string{
-		"lambda r: r['s']",
-		"lambda r: r['s'] == 'x'",
-		"lambda r: len(r['s']) > 1",
-		"lambda r: r['a'] ** 2",
-		"lambda r: r['a'] & 1",
-		"lambda r: abs(r['a'])",
-		"lambda r: r['h'] + 1",
-		"lambda r: r['e']",
-		"lambda r: r['a'] and r['b']",
-		"lambda r: (r['a'], r['b'])",
-		"lambda r: r['a'] if r['h'] else r['c']",
-		"lambda r: None",
-		"def f(r):\n    x = r['a'] + 1\n    return x * 2",
+	for _, c := range []struct{ src, why string }{
+		{"lambda r: r['s']", "Option value returned"},
+		{"lambda r: r['a'] ** 2", "BinOp:**"},
+		{"lambda r: r['a'] & 1", "BinOp:&"},
+		{"lambda r: abs(r['a'])", "Call:abs"},
+		{"lambda r: r['h'] + 1", "BinOp:+"},
+		{"lambda r: r['e']", "Option value returned"},
+		{"lambda r: r['a'] and r['b']", "BoolOp:and"},
+		{"lambda r: (r['a'], r['b'])", "returns (i64,i64)"},
+		{"lambda r: r['a'] if r['h'] else r['c']", "IfExpr"},
+		{"lambda r: None", "returns null"},
+		{"lambda r: re.search('x', r['t'])", "returns Option[match]"},
+		{"lambda r: len(re.sub('x', 'y', r['t']))", "Call:re.sub"},
+		{"lambda r: r['t'].split(',')[0]", "Subscript"},
+		{"lambda r: len(r['t'].split(','))", "Call:.split"},
+		{"lambda r: r['t'][::2]", "Slice"},
+		{"lambda r: r['t'].replace('a', 'b', 1)", "Call:.replace"},
+		{"lambda r: '%s!' % r['t']", "BinOp:%"},
+		{"lambda r: '{:>4}'.format(r['a'])", "Call:.format"},
+		{"lambda r: r['t'] * 2", "BinOp:*"},
+		{"def f(r):\n    n = 0\n    for c in r['t']:\n        n += 1\n    return n", "For"},
+		{"def f(r):\n    n = 0\n    while n < r['a']:\n        n += 1\n    return n", "While"},
+		{"def f(r):\n    return len([c for c in r['t']])", "ListComp"},
+		{"def f(r):\n    if r['h']:\n        p = 1\n    else:\n        p = 'one'\n    return r['a']", "local p type-unstable"},
+		{"def f(r):\n    if r['h']:\n        p = 1\n    return p", "local p read before assignment"},
+		{"def f(r):\n    if r['h']:\n        return 1", "falls off the end"},
+		{"def f(r):\n    a, b = r['a'], r['b']\n    return a + b", "assignment to a subscript or tuple"},
+		{"def f(r):\n    r = 5\n    return r", "parameter r assigned"},
+		{"def f(r):\n    len(r['t'])\n    return 1", "ExprStmt"},
 	} {
-		if u := compileVecUDF(t, src, []types.Type{rowType()}, false); u.Vec != nil {
-			t.Errorf("%s: vectorized, but it is outside the supported grammar", src)
+		u := compileVecUDF(t, c.src, []types.Type{rowType()}, false)
+		if u.Vec != nil {
+			t.Errorf("%s: vectorized, but it is outside the supported grammar", c.src)
+		} else if u.VecDecline != c.why {
+			t.Errorf("%s: VecDecline = %q, want %q", c.src, u.VecDecline, c.why)
 		}
 	}
 	opts := DefaultOptions()
 	opts.Specialize = false
 	fn, _ := pyast.ParseUDF("lambda r: r['a'] + 1")
 	info, _ := inference.TypeFunction(fn, []types.Type{rowType()}, nil, inference.Options{})
-	if u, err := Compile(info, nil, opts); err != nil || u.Vec != nil {
-		t.Errorf("unspecialized compile: vec=%v err=%v; the ablation arm must stay row-at-a-time", u.Vec != nil, err)
+	if u, err := Compile(info, nil, opts); err != nil || u.Vec != nil || u.VecDecline != "unspecialized" {
+		t.Errorf("unspecialized compile: vec=%v why=%q err=%v; the ablation arm must stay row-at-a-time", u.Vec != nil, u.VecDecline, err)
 	}
 }
 

@@ -117,10 +117,10 @@ func NewVec(t types.Type) *Vec {
 	return v
 }
 
-// Retype resets the vector for a (possibly different) column type.
-func (v *Vec) Retype(t types.Type) {
-	k := t.Kind()
-	nullable := false
+// PayloadKind is the Kind of a vector holding column type t (an Option
+// unwraps to its element), and whether such a vector is nullable.
+func PayloadKind(t types.Type) (k types.Kind, nullable bool) {
+	k = t.Kind()
 	if k == types.KindOption {
 		nullable = true
 		k = t.Elem().Kind()
@@ -130,8 +130,12 @@ func (v *Vec) Retype(t types.Type) {
 	default:
 		k = types.KindAny // boxed escape hatch
 	}
-	v.Kind = k
-	v.Nullable = nullable
+	return k, nullable
+}
+
+// Retype resets the vector for a (possibly different) column type.
+func (v *Vec) Retype(t types.Type) {
+	v.Kind, v.Nullable = PayloadKind(t)
 	v.Reset()
 }
 

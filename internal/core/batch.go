@@ -71,10 +71,11 @@ type batchKernel struct {
 	argIdx int
 	colIdx int
 	// vec is the UDF's vector program (codegen/vec.go) when this kernel
-	// can run it: a filter over any vectorizable expression, a
-	// withColumn/mapColumn whose derived vector has the expression's
-	// kind. nil keeps the row closure.
-	vec *codegen.VecExpr
+	// can run it: a filter over any vectorizable body, a
+	// withColumn/mapColumn whose derived vector has the program's kind.
+	// nil keeps the row closure, and rowWhy says why.
+	vec    *codegen.VecExpr
+	rowWhy string
 	// inCols is the schema width entering the op; argCols lists the
 	// columns a whole-row UDF actually reads (accessed columns plus guard
 	// columns; nil = fill every column).
@@ -116,7 +117,7 @@ func fuseKernels(kernels []*batchKernel) [][]*batchKernel {
 	var cur []*batchKernel
 	for i, k := range kernels {
 		k.ki = i
-		k.vec = kernelVec(k)
+		k.vec, k.rowWhy = kernelVec(k)
 		switch k.kind {
 		case bkSelect, bkJoin:
 			if len(cur) > 0 {
@@ -135,46 +136,59 @@ func fuseKernels(kernels []*batchKernel) [][]*batchKernel {
 }
 
 // kernelVec returns the vector program kernel k can run in place of its
-// row closure, or nil.
-func kernelVec(k *batchKernel) *codegen.VecExpr {
-	if k.su == nil || k.su.compiled == nil || k.su.compiled.Vec == nil {
-		return nil
+// row closure, or nil and what keeps it on the closure.
+func kernelVec(k *batchKernel) (*codegen.VecExpr, string) {
+	if k.su == nil {
+		return nil, ""
+	}
+	if k.su.compiled == nil {
+		return nil, "uncompiled"
 	}
 	v := k.su.compiled.Vec
-	switch k.kind {
-	case bkFilter:
-		return v
-	case bkWithColumn, bkMapColumn:
-		// The derived vector is typed from the UDF's return type; an
-		// Option or boxed return keeps the row closure.
-		if k.outTypes[0].Kind() == v.Kind() {
-			return v
-		}
+	switch {
+	case v == nil:
+		return nil, k.su.compiled.VecDecline
+	case k.kind == bkFilter:
+		return v, ""
+	case k.kind == bkMap:
+		return nil, "map kernel"
 	}
-	return nil
+	// The derived vector is typed from the stage's schema; the program
+	// writes its own kind (and nulls, for an Option) and nothing else.
+	if dk, _ := colvec.PayloadKind(k.outTypes[0]); dk != v.Kind() {
+		return nil, "column typed " + k.outTypes[0].String()
+	}
+	return v, ""
 }
 
 // kernelModes renders the plan's batch kernels (and a batch-executed
-// aggregate terminal) as "op:vec" / "op:row" pairs for the compile span,
-// so a UDF that stopped vectorizing shows without a profiler.
+// aggregate terminal) as "op:vec" / "op:row(why)" entries for the compile
+// span, so a UDF that stopped vectorizing — and the node that stopped it —
+// shows without a profiler.
 func (pl *stagePlan) kernelModes() string {
 	if pl.batch == nil {
 		return ""
 	}
-	mode := func(vec bool) string {
-		if vec {
-			return ":vec"
-		}
-		return ":row"
-	}
 	var parts []string
 	for _, k := range pl.batch.kernels {
-		if k.su != nil {
-			parts = append(parts, pl.opNames[k.ridx]+mode(k.vec != nil))
+		switch {
+		case k.su == nil:
+		case k.vec != nil:
+			parts = append(parts, pl.opNames[k.ridx]+":vec")
+		default:
+			parts = append(parts, pl.opNames[k.ridx]+":row("+k.rowWhy+")")
 		}
 	}
 	if pl.batch.suffix == nil && pl.terminal == physical.TerminalAggregate {
-		parts = append(parts, pl.opNames[pl.termRouteIdx]+mode(pl.aggFold != nil))
+		name := pl.opNames[pl.termRouteIdx]
+		switch {
+		case pl.aggFold != nil:
+			parts = append(parts, name+":vec")
+		case pl.aggUDF != nil && pl.aggUDF.compiled != nil:
+			parts = append(parts, name+":row("+pl.aggUDF.compiled.VecDecline+")")
+		default:
+			parts = append(parts, name+":row(uncompiled)")
+		}
 	}
 	return strings.Join(parts, ",")
 }
@@ -465,33 +479,7 @@ func (sr *stageRun) runSlotsColumnar(ts *task, p int) error {
 // exception count (one per failed source row).
 func (sr *stageRun) runBatchBody(ts *task, bst *batchState, p int) int64 {
 	bp := sr.batch
-	n := len(bst.keys)
-	bst.n = n
-	bst.sel = bst.sel[:0]
-	for i := 0; i < n; i++ {
-		bst.sel = append(bst.sel, int32(i))
-	}
-	bst.cols = append(bst.cols[:0], bst.src...)
-
-	var normalExc int64
-	for _, g := range bp.groups {
-		switch g[0].kind {
-		case bkJoin:
-			normalExc += sr.runJoinKernel(ts, bst, g[0], p)
-		case bkSelect:
-			k := g[0]
-			if ts.route != nil {
-				ts.route[k.ridx] += int64(len(bst.sel))
-			}
-			out := bst.cols2[:0]
-			for _, i := range k.perm {
-				out = append(out, bst.cols[i])
-			}
-			bst.cols, bst.cols2 = out, bst.cols
-		default:
-			normalExc += sr.runGroup(ts, bst, g, p)
-		}
-	}
+	normalExc := sr.runKernels(ts, bst, p)
 	ts.columnarRows += int64(len(bst.sel))
 
 	if bp.suffix == nil {
@@ -529,6 +517,40 @@ func (sr *stageRun) runBatchBody(ts *task, bst *batchState, p int) int64 {
 			if ec := bp.suffix(ts, bst.keyOf(r), row); ec != 0 {
 				normalExc += sr.failBatchRow(ts, bst, p, r, ec, ts.excOp)
 			}
+		}
+	}
+	return normalExc
+}
+
+// runKernels selects every ingested row of the batch and runs the kernel
+// groups over it, leaving the survivors in bst.sel and their columns in
+// bst.cols. Returns the normal-path exception count.
+func (sr *stageRun) runKernels(ts *task, bst *batchState, p int) int64 {
+	n := len(bst.keys)
+	bst.n = n
+	bst.sel = bst.sel[:0]
+	for i := 0; i < n; i++ {
+		bst.sel = append(bst.sel, int32(i))
+	}
+	bst.cols = append(bst.cols[:0], bst.src...)
+
+	var normalExc int64
+	for _, g := range sr.batch.groups {
+		switch g[0].kind {
+		case bkJoin:
+			normalExc += sr.runJoinKernel(ts, bst, g[0], p)
+		case bkSelect:
+			k := g[0]
+			if ts.route != nil {
+				ts.route[k.ridx] += int64(len(bst.sel))
+			}
+			out := bst.cols2[:0]
+			for _, i := range k.perm {
+				out = append(out, bst.cols[i])
+			}
+			bst.cols, bst.cols2 = out, bst.cols
+		default:
+			normalExc += sr.runGroup(ts, bst, g, p)
 		}
 	}
 	return normalExc

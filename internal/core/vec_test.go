@@ -1,6 +1,7 @@
-package core
+package core_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -8,15 +9,20 @@ import (
 	"strings"
 	"testing"
 
+	tuplex "github.com/gotuplex/tuplex"
+	"github.com/gotuplex/tuplex/internal/core"
 	"github.com/gotuplex/tuplex/internal/data"
 	"github.com/gotuplex/tuplex/internal/logical"
+	"github.com/gotuplex/tuplex/internal/pipelines"
 	"github.com/gotuplex/tuplex/internal/pyvalue"
+	"github.com/gotuplex/tuplex/internal/spec"
 	"github.com/gotuplex/tuplex/internal/trace"
 )
 
 // The vector kernels claim to change nothing but speed. These tests run
 // one compiled plan twice — as compiled, and with every vector program
-// stripped from it so the row closures do all the work — and require the
+// stripped from it (CompiledPlan.StripVec, export_test.go) so the row
+// closures do all the work — and require the
 // two runs to be indistinguishable: result bits, path counters, the
 // per-operator routing ledger, the exception pool's size, its sampled
 // rows and the failed rows.
@@ -39,32 +45,6 @@ func chain(ops ...logical.Op) *logical.Node {
 	return n
 }
 
-// stripVec removes every vector program from the compiled plan and
-// reports how many it found.
-func stripVec(c *chainPlan) (n int) {
-	for _, sl := range c.stages {
-		for _, jb := range sl.builds {
-			n += stripVec(jb.chain)
-		}
-		if sl.plan == nil {
-			continue
-		}
-		if sl.plan.aggFold != nil {
-			sl.plan.aggFold = nil
-			n++
-		}
-		if sl.plan.batch != nil {
-			for _, k := range sl.plan.batch.kernels {
-				if k.vec != nil {
-					k.vec = nil
-					n++
-				}
-			}
-		}
-	}
-	return n
-}
-
 // runObs is everything observable about one run except wall time.
 type runObs struct {
 	Result   string
@@ -72,7 +52,7 @@ type runObs struct {
 	Ledgers  [][]trace.OpRouting
 	Samples  [][]trace.ExcSample
 	Pools    []string
-	Failed   []FailedRow
+	Failed   []core.FailedRow
 	Vector   int64
 	Bail     int64
 	Kernels  []string
@@ -88,7 +68,7 @@ func f64bits(f float64) uint64 {
 	return math.Float64bits(f)
 }
 
-func observe(t *testing.T, res *Result) runObs {
+func observe(t *testing.T, res *core.Result) runObs {
 	t.Helper()
 	var o runObs
 	var sb strings.Builder
@@ -143,10 +123,10 @@ func observe(t *testing.T, res *Result) runObs {
 // row-only).
 func vecOnOff(t *testing.T, sink *logical.Node, executors int) (on, off runObs) {
 	t.Helper()
-	opts := DefaultOptions()
+	opts := core.DefaultOptions()
 	opts.Executors = executors
 	opts.Trace = trace.LevelSamples
-	cold, cp, err := CompileAndExecute(context.Background(), sink, SinkCollect, "", opts)
+	cold, cp, err := core.CompileAndExecute(context.Background(), sink, core.SinkCollect, "", opts)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -160,7 +140,7 @@ func vecOnOff(t *testing.T, sink *logical.Node, executors int) (on, off runObs) 
 	}
 	on = run()
 	on.Kernels = kernels
-	if stripVec(cp.root) == 0 {
+	if cp.StripVec() == 0 {
 		t.Fatalf("plan holds no vector program (kernels %v)", kernels)
 	}
 	off = run()
@@ -249,9 +229,9 @@ func TestVecQ6DirtySameAsRowPath(t *testing.T) {
 	}
 }
 
-// TestVecPipelineSameAsRowPath drives vector filter and withColumn
-// kernels fused with a row kernel (the string filter), a resolver, and a
-// conditional vector fold, over data with zero divisors and nulls.
+// TestVecPipelineSameAsRowPath drives numeric and string vector filter and
+// withColumn kernels, a resolver, and a conditional vector fold, over data
+// with zero divisors and nulls.
 func TestVecPipelineSameAsRowPath(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("p,q,z,tag,o\n")
@@ -278,7 +258,7 @@ func TestVecPipelineSameAsRowPath(t *testing.T) {
 	)
 	for _, ex := range []int{1, 2, 4} {
 		on, off := vecOnOff(t, sink, ex)
-		want := "filter:vec,withColumn(u):vec,filter:row,withColumn(w):vec,filter:vec,aggregate:vec"
+		want := "filter:vec,withColumn(u):vec,filter:vec,withColumn(w):vec,filter:vec,aggregate:vec"
 		if len(on.Kernels) != 1 || on.Kernels[0] != want {
 			t.Fatalf("executors=%d: kernels = %v, want [%s]", ex, on.Kernels, want)
 		}
@@ -310,4 +290,104 @@ func TestVecCollectSameAsRowPath(t *testing.T) {
 		t.Fatalf("14 %% 0 never bailed (counters %v)", on.Counters)
 	}
 	requireSameRun(t, on, off)
+}
+
+// ---- the paper pipelines -------------------------------------------------
+
+// planNode lowers a public-API pipeline to the logical plan the engine
+// compiles, through its serialized form (the only door from a DataSet to
+// internal/logical).
+func planNode(t testing.TB, ds *tuplex.DataSet) *logical.Node {
+	t.Helper()
+	plan, err := ds.Plan()
+	if err != nil {
+		t.Fatalf("plan: %v", err)
+	}
+	doc, err := plan.MarshalJSON()
+	if err != nil {
+		t.Fatalf("encode plan: %v", err)
+	}
+	p, err := spec.Decode(doc)
+	if err != nil {
+		t.Fatalf("decode plan: %v", err)
+	}
+	built, err := p.Build()
+	if err != nil {
+		t.Fatalf("build plan: %v", err)
+	}
+	return built.Node
+}
+
+// TestVecPaperPipelinesSameAsRowPath runs Zillow, flights and weblogs —
+// string UDFs, statement bodies, joins, dirty rows — compiled and stripped
+// at 1 to 4 executors: results, counters, per-op ledger, pool order,
+// samples and failed rows must not tell the two apart.
+func TestVecPaperPipelinesSameAsRowPath(t *testing.T) {
+	c := tuplex.NewContext(tuplex.WithSeed(4242))
+	logs, bad := data.Weblogs(data.WeblogConfig{Rows: 4000, Seed: 77})
+	var lines [][]any
+	for _, l := range strings.Split(strings.TrimSuffix(string(logs), "\n"), "\n") {
+		lines = append(lines, []any{l})
+	}
+	cases := []struct {
+		name string
+		ds   *tuplex.DataSet
+		// vec is a kernel that must run as a vector program, bails whether
+		// dirty rows must reach the replay.
+		vec   string
+		bails bool
+	}{
+		{"zillow", pipelines.Zillow(c.CSV("", tuplex.CSVData(data.Zillow(data.ZillowConfig{Rows: 6000, Seed: 123, DirtyFraction: 0.03})))),
+			"withColumn(price):vec", true},
+		{"flights", pipelines.Flights(pipelines.FlightsSources(c, data.Flights(data.FlightsConfig{Rows: 3000, Seed: 321}), data.Carriers(), data.Airports())),
+			"mapColumn(CrsArrTime):vec", false},
+		// A Parallelize source puts the log lines on the batch plane (a
+		// text source runs the row path, where there is nothing to strip).
+		{"weblogs", pipelines.Weblogs(c.Parallelize(lines, []string{"value"}), c.CSV("", tuplex.CSVData(bad)), pipelines.WeblogSplit),
+			"mapColumn(content_size):vec", false},
+	}
+	for _, p := range cases {
+		sink := planNode(t, p.ds)
+		for ex := 1; ex <= 4; ex++ {
+			on, off := vecOnOff(t, sink, ex)
+			if !strings.Contains(strings.Join(on.Kernels, ";"), p.vec) {
+				t.Fatalf("%s: kernels = %v, want %s among them", p.name, on.Kernels, p.vec)
+			}
+			if on.Vector == 0 || (p.bails && on.Bail == 0) {
+				t.Fatalf("%s executors=%d: vector rows %d, bail %d", p.name, ex, on.Vector, on.Bail)
+			}
+			requireSameRun(t, on, off)
+		}
+	}
+}
+
+// BenchmarkVecZillowKernels runs Zillow's kernels — the ten derived
+// columns and filters ahead of the final price filter, and that filter —
+// over one full batch of clean rows, outside ingest and sink. It fails if
+// any of them lost its vector program or a clean row needed the replay.
+func BenchmarkVecZillowKernels(b *testing.B) {
+	const n = 4096
+	raw := data.Zillow(data.ZillowConfig{Rows: n, Seed: 9})
+	sink := planNode(b, pipelines.Zillow(tuplex.NewContext().CSV("", tuplex.CSVData(raw))))
+	_, cp, err := core.CompileAndExecute(context.Background(), sink, core.SinkCollect, "", core.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	records := bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n"))[1:]
+	run, kernels := cp.KernelBench(records)
+	if strings.Contains(kernels, ":row") || strings.Count(kernels, ":vec") != 11 {
+		b.Fatalf("a Zillow kernel has no vector program: %s", kernels)
+	}
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var vec, bail int64
+	for i := 0; i < b.N; i++ {
+		vec, bail = run()
+	}
+	b.StopTimer()
+	if vec < int64(len(records)) || bail != 0 {
+		b.Fatalf("vector rows %d, bail rows %d over %d clean rows; want every kernel×row vectorized and no bail", vec, bail, len(records))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(records)), "ns/row")
 }

@@ -17,6 +17,13 @@ import (
 // through struct fields) are allowed: they reuse capacity and allocate
 // only on growth.
 //
+// A `string(b)` conversion assigned inside a kernel loop is flagged for
+// the same reason: string kernels keep their values as spans over column
+// bytes or the batch arena (aliased, not converted), and a conversion that
+// is kept copies one heap string per row. (A conversion used in place — a
+// map key, which the compiler elides, or a call argument on a rare path —
+// is not.)
+//
 // Beyond raw allocation, the analyzer also flags per-row boxed-row
 // construction: a `rows.Slot{...}` composite literal or an
 // `unboxConforming` call inside a kernel loop means the kernel is
@@ -29,7 +36,7 @@ import (
 // switching to a reused scratch buffer.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "no make/append-per-row allocation or boxed-Slot construction inside //tuplex:kernel loop bodies",
+	Doc:  "no make/append-per-row allocation, stored string(b) conversion or boxed-Slot construction inside //tuplex:kernel loop bodies",
 	Run:  runHotAlloc,
 }
 
@@ -106,6 +113,8 @@ func checkKernelBody(p *Pass, body *ast.BlockStmt) {
 								continue // amortized self-append
 							}
 							p.Reportf(call.Pos(), "append to a different slice inside kernel loop allocates per row; use a self-append (x = append(x, ...)) or preallocate")
+						case "string":
+							p.Reportf(call.Pos(), "string conversion stored inside kernel loop copies one heap string per row; alias the bytes or keep the value a span")
 						}
 					}
 				}
@@ -136,7 +145,7 @@ func checkKernelBody(p *Pass, body *ast.BlockStmt) {
 }
 
 // builtinName returns the name of a builtin call target ("make",
-// "append") or "".
+// "append") or of the one-argument conversion to "string", or "".
 func builtinName(call *ast.CallExpr) string {
 	id, ok := call.Fun.(*ast.Ident)
 	if !ok {
@@ -145,6 +154,10 @@ func builtinName(call *ast.CallExpr) string {
 	switch id.Name {
 	case "make", "append":
 		return id.Name
+	case "string":
+		if len(call.Args) == 1 {
+			return id.Name
+		}
 	}
 	return ""
 }

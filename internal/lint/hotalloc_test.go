@@ -176,3 +176,100 @@ func vecCmpLeaky[T vnum](a []T, c T, sel []int32) [][]int32 {
 		t.Fatalf("diagnostics = %d, want 2: %v", len(diags), diags)
 	}
 }
+
+// String kernels (codegen/vecstr.go) read cells as spans aliasing column
+// bytes, call a scalar helper per row, and let producers append to the
+// batch arena through the state; none of that allocates per row. What
+// does — converting a cell's bytes to a string, growing a fresh buffer per
+// row — must fail tuplex-vet.
+func TestHotAllocStringKernelShapes(t *testing.T) {
+	good := `package codegen
+
+import "unsafe"
+
+type strArg struct {
+	vec       []string
+	off, slen []uint32
+	bytes     []byte
+}
+
+func (a *strArg) at(r int32) string {
+	if a.vec != nil {
+		return a.vec[r]
+	}
+	o, n := int(a.off[r]), int(a.slen[r])
+	if n == 0 || o+n > len(a.bytes) {
+		return ""
+	}
+	return unsafe.String(&a.bytes[o], n) // aliases, does not copy
+}
+
+type state struct {
+	arena []byte
+	mark  []bool
+}
+
+//tuplex:kernel
+func vecStrCaseFold(out []string, s strArg, sel []int32, st *state) {
+	for _, r := range sel {
+		start := len(st.arena)
+		st.arena = appendFold(st.arena, s.at(r)) // producer appends to the batch arena
+		out[r] = unsafe.String(&st.arena[start], len(st.arena)-start)
+	}
+}
+
+//tuplex:kernel
+func vecStrConcat(out []string, a, b strArg, sel []int32, st *state) {
+	for _, r := range sel {
+		start := len(st.arena)
+		st.arena = append(st.arena, a.at(r)...) // amortized self-append through a field
+		st.arena = append(st.arena, b.at(r)...)
+		out[r] = unsafe.String(&st.arena[start], len(st.arena)-start)
+	}
+}
+
+//tuplex:kernel
+func vecStrSlice(out []string, s strArg, lo []int64, sel []int32) {
+	for _, r := range sel {
+		v := s.at(r)
+		out[r] = v[min(int(lo[r]), len(v)):] // a re-span, zero-copy
+	}
+}
+
+func appendFold(dst []byte, s string) []byte { return append(dst, s...) }
+`
+	if diags := analyze(t, "internal/codegen", good, HotAlloc); len(diags) != 0 {
+		t.Fatalf("diagnostics = %v, want none", diags)
+	}
+
+	bad := `package codegen
+
+type col struct {
+	off, slen []uint32
+	bytes     []byte
+}
+
+//tuplex:kernel
+func vecStrUpperLeaky(out []string, c *col, sel []int32) {
+	for _, r := range sel {
+		cell := c.bytes[c.off[r] : c.off[r]+c.slen[r]]
+		out[r] = string(cell) // one heap string per row: flagged
+	}
+}
+
+//tuplex:kernel
+func vecStrConcatLeaky(out []string, a, b []string, sel []int32) {
+	for _, r := range sel {
+		buf := append([]byte(nil), a[r]...) // fresh buffer per row: flagged
+		buf = append(buf, b[r]...)          // self-append: allowed
+		out[r] = string(buf)                // and the conversion: flagged
+	}
+}
+`
+	diags := analyze(t, "internal/codegen", bad, HotAlloc)
+	wantDiag(t, diags, "hotalloc", "string conversion stored inside kernel loop")
+	wantDiag(t, diags, "hotalloc", "append to a different slice")
+	if len(diags) != 3 {
+		t.Fatalf("diagnostics = %d, want 3: %v", len(diags), diags)
+	}
+}

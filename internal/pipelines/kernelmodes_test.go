@@ -1,0 +1,90 @@
+package pipelines
+
+import (
+	"strings"
+	"testing"
+
+	tuplex "github.com/gotuplex/tuplex"
+	"github.com/gotuplex/tuplex/internal/data"
+)
+
+// kernelModes collects the kernels= attribute of every compile span of a
+// traced run, in span order: one entry per stage with a batch plan.
+func kernelModes(t *testing.T, res *tuplex.Result, err error) []string {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	var walk func(s *tuplex.Span)
+	walk = func(s *tuplex.Span) {
+		for _, a := range s.Attrs {
+			if s.Name == "compile" && a.Key == "kernels" {
+				out = append(out, a.Val)
+			}
+		}
+		for _, c := range s.Children {
+			walk(c)
+		}
+	}
+	walk(res.Trace.Root)
+	return out
+}
+
+// TestKernelModesGolden pins, for the five paper pipelines, which batch
+// kernels run as vector programs and what keeps each of the others on its
+// row closure — the string the compile span shows as kernels=. A UDF that
+// stops vectorizing, or starts to, changes a line here.
+func TestKernelModesGolden(t *testing.T) {
+	c := tuplex.NewContext(tuplex.WithTracing(tuplex.TraceSpans), tuplex.WithSeed(4242))
+	csv := func(b []byte) *tuplex.DataSet { return c.CSV("", tuplex.CSVData(b)) }
+
+	zillow, err := Zillow(csv(data.Zillow(data.ZillowConfig{Rows: 2000, Seed: 1}))).ToCSV("")
+	got := map[string][]string{"zillow": kernelModes(t, zillow, err)}
+
+	flights, err := Flights(FlightsSources(c, data.Flights(data.FlightsConfig{Rows: 2000, Seed: 1}), data.Carriers(), data.Airports())).ToCSV("")
+	got["flights"] = kernelModes(t, flights, err)
+
+	logs, bad := data.Weblogs(data.WeblogConfig{Rows: 2000, Seed: 1})
+	weblogs, err := Weblogs(c.Text("", tuplex.TextData(logs)), csv(bad), WeblogStrip).ToCSV("")
+	got["weblogs"] = kernelModes(t, weblogs, err)
+
+	t311, err := ThreeOneOne(csv(data.ThreeOneOne(data.ThreeOneOneConfig{Rows: 2000, Seed: 1}))).ToCSV("")
+	got["311"] = kernelModes(t, t311, err)
+
+	_, q6, err := Q6(csv(data.TPCHLineitem(data.TPCHConfig{Rows: 2000, Seed: 1})))
+	got["q6"] = kernelModes(t, q6, err)
+
+	want := map[string][]string{
+		// All eleven UDF operators of Appendix A.1 (ten kernels ahead of the
+		// price filter) run as vector programs.
+		"zillow": {"withColumn(bedrooms):vec,filter:vec,withColumn(type):vec,filter:vec,withColumn(zipcode):vec,mapColumn(city):vec," +
+			"withColumn(bathrooms):vec,withColumn(sqft):vec,withColumn(offer):vec,withColumn(price):vec,filter:vec"},
+		// Carriers build side; airports build side (twice: two joins);
+		// then the probe stage, whose kernels after the first join run
+		// their row closures anyway (vector kernels stop at the first
+		// index-space remap). The row kernels all read a column the sample
+		// typed null (an all-empty cancellation code, an unseen delay).
+		"flights": {
+			"withColumn(AirlineName):vec,withColumn(AirlineYearFounded):vec,withColumn(AirlineYearDefunct):vec",
+			"mapColumn(AirportName):row(Call:string.capwords),mapColumn(AirportCity):row(Call:string.capwords)",
+			"mapColumn(AirportName):row(Call:string.capwords),mapColumn(AirportCity):row(Call:string.capwords)",
+			"withColumn(OriginCity):vec,withColumn(OriginState):vec,withColumn(DestCity):vec,withColumn(DestState):vec," +
+				"mapColumn(CrsArrTime):vec,mapColumn(CrsDepTime):vec,withColumn(CancellationCode):row(Compare:==)," +
+				"mapColumn(Diverted):vec,mapColumn(Cancelled):vec,withColumn(CancellationReason):row(Name:ccode)," +
+				"withColumn(ActualElapsedTime):vec,mapColumn(Distance):vec,mapColumn(AirlineName):vec,filter:row(Name:airlineYearDefunct)," +
+				"mapColumn(ActualElapsedTime):vec,mapColumn(AirTime):vec,mapColumn(ArrDelay):vec,mapColumn(CarrierDelay):row(Name:x)," +
+				"mapColumn(CrsElapsedTime):vec,mapColumn(DepDelay):vec,mapColumn(LateAircraftDelay):row(Name:x),mapColumn(NasDelay):row(Name:x)," +
+				"mapColumn(SecurityDelay):row(Name:x),mapColumn(TaxiIn):vec,mapColumn(TaxiOut):vec,mapColumn(WeatherDelay):row(Name:x)",
+		},
+		// A text source runs the row path: no batch plan, no kernels.
+		"weblogs": nil,
+		"311":     {"mapColumn(Incident Zip):row(Call:str),filter:vec"},
+		"q6":      {"aggregate:vec"},
+	}
+	for name, w := range want {
+		if g := got[name]; strings.Join(g, "\n") != strings.Join(w, "\n") {
+			t.Errorf("%s kernel modes:\n  got  %q\n  want %q", name, g, w)
+		}
+	}
+}

@@ -139,8 +139,7 @@ func AppendPercentFormat(dst []byte, format string, arg Value) ([]byte, error) {
 				slow(n)
 				break
 			}
-			body := strconv.AppendInt(tmp[:0], n, 10)
-			dst = appendPadded(dst, numSign(body, plus, space), body, width, minus, zero)
+			dst = appendIntDirective(dst, n, width, minus, plus, space, zero)
 		case 'f', 'F', 'e', 'E', 'g', 'G':
 			f, ok := asFloat(v)
 			if !ok {

@@ -230,7 +230,12 @@ func (t *jobTable) retire(j *job) {
 		delete(t.live, j.id)
 		t.recent = append(t.recent, j)
 		if len(t.recent) > maxRecentJobs {
-			t.recent = t.recent[len(t.recent)-maxRecentJobs:]
+			// Shift down rather than re-slice: a re-slice keeps evicted
+			// jobs — and their inline results — reachable through the
+			// backing array until append happens to reallocate it.
+			n := copy(t.recent, t.recent[len(t.recent)-maxRecentJobs:])
+			clear(t.recent[n:])
+			t.recent = t.recent[:n]
 		}
 	}
 	t.mu.Unlock()

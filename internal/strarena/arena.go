@@ -64,19 +64,3 @@ func (a *Arena) Intern(b []byte) string {
 	s := a.buf[off:]
 	return unsafe.String(&s[0], len(b))
 }
-
-// Concat interns the concatenation of two strings.
-func (a *Arena) Concat(x, y string) string {
-	n := len(x) + len(y)
-	if n == 0 {
-		return ""
-	}
-	if len(a.buf)+n > cap(a.buf) {
-		a.grow(n)
-	}
-	off := len(a.buf)
-	a.buf = append(a.buf, x...)
-	a.buf = append(a.buf, y...)
-	s := a.buf[off:]
-	return unsafe.String(&s[0], n)
-}

@@ -44,17 +44,6 @@ func TestInternHugeString(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	var a Arena
-	cases := [][2]string{{"", ""}, {"a", ""}, {"", "b"}, {"foo", "bar"},
-		{strings.Repeat("x", maxChunk), "y"}}
-	for _, c := range cases {
-		if got, want := a.Concat(c[0], c[1]), c[0]+c[1]; got != want {
-			t.Fatalf("Concat(%q, %q) = %q", c[0], c[1], got)
-		}
-	}
-}
-
 func TestChunkRollover(t *testing.T) {
 	var a Arena
 	var got []string
