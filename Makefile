@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet tuplex-vet plancheck race check bench bench-check bench-ingest bench-smoke bench-json bench-compare telemetry-smoke serve-smoke trace-demo
+.PHONY: all build test vet fmt-check tuplex-vet plancheck race check bench bench-check bench-ingest bench-smoke telemetry-smoke serve-smoke trace-demo
 
 all: build test
 
@@ -16,6 +16,10 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file gofmt-clean.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 # Repo-specific analyzers (internal/lint): exported-API internal-type
 # leaks, trace-span Begin/End mispairings, atomic copies, hot-path
@@ -45,7 +49,7 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-check: build vet tuplex-vet plancheck test race bench-check
+check: build vet fmt-check tuplex-vet plancheck test race bench-check
 
 bench-ingest:
 	$(GO) test -bench BenchmarkIngest -run '^$$' .
@@ -62,19 +66,6 @@ bench-smoke:
 # empty/malformed responses.
 telemetry-smoke:
 	sh scripts/telemetry_smoke.sh
-
-# Machine-readable benchmark snapshot (ingest, join, flights, compiler
-# optimizations, serve cold/warm/throughput) written to BENCH_8.json;
-# commit the refreshed file when performance-relevant code changes.
-bench-json:
-	$(GO) run ./cmd/tuplex-bench -out BENCH_8.json bench-json
-
-# Regression gate: rerun bench-json and compare against the committed
-# BENCH_8.json; fails on >25% throughput drop or >2x allocs growth,
-# with a hard guard on join/sharded allocs/op (the columnar-barrier
-# win).
-bench-compare:
-	sh scripts/bench_compare.sh
 
 # End-to-end check of the tuplex-serve daemon: zillow job answers 200,
 # byte-identical resubmission is a cache hit, cold p50 >= 10x warm p50

@@ -7,7 +7,7 @@
 //
 //	tuplex-bench [flags] <experiment>
 //
-// Experiments: table2 fig3 fig4 fig5 fig6 fig7 fig9 fig10 fig11 fig12 ingest join bench-json all
+// Experiments: table2 fig3 fig4 fig5 fig6 fig7 fig9 fig10 fig11 fig12 ingest join all
 //
 // Flags:
 //
@@ -21,7 +21,6 @@
 //	-listen ADDR   serve /metrics, /debug/tuplex/runz and pprof while the
 //	               experiments run (runs are monitored automatically)
 //	-progress      live TTY progress line (stage, rows, rate, exc%, ETA)
-//	-out F         output path for the bench-json experiment (default BENCH_8.json)
 package main
 
 import (
@@ -45,7 +44,6 @@ func main() {
 	traceDir := flag.String("trace", "", "trace Tuplex runs and write <dir>/<id>.trace.json")
 	listen := flag.String("listen", "", "introspection server address (e.g. :9090)")
 	progress := flag.Bool("progress", false, "live TTY progress line for the running experiment")
-	benchOut := flag.String("out", "BENCH_8.json", "output path for bench-json")
 	flag.Parse()
 
 	if *listen != "" {
@@ -92,14 +90,6 @@ func main() {
 	which := "all"
 	if flag.NArg() > 0 {
 		which = strings.ToLower(flag.Arg(0))
-	}
-
-	if which == "bench-json" {
-		if err := experiments.BenchJSON(*benchOut, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "tuplex-bench:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	type expFn = func(experiments.Scale, io.Writer) (*experiments.Experiment, error)
@@ -151,7 +141,7 @@ func main() {
 	}
 	fn, ok := table[which]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "tuplex-bench: unknown experiment %q (have table2 fig3..fig12 ingest join bench-json all)\n", which)
+		fmt.Fprintf(os.Stderr, "tuplex-bench: unknown experiment %q (have table2 fig3..fig12 ingest join all)\n", which)
 		os.Exit(2)
 	}
 	if _, err := fn(scale, os.Stdout); err != nil {

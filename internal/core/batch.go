@@ -27,6 +27,7 @@ import (
 
 	"github.com/gotuplex/tuplex/internal/codegen"
 	"github.com/gotuplex/tuplex/internal/colvec"
+	"github.com/gotuplex/tuplex/internal/csvio"
 	"github.com/gotuplex/tuplex/internal/physical"
 	"github.com/gotuplex/tuplex/internal/pyvalue"
 	"github.com/gotuplex/tuplex/internal/rows"
@@ -211,6 +212,9 @@ type batchState struct {
 	raws    [][]byte
 	srcRows []rows.Row
 	argBuf  []rows.Slot
+	// chunk is the chunk parser's per-batch output (streamed CSV); raws
+	// aliases its record spans.
+	chunk csvio.ChunkBatch
 
 	// n is the current index-space size: the source row count until a
 	// join remaps the batch to its fan-out output space.
@@ -398,29 +402,45 @@ func (sr *stageRun) runRecordsColumnar(ts *task, p int, recs [][]byte, baseKey u
 		}
 		normalExc += sr.runBatchBody(ts, bst, p)
 	}
-
-	normal := input - rejects - normalExc
-	c := &ts.eng.res.Metrics.Counters
-	c.InputRows.Add(input)
-	c.ClassifierRejects.Add(rejects)
-	c.NormalPathExceptions.Add(normalExc)
-	c.NormalRows.Add(normal)
-	ts.inRows += input
-	if ts.route != nil {
-		ts.route[0] += input
-		ts.routeExc[0] += rejects
-	}
-	ts.flushProbeCounters()
-	ts.flushBatchCounters()
-	if copyRaw {
-		for i := range ts.pool {
-			if ts.pool[i].raw != nil {
-				ts.pool[i].raw = append([]byte(nil), ts.pool[i].raw...)
-			}
-		}
-	}
+	ts.finishRows(input, rejects, normalExc, copyRaw)
 	sr.putBatchState(ts)
 	return nil
+}
+
+// runChunkColumnar is runRecordsColumnar over a streamed chunk: each
+// batch is one csvio.ParseChunk call straight into the source vectors,
+// with the accepted records' spans in bst.raws and no record list for
+// the chunk. Keys, batches, pool entries and counters are those of
+// runRecordsColumnar over csvio.SplitRecords(data).
+func (sr *stageRun) runChunkColumnar(ts *task, p int, data []byte, baseKey uint64) {
+	bst := sr.getBatchState(ts)
+	cb := &bst.chunk
+	var input, rejects, normalExc int64
+	for pos := 0; pos < len(data); {
+		bst.beginBatch()
+		bst.srcRows = nil
+		pos = sr.parse.ParseChunk(data, pos, batchMaxRows, bst.src, cb)
+		if cb.Records == 0 {
+			break // the chunk ended in an empty record
+		}
+		bst.raws = cb.Raws
+		key, rj := baseKey+uint64(input), cb.Rejects
+		for r := range cb.Records {
+			if len(rj) > 0 && rj[0].Rec == r {
+				ts.pool = append(ts.pool, exRow{part: p, key: key, raw: rj[0].Raw, ec: rj[0].EC})
+				rj = rj[1:]
+			} else {
+				bst.keys = append(bst.keys, key)
+			}
+			key++
+		}
+		input += int64(cb.Records)
+		rejects += int64(len(cb.Rejects))
+		ts.parseSlow += int64(cb.Slow)
+		normalExc += sr.runBatchBody(ts, bst, p)
+	}
+	ts.finishRows(input, rejects, normalExc, true)
+	sr.putBatchState(ts)
 }
 
 // runSlotsColumnar is the batch plan over a slot-native Parallelize
@@ -456,20 +476,7 @@ func (sr *stageRun) runSlotsColumnar(ts *task, p int) error {
 		}
 		normalExc += sr.runBatchBody(ts, bst, p)
 	}
-
-	normal := input - rejects - normalExc
-	c := &ts.eng.res.Metrics.Counters
-	c.InputRows.Add(input)
-	c.ClassifierRejects.Add(rejects)
-	c.NormalPathExceptions.Add(normalExc)
-	c.NormalRows.Add(normal)
-	ts.inRows += input
-	if ts.route != nil {
-		ts.route[0] += input
-		ts.routeExc[0] += rejects
-	}
-	ts.flushProbeCounters()
-	ts.flushBatchCounters()
+	ts.finishRows(input, rejects, normalExc, false)
 	sr.putBatchState(ts)
 	return nil
 }

@@ -370,6 +370,17 @@ func (eng *engine) execAndResolve(sr *stageRun, ssp *trace.Span) (*mat, error) {
 			trace.Int("vector_rows", bm.VectorRows.Load()-vector0),
 			trace.Int("vector_bail_rows", bm.VectorBailRows.Load()-vbail0))
 	}
+	if esp != nil && sr.stream != nil && sr.batch != nil {
+		// Streamed records the chunk parser handed whole to the
+		// per-record parser: a '"' that does not open a cell.
+		var slow int64
+		for _, ts := range sr.tasks {
+			if ts != nil {
+				slow += ts.parseSlow
+			}
+		}
+		esp.Add(trace.Int("parse_slow_records", slow))
+	}
 	if esp != nil {
 		esp.Tasks = eng.taskTimings(sr.tasks)
 	}

@@ -249,6 +249,9 @@ type task struct {
 	bouncedFlushed          int64
 	fusedPasses             int64
 	nullElided, nullChecked int64
+	// parseSlow counts streamed records the chunk parser handed to the
+	// per-record path (summed onto the stage's execute span).
+	parseSlow int64
 
 	// Tracing scratch. worker/start/dur/inRows feed the execute span's
 	// task timings (filled only when the tracer is on). route/routeExc
@@ -339,18 +342,14 @@ func (sr *stageRun) mergedRouting() []trace.OpRouting {
 }
 
 // runRecords feeds raw source records through the normal path with
-// order keys baseKey+i. Counters accumulate locally and flush once per
-// call — atomics per row would dominate tight loops. copyRaw detaches
-// pooled exception rows from the record storage (required when records
-// alias a reusable chunk buffer).
+// order keys baseKey+i (see finishRows for copyRaw).
 func (sr *stageRun) runRecords(ts *task, p int, recs [][]byte, baseKey uint64, copyRaw bool) error {
 	if sr.batch != nil {
 		return sr.runRecordsColumnar(ts, p, recs, baseKey, copyRaw)
 	}
-	var input, rejects, normalExc, normal int64
+	var rejects, normalExc int64
 	for i, rec := range recs {
 		key := baseKey + uint64(i)
-		input++
 		var row rows.Row
 		var ec ECode
 		if sr.isText {
@@ -373,26 +372,8 @@ func (sr *stageRun) runRecords(ts *task, p int, recs [][]byte, baseKey uint64, c
 			}
 			continue
 		}
-		normal++
 	}
-	c := &ts.eng.res.Metrics.Counters
-	c.InputRows.Add(input)
-	c.ClassifierRejects.Add(rejects)
-	c.NormalPathExceptions.Add(normalExc)
-	c.NormalRows.Add(normal)
-	ts.inRows += input
-	if ts.route != nil {
-		ts.route[0] += input
-		ts.routeExc[0] += rejects
-	}
-	ts.flushProbeCounters()
-	if copyRaw {
-		for i := range ts.pool {
-			if ts.pool[i].raw != nil {
-				ts.pool[i].raw = append([]byte(nil), ts.pool[i].raw...)
-			}
-		}
-	}
+	ts.finishRows(int64(len(recs)), rejects, normalExc, copyRaw)
 	return nil
 }
 
@@ -406,7 +387,7 @@ func (sr *stageRun) runPartition(ts *task, p int) error {
 	if sr.input == nil && sr.batch != nil {
 		return sr.runSlotsColumnar(ts, p)
 	}
-	var input, rejects, normalExc, normal int64
+	var input, rejects, normalExc int64
 	switch {
 	case sr.input == nil:
 		for i := r[0]; i < r[1]; i++ {
@@ -427,7 +408,6 @@ func (sr *stageRun) runPartition(ts *task, p int) error {
 				}
 				continue
 			}
-			normal++
 		}
 	default:
 		in := sr.input
@@ -441,23 +421,38 @@ func (sr *stageRun) runPartition(ts *task, p int) error {
 				if ts.routeExc != nil {
 					ts.routeExc[ts.excOp]++
 				}
-				continue
 			}
-			normal++
 		}
 	}
+	ts.finishRows(input, rejects, normalExc, false)
+	return nil
+}
+
+// finishRows flushes a task's local tallies into the run once per call —
+// atomics per row would dominate tight loops: the row counters, the
+// ledger's source entry, and the probe and batch-plane counters. copyRaw
+// detaches pooled exception rows from the record storage (required when
+// records alias a reusable chunk buffer).
+func (ts *task) finishRows(input, rejects, normalExc int64, copyRaw bool) {
 	c := &ts.eng.res.Metrics.Counters
 	c.InputRows.Add(input)
 	c.ClassifierRejects.Add(rejects)
 	c.NormalPathExceptions.Add(normalExc)
-	c.NormalRows.Add(normal)
+	c.NormalRows.Add(input - rejects - normalExc)
 	ts.inRows += input
 	if ts.route != nil {
 		ts.route[0] += input
 		ts.routeExc[0] += rejects
 	}
 	ts.flushProbeCounters()
-	return nil
+	ts.flushBatchCounters()
+	if copyRaw {
+		for i := range ts.pool {
+			if ts.pool[i].raw != nil {
+				ts.pool[i].raw = append([]byte(nil), ts.pool[i].raw...)
+			}
+		}
+	}
 }
 
 // flushProbeCounters drains the task-local join probe tallies into the
@@ -1183,7 +1178,7 @@ func (eng *engine) bind(source logical.Op, input *mat) (*stageRun, error) {
 				return nil, err
 			}
 			sr.stream = ss
-			records = ss.prefixRecords()
+			records = ss.sample
 		} else {
 			var bytesRead int64
 			var err error
@@ -1261,7 +1256,7 @@ func (eng *engine) planSource(pl *stagePlan, source logical.Op, sr *stageRun) ([
 	case *logical.CSVSource:
 		records, names := sr.records, sr.headerNames
 		if sr.stream != nil {
-			records, names = sr.stream.prefixRecords(), sr.stream.headerNames
+			records, names = sr.stream.sample, sr.stream.headerNames
 		}
 		if src.Columns != nil {
 			names = src.Columns

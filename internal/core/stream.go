@@ -21,9 +21,10 @@ import (
 // Streamed ingest (§4.4, §6.3.2): file-backed sources are not
 // materialized up front. A producer goroutine streams record-aligned
 // chunks off disk (csvio.ChunkReader) through a bounded channel; each
-// chunk becomes one partition, split into records and pushed through the
-// compiled normal path by whichever executor picks it up. Disk I/O,
-// record splitting, generated parsing and UDF execution overlap, and
+// chunk becomes one partition, parsed and pushed through the compiled
+// normal path by whichever executor picks it up (on a batch plan, a
+// batch of records per csvio.ParseChunk call). Disk I/O, record
+// splitting, generated parsing and UDF execution overlap, and
 // partition count is dynamic — it grows with the input instead of being
 // fixed by an upfront scan.
 //
@@ -41,33 +42,21 @@ type streamSource struct {
 	prod *chunkProducer
 	// prefix holds the chunks consumed while sampling; they are emitted
 	// as the first partitions so no byte is read twice.
-	prefix []prefixChunk
+	prefix []*csvio.Chunk
+	// sample holds the first records of the prefix, as many as sampling
+	// reads; they alias the prefix chunks.
+	sample [][]byte
 	// exhausted reports that the prefix covers the whole input.
 	exhausted bool
 	// headerNames are the column names from the first file's header row.
 	headerNames []string
 }
 
-type prefixChunk struct {
-	chunk *csvio.Chunk
-	recs  [][]byte
-}
-
-// prefixRecords returns the sampling records (all records of the prefix
-// chunks, in input order).
-func (ss *streamSource) prefixRecords() [][]byte {
-	var out [][]byte
-	for _, pc := range ss.prefix {
-		out = append(out, pc.recs...)
-	}
-	return out
-}
-
 func (ss *streamSource) close() {
-	for _, pc := range ss.prefix {
-		pc.chunk.Release()
+	for _, c := range ss.prefix {
+		c.Release()
 	}
-	ss.prefix = nil
+	ss.prefix, ss.sample = nil, nil
 	ss.prod.close()
 }
 
@@ -104,9 +93,10 @@ func (eng *engine) openStreamSource(pathSpec string, delim byte, header bool, mo
 		// Text sources have a fixed schema; no sampling prefix needed.
 		return ss, nil
 	}
+	// Split only the records sampling reads; the executors parse the
+	// prefix chunks like every other chunk.
 	need := eng.mkSampleCfg(nil).WithDefaults().Size
-	have := 0
-	for have < need {
+	for len(ss.sample) < need {
 		c, err := prod.next()
 		if err != nil {
 			ss.close()
@@ -116,9 +106,8 @@ func (eng *engine) openStreamSource(pathSpec string, delim byte, header bool, mo
 			ss.exhausted = true
 			break
 		}
-		recs := csvio.SplitRecords(c.Data)
-		ss.prefix = append(ss.prefix, prefixChunk{chunk: c, recs: recs})
-		have += len(recs)
+		ss.prefix = append(ss.prefix, c)
+		ss.sample = csvio.AppendRecords(ss.sample, c.Data, need-len(ss.sample))
 	}
 	ss.headerNames = prod.headerNames
 	return ss, nil
@@ -220,9 +209,6 @@ func trimRecord(b []byte) []byte {
 type chunkTask struct {
 	part  int
 	chunk *csvio.Chunk
-	// recs is the pre-split record list for prefix chunks (nil when the
-	// worker should split).
-	recs [][]byte
 }
 
 // executeStreamed drives a streamed source stage: one producer reading
@@ -248,15 +234,15 @@ func (eng *engine) executeStreamed(sr *stageRun) (*mat, error) {
 		// first chunks faster than the producer reads the next one).
 		eng.mon.StoreStreamBytes(ss.prod.bytesRead())
 		part := 0
-		for _, pc := range ss.prefix {
+		for _, c := range ss.prefix {
 			if stop.Load() {
-				pc.chunk.Release()
+				c.Release()
 				continue
 			}
-			taskCh <- chunkTask{part: part, chunk: pc.chunk, recs: pc.recs}
+			taskCh <- chunkTask{part: part, chunk: c}
 			part++
 		}
-		ss.prefix = nil
+		ss.prefix, ss.sample = nil, nil
 		for !ss.exhausted && !stop.Load() {
 			if err := eng.canceled(); err != nil {
 				prodErr = err
@@ -306,14 +292,6 @@ func (eng *engine) executeStreamed(sr *stageRun) (*mat, error) {
 						stop.Store(true)
 						continue
 					}
-					recs := t.recs
-					if recs == nil {
-						if sr.isText {
-							recs = splitPlainLines(t.chunk.Data)
-						} else {
-							recs = csvio.SplitRecords(t.chunk.Data)
-						}
-					}
 					ts := sr.newTask(eng, t.part)
 					ts.worker = w
 					timed := eng.tr != nil || eng.mon != nil
@@ -321,7 +299,16 @@ func (eng *engine) executeStreamed(sr *stageRun) (*mat, error) {
 						ts.start = time.Now()
 					}
 					eng.mon.TaskStart()
-					err := sr.runRecords(ts, t.part, recs, uint64(t.part)<<streamKeyShift, true)
+					var err error
+					baseKey := uint64(t.part) << streamKeyShift
+					switch {
+					case sr.isText:
+						err = sr.runRecords(ts, t.part, splitPlainLines(t.chunk.Data), baseKey, true)
+					case sr.batch != nil:
+						sr.runChunkColumnar(ts, t.part, t.chunk.Data, baseKey)
+					default:
+						err = sr.runRecords(ts, t.part, csvio.SplitRecords(t.chunk.Data), baseKey, true)
+					}
 					if timed {
 						ts.dur = time.Since(ts.start)
 					}
@@ -338,7 +325,7 @@ func (eng *engine) executeStreamed(sr *stageRun) (*mat, error) {
 							tasks = append(tasks, nil)
 						}
 						tasks[t.part] = ts
-						recordsSplit += int64(len(recs))
+						recordsSplit += ts.inRows
 					}
 					mu.Unlock()
 				}

@@ -193,7 +193,7 @@ func lastRecordEnd(data []byte, mode ChunkMode) int {
 // terminator in data (for header stripping), or len(data) when the data
 // holds a single unterminated record.
 func SkipFirstRecord(data []byte, mode ChunkMode) int {
-	if nl := nextTerminator(data, 0, mode == ChunkCSV); nl >= 0 {
+	if nl, _ := nextTerminator(data, 0, mode == ChunkCSV); nl >= 0 {
 		return nl + 1
 	}
 	return len(data)

@@ -16,6 +16,7 @@ import (
 // record's ExcBadParse routes the raw line to the exception pool, exactly
 // like the row path. The scan logic must mirror ParseLine byte for byte —
 // the csvio equivalence tests enforce this.
+//
 //tuplex:kernel
 func (p *ParseSpec) ParseLineVecs(line []byte, vecs []*colvec.Vec) pyvalue.ExcKind {
 	n0 := 0

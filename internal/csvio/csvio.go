@@ -10,7 +10,9 @@
 //     advantage) and parses each directly into an unboxed slot of the
 //     expected type. Any mismatch returns a BadParse code, which routes
 //     the raw line to the exception row pool — the generated parser IS
-//     the row classifier for CSV sources (§4.3).
+//     the row classifier for CSV sources (§4.3). ParseLineVecs is its
+//     columnar twin for record lists; ParseChunk runs it over a streamed
+//     chunk a batch of records per call (chunkparse.go).
 package csvio
 
 import (
@@ -38,21 +40,24 @@ var (
 // at or after pos, or -1. pos must be a record boundary, so quote parity
 // starts closed; with quotes set, a newline terminates a record only when
 // an even number of '"' precede it in the record (RFC-4180: escaped ""
-// toggles twice). The scan jumps newline to newline with the stdlib's
-// vectorized IndexByte/Count instead of inspecting every byte.
-func nextTerminator(data []byte, pos int, quotes bool) int {
-	odd := false
+// toggles twice), and nq counts the '"' before it (before the end of
+// data when there is none). The scan jumps newline to newline with the
+// stdlib's vectorized IndexByte/Count instead of inspecting every byte.
+func nextTerminator(data []byte, pos int, quotes bool) (nl, nq int) {
 	for {
 		i := bytes.IndexByte(data[pos:], '\n')
 		if i < 0 {
-			return -1
+			if quotes {
+				nq += bytes.Count(data[pos:], quoteSep)
+			}
+			return -1, nq
 		}
-		nl := pos + i
-		if quotes && bytes.Count(data[pos:nl], quoteSep)&1 == 1 {
-			odd = !odd
+		nl = pos + i
+		if quotes {
+			nq += bytes.Count(data[pos:nl], quoteSep)
 		}
-		if !odd {
-			return nl
+		if nq&1 == 0 {
+			return nl, nq
 		}
 		pos = nl + 1
 	}
@@ -74,10 +79,21 @@ func SplitRecords(data []byte) [][]byte {
 	// overestimate slightly, which only wastes a few spare slots.
 	out := make([][]byte, 0, bytes.Count(data, recordSep)+1)
 	// Quote-free data (every numeric file) never pays the parity counts.
-	quotes := bytes.IndexByte(data, '"') >= 0
+	return appendRecords(out, data, len(data)+1, bytes.IndexByte(data, '"') >= 0)
+}
+
+// AppendRecords appends the first limit records SplitRecords would
+// return for data to dst, without splitting the rest: sampling reads the
+// first thousand records of a 16 MiB chunk.
+func AppendRecords(dst [][]byte, data []byte, limit int) [][]byte {
+	// Parity counting on quote-free records finds the same terminators.
+	return appendRecords(dst, data, limit, true)
+}
+
+func appendRecords(out [][]byte, data []byte, limit int, quotes bool) [][]byte {
 	start := 0
-	for start < len(data) {
-		nl := nextTerminator(data, start, quotes)
+	for n := 0; n < limit && start < len(data); n++ {
+		nl, _ := nextTerminator(data, start, quotes)
 		if nl < 0 {
 			if rec := trimCR(data[start:]); len(rec) > 0 {
 				out = append(out, rec)
@@ -201,6 +217,8 @@ type ParseSpec struct {
 	NullValues []string
 	// maxCol caches the highest projected column.
 	maxCol int
+	// ops is ParseChunk's per-column op table (chunkparse.go).
+	ops []colOp
 }
 
 // NewParseSpec builds a parse plan. fields must be sorted by Col.
@@ -215,7 +233,9 @@ func NewParseSpec(delim byte, numCols int, fields []FieldSpec, nullValues []stri
 		}
 		maxCol = f.Col
 	}
-	return &ParseSpec{Delim: delim, NumCols: numCols, Fields: fields, NullValues: nullValues, maxCol: maxCol}
+	p := &ParseSpec{Delim: delim, NumCols: numCols, Fields: fields, NullValues: nullValues, maxCol: maxCol}
+	p.buildOps()
+	return p
 }
 
 // IsNullCell reports whether the cell spells NULL under the plan.
@@ -390,39 +410,45 @@ func ParseI64Bytes(raw []byte, cell string) (int64, bool) {
 // value outside int64 is not an integer cell: it must leave the normal
 // path as ExcBadParse, never wrap into a wrong number that stays on it.
 func parseI64[T string | []byte](s T) (int64, bool) {
-	if len(s) == 0 {
-		return 0, false
-	}
-	i := 0
+	v, end := scanI64(s, 0)
+	return v, end == len(s)
+}
+
+// scanI64 is parseI64's digit loop over s[i:]: it stops at the first
+// byte that is not a digit and returns its index as end, or -1 when no
+// digit was read or the magnitude left int64. ParseChunk runs it on the
+// chunk in place and checks that end is a cell terminator.
+func scanI64[T string | []byte](s T, i int) (v int64, end int) {
 	neg := false
-	if s[0] == '+' || s[0] == '-' {
-		neg = s[0] == '-'
-		i = 1
-		if len(s) == 1 {
-			return 0, false
-		}
+	if i < len(s) && (s[i] == '+' || s[i] == '-') {
+		neg = s[i] == '-'
+		i++
 	}
-	// Accumulate the magnitude unsigned up to 2^63 (|MinInt64|).
+	// Accumulate the magnitude unsigned up to 2^63 (|MinInt64|); below
+	// maxMag/10 another digit cannot overflow, so the exact test runs
+	// only from the 19th digit on.
 	const maxMag = uint64(1) << 63
-	var v uint64
+	start := i
+	var m uint64
 	for ; i < len(s); i++ {
-		c := s[i]
-		if c < '0' || c > '9' {
-			return 0, false
+		d := uint64(s[i] - '0')
+		if d > 9 {
+			break
 		}
-		d := uint64(c - '0')
-		if v > (maxMag-d)/10 {
-			return 0, false
+		if m >= maxMag/10 && m > (maxMag-d)/10 {
+			return 0, -1
 		}
-		v = v*10 + d
+		m = m*10 + d
 	}
-	if neg {
-		return -int64(v), true // v == 2^63 wraps to MinInt64, as it should
+	switch {
+	case i == start:
+		return 0, -1
+	case neg:
+		return -int64(m), i // m == 2^63 wraps to MinInt64, as it should
+	case m == maxMag:
+		return 0, -1
 	}
-	if v == maxMag {
-		return 0, false
-	}
-	return int64(v), true
+	return int64(m), i
 }
 
 // ParseF64Bytes parses a float from bytes without allocating for plain
@@ -450,49 +476,57 @@ var pow10Table = [23]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e1
 // ok is false for every other spelling (exponents, inf/nan, hex,
 // underscores, "1.", ".5", too many digits).
 func parseDecimal[T string | []byte](s T) (float64, bool) {
-	i := 0
+	f, end := scanDecimal(s, 0)
+	return f, end == len(s)
+}
+
+// scanDecimal is parseDecimal's digit loop over s[i:]: it stops after
+// [sign]digits[.digits] and returns the index it stopped at as end, or
+// -1 when that prefix is not a fast-path spelling. ParseChunk runs it on
+// the chunk in place and checks that end is a cell terminator.
+func scanDecimal[T string | []byte](s T, i int) (f float64, end int) {
 	neg := false
-	if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
-		neg = s[0] == '-'
-		i = 1
+	if i < len(s) && (s[i] == '+' || s[i] == '-') {
+		neg = s[i] == '-'
+		i++
 	}
 	var m uint64
 	digits := 0
-	for i < len(s) && s[i] >= '0' && s[i] <= '9' {
+	for i < len(s) && s[i]-'0' <= 9 {
 		m = m*10 + uint64(s[i]-'0')
 		i++
 		digits++
 	}
 	if digits == 0 {
-		return 0, false
+		return 0, -1
 	}
 	fdigits := 0
 	if i < len(s) && s[i] == '.' {
 		i++
-		for i < len(s) && s[i] >= '0' && s[i] <= '9' {
+		for i < len(s) && s[i]-'0' <= 9 {
 			m = m*10 + uint64(s[i]-'0')
 			i++
 			fdigits++
 		}
 		if fdigits == 0 {
-			return 0, false
+			return 0, -1
 		}
 	}
 	// 19 digits cannot overflow the uint64 mantissa.
-	if i != len(s) || digits+fdigits > 19 {
-		return 0, false
+	if digits+fdigits > 19 {
+		return 0, -1
 	}
-	f := float64(m) // an integer spelling: one correctly rounded conversion
+	f = float64(m) // an integer spelling: one correctly rounded conversion
 	if fdigits > 0 {
 		if m >= 1<<53 || fdigits >= len(pow10Table) {
-			return 0, false
+			return 0, -1
 		}
 		f /= pow10Table[fdigits]
 	}
 	if neg {
 		f = -f
 	}
-	return f, true
+	return f, i
 }
 
 // parseCell parses one cell against its expected type.

@@ -33,7 +33,7 @@ type Fact struct {
 	// Null is the nullability component.
 	Null Nullness
 	// Lo/Hi bound integer values when HasLo/HasHi are set.
-	Lo, Hi int64
+	Lo, Hi       int64
 	HasLo, HasHi bool
 
 	// notZero records a numeric value proven ≠ 0 without interval bounds

@@ -1,6 +1,7 @@
 package pipelines
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -40,12 +41,17 @@ func colDiffCSV(t *testing.T, name string, run func(col bool) *tuplex.Result) {
 	if len(on.Failed) != len(off.Failed) {
 		t.Fatalf("%s: failed-row lists differ: %d vs %d", name, len(on.Failed), len(off.Failed))
 	}
+	requireSameRun(t, name, off, on)
 }
 
 func ctxCol(col bool, extra ...tuplex.Option) *tuplex.Context {
-	opts := append([]tuplex.Option{tuplex.WithColumnarExecution(col)}, extra...)
+	opts := append([]tuplex.Option{tuplex.WithColumnarExecution(col), tuplex.WithTracing(tuplex.TraceSamples)}, extra...)
 	return tuplex.NewContext(opts...)
 }
+
+// streamedChunkSizes cut the streamed variants' files from many chunks
+// (and batch seams) to one.
+var streamedChunkSizes = []int{4 << 10, 64 << 10, 16 << 20}
 
 func TestColumnarDiffZillow(t *testing.T) {
 	raw := data.Zillow(data.ZillowConfig{Rows: 2000, Seed: 123, DirtyFraction: 0.03})
@@ -61,15 +67,31 @@ func TestColumnarDiffZillow(t *testing.T) {
 func TestColumnarDiffZillowStreamed(t *testing.T) {
 	// Small chunks force many batch seams; streamed and materialized
 	// must both be mode-invariant.
-	raw := data.Zillow(data.ZillowConfig{Rows: 3000, Seed: 7, DirtyFraction: 0.05})
-	colDiffCSV(t, "zillow/streamed", func(col bool) *tuplex.Result {
-		c := ctxCol(col, tuplex.WithChunkSize(8<<10))
-		res, err := Zillow(c.CSV("", tuplex.CSVData(raw))).ToCSV("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	})
+	path := writeTemp(t, "zillow.csv", data.Zillow(data.ZillowConfig{Rows: 3000, Seed: 7, DirtyFraction: 0.05}))
+	for _, size := range streamedChunkSizes {
+		colDiffCSV(t, fmt.Sprintf("zillow/streamed-%d", size), func(col bool) *tuplex.Result {
+			res, err := Zillow(ctxCol(col, tuplex.WithChunkSize(size)).CSV(path)).ToCSV("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		})
+	}
+}
+
+func TestColumnarDiffFlightsStreamed(t *testing.T) {
+	perf := writeTemp(t, "perf.csv", data.Flights(data.FlightsConfig{Rows: 3000, Seed: 321, DivertedFraction: 0.05}))
+	carriers, airports := writeTemp(t, "carriers.csv", data.Carriers()), writeTemp(t, "airports.txt", data.Airports())
+	for _, size := range streamedChunkSizes {
+		colDiffCSV(t, fmt.Sprintf("flights/streamed-%d", size), func(col bool) *tuplex.Result {
+			c := ctxCol(col, tuplex.WithChunkSize(size), tuplex.WithExecutors(2))
+			res, err := Flights(flightsFiles(c, perf, carriers, airports)).ToCSV("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		})
+	}
 }
 
 func TestColumnarDiffFlights(t *testing.T) {
@@ -118,20 +140,33 @@ func TestColumnarDiffQ6(t *testing.T) {
 	// Q6 is an aggregate: compare the scalar and the accounting instead
 	// of CSV bytes.
 	raw := data.TPCHLineitem(data.TPCHConfig{Rows: 8000, Seed: 99})
+	q6Diff(t, "q6", func(col bool) *tuplex.DataSet { return ctxCol(col).CSV("", tuplex.CSVData(raw)) })
+}
+
+func TestColumnarDiffQ6Streamed(t *testing.T) {
+	path := writeTemp(t, "lineitem.csv", data.TPCHLineitem(data.TPCHConfig{Rows: 20000, Seed: 98}))
+	for _, size := range streamedChunkSizes {
+		q6Diff(t, fmt.Sprintf("q6/streamed-%d", size), func(col bool) *tuplex.DataSet {
+			return ctxCol(col, tuplex.WithChunkSize(size)).CSV(path)
+		})
+	}
+}
+
+// q6Diff runs Q6 over src in both modes and compares revenue, row
+// accounting and ledgers.
+func q6Diff(t *testing.T, name string, src func(col bool) *tuplex.DataSet) {
+	t.Helper()
 	var revenue [2]float64
-	var metrics [2]tuplex.RowCounts
+	var res [2]*tuplex.Result
 	for i, col := range []bool{true, false} {
-		v, res, err := Q6(ctxCol(col).CSV("", tuplex.CSVData(raw)))
+		v, r, err := Q6(src(col))
 		if err != nil {
 			t.Fatal(err)
 		}
-		revenue[i] = v
-		metrics[i] = res.Metrics.Rows
+		revenue[i], res[i] = v, r
 	}
 	if math.Abs(revenue[0]-revenue[1]) > 1e-9*math.Max(1, math.Abs(revenue[1])) {
-		t.Fatalf("q6 revenue differs: columnar %.6f, boxed %.6f", revenue[0], revenue[1])
+		t.Fatalf("%s revenue differs: columnar %.6f, boxed %.6f", name, revenue[0], revenue[1])
 	}
-	if metrics[0] != metrics[1] {
-		t.Fatalf("q6 accounting differs: columnar %+v, boxed %+v", metrics[0], metrics[1])
-	}
+	requireSameRun(t, name, res[1], res[0])
 }

@@ -22,21 +22,39 @@ func benchJoinData(buildN, probeN int) (build, probe [][]any) {
 	return build, probe
 }
 
+// runJoin is BenchmarkJoin's body: 20k probe rows through the sharded
+// hash join against 2k build rows.
+func runJoin(tb testing.TB, build, probe [][]any) {
+	c := tuplex.NewContext()
+	lhs := c.Parallelize(probe, []string{"k", "v"})
+	rhs := c.Parallelize(build, []string{"k", "name"})
+	res, err := lhs.Join(rhs, "k", "k").Collect()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(res.Rows) == 0 {
+		tb.Fatal("no join output")
+	}
+}
+
 func BenchmarkJoin(b *testing.B) {
 	build, probe := benchJoinData(2_000, 20_000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := tuplex.NewContext()
-		lhs := c.Parallelize(probe, []string{"k", "v"})
-		rhs := c.Parallelize(build, []string{"k", "name"})
-		res, err := lhs.Join(rhs, "k", "k").Collect()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) == 0 {
-			b.Fatal("no join output")
-		}
+		runJoin(b, build, probe)
+	}
+}
+
+// TestJoinShardedAllocs guards the columnar join barrier's allocation
+// count. BenchmarkJoin's body measures about 10 610 allocs/op (1–16
+// GOMAXPROCS); the boxed barrier it replaced cost ~210k, so a ceiling of
+// 15 000 catches a fall back to boxed rows or per-row allocation creeping
+// into the build or probe kernels.
+func TestJoinShardedAllocs(t *testing.T) {
+	build, probe := benchJoinData(2_000, 20_000)
+	if allocs := testing.AllocsPerRun(3, func() { runJoin(t, build, probe) }); allocs > 15_000 {
+		t.Fatalf("sharded join: %.0f allocs/op, ceiling 15000", allocs)
 	}
 }
 
