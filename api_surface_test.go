@@ -80,12 +80,10 @@ func TestOptionConstructorsCompile(t *testing.T) {
 		WithNullOptimization(true),
 		WithNullOptimization(false),
 		WithLogicalOptimizations(true, true, false),
-		WithoutLogicalOptimizations(),
 		WithStageFusion(true),
 		WithCompilerOptimizations(true),
 		WithSeed(42),
 		WithPartitionRows(1024),
-		WithStreamingIngest(true),
 		WithChunkSize(1 << 20),
 		WithTracing(TraceRows),
 	}

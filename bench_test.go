@@ -338,7 +338,7 @@ func BenchmarkFig11Factors(b *testing.B) {
 		opts []tuplex.Option
 	}{
 		{"unopt", []tuplex.Option{
-			tuplex.WithoutLogicalOptimizations(), tuplex.WithStageFusion(false),
+			tuplex.WithLogicalOptimizations(false, false, false), tuplex.WithStageFusion(false),
 			tuplex.WithNullOptimization(false), tuplex.WithCompilerOptimizations(false)}},
 		{"logical", []tuplex.Option{
 			tuplex.WithStageFusion(false), tuplex.WithNullOptimization(false),

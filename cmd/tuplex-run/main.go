@@ -72,7 +72,7 @@ func main() {
 	}
 	if *noOpt {
 		opts = append(opts,
-			tuplex.WithoutLogicalOptimizations(),
+			tuplex.WithLogicalOptimizations(false, false, false),
 			tuplex.WithStageFusion(false),
 			tuplex.WithCompilerOptimizations(false),
 			tuplex.WithNullOptimization(false))

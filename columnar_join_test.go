@@ -2,6 +2,8 @@ package tuplex_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -12,8 +14,8 @@ import (
 // agree with the boxed row path on inputs that stress its layout — keys
 // from all-null columns, string keys long enough to span arena chunk
 // seams, a filter-annihilated build side, and duplicate-key fan-out
-// ordering — plus a dirty-key NC/EC differential, streamed and
-// materialized.
+// ordering — plus a dirty-key NC/EC differential over inline data and
+// files.
 
 func wantSameRows(t *testing.T, on, off *tuplex.Result) {
 	t.Helper()
@@ -154,7 +156,8 @@ func TestColumnarJoinDuplicateKeyFanOut(t *testing.T) {
 // TestColumnarJoinDirtyKeyPairsDiff: NC/EC join pairs — both sides
 // carry dirty key cells (bools and garbage in an int column) that land
 // on the exception path and must join consistently with the sharded
-// normal-case table, columnar vs boxed, materialized and streamed.
+// normal-case table, columnar vs boxed, inline and from files in many
+// small chunks.
 func TestColumnarJoinDirtyKeyPairsDiff(t *testing.T) {
 	var build, probe strings.Builder
 	build.WriteString("k,name\n")
@@ -177,15 +180,27 @@ func TestColumnarJoinDirtyKeyPairsDiff(t *testing.T) {
 			fmt.Fprintf(&probe, "%d,p%d\n", i%150, i)
 		}
 	}
-	for _, streamed := range []bool{false, true} {
-		extra := []tuplex.Option{tuplex.WithStreamingIngest(false)}
-		if streamed {
+	dir := t.TempDir()
+	probePath, buildPath := filepath.Join(dir, "probe.csv"), filepath.Join(dir, "build.csv")
+	if err := os.WriteFile(probePath, []byte(probe.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(buildPath, []byte(build.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, inline := range []bool{true, false} {
+		var extra []tuplex.Option
+		if !inline {
 			extra = []tuplex.Option{tuplex.WithChunkSize(2 << 10)}
 		}
 		for _, left := range []bool{false, true} {
 			on, off := bothModes(t, func(c *tuplex.Context) (*tuplex.Result, error) {
-				lhs := c.CSV("", tuplex.CSVData([]byte(probe.String())))
-				rhs := c.CSV("", tuplex.CSVData([]byte(build.String())))
+				lhs := c.CSV(probePath)
+				rhs := c.CSV(buildPath)
+				if inline {
+					lhs = c.CSV("", tuplex.CSVData([]byte(probe.String())))
+					rhs = c.CSV("", tuplex.CSVData([]byte(build.String())))
+				}
 				if left {
 					return lhs.LeftJoin(rhs, "k", "k").ToCSV("")
 				}

@@ -68,7 +68,7 @@ func TestContextDeadlineMidStream(t *testing.T) {
 	}
 }
 
-// TestContextCancelMidStreamStreaming covers the streamed-ingest path's
+// TestContextCancelMidStreamStreaming covers the chunked-ingest
 // producer/worker cancellation.
 func TestContextCancelMidStreamStreaming(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -76,7 +76,7 @@ func TestContextCancelMidStreamStreaming(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		cancel()
 	}()
-	c := NewContext(WithExecutors(2), WithStreamingIngest(true), WithChunkSize(1<<12))
+	c := NewContext(WithExecutors(2), WithChunkSize(1<<12))
 	_, err := bigDataSet(c).CollectContext(ctx)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("streaming: want ErrCanceled, got %v", err)

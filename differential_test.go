@@ -73,7 +73,7 @@ func TestDifferentialTuplexVsInterpreter(t *testing.T) {
 		// raised on it (standard database semantics), which changes
 		// which rows fail — this test checks path equivalence, not plan
 		// equivalence.
-		c := tuplex.NewContext(tuplex.WithSampleSize(15), tuplex.WithoutLogicalOptimizations())
+		c := tuplex.NewContext(tuplex.WithSampleSize(15), tuplex.WithLogicalOptimizations(false, false, false))
 		res, err := c.CSV("", tuplex.CSVData([]byte(csv))).
 			WithColumn("u", tuplex.UDF(with)).
 			WithColumn("w", tuplex.UDF(with2)).

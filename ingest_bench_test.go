@@ -1,9 +1,7 @@
-// BenchmarkIngest measures the tentpole of the streamed ingest work:
-// end-to-end wall clock of the Zillow pipeline over an on-disk CSV
-// (cold read on the measured path), materialized vs streamed, at one
-// and several executors. The streamed path should win whenever record
-// splitting/parsing can overlap disk I/O — clearly at N executors, and
-// at worst break even single-threaded.
+// BenchmarkIngest measures chunked ingest end to end: wall clock of the
+// Zillow pipeline over an on-disk CSV (cold read on the measured path)
+// at one and several executors, where record splitting and parsing
+// overlap disk I/O.
 package tuplex_test
 
 import (
@@ -28,29 +26,20 @@ func BenchmarkIngest(b *testing.B) {
 	// way a paper-scale (multi-GB) input spans 16 MiB ones.
 	const chunk = 256 << 10
 	for _, execs := range []int{1, benchParallelism} {
-		for _, mode := range []struct {
-			name string
-			opts []tuplex.Option
-		}{
-			{"materialized", []tuplex.Option{tuplex.WithStreamingIngest(false)}},
-			{"streamed", []tuplex.Option{tuplex.WithChunkSize(chunk)}},
-		} {
-			b.Run(fmt.Sprintf("%s/exec=%d", mode.name, execs), func(b *testing.B) {
-				opts := append([]tuplex.Option{tuplex.WithExecutors(execs)}, mode.opts...)
-				b.SetBytes(int64(len(raw)))
-				b.ResetTimer()
-				for range b.N {
-					c := tuplex.NewContext(opts...)
-					res, err := pipelines.Zillow(c.CSV(path)).ToCSV("")
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(res.CSV) == 0 {
-						b.Fatal("empty output")
-					}
+		b.Run(fmt.Sprintf("exec=%d", execs), func(b *testing.B) {
+			b.SetBytes(int64(len(raw)))
+			b.ResetTimer()
+			for range b.N {
+				c := tuplex.NewContext(tuplex.WithExecutors(execs), tuplex.WithChunkSize(chunk))
+				res, err := pipelines.Zillow(c.CSV(path)).ToCSV("")
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if len(res.CSV) == 0 {
+					b.Fatal("empty output")
+				}
+			}
+		})
 	}
 }
 

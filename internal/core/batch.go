@@ -34,8 +34,8 @@ import (
 	"github.com/gotuplex/tuplex/internal/types"
 )
 
-// batchMaxRows bounds one batch so vector memory stays chunk-sized even
-// for materialized partitions.
+// batchMaxRows bounds one batch so vector memory stays bounded however
+// large a chunk or in-memory partition is.
 const batchMaxRows = 4096
 
 // vecMinRows is the live-row count below which a batch stays on the row
@@ -287,8 +287,8 @@ func (sr *stageRun) getBatchState(ts *task) *batchState {
 
 // putBatchState returns the batch memory to the stage pool: nothing in
 // it escapes the task (strings are sealed views under the donated-buffer
-// protocol, pooled raw records point at stable input memory or were
-// detached, output rows have fresh backing).
+// protocol, pooled raw records were detached, output rows have fresh
+// backing).
 func (sr *stageRun) putBatchState(ts *task) {
 	bst := ts.bst
 	ts.bst = nil
@@ -370,48 +370,12 @@ func (sr *stageRun) failBatchRow(ts *task, bst *batchState, p int, r int32, ec E
 	return 1
 }
 
-// runRecordsColumnar is runRecords on the batch plan: identical order
-// keys, pool entries, counters and routing ledger arithmetic, with the
-// per-row parse/step/render work replaced by per-batch vector loops.
-func (sr *stageRun) runRecordsColumnar(ts *task, p int, recs [][]byte, baseKey uint64, copyRaw bool) error {
-	bst := sr.getBatchState(ts)
-	var input, rejects, normalExc int64
-
-	for start := 0; start < len(recs); start += batchMaxRows {
-		end := start + batchMaxRows
-		if end > len(recs) {
-			end = len(recs)
-		}
-		sub := recs[start:end]
-		input += int64(len(sub))
-
-		// Parse straight into the source vectors; rejected records pool
-		// with their raw bytes, exactly like the row path.
-		bst.beginBatch()
-		bst.srcRows = nil
-		bst.raws = bst.raws[:0]
-		for i, rec := range sub {
-			key := baseKey + uint64(start+i)
-			if ec := sr.parse.ParseLineVecs(rec, bst.src); ec != 0 {
-				rejects++
-				ts.pool = append(ts.pool, exRow{part: p, key: key, raw: rec, ec: ec})
-				continue
-			}
-			bst.keys = append(bst.keys, key)
-			bst.raws = append(bst.raws, rec)
-		}
-		normalExc += sr.runBatchBody(ts, bst, p)
-	}
-	ts.finishRows(input, rejects, normalExc, copyRaw)
-	sr.putBatchState(ts)
-	return nil
-}
-
-// runChunkColumnar is runRecordsColumnar over a streamed chunk: each
-// batch is one csvio.ParseChunk call straight into the source vectors,
-// with the accepted records' spans in bst.raws and no record list for
-// the chunk. Keys, batches, pool entries and counters are those of
-// runRecordsColumnar over csvio.SplitRecords(data).
+// runChunkColumnar is runRecords on the batch plan: each batch is one
+// csvio.ParseChunk call straight into the source vectors, with the
+// accepted records' spans in bst.raws and no record list for the chunk.
+// Order keys, pool entries, counters and routing-ledger arithmetic are
+// those of runRecords over csvio.SplitRecords(data), with the per-row
+// parse/step/render work replaced by per-batch vector loops.
 func (sr *stageRun) runChunkColumnar(ts *task, p int, data []byte, baseKey uint64) {
 	bst := sr.getBatchState(ts)
 	cb := &bst.chunk
@@ -439,14 +403,14 @@ func (sr *stageRun) runChunkColumnar(ts *task, p int, data []byte, baseKey uint6
 		ts.parseSlow += int64(cb.Slow)
 		normalExc += sr.runBatchBody(ts, bst, p)
 	}
-	ts.finishRows(input, rejects, normalExc, true)
+	ts.finishRows(input, rejects, normalExc)
 	sr.putBatchState(ts)
 }
 
 // runSlotsColumnar is the batch plan over a slot-native Parallelize
 // source: conforming rows ingest straight into the source vectors (no
 // boxing); non-conforming rows pool boxed like the row path.
-func (sr *stageRun) runSlotsColumnar(ts *task, p int) error {
+func (sr *stageRun) runSlotsColumnar(ts *task, p int) {
 	bst := sr.getBatchState(ts)
 	rg := sr.partRanges[p]
 	var input, rejects, normalExc int64
@@ -476,9 +440,8 @@ func (sr *stageRun) runSlotsColumnar(ts *task, p int) error {
 		}
 		normalExc += sr.runBatchBody(ts, bst, p)
 	}
-	ts.finishRows(input, rejects, normalExc, false)
+	ts.finishRows(input, rejects, normalExc)
 	sr.putBatchState(ts)
-	return nil
 }
 
 // runBatchBody executes the kernel groups and the terminal (or the

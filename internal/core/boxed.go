@@ -396,8 +396,8 @@ func (eng *engine) resolveExceptions(sr *stageRun, out *mat) error {
 	pool := out.exceptional
 	out.exceptional = nil
 	// Input-materialization exceptions from the previous stage also run
-	// through this stage's boxed program. Source stages (materialized
-	// records or streamed chunks) have no previous stage.
+	// through this stage's boxed program. Source stages have no previous
+	// stage.
 	if sr.input != nil {
 		n := len(pool)
 		pool = append(pool, sr.input.exceptional...)

@@ -44,7 +44,8 @@ type Options struct {
 	// Executors is the worker-thread count (the paper's per-server
 	// executor threads).
 	Executors int
-	// PartitionRows caps rows per partition task.
+	// PartitionRows caps rows per partition task of a Parallelize
+	// source; CSV and text sources partition by chunk (ChunkSize).
 	PartitionRows int
 	// Sample configures normal-case detection.
 	Sample sample.Config
@@ -54,20 +55,19 @@ type Options struct {
 	Fusion bool
 	// Codegen configures fast-path generation.
 	Codegen codegen.Options
-	// Seed seeds per-task PRNGs (random.choice reproducibility).
+	// Seed seeds per-task PRNGs (random.choice reproducibility). A task's
+	// stream depends on its partition index, and partition cuts depend on
+	// Executors and ChunkSize, so output repeats only when those match.
 	Seed uint64
-	// Streaming enables chunked pipelined ingest for file-backed sources
-	// (§4.4): disk I/O, record splitting, parsing and UDF execution
-	// overlap instead of materializing the whole input up front.
-	Streaming bool
 	// Columnar enables batch execution over column vectors for CSV
 	// sources: the generated parser fills typed column vectors directly
 	// and map/filter/withColumn/select run as batch kernels with
 	// selection vectors (the row-at-a-time path remains for exception
 	// rows, later operators and non-CSV sources).
 	Columnar bool
-	// ChunkSize is the streamed ingest chunk size in bytes (0 uses
-	// csvio.DefaultChunkSize).
+	// ChunkSize caps the ingest chunk size in bytes (0 uses
+	// csvio.DefaultChunkSize); each source derives its own size below it
+	// from its byte count (engine.chunkSize).
 	ChunkSize int
 	// Trace selects the run's observability level (internal/trace). The
 	// default, trace.LevelSpans, records the span tree and per-task
@@ -93,7 +93,6 @@ func DefaultOptions() Options {
 		Fusion:        true,
 		Codegen:       codegen.DefaultOptions(),
 		Seed:          0x745,
-		Streaming:     true,
 		Columnar:      true,
 		ChunkSize:     csvio.DefaultChunkSize,
 		Trace:         trace.LevelSpans,
@@ -426,80 +425,128 @@ func (eng *engine) taskTimings(tasks []*task) []trace.TaskTiming {
 	return out
 }
 
-// executeStage drives the partitions through the compiled normal path.
+// unit is one partition of work for the executor loop: an in-memory
+// partition (chunk nil) or a streamed chunk, part being its sequence
+// number.
+type unit struct {
+	part  int
+	chunk *csvio.Chunk
+}
+
+func (u unit) release() {
+	if u.chunk != nil {
+		u.chunk.Release()
+	}
+}
+
+// executeStage drives a stage's units through the compiled normal path
+// on opts.Executors workers. In-memory partitions (Parallelize sources,
+// interior stages) are queued up front; a byte source gets a producer
+// goroutine that queues chunks through the bounded channel as it reads
+// them. The first error (a read failure or cancellation) stops the
+// producer and drains the channel so large inputs fail fast.
 func (eng *engine) executeStage(sr *stageRun) (*mat, error) {
-	if sr.stream != nil {
-		return eng.executeStreamed(sr)
-	}
-	nparts := sr.numPartitions()
-	out := &mat{
-		schema:     sr.outSchema,
-		parts:      make([][]rows.Row, nparts),
-		keys:       make([][]uint64, nparts),
-		nullValues: sr.nullValues,
-		isCSV:      sr.sinkCSV,
-	}
-	if sr.sinkCSV {
-		out.csvParts = make([][]byte, nparts)
-		out.csvEnds = make([][]int, nparts)
-	}
 	workers := eng.opts.Executors
-	if workers > nparts {
-		workers = nparts
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	tasks := make([]*task, nparts)
-	var wg sync.WaitGroup
-	partCh := make(chan int, nparts)
-	for p := range nparts {
-		partCh <- p
-	}
-	close(partCh)
-	errs := make([]error, workers)
-	// stop flags the first worker error so the remaining workers drain
-	// partCh without running doomed partitions (fail fast on large
-	// inputs).
+	var units chan unit
 	var stop atomic.Bool
+	var mu sync.Mutex
+	var firstErr error
+	fail := func(err error) {
+		mu.Lock()
+		if firstErr == nil {
+			firstErr = err
+		}
+		mu.Unlock()
+		stop.Store(true)
+	}
+	if ss := sr.stream; ss != nil {
+		// One queued chunk per worker keeps every executor fed while
+		// bounding the chunk buffers in flight.
+		units = make(chan unit, workers)
+		go func() {
+			defer close(units)
+			// The sampling prefix was already read; publish those bytes
+			// before queueing so a sampler never observes processed rows
+			// with zero ingest progress (the batch kernels finish the first
+			// chunks faster than the producer reads the next one).
+			eng.mon.StoreStreamBytes(ss.prod.bytesRead())
+			part := 0
+			for _, c := range ss.prefix {
+				if stop.Load() {
+					c.Release()
+					continue
+				}
+				units <- unit{part: part, chunk: c}
+				part++
+			}
+			ss.prefix, ss.sample = nil, nil
+			for !ss.exhausted && !stop.Load() {
+				if err := eng.canceled(); err != nil {
+					fail(err)
+					return
+				}
+				c, err := ss.prod.next()
+				if err != nil {
+					fail(err)
+					return
+				}
+				if c == nil {
+					return
+				}
+				// Publish in-flight bytes so the sampler sees ingest
+				// progress before the stage folds them into the shared
+				// counter below.
+				eng.mon.StoreStreamBytes(ss.prod.bytesRead())
+				units <- unit{part: part, chunk: c}
+				part++
+			}
+		}()
+	} else {
+		n := sr.numPartitions()
+		workers = max(min(workers, n), 1)
+		units = make(chan unit, n)
+		for p := range n {
+			units <- unit{part: p}
+		}
+		close(units)
+	}
+
+	var tasks []*task
+	var wg sync.WaitGroup
 	for w := range workers {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			body := func(context.Context) {
-				for p := range partCh {
+				for u := range units {
 					if stop.Load() {
+						u.release()
 						continue
 					}
 					if err := eng.canceled(); err != nil {
-						errs[w] = err
-						stop.Store(true)
+						u.release()
+						fail(err)
 						continue
 					}
-					ts := sr.newTask(eng, p)
+					ts := sr.newTask(eng, u.part)
 					ts.worker = w
-					tasks[p] = ts
 					timed := eng.tr != nil || eng.mon != nil
 					if timed {
 						ts.start = time.Now()
 					}
 					eng.mon.TaskStart()
-					err := sr.runPartition(ts, p)
+					sr.runUnit(ts, u)
 					if timed {
 						ts.dur = time.Since(ts.start)
 					}
 					eng.mon.TaskDone(ts.dur)
-					if err != nil {
-						errs[w] = err
-						stop.Store(true)
-						return
+					u.release()
+					mu.Lock()
+					for u.part >= len(tasks) {
+						tasks = append(tasks, nil)
 					}
-					out.parts[p] = ts.outRows
-					out.keys[p] = ts.outKeys
-					if ts.csvW != nil {
-						out.csvParts[p] = ts.csvW.Take()
-						out.csvEnds[p] = ts.lineEnds
-					}
+					tasks[u.part] = ts
+					mu.Unlock()
 				}
 			}
 			if eng.tr != nil {
@@ -515,21 +562,46 @@ func (eng *engine) executeStage(sr *stageRun) (*mat, error) {
 		}(w)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if firstErr != nil {
+		return nil, firstErr
 	}
-	// Gather exception pools and terminal state.
-	for _, ts := range tasks {
+
+	// Assemble the partitions, in order, into a materialization.
+	nparts := len(tasks)
+	out := &mat{
+		schema:     sr.outSchema,
+		parts:      make([][]rows.Row, nparts),
+		keys:       make([][]uint64, nparts),
+		nullValues: sr.nullValues,
+		isCSV:      sr.sinkCSV,
+		isAgg:      sr.terminal == physical.TerminalAggregate,
+	}
+	if sr.sinkCSV {
+		out.csvParts = make([][]byte, nparts)
+		out.csvEnds = make([][]int, nparts)
+	}
+	var records int64
+	for p, ts := range tasks {
 		if ts == nil {
-			continue
+			return nil, fmt.Errorf("core: partition %d missing", p)
+		}
+		out.parts[p] = ts.outRows
+		out.keys[p] = ts.outKeys
+		if ts.csvW != nil {
+			out.csvParts[p] = ts.csvW.Take()
+			out.csvEnds[p] = ts.lineEnds
 		}
 		out.exceptional = append(out.exceptional, ts.pool...)
+		records += ts.inRows
 	}
 	sr.tasks = tasks
-	if sr.terminal == physical.TerminalAggregate {
-		out.isAgg = true
+	if sr.stream != nil {
+		// Reset the in-flight counter before folding the stage's bytes
+		// into the shared ingest counter: a sampler tick between the two
+		// lines undercounts briefly instead of double-counting.
+		eng.mon.StoreStreamBytes(0)
+		eng.res.Metrics.Ingest.BytesRead.Add(sr.stream.prod.bytesRead())
+		eng.res.Metrics.Ingest.RecordsSplit.Add(records)
 	}
 	return out, nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -125,14 +124,13 @@ type stagePlan struct {
 type stageRun struct {
 	*stagePlan
 
-	// Source binding. Interior stages have input set; source stages have
-	// records, stream or inputSlots (all nil for an empty inline source).
-	records     [][]byte      // materialized CSV/text source
-	headerNames []string      // first header row of a materialized CSV source
-	stream      *streamSource // chunked ingest for file-backed sources
-	inputSlots  []rows.Row    // parallelize source (unboxed slot rows)
-	input       *mat          // previous stage's output (interior stages)
-	partRanges  [][2]int
+	// Source binding: stream for a CSV or text source, inputSlots for a
+	// parallelize source, input for an interior stage; partRanges splits
+	// the two in-memory bindings into partitions.
+	stream     *streamSource // chunked ingest for CSV and text sources
+	inputSlots []rows.Row    // parallelize source (unboxed slot rows)
+	input      *mat          // previous stage's output (interior stages)
+	partRanges [][2]int
 
 	// joins holds this run's build tables, one per JoinOp in operator
 	// order; join steps and kernels index it by their joinIdx.
@@ -341,12 +339,27 @@ func (sr *stageRun) mergedRouting() []trace.OpRouting {
 	return out
 }
 
-// runRecords feeds raw source records through the normal path with
-// order keys baseKey+i (see finishRows for copyRaw).
-func (sr *stageRun) runRecords(ts *task, p int, recs [][]byte, baseKey uint64, copyRaw bool) error {
-	if sr.batch != nil {
-		return sr.runRecordsColumnar(ts, p, recs, baseKey, copyRaw)
+// runUnit feeds one unit through the normal path: a streamed chunk
+// (order keys part<<streamKeyShift|i) or an in-memory partition.
+func (sr *stageRun) runUnit(ts *task, u unit) {
+	if u.chunk == nil {
+		sr.runPartition(ts, u.part)
+		return
 	}
+	data, baseKey := u.chunk.Data, uint64(u.part)<<streamKeyShift
+	switch {
+	case sr.isText:
+		sr.runRecords(ts, u.part, splitPlainLines(data), baseKey)
+	case sr.batch != nil:
+		sr.runChunkColumnar(ts, u.part, data, baseKey)
+	default:
+		sr.runRecords(ts, u.part, csvio.SplitRecords(data), baseKey)
+	}
+}
+
+// runRecords feeds raw source records through the row-at-a-time normal
+// path with order keys baseKey+i.
+func (sr *stageRun) runRecords(ts *task, p int, recs [][]byte, baseKey uint64) {
 	var rejects, normalExc int64
 	for i, rec := range recs {
 		key := baseKey + uint64(i)
@@ -373,20 +386,17 @@ func (sr *stageRun) runRecords(ts *task, p int, recs [][]byte, baseKey uint64, c
 			continue
 		}
 	}
-	ts.finishRows(int64(len(recs)), rejects, normalExc, copyRaw)
-	return nil
+	ts.finishRows(int64(len(recs)), rejects, normalExc)
 }
 
-// runPartition feeds a materialized partition's rows through the normal
-// path.
-func (sr *stageRun) runPartition(ts *task, p int) error {
-	r := sr.partRanges[p]
-	if sr.records != nil {
-		return sr.runRecords(ts, p, sr.records[r[0]:r[1]], uint64(r[0]), false)
-	}
+// runPartition feeds an in-memory partition — a Parallelize range or a
+// previous stage's output — through the normal path.
+func (sr *stageRun) runPartition(ts *task, p int) {
 	if sr.input == nil && sr.batch != nil {
-		return sr.runSlotsColumnar(ts, p)
+		sr.runSlotsColumnar(ts, p)
+		return
 	}
+	r := sr.partRanges[p]
 	var input, rejects, normalExc int64
 	switch {
 	case sr.input == nil:
@@ -424,16 +434,15 @@ func (sr *stageRun) runPartition(ts *task, p int) error {
 			}
 		}
 	}
-	ts.finishRows(input, rejects, normalExc, false)
-	return nil
+	ts.finishRows(input, rejects, normalExc)
 }
 
 // finishRows flushes a task's local tallies into the run once per call —
 // atomics per row would dominate tight loops: the row counters, the
-// ledger's source entry, and the probe and batch-plane counters. copyRaw
-// detaches pooled exception rows from the record storage (required when
-// records alias a reusable chunk buffer).
-func (ts *task) finishRows(input, rejects, normalExc int64, copyRaw bool) {
+// ledger's source entry, and the probe and batch-plane counters. It also
+// detaches pooled raw records from the chunk buffer they alias, which
+// is recycled once the task ends.
+func (ts *task) finishRows(input, rejects, normalExc int64) {
 	c := &ts.eng.res.Metrics.Counters
 	c.InputRows.Add(input)
 	c.ClassifierRejects.Add(rejects)
@@ -446,11 +455,9 @@ func (ts *task) finishRows(input, rejects, normalExc int64, copyRaw bool) {
 	}
 	ts.flushProbeCounters()
 	ts.flushBatchCounters()
-	if copyRaw {
-		for i := range ts.pool {
-			if ts.pool[i].raw != nil {
-				ts.pool[i].raw = append([]byte(nil), ts.pool[i].raw...)
-			}
+	for i := range ts.pool {
+		if ts.pool[i].raw != nil {
+			ts.pool[i].raw = append([]byte(nil), ts.pool[i].raw...)
 		}
 	}
 }
@@ -1156,56 +1163,31 @@ func mapOutputSchema(su *stageUDF) *types.Schema {
 }
 
 // bind opens a stage's source for this run — the only place sources are
-// opened or read. File-backed sources stream (only the sampling prefix
-// is read here; the rest overlaps disk I/O with parsing and UDF
-// execution at run time) or materialize; inline and parallelize data
-// travel on the source node; interior stages take the previous stage's
-// output. A compiling run samples from what bind already holds, so each
-// file is read once per run, cold or warm.
+// opened or read. CSV and text sources, files or inline data, stream in
+// chunks (only the sampling prefix is read here; the rest overlaps I/O
+// with parsing and UDF execution at run time); parallelize data travels
+// on the source node; interior stages take the previous stage's output.
+// A compiling run samples from what bind already holds, so each input is
+// read once per run, cold or warm.
 func (eng *engine) bind(source logical.Op, input *mat) (*stageRun, error) {
 	sr := &stageRun{}
-	materialized := func(records [][]byte, bytesRead int64) {
-		eng.res.Metrics.Ingest.BytesRead.Add(bytesRead)
-		sr.records = records
-		sr.partRanges = splitRange(len(records), eng.partSize(len(records)))
-	}
 	switch src := source.(type) {
 	case *logical.CSVSource:
-		var records [][]byte
-		if src.Data == nil && eng.opts.Streaming {
-			ss, err := eng.openStreamSource(src.Path, csvDelim(src), src.Header, csvio.ChunkCSV)
-			if err != nil {
-				return nil, err
-			}
-			sr.stream = ss
-			records = ss.sample
-		} else {
-			var bytesRead int64
-			var err error
-			records, sr.headerNames, bytesRead, err = readCSVRecords(src, csvDelim(src))
-			if err != nil {
-				return nil, err
-			}
-			materialized(records, bytesRead)
+		ss, err := eng.openStreamSource(src.Path, src.Data, csvDelim(src), src.Header, csvio.ChunkCSV)
+		if err != nil {
+			return nil, err
 		}
-		if len(records) == 0 {
+		sr.stream = ss
+		if len(ss.sample) == 0 {
 			sr.closeSource()
 			return nil, fmt.Errorf("core: empty CSV input %s", src.Path)
 		}
 	case *logical.TextSource:
-		if src.Data == nil && eng.opts.Streaming {
-			ss, err := eng.openStreamSource(src.Path, 0, false, csvio.ChunkText)
-			if err != nil {
-				return nil, err
-			}
-			sr.stream = ss
-		} else {
-			lines, bytesRead, err := readTextLines(src)
-			if err != nil {
-				return nil, err
-			}
-			materialized(lines, bytesRead)
+		ss, err := eng.openStreamSource(src.Path, src.Data, 0, false, csvio.ChunkText)
+		if err != nil {
+			return nil, err
 		}
+		sr.stream = ss
 	case *logical.ParallelizeSource:
 		sr.inputSlots = src.SlotRows
 		if sr.inputSlots == nil && src.Rows != nil {
@@ -1254,10 +1236,7 @@ func (eng *engine) planSource(pl *stagePlan, source logical.Op, sr *stageRun) ([
 	pl.nullValues = csvio.DefaultNullValues
 	switch src := source.(type) {
 	case *logical.CSVSource:
-		records, names := sr.records, sr.headerNames
-		if sr.stream != nil {
-			records, names = sr.stream.sample, sr.stream.headerNames
-		}
+		records, names := sr.stream.sample, sr.stream.headerNames
 		if src.Columns != nil {
 			names = src.Columns
 		}
@@ -1312,52 +1291,6 @@ func (eng *engine) planSource(pl *stagePlan, source logical.Op, sr *stageRun) ([
 		}
 	}
 	return nil, 0, nil
-}
-
-// readCSVRecords materializes a CSV source's records: inline data, or
-// the paper's ','.join(paths) multi-file spelling. Each file carries its
-// own header; the first one names the columns (unless configured), the
-// rest are dropped.
-func readCSVRecords(src *logical.CSVSource, delim byte) (records [][]byte, names []string, bytesRead int64, err error) {
-	addData := func(data []byte) {
-		recs := csvio.SplitRecords(data)
-		if src.Header && len(recs) > 0 {
-			if names == nil && src.Columns == nil {
-				names = csvio.SplitCells(recs[0], delim, nil)
-			}
-			recs = recs[1:]
-		}
-		records = append(records, recs...)
-	}
-	if src.Data != nil {
-		addData(src.Data)
-		return records, names, 0, nil
-	}
-	for _, path := range strings.Split(src.Path, ",") {
-		data, rerr := os.ReadFile(strings.TrimSpace(path))
-		if rerr != nil {
-			return nil, nil, bytesRead, fmt.Errorf("core: reading %s: %w", path, rerr)
-		}
-		bytesRead += int64(len(data))
-		addData(data)
-	}
-	return records, names, bytesRead, nil
-}
-
-// readTextLines materializes a text source's lines (inline data or one
-// file).
-func readTextLines(src *logical.TextSource) ([][]byte, int64, error) {
-	data := src.Data
-	var n int64
-	if data == nil {
-		var err error
-		data, err = os.ReadFile(src.Path)
-		if err != nil {
-			return nil, 0, fmt.Errorf("core: reading %s: %w", src.Path, err)
-		}
-		n = int64(len(data))
-	}
-	return splitPlainLines(data), n, nil
 }
 
 func (eng *engine) mkSampleCfg(nullValues []string) sample.Config {

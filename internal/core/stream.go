@@ -1,32 +1,26 @@
 package core
 
 import (
-	"context"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"runtime/pprof"
-	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"github.com/gotuplex/tuplex/internal/csvio"
-	"github.com/gotuplex/tuplex/internal/physical"
-	"github.com/gotuplex/tuplex/internal/rows"
 )
 
-// Streamed ingest (§4.4, §6.3.2): file-backed sources are not
-// materialized up front. A producer goroutine streams record-aligned
-// chunks off disk (csvio.ChunkReader) through a bounded channel; each
-// chunk becomes one partition, parsed and pushed through the compiled
-// normal path by whichever executor picks it up (on a batch plan, a
-// batch of records per csvio.ParseChunk call). Disk I/O, record
-// splitting, generated parsing and UDF execution overlap, and
-// partition count is dynamic — it grows with the input instead of being
-// fixed by an upfront scan.
+// Chunked ingest (§4.4): every CSV and text source — files or inline
+// data — enters the engine the same way. A producer goroutine streams
+// record-aligned chunks (csvio.ChunkReader) through a bounded channel;
+// each chunk becomes one partition, parsed and pushed through the
+// compiled normal path by whichever executor picks it up (on a batch
+// plan, a batch of records per csvio.ParseChunk call). Disk I/O, record
+// splitting, generated parsing and UDF execution overlap, and partition
+// count is dynamic — it grows with the input instead of being fixed by
+// an upfront scan.
 //
 // Order keys: a streamed partition p assigns row i the key p<<32|i, so
 // keys are monotone in input order both within a partition and across
@@ -36,8 +30,12 @@ import (
 // index in streamed order keys.
 const streamKeyShift = 32
 
-// streamSource is a chunked file-backed source mid-stream: bind has
-// read the sampling prefix, the rest is produced during execution.
+// minChunkSize floors the derived chunk size: below it, per-task
+// overhead outweighs the parallelism a smaller chunk would expose.
+const minChunkSize = 64 << 10
+
+// streamSource is a chunked source mid-stream: bind has read the
+// sampling prefix, the rest is produced during execution.
 type streamSource struct {
 	prod *chunkProducer
 	// prefix holds the chunks consumed while sampling; they are emitted
@@ -48,7 +46,7 @@ type streamSource struct {
 	sample [][]byte
 	// exhausted reports that the prefix covers the whole input.
 	exhausted bool
-	// headerNames are the column names from the first file's header row.
+	// headerNames are the column names from the first input's header row.
 	headerNames []string
 }
 
@@ -60,33 +58,62 @@ func (ss *streamSource) close() {
 	ss.prod.close()
 }
 
-// openStreamSource opens a (possibly multi-file) source for chunked
-// ingest and reads just enough prefix chunks to sample the normal case.
-func (eng *engine) openStreamSource(pathSpec string, delim byte, header bool, mode csvio.ChunkMode) (*streamSource, error) {
-	paths := strings.Split(pathSpec, ",")
-	for i := range paths {
-		paths[i] = strings.TrimSpace(paths[i])
+// chunkInput is one input of a source: a file, or inline bytes.
+type chunkInput struct {
+	path string
+	data []byte // non-nil for inline data
+}
+
+// sourceInputs lists a source's inputs — its inline data, or the
+// paper's ','.join(paths) multi-file spelling — and their total size.
+func sourceInputs(pathSpec string, data []byte) ([]chunkInput, int64, error) {
+	if data != nil {
+		return []chunkInput{{data: data}}, int64(len(data)), nil
 	}
-	if eng.mon != nil {
-		// Known input size gives the progress view an ETA; the stat is
-		// skipped entirely on unmonitored runs.
-		for _, p := range paths {
-			if fi, err := os.Stat(p); err == nil {
-				eng.mon.AddTotalBytes(fi.Size())
-			}
+	var ins []chunkInput
+	var total int64
+	for _, p := range strings.Split(pathSpec, ",") {
+		p = strings.TrimSpace(p)
+		fi, err := os.Stat(p)
+		if err != nil {
+			return nil, 0, fmt.Errorf("core: reading %s: %w", p, err)
 		}
+		ins = append(ins, chunkInput{path: p})
+		total += fi.Size()
 	}
-	size := eng.opts.ChunkSize
-	if size <= 0 {
-		size = csvio.DefaultChunkSize
+	return ins, total, nil
+}
+
+// chunkSize derives a source's chunk size from its byte count — the byte
+// form of partSize's rows/(4·Executors) rule, floored at minChunkSize
+// and capped by Options.ChunkSize — so a small input still spreads over
+// every executor and never takes a full-size chunk buffer. The quotient
+// is padded by 1/16: each chunk's buffer also holds the partial record
+// its predecessor cut off, and without slack those carries spill a
+// sliver of the input into one extra, few-row chunk.
+func (eng *engine) chunkSize(total int64) int {
+	size := total / int64(4*eng.opts.Executors)
+	size = max(size+size/16, minChunkSize)
+	return int(min(size, int64(eng.opts.ChunkSize)))
+}
+
+// openStreamSource opens a CSV or text source for chunked ingest and
+// reads just enough prefix chunks to sample the normal case.
+func (eng *engine) openStreamSource(pathSpec string, data []byte, delim byte, header bool, mode csvio.ChunkMode) (*streamSource, error) {
+	ins, total, err := sourceInputs(pathSpec, data)
+	if err != nil {
+		return nil, err
 	}
+	// Known input size gives the progress view an ETA.
+	eng.mon.AddTotalBytes(total)
+	size := eng.chunkSize(total)
 	prod := &chunkProducer{
-		paths: paths,
-		mode:  mode,
-		delim: delim,
-		strip: header,
-		size:  size,
-		pool:  csvio.NewChunkPool(size),
+		inputs: ins,
+		mode:   mode,
+		delim:  delim,
+		strip:  header,
+		size:   size,
+		pool:   csvio.NewChunkPool(size),
 	}
 	ss := &streamSource{prod: prod}
 	if mode == csvio.ChunkText {
@@ -113,54 +140,58 @@ func (eng *engine) openStreamSource(pathSpec string, delim byte, header bool, mo
 	return ss, nil
 }
 
-// chunkProducer iterates record-aligned chunks over a list of files,
-// stripping each file's header record when asked. Chunks never span
-// files (matching the materialized per-file record split).
+// chunkProducer iterates record-aligned chunks over a source's inputs,
+// stripping each input's header record when asked. Chunks never span
+// inputs.
 type chunkProducer struct {
-	paths []string
-	mode  csvio.ChunkMode
-	delim byte
-	strip bool
-	size  int
-	pool  *sync.Pool
+	inputs []chunkInput
+	mode   csvio.ChunkMode
+	delim  byte
+	strip  bool
+	size   int
+	pool   *sync.Pool
 
-	fileIdx     int
-	f           *os.File
-	cr          *csvio.ChunkReader
-	firstOfFile bool
-	headerNames []string
-	closedBytes int64
+	inIdx        int
+	f            *os.File // the open input file (nil for inline data)
+	cr           *csvio.ChunkReader
+	firstOfInput bool
+	headerNames  []string
+	closedBytes  int64
 }
 
-// next returns the next chunk, (nil, nil) after the last file, or a read
-// error.
+// next returns the next chunk, (nil, nil) after the last input, or a
+// read error.
 func (p *chunkProducer) next() (*csvio.Chunk, error) {
 	for {
 		if p.cr == nil {
-			if p.fileIdx >= len(p.paths) {
+			if p.inIdx >= len(p.inputs) {
 				return nil, nil
 			}
-			f, err := os.Open(p.paths[p.fileIdx])
-			if err != nil {
-				return nil, fmt.Errorf("core: reading %s: %w", p.paths[p.fileIdx], err)
+			var r io.Reader
+			if in := p.inputs[p.inIdx]; in.data != nil {
+				r = bytes.NewReader(in.data)
+			} else {
+				f, err := os.Open(in.path)
+				if err != nil {
+					return nil, fmt.Errorf("core: reading %s: %w", in.path, err)
+				}
+				p.f, r = f, f
 			}
-			p.f = f
-			p.cr = csvio.NewChunkReader(f, p.mode, p.size, p.pool)
-			p.firstOfFile = true
+			p.cr = csvio.NewChunkReader(r, p.mode, p.size, p.pool)
+			p.firstOfInput = true
 		}
 		c, err := p.cr.Next()
 		if errors.Is(err, io.EOF) {
 			p.closedBytes += p.cr.BytesRead()
-			p.f.Close()
-			p.f, p.cr = nil, nil
-			p.fileIdx++
+			p.close()
+			p.inIdx++
 			continue
 		}
 		if err != nil {
-			return nil, fmt.Errorf("core: reading %s: %w", p.paths[p.fileIdx], err)
+			return nil, fmt.Errorf("core: reading %s: %w", p.inputs[p.inIdx].path, err)
 		}
-		if p.firstOfFile {
-			p.firstOfFile = false
+		if p.firstOfInput {
+			p.firstOfInput = false
 			if p.strip {
 				cut := csvio.SkipFirstRecord(c.Data, p.mode)
 				if p.headerNames == nil {
@@ -168,7 +199,7 @@ func (p *chunkProducer) next() (*csvio.Chunk, error) {
 				}
 				c.Data = c.Data[cut:]
 				if len(c.Data) == 0 {
-					// Header-only chunk (or header-only file).
+					// Header-only chunk (or header-only input).
 					c.Release()
 					continue
 				}
@@ -178,7 +209,7 @@ func (p *chunkProducer) next() (*csvio.Chunk, error) {
 	}
 }
 
-// bytesRead reports raw bytes consumed across all files so far.
+// bytesRead reports raw bytes consumed across all inputs so far.
 func (p *chunkProducer) bytesRead() int64 {
 	n := p.closedBytes
 	if p.cr != nil {
@@ -187,11 +218,12 @@ func (p *chunkProducer) bytesRead() int64 {
 	return n
 }
 
+// close releases the current input (idempotent).
 func (p *chunkProducer) close() {
 	if p.f != nil {
 		p.f.Close()
-		p.f, p.cr = nil, nil
 	}
+	p.f, p.cr = nil, nil
 }
 
 // trimRecord drops a record's trailing newline / CRLF.
@@ -203,185 +235,4 @@ func trimRecord(b []byte) []byte {
 		b = b[:n-1]
 	}
 	return b
-}
-
-// chunkTask is one streamed partition in flight.
-type chunkTask struct {
-	part  int
-	chunk *csvio.Chunk
-}
-
-// executeStreamed drives a streamed source stage: one producer reading
-// chunks, opts.Executors workers consuming them through a bounded
-// channel. The first worker error (or producer error) stops the
-// producer and drains the channel so large inputs fail fast.
-func (eng *engine) executeStreamed(sr *stageRun) (*mat, error) {
-	ss := sr.stream
-
-	workers := eng.opts.Executors
-	if workers < 1 {
-		workers = 1
-	}
-	taskCh := make(chan chunkTask, workers)
-	var stop atomic.Bool
-	var prodErr error
-
-	go func() {
-		defer close(taskCh)
-		// The sampling prefix was already read off disk; publish those
-		// bytes before queueing so a sampler never observes processed
-		// rows with zero ingest progress (the batch kernels finish the
-		// first chunks faster than the producer reads the next one).
-		eng.mon.StoreStreamBytes(ss.prod.bytesRead())
-		part := 0
-		for _, c := range ss.prefix {
-			if stop.Load() {
-				c.Release()
-				continue
-			}
-			taskCh <- chunkTask{part: part, chunk: c}
-			part++
-		}
-		ss.prefix, ss.sample = nil, nil
-		for !ss.exhausted && !stop.Load() {
-			if err := eng.canceled(); err != nil {
-				prodErr = err
-				stop.Store(true)
-				return
-			}
-			c, err := ss.prod.next()
-			if err != nil {
-				prodErr = err
-				stop.Store(true)
-				return
-			}
-			if c == nil {
-				return
-			}
-			// Publish in-flight bytes so the sampler sees ingest progress
-			// before the stage folds it into the shared counter below.
-			eng.mon.StoreStreamBytes(ss.prod.bytesRead())
-			taskCh <- chunkTask{part: part, chunk: c}
-			part++
-		}
-	}()
-
-	var mu sync.Mutex
-	var tasks []*task
-	var workErr error
-	recordsSplit := int64(0)
-
-	var wg sync.WaitGroup
-	for w := range workers {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			body := func(context.Context) {
-				for t := range taskCh {
-					if stop.Load() {
-						t.chunk.Release()
-						continue
-					}
-					if err := eng.canceled(); err != nil {
-						t.chunk.Release()
-						mu.Lock()
-						if workErr == nil {
-							workErr = err
-						}
-						mu.Unlock()
-						stop.Store(true)
-						continue
-					}
-					ts := sr.newTask(eng, t.part)
-					ts.worker = w
-					timed := eng.tr != nil || eng.mon != nil
-					if timed {
-						ts.start = time.Now()
-					}
-					eng.mon.TaskStart()
-					var err error
-					baseKey := uint64(t.part) << streamKeyShift
-					switch {
-					case sr.isText:
-						err = sr.runRecords(ts, t.part, splitPlainLines(t.chunk.Data), baseKey, true)
-					case sr.batch != nil:
-						sr.runChunkColumnar(ts, t.part, t.chunk.Data, baseKey)
-					default:
-						err = sr.runRecords(ts, t.part, csvio.SplitRecords(t.chunk.Data), baseKey, true)
-					}
-					if timed {
-						ts.dur = time.Since(ts.start)
-					}
-					eng.mon.TaskDone(ts.dur)
-					t.chunk.Release()
-					mu.Lock()
-					if err != nil {
-						if workErr == nil {
-							workErr = err
-						}
-						stop.Store(true)
-					} else {
-						for t.part >= len(tasks) {
-							tasks = append(tasks, nil)
-						}
-						tasks[t.part] = ts
-						recordsSplit += ts.inRows
-					}
-					mu.Unlock()
-				}
-			}
-			if eng.tr != nil {
-				pprof.Do(context.Background(), pprof.Labels(
-					"tuplex", "executor",
-					"stage", strconv.Itoa(eng.stageSeq-1),
-					"worker", strconv.Itoa(w)), body)
-				return
-			}
-			body(context.Background())
-		}(w)
-	}
-	wg.Wait()
-	if prodErr != nil {
-		return nil, prodErr
-	}
-	if workErr != nil {
-		return nil, workErr
-	}
-	// Reset the in-flight counter before folding the stage's bytes into
-	// the shared ingest counter: a sampler tick between the two lines
-	// undercounts briefly instead of double-counting.
-	eng.mon.StoreStreamBytes(0)
-	eng.res.Metrics.Ingest.BytesRead.Add(ss.prod.bytesRead())
-	eng.res.Metrics.Ingest.RecordsSplit.Add(recordsSplit)
-
-	// Assemble the dynamic partitions into a materialization.
-	nparts := len(tasks)
-	out := &mat{
-		schema:     sr.outSchema,
-		parts:      make([][]rows.Row, nparts),
-		keys:       make([][]uint64, nparts),
-		nullValues: sr.nullValues,
-		isCSV:      sr.sinkCSV,
-	}
-	if sr.sinkCSV {
-		out.csvParts = make([][]byte, nparts)
-		out.csvEnds = make([][]int, nparts)
-	}
-	for p, ts := range tasks {
-		if ts == nil {
-			return nil, fmt.Errorf("core: streamed partition %d missing", p)
-		}
-		out.parts[p] = ts.outRows
-		out.keys[p] = ts.outKeys
-		if ts.csvW != nil {
-			out.csvParts[p] = ts.csvW.Take()
-			out.csvEnds[p] = ts.lineEnds
-		}
-		out.exceptional = append(out.exceptional, ts.pool...)
-	}
-	sr.tasks = tasks
-	if sr.terminal == physical.TerminalAggregate {
-		out.isAgg = true
-	}
-	return out, nil
 }

@@ -212,7 +212,7 @@ func Fig11(scale Scale, w io.Writer) (*Experiment, error) {
 	mk := func(logical, fusion, nullOpt, compilerOpt bool) []tuplex.Option {
 		opts := []tuplex.Option{tuplex.WithExecutors(execs)}
 		if !logical {
-			opts = append(opts, tuplex.WithoutLogicalOptimizations())
+			opts = append(opts, tuplex.WithLogicalOptimizations(false, false, false))
 		}
 		if !fusion {
 			opts = append(opts, tuplex.WithStageFusion(false))

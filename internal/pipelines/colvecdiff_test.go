@@ -65,8 +65,8 @@ func TestColumnarDiffZillow(t *testing.T) {
 }
 
 func TestColumnarDiffZillowStreamed(t *testing.T) {
-	// Small chunks force many batch seams; streamed and materialized
-	// must both be mode-invariant.
+	// Small chunks force many batch seams; every chunk size must be
+	// mode-invariant.
 	path := writeTemp(t, "zillow.csv", data.Zillow(data.ZillowConfig{Rows: 3000, Seed: 7, DirtyFraction: 0.05}))
 	for _, size := range streamedChunkSizes {
 		colDiffCSV(t, fmt.Sprintf("zillow/streamed-%d", size), func(col bool) *tuplex.Result {

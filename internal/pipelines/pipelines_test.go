@@ -50,7 +50,7 @@ func TestZillowUnoptimizedMatchesOptimized(t *testing.T) {
 	}
 	base := run()
 	for name, opt := range map[string]tuplex.Option{
-		"no-logical":      tuplex.WithoutLogicalOptimizations(),
+		"no-logical":      tuplex.WithLogicalOptimizations(false, false, false),
 		"no-fusion":       tuplex.WithStageFusion(false),
 		"no-compiler-opt": tuplex.WithCompilerOptimizations(false),
 		"no-null-opt":     tuplex.WithNullOptimization(false),
@@ -263,7 +263,7 @@ func TestQ6MatchesHandOptimized(t *testing.T) {
 
 func TestQ6Parallel(t *testing.T) {
 	raw := data.TPCHLineitem(data.TPCHConfig{Rows: 20000, Seed: 31})
-	c := tuplex.NewContext(tuplex.WithExecutors(4), tuplex.WithPartitionRows(2048))
+	c := tuplex.NewContext(tuplex.WithExecutors(4))
 	got, _, err := Q6(c.CSV("", tuplex.CSVData(raw)))
 	if err != nil {
 		t.Fatal(err)

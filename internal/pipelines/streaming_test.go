@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,14 +16,14 @@ import (
 	"github.com/gotuplex/tuplex/internal/data"
 )
 
-// The streamed ingest path must be observationally identical to the
-// materialized one: same rows, same order, same rendered CSV (including
-// exception-row splicing), same row counters, failed rows, exception
-// samples in pool order and routing ledger. Each Appendix-A pipeline
-// runs over on-disk files materialized and streamed at chunk sizes from
-// 4 KiB (many record-boundary and batch seams per file) to the default
-// 16 MiB (the whole file one chunk), on one and several executors, and
-// all must agree.
+// Chunked ingest must be observationally independent of how the bytes
+// arrive and how they are cut: same rows, same order, same rendered CSV
+// (including exception-row splicing), same row counters, failed rows,
+// exception samples in pool order and routing ledger. Each Appendix-A
+// pipeline runs over its input as inline data (the reference) and from
+// on-disk files at chunk sizes from 4 KiB (many record-boundary and
+// batch seams per file) to the default 16 MiB cap, on one and several
+// executors, and all must agree.
 
 func writeTemp(t *testing.T, name string, b []byte) string {
 	t.Helper()
@@ -33,17 +34,30 @@ func writeTemp(t *testing.T, name string, b []byte) string {
 	return p
 }
 
-var ingestConfigs = []struct {
+type ingestConfig struct {
 	name string
-	opts []tuplex.Option
-}{
-	{"materialized", []tuplex.Option{tuplex.WithStreamingIngest(false)}},
-	{"streamed-4k", []tuplex.Option{tuplex.WithChunkSize(4 << 10)}},
-	{"streamed-1x", []tuplex.Option{tuplex.WithChunkSize(8 << 10)}},
-	{"streamed-4x", []tuplex.Option{tuplex.WithChunkSize(8 << 10), tuplex.WithExecutors(4)}},
-	{"streamed-64k", []tuplex.Option{tuplex.WithChunkSize(64 << 10), tuplex.WithExecutors(2)}},
-	{"streamed-1m", []tuplex.Option{tuplex.WithChunkSize(1 << 20)}},
-	{"streamed-16m", nil},
+	// inline reads the input as CSVData/TextData instead of from files.
+	inline bool
+	opts   []tuplex.Option
+}
+
+var ingestConfigs = []ingestConfig{
+	{"inline", true, nil},
+	{"streamed-4k", false, []tuplex.Option{tuplex.WithChunkSize(4 << 10)}},
+	{"streamed-1x", false, []tuplex.Option{tuplex.WithChunkSize(8 << 10)}},
+	{"streamed-4x", false, []tuplex.Option{tuplex.WithChunkSize(8 << 10), tuplex.WithExecutors(4)}},
+	{"streamed-64k", false, []tuplex.Option{tuplex.WithChunkSize(64 << 10), tuplex.WithExecutors(2)}},
+	{"streamed-1m", false, []tuplex.Option{tuplex.WithChunkSize(1 << 20)}},
+	{"streamed-16m", false, nil},
+}
+
+// csv opens a CSV source the way cfg reads it: the file at path, or raw
+// (the file's bytes) inline.
+func (cfg ingestConfig) csv(c *tuplex.Context, path string, raw []byte) *tuplex.DataSet {
+	if cfg.inline {
+		return c.CSV("", tuplex.CSVData(raw))
+	}
+	return c.CSV(path)
 }
 
 // ingestCtx builds a config's context, tracing exception samples (and so
@@ -58,14 +72,14 @@ func ingestCtx(opts []tuplex.Option) *tuplex.Context {
 func requireSameRun(t *testing.T, name string, base, got *tuplex.Result) {
 	t.Helper()
 	if got.Metrics.Rows != base.Metrics.Rows {
-		t.Fatalf("%s: row counters %+v, materialized %+v", name, got.Metrics.Rows, base.Metrics.Rows)
+		t.Fatalf("%s: row counters %+v, inline %+v", name, got.Metrics.Rows, base.Metrics.Rows)
 	}
 	if !reflect.DeepEqual(got.Failed, base.Failed) {
-		t.Fatalf("%s: failed rows %v, materialized %v", name, got.Failed, base.Failed)
+		t.Fatalf("%s: failed rows %v, inline %v", name, got.Failed, base.Failed)
 	}
 	g, w := stageSpans(got.Trace.Root), stageSpans(base.Trace.Root)
 	if len(g) != len(w) {
-		t.Fatalf("%s: %d stages, materialized %d", name, len(g), len(w))
+		t.Fatalf("%s: %d stages, inline %d", name, len(g), len(w))
 	}
 	for i := range w {
 		if !reflect.DeepEqual(g[i].Samples, w[i].Samples) {
@@ -114,7 +128,7 @@ func rowStrings(rows []tuplex.Row) []string {
 func requireSameRows(t *testing.T, name string, base, got []string) {
 	t.Helper()
 	if len(got) != len(base) {
-		t.Fatalf("%s: %d rows, materialized %d", name, len(got), len(base))
+		t.Fatalf("%s: %d rows, inline %d", name, len(got), len(base))
 	}
 	for i := range base {
 		if got[i] != base[i] {
@@ -124,9 +138,9 @@ func requireSameRows(t *testing.T, name string, base, got []string) {
 }
 
 // requireReadOnce asserts a run's ingest equals the total size of the
-// sources its plan names: every file is read exactly once per run,
-// whether the run streams or materializes it (sampling reuses the prefix
-// the source binding already holds).
+// sources its plan names: every file or inline input is read exactly
+// once per run (sampling reuses the prefix the source binding already
+// holds).
 func requireReadOnce(t *testing.T, name string, m *tuplex.Metrics, sizes ...int) {
 	t.Helper()
 	var want int64
@@ -145,11 +159,11 @@ func TestStreamingZillowMatchesMaterialized(t *testing.T) {
 	var baseRows []string
 	var baseCSV []byte
 	for _, cfg := range ingestConfigs {
-		res, err := Zillow(ingestCtx(cfg.opts).CSV(path)).Collect()
+		res, err := Zillow(cfg.csv(ingestCtx(cfg.opts), path, raw)).Collect()
 		if err != nil {
 			t.Fatalf("%s collect: %v", cfg.name, err)
 		}
-		csvRes, err := Zillow(ingestCtx(cfg.opts).CSV(path)).ToCSV("")
+		csvRes, err := Zillow(cfg.csv(ingestCtx(cfg.opts), path, raw)).ToCSV("")
 		if err != nil {
 			t.Fatalf("%s tocsv: %v", cfg.name, err)
 		}
@@ -166,7 +180,7 @@ func TestStreamingZillowMatchesMaterialized(t *testing.T) {
 		requireSameRows(t, cfg.name, baseRows, rows)
 		requireSameRun(t, cfg.name, base, res)
 		if !bytes.Equal(csvRes.CSV, baseCSV) {
-			t.Fatalf("%s: rendered CSV differs from materialized", cfg.name)
+			t.Fatalf("%s: rendered CSV differs from inline", cfg.name)
 		}
 	}
 }
@@ -195,18 +209,23 @@ func TestStreamingFlightsMatchesMaterialized(t *testing.T) {
 	var base []string
 	var baseRes *tuplex.Result
 	for _, cfg := range ingestConfigs {
-		res, err := Flights(flightsFiles(ingestCtx(cfg.opts), perfPath, carriersPath, airportsPath)).Collect()
+		c := ingestCtx(cfg.opts)
+		in, perfBytes := flightsFiles(c, perfPath, carriersPath, airportsPath), len(fileA)+len(fileB)
+		if cfg.inline {
+			in, perfBytes = FlightsSources(c, perf, data.Carriers(), data.Airports()), len(perf)
+		}
+		res, err := Flights(in).Collect()
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.name, err)
 		}
-		// The airports file backs two sources (origin and destination).
-		requireReadOnce(t, cfg.name, res.Metrics, len(fileA), len(fileB),
+		// The airports input backs two sources (origin and destination).
+		requireReadOnce(t, cfg.name, res.Metrics, perfBytes,
 			len(data.Carriers()), len(data.Airports()), len(data.Airports()))
 		rows := rowStrings(res.Rows)
 		if base == nil {
 			base, baseRes = rows, res
 			if len(base) == 0 {
-				t.Fatal("materialized run produced no rows")
+				t.Fatal("inline run produced no rows")
 			}
 			continue
 		}
@@ -243,7 +262,11 @@ func TestStreamingWeblogsMatchesMaterialized(t *testing.T) {
 	var base []string
 	for _, cfg := range ingestConfigs {
 		c := tuplex.NewContext(cfg.opts...)
-		res, err := Weblogs(c.Text(logsPath), c.CSV(badPath), WeblogStrip).Collect()
+		logsSrc := c.Text(logsPath)
+		if cfg.inline {
+			logsSrc = c.Text("", tuplex.TextData(logs))
+		}
+		res, err := Weblogs(logsSrc, cfg.csv(c, badPath, bad), WeblogStrip).Collect()
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.name, err)
 		}
@@ -252,7 +275,7 @@ func TestStreamingWeblogsMatchesMaterialized(t *testing.T) {
 		if base == nil {
 			base = rows
 			if len(base) == 0 {
-				t.Fatal("materialized run produced no rows")
+				t.Fatal("inline run produced no rows")
 			}
 			continue
 		}
@@ -266,7 +289,7 @@ func TestStreamingThreeOneOneMatchesMaterialized(t *testing.T) {
 	var base []string
 	var baseRes *tuplex.Result
 	for _, cfg := range ingestConfigs {
-		res, err := ThreeOneOne(ingestCtx(cfg.opts).CSV(path)).Collect()
+		res, err := ThreeOneOne(cfg.csv(ingestCtx(cfg.opts), path, raw)).Collect()
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.name, err)
 		}
@@ -289,7 +312,7 @@ func TestStreamingQ6MatchesMaterialized(t *testing.T) {
 	var base float64
 	var baseRes *tuplex.Result
 	for _, cfg := range ingestConfigs {
-		got, res, err := Q6(ingestCtx(cfg.opts).CSV(path))
+		got, res, err := Q6(cfg.csv(ingestCtx(cfg.opts), path, raw))
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.name, err)
 		}
@@ -302,7 +325,7 @@ func TestStreamingQ6MatchesMaterialized(t *testing.T) {
 			continue
 		}
 		if math.Abs(got-base) > 1e-9*math.Max(1, math.Abs(base)) {
-			t.Fatalf("%s: revenue %.6f, materialized %.6f", cfg.name, got, base)
+			t.Fatalf("%s: revenue %.6f, inline %.6f", cfg.name, got, base)
 		}
 		requireSameRun(t, cfg.name, baseRes, res)
 	}
@@ -400,5 +423,79 @@ func TestStreamingParseSlowRecords(t *testing.T) {
 	}
 	if n, _ := parseSlowRecords(t, res); n != 10 {
 		t.Errorf("mid-cell quotes: parse_slow_records = %d, want 10", n)
+	}
+}
+
+// executeTasks counts the task timings on a run's execute spans.
+func executeTasks(s *tuplex.Span) int {
+	n := 0
+	if s.Name == "execute" {
+		n = len(s.Tasks)
+	}
+	for _, c := range s.Children {
+		n += executeTasks(c)
+	}
+	return n
+}
+
+// TestInlineSourceRunsInParallel: inline data is chunked like a file,
+// with the chunk size derived from its length, so a few hundred KB of
+// wide records spreads over several tasks instead of one partition.
+func TestInlineSourceRunsInParallel(t *testing.T) {
+	raw := data.Zillow(data.ZillowConfig{Rows: 1000, Seed: 4})
+	if len(raw) < 150<<10 {
+		t.Fatalf("input is %d bytes; the test wants ~200 KB", len(raw))
+	}
+	c := tuplex.NewContext(tuplex.WithExecutors(4))
+	res, err := Zillow(c.CSV("", tuplex.CSVData(raw))).Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := executeTasks(res.Trace.Root); n < 2 {
+		t.Fatalf("%d-byte inline source ran as %d task(s), want >= 2", len(raw), n)
+	}
+}
+
+// TestInlineSourceIngestMetrics: inline bytes count as ingest exactly
+// like a file's.
+func TestInlineSourceIngestMetrics(t *testing.T) {
+	raw := data.Zillow(data.ZillowConfig{Rows: 2000, Seed: 9})
+	res, err := Zillow(tuplex.NewContext().CSV("", tuplex.CSVData(raw))).Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Metrics.Ingest.BytesRead; got != int64(len(raw)) {
+		t.Fatalf("BytesRead = %d, want %d", got, len(raw))
+	}
+	if res.Metrics.Ingest.RecordsSplit == 0 {
+		t.Fatal("RecordsSplit not counted")
+	}
+}
+
+// TestSmallFileSmallChunk: a 2 KB file takes a chunk buffer sized to
+// the file (the 64 KiB floor), not the 16 MiB cap.
+func TestSmallFileSmallChunk(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("id,name\n")
+	for i := 0; sb.Len() < 2<<10; i++ {
+		fmt.Fprintf(&sb, "%d,name-%d\n", i, i)
+	}
+	path := writeTemp(t, "small.csv", []byte(sb.String()))
+	run := func() {
+		res, err := tuplex.NewContext().CSV(path).Map(tuplex.UDF("lambda x: x['id'] + 1")).Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) == 0 {
+			t.Fatal("no rows")
+		}
+	}
+	run() // one-time initialization stays out of the measurement
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4<<20 {
+		t.Fatalf("a 2 KB file's run allocated %d bytes, want < 4 MiB", alloc)
 	}
 }

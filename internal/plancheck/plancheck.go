@@ -75,8 +75,9 @@ const (
 	// CodeNoopOperator: an operator that provably does nothing
 	// (identity selectColumns, renameColumn to the same name).
 	CodeNoopOperator = "TPX008"
-	// CodeNoopOption: an option or sink configuration with no effect
-	// (chunk_size with streaming disabled, take(0)).
+	// CodeNoopOption: an option or sink setting that defeats its own
+	// purpose (take(0) discards the output; sample_size=1 leaves the
+	// sampler nothing to infer from).
 	CodeNoopOption = "TPX009"
 	// CodeMalformedSpec: a structural defect Build would reject (missing
 	// udf/col/keys, unknown kind, unparsable UDF, bad sink).
@@ -441,10 +442,6 @@ func (c *checker) checkOptions(p *spec.Pipeline, prefix string) {
 	}
 	c.ord++
 	path := prefix + "options"
-	if o.ChunkSize > 0 && o.Streaming != nil && !*o.Streaming {
-		c.addf(CodeNoopOption, SevInfo, path, "", "",
-			"chunk_size=%d has no effect with streaming disabled", o.ChunkSize)
-	}
 	if o.SampleSize > 0 && o.SampleSize < 2 {
 		c.addf(CodeNoopOption, SevInfo, path, "", "",
 			"sample_size=%d gives the sampler a single row; normal-case inference degenerates", o.SampleSize)

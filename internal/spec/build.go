@@ -329,9 +329,6 @@ func (o *Options) resolve() core.Options {
 	if o.Seed != 0 {
 		opts.Seed = o.Seed
 	}
-	if o.Streaming != nil {
-		opts.Streaming = *o.Streaming
-	}
 	if o.Columnar != nil {
 		opts.Columnar = *o.Columnar
 	}

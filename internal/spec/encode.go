@@ -169,7 +169,6 @@ func fromOptions(o core.Options) *Options {
 		StageFusion:           b(o.Fusion),
 		CompilerOptimizations: b(o.Codegen.Specialize),
 		Seed:                  o.Seed,
-		Streaming:             b(o.Streaming),
 		Columnar:              b(o.Columnar),
 		ChunkSize:             o.ChunkSize,
 	}

@@ -128,7 +128,6 @@ type Options struct {
 	StageFusion           *bool   `json:"stage_fusion,omitempty"`
 	CompilerOptimizations *bool   `json:"compiler_optimizations,omitempty"`
 	Seed                  uint64  `json:"seed,omitempty"`
-	Streaming             *bool   `json:"streaming,omitempty"`
 	Columnar              *bool   `json:"columnar,omitempty"`
 	ChunkSize             int     `json:"chunk_size,omitempty"`
 }
@@ -206,7 +205,7 @@ var (
 	optFields  = map[string]bool{"executors": true, "partition_rows": true, "sample_size": true,
 		"null_threshold": true, "null_optimization": true, "projection_pushdown": true,
 		"filter_pushdown": true, "join_reorder": true, "stage_fusion": true,
-		"compiler_optimizations": true, "seed": true, "streaming": true, "columnar": true,
+		"compiler_optimizations": true, "seed": true, "columnar": true,
 		"chunk_size": true}
 )
 

@@ -59,7 +59,6 @@ func complexPipeline() *Pipeline {
 			ProjectionPushdown: &on,
 			FilterPushdown:     &on,
 			JoinReorder:        &off,
-			Streaming:          &off,
 			Seed:               7,
 		},
 	}
@@ -158,6 +157,20 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 	_, err := Decode([]byte(`{"v": 1, "source": {"kind": "csv", "path": "x.csv"}, "bogus": 1}`))
 	if err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("want unknown-field error, got %v", err)
+	}
+}
+
+// TestDecodeRejectsStreamingOption: every CSV and text source is read
+// in chunks, so the old streaming toggle is no longer part of the wire
+// form and a spec carrying it fails strict decode.
+func TestDecodeRejectsStreamingOption(t *testing.T) {
+	_, err := Decode([]byte(`{"v": 1, "source": {"kind": "csv", "path": "x.csv"}, "options": {"streaming": false}}`))
+	var de *DecodeError
+	if !errors.As(err, &de) {
+		t.Fatalf("want *DecodeError, got %T: %v", err, err)
+	}
+	if len(de.Problems) != 1 || de.Problems[0] != `options: unknown field "streaming"` {
+		t.Fatalf("problems = %q, want the unknown streaming field", de.Problems)
 	}
 }
 
@@ -357,7 +370,6 @@ func TestOptionsRoundTrip(t *testing.T) {
 	cases := []core.Options{core.DefaultOptions()}
 	mod := core.DefaultOptions()
 	mod.Executors = 8
-	mod.Streaming = false
 	mod.Columnar = false
 	mod.Fusion = false
 	mod.Sample.Size = 123

@@ -22,7 +22,6 @@ func fullDataSet() *DataSet {
 		WithExecutors(3),
 		WithSampleSize(32),
 		WithSeed(9),
-		WithStreamingIngest(false),
 		WithPartitionRows(512),
 	)
 	build := c.Parallelize([][]any{{"10001", "NY"}, {"10002", "NY"}}, []string{"zip", "state"})

@@ -95,13 +95,8 @@ func WithNullOptimization(on bool) Option {
 	return Option{apply: func(o *core.Options) { o.Sample.DisableNullOpt = !on }}
 }
 
-// WithoutLogicalOptimizations disables filter/projection pushdown and
-// join reordering.
-func WithoutLogicalOptimizations() Option {
-	return Option{apply: func(o *core.Options) { o.Logical = logical.Options{} }}
-}
-
-// WithLogicalOptimizations sets the planner rewrites individually.
+// WithLogicalOptimizations sets the planner rewrites individually;
+// WithLogicalOptimizations(false, false, false) disables them all.
 func WithLogicalOptimizations(projection, filter, joinReorder bool) Option {
 	return Option{apply: func(o *core.Options) {
 		o.Logical = logical.Options{
@@ -125,26 +120,26 @@ func WithCompilerOptimizations(on bool) Option {
 	return Option{apply: func(o *core.Options) { o.Codegen = codegen.Options{Specialize: on} }}
 }
 
-// WithSeed seeds random.choice.
+// WithSeed seeds random.choice. Each partition task draws from its own
+// stream, derived from the seed and the partition index, and partition
+// cuts follow the executor count and the chunk cap (see WithChunkSize).
+// So the same seed gives the same output only at the same WithExecutors
+// and WithChunkSize.
 func WithSeed(seed uint64) Option {
 	return Option{apply: func(o *core.Options) { o.Seed = seed }}
 }
 
-// WithPartitionRows caps rows per partition task.
+// WithPartitionRows caps rows per partition task of a Parallelize
+// source (CSV and text sources partition by chunk; see WithChunkSize).
 func WithPartitionRows(n int) Option {
 	return Option{apply: func(o *core.Options) { o.PartitionRows = n }}
 }
 
-// WithStreamingIngest toggles chunked pipelined ingest for file-backed
-// sources (default on). When off, sources are fully materialized and
-// record-split before execution starts.
-func WithStreamingIngest(on bool) Option {
-	return Option{apply: func(o *core.Options) { o.Streaming = on }}
-}
-
-// WithChunkSize sets the streamed ingest chunk size in bytes (default
-// ~16 MiB). Each chunk becomes one partition task, so smaller chunks
-// expose more parallelism at the cost of per-task overhead.
+// WithChunkSize caps the ingest chunk size in bytes (default ~16 MiB).
+// CSV and text sources, files and inline data alike, are read in chunks
+// of about input bytes / (4 * executors), at least 64 KiB and at most n;
+// each chunk becomes one partition task, so smaller chunks expose more
+// parallelism at the cost of per-task overhead.
 func WithChunkSize(n int) Option {
 	return Option{apply: func(o *core.Options) { o.ChunkSize = n }}
 }

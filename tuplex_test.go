@@ -260,7 +260,16 @@ func TestParallelExecutionMatchesSerial(t *testing.T) {
 			Filter(UDF("lambda x: x['double'] % 3 == 0")))
 	}
 	serial := pipeline(NewContext(WithExecutors(1)))
-	parallel := pipeline(NewContext(WithExecutors(8), WithPartitionRows(512)))
+	// ~39 KB of input sits under the 64 KiB chunk floor; a 4 KiB cap
+	// cuts it into about ten chunks for the eight executors.
+	parallel := pipeline(NewContext(WithExecutors(8), WithChunkSize(4<<10)))
+	tasks := 0
+	for _, ex := range findSpans(parallel.Trace.Root, "execute") {
+		tasks += len(ex.Tasks)
+	}
+	if tasks < 2 {
+		t.Fatalf("parallel run executed %d task(s), want >= 2", tasks)
+	}
 	if len(serial.Rows) != len(parallel.Rows) {
 		t.Fatalf("serial %d rows, parallel %d rows", len(serial.Rows), len(parallel.Rows))
 	}
@@ -450,7 +459,7 @@ func TestProjectionPushdownParsesOnlyNeededColumns(t *testing.T) {
 		t.Fatal("dirty cell in an unread column caused a classifier reject; projection pushdown broken")
 	}
 	// Without projection pushdown, the dirty row must take the slow path.
-	c2 := NewContext(WithoutLogicalOptimizations())
+	c2 := NewContext(WithLogicalOptimizations(false, false, false))
 	res2 := collect(t, c2.CSV("", CSVData([]byte(sb.String()))).
 		WithColumn("sum", UDF("lambda x: x['c1'] + x['c2']")).
 		SelectColumns("sum"))
