@@ -20,26 +20,19 @@ var ErrCanceled = core.ErrCanceled
 // CollectContext is Collect under ctx: cancel ctx (or let its deadline
 // expire) to abandon the run early with an error wrapping ErrCanceled.
 func (d *DataSet) CollectContext(ctx context.Context) (*Result, error) {
-	return d.runCtx(ctx, core.SinkCollect, "")
+	return d.runCtx(ctx, core.SinkCollect, "", -1)
 }
 
 // TakeContext is Take under ctx; see CollectContext for cancellation
 // semantics.
 func (d *DataSet) TakeContext(ctx context.Context, n int) (*Result, error) {
-	res, err := d.runCtx(ctx, core.SinkCollect, "")
-	if err != nil {
-		return nil, err
-	}
-	if n >= 0 && len(res.Rows) > n {
-		res.Rows = res.Rows[:n]
-	}
-	return res, nil
+	return d.runCtx(ctx, core.SinkCollect, "", n)
 }
 
 // ToCSVContext is ToCSV under ctx; see CollectContext for cancellation
 // semantics.
 func (d *DataSet) ToCSVContext(ctx context.Context, path string) (*Result, error) {
-	return d.runCtx(ctx, core.SinkCSV, path)
+	return d.runCtx(ctx, core.SinkCSV, path, -1)
 }
 
 // AggregateContext is Aggregate under ctx; see CollectContext for
@@ -57,7 +50,7 @@ func (d *DataSet) AggregateContext(ctx context.Context, agg, comb UDFDef, initia
 		return nil, nil, err
 	}
 	ds := d.chain(&logical.AggregateOp{Agg: aggSpec, Comb: combSpec, Initial: boxValue(initial)})
-	res, err := ds.runCtx(ctx, core.SinkCollect, "")
+	res, err := ds.runCtx(ctx, core.SinkCollect, "", -1)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -21,6 +21,8 @@
 package colvec
 
 import (
+	"math/bits"
+	"slices"
 	"unsafe"
 
 	"github.com/gotuplex/tuplex/internal/pyvalue"
@@ -222,6 +224,15 @@ func (v *Vec) Truncate(n int) {
 	v.Nulls.truncate(n)
 }
 
+// Clip truncates an appended vector to its first n rows and copies the
+// string bytes they use into an exact-size buffer, so strings read from
+// it afterwards no longer keep the dropped rows' bytes alive.
+func (v *Vec) Clip(n int) {
+	v.Truncate(n)
+	v.Bytes = slices.Clone(v.Bytes)
+	v.sealed, v.sealLen, v.donated = "", 0, false
+}
+
 // ---- Append building (source parse: rows arrive in order) ----
 
 // AppendNull appends a null cell (payload slot zeroed).
@@ -309,6 +320,21 @@ func (v *Vec) AppendSlot(s rows.Slot) {
 	}
 }
 
+// AppendCell is AppendSlot for cells whose tags the vector's kind may
+// not cover (the row path's output): a non-null slot of another kind
+// first turns the vector into an escape vector, so every cell reads
+// back as it was written.
+func (v *Vec) AppendCell(s rows.Slot) {
+	if s.Tag != types.KindNull && s.Tag != v.Kind && v.Kind != types.KindAny {
+		slots := make([]rows.Slot, v.n, max(v.n, 16))
+		for i := range slots {
+			slots[i] = v.Slot(i)
+		}
+		*v = Vec{Kind: types.KindAny, Nullable: v.Nullable, Nulls: v.Nulls, n: v.n, Slots: slots}
+	}
+	v.AppendSlot(s)
+}
+
 // AppendFrom appends cell i of src — the vector-to-vector gather used by
 // the join kernel. Same-kind cells copy typed payloads directly (string
 // bytes move buffer-to-buffer without materializing a Go string); a kind
@@ -337,6 +363,41 @@ func (v *Vec) AppendFrom(src *Vec, i int) {
 		return
 	}
 	v.AppendSlot(src.Slot(i))
+}
+
+// AppendSel appends src's cells at the rows in sel, sizing the payload
+// (string bytes included) for all of them first, so the appends never
+// reallocate. A src of another kind appends cell by cell (AppendCell).
+func (v *Vec) AppendSel(src *Vec, sel []int32) {
+	if v.Kind != src.Kind {
+		for _, r := range sel {
+			v.AppendCell(src.Slot(int(r)))
+		}
+		return
+	}
+	n := len(sel)
+	switch v.Kind {
+	case types.KindBool:
+		v.B = slices.Grow(v.B, n)
+	case types.KindI64:
+		v.I = slices.Grow(v.I, n)
+	case types.KindF64:
+		v.F = slices.Grow(v.F, n)
+	case types.KindStr:
+		v.Off = slices.Grow(v.Off, n)
+		v.SLen = slices.Grow(v.SLen, n)
+		bytes := 0
+		for _, r := range sel {
+			bytes += int(src.SLen[r])
+		}
+		v.Bytes = slices.Grow(v.Bytes, bytes)
+	case types.KindNull:
+	default:
+		v.Slots = slices.Grow(v.Slots, n)
+	}
+	for _, r := range sel {
+		v.AppendFrom(src, int(r))
+	}
 }
 
 // ---- Dense absolute writes (derived kernel outputs) ----
@@ -443,6 +504,76 @@ func (v *Vec) Slot(i int) rows.Slot {
 	default:
 		return v.Slots[i]
 	}
+}
+
+// Box boxes row i through b into the value rows.AnyValue gives the
+// cell, reading the typed payload directly. A string shares the
+// vector's bytes (see Seal), so the vector must not be reused while the
+// boxed value lives.
+func (v *Vec) Box(b *rows.Boxer, i int) any {
+	if v.IsNull(i) {
+		return nil
+	}
+	switch v.Kind {
+	case types.KindBool:
+		return v.B[i]
+	case types.KindI64:
+		return b.I64(v.I[i])
+	case types.KindF64:
+		return b.F64(v.F[i])
+	case types.KindStr:
+		return b.Str(v.Str(i))
+	default:
+		return b.Box(v.Slots[i])
+	}
+}
+
+// SlabCells counts the rows.Boxer slab cells boxing rows [0, n) takes:
+// integers outside 0..255, floats and strings (rows.Boxer.Reserve). A
+// null integer cell counts when its payload slot does, so the count is
+// exact for appended vectors and an upper bound for dense ones.
+func (v *Vec) SlabCells(n int) (ints, floats, strs int) {
+	switch v.Kind {
+	case types.KindBool, types.KindNull:
+	case types.KindI64:
+		for _, x := range v.I[:n] {
+			if rows.SlabInt(x) {
+				ints++
+			}
+		}
+	case types.KindF64:
+		floats = n - v.nulls(n)
+	case types.KindStr:
+		strs = n - v.nulls(n)
+	default:
+		for i := range n {
+			switch s := &v.Slots[i]; {
+			case v.IsNull(i):
+			case s.Tag == types.KindI64 && rows.SlabInt(s.I):
+				ints++
+			case s.Tag == types.KindF64:
+				floats++
+			case s.Tag == types.KindStr:
+				strs++
+			}
+		}
+	}
+	return ints, floats, strs
+}
+
+// nulls counts the null rows among [0, n) of a payload-carrying vector.
+func (v *Vec) nulls(n int) int {
+	if !v.Nullable {
+		return 0
+	}
+	c, words := 0, min(n>>6, len(v.Nulls))
+	for _, w := range v.Nulls[:words] {
+		c += bits.OnesCount64(w)
+	}
+	if rem := n & 63; rem != 0 && words < len(v.Nulls) {
+		c += bits.OnesCount64(v.Nulls[words] & (1<<rem - 1))
+	}
+	return c
 }
 
 // Set writes an arbitrary slot at row i, dispatching on the vector

@@ -1,6 +1,7 @@
 package colvec
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/gotuplex/tuplex/internal/pyvalue"
@@ -240,5 +241,92 @@ func TestSealAfterAppendExtends(t *testing.T) {
 	w.Reset()
 	if cap(w.Bytes) != before {
 		t.Fatal("unsealed reset should keep the buffer")
+	}
+}
+
+// Box reads each kind's payload into the value rows.AnyValue gives the
+// cell, and SlabCells counts the slab cells those boxes take: boxing
+// into a Boxer reserved with them allocates nothing more.
+func TestVecBoxMatchesAnyValue(t *testing.T) {
+	cases := []struct {
+		typ                types.Type
+		cells              []rows.Slot
+		ints, floats, strs int
+	}{
+		{types.Option(types.I64), []rows.Slot{rows.I64(0), rows.I64(255), rows.I64(256), rows.I64(-1), rows.Null()}, 2, 0, 0},
+		{types.Option(types.F64), []rows.Slot{rows.F64(-0.5), rows.Null(), rows.F64(2)}, 0, 2, 0},
+		{types.Option(types.Str), []rows.Slot{rows.Str("a"), rows.Null(), rows.Str("")}, 0, 0, 2},
+		{types.Option(types.Bool), []rows.Slot{rows.Bool(true), rows.Null()}, 0, 0, 0},
+		{types.Null, []rows.Slot{rows.Null(), rows.Null()}, 0, 0, 0},
+		{types.Any, []rows.Slot{rows.I64(300), rows.Str("s"), rows.List([]rows.Slot{rows.I64(1)})}, 1, 0, 1},
+	}
+	for _, tc := range cases {
+		src := NewVec(tc.typ)
+		var sel []int32
+		for i, s := range tc.cells {
+			src.AppendSlot(s)
+			sel = append(sel, int32(i))
+		}
+		v := NewVec(tc.typ)
+		v.AppendSel(src, sel)
+		if i, f, s := v.SlabCells(v.Len()); i != tc.ints || f != tc.floats || s != tc.strs {
+			t.Fatalf("%s: SlabCells = %d, %d, %d; want %d, %d, %d", tc.typ, i, f, s, tc.ints, tc.floats, tc.strs)
+		}
+		var b rows.Boxer
+		for i, s := range tc.cells {
+			if got, want := v.Box(&b, i), rows.AnyValue(s.Value()); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s row %d: Box = %#v, want %#v", tc.typ, i, got, want)
+			}
+		}
+		if tc.typ.Kind() == types.KindAny {
+			continue // boxing a list allocates the []any
+		}
+		slabs := 0
+		for _, n := range []int{tc.ints, tc.floats, tc.strs} {
+			if n > 0 {
+				slabs++
+			}
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			var b rows.Boxer
+			b.Reserve(0, tc.ints, tc.floats, tc.strs)
+			for i := range v.Len() {
+				v.Box(&b, i)
+			}
+		})
+		if int(allocs) > slabs {
+			t.Fatalf("%s: boxing a reserved column allocates %.0f times, want the %d slabs", tc.typ, allocs, slabs)
+		}
+	}
+}
+
+// A cell the vector's kind cannot hold turns it into an escape vector;
+// every cell, earlier ones included, reads back as written.
+func TestVecAppendCellWidens(t *testing.T) {
+	v := NewVec(types.I64)
+	in := []rows.Slot{rows.I64(5), rows.Null(), rows.Bool(true), rows.Str("x"), rows.I64(7)}
+	for _, s := range in {
+		v.AppendCell(s)
+	}
+	if v.Kind != types.KindAny || v.Len() != len(in) {
+		t.Fatalf("kind %v, len %d after a bool cell", v.Kind, v.Len())
+	}
+	for i, s := range in {
+		if got := v.Slot(i); !rows.Equal(got, s) || got.Tag != s.Tag {
+			t.Fatalf("row %d = %+v, want %+v", i, got, s)
+		}
+	}
+}
+
+// Clip keeps the first rows and gives their strings a buffer of their own.
+func TestVecClip(t *testing.T) {
+	v := NewVec(types.Str)
+	for _, s := range []string{"ab", "cde", "fghij"} {
+		v.AppendStr(s)
+	}
+	whole := v.Str(1)
+	v.Clip(2)
+	if v.Len() != 2 || len(v.Bytes) != 5 || cap(v.Bytes) > 8 || v.Str(0) != "ab" || v.Str(1) != "cde" || whole != "cde" {
+		t.Fatalf("clipped: len %d, bytes %q (cap %d), %q %q", v.Len(), v.Bytes, cap(v.Bytes), v.Str(0), v.Str(1))
 	}
 }

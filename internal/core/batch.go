@@ -288,7 +288,7 @@ func (sr *stageRun) getBatchState(ts *task) *batchState {
 // putBatchState returns the batch memory to the stage pool: nothing in
 // it escapes the task (strings are sealed views under the donated-buffer
 // protocol, pooled raw records were detached, output rows have fresh
-// backing).
+// backing and output vectors copy their cells).
 func (sr *stageRun) putBatchState(ts *task) {
 	bst := ts.bst
 	ts.bst = nil
@@ -454,11 +454,16 @@ func (sr *stageRun) runBatchBody(ts *task, bst *batchState, p int) int64 {
 
 	if bp.suffix == nil {
 		switch {
-		case sr.sinkCSV:
+		case sr.emit == emitCSV:
 			if ts.route != nil {
 				ts.route[sr.termRouteIdx] += int64(len(bst.sel))
 			}
 			sr.renderBatchCSV(ts, bst)
+		case sr.emit == emitVecs:
+			if ts.route != nil {
+				ts.route[sr.termRouteIdx] += int64(len(bst.sel))
+			}
+			sr.collectBatch(ts, bst)
 		case sr.terminal == physical.TerminalUnique:
 			if ts.route != nil {
 				ts.route[sr.termRouteIdx] += int64(len(bst.sel))
@@ -1051,8 +1056,27 @@ func (sr *stageRun) foldRows(ts *task, bst *batchState, sel []int32, p int) int6
 	return excs
 }
 
-// gatherBatch materializes the live rows (collect/materialize terminal)
-// with one bulk backing allocation per batch.
+// collectBatch appends the live rows to a new set of output vectors, one
+// column at a time, each sized for the batch (the collect sink's
+// terminal; finish boxes them).
+//
+//tuplex:kernel
+func (sr *stageRun) collectBatch(ts *task, bst *batchState) {
+	if len(bst.sel) == 0 {
+		return
+	}
+	seg := newVecs(sr.outSchema)
+	for c, src := range bst.cols {
+		seg[c].AppendSel(src, bst.sel)
+	}
+	ts.outVecs = append(ts.outVecs, seg)
+	for _, r := range bst.sel {
+		ts.outKeys = append(ts.outKeys, bst.keyOf(r))
+	}
+}
+
+// gatherBatch materializes the live rows (materialize terminal) with one
+// bulk backing allocation per batch.
 func (sr *stageRun) gatherBatch(ts *task, bst *batchState) {
 	b := colvec.Batch{Cols: bst.cols, N: bst.n}
 	got := b.GatherRows(bst.sel)

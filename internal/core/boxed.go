@@ -624,9 +624,10 @@ func (eng *engine) resolveExceptions(sr *stageRun, out *mat) error {
 				boxedAggRows++
 			}
 		case physical.TerminalUnique:
+			// mergeUnique left one partition, in order-key order.
 			for _, r := range outRows {
 				if uniqSeen.addRow(rows.RowFromValues(r)) {
-					out.exceptional = append(out.exceptional, exRow{part: ex.part, key: ex.key * joinScale, vals: r})
+					out.exceptional = append(out.exceptional, exRow{key: ex.key * joinScale, vals: r})
 				}
 			}
 		default:

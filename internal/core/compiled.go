@@ -59,14 +59,29 @@ type chainPlan struct {
 // first run that reaches the stage.
 type stageSlot struct {
 	st *physical.Stage
-	// sinkCSV marks the pipeline's final stage under a CSV sink, which
-	// renders CSV inside its tasks. Build-side chains always materialize
-	// rows for the hash table, whatever the pipeline's sink is.
-	sinkCSV bool
+	// emit is the form the stage's tasks write. The pipeline's final
+	// stage writes its sink's form inside its tasks; every other stage,
+	// and every stage of a build-side chain (whatever the pipeline's sink
+	// is), materializes rows.
+	emit emitForm
 	// builds holds the build side of each JoinOp in st.Ops, in order.
 	builds []*joinBuild
 	plan   *stagePlan
 }
+
+// emitForm is the form a stage's tasks write their output in.
+type emitForm uint8
+
+const (
+	// emitRows materializes slot rows for the next consumer: an interior
+	// stage, a join build table, the unique merge.
+	emitRows emitForm = iota
+	// emitCSV renders CSV (the final stage under a CSV sink).
+	emitCSV
+	// emitVecs appends to per-task column vectors, which finish boxes
+	// (the final stage under a collect sink).
+	emitVecs
+)
 
 // joinBuild is the build side of one join: the operator and the chain
 // that produces its rows.
@@ -76,8 +91,9 @@ type joinBuild struct {
 }
 
 // newChainPlan splits the plan rooted at sinkNode into stages and lays
-// out the (still uncompiled) tree, build sides included.
-func newChainPlan(sinkNode *logical.Node, sink SinkKind, fusion bool) (*chainPlan, error) {
+// out the (still uncompiled) tree, build sides included; the chain's
+// final stage writes emit.
+func newChainPlan(sinkNode *logical.Node, emit emitForm, fusion bool) (*chainPlan, error) {
 	pplan, err := physical.Split(sinkNode, physical.Options{Fusion: fusion})
 	if err != nil {
 		return nil, err
@@ -85,10 +101,13 @@ func newChainPlan(sinkNode *logical.Node, sink SinkKind, fusion bool) (*chainPla
 	c := &chainPlan{stages: make([]*stageSlot, len(pplan.Stages))}
 	for si := range pplan.Stages {
 		st := &pplan.Stages[si]
-		sl := &stageSlot{st: st, sinkCSV: st.Terminal == physical.TerminalSink && sink == SinkCSV}
+		sl := &stageSlot{st: st}
+		if st.Terminal == physical.TerminalSink {
+			sl.emit = emit
+		}
 		for _, op := range st.Ops {
 			if j, ok := op.(*logical.JoinOp); ok {
-				build, err := newChainPlan(j.Build, SinkCollect, fusion)
+				build, err := newChainPlan(j.Build, emitRows, fusion)
 				if err != nil {
 					return nil, err
 				}
@@ -173,7 +192,11 @@ func (cp *CompiledPlan) run(ctx context.Context, sinkNode *logical.Node, csvPath
 				return nil, err
 			}
 		}
-		root, err := newChainPlan(sinkNode, cp.kind, opts.Fusion)
+		emit := emitVecs
+		if cp.kind == SinkCSV {
+			emit = emitCSV
+		}
+		root, err := newChainPlan(sinkNode, emit, opts.Fusion)
 		if err != nil {
 			return nil, err
 		}

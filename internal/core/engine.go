@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"github.com/gotuplex/tuplex/internal/codegen"
+	"github.com/gotuplex/tuplex/internal/colvec"
 	"github.com/gotuplex/tuplex/internal/csvio"
 	"github.com/gotuplex/tuplex/internal/logical"
 	"github.com/gotuplex/tuplex/internal/metrics"
@@ -69,6 +70,11 @@ type Options struct {
 	// csvio.DefaultChunkSize); each source derives its own size below it
 	// from its byte count (engine.chunkSize).
 	ChunkSize int
+	// CollectLimit, when positive, caps the rows a collect sink boxes
+	// into Result.Rows to the first CollectLimit of the output, so a
+	// caller that returns a prefix (take, a service row cap) boxes and
+	// retains only that prefix. Counters still count every row.
+	CollectLimit int
 	// Trace selects the run's observability level (internal/trace). The
 	// default, trace.LevelSpans, records the span tree and per-task
 	// timings with zero per-row overhead; trace.LevelOff disables the
@@ -133,16 +139,15 @@ type FailedRow struct {
 // Result is the outcome of one pipeline execution.
 type Result struct {
 	Schema *types.Schema
-	// Rows holds boxed output rows. Only aggregate results populate it;
-	// collect sinks return SlotRows and leave boxing to the caller.
-	Rows [][]pyvalue.Value
-	// SlotRows holds collect-sink output as unboxed slot rows in input
-	// order; callers box lazily (slab boxing in the public API avoids
-	// the per-cell interface allocations a [][]pyvalue.Value forces).
-	SlotRows []rows.Row
-	CSV      []byte
-	Failed   []FailedRow
-	Metrics  *metrics.Metrics
+	// Rows holds the output rows in input order as plain Go values (the
+	// form of rows.AnyValue): a collect sink's rows — the first
+	// Options.CollectLimit of them when that is set — or an aggregate's
+	// one-cell accumulator row. Collected strings share the engine's
+	// output buffers, which nothing else references or mutates.
+	Rows    [][]any
+	CSV     []byte
+	Failed  []FailedRow
+	Metrics *metrics.Metrics
 	// Trace is the run's observability trace (nil when Options.Trace is
 	// trace.LevelOff).
 	Trace *trace.Trace
@@ -239,19 +244,22 @@ type exRow struct {
 	op int32
 }
 
-// mat is a materialized row set between stages.
+// mat is a stage's materialized output: rows between stages, or a final
+// stage's sink form.
 type mat struct {
 	schema *types.Schema
-	// parts/keys are the normal-case rows per partition (keys parallel).
-	parts [][]rows.Row
+	// keys are the order keys of each partition's normal-case rows, held
+	// as slot rows in parts (emitRows), as column vectors in vecs
+	// (emitVecs) or as rendered CSV in csvParts (emitCSV).
 	keys  [][]uint64
+	parts [][]rows.Row
+	vecs  []colSegs
 	// exceptional rows carry boxed data outside the normal case.
 	exceptional []exRow
 	// csvParts/csvEnds hold per-partition rendered CSV (streaming sink):
 	// csvEnds[i] records the byte offset after each row in csvParts[i].
 	csvParts [][]byte
 	csvEnds  [][]int
-	isCSV    bool
 	// delimiter/nullValues propagate source config for exception parsing.
 	nullValues []string
 	// aggregate terminal result (when the producing stage aggregated).
@@ -570,26 +578,33 @@ func (eng *engine) executeStage(sr *stageRun) (*mat, error) {
 	nparts := len(tasks)
 	out := &mat{
 		schema:     sr.outSchema,
-		parts:      make([][]rows.Row, nparts),
 		keys:       make([][]uint64, nparts),
 		nullValues: sr.nullValues,
-		isCSV:      sr.sinkCSV,
 		isAgg:      sr.terminal == physical.TerminalAggregate,
 	}
-	if sr.sinkCSV {
+	switch sr.emit {
+	case emitRows:
+		out.parts = make([][]rows.Row, nparts)
+	case emitCSV:
 		out.csvParts = make([][]byte, nparts)
 		out.csvEnds = make([][]int, nparts)
+	case emitVecs:
+		out.vecs = make([]colSegs, nparts)
 	}
 	var records int64
 	for p, ts := range tasks {
 		if ts == nil {
 			return nil, fmt.Errorf("core: partition %d missing", p)
 		}
-		out.parts[p] = ts.outRows
 		out.keys[p] = ts.outKeys
-		if ts.csvW != nil {
+		switch sr.emit {
+		case emitRows:
+			out.parts[p] = ts.outRows
+		case emitCSV:
 			out.csvParts[p] = ts.csvW.Take()
 			out.csvEnds[p] = ts.lineEnds
+		case emitVecs:
+			out.vecs[p] = ts.outVecs
 		}
 		out.exceptional = append(out.exceptional, ts.pool...)
 		records += ts.inRows
@@ -607,12 +622,13 @@ func (eng *engine) executeStage(sr *stageRun) (*mat, error) {
 }
 
 // finish converts the final materialization into the requested sink
-// form.
+// form. A final stage that emitted rows (a trailing unique or cache)
+// gets its sink form here.
 func (eng *engine) finish(out *mat, kind SinkKind, csvPath string, res *Result) error {
 	res.Schema = out.schema
 	if out.isAgg {
 		// Aggregate results: one row holding the accumulator.
-		res.Rows = [][]pyvalue.Value{{out.aggValue}}
+		res.Rows = [][]any{{rows.AnyValue(out.aggValue)}}
 		if kind == SinkCSV {
 			return fmt.Errorf("core: tocsv on an aggregate result is not supported; use collect")
 		}
@@ -620,18 +636,21 @@ func (eng *engine) finish(out *mat, kind SinkKind, csvPath string, res *Result) 
 	}
 	switch kind {
 	case SinkCollect:
-		merged := eng.mergeOrderedSlots(out)
-		eng.res.Metrics.Counters.OutputRows.Add(int64(len(merged)))
-		res.SlotRows = merged
+		if out.vecs == nil {
+			out.vecs = rowVecs(out)
+		}
+		var total int64
+		res.Rows, total = eng.boxCollect(out)
+		eng.res.Metrics.Counters.OutputRows.Add(total)
 		return nil
 	case SinkCSV:
+		if out.csvParts == nil {
+			eng.renderRows(out)
+		}
 		// Rows were rendered inside the partition tasks; stitch buffers
 		// per partition in parallel (splicing exception-path rows into
 		// position where needed), then concatenate in partition order.
-		exByPart := map[int][]exRow{}
-		for _, ex := range out.exceptional {
-			exByPart[ex.part] = append(exByPart[ex.part], ex)
-		}
+		exByPart := out.exceptionsByPart()
 		stitched := make([][]byte, len(out.csvParts))
 		counts := make([]int64, len(out.csvParts))
 		eng.parallelFor(len(out.csvParts), func(p int) {
@@ -689,44 +708,159 @@ func (eng *engine) finish(out *mat, kind SinkKind, csvPath string, res *Result) 
 	}
 }
 
-// mergeOrderedSlots merges normal and exception-resolved rows back into
-// input order (§4.3 "Merge Rows") without boxing: normal rows pass
-// through as the slot rows the compiled path produced, exception rows
-// unbox once. Partitions merge independently in parallel; the final
-// concatenation follows partition order, which is input order.
-func (eng *engine) mergeOrderedSlots(out *mat) []rows.Row {
-	// Group resolved exceptional rows per partition.
-	exByPart := map[int][]exRow{}
+// exceptionsByPart groups the resolved exception rows by the partition
+// they merge into.
+func (out *mat) exceptionsByPart() [][]exRow {
+	byPart := make([][]exRow, len(out.keys))
 	for _, ex := range out.exceptional {
-		exByPart[ex.part] = append(exByPart[ex.part], ex)
+		byPart[ex.part] = append(byPart[ex.part], ex)
 	}
-	perPart := make([][]rows.Row, len(out.parts))
-	eng.parallelFor(len(out.parts), func(p int) {
-		exs := exByPart[p]
-		sortExRows(exs)
-		rowsP, keysP := out.parts[p], out.keys[p]
-		m := make([]rows.Row, 0, len(rowsP)+len(exs))
-		i, j := 0, 0
-		for i < len(rowsP) || j < len(exs) {
-			if j >= len(exs) || (i < len(rowsP) && keysP[i] <= exs[j].key) {
-				m = append(m, rowsP[i])
-				i++
-			} else {
-				m = append(m, rows.RowFromValues(exs[j].vals))
-				j++
+	return byPart
+}
+
+// boxCollect is the collect sink's merge (§4.3 "Merge Rows"). Per
+// partition, in parallel, it interleaves the output vectors' rows with
+// the partition's resolved exception rows by order key and boxes the
+// merged rows through a Boxer presized to exactly the cells it boxes, so
+// no slab reallocates. Boxing waits for finish rather than running in
+// the tasks: pointer-dense boxed rows alive during the stage would be
+// marked by every collection the stage triggers. Under
+// Options.CollectLimit only the output's first rows are boxed. It
+// returns the boxed rows and the output's row count.
+func (eng *engine) boxCollect(out *mat) ([][]any, int64) {
+	exByPart := out.exceptionsByPart()
+	// offs[p] is partition p's first row in the output.
+	offs := make([]int, len(out.keys)+1)
+	for p := range out.keys {
+		offs[p+1] = offs[p] + len(out.keys[p]) + len(exByPart[p])
+	}
+	total := offs[len(out.keys)]
+	n := total
+	if lim := eng.opts.CollectLimit; lim > 0 && lim < n {
+		n = lim
+	}
+	boxed := make([][]any, n)
+	eng.parallelFor(len(out.keys), func(p int) {
+		if lo, hi := min(offs[p], n), min(offs[p+1], n); lo < hi {
+			boxPart(boxed[lo:hi], out.vecs[p], out.schema.Len(), out.keys[p], exByPart[p])
+		}
+	})
+	return boxed, int64(total)
+}
+
+// boxPart boxes the first len(dst) rows of one partition's output: its
+// vector rows (nc columns, order keys keys) merged with its exception
+// rows exs by key. Cells box a row at a time, filling the []any slab in
+// order (a column at a time strides across it and is ~1.7× slower).
+func boxPart(dst [][]any, segs colSegs, nc int, keys []uint64, exs []exRow) {
+	sortExRows(exs)
+	// exNext reports whether the merge takes exception row j before
+	// vector row i: normal rows win ties, as on the CSV sink.
+	exNext := func(i, j int) bool {
+		return j < len(exs) && (i == len(keys) || exs[j].key < keys[i])
+	}
+	// dst takes the first nn vector rows and the first exception rows,
+	// whose cells add up to exCells.
+	nn, exCells := 0, 0
+	for k := range dst {
+		if j := k - nn; exNext(nn, j) {
+			exCells += len(exs[j].vals)
+		} else {
+			nn++
+		}
+	}
+	// The segments holding those nn rows. Boxed strings share the
+	// vectors' bytes, so the segment the cut falls in is clipped to let
+	// go of the rows past it.
+	var kept colSegs
+	for rest := nn; rest > 0 && nc > 0; {
+		seg := segs[len(kept)]
+		if seg[0].Len() > rest {
+			for _, v := range seg {
+				v.Clip(rest)
 			}
 		}
-		perPart[p] = m
+		kept = append(kept, seg)
+		rest -= seg[0].Len()
+	}
+	var b rows.Boxer
+	var ints, floats, strs int
+	for _, seg := range kept {
+		for _, v := range seg {
+			i, f, s := v.SlabCells(v.Len())
+			ints, floats, strs = ints+i, floats+f, strs+s
+		}
+	}
+	b.Reserve(nn*nc+exCells, ints, floats, strs)
+	cells := b.Cells(nn * nc)
+	at := 0
+	for _, seg := range kept {
+		for i := range seg[0].Len() {
+			for _, v := range seg {
+				cells[at] = v.Box(&b, i)
+				at++
+			}
+		}
+	}
+	i, j := 0, 0
+	for k := range dst {
+		if exNext(i, j) {
+			row := b.Cells(len(exs[j].vals))
+			for c, v := range exs[j].vals {
+				row[c] = rows.AnyValue(v)
+			}
+			dst[k] = row
+			j++
+		} else {
+			dst[k] = cells[i*nc : (i+1)*nc : (i+1)*nc]
+			i++
+		}
+	}
+}
+
+// colSegs is a partition's collect-sink output in row order: column
+// vectors, one set per batch.
+type colSegs [][]*colvec.Vec
+
+// newVecs returns empty vectors for the schema's columns.
+func newVecs(schema *types.Schema) []*colvec.Vec {
+	vecs := make([]*colvec.Vec, schema.Len())
+	for c := range vecs {
+		vecs[c] = colvec.NewVec(schema.Col(c).Type)
+	}
+	return vecs
+}
+
+// rowVecs copies a rows materialization into column vectors for the
+// collect sink.
+func rowVecs(out *mat) []colSegs {
+	segs := make([]colSegs, len(out.parts))
+	for p, part := range out.parts {
+		vecs := newVecs(out.schema)
+		for c, v := range vecs {
+			for _, r := range part {
+				v.AppendCell(r[c])
+			}
+		}
+		segs[p] = colSegs{vecs}
+	}
+	return segs
+}
+
+// renderRows renders a rows materialization per partition for the CSV
+// sink, as its tasks would have.
+func (eng *engine) renderRows(out *mat) {
+	out.csvParts = make([][]byte, len(out.parts))
+	out.csvEnds = make([][]int, len(out.parts))
+	eng.parallelFor(len(out.parts), func(p int) {
+		w := csvio.NewWriterBuf(',', getCSVBuf())
+		ends := make([]int, len(out.parts[p]))
+		for i, r := range out.parts[p] {
+			w.WriteRow(r)
+			ends[i] = w.Len()
+		}
+		out.csvParts[p], out.csvEnds[p] = w.Take(), ends
 	})
-	total := 0
-	for _, m := range perPart {
-		total += len(m)
-	}
-	merged := make([]rows.Row, 0, total)
-	for _, m := range perPart {
-		merged = append(merged, m...)
-	}
-	return merged
 }
 
 // parallelFor runs fn over [0, n) across the engine's executor threads.

@@ -88,8 +88,8 @@ type stagePlan struct {
 	batch   *batchProg
 	maxCols int
 	nUDFs   int
-	// sinkCSV marks a final stage that renders CSV inside the tasks.
-	sinkCSV bool
+	// emit is the form the stage's tasks write (stageSlot.emit).
+	emit emitForm
 
 	// recipe is the boxed-path program (general & fallback), parallel to
 	// the stage ops, without interpreters: those are not thread-safe, so
@@ -210,12 +210,16 @@ type task struct {
 	// probes, unique terminal) — the hot paths never allocate per row.
 	keyBuf []byte
 
-	outRows []rows.Row
+	// outKeys are the order keys of the task's output rows, whatever
+	// the stage emits: materialized outRows, outVecs or CSV lines.
 	outKeys []uint64
+	outRows []rows.Row
 	// outSlab backs materialized outRows: rows append here and slice
-	// capped views out, so the collect sink costs one amortized slab
-	// per task instead of one allocation per row.
+	// capped views out, so materializing costs one amortized slab per
+	// task instead of one allocation per row.
 	outSlab []rows.Slot
+	// outVecs are the collect sink's output columns (emitVecs).
+	outVecs colSegs
 	pool    []exRow
 
 	// streaming CSV sink state
@@ -286,7 +290,7 @@ func (sr *stageRun) newTask(eng *engine, part int) *task {
 		ts.aggSlot = coerceSlot(rows.FromValue(sr.aggInit), sr.aggSlotType)
 		ts.hasAgg = true
 	}
-	if sr.sinkCSV {
+	if sr.emit == emitCSV {
 		ts.csvW = csvio.NewWriterBuf(',', getCSVBuf())
 	}
 	if sr.traceRows {
@@ -541,7 +545,7 @@ func rowConforms(row rows.Row, sch *types.Schema) bool {
 // from the sample the binding holds (planSource), then the normal and
 // boxed programs (compileOps). It also reports the time spent sampling.
 func (eng *engine) compileStage(sl *stageSlot, sr *stageRun) (*stagePlan, time.Duration, error) {
-	pl := &stagePlan{terminal: sl.st.Terminal, sinkCSV: sl.sinkCSV}
+	pl := &stagePlan{terminal: sl.st.Terminal, emit: sl.emit}
 	srcFacts, dSample, err := eng.planSource(pl, sl.st.Source, sr)
 	if err != nil {
 		return nil, 0, err
@@ -570,7 +574,7 @@ func (eng *engine) compileOps(pl *stagePlan, sl *stageSlot, srcFacts []dataflow.
 	for _, op := range st.Ops {
 		pl.opNames = append(pl.opNames, opName(op))
 	}
-	pl.opNames = append(pl.opNames, terminalName(st.Terminal, pl.sinkCSV))
+	pl.opNames = append(pl.opNames, terminalName(st.Terminal, pl.emit))
 	pl.termRouteIdx = int32(len(st.Ops) + 1)
 
 	// Walk ops: compute schemas, compile UDFs, build step compilers.
@@ -995,14 +999,14 @@ func opName(op logical.Op) string {
 }
 
 // terminalName names the stage terminal for the routing ledger.
-func terminalName(k physical.TerminalKind, sinkCSV bool) string {
+func terminalName(k physical.TerminalKind, emit emitForm) string {
 	switch k {
 	case physical.TerminalUnique:
 		return "unique"
 	case physical.TerminalAggregate:
 		return "aggregate"
 	default:
-		if sinkCSV {
+		if emit == emitCSV {
 			return "csv"
 		}
 		return "collect"

@@ -17,7 +17,8 @@ import (
 func (pl *stagePlan) makeTerminal() (nstep, error) {
 	switch pl.terminal {
 	case physical.TerminalSink, physical.TerminalMaterialize:
-		if pl.sinkCSV {
+		switch pl.emit {
+		case emitCSV:
 			// Render rows straight into the per-task writer — no copy,
 			// no boxing. Byte offsets let the engine splice resolved
 			// exception rows back into position.
@@ -27,12 +28,26 @@ func (pl *stagePlan) makeTerminal() (nstep, error) {
 				ts.outKeys = append(ts.outKeys, key)
 				return 0
 			}, nil
+		case emitVecs:
+			// Append the cells to the task's output vectors, batchMaxRows
+			// rows to a set; finish boxes them.
+			schema := pl.outSchema
+			return func(ts *task, key uint64, row rows.Row) ECode {
+				if len(ts.outKeys)%batchMaxRows == 0 {
+					ts.outVecs = append(ts.outVecs, newVecs(schema))
+				}
+				for c, v := range ts.outVecs[len(ts.outVecs)-1] {
+					v.AppendCell(row[c])
+				}
+				ts.outKeys = append(ts.outKeys, key)
+				return 0
+			}, nil
 		}
-		// Materialize rows with order keys; the engine merges and
-		// renders at finish(). Rows copy into the task's slot slab —
-		// one amortized backing array per task instead of one heap
-		// allocation per output row. Slices are capped so later slab
-		// growth can never write through an earlier row's view.
+		// Materialize rows with order keys for the next consumer. Rows
+		// copy into the task's slot slab — one amortized backing array
+		// per task instead of one heap allocation per output row. Slices
+		// are capped so later slab growth can never write through an
+		// earlier row's view.
 		return func(ts *task, key uint64, row rows.Row) ECode {
 			start := len(ts.outSlab)
 			ts.outSlab = append(ts.outSlab, row...)

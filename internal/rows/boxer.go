@@ -1,6 +1,7 @@
 package rows
 
 import (
+	"slices"
 	"unsafe"
 
 	"github.com/gotuplex/tuplex/internal/pyvalue"
@@ -8,11 +9,12 @@ import (
 )
 
 // AnyValue converts a boxed pyvalue into the plain-Go `any` form the
-// public API hands back: nil, bool, int64, float64, string, []any for
-// sequences, map[string]any for dicts, and str() as the escape hatch.
+// public API hands back: nil (for None or a nil Value), bool, int64,
+// float64, string, []any for sequences, map[string]any for dicts, and
+// str() as the escape hatch.
 func AnyValue(v pyvalue.Value) any {
 	switch v := v.(type) {
-	case pyvalue.None:
+	case nil, pyvalue.None:
 		return nil
 	case pyvalue.Bool:
 		return bool(v)
@@ -46,19 +48,22 @@ func AnyValue(v pyvalue.Value) any {
 	}
 }
 
-// Boxer batch-converts unboxed slots into `any` values without one heap
+// Boxer batch-converts unboxed values into `any` values without one heap
 // allocation per cell. Converting a scalar to `any` normally allocates
 // (only int64 values 0..255 hit the runtime's static box cache); the
 // boxer instead appends the payload to a typed slab and hand-builds the
 // interface value as {type word, pointer into slab}, so a million-cell
-// result costs a handful of slab growths instead of a million boxes.
+// result costs a handful of slab allocations instead of a million boxes.
+// Reserve presizes the slabs to the cells about to be boxed, after which
+// no slab reallocates.
 //
 // Safety: issued interface values hold interior pointers into the slab
-// arrays. Slab growth reallocates, but the superseded arrays stay
-// reachable through those interior pointers and slab cells are never
-// mutated after issue, so every issued value stays valid. The layout
-// assumption (eface = {typ, data}) is verified at init by a round-trip
-// self-test; if it ever fails the boxer degrades to ordinary boxing.
+// arrays. Slab growth (boxing past a Reserve) reallocates, but the
+// superseded arrays stay reachable through those interior pointers and
+// slab cells are never mutated after issue, so every issued value stays
+// valid. The layout assumption (eface = {typ, data}) is verified at init
+// by a round-trip self-test; if it ever fails the boxer degrades to
+// ordinary boxing.
 //
 // A Boxer is single-goroutine state; use one per merge/collect task.
 type Boxer struct {
@@ -99,18 +104,68 @@ func efaceSelfTest() bool {
 	return iok && fok && sok && iv == i && fv == f && sv == s
 }
 
-// Grow preallocates slab capacity for roughly nRows rows of nCells
-// cells each.
-func (b *Boxer) Grow(nRows, nCells int) {
-	n := nRows * nCells
-	if cap(b.anys)-len(b.anys) < n {
-		next := make([]any, len(b.anys), len(b.anys)+n)
-		copy(next, b.anys)
-		b.anys = next
+// SlabInt reports whether boxing x takes an integer slab cell: 0..255
+// come from the runtime's static box cache instead.
+func SlabInt(x int64) bool { return x < 0 || x > 255 }
+
+// Reserve presizes the slabs for cells more Cells cells and ints, floats
+// and strs more I64 (SlabInt values only), F64 and Str values, so boxing
+// no more than that never reallocates a slab.
+func (b *Boxer) Reserve(cells, ints, floats, strs int) {
+	b.anys = grow(b.anys, cells)
+	if fastEface {
+		b.i64 = grow(b.i64, ints)
+		b.f64 = grow(b.f64, floats)
+		b.str = grow(b.str, strs)
 	}
 }
 
-// Box converts one slot.
+// grow returns s with room for n more elements, reallocating (once, to
+// exactly that) only when it has less.
+func grow[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, len(s)+n), s...)
+}
+
+// Cells carves n consecutive cells off the []any slab for one row
+// (capped, so later carves never alias it). Past a Reserve the slab grows
+// geometrically, like append.
+func (b *Boxer) Cells(n int) []any {
+	start := len(b.anys)
+	b.anys = slices.Grow(b.anys, n)[:start+n]
+	return b.anys[start : start+n : start+n]
+}
+
+// I64 boxes an integer.
+func (b *Boxer) I64(x int64) any {
+	if !fastEface || !SlabInt(x) {
+		return x
+	}
+	b.i64 = append(b.i64, x)
+	return slabFace(i64Type, unsafe.Pointer(&b.i64[len(b.i64)-1]))
+}
+
+// F64 boxes a float.
+func (b *Boxer) F64(f float64) any {
+	if !fastEface {
+		return f
+	}
+	b.f64 = append(b.f64, f)
+	return slabFace(f64Type, unsafe.Pointer(&b.f64[len(b.f64)-1]))
+}
+
+// Str boxes a string. The boxed value shares s's bytes.
+func (b *Boxer) Str(s string) any {
+	if !fastEface {
+		return s
+	}
+	b.str = append(b.str, s)
+	return slabFace(strType, unsafe.Pointer(&b.str[len(b.str)-1]))
+}
+
+// Box converts one slot into the form AnyValue gives its boxed value.
 func (b *Boxer) Box(s Slot) any {
 	switch s.Tag {
 	case types.KindNull:
@@ -118,36 +173,12 @@ func (b *Boxer) Box(s Slot) any {
 	case types.KindBool:
 		return s.B
 	case types.KindI64:
-		if !fastEface || (s.I >= 0 && s.I < 256) {
-			// 0..255 hit the runtime's static box cache: no allocation
-			// and no slab entry needed.
-			return s.I
-		}
-		b.i64 = append(b.i64, s.I)
-		return slabFace(i64Type, unsafe.Pointer(&b.i64[len(b.i64)-1]))
+		return b.I64(s.I)
 	case types.KindF64:
-		if !fastEface {
-			return s.F
-		}
-		b.f64 = append(b.f64, s.F)
-		return slabFace(f64Type, unsafe.Pointer(&b.f64[len(b.f64)-1]))
+		return b.F64(s.F)
 	case types.KindStr:
-		if !fastEface {
-			return s.S
-		}
-		b.str = append(b.str, s.S)
-		return slabFace(strType, unsafe.Pointer(&b.str[len(b.str)-1]))
+		return b.Str(s.S)
 	default:
 		return AnyValue(s.Value())
 	}
-}
-
-// BoxRow converts one unboxed row, returning a slice backed by the
-// boxer's shared []any slab (capped, so later appends never alias it).
-func (b *Boxer) BoxRow(r Row) []any {
-	start := len(b.anys)
-	for _, s := range r {
-		b.anys = append(b.anys, b.Box(s))
-	}
-	return b.anys[start:len(b.anys):len(b.anys)]
 }

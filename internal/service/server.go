@@ -411,7 +411,7 @@ func (s *Server) execute(ctx context.Context, jb *job, p *spec.Pipeline) (*core.
 				s.cache.fail(e, err)
 				return nil, nil, false, err
 			}
-			s.tuneOpts(&built.Opts, jb)
+			s.tuneOpts(built, jb)
 			s.stats.CacheMisses.Add(1)
 			s.flight.Record(telemetry.EventExecute, jb.id, jb.traceID, 0, "")
 			jb.noteExecStart()
@@ -445,7 +445,7 @@ func (s *Server) execute(ctx context.Context, jb *job, p *spec.Pipeline) (*core.
 	if err != nil {
 		return nil, nil, false, err
 	}
-	s.tuneOpts(&built.Opts, jb)
+	s.tuneOpts(built, jb)
 	s.stats.CacheMisses.Add(1)
 	s.flight.Record(telemetry.EventExecute, jb.id, jb.traceID, 0, "")
 	jb.noteExecStart()
@@ -454,11 +454,17 @@ func (s *Server) execute(ctx context.Context, jb *job, p *spec.Pipeline) (*core.
 }
 
 // tuneOpts applies the server's per-job budgets and telemetry labeling
-// on top of the spec's options.
-func (s *Server) tuneOpts(o *core.Options, jb *job) {
+// on top of the spec's options. The collect sink boxes only the rows the
+// reply inlines (rowLimit), so a capped result neither boxes nor retains
+// the rest. A cached plan keeps the options it was compiled with; the
+// limit depends only on the spec and the server's configuration, both
+// part of what a plan is cached under.
+func (s *Server) tuneOpts(b *spec.Built, jb *job) {
+	o := &b.Opts
 	if s.cfg.ExecutorsPerJob > 0 && (o.Executors <= 0 || o.Executors > s.cfg.ExecutorsPerJob) {
 		o.Executors = s.cfg.ExecutorsPerJob
 	}
+	o.CollectLimit = max(rowLimit(b, s.cfg.MaxResultRows), 1) // 0 would box every row
 	o.Telemetry.Enabled = true
 	o.Telemetry.Label = jb.id
 	// Service jobs always carry a routing ledger in their trace: the
@@ -469,6 +475,15 @@ func (s *Server) tuneOpts(o *core.Options, jb *job) {
 	if o.Trace < trace.LevelRows {
 		o.Trace = trace.LevelRows
 	}
+}
+
+// rowLimit is the number of result rows a job's reply inlines: the
+// server's cap, or the spec's take when smaller.
+func rowLimit(b *spec.Built, maxRows int) int {
+	if b.Take >= 0 && b.Take < maxRows {
+		return b.Take
+	}
+	return maxRows
 }
 
 // shapeResult renders an engine result into the job's wire form,
@@ -495,11 +510,7 @@ func shapeResult(b *spec.Built, res *core.Result, maxRows int) *JobResult {
 			jr.CSV = string(res.CSV)
 		}
 	default:
-		limit := maxRows
-		if b.Take >= 0 && b.Take < limit {
-			limit = b.Take
-		}
-		jr.Rows = spec.ResultRows(res, limit)
+		jr.Rows = spec.ResultRows(res, rowLimit(b, maxRows))
 		total := spec.ResultLen(res)
 		if b.Take >= 0 && b.Take < total {
 			total = b.Take

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -585,4 +586,72 @@ func TestTakeAndAggregateSinks(t *testing.T) {
 	if !reflect.DeepEqual(st.Result.Value, float64(10)) {
 		t.Fatalf("aggregate sink: want 10, got %v (%T)", st.Result.Value, st.Result.Value)
 	}
+}
+
+// TestTruncatedResultRetainsOnlyLimit: a job whose reply inlines limit
+// of its rows must box and keep only those: its retained JobResult holds
+// limit rows' cells (and their string bytes), not slabs or buffers
+// shared with the rows past the cap.
+func TestTruncatedResultRetainsOnlyLimit(t *testing.T) {
+	const n, limit = 60_000, 200
+	var sb strings.Builder
+	sb.WriteString("a,b,c\n")
+	for i := range n {
+		fmt.Fprintf(&sb, "%d,%d.25,name-%06d%s\n", 1000+i, i, i, strings.Repeat("x", 53))
+	}
+	data, _ := json.Marshal(sb.String())
+	p, err := spec.Decode([]byte(`{"v":1,"source":{"kind":"csv","data":` + string(data) + `},
+		"ops":[{"kind":"withColumn","col":"d","udf":{"code":"lambda x: x['a'] * 2"}}],
+		"options":{"executors":2}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	retained := func(maxRows int) (int64, *JobResult) {
+		s := &Server{cfg: Config{MaxResultRows: maxRows}}
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := ms.HeapAlloc
+		jr := func() *JobResult {
+			b, err := p.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.tuneOpts(b, &job{id: "retain"})
+			// A finished run's monitor stays in the process's recent-runs
+			// ring; it is not part of the result.
+			b.Opts.Telemetry.Enabled = false
+			res, err := core.ExecuteContext(context.Background(), b.Node, b.Kind, b.CSVPath, b.Opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return shapeResult(b, res, maxRows)
+		}()
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc) - int64(before), jr
+	}
+	got, jr := retained(limit)
+	if len(jr.Rows) != limit || !jr.Truncated || jr.OutputRows != n {
+		t.Fatalf("rows %d truncated %v output %d; want %d, true, %d", len(jr.Rows), jr.Truncated, jr.OutputRows, limit, n)
+	}
+	if last := jr.Rows[limit-1]; last[2] != fmt.Sprintf("name-%06d%s", limit-1, strings.Repeat("x", 53)) || last[3] != int64(2*(1000+limit-1)) {
+		t.Fatalf("row %d = %v", limit-1, last)
+	}
+	// A row's cells: four interface words, a row header, slab cells for
+	// the ints, the float and the string header, and the string's 64
+	// bytes — about 200 bytes. Allow 320 per row plus collector noise: the
+	// 4096 rows of string bytes in the vectors the cut falls in would
+	// exceed it.
+	if ceiling := int64(limit*320 + 64<<10); got > ceiling {
+		t.Fatalf("truncated result retains %d bytes, ceiling %d", got, ceiling)
+	}
+	full, jrFull := retained(n)
+	if len(jrFull.Rows) != n || full < 50*got {
+		t.Fatalf("untruncated result retains %d bytes for %d rows, truncated %d: the measurement cannot tell them apart", full, len(jrFull.Rows), got)
+	}
+	runtime.KeepAlive(jr)
+	runtime.KeepAlive(jrFull)
 }

@@ -384,43 +384,3 @@ func boxAny(v any) pyvalue.Value {
 		return pyvalue.Str(fmt.Sprint(v))
 	}
 }
-
-// unboxAny converts a boxed Python value back to the wire's Go form
-// (tuples flatten to lists — documented lossy; specs rarely carry them).
-func unboxAny(v pyvalue.Value) any {
-	switch v := v.(type) {
-	case nil:
-		return nil
-	case pyvalue.None:
-		return nil
-	case pyvalue.Bool:
-		return bool(v)
-	case pyvalue.Int:
-		return int64(v)
-	case pyvalue.Float:
-		return float64(v)
-	case pyvalue.Str:
-		return string(v)
-	case *pyvalue.List:
-		out := make([]any, len(v.Items))
-		for i, it := range v.Items {
-			out[i] = unboxAny(it)
-		}
-		return out
-	case *pyvalue.Tuple:
-		out := make([]any, len(v.Items))
-		for i, it := range v.Items {
-			out[i] = unboxAny(it)
-		}
-		return out
-	case *pyvalue.Dict:
-		out := map[string]any{}
-		for _, k := range v.Keys() {
-			val, _ := v.Get(k)
-			out[k] = unboxAny(val)
-		}
-		return out
-	default:
-		return pyvalue.ToStr(v)
-	}
-}

@@ -71,7 +71,7 @@ func fromSourceOp(op logical.Op) (*Source, error) {
 				vals := rows.RowToValues(r)
 				row := make([]any, len(vals))
 				for j, v := range vals {
-					row[j] = unboxAny(v)
+					row[j] = rows.AnyValue(v)
 				}
 				s.Rows[i] = row
 			}
@@ -80,7 +80,7 @@ func fromSourceOp(op logical.Op) (*Source, error) {
 			for i, r := range src.Rows {
 				row := make([]any, len(r))
 				for j, v := range r {
-					row[j] = unboxAny(v)
+					row[j] = rows.AnyValue(v)
 				}
 				s.Rows[i] = row
 			}
@@ -128,7 +128,7 @@ func fromOp(lop logical.Op) (*Op, error) {
 			Kind:    "aggregate",
 			Agg:     fromUDF(lop.Agg),
 			Comb:    fromUDF(lop.Comb),
-			Initial: unboxAny(lop.Initial),
+			Initial: rows.AnyValue(lop.Initial),
 		}, nil
 	case *logical.UniqueOp:
 		return &Op{Kind: "unique"}, nil
@@ -144,7 +144,7 @@ func fromUDF(u *logical.UDFSpec) *UDF {
 	if len(u.Globals) > 0 {
 		out.Globals = make(map[string]any, len(u.Globals))
 		for k, v := range u.Globals {
-			out.Globals[k] = unboxAny(v)
+			out.Globals[k] = rows.AnyValue(v)
 		}
 	}
 	return out

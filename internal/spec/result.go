@@ -2,56 +2,28 @@ package spec
 
 import (
 	"github.com/gotuplex/tuplex/internal/core"
-	"github.com/gotuplex/tuplex/internal/rows"
 )
 
-// ResultRows converts an engine result's output rows to plain JSON-
-// encodable values ([]any cells: nil, bool, int64, float64, string,
-// []any, map[string]any). limit caps the rows converted (-1 = all);
-// callers that cap should compare len(result) against ResultLen to
-// detect truncation. Collect sinks return unboxed slot rows which box
-// through the slab boxer; aggregate results arrive already boxed.
+// ResultRows returns an engine result's output rows in their plain
+// JSON-encodable form ([]any cells: nil, bool, int64, float64, string,
+// []any, map[string]any), at most limit of them (-1 = all). The engine
+// boxes only Options.CollectLimit rows, so a caller that caps should
+// set that to the same limit: the rows past it are then neither boxed
+// nor retained. Compare len(result) against ResultLen to detect
+// truncation.
 func ResultRows(res *core.Result, limit int) [][]any {
-	switch {
-	case res.SlotRows != nil:
-		n := len(res.SlotRows)
-		if limit >= 0 && limit < n {
-			n = limit
+	out := res.Rows
+	if limit >= 0 && limit < len(out) {
+		if limit == 0 {
+			return nil
 		}
-		var b rows.Boxer
-		ncells := 0
-		for _, r := range res.SlotRows[:n] {
-			ncells += len(r)
-		}
-		b.Grow(1, ncells)
-		out := make([][]any, n)
-		for i, r := range res.SlotRows[:n] {
-			out[i] = b.BoxRow(r)
-		}
-		return out
-	case res.Rows != nil:
-		n := len(res.Rows)
-		if limit >= 0 && limit < n {
-			n = limit
-		}
-		out := make([][]any, n)
-		for i, r := range res.Rows[:n] {
-			row := make([]any, len(r))
-			for j, v := range r {
-				row[j] = unboxAny(v)
-			}
-			out[i] = row
-		}
-		return out
+		out = out[:limit:limit]
 	}
-	return nil
+	return out
 }
 
-// ResultLen reports the result's total output row count before any
-// ResultRows limit.
+// ResultLen reports a collect result's total output row count before any
+// row limit.
 func ResultLen(res *core.Result) int {
-	if res.SlotRows != nil {
-		return len(res.SlotRows)
-	}
-	return len(res.Rows)
+	return int(res.Metrics.Counters.OutputRows.Load())
 }

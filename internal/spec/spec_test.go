@@ -269,8 +269,11 @@ func TestBuildAndExecute(t *testing.T) {
 	if err != nil {
 		t.Fatalf("execute: %v", err)
 	}
-	if got := len(res.SlotRows); got != 2 {
+	if got := len(res.Rows); got != 2 {
 		t.Fatalf("want 2 rows, got %d", got)
+	}
+	if got := res.Rows[1]; got[0] != int64(3) || got[1] != "z" || got[2] != int64(30) {
+		t.Fatalf("second row = %#v, want [3 z 30]", got)
 	}
 }
 
@@ -290,7 +293,7 @@ func TestAggregateSinkBuilds(t *testing.T) {
 	if len(res.Rows) != 1 || len(res.Rows[0]) != 1 {
 		t.Fatalf("aggregate shape: %v", res.Rows)
 	}
-	if got := unboxAny(res.Rows[0][0]); got != int64(8) {
+	if got := res.Rows[0][0]; got != int64(8) {
 		t.Fatalf("want 8, got %v", got)
 	}
 }

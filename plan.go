@@ -140,12 +140,5 @@ func (p *Plan) Run(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	ds := &DataSet{ctx: &Context{opts: built.Opts}, node: built.Node}
-	res, err := ds.runCtx(ctx, built.Kind, built.CSVPath)
-	if err != nil {
-		return nil, err
-	}
-	if built.Take >= 0 && len(res.Rows) > built.Take {
-		res.Rows = res.Rows[:built.Take]
-	}
-	return res, nil
+	return ds.runCtx(ctx, built.Kind, built.CSVPath, built.Take)
 }

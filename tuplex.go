@@ -547,28 +547,21 @@ type FailedRow struct {
 
 // Collect executes the pipeline and returns all rows.
 func (d *DataSet) Collect() (*Result, error) {
-	return d.run(core.SinkCollect, "")
+	return d.run(core.SinkCollect, "", -1)
 }
 
-// Take executes the pipeline and returns at most n rows. It is a
-// debugging convenience, not an optimization: the whole pipeline still
-// runs over the full input, then the collected rows are truncated.
-// Take(-1) (any negative n) returns all rows, exactly like Collect.
+// Take executes the pipeline and returns at most n rows. The whole
+// pipeline still runs over the full input; only the first n output rows
+// are converted to Go values. Take(-1) (any negative n) returns all rows,
+// exactly like Collect.
 func (d *DataSet) Take(n int) (*Result, error) {
-	res, err := d.run(core.SinkCollect, "")
-	if err != nil {
-		return nil, err
-	}
-	if n >= 0 && len(res.Rows) > n {
-		res.Rows = res.Rows[:n]
-	}
-	return res, nil
+	return d.run(core.SinkCollect, "", n)
 }
 
 // ToCSV executes the pipeline and writes CSV to path ("" keeps the bytes
 // in the Result only).
 func (d *DataSet) ToCSV(path string) (*Result, error) {
-	return d.run(core.SinkCSV, path)
+	return d.run(core.SinkCSV, path, -1)
 }
 
 // Aggregate folds all rows: agg is `lambda acc, row: ...`, comb merges
@@ -578,15 +571,21 @@ func (d *DataSet) Aggregate(agg, comb UDFDef, initial any) (any, *Result, error)
 	return d.AggregateContext(context.Background(), agg, comb, initial)
 }
 
-func (d *DataSet) run(kind core.SinkKind, path string) (*Result, error) {
-	return d.runCtx(context.Background(), kind, path)
+func (d *DataSet) run(kind core.SinkKind, path string, take int) (*Result, error) {
+	return d.runCtx(context.Background(), kind, path, take)
 }
 
-func (d *DataSet) runCtx(ctx context.Context, kind core.SinkKind, path string) (*Result, error) {
+// runCtx executes the pipeline into the given sink; take >= 0 keeps only
+// the first take collected rows, which are all the engine boxes.
+func (d *DataSet) runCtx(ctx context.Context, kind core.SinkKind, path string, take int) (*Result, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	cr, err := core.ExecuteContext(ctx, d.node, kind, path, d.ctx.opts)
+	opts := d.ctx.opts
+	if take >= 0 {
+		opts.CollectLimit = max(take, 1) // 0 would box every row
+	}
+	cr, err := core.ExecuteContext(ctx, d.node, kind, path, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -605,66 +604,14 @@ func (d *DataSet) runCtx(ctx context.Context, kind core.SinkKind, path string) (
 	if cr.Schema != nil {
 		res.Columns = cr.Schema.Names()
 	}
-	switch {
-	case cr.SlotRows != nil:
-		// Collect sinks return unboxed slot rows; box them here through
-		// the slab boxer (bulk eface construction instead of one
-		// interface allocation per cell).
-		var b rows.Boxer
-		ncells := 0
-		for _, r := range cr.SlotRows {
-			ncells += len(r)
-		}
-		b.Grow(1, ncells)
-		res.Rows = make([]Row, len(cr.SlotRows))
-		for i, r := range cr.SlotRows {
-			res.Rows[i] = Row(b.BoxRow(r))
-		}
-	case cr.Rows != nil:
+	if cr.Rows != nil {
 		res.Rows = make([]Row, len(cr.Rows))
 		for i, r := range cr.Rows {
-			row := make(Row, len(r))
-			for j, v := range r {
-				row[j] = unboxValue(v)
-			}
-			res.Rows[i] = row
+			res.Rows[i] = r
 		}
+	}
+	if take >= 0 && len(res.Rows) > take {
+		res.Rows = res.Rows[:take:take]
 	}
 	return res, nil
-}
-
-func unboxValue(v pyvalue.Value) any {
-	switch v := v.(type) {
-	case pyvalue.None:
-		return nil
-	case pyvalue.Bool:
-		return bool(v)
-	case pyvalue.Int:
-		return int64(v)
-	case pyvalue.Float:
-		return float64(v)
-	case pyvalue.Str:
-		return string(v)
-	case *pyvalue.List:
-		out := make([]any, len(v.Items))
-		for i, it := range v.Items {
-			out[i] = unboxValue(it)
-		}
-		return out
-	case *pyvalue.Tuple:
-		out := make([]any, len(v.Items))
-		for i, it := range v.Items {
-			out[i] = unboxValue(it)
-		}
-		return out
-	case *pyvalue.Dict:
-		out := map[string]any{}
-		for _, k := range v.Keys() {
-			val, _ := v.Get(k)
-			out[k] = unboxValue(val)
-		}
-		return out
-	default:
-		return pyvalue.ToStr(v)
-	}
 }
