@@ -210,3 +210,62 @@ func TestColumnarJoinDirtyKeyPairsDiff(t *testing.T) {
 		}
 	}
 }
+
+// TestColumnarJoinUniqueKeyVectorKernels: a join against a build side
+// with unique keys keeps the probe batch's index space, so the
+// vectorizable operators behind it run as vector programs — an inner join
+// with a raising withColumn, a left join whose misses a vector `is None`
+// reads, and a unique → fan-out → unique chain, whose kernels after the
+// fan-out fall back to row closures. Rows and accounting must equal the
+// boxed plane's at 1–4 executors.
+func TestColumnarJoinUniqueKeyVectorKernels(t *testing.T) {
+	var probe, build, dup strings.Builder
+	probe.WriteString("k,v\n")
+	build.WriteString("k,name,w\n")
+	dup.WriteString("k2,tag\n")
+	for i := range 2000 {
+		fmt.Fprintf(&probe, "%d,%d.5\n", i*7%260, i%40-20)
+	}
+	for j := range 200 {
+		w := fmt.Sprint(j%9 - 4)
+		if j%5 == 1 {
+			w = "" // None reaches the withColumn: TypeError
+		}
+		fmt.Fprintf(&build, "%d,%s-%s,%s\n", j, strings.Repeat("n", j*13%700), fmt.Sprint(j), w)
+		fmt.Fprintf(&dup, "%d,t%d\n", j%50, j)
+	}
+	for _, tc := range []struct {
+		name string
+		plan func(lhs, rhs, fan *tuplex.DataSet) *tuplex.DataSet
+	}{
+		{"inner", func(lhs, rhs, _ *tuplex.DataSet) *tuplex.DataSet {
+			return lhs.Join(rhs, "k", "k").
+				WithColumn("z", tuplex.UDF("lambda r: r['v'] * 2.0 + r['w']")).
+				Filter(tuplex.UDF("lambda r: r['z'] > -10.0"))
+		}},
+		{"left-miss", func(lhs, rhs, _ *tuplex.DataSet) *tuplex.DataSet {
+			return lhs.LeftJoin(rhs, "k", "k").
+				WithColumn("miss", tuplex.UDF("lambda r: r['name'] is None")).
+				MapColumn("v", tuplex.UDF("lambda x: x - 1.0"))
+		}},
+		{"unique-fanout-unique", func(lhs, rhs, fan *tuplex.DataSet) *tuplex.DataSet {
+			return lhs.Join(rhs, "k", "k").
+				WithColumn("y", tuplex.UDF("lambda r: r['v'] * 4.0")).
+				Join(fan, "k", "k2").
+				WithColumn("z", tuplex.UDF("lambda r: r['v'] + 1.0")).
+				LeftJoinPrefixed(rhs, "k", "k", "", "again_").
+				Filter(tuplex.UDF("lambda r: r['again_w'] is None or r['again_w'] > -2"))
+		}},
+	} {
+		for execs := 1; execs <= 4; execs++ {
+			on, off := bothModes(t, func(c *tuplex.Context) (*tuplex.Result, error) {
+				src := func(s *strings.Builder) *tuplex.DataSet { return c.CSV("", tuplex.CSVData([]byte(s.String()))) }
+				return tc.plan(src(&probe), src(&build), src(&dup)).Collect()
+			}, tuplex.WithExecutors(execs))
+			wantSameRows(t, on, off)
+			if len(on.Rows) == 0 || on.Metrics.Batch.VectorRows == 0 {
+				t.Fatalf("%s executors=%d: %d rows, %d vector rows; want both", tc.name, execs, len(on.Rows), on.Metrics.Batch.VectorRows)
+			}
+		}
+	}
+}

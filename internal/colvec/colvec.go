@@ -335,36 +335,6 @@ func (v *Vec) AppendCell(s rows.Slot) {
 	v.AppendSlot(s)
 }
 
-// AppendFrom appends cell i of src — the vector-to-vector gather used by
-// the join kernel. Same-kind cells copy typed payloads directly (string
-// bytes move buffer-to-buffer without materializing a Go string); a kind
-// mismatch falls back to the slot path.
-func (v *Vec) AppendFrom(src *Vec, i int) {
-	if src.IsNull(i) {
-		v.AppendNull()
-		return
-	}
-	if v.Kind == src.Kind {
-		switch v.Kind {
-		case types.KindBool:
-			v.AppendBool(src.B[i])
-		case types.KindI64:
-			v.AppendI64(src.I[i])
-		case types.KindF64:
-			v.AppendF64(src.F[i])
-		case types.KindStr:
-			v.AppendStrBytes(src.RawStr(i))
-		case types.KindNull:
-			v.AppendUnit()
-		default:
-			v.Slots = append(v.Slots, src.Slots[i])
-			v.n++
-		}
-		return
-	}
-	v.AppendSlot(src.Slot(i))
-}
-
 // AppendSel appends src's cells at the rows in sel, sizing the payload
 // (string bytes included) for all of them first, so the appends never
 // reallocate. A src of another kind appends cell by cell (AppendCell).
@@ -375,28 +345,19 @@ func (v *Vec) AppendSel(src *Vec, sel []int32) {
 		}
 		return
 	}
-	n := len(sel)
-	switch v.Kind {
-	case types.KindBool:
-		v.B = slices.Grow(v.B, n)
-	case types.KindI64:
-		v.I = slices.Grow(v.I, n)
-	case types.KindF64:
-		v.F = slices.Grow(v.F, n)
-	case types.KindStr:
-		v.Off = slices.Grow(v.Off, n)
-		v.SLen = slices.Grow(v.SLen, n)
+	if v.Kind == types.KindStr {
 		bytes := 0
 		for _, r := range sel {
-			bytes += int(src.SLen[r])
+			if !src.IsNull(int(r)) { // a dense null keeps a stale length
+				bytes += int(src.SLen[r])
+			}
 		}
 		v.Bytes = slices.Grow(v.Bytes, bytes)
-	case types.KindNull:
-	default:
-		v.Slots = slices.Grow(v.Slots, n)
 	}
-	for _, r := range sel {
-		v.AppendFrom(src, int(r))
+	at := v.n
+	v.Grow(at + len(sel))
+	for i, r := range sel {
+		v.SetFrom(src, int(r), at+i)
 	}
 }
 
@@ -428,6 +389,31 @@ func (v *Vec) SetStr(i int, s string) {
 
 // SetSlot writes an escape-hatch boxed slot at row i.
 func (v *Vec) SetSlot(i int, s rows.Slot) { v.Slots[i] = s }
+
+// SetFrom writes cell i of src at row j — the join kernel's positional
+// take and AppendSel's copy. Same-kind cells copy typed payloads
+// directly (string bytes move buffer-to-buffer, in ascending row order
+// as with SetStr); a null or a kind mismatch goes through Set.
+func (v *Vec) SetFrom(src *Vec, i, j int) {
+	if v.Kind != src.Kind || src.IsNull(i) {
+		v.Set(j, src.Slot(i))
+		return
+	}
+	switch v.Kind {
+	case types.KindBool:
+		v.B[j] = src.B[i]
+	case types.KindI64:
+		v.I[j] = src.I[i]
+	case types.KindF64:
+		v.F[j] = src.F[i]
+	case types.KindStr:
+		v.Off[j] = uint32(len(v.Bytes))
+		v.SLen[j] = src.SLen[i]
+		v.Bytes = append(v.Bytes, src.RawStr(i)...)
+	default:
+		v.Slots[j] = src.Slots[i]
+	}
+}
 
 // ---- Reading ----
 

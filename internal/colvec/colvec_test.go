@@ -2,6 +2,7 @@ package colvec
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/gotuplex/tuplex/internal/pyvalue"
@@ -328,5 +329,102 @@ func TestVecClip(t *testing.T) {
 	v.Clip(2)
 	if v.Len() != 2 || len(v.Bytes) != 5 || cap(v.Bytes) > 8 || v.Str(0) != "ab" || v.Str(1) != "cde" || whole != "cde" {
 		t.Fatalf("clipped: len %d, bytes %q (cap %d), %q %q", v.Len(), v.Bytes, cap(v.Bytes), v.Str(0), v.Str(1))
+	}
+}
+
+// SetFrom is the join kernel's positional take: each cell of src lands
+// at its own destination row, typed payloads copied directly when the
+// kinds agree and through Set when they do not.
+func TestVecSetFrom(t *testing.T) {
+	cases := []struct {
+		src, dst types.Type
+		cells    []rows.Slot
+		want     []rows.Slot // nil: the cells as written
+	}{
+		{types.Option(types.I64), types.Option(types.I64), []rows.Slot{rows.I64(3), rows.Null(), rows.I64(-9)}, nil},
+		{types.Option(types.F64), types.Option(types.F64), []rows.Slot{rows.F64(0.25), rows.Null(), rows.F64(-1)}, nil},
+		{types.Option(types.Bool), types.Option(types.Bool), []rows.Slot{rows.Bool(true), rows.Null(), rows.Bool(false)}, nil},
+		{types.Option(types.Str), types.Option(types.Str), []rows.Slot{rows.Str("ab"), rows.Null(), rows.Str("")}, nil},
+		{types.Any, types.Any, []rows.Slot{rows.List([]rows.Slot{rows.I64(1)}), rows.Null(), rows.Str("s")}, nil},
+		// Kind mismatch: the slot path stores the cell in the escape column.
+		{types.Option(types.I64), types.Any, []rows.Slot{rows.I64(2), rows.Null(), rows.I64(500)}, nil},
+		{types.Str, types.Any, []rows.Slot{rows.Str("x"), rows.Str("yz")}, nil},
+		// A KindNull source reads null everywhere; a KindNull target keeps no payload.
+		{types.Null, types.Option(types.Str), []rows.Slot{rows.Null(), rows.Null()}, nil},
+		{types.Option(types.I64), types.Null, []rows.Slot{rows.I64(4), rows.Null()}, []rows.Slot{rows.Null(), rows.Null()}},
+	}
+	for _, tc := range cases {
+		src := NewVec(tc.src)
+		for _, s := range tc.cells {
+			src.AppendSlot(s)
+		}
+		want := tc.want
+		if want == nil {
+			want = tc.cells
+		}
+		// Scatter source row i to destination row 2i+1 of a grown vector.
+		dst := NewVec(tc.dst)
+		dst.Grow(2*len(tc.cells) + 1)
+		for i := range tc.cells {
+			dst.SetFrom(src, i, 2*i+1)
+		}
+		for i, w := range want {
+			if got := dst.Slot(2*i + 1); !rows.Equal(got, w) || got.Tag != w.Tag {
+				t.Fatalf("%s→%s row %d = %+v, want %+v", tc.src, tc.dst, i, got, w)
+			}
+		}
+	}
+}
+
+// Ascending string writes after Grow append in row order to one buffer,
+// read back through a sealed view, and survive the vector's reuse.
+func TestVecSetFromStringsAscending(t *testing.T) {
+	src := NewVec(types.Option(types.Str))
+	words := []string{"alpha", "", "gamma", "delta-delta"}
+	for _, w := range words {
+		src.AppendStr(w)
+	}
+	src.AppendNull()
+	src.Seal()
+
+	dst := NewVec(types.Option(types.Str))
+	dst.Grow(8)
+	at := []int{0, 2, 3, 6, 7}
+	for i, j := range at {
+		dst.SetFrom(src, i, j)
+	}
+	for i, w := range words {
+		if dst.IsNull(at[i]) || dst.Str(at[i]) != w {
+			t.Fatalf("row %d = %q, want %q", at[i], dst.Str(at[i]), w)
+		}
+	}
+	if !dst.IsNull(7) || string(dst.Bytes) != "alphagammadelta-delta" {
+		t.Fatalf("null %v, bytes %q", dst.IsNull(7), dst.Bytes)
+	}
+	kept := dst.Str(6)
+	dst.Reset()
+	dst.Grow(1)
+	dst.SetFrom(src, 0, 0)
+	if kept != "delta-delta" || dst.Str(0) != "alpha" || dst.IsNull(0) {
+		t.Fatalf("after reuse: kept %q, row 0 %q", kept, dst.Str(0))
+	}
+}
+
+// AppendSel reserves string bytes for the non-null cells only: a null
+// written densely (SetNull) keeps whatever length its row held before.
+func TestVecAppendSelReservesLiveBytes(t *testing.T) {
+	src := NewVec(types.Option(types.Str))
+	src.Grow(3)
+	src.SetStr(0, strings.Repeat("x", 1000))
+	src.SetStr(1, "ab")
+	src.Reset()
+	src.Grow(3)
+	src.SetNull(0)
+	src.SetStr(1, "cd")
+	src.SetNull(2)
+	v := NewVec(types.Option(types.Str))
+	v.AppendSel(src, []int32{0, 1, 2})
+	if cap(v.Bytes) > 8 || v.Str(1) != "cd" || !v.IsNull(0) || !v.IsNull(2) {
+		t.Fatalf("bytes %q (cap %d), nulls %v %v", v.Bytes, cap(v.Bytes), v.IsNull(0), v.IsNull(2))
 	}
 }

@@ -6,13 +6,14 @@ package core
 // batch kernels: the generated parser (or the slot-row ingest) appends
 // cells directly onto typed column vectors (internal/colvec), adjacent
 // per-row kernels fuse into one pass over the shared selection vector,
-// joins probe the sharded build table and emit gathered column vectors,
-// and filters shrink the selection instead of copying columns. Operators
-// the kernels cannot batch (uncompiled UDF suffixes) run through the
-// composed row-at-a-time chain via a batch→row bridge at the stage
-// barrier, and exception rows bounce to the pooled boxed path exactly
-// like the row path — output bytes and row accounting are identical by
-// construction (enforced by the columnar differential suites).
+// joins probe the sharded build table and append the build columns
+// (remapping the batch only when a key fans out), and filters shrink the
+// selection instead of copying columns. Operators the kernels cannot
+// batch (uncompiled UDF suffixes) run through the composed row-at-a-time
+// chain via a batch→row bridge at the stage barrier, and exception rows
+// bounce to the pooled boxed path exactly like the row path — output
+// bytes and row accounting are identical by construction (enforced by
+// the columnar differential suites).
 //
 // Join fan-out replicates the row path's depth-first abort semantics:
 // the first failure downstream of a join pools the SOURCE row once
@@ -217,14 +218,20 @@ type batchState struct {
 	chunk csvio.ChunkBatch
 
 	// n is the current index-space size: the source row count until a
-	// join remaps the batch to its fan-out output space.
+	// fan-out join remaps the batch to its output space.
 	n int
 
-	// srcIdx maps current index → source index (nil = identity, before
-	// any join); outKeys carries the join-scaled order keys (nil =
-	// bst.keys, unscaled). The *2 twins are the swap spares.
+	// srcIdx maps current index → source index (nil = identity, until a
+	// fan-out join; a unique-key join keeps the index space); outKeys
+	// carries a fan-out join's scaled order keys (nil = bst.keys). keyShift
+	// is the unique-key joins' key*256 scaling since then, applied by
+	// keyOf. The *2 twins are the swap spares.
 	srcIdx, srcIdx2   []int32
 	outKeys, outKeys2 []uint64
+	keyShift          uint
+	// refs holds the join probe's match per output row (-1: a left
+	// join's miss).
+	refs []buildRef
 
 	// dropped marks current-index rows invalidated by a same-source
 	// failure earlier in the pass; pooledSrc marks source rows already
@@ -306,6 +313,7 @@ func (bst *batchState) beginBatch() {
 	bst.srcIdx = nil
 	bst.outKeys2 = bst.outKeys[:0]
 	bst.outKeys = nil
+	bst.keyShift = 0
 	bst.dropped.Reset()
 	bst.pooledSrc.Reset()
 	bst.anyDropped, bst.anyPooled = false, false
@@ -323,9 +331,9 @@ func (bst *batchState) srcOf(r int32) int32 {
 // after a join kernel, the source key before).
 func (bst *batchState) keyOf(r int32) uint64 {
 	if bst.outKeys == nil {
-		return bst.keys[r]
+		return bst.keys[r] << bst.keyShift
 	}
-	return bst.outKeys[r]
+	return bst.outKeys[r] << bst.keyShift
 }
 
 // sourceEx builds the pool entry for source row sr: raw record bytes on
@@ -618,9 +626,10 @@ func (sr *stageRun) argAccessor(ts *task, bst *batchState, k *batchKernel, view 
 // runs of row kernels execute as one scan of the selection vector with
 // per-row filter short-circuits, and each vector kernel as one pass of
 // its own. Vector kernels run only on batches of at least vecMinRows
-// live rows, and only while the batch is in the source index space: after
-// a join, one failing output row invalidates its not-yet-processed
-// siblings, an order only the row-major scan defines.
+// live rows, and not after a fan-out join has remapped the batch: there
+// one failing output row invalidates its not-yet-processed siblings, an
+// order only the row-major scan defines. A unique-key join keeps the
+// index space, and the vector path with it.
 func (sr *stageRun) runGroup(ts *task, bst *batchState, group []*batchKernel, p int) int64 {
 	n := bst.n
 	bst.viewArena = bst.viewArena[:0]
@@ -787,26 +796,22 @@ func (sr *stageRun) runVecKernel(ts *task, bst *batchState, k *batchKernel, gi, 
 	return excs
 }
 
-// runJoinKernel probes the sharded build table for each live row and
-// emits the join output as gathered column vectors, remapping the
-// batch's index space to the fan-out output (srcIdx tracks each output
-// row's source; outKeys carries the key*256+sub order keys the row path
-// produces).
+// runJoinKernel probes the sharded build table for each live row,
+// recording its (row, ref) match pairs, then fills the output one column
+// at a time. Against a unique-key table (bt.unique) the join is a
+// selection refinement: the probe columns stay as they are, each build
+// column is taken at its row's own position, and the order keys scale by
+// 256 through keyShift — the batch keeps its index space, and the vector
+// kernels after the join keep running. A fan-out table remaps the batch
+// to its output space (srcIdx tracks each output row's source; outKeys
+// carries the key*256+sub order keys the row path produces).
 //
 //tuplex:kernel
 func (sr *stageRun) runJoinKernel(ts *task, bst *batchState, k *batchKernel, p int) int64 {
 	bt := sr.joins[k.joinIdx]
-	derived := bst.derived[k.ki]
-	for _, v := range derived {
-		v.Reset()
-	}
 	keyVec := bst.cols[k.colIdx]
-	nIn := k.inCols
 	var excs int64
-	newSel := bst.sel2[:0]
-	newKeys := bst.outKeys2[:0]
-	newSrc := bst.srcIdx2[:0]
-	m := 0
+	at, refs := bst.sel2[:0], bst.refs[:0]
 	for _, r := range bst.sel {
 		if bst.anyDropped && bst.dropped.Get(int(r)) {
 			continue
@@ -814,8 +819,6 @@ func (sr *stageRun) runJoinKernel(ts *task, bst *batchState, k *batchKernel, p i
 		if ts.route != nil {
 			ts.route[k.ridx]++
 		}
-		key := bst.keyOf(r)
-		src := bst.srcOf(r)
 		buf, ok := rows.AppendJoinKey(ts.keyBuf[:0], keyVec.Slot(int(r)))
 		ts.keyBuf = buf
 		var matches []buildRef
@@ -830,51 +833,85 @@ func (sr *stageRun) runJoinKernel(ts *task, bst *batchState, k *batchKernel, p i
 		}
 		if len(matches) == 0 {
 			ts.probeMisses++
-			if !k.leftOuter {
-				continue
+			if k.leftOuter {
+				at = append(at, r)
+				refs = append(refs, -1)
 			}
-			for c := 0; c < nIn; c++ {
-				derived[c].AppendFrom(bst.cols[c], int(r))
-			}
-			for c := nIn; c < len(derived); c++ {
-				derived[c].AppendNull()
-			}
-			newSel = append(newSel, int32(m))
-			newKeys = append(newKeys, key*256)
-			newSrc = append(newSrc, src)
-			m++
 			continue
 		}
 		ts.probeHits++
-		for i, ref := range matches {
-			sub := uint64(i)
-			if sub > 255 {
-				sub = 255
-			}
-			for c := 0; c < nIn; c++ {
-				derived[c].AppendFrom(bst.cols[c], int(r))
-			}
-			bvecs := bt.bparts[ref>>32]
-			bi := int(int32(ref))
-			for c, bv := range bvecs {
-				derived[nIn+c].AppendFrom(bv, bi)
-			}
-			newSel = append(newSel, int32(m))
-			newKeys = append(newKeys, key*256+sub)
-			newSrc = append(newSrc, src)
-			m++
+		for _, ref := range matches {
+			at = append(at, r)
+			refs = append(refs, ref)
 		}
 	}
-	bst.sel, bst.sel2 = newSel, bst.sel
+	bst.refs = refs
+	nIn, derived := k.inCols, bst.derived[k.ki]
+	n, dst := bst.n, at // unique keys: each build cell lands at its probe row
+	if !bt.unique {
+		n, dst = len(at), nil
+	}
+	for c, d := range derived[nIn:] {
+		d.Reset()
+		d.Grow(n)
+		takeBuild(d, bt, c, refs, dst)
+	}
+	if bt.unique {
+		bst.sel, bst.sel2 = at, bst.sel
+		bst.cols = append(bst.cols, derived[nIn:]...)
+		bst.keyShift += 8
+		return excs
+	}
+
+	newKeys, newSrc := bst.outKeys2[:0], bst.srcIdx2[:0]
+	var sub uint64
+	for i, r := range at {
+		if i > 0 && at[i-1] == r {
+			sub = min(sub+1, 255)
+		} else {
+			sub = 0
+		}
+		newKeys = append(newKeys, bst.keyOf(r)*256+sub)
+		newSrc = append(newSrc, bst.srcOf(r))
+	}
+	for c, d := range derived[:nIn] {
+		d.Reset()
+		d.AppendSel(bst.cols[c], at)
+	}
+	sel := bst.sel[:0]
+	for i := range n {
+		sel = append(sel, int32(i))
+	}
+	bst.sel, bst.sel2 = sel, at
 	bst.outKeys, bst.outKeys2 = newKeys, bst.outKeys[:0]
 	bst.srcIdx, bst.srcIdx2 = newSrc, bst.srcIdx[:0]
+	bst.keyShift = 0
 	bst.cols = append(bst.cols[:0], derived...)
-	bst.n = m
+	bst.n = n
 	// New index space: drop marks from the input space don't carry over
 	// (the surviving rows were re-emitted above).
 	bst.dropped.Reset()
 	bst.anyDropped = false
 	return excs
+}
+
+// takeBuild fills d with build column c of a join's matches: refs[i]'s
+// cell lands at row at[i] (row i when at is nil), a left join's miss
+// (ref < 0) as a null.
+//
+//tuplex:kernel
+func takeBuild(d *colvec.Vec, bt *buildTable, c int, refs []buildRef, at []int32) {
+	for i, ref := range refs {
+		j := i
+		if at != nil {
+			j = int(at[i])
+		}
+		if ref < 0 {
+			d.SetNull(j)
+			continue
+		}
+		d.SetFrom(bt.bparts[ref>>32][c], int(int32(ref)), j)
+	}
 }
 
 // gatherArgView assembles a whole-row UDF argument for batch row r from
@@ -971,8 +1008,8 @@ func (sr *stageRun) uniqueBatch(ts *task, bst *batchState) {
 
 // aggregateBatch folds the live rows into the task's accumulator slot
 // (the columnar aggregate terminal). An aggregate matching the fold
-// table runs as a vector fold while the batch is in the source index
-// space; everything else folds row by row.
+// table runs as a vector fold unless a fan-out join remapped the batch;
+// everything else folds row by row.
 func (sr *stageRun) aggregateBatch(ts *task, bst *batchState, p int) int64 {
 	if f := sr.aggFold; f != nil && bst.srcIdx == nil && len(bst.sel) >= vecMinRows && ts.aggSlot.Tag == f.Kind() {
 		return sr.foldBatch(ts, bst, f, p)

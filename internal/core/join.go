@@ -54,6 +54,10 @@ type buildTable struct {
 	addedCols int
 	// buildRows counts normal-path rows hashed into the shards.
 	buildRows int
+	// unique records that no key holds more than one normal-path ref in
+	// this run's table: the batch probe then refines the probe batch in
+	// place instead of remapping it to a fan-out output (runJoinKernel).
+	unique bool
 }
 
 // buildRef packs one build row's location as partition<<32 | row; the
@@ -71,6 +75,8 @@ type buildEntry struct {
 type buildShard struct {
 	m    map[uint64][]buildEntry
 	rows int
+	// dup marks a key inserted a second time.
+	dup bool
 }
 
 // insert appends ref under (h, key), keeping insertion order per key.
@@ -81,6 +87,7 @@ func (sh *buildShard) insert(h uint64, key []byte, ref buildRef) {
 		if bytes.Equal(ents[i].key, key) {
 			ents[i].refs = append(ents[i].refs, ref)
 			sh.rows++
+			sh.dup = true
 			return
 		}
 	}
@@ -325,6 +332,11 @@ func (eng *engine) buildJoinTable(jb *joinBuild) (*buildTable, error) {
 		bt.genCount++
 	}
 
+	bt.unique = true
+	for s := range bt.shards {
+		bt.unique = bt.unique && !bt.shards[s].dup
+	}
+
 	// Seal every string vector now: concurrent probe tasks read cells via
 	// Slot(), which must never hit the lazy first Seal in parallel.
 	for _, vecs := range bt.bparts {
@@ -343,7 +355,8 @@ func (eng *engine) buildJoinTable(jb *joinBuild) (*buildTable, error) {
 	}
 	jsp.Add(trace.Int("build_rows", int64(bt.buildRows)),
 		trace.Int("general_rows", int64(bt.genCount)),
-		trace.Int("shards", int64(len(bt.shards))))
+		trace.Int("shards", int64(len(bt.shards))),
+		trace.Bool("unique_keys", bt.unique))
 	eng.tr.End(jsp)
 	return bt, nil
 }

@@ -2,10 +2,12 @@ package core_test
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -389,4 +391,158 @@ func BenchmarkVecZillowKernels(b *testing.B) {
 		b.Fatalf("vector rows %d, bail rows %d over %d clean rows; want every kernel×row vectorized and no bail", vec, bail, len(records))
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(records)), "ns/row")
+}
+
+// ---- joins ---------------------------------------------------------------
+
+// boxedRun runs the plan on the boxed row plane (columnar execution off).
+// That plane meets a partition's classifier rejects ahead of its
+// normal-path exceptions, so its exception samples are left out and its
+// failed rows compare as a set (sortFailed).
+func boxedRun(t *testing.T, sink *logical.Node, executors int) runObs {
+	t.Helper()
+	opts := core.DefaultOptions()
+	opts.Executors = executors
+	opts.Trace = trace.LevelSamples
+	opts.Columnar = false
+	res, _, err := core.CompileAndExecute(context.Background(), sink, core.SinkCollect, "", opts)
+	if err != nil {
+		t.Fatalf("boxed plane: %v", err)
+	}
+	o := observe(t, res)
+	o.Samples = nil
+	sortFailed(o.Failed)
+	return o
+}
+
+func sortFailed(f []core.FailedRow) {
+	slices.SortFunc(f, func(a, b core.FailedRow) int {
+		return cmp.Or(cmp.Compare(a.Input, b.Input), cmp.Compare(a.Msg, b.Msg))
+	})
+}
+
+// joinProbeCSV is the probe side of the join differentials. One key value
+// in five lies past the build's keys (a miss), every 11th key is empty (a
+// null key) and, when dirty, a bool or garbage key now and then is a
+// classifier reject.
+func joinProbeCSV(n, buildN int, dirty bool) []byte {
+	var sb strings.Builder
+	sb.WriteString("k,v,s\n")
+	for i := 0; i < n; i++ {
+		k := fmt.Sprint(i * 7 % (buildN * 5 / 4))
+		switch {
+		case i%11 == 3:
+			k = ""
+		case dirty && i%89 == 0:
+			k = "True"
+		case dirty && i%41 == 0:
+			k = fmt.Sprintf("bad-%d", i)
+		}
+		fmt.Fprintf(&sb, "%s,%d.%d,s%d\n", k, i%50-20, i%4, i%13)
+	}
+	return []byte(sb.String())
+}
+
+// joinBuildCSV is a build side with columns key, name, w, u. Each of the
+// n keys appears dup times. Names run up to ~2 KiB, so one batch's taken
+// names pass the 64 KiB mark of their vector's byte buffer; every 7th name
+// and every 5th w is empty (null build cells). When dirty, a bool key or
+// a garbage key now and then lands on the build's exception path; the
+// bool one encodes as key 1, so normal probe rows with key 1 form NC/EC
+// pairs.
+func joinBuildCSV(cols [4]string, n, dup int, dirty bool) []byte {
+	var sb strings.Builder
+	sb.WriteString(strings.Join(cols[:], ",") + "\n")
+	for j := 0; j < n*dup; j++ {
+		k := fmt.Sprint(j % n)
+		switch {
+		case dirty && j%97 == 5:
+			k = "True"
+		case dirty && j%53 == 0:
+			k = fmt.Sprintf("junk-%d", j)
+		}
+		name := fmt.Sprintf("n%d-%s", j, strings.Repeat(string(rune('a'+j%26)), j*37%2000))
+		if j%7 == 2 {
+			name = ""
+		}
+		w := fmt.Sprintf("%d.5", j%9-4)
+		if j%5 == 1 {
+			w = ""
+		}
+		fmt.Fprintf(&sb, "%s,%s,%s,%d.25\n", k, name, w, j%6-2)
+	}
+	return []byte(sb.String())
+}
+
+func joinOn(build []byte, key string, left bool) *logical.JoinOp {
+	return &logical.JoinOp{Build: chain(&logical.CSVSource{Data: build, Header: true}), LeftKey: "k", RightKey: key, Left: left}
+}
+
+// TestVecAfterJoinSameAsRowAndBoxed: after a unique-key join the batch
+// keeps its index space, so the kernels behind it run as vector programs.
+// Each plan runs compiled, with its vector programs stripped and on the
+// boxed plane at 1–4 executors, and the three must agree on result bits,
+// counters, the per-op ledger, pool order and failed rows (and the first
+// two on exception samples).
+func TestVecAfterJoinSameAsRowAndBoxed(t *testing.T) {
+	const probeN, buildN = 3000, 300
+	clean, dirty := joinProbeCSV(probeN, buildN, false), joinProbeCSV(probeN, buildN, true)
+	names := [4]string{"k", "name", "w", "u"}
+	unique, dirtyUnique := joinBuildCSV(names, buildN, 1, false), joinBuildCSV(names, buildN, 1, true)
+	fanOut := joinBuildCSV([4]string{"k2", "tag", "w2", "u2"}, buildN/4, 3, false)
+	third := joinBuildCSV([4]string{"k3", "name3", "w3", "u3"}, buildN, 1, false)
+	src := func(csv []byte) logical.Op { return &logical.CSVSource{Data: csv, Header: true} }
+	udf := func(s string) *logical.UDFSpec { return mustUDF(t, s) }
+	cases := []struct {
+		name string
+		sink *logical.Node
+		// vec must be among the probe stage's vector kernels.
+		vec string
+	}{
+		// w is None on some matches: the withColumn raises TypeError there
+		// (a bail, replayed and pooled after the join).
+		{"inner", chain(src(clean), joinOn(unique, "k", false),
+			&logical.WithColumnOp{Col: "z", UDF: udf("lambda r: r['v'] * 2.0 + r['w']")},
+			&logical.FilterOp{UDF: udf("lambda r: r['z'] > -30.0")},
+			&logical.MapColumnOp{Col: "u", UDF: udf("lambda x: x * 3.0 - 1.0")}),
+			"mapColumn(u):vec"},
+		{"left-miss", chain(src(clean), joinOn(unique, "k", true),
+			&logical.WithColumnOp{Col: "miss", UDF: udf("lambda r: r['u'] is None")},
+			&logical.FilterOp{UDF: udf("lambda r: r['v'] != 0.0")}),
+			"withColumn(miss):vec"},
+		{"nc-ec", chain(src(dirty), joinOn(dirtyUnique, "k", true),
+			&logical.WithColumnOp{Col: "z", UDF: udf("lambda r: r['v'] / r['u']")}),
+			"withColumn(z):vec"},
+		// Vector kernels run up to the fan-out join and not after it.
+		{"unique-fanout-unique", chain(src(clean), joinOn(unique, "k", false),
+			&logical.WithColumnOp{Col: "y", UDF: udf("lambda r: r['u'] * 2.0")},
+			&logical.JoinOp{Build: chain(src(fanOut)), LeftKey: "k", RightKey: "k2"},
+			&logical.WithColumnOp{Col: "z", UDF: udf("lambda r: r['u'] + r['u2']")},
+			&logical.JoinOp{Build: chain(src(third)), LeftKey: "k", RightKey: "k3", Left: true},
+			&logical.FilterOp{UDF: udf("lambda r: r['u3'] is None or r['u3'] > 0.0")}),
+			"withColumn(y):vec"},
+		{"fold", chain(src(clean), joinOn(unique, "k", false),
+			&logical.AggregateOp{
+				Agg:     udf("lambda acc, r: acc + r['v'] * r['u'] if r['u'] > -1.0 else acc"),
+				Comb:    udf("lambda a, b: a + b"),
+				Initial: pyvalue.Float(0),
+			}),
+			"aggregate:vec"},
+	}
+	for _, tc := range cases {
+		for ex := 1; ex <= 4; ex++ {
+			on, off := vecOnOff(t, tc.sink, ex)
+			if !strings.Contains(strings.Join(on.Kernels, ";"), tc.vec) {
+				t.Fatalf("%s: kernels = %v, want %s among them", tc.name, on.Kernels, tc.vec)
+			}
+			// Every vector kernel of these plans sits after a unique join.
+			if on.Vector == 0 {
+				t.Fatalf("%s executors=%d: no row ran through a vector program after the join", tc.name, ex)
+			}
+			requireSameRun(t, on, off)
+			off.Samples = nil
+			sortFailed(off.Failed)
+			requireSameRun(t, boxedRun(t, tc.sink, ex), off)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package pipelines
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -61,10 +62,11 @@ func TestKernelModesGolden(t *testing.T) {
 		"zillow": {"withColumn(bedrooms):vec,filter:vec,withColumn(type):vec,filter:vec,withColumn(zipcode):vec,mapColumn(city):vec," +
 			"withColumn(bathrooms):vec,withColumn(sqft):vec,withColumn(offer):vec,withColumn(price):vec,filter:vec"},
 		// Carriers build side; airports build side (twice: two joins);
-		// then the probe stage, whose kernels after the first join run
-		// their row closures anyway (vector kernels stop at the first
-		// index-space remap). The row kernels all read a column the sample
-		// typed null (an all-empty cancellation code, an unseen delay).
+		// then the probe stage. All three joins have unique keys, so the
+		// batch keeps its index space through them and the kernels behind
+		// them run as labelled (TestFlightsVectorKernelsRunPastJoins). The
+		// row kernels all read a column the sample typed null (an
+		// all-empty cancellation code, an unseen delay).
 		"flights": {
 			"withColumn(AirlineName):vec,withColumn(AirlineYearFounded):vec,withColumn(AirlineYearDefunct):vec",
 			"mapColumn(AirportName):row(Call:string.capwords),mapColumn(AirportCity):row(Call:string.capwords)",
@@ -86,5 +88,45 @@ func TestKernelModesGolden(t *testing.T) {
 		if g := got[name]; strings.Join(g, "\n") != strings.Join(w, "\n") {
 			t.Errorf("%s kernel modes:\n  got  %q\n  want %q", name, g, w)
 		}
+	}
+}
+
+// TestFlightsVectorKernelsRunPastJoins pins what the flights probe stage
+// actually runs, not what it compiles: each of its vector kernels, the
+// nine ahead of the three joins and the nine behind them, runs as a
+// vector program over at least every row the stage emits on the normal
+// path. A join that sends the batch back to row closures (as a remap of
+// its index space does) fails the bound by about half.
+func TestFlightsVectorKernelsRunPastJoins(t *testing.T) {
+	c := tuplex.NewContext(tuplex.WithTracing(tuplex.TraceSpans), tuplex.WithSeed(4242))
+	res, err := Flights(FlightsSources(c, data.Flights(data.FlightsConfig{Rows: 4000, Seed: 3}), data.Carriers(), data.Airports())).Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kernels, vectorRows string
+	var walk func(s *tuplex.Span)
+	walk = func(s *tuplex.Span) {
+		for _, a := range s.Attrs {
+			switch {
+			case s.Name == "compile" && a.Key == "kernels" && strings.Contains(a.Val, "mapColumn(Distance)"):
+				kernels = a.Val
+			case s.Name == "execute" && a.Key == "vector_rows" && kernels != "" && vectorRows == "":
+				vectorRows = a.Val
+			}
+		}
+		for _, c := range s.Children {
+			walk(c)
+		}
+	}
+	walk(res.Trace.Root)
+	vecKernels := strings.Count(kernels, ":vec")
+	if vecKernels != 18 {
+		t.Fatalf("probe stage has %d vector kernels, want 18: %s", vecKernels, kernels)
+	}
+	r := res.Metrics.Rows
+	normalOut := r.Output - r.GeneralResolved - r.FallbackResolved - r.ResolverResolved
+	got, _ := strconv.ParseInt(vectorRows, 10, 64)
+	if want := int64(vecKernels) * normalOut; normalOut < 2000 || got < want {
+		t.Fatalf("probe stage vector rows = %s, want >= %d vector kernels x %d normal-path output rows = %d", vectorRows, vecKernels, normalOut, want)
 	}
 }

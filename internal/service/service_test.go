@@ -19,6 +19,7 @@ import (
 	"github.com/gotuplex/tuplex/internal/core"
 	"github.com/gotuplex/tuplex/internal/spec"
 	"github.com/gotuplex/tuplex/internal/telemetry"
+	"github.com/gotuplex/tuplex/internal/trace"
 )
 
 // newTestServer builds an unstarted server over a private registry and
@@ -274,6 +275,88 @@ func TestCacheHitRereadsJoinBuildSide(t *testing.T) {
 		t.Fatal(err)
 	}
 	submit(true, "FRESH!")
+}
+
+// TestCacheHitRejudgesJoinKeyUniqueness: whether a build side's keys are
+// unique is a fact of the run that hashed it, not of the cached plan. A
+// same-size rewrite of the build file's tail (a cache hit) that makes one
+// key appear twice must fan the probe row out; the reverse rewrite must
+// bring back one row per probe row. The join-build span says which path
+// each run took.
+func TestCacheHitRejudgesJoinKeyUniqueness(t *testing.T) {
+	var build bytes.Buffer
+	build.WriteString("id,name\n")
+	const n = 6000 // ~76 KiB, past the fingerprinted prefix
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&build, "%d,n%d\n", 10000+i, 10000+i)
+	}
+	unique := build.Bytes()
+	// The last row's key becomes its predecessor's, at the same size.
+	dup := bytes.Clone(unique)
+	copy(dup[len(dup)-len("15999,n15999\n"):], "15998,")
+	path := filepath.Join(t.TempDir(), "build.csv")
+	jobSpec := fmt.Sprintf(`{"v":1,
+		"source": {"kind":"csv","data":"id,v\n10000,1\n15998,2\n"},
+		"ops": [{"kind":"join","left_key":"id","right_key":"id",
+			"build":{"source":{"kind":"csv","path":%q}}}],
+		"options": {"executors": 1}}`, path)
+	rowsFor := map[bool]string{
+		true:  `[[10000,1,"n10000"],[15998,2,"n15998"]]`,
+		false: `[[10000,1,"n10000"],[15998,2,"n15998"],[15998,2,"n15999"]]`,
+	}
+
+	_, hs := newTestServer(t, Config{MaxConcurrent: 2})
+	for _, order := range [][]bool{{true, false}, {false, true}} {
+		for i, uniq := range order {
+			file := unique
+			if !uniq {
+				file = dup
+			}
+			if err := os.WriteFile(path, file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			code, raw := post(t, hs.URL+"/v1/jobs", jobSpec)
+			if code != http.StatusOK {
+				t.Fatalf("status %d (%s)", code, raw)
+			}
+			st := decodeStatus(t, raw)
+			if wantHit := i > 0 || !order[0]; st.CacheHit != wantHit {
+				t.Fatalf("unique=%v: cache_hit = %v, want %v", uniq, st.CacheHit, wantHit)
+			}
+			if got, _ := json.Marshal(st.Result.Rows); string(got) != rowsFor[uniq] {
+				t.Fatalf("unique=%v cache_hit=%v: rows = %s, want %s", uniq, st.CacheHit, got, rowsFor[uniq])
+			}
+			if got := joinBuildUnique(t, hs.URL, st.ID); got != fmt.Sprint(uniq) {
+				t.Fatalf("unique=%v: join-build span says unique_keys=%q", uniq, got)
+			}
+		}
+	}
+}
+
+// joinBuildUnique returns the unique_keys attribute of the job trace's
+// join-build span.
+func joinBuildUnique(t *testing.T, base, id string) string {
+	t.Helper()
+	_, raw := fetchTrace(t, base, id, "")
+	var tr trace.Trace
+	if err := json.Unmarshal(raw, &tr); err != nil {
+		t.Fatalf("decoding trace: %v", err)
+	}
+	var walk func(s *trace.Span) string
+	walk = func(s *trace.Span) string {
+		for _, a := range s.Attrs {
+			if s.Name == "join-build" && a.Key == "unique_keys" {
+				return a.Val
+			}
+		}
+		for _, c := range s.Children {
+			if v := walk(c); v != "" {
+				return v
+			}
+		}
+		return ""
+	}
+	return walk(tr.Root)
 }
 
 // TestFailedRunsAreNotCached checks a failing flight doesn't poison

@@ -10,14 +10,18 @@ import (
 	"github.com/gotuplex/tuplex/internal/types"
 )
 
-func benchJoinData(buildN, probeN int) (build, probe [][]any) {
+// benchJoinData makes buildN build rows, each of their keys held by dup
+// of them, and probeN probe rows whose keys hit four in five of the
+// build's keys.
+func benchJoinData(buildN, probeN, dup int) (build, probe [][]any) {
+	keys := buildN / dup
 	build = make([][]any, buildN)
 	for i := range build {
-		build[i] = []any{int64(i), fmt.Sprintf("name-%d", i)}
+		build[i] = []any{int64(i % keys), fmt.Sprintf("name-%d", i)}
 	}
 	probe = make([][]any, probeN)
 	for i := range probe {
-		probe[i] = []any{int64(i % (buildN * 5 / 4)), float64(i)}
+		probe[i] = []any{int64(i % (keys * 5 / 4)), float64(i)}
 	}
 	return build, probe
 }
@@ -37,8 +41,21 @@ func runJoin(tb testing.TB, build, probe [][]any) {
 	}
 }
 
+// BenchmarkJoin joins against unique build keys: the probe refines the
+// batch in place.
 func BenchmarkJoin(b *testing.B) {
-	build, probe := benchJoinData(2_000, 20_000)
+	build, probe := benchJoinData(2_000, 20_000, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runJoin(b, build, probe)
+	}
+}
+
+// BenchmarkJoinFanOut joins against build keys held by two rows each:
+// every hit emits two rows, and the probe remaps the batch to its output.
+func BenchmarkJoinFanOut(b *testing.B) {
+	build, probe := benchJoinData(2_000, 20_000, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -47,19 +64,20 @@ func BenchmarkJoin(b *testing.B) {
 }
 
 // TestJoinShardedAllocs guards the columnar join barrier's allocation
-// count. BenchmarkJoin's body measures about 10 610 allocs/op (1–16
-// GOMAXPROCS); the boxed barrier it replaced cost ~210k, so a ceiling of
-// 15 000 catches a fall back to boxed rows or per-row allocation creeping
-// into the build or probe kernels.
+// count. BenchmarkJoin's body measures about 10 560 allocs/op (1–16
+// GOMAXPROCS), nearly all of them the collect sink's; the boxed barrier
+// the columnar join replaced cost ~210k, so a ceiling of 12 000 catches a
+// fall back to boxed rows or per-row allocation creeping into the build
+// or probe kernels.
 func TestJoinShardedAllocs(t *testing.T) {
-	build, probe := benchJoinData(2_000, 20_000)
-	if allocs := testing.AllocsPerRun(3, func() { runJoin(t, build, probe) }); allocs > 15_000 {
-		t.Fatalf("sharded join: %.0f allocs/op, ceiling 15000", allocs)
+	build, probe := benchJoinData(2_000, 20_000, 1)
+	if allocs := testing.AllocsPerRun(3, func() { runJoin(t, build, probe) }); allocs > 12_000 {
+		t.Fatalf("sharded join: %.0f allocs/op, ceiling 12000", allocs)
 	}
 }
 
 func BenchmarkUnique(b *testing.B) {
-	_, probe := benchJoinData(2_000, 20_000)
+	_, probe := benchJoinData(2_000, 20_000, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
