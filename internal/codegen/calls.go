@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"math"
 	"strconv"
 	"strings"
 
@@ -187,7 +188,7 @@ func (c *compiler) builtinCall(x *pyast.Call, name string) (exprFn, error) {
 		a := args[0]
 		switch argT(0).Unwrap().Kind() {
 		case types.KindStr:
-			s := c.strOpFB(x.Args[0], argT(0), a, pyvalue.ExcTypeError)
+			s := asStr(a, argT(0), pyvalue.ExcTypeError)
 			return func(fr *Frame) (rows.Slot, ECode) {
 				v, ec := s(fr)
 				if ec != 0 {
@@ -220,7 +221,7 @@ func (c *compiler) builtinCall(x *pyast.Call, name string) (exprFn, error) {
 		a := args[0]
 		switch argT(0).Unwrap().Kind() {
 		case types.KindStr:
-			s := c.strOpFB(x.Args[0], argT(0), a, pyvalue.ExcTypeError)
+			s := asStr(a, argT(0), pyvalue.ExcTypeError)
 			return func(fr *Frame) (rows.Slot, ECode) {
 				v, ec := s(fr)
 				if ec != 0 {
@@ -242,7 +243,11 @@ func (c *compiler) builtinCall(x *pyast.Call, name string) (exprFn, error) {
 				case types.KindI64:
 					return v, 0
 				case types.KindF64:
-					return rows.I64(int64(truncToward0(v.F))), 0
+					n, ec := floatToInt(v.F)
+					if ec != 0 {
+						return rows.Slot{}, ec
+					}
+					return rows.I64(n), 0
 				case types.KindBool:
 					if v.B {
 						return rows.I64(1), 0
@@ -420,7 +425,7 @@ func (c *compiler) builtinCall(x *pyast.Call, name string) (exprFn, error) {
 			return rows.I64(int64(s[0])), 0
 		}, nil
 	case "chr":
-		a := asI64(args[0], argT(0))
+		a := asI64(args[0])
 		return func(fr *Frame) (rows.Slot, ECode) {
 			n, ec := a(fr)
 			if ec != 0 {
@@ -439,11 +444,16 @@ func (c *compiler) builtinCall(x *pyast.Call, name string) (exprFn, error) {
 	}
 }
 
-func truncToward0(f float64) float64 {
-	if f < 0 {
-		return -float64(int64(-f))
+// floatToInt is int(f): truncation toward zero; NaN raises ValueError
+// and an infinity OverflowError, as in Python (and pyvalue.ToInt).
+func floatToInt(f float64) (int64, ECode) {
+	switch {
+	case f != f:
+		return 0, pyvalue.ExcValueError
+	case math.IsInf(f, 0):
+		return 0, pyvalue.ExcOverflowError
 	}
-	return float64(int64(f))
+	return int64(f), 0
 }
 
 // parseIntPython parses like Python's int(str): surrounding whitespace

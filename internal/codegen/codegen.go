@@ -2,11 +2,15 @@
 // unboxed slots — Tuplex's normal-case code path (§4.3).
 //
 // Where the paper's prototype emits LLVM IR and JIT-compiles it, this
-// implementation emits a tree of monomorphic Go closures operating on
-// rows.Slot registers: no heap boxing, no dynamic dispatch on value
-// kinds, exceptions as integer return codes (the paper's own choice, §5).
-// The asymmetry this creates against the boxed interpreter is the
-// mechanism every Tuplex speedup in §6 rests on.
+// implementation emits two forms of the same typed AST. The row form is a
+// tree of Go closures over rows.Slot registers, one closure per node,
+// compiled in one pass: no heap boxing, operators specialized on the
+// operands' static types, exceptions as integer return codes (the
+// paper's own choice, §5). The vector form (vec.go) runs the UDF bodies
+// of its grammar once per batch; the row form serves every other body
+// and replays the rows a vector program hands back. The asymmetry both
+// create against the boxed interpreter is the mechanism every Tuplex
+// speedup in §6 rests on.
 //
 // Typing failures recorded by the inference pass compile into exception
 // exits: at runtime the affected row leaves the fast path with a return
@@ -16,8 +20,8 @@
 // With Options.Specialize=false the generator instead emits generic
 // closures that box each operand and dispatch through pyvalue — the
 // "LLVM optimizers disabled" configuration of the paper's factor
-// analysis (Fig. 11): same code structure, none of the monomorphic
-// specialization.
+// analysis (Fig. 11): same code structure, none of the specialization,
+// and no vector form.
 package codegen
 
 import (
@@ -74,9 +78,9 @@ type stmtFn func(fr *Frame) (ctl, rows.Slot, ECode)
 
 // Options tunes code generation.
 type Options struct {
-	// Specialize enables monomorphic unboxed operator code. When false,
-	// operators box through pyvalue (Fig. 11's "without LLVM optimizers"
-	// arm).
+	// Specialize enables unboxed operator code and the vector programs.
+	// When false, operators box through pyvalue (Fig. 11's "without LLVM
+	// optimizers" arm).
 	Specialize bool
 	// Flow, when non-nil, supplies dataflow facts for dead-branch
 	// pruning, constant folding and check elision. Facts resting on
@@ -490,13 +494,6 @@ func (c *compiler) stmt(s pyast.Stmt) (stmtFn, error) {
 			return ctlNext, rows.Slot{}, ec
 		}, nil
 	case *pyast.Assign:
-		if name, ok := s.Target.(*pyast.Name); ok {
-			if st, err := c.assignNat(name, s.Value); err != nil {
-				return nil, err
-			} else if st != nil {
-				return st, nil
-			}
-		}
 		v, err := c.expr(s.Value)
 		if err != nil {
 			return nil, err

@@ -1,8 +1,13 @@
 package codegen
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
+	"github.com/gotuplex/tuplex/internal/colvec"
 	"github.com/gotuplex/tuplex/internal/inference"
 	"github.com/gotuplex/tuplex/internal/interp"
 	"github.com/gotuplex/tuplex/internal/pyast"
@@ -207,7 +212,7 @@ func TestCompiledDictReturn(t *testing.T) {
 	if ec != 0 {
 		t.Fatalf("ec = %v", ec)
 	}
-	keys, ok := DictSlotKeys(v)
+	keys, ok := rows.DictSlotKeys(v)
 	if !ok || len(keys) != 2 || keys[0] != "a" {
 		t.Fatalf("keys = %v, %v", keys, ok)
 	}
@@ -402,4 +407,294 @@ func TestFrameReuseDoesNotLeakState(t *testing.T) {
 	// Second call with the else path must not see the previous y.
 	v, ec = u.Call(fr, []rows.Slot{rows.I64(-1)})
 	wantSlot(t, v, ec, rows.I64(0))
+}
+
+// TestIntCompareExactInEveryTier pins Python's exact int ordering at the
+// 2^53 boundary, where float64 merges neighbours, on all four executable
+// forms of a UDF: the vector program, the row closure, the interpreter's
+// compiled general path and the tree-walker.
+func TestIntCompareExactInEveryTier(t *testing.T) {
+	const p53 = 1 << 53
+	row := make(rows.Row, len(vecCols))
+	for i, c := range vecCols {
+		switch c.Name {
+		case "a":
+			row[i] = rows.I64(p53)
+		case "b", "e", "k":
+			row[i] = rows.I64(p53 + 1)
+		case "c", "d", "g":
+			row[i] = rows.F64(p53)
+		case "h":
+			row[i] = rows.Bool(true)
+		default:
+			row[i] = rows.Str("x")
+		}
+	}
+	batch := vecBatch{rows: []rows.Row{row}}
+	for i, c := range vecCols {
+		batch.cols = append(batch.cols, colvec.NewVec(c.Type))
+		batch.cols[i].AppendSlot(row[i])
+	}
+	names := make([]string, len(vecCols))
+	for i, c := range vecCols {
+		names[i] = c.Name
+	}
+	boxedRow := []pyvalue.Value{rows.DictRow(names, row)}
+	ip := interp.New(vecGlobals)
+	st := NewVecState()
+	for _, c := range []struct {
+		src  string
+		want bool
+	}{
+		{"lambda r: r['a'] < r['b']", true},
+		{"lambda r: r['a'] >= r['b']", false},
+		{"lambda r: r['b'] > r['a']", true},
+		{"lambda r: r['a'] == r['b']", false},
+		{"lambda r: r['a'] != r['b']", true},
+		{"lambda r: r['a'] < 9007199254740993", true},
+		{"lambda r: r['a'] < r['e']", true},
+		{"lambda r: r['e'] <= r['a']", false},
+		{"lambda r: r['a'] < r['b'] <= r['k']", true},
+		{"lambda r: r['a'] <= r['a'] < r['b']", true},
+		{"lambda r: r['c'] <= r['a'] < r['b']", true},
+	} {
+		u := compileVecUDF(t, c.src, []types.Type{rowType()}, false)
+		if u.Vec == nil {
+			t.Fatalf("%s: not vectorized (%s)", c.src, u.VecDecline)
+		}
+		out := u.Vec.Filter(st, batch.cols, 0, 1, []int32{0}, nil)
+		if len(st.Bail()) != 0 || (len(out) == 1) != c.want {
+			t.Errorf("%s: vector program selects %v (bail %v), want %v", c.src, out, st.Bail(), c.want)
+		}
+		if v, ec := u.Call1(NewFrame(u.NumSlots()), rows.Tuple(row)); ec != 0 || v.Tag != types.KindBool || v.B != c.want {
+			t.Errorf("%s: row closure = %v (ec %v), want %v", c.src, v.Value(), ec, c.want)
+		}
+		fn, _ := pyast.ParseUDF(c.src)
+		compiled, err := ip.Compile(fn)
+		if err != nil {
+			t.Fatalf("%s: interp compile: %v", c.src, err)
+		}
+		if v, err := compiled.Call(ip, boxedRow); err != nil || v != pyvalue.Bool(c.want) {
+			t.Errorf("%s: general path = %v (%v), want %v", c.src, v, err, c.want)
+		}
+		if v, err := ip.Call(fn, boxedRow); err != nil || v != pyvalue.Bool(c.want) {
+			t.Errorf("%s: tree-walker = %v (%v), want %v", c.src, v, err, c.want)
+		}
+	}
+}
+
+// rowVsInterp holds compiled execution of src (both Specialize modes, over
+// the vector test schema) to the tree-walker on each row: equal values
+// (NaN matching NaN) or the same exception kind. A compiled
+// ExcUnsupported is a request to retry on the general path, and passes.
+func rowVsInterp(t *testing.T, src string, b vecBatch, ip *interp.Interp, names []string) (checked int) {
+	t.Helper()
+	fn, err := pyast.ParseUDF(src)
+	if err != nil {
+		t.Fatalf("parse %q: %v", src, err)
+	}
+	gt := map[string]types.Type{"KI": types.I64, "KF": types.F64, "KB": types.Bool, "KS": types.Str}
+	for _, spec := range []bool{true, false} {
+		info, err := inference.TypeFunction(fn, []types.Type{rowType()}, gt, inference.Options{})
+		if err != nil {
+			t.Fatalf("inference %q: %v", src, err)
+		}
+		u, err := Compile(info, vecGlobals, Options{Specialize: spec})
+		if err != nil {
+			t.Fatalf("compile %q: %v", src, err)
+		}
+		fr := NewFrame(u.NumSlots())
+		for _, row := range b.rows {
+			got, ec := u.Call1(fr, rows.Tuple(row))
+			want, werr := ip.Call(fn, []pyvalue.Value{rows.DictRow(names, row)})
+			wantEc := pyvalue.KindOf(werr)
+			switch {
+			case ec == pyvalue.ExcUnsupported:
+				continue
+			case ec != 0 || wantEc != 0:
+				if ec != wantEc {
+					t.Fatalf("%s [spec=%v] row %v: compiled raises %v, interpreter %v", src, spec, rows.RowToValues(row), ec, werr)
+				}
+			default:
+				g := got.Value()
+				gf, gok := g.(pyvalue.Float)
+				wf, wok := want.(pyvalue.Float)
+				if !pyvalue.Equal(g, want) && !(gok && wok && gf != gf && wf != wf) {
+					t.Fatalf("%s [spec=%v] row %v: compiled %s, interpreter %s", src, spec, rows.RowToValues(row), pyvalue.Repr(g), pyvalue.Repr(want))
+				}
+			}
+			checked++
+		}
+	}
+	return checked
+}
+
+// TestCompiledMatchesInterpreterGenerated is TestCompiledMatchesInterpreter
+// over the differential suites' generators: numeric and boolean
+// expressions (Option operands, chained compares) and statement-bodied
+// string UDFs (slices, parses, % and .format over ints), on cells drawn
+// from intPool, floatPool and strPool.
+func TestCompiledMatchesInterpreterGenerated(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261016))
+	names := make([]string, len(vecCols))
+	for i, c := range vecCols {
+		names[i] = c.Name
+	}
+	ip := interp.New(vecGlobals)
+	eg := &exprGen{rng: rng}
+	sg := &stmtGen{exprGen: exprGen{rng: rng}}
+	checked := 0
+	for i := 0; i < 1500; i++ {
+		var src string
+		switch i % 3 {
+		case 0:
+			src = "lambda r: " + eg.num(3)
+		case 1:
+			src = "lambda r: " + eg.boolean(3)
+		default:
+			src = sg.udf("snb"[i/3%3], i%4 == 0)
+		}
+		checked += rowVsInterp(t, src, randomStrBatch(rng, 12), ip, names)
+	}
+	if checked < 20000 {
+		t.Fatalf("only %d rows compared; the generators or the compiler regressed", checked)
+	}
+}
+
+// termsUDF is an n-term conditional sum over one int, the shape of a
+// compile-heavy plan: a + 7 + Σ (a*k if a % (k+1) == 0 else k - a).
+func termsUDF(n int) string {
+	var sb strings.Builder
+	sb.WriteString("lambda a: a + 7")
+	for k := 1; k <= n; k++ {
+		fmt.Fprintf(&sb, " + (a * %d if a %% %d == 0 else %d - a)", k, k+1, k)
+	}
+	return sb.String()
+}
+
+// TestCompileLinearInUDFSize guards against a compile that revisits
+// operand subtrees at every level of a left-deep expression: doubling
+// the UDF must not much more than double what compiling it allocates.
+func TestCompileLinearInUDFSize(t *testing.T) {
+	allocs := func(n int) float64 {
+		src := termsUDF(n)
+		return testing.AllocsPerRun(5, func() { compileUDF(t, src, []types.Type{types.I64}, DefaultOptions()) })
+	}
+	a40, a80 := allocs(40), allocs(80)
+	if a80 >= 2.5*a40 {
+		t.Fatalf("compiling 80 terms allocates %.0f times, 40 terms %.0f: %.1fx for twice the UDF", a80, a40, a80/a40)
+	}
+	u, _ := compileUDF(t, termsUDF(40), []types.Type{types.I64}, DefaultOptions())
+	v, ec := callUDF(t, u, rows.I64(12))
+	want := int64(12 + 7)
+	for k := int64(1); k <= 40; k++ {
+		if 12%(k+1) == 0 {
+			want += 12 * k
+		} else {
+			want += k - 12
+		}
+	}
+	wantSlot(t, v, ec, rows.I64(want))
+}
+
+// BenchmarkCompileUDF is parse, type inference and compilation of the
+// 40-term UDF.
+func BenchmarkCompileUDF(b *testing.B) {
+	src := termsUDF(40)
+	for i := 0; i < b.N; i++ {
+		fn, err := pyast.ParseUDF(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		info, err := inference.TypeFunction(fn, []types.Type{types.I64}, nil, inference.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Compile(info, nil, DefaultOptions()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestRowDivergencesPinned pins the row-closure and interpreter
+// divergences the generated differential found, each at Python's answer:
+// an exception kind, or a value. Every case failed on some tier before.
+func TestRowDivergencesPinned(t *testing.T) {
+	names := make([]string, len(vecCols))
+	for i, c := range vecCols {
+		names[i] = c.Name
+	}
+	gt := map[string]types.Type{"KI": types.I64, "KF": types.F64, "KB": types.Bool, "KS": types.Str}
+	ip := interp.New(vecGlobals)
+	nan := pyvalue.Float(math.NaN())
+	for _, c := range []struct {
+		src   string
+		cells map[string]rows.Slot
+		want  pyvalue.Value // nil: wantEc
+		ec    ECode
+	}{
+		// Both operands evaluate before the operator checks their types.
+		{"lambda r: r['g'] / (1 / r['c'])", map[string]rows.Slot{"g": rows.Null(), "c": rows.F64(0)}, nil, pyvalue.ExcZeroDivisionError},
+		// A subscript evaluates its index before checking the container.
+		{"lambda r: r['s'][int(',')]", map[string]rows.Slot{"s": rows.Null()}, nil, pyvalue.ExcValueError},
+		// A method is looked up before its arguments are evaluated.
+		{"lambda r: r['s'].lstrip(r['s'][:5])", map[string]rows.Slot{"s": rows.Null()}, nil, pyvalue.ExcAttributeError},
+		// NaN orders false against everything.
+		{"lambda r: r['c'] <= 1.5", map[string]rows.Slot{"c": rows.F64(float64(nan))}, pyvalue.Bool(false), 0},
+		{"lambda r: r['c'] >= r['c']", map[string]rows.Slot{"c": rows.F64(float64(nan))}, pyvalue.Bool(false), 0},
+		// int() of NaN or infinity raises.
+		{"lambda r: int(r['c'])", map[string]rows.Slot{"c": rows.F64(float64(nan))}, nil, pyvalue.ExcValueError},
+		{"lambda r: int(r['c'])", map[string]rows.Slot{"c": rows.F64(math.Inf(-1))}, nil, pyvalue.ExcOverflowError},
+		// None slice bounds and strip sets mean "absent".
+		{"lambda r: r['t'][r['e']:]", map[string]rows.Slot{"t": rows.Str("abc"), "e": rows.Null()}, pyvalue.Str("abc"), 0},
+		{"lambda r: r['t'].strip(r['s'])", map[string]rows.Slot{"t": rows.Str(" x "), "s": rows.Null()}, pyvalue.Str("x"), 0},
+		// An f64-typed value may hold an int or a bool: two ints compute as
+		// ints, and truthiness reads the value held.
+		{"lambda r: (r['a'] if r['h'] else r['c']) * 3", map[string]rows.Slot{"a": rows.I64(1<<53 + 1), "h": rows.Bool(true)}, pyvalue.Int((1<<53 + 1) * 3), 0},
+		{"lambda r: 'y' if (r['h'] if r['h'] else r['c']) else 'n'", map[string]rows.Slot{"h": rows.Bool(true)}, pyvalue.Str("y"), 0},
+	} {
+		row := make(rows.Row, len(vecCols))
+		for i, col := range vecCols {
+			switch v, ok := c.cells[col.Name]; {
+			case ok:
+				row[i] = v
+			case col.Type.Unwrap().Kind() == types.KindStr:
+				row[i] = rows.Str("x")
+			case col.Type.Unwrap().Kind() == types.KindF64:
+				row[i] = rows.F64(1.5)
+			case col.Type.Unwrap().Kind() == types.KindBool:
+				row[i] = rows.Bool(false)
+			default:
+				row[i] = rows.I64(2)
+			}
+		}
+		check := func(tier string, got pyvalue.Value, ec ECode) {
+			t.Helper()
+			if ec != c.ec || (c.want != nil && (got == nil || got.Kind() != c.want.Kind() || !pyvalue.Equal(got, c.want))) {
+				t.Errorf("%s %v: %s = %v (%v), want %v (%v)", c.src, c.cells, tier, got, ec, c.want, c.ec)
+			}
+		}
+		fn, _ := pyast.ParseUDF(c.src)
+		for _, spec := range []bool{true, false} {
+			info, err := inference.TypeFunction(fn, []types.Type{rowType()}, gt, inference.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			u, err := Compile(info, vecGlobals, Options{Specialize: spec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, ec := u.Call1(NewFrame(u.NumSlots()), rows.Tuple(row))
+			check(fmt.Sprintf("row closure [spec=%v]", spec), v.Value(), ec)
+		}
+		arg := []pyvalue.Value{rows.DictRow(names, row)}
+		v, err := ip.Call(fn, arg)
+		check("tree-walker", v, pyvalue.KindOf(err))
+		compiled, err := ip.Compile(fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err = compiled.Call(ip, arg)
+		check("general path", v, pyvalue.KindOf(err))
+	}
 }

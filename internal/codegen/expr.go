@@ -20,19 +20,21 @@ func (c *compiler) expr(x pyast.Expr) (exprFn, error) {
 		return fn, nil
 	}
 	switch x := x.(type) {
+	// Literal closures capture the scalar, not an 80-byte Slot: a
+	// compiled plan keeps every one of them.
 	case *pyast.NumLit:
 		if x.IsFloat {
-			s := rows.F64(x.F)
-			return func(fr *Frame) (rows.Slot, ECode) { return s, 0 }, nil
+			f := x.F
+			return func(fr *Frame) (rows.Slot, ECode) { return rows.F64(f), 0 }, nil
 		}
-		s := rows.I64(x.I)
-		return func(fr *Frame) (rows.Slot, ECode) { return s, 0 }, nil
+		n := x.I
+		return func(fr *Frame) (rows.Slot, ECode) { return rows.I64(n), 0 }, nil
 	case *pyast.StrLit:
-		s := rows.Str(x.S)
-		return func(fr *Frame) (rows.Slot, ECode) { return s, 0 }, nil
+		s := x.S
+		return func(fr *Frame) (rows.Slot, ECode) { return rows.Str(s), 0 }, nil
 	case *pyast.BoolLit:
-		s := rows.Bool(x.B)
-		return func(fr *Frame) (rows.Slot, ECode) { return s, 0 }, nil
+		b := x.B
+		return func(fr *Frame) (rows.Slot, ECode) { return rows.Bool(b), 0 }, nil
 	case *pyast.NoneLit:
 		return func(fr *Frame) (rows.Slot, ECode) { return rows.Null(), 0 }, nil
 	case *pyast.Name:
@@ -150,6 +152,7 @@ func (c *compiler) expr(x pyast.Expr) (exprFn, error) {
 		if err != nil {
 			return nil, err
 		}
+		marker := rows.DictKeys(keys)
 		return func(fr *Frame) (rows.Slot, ECode) {
 			// Fast-path dicts are only produced to be consumed as row
 			// outputs; represent as a tuple slot with attached names via
@@ -164,7 +167,7 @@ func (c *compiler) expr(x pyast.Expr) (exprFn, error) {
 				}
 				seq[i] = v
 			}
-			return rows.Slot{Tag: types.KindDict, Seq: seq, Obj: dictKeys(keys)}, 0
+			return rows.Slot{Tag: types.KindDict, Seq: seq, Obj: marker}, 0
 		}, nil
 	case *pyast.ListComp:
 		return c.listComp(x)
@@ -173,38 +176,6 @@ func (c *compiler) expr(x pyast.Expr) (exprFn, error) {
 	default:
 		return nil, fmt.Errorf("codegen: unsupported expression %T survived inference", x)
 	}
-}
-
-// dictKeys wraps a key list as a boxed marker carried in the Obj field of
-// dict slots produced on the fast path; the engine reads it to map dict
-// returns onto output columns without round-tripping through boxed
-// dicts.
-func dictKeys(keys []string) pyvalue.Value {
-	items := make([]pyvalue.Value, len(keys))
-	for i, k := range keys {
-		items[i] = pyvalue.Str(k)
-	}
-	return &pyvalue.Tuple{Items: items}
-}
-
-// DictSlotKeys extracts the column names of a fast-path dict slot.
-func DictSlotKeys(s rows.Slot) ([]string, bool) {
-	if s.Tag != types.KindDict || s.Obj == nil {
-		return nil, false
-	}
-	t, ok := s.Obj.(*pyvalue.Tuple)
-	if !ok {
-		return nil, false
-	}
-	out := make([]string, len(t.Items))
-	for i, it := range t.Items {
-		str, ok := it.(pyvalue.Str)
-		if !ok {
-			return nil, false
-		}
-		out[i] = string(str)
-	}
-	return out, true
 }
 
 func (c *compiler) exprs(xs []pyast.Expr) ([]exprFn, error) {
@@ -221,26 +192,6 @@ func (c *compiler) exprs(xs []pyast.Expr) ([]exprFn, error) {
 
 // truthExpr compiles an expression into a Python-truthiness test.
 func (c *compiler) truthExpr(x pyast.Expr) (func(fr *Frame) (bool, ECode), error) {
-	if c.opts.Specialize && !c.nativeBail(x) {
-		// Comparisons and scalar name tests — the bulk of filter and
-		// branch conditions — produce the bool directly, no Slot.
-		if cmp, ok := x.(*pyast.Compare); ok {
-			if f, err := c.compareBool(cmp); err != nil {
-				return nil, err
-			} else if f != nil {
-				return f, nil
-			}
-		}
-		if nm, ok := x.(*pyast.Name); ok {
-			if idx, ok := c.slots[nm.Ident]; ok {
-				if t := nm.Type(); !t.IsOption() {
-					if f := truthSlotFn(idx, t.Kind()); f != nil {
-						return f, nil
-					}
-				}
-			}
-		}
-	}
 	e, err := c.expr(x)
 	if err != nil {
 		return nil, err
@@ -253,22 +204,13 @@ func (c *compiler) truthExpr(x pyast.Expr) (func(fr *Frame) (bool, ECode), error
 		c.stats.ChecksElided++
 	}
 	if c.opts.Specialize {
-		// Monomorphic truthiness for the common scalar cases.
+		// Monomorphic truthiness for the kinds no narrower kind widens
+		// into; an i64 or f64 value may hold a bool or an int.
 		switch t.Kind() {
 		case types.KindBool:
 			return func(fr *Frame) (bool, ECode) {
 				v, ec := e(fr)
 				return v.B, ec
-			}, nil
-		case types.KindI64:
-			return func(fr *Frame) (bool, ECode) {
-				v, ec := e(fr)
-				return v.I != 0, ec
-			}, nil
-		case types.KindF64:
-			return func(fr *Frame) (bool, ECode) {
-				v, ec := e(fr)
-				return v.F != 0, ec
 			}, nil
 		case types.KindStr:
 			return func(fr *Frame) (bool, ECode) {
@@ -292,56 +234,33 @@ func (c *compiler) truthExpr(x pyast.Expr) (func(fr *Frame) (bool, ECode), error
 }
 
 // intExpr compiles an expression guaranteed by typing to be int-like into
-// an I64-slot producer (bools coerce; Options null-check).
+// an I64-slot producer: bools coerce (an i64-typed value may hold one),
+// None raises TypeError.
 func (c *compiler) intExpr(x pyast.Expr) (exprFn, error) {
 	e, err := c.expr(x)
 	if err != nil {
 		return nil, err
 	}
-	t := x.Type()
-	switch t.Kind() {
-	case types.KindI64:
-		return e, nil
-	case types.KindBool:
-		return func(fr *Frame) (rows.Slot, ECode) {
-			v, ec := e(fr)
-			if ec != 0 {
-				return rows.Slot{}, ec
-			}
+	return func(fr *Frame) (rows.Slot, ECode) {
+		v, ec := e(fr)
+		if ec != 0 {
+			return rows.Slot{}, ec
+		}
+		switch v.Tag {
+		case types.KindI64:
+			return v, 0
+		case types.KindBool:
 			if v.B {
 				return rows.I64(1), 0
 			}
 			return rows.I64(0), 0
-		}, nil
-	default:
-		// Option[i64] and friends: runtime tag check.
-		return func(fr *Frame) (rows.Slot, ECode) {
-			v, ec := e(fr)
-			if ec != 0 {
-				return rows.Slot{}, ec
-			}
-			switch v.Tag {
-			case types.KindI64:
-				return v, 0
-			case types.KindBool:
-				if v.B {
-					return rows.I64(1), 0
-				}
-				return rows.I64(0), 0
-			case types.KindNull:
-				return rows.Slot{}, pyvalue.ExcTypeError
-			default:
-				return rows.Slot{}, pyvalue.ExcTypeError
-			}
-		}, nil
-	}
+		default:
+			return rows.Slot{}, pyvalue.ExcTypeError
+		}
+	}, nil
 }
 
 func (c *compiler) unaryOp(x *pyast.UnaryOp) (exprFn, error) {
-	sub, err := c.expr(x.X)
-	if err != nil {
-		return nil, err
-	}
 	switch x.Op {
 	case "not":
 		inner, err := c.truthExpr(x.X)
@@ -356,6 +275,10 @@ func (c *compiler) unaryOp(x *pyast.UnaryOp) (exprFn, error) {
 			return rows.Bool(!t), 0
 		}, nil
 	case "-", "+", "~":
+		sub, err := c.expr(x.X)
+		if err != nil {
+			return nil, err
+		}
 		op := x.Op
 		return func(fr *Frame) (rows.Slot, ECode) {
 			v, ec := sub(fr)
@@ -432,21 +355,8 @@ func (c *compiler) boolOp(x *pyast.BoolOp) (exprFn, error) {
 }
 
 func (c *compiler) subscript(x *pyast.Subscript) (exprFn, error) {
-	// Row column access resolved by inference: a direct slice load. When
-	// the row is a named frame slot the element is read through a
-	// pointer, skipping the copy of the whole row Slot.
+	// Row column access resolved by inference: a direct slice load.
 	if x.RowIdx >= 0 {
-		if c.opts.Specialize {
-			if el := c.rowElemAt(x); el != nil {
-				return func(fr *Frame) (rows.Slot, ECode) {
-					p, ec := el(fr)
-					if ec != 0 {
-						return rows.Slot{}, ec
-					}
-					return *p, 0
-				}, nil
-			}
-		}
 		base, err := c.expr(x.X)
 		if err != nil {
 			return nil, err
@@ -468,48 +378,49 @@ func (c *compiler) subscript(x *pyast.Subscript) (exprFn, error) {
 		return nil, err
 	}
 	ct := x.X.Type().Unwrap()
+	var at func(fr *Frame) (rows.Slot, int64, ECode)
 	switch ct.Kind() {
-	case types.KindStr:
+	case types.KindStr, types.KindList, types.KindTuple, types.KindMatch:
 		idx, err := c.intExpr(x.Index)
 		if err != nil {
 			return nil, err
 		}
-		return func(fr *Frame) (rows.Slot, ECode) {
+		// The container, then the index, then the checks on both:
+		// Python's order, so None[int(',')] raises ValueError.
+		at = func(fr *Frame) (rows.Slot, int64, ECode) {
 			s, ec := cont(fr)
+			if ec != 0 {
+				return s, 0, ec
+			}
+			iv, ec := idx(fr)
+			return s, iv.I, ec
+		}
+	}
+	switch ct.Kind() {
+	case types.KindStr:
+		return func(fr *Frame) (rows.Slot, ECode) {
+			s, i, ec := at(fr)
 			if ec != 0 {
 				return rows.Slot{}, ec
 			}
 			if s.Tag != types.KindStr {
 				return rows.Slot{}, pyvalue.ExcTypeError
 			}
-			iv, ec := idx(fr)
-			if ec != 0 {
-				return rows.Slot{}, ec
-			}
-			ch, ok := strIndex(s.S, iv.I)
+			ch, ok := strIndex(s.S, i)
 			if !ok {
 				return rows.Slot{}, pyvalue.ExcIndexError
 			}
 			return rows.Str(ch), 0
 		}, nil
 	case types.KindList, types.KindTuple:
-		idx, err := c.intExpr(x.Index)
-		if err != nil {
-			return nil, err
-		}
 		return func(fr *Frame) (rows.Slot, ECode) {
-			s, ec := cont(fr)
+			s, i, ec := at(fr)
 			if ec != 0 {
 				return rows.Slot{}, ec
 			}
 			if s.Tag != types.KindList && s.Tag != types.KindTuple {
 				return rows.Slot{}, pyvalue.ExcTypeError
 			}
-			iv, ec := idx(fr)
-			if ec != 0 {
-				return rows.Slot{}, ec
-			}
-			i := iv.I
 			n := int64(len(s.Seq))
 			if i < 0 {
 				i += n
@@ -520,27 +431,15 @@ func (c *compiler) subscript(x *pyast.Subscript) (exprFn, error) {
 			return s.Seq[i], 0
 		}, nil
 	case types.KindMatch:
-		idx, err := c.intExpr(x.Index)
-		if err != nil {
-			return nil, err
-		}
 		return func(fr *Frame) (rows.Slot, ECode) {
-			s, ec := cont(fr)
+			s, i, ec := at(fr)
 			if ec != 0 {
 				return rows.Slot{}, ec
-			}
-			if s.Tag == types.KindNull {
-				return rows.Slot{}, pyvalue.ExcTypeError // None is not subscriptable
 			}
 			m, ok := s.Obj.(*pyvalue.Match)
 			if !ok {
-				return rows.Slot{}, pyvalue.ExcTypeError
+				return rows.Slot{}, pyvalue.ExcTypeError // None is not subscriptable
 			}
-			iv, ec := idx(fr)
-			if ec != 0 {
-				return rows.Slot{}, ec
-			}
-			i := iv.I
 			if i < 0 || int(i) >= len(m.Groups) {
 				return rows.Slot{}, pyvalue.ExcIndexError
 			}
@@ -562,7 +461,7 @@ func (c *compiler) subscript(x *pyast.Subscript) (exprFn, error) {
 			if ec != 0 {
 				return rows.Slot{}, ec
 			}
-			if keys, ok := DictSlotKeys(s); ok {
+			if keys, ok := rows.DictSlotKeys(s); ok {
 				for i, k := range keys {
 					if k == key {
 						return s.Seq[i], 0
@@ -591,7 +490,7 @@ func (c *compiler) slice(x *pyast.Slice) (exprFn, error) {
 		if b == nil {
 			return nil, nil
 		}
-		return c.intExpr(b)
+		return c.expr(b)
 	}
 	lo, err := bound(x.Lo)
 	if err != nil {
@@ -610,10 +509,13 @@ func (c *compiler) slice(x *pyast.Slice) (exprFn, error) {
 			return nil, 0
 		}
 		v, ec := b(fr)
-		if ec != 0 {
-			return nil, ec
+		if ec != 0 || v.Tag == types.KindNull {
+			return nil, ec // s[None:] is s[:]
 		}
-		n := v.I
+		n, ok := slotI64(v)
+		if !ok {
+			return nil, pyvalue.ExcTypeError
+		}
 		return &n, 0
 	}
 	isStr := x.X.Type().Unwrap().Kind() == types.KindStr

@@ -62,78 +62,30 @@ func applyBoxedOp(op string, a, b pyvalue.Value) (pyvalue.Value, error) {
 	}
 }
 
+type i64Fn = func(*Frame) (int64, ECode)
+type strFn = func(*Frame) (string, ECode)
+
 // asI64 wraps e (typed int-like, possibly optional) into an int64
-// producer with runtime checks only where the static type demands them.
-func asI64(e exprFn, t types.Type) func(fr *Frame) (int64, ECode) {
-	u := t.Unwrap()
-	if !t.IsOption() && u.Kind() == types.KindI64 {
-		return func(fr *Frame) (int64, ECode) {
-			v, ec := e(fr)
-			return v.I, ec
-		}
-	}
+// producer. It dispatches on the slot's tag rather than the static type:
+// a value typed i64 may hold a bool (bool < i64 in the type lattice).
+func asI64(e exprFn) i64Fn {
 	return func(fr *Frame) (int64, ECode) {
 		v, ec := e(fr)
 		if ec != 0 {
 			return 0, ec
 		}
-		switch v.Tag {
-		case types.KindI64:
-			return v.I, 0
-		case types.KindBool:
-			if v.B {
-				return 1, 0
-			}
-			return 0, 0
-		default:
+		n, ok := slotI64(v)
+		if !ok {
 			return 0, pyvalue.ExcTypeError
 		}
-	}
-}
-
-// asF64 wraps e (typed numeric, possibly optional) into a float64
-// producer.
-func asF64(e exprFn, t types.Type) func(fr *Frame) (float64, ECode) {
-	u := t.Unwrap()
-	if !t.IsOption() {
-		switch u.Kind() {
-		case types.KindF64:
-			return func(fr *Frame) (float64, ECode) {
-				v, ec := e(fr)
-				return v.F, ec
-			}
-		case types.KindI64:
-			return func(fr *Frame) (float64, ECode) {
-				v, ec := e(fr)
-				return float64(v.I), ec
-			}
-		}
-	}
-	return func(fr *Frame) (float64, ECode) {
-		v, ec := e(fr)
-		if ec != 0 {
-			return 0, ec
-		}
-		switch v.Tag {
-		case types.KindF64:
-			return v.F, 0
-		case types.KindI64:
-			return float64(v.I), 0
-		case types.KindBool:
-			if v.B {
-				return 1, 0
-			}
-			return 0, 0
-		default:
-			return 0, pyvalue.ExcTypeError
-		}
+		return n, 0
 	}
 }
 
 // asStr wraps e (typed str, possibly optional) into a string producer.
 // A None at runtime raises ec (TypeError by default; AttributeError for
 // method receivers).
-func asStr(e exprFn, t types.Type, onNull ECode) func(fr *Frame) (string, ECode) {
+func asStr(e exprFn, t types.Type, onNull ECode) strFn {
 	if !t.IsOption() && t.Kind() == types.KindStr {
 		return func(fr *Frame) (string, ECode) {
 			v, ec := e(fr)
@@ -152,151 +104,107 @@ func asStr(e exprFn, t types.Type, onNull ECode) func(fr *Frame) (string, ECode)
 	}
 }
 
+// operands evaluates l, then r, and only then converts both: Python
+// evaluates both operands before the operator raises on their types, so
+// `None / (1 / 0)` raises ZeroDivisionError. Conversion goes by the
+// slots' tags: a value typed f64 may hold an int or a bool, such as the
+// taken arm of `1 if c else 2.5`. A plain function, not a closure: the
+// operator closures that call it are all a compiled plan retains.
+func operands[T any](fr *Frame, l, r exprFn, conv func(rows.Slot) (T, bool)) (a, b T, ec ECode) {
+	x, ec := l(fr)
+	if ec != 0 {
+		return a, b, ec
+	}
+	y, ec := r(fr)
+	if ec != 0 {
+		return a, b, ec
+	}
+	a, aok := conv(x)
+	b, bok := conv(y)
+	if !aok || !bok {
+		return a, b, pyvalue.ExcTypeError
+	}
+	return a, b, 0
+}
+
+func slotI64(s rows.Slot) (int64, bool) {
+	switch s.Tag {
+	case types.KindI64:
+		return s.I, true
+	case types.KindBool:
+		if s.B {
+			return 1, true
+		}
+		return 0, true
+	default:
+		return 0, false
+	}
+}
+
+func slotStr(s rows.Slot) (string, bool) { return s.S, s.Tag == types.KindStr }
+
 // binOp compiles a typed binary operator. lx/rx are the operand AST
 // nodes when available (nil otherwise); they let dataflow facts elide
-// runtime checks the values provably cannot trip.
+// runtime checks the values provably cannot trip. A result of the
+// operator's value is only meaningful when its code is 0.
 func (c *compiler) binOp(op string, l, r exprFn, lx, rx pyast.Expr, lt, rt, resT types.Type) (exprFn, error) {
 	if !c.opts.Specialize {
 		return boxedBinOp(op, l, r), nil
 	}
-	// Null-check elision: an Option operand proven non-null on this path
-	// compiles with the unwrapped type's direct accessor.
-	if lt.IsOption() && c.flowNonNull(lx) {
-		lt = lt.Unwrap()
-		c.stats.ChecksElided++
-	}
-	if rt.IsOption() && c.flowNonNull(rx) {
-		rt = rt.Unwrap()
-		c.stats.ChecksElided++
-	}
 	lu, ru := lt.Unwrap(), rt.Unwrap()
 	numeric := lu.IsNumeric() && ru.IsNumeric()
 	intResult := numeric && resT.Unwrap().Kind() == types.KindI64
+	checkZero := true
+	if numeric && (op == "//" || op == "%" || op == "/") {
+		if checkZero = !c.flowNonZero(rx); !checkZero {
+			c.stats.ChecksElided++
+		}
+	}
 
 	switch op {
 	case "+", "-", "*", "//", "%", "**":
-		if numeric && intResult {
-			li, ri := c.i64OpFB(lx, lt, l), c.i64OpFB(rx, rt, r)
+		if intResult {
 			switch op {
 			case "+":
 				return func(fr *Frame) (rows.Slot, ECode) {
-					a, ec := li(fr)
-					if ec != 0 {
-						return rows.Slot{}, ec
-					}
-					b, ec := ri(fr)
-					if ec != 0 {
-						return rows.Slot{}, ec
-					}
-					return rows.I64(a + b), 0
+					a, b, ec := operands(fr, l, r, slotI64)
+					return rows.I64(a + b), ec
 				}, nil
 			case "-":
 				return func(fr *Frame) (rows.Slot, ECode) {
-					a, ec := li(fr)
-					if ec != 0 {
-						return rows.Slot{}, ec
-					}
-					b, ec := ri(fr)
-					if ec != 0 {
-						return rows.Slot{}, ec
-					}
-					return rows.I64(a - b), 0
+					a, b, ec := operands(fr, l, r, slotI64)
+					return rows.I64(a - b), ec
 				}, nil
 			case "*":
 				return func(fr *Frame) (rows.Slot, ECode) {
-					a, ec := li(fr)
-					if ec != 0 {
-						return rows.Slot{}, ec
-					}
-					b, ec := ri(fr)
-					if ec != 0 {
-						return rows.Slot{}, ec
-					}
-					return rows.I64(a * b), 0
+					a, b, ec := operands(fr, l, r, slotI64)
+					return rows.I64(a * b), ec
 				}, nil
-			case "//":
-				if c.flowNonZero(rx) {
-					c.stats.ChecksElided++
-					return func(fr *Frame) (rows.Slot, ECode) {
-						a, ec := li(fr)
-						if ec != 0 {
-							return rows.Slot{}, ec
-						}
-						b, ec := ri(fr)
-						if ec != 0 {
-							return rows.Slot{}, ec
-						}
-						return rows.I64(pyvalue.FloorDivInt(a, b)), 0
-					}, nil
-				}
+			case "//", "%":
+				mod := op == "%"
 				return func(fr *Frame) (rows.Slot, ECode) {
-					a, ec := li(fr)
-					if ec != 0 {
+					a, b, ec := operands(fr, l, r, slotI64)
+					switch {
+					case ec != 0:
 						return rows.Slot{}, ec
-					}
-					b, ec := ri(fr)
-					if ec != 0 {
-						return rows.Slot{}, ec
-					}
-					if b == 0 {
+					case checkZero && b == 0:
 						return rows.Slot{}, pyvalue.ExcZeroDivisionError
+					case mod:
+						return rows.I64(pyvalue.FloorModInt(a, b)), 0
 					}
 					return rows.I64(pyvalue.FloorDivInt(a, b)), 0
 				}, nil
-			case "%":
-				if c.flowNonZero(rx) {
+			default: // "**"
+				checkNeg := !c.flowNonNegative(rx)
+				if !checkNeg {
 					c.stats.ChecksElided++
-					return func(fr *Frame) (rows.Slot, ECode) {
-						a, ec := li(fr)
-						if ec != 0 {
-							return rows.Slot{}, ec
-						}
-						b, ec := ri(fr)
-						if ec != 0 {
-							return rows.Slot{}, ec
-						}
-						return rows.I64(pyvalue.FloorModInt(a, b)), 0
-					}, nil
 				}
 				return func(fr *Frame) (rows.Slot, ECode) {
-					a, ec := li(fr)
-					if ec != 0 {
+					a, b, ec := operands(fr, l, r, slotI64)
+					switch {
+					case ec != 0:
 						return rows.Slot{}, ec
-					}
-					b, ec := ri(fr)
-					if ec != 0 {
-						return rows.Slot{}, ec
-					}
-					if b == 0 {
-						return rows.Slot{}, pyvalue.ExcZeroDivisionError
-					}
-					return rows.I64(pyvalue.FloorModInt(a, b)), 0
-				}, nil
-			case "**":
-				if c.flowNonNegative(rx) {
-					c.stats.ChecksElided++
-					return func(fr *Frame) (rows.Slot, ECode) {
-						a, ec := li(fr)
-						if ec != 0 {
-							return rows.Slot{}, ec
-						}
-						b, ec := ri(fr)
-						if ec != 0 {
-							return rows.Slot{}, ec
-						}
-						return rows.I64(pyvalue.IPow(a, b)), 0
-					}, nil
-				}
-				return func(fr *Frame) (rows.Slot, ECode) {
-					a, ec := li(fr)
-					if ec != 0 {
-						return rows.Slot{}, ec
-					}
-					b, ec := ri(fr)
-					if ec != 0 {
-						return rows.Slot{}, ec
-					}
-					if b < 0 {
+					case checkNeg && b < 0:
 						// int**negative is a float in Python: off the
 						// normal-case type, retried on the general path.
 						return rows.Slot{}, pyvalue.ExcUnsupported
@@ -306,105 +214,12 @@ func (c *compiler) binOp(op string, l, r exprFn, lx, rx pyast.Expr, lt, rt, resT
 			}
 		}
 		if numeric {
-			lf, rf := c.f64OpFB(lx, lt, l), c.f64OpFB(rx, rt, r)
-			switch op {
-			case "+":
-				return func(fr *Frame) (rows.Slot, ECode) {
-					a, ec := lf(fr)
-					if ec != 0 {
-						return rows.Slot{}, ec
-					}
-					b, ec := rf(fr)
-					if ec != 0 {
-						return rows.Slot{}, ec
-					}
-					return rows.F64(a + b), 0
-				}, nil
-			case "-":
-				return func(fr *Frame) (rows.Slot, ECode) {
-					a, ec := lf(fr)
-					if ec != 0 {
-						return rows.Slot{}, ec
-					}
-					b, ec := rf(fr)
-					if ec != 0 {
-						return rows.Slot{}, ec
-					}
-					return rows.F64(a - b), 0
-				}, nil
-			case "*":
-				return func(fr *Frame) (rows.Slot, ECode) {
-					a, ec := lf(fr)
-					if ec != 0 {
-						return rows.Slot{}, ec
-					}
-					b, ec := rf(fr)
-					if ec != 0 {
-						return rows.Slot{}, ec
-					}
-					return rows.F64(a * b), 0
-				}, nil
-			case "//":
-				checkZero := !c.flowNonZero(rx)
-				if !checkZero {
-					c.stats.ChecksElided++
-				}
-				return func(fr *Frame) (rows.Slot, ECode) {
-					a, ec := lf(fr)
-					if ec != 0 {
-						return rows.Slot{}, ec
-					}
-					b, ec := rf(fr)
-					if ec != 0 {
-						return rows.Slot{}, ec
-					}
-					if checkZero && b == 0 {
-						return rows.Slot{}, pyvalue.ExcZeroDivisionError
-					}
-					return rows.F64(math.Floor(a / b)), 0
-				}, nil
-			case "%":
-				checkZero := !c.flowNonZero(rx)
-				if !checkZero {
-					c.stats.ChecksElided++
-				}
-				return func(fr *Frame) (rows.Slot, ECode) {
-					a, ec := lf(fr)
-					if ec != 0 {
-						return rows.Slot{}, ec
-					}
-					b, ec := rf(fr)
-					if ec != 0 {
-						return rows.Slot{}, ec
-					}
-					if checkZero && b == 0 {
-						return rows.Slot{}, pyvalue.ExcZeroDivisionError
-					}
-					return rows.F64(pyvalue.FloorModFloat(a, b)), 0
-				}, nil
-			case "**":
-				return func(fr *Frame) (rows.Slot, ECode) {
-					a, ec := lf(fr)
-					if ec != 0 {
-						return rows.Slot{}, ec
-					}
-					b, ec := rf(fr)
-					if ec != 0 {
-						return rows.Slot{}, ec
-					}
-					return rows.F64(math.Pow(a, b)), 0
-				}, nil
-			}
+			return numOp(op, l, r, checkZero), nil
 		}
 		// String cases.
 		if op == "+" && lu.Kind() == types.KindStr && ru.Kind() == types.KindStr {
-			ls, rs := c.strOpFB(lx, lt, l, pyvalue.ExcTypeError), c.strOpFB(rx, rt, r, pyvalue.ExcTypeError)
 			return func(fr *Frame) (rows.Slot, ECode) {
-				a, ec := ls(fr)
-				if ec != 0 {
-					return rows.Slot{}, ec
-				}
-				b, ec := rs(fr)
+				a, b, ec := operands(fr, l, r, slotStr)
 				if ec != 0 {
 					return rows.Slot{}, ec
 				}
@@ -412,43 +227,42 @@ func (c *compiler) binOp(op string, l, r exprFn, lx, rx pyast.Expr, lt, rt, resT
 			}, nil
 		}
 		if op == "*" && lu.Kind() == types.KindStr && ru.IsNumeric() {
-			ls, ri := c.strOpFB(lx, lt, l, pyvalue.ExcTypeError), c.i64OpFB(rx, rt, r)
 			return func(fr *Frame) (rows.Slot, ECode) {
-				a, ec := ls(fr)
+				x, ec := l(fr)
 				if ec != 0 {
 					return rows.Slot{}, ec
 				}
-				n, ec := ri(fr)
+				y, ec := r(fr)
 				if ec != 0 {
 					return rows.Slot{}, ec
+				}
+				n, ok := slotI64(y)
+				if x.Tag != types.KindStr || !ok {
+					return rows.Slot{}, pyvalue.ExcTypeError
 				}
 				if n <= 0 {
 					return rows.Str(""), 0
 				}
-				return rows.Str(strings.Repeat(a, int(n))), 0
+				return rows.Str(strings.Repeat(x.S, int(n))), 0
 			}, nil
 		}
 		if op == "%" && lu.Kind() == types.KindStr {
 			// printf-style formatting: the shared formatter appends into
 			// the frame's scratch buffer and the result is arena-interned,
-			// so a hot-loop format pays only the operand boxing — and not
-			// even that for a literal format over ints.
-			if lx != nil && rx != nil {
-				if f, err := c.percentIntNat(lx, rx); err != nil || f != nil {
-					return wrapStr(f), err
-				}
-			}
-			ls := c.strOpFB(lx, lt, l, pyvalue.ExcTypeError)
+			// so a hot-loop format pays only the operand boxing.
 			return func(fr *Frame) (rows.Slot, ECode) {
-				a, ec := ls(fr)
+				x, ec := l(fr)
 				if ec != 0 {
 					return rows.Slot{}, ec
 				}
-				b, ec := r(fr)
+				y, ec := r(fr)
 				if ec != 0 {
 					return rows.Slot{}, ec
 				}
-				out, err := pyvalue.AppendPercentFormat(fr.Scratch[:0], a, b.Value())
+				if x.Tag != types.KindStr {
+					return rows.Slot{}, pyvalue.ExcTypeError
+				}
+				out, err := pyvalue.AppendPercentFormat(fr.Scratch[:0], x.S, y.Value())
 				if err != nil {
 					return rows.Slot{}, pyvalue.KindOf(err)
 				}
@@ -456,53 +270,24 @@ func (c *compiler) binOp(op string, l, r exprFn, lx, rx pyast.Expr, lt, rt, resT
 				return rows.Str(fr.Arena.Intern(out)), 0
 			}, nil
 		}
-		if op == "+" && lu.Kind() == types.KindList && ru.Kind() == types.KindList {
-			return boxedBinOp(op, l, r), nil
-		}
 		return boxedBinOp(op, l, r), nil
 	case "/":
-		lf, rf := c.f64OpFB(lx, lt, l), c.f64OpFB(rx, rt, r)
-		checkZero := !c.flowNonZero(rx)
-		if !checkZero {
-			c.stats.ChecksElided++
-		}
-		return func(fr *Frame) (rows.Slot, ECode) {
-			a, ec := lf(fr)
-			if ec != 0 {
-				return rows.Slot{}, ec
-			}
-			b, ec := rf(fr)
-			if ec != 0 {
-				return rows.Slot{}, ec
-			}
-			if checkZero && b == 0 {
-				return rows.Slot{}, pyvalue.ExcZeroDivisionError
-			}
-			return rows.F64(a / b), 0
-		}, nil
+		return numOp(op, l, r, checkZero), nil
 	case "&", "|", "^", "<<", ">>":
-		li, ri := c.i64OpFB(lx, lt, l), c.i64OpFB(rx, rt, r)
 		o := op
 		return func(fr *Frame) (rows.Slot, ECode) {
-			a, ec := li(fr)
-			if ec != 0 {
-				return rows.Slot{}, ec
-			}
-			b, ec := ri(fr)
-			if ec != 0 {
-				return rows.Slot{}, ec
-			}
+			a, b, ec := operands(fr, l, r, slotI64)
 			switch o {
 			case "&":
-				return rows.I64(a & b), 0
+				return rows.I64(a & b), ec
 			case "|":
-				return rows.I64(a | b), 0
+				return rows.I64(a | b), ec
 			case "^":
-				return rows.I64(a ^ b), 0
+				return rows.I64(a ^ b), ec
 			case "<<":
-				return rows.I64(a << uint(b)), 0
+				return rows.I64(a << uint(b)), ec
 			default:
-				return rows.I64(a >> uint(b)), 0
+				return rows.I64(a >> uint(b)), ec
 			}
 		}, nil
 	default:
@@ -510,19 +295,67 @@ func (c *compiler) binOp(op string, l, r exprFn, lx, rx pyast.Expr, lt, rt, resT
 	}
 }
 
+// numOp is an f64-typed + - * / // % **. An f64-typed value may hold an
+// int (the taken arm of `1 if c else 2.5`); two int operands compute as
+// ints, as in Python and on the general path, every other pair through
+// float64. checkZero keeps the zero-divisor test of the division family.
+func numOp(op string, l, r exprFn, checkZero bool) exprFn {
+	f := floatKernel(op, checkZero)
+	intPair := op != "/" // true division of two ints is a float in Python
+	return func(fr *Frame) (rows.Slot, ECode) {
+		x, ec := l(fr)
+		if ec != 0 {
+			return rows.Slot{}, ec
+		}
+		y, ec := r(fr)
+		if ec != 0 {
+			return rows.Slot{}, ec
+		}
+		if intPair && isIntTag(x.Tag) && isIntTag(y.Tag) {
+			v, err := applyBoxedOp(op, x.Value(), y.Value())
+			if err != nil {
+				return rows.Slot{}, pyvalue.KindOf(err)
+			}
+			return rows.FromValue(v), 0
+		}
+		a, aok := slotF64(x)
+		b, bok := slotF64(y)
+		if !aok || !bok {
+			return rows.Slot{}, pyvalue.ExcTypeError
+		}
+		return f(a, b)
+	}
+}
+
+func isIntTag(t rows.Tag) bool { return t == types.KindI64 || t == types.KindBool }
+
+// floatKernel is op over two float64s.
+func floatKernel(op string, checkZero bool) func(a, b float64) (rows.Slot, ECode) {
+	switch op {
+	case "+":
+		return func(a, b float64) (rows.Slot, ECode) { return rows.F64(a + b), 0 }
+	case "-":
+		return func(a, b float64) (rows.Slot, ECode) { return rows.F64(a - b), 0 }
+	case "*":
+		return func(a, b float64) (rows.Slot, ECode) { return rows.F64(a * b), 0 }
+	case "**":
+		return func(a, b float64) (rows.Slot, ECode) { return rows.F64(math.Pow(a, b)), 0 }
+	}
+	return func(a, b float64) (rows.Slot, ECode) {
+		switch {
+		case checkZero && b == 0:
+			return rows.Slot{}, pyvalue.ExcZeroDivisionError
+		case op == "/":
+			return rows.F64(a / b), 0
+		case op == "//":
+			return rows.F64(math.Floor(a / b)), 0
+		}
+		return rows.F64(pyvalue.FloorModFloat(a, b)), 0
+	}
+}
+
 // compare compiles a (possibly chained) comparison.
 func (c *compiler) compare(x *pyast.Compare) (exprFn, error) {
-	if f, err := c.compareBool(x); err != nil {
-		return nil, err
-	} else if f != nil {
-		return func(fr *Frame) (rows.Slot, ECode) {
-			ok, ec := f(fr)
-			if ec != 0 {
-				return rows.Slot{}, ec
-			}
-			return rows.Bool(ok), 0
-		}, nil
-	}
 	operands := append([]pyast.Expr{x.First}, x.Rest...)
 	fns := make([]exprFn, len(operands))
 	for i, e := range operands {
@@ -616,12 +449,7 @@ func (c *compiler) compareStep(op string, lt, rt types.Type) (func(fr *Frame, a,
 	case "in", "not in":
 		neg := op == "not in"
 		if ru.Kind() == types.KindStr {
-			return func(fr *Frame, a, b rows.Slot) (bool, ECode) {
-				if a.Tag != types.KindStr || b.Tag != types.KindStr {
-					return false, pyvalue.ExcTypeError
-				}
-				return strings.Contains(b.S, a.S) != neg, 0
-			}, nil
+			return strStep(op), nil
 		}
 		return func(fr *Frame, a, b rows.Slot) (bool, ECode) {
 			if b.Tag != types.KindList && b.Tag != types.KindTuple {
@@ -640,45 +468,51 @@ func (c *compiler) compareStep(op string, lt, rt types.Type) (func(fr *Frame, a,
 		if lu.IsNumeric() && ru.IsNumeric() {
 			o := op
 			return func(fr *Frame, a, b rows.Slot) (bool, ECode) {
+				if a.Tag == types.KindI64 && b.Tag == types.KindI64 {
+					// Two ints order exactly, as in Python: float64 would
+					// merge neighbours beyond 2^53.
+					return ordered(o, a.I, b.I), 0
+				}
 				af, aok := slotF64(a)
 				bf, bok := slotF64(b)
 				if !aok || !bok {
 					return false, pyvalue.ExcTypeError
 				}
-				switch o {
-				case "<":
-					return af < bf, 0
-				case "<=":
-					return af <= bf, 0
-				case ">":
-					return af > bf, 0
-				default:
-					return af >= bf, 0
-				}
+				return ordered(o, af, bf), 0
 			}, nil
 		}
 		if lu.Kind() == types.KindStr && ru.Kind() == types.KindStr {
-			o := op
-			return func(fr *Frame, a, b rows.Slot) (bool, ECode) {
-				if a.Tag != types.KindStr || b.Tag != types.KindStr {
-					return false, pyvalue.ExcTypeError
-				}
-				cmp := strings.Compare(a.S, b.S)
-				switch o {
-				case "<":
-					return cmp < 0, 0
-				case "<=":
-					return cmp <= 0, 0
-				case ">":
-					return cmp > 0, 0
-				default:
-					return cmp >= 0, 0
-				}
-			}, nil
+			return strStep(op), nil
 		}
 		return boxed, nil
 	default:
 		return boxed, nil
+	}
+}
+
+// strStep is one string comparison or substring test, through the
+// helper the vector kernels share (strhelp.go).
+func strStep(op string) func(fr *Frame, a, b rows.Slot) (bool, ECode) {
+	o, _ := strCmpOpOf(op)
+	return func(fr *Frame, a, b rows.Slot) (bool, ECode) {
+		if a.Tag != types.KindStr || b.Tag != types.KindStr {
+			return false, pyvalue.ExcTypeError
+		}
+		return strCompare(o, a.S, b.S), 0
+	}
+}
+
+// ordered evaluates a op b for one of < <= > >=.
+func ordered[T int64 | float64](op string, a, b T) bool {
+	switch op {
+	case "<":
+		return a < b
+	case "<=":
+		return a <= b
+	case ">":
+		return a > b
+	default:
+		return a >= b
 	}
 }
 

@@ -3,7 +3,7 @@ package codegen
 // strhelp.go — the scalar string operations, once.
 //
 // Every string operator has two drivers: a row closure (strops.go,
-// typed.go, ops.go) that runs it on one row's operands, and a vector
+// ops.go) that runs it on one row's operands, and a vector
 // kernel (vecstr.go) that loops it over a batch. Both call the functions
 // here, so a row the vector kernel computes has the row closure's value by
 // construction.

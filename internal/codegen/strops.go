@@ -18,16 +18,16 @@ func (c *compiler) strMethodCall(x *pyast.Call, attr *pyast.Attr) (exprFn, error
 	if err != nil {
 		return nil, err
 	}
-	recv := c.strOpFB(attr.X, attr.X.Type(), recvE, pyvalue.ExcAttributeError)
+	recv := asStr(recvE, attr.X.Type(), pyvalue.ExcAttributeError)
 	args, err := c.exprs(x.Args)
 	if err != nil {
 		return nil, err
 	}
 	strArg := func(i int) strFn {
-		return c.strOpFB(x.Args[i], x.Args[i].Type(), args[i], pyvalue.ExcTypeError)
+		return asStr(args[i], x.Args[i].Type(), pyvalue.ExcTypeError)
 	}
 	intArg := func(i int) i64Fn {
-		return c.i64OpFB(x.Args[i], x.Args[i].Type(), args[i])
+		return asI64(args[i])
 	}
 
 	if !c.opts.Specialize {
@@ -38,6 +38,10 @@ func (c *compiler) strMethodCall(x *pyast.Call, attr *pyast.Attr) (exprFn, error
 			if ec != 0 {
 				return rows.Slot{}, ec
 			}
+			recv := rv.Value()
+			if err := pyvalue.LookupMethod(recv, name); err != nil {
+				return rows.Slot{}, pyvalue.KindOf(err)
+			}
 			vals := make([]pyvalue.Value, len(args))
 			for i, a := range args {
 				v, ec := a(fr)
@@ -46,7 +50,7 @@ func (c *compiler) strMethodCall(x *pyast.Call, attr *pyast.Attr) (exprFn, error
 				}
 				vals[i] = v.Value()
 			}
-			res, err := pyvalue.CallMethod(rv.Value(), name, vals)
+			res, err := pyvalue.CallMethod(recv, name, vals)
 			if err != nil {
 				return rows.Slot{}, pyvalue.KindOf(err)
 			}
@@ -75,21 +79,21 @@ func (c *compiler) strMethodCall(x *pyast.Call, attr *pyast.Attr) (exprFn, error
 			return rows.I64(i), 0
 		}, nil
 	case "lower":
-		return wrapStr(strCaseFoldS(recv, false)), nil
+		return strCaseFold(recv, false), nil
 	case "upper":
-		return wrapStr(strCaseFoldS(recv, true)), nil
+		return strCaseFold(recv, true), nil
 	case "capitalize":
 		return strUnary(recv, pyvalue.Capitalize), nil
 	case "title":
 		return strUnary(recv, pyvalue.TitleCase), nil
 	case "strip", "lstrip", "rstrip":
-		var cut strFn
+		var cut exprFn
 		if len(args) >= 1 {
-			cut = strArg(0)
+			cut = args[0]
 		}
-		return wrapStr(strStripS(recv, cut, stripModeOf(attr.Name))), nil
+		return strStripCall(recv, cut, stripModeOf(attr.Name)), nil
 	case "replace":
-		return wrapStr(strReplaceS(recv, strArg(0), strArg(1))), nil
+		return strReplace(recv, strArg(0), strArg(1)), nil
 	case "split":
 		if len(args) == 0 {
 			return func(fr *Frame) (rows.Slot, ECode) {
@@ -209,9 +213,6 @@ func (c *compiler) strMethodCall(x *pyast.Call, attr *pyast.Attr) (exprFn, error
 			return rows.Bool(bool(res.(pyvalue.Bool))), 0
 		}, nil
 	case "format":
-		if f, err := c.intFormatNat(attr.X, x.Args, false); err != nil || f != nil {
-			return wrapStr(f), err
-		}
 		return func(fr *Frame) (rows.Slot, ECode) {
 			f, ec := recv(fr)
 			if ec != 0 {
@@ -255,71 +256,73 @@ func (c *compiler) strMethodCall(x *pyast.Call, attr *pyast.Attr) (exprFn, error
 }
 
 func strUnary(recv strFn, f func(string) string) exprFn {
-	return wrapStr(strUnaryS(recv, f))
-}
-
-func strUnaryS(recv strFn, f func(string) string) strFn {
-	return func(fr *Frame) (string, ECode) {
+	return func(fr *Frame) (rows.Slot, ECode) {
 		s, ec := recv(fr)
 		if ec != 0 {
-			return "", ec
+			return rows.Slot{}, ec
 		}
-		return f(s), 0
+		return rows.Str(f(s)), 0
 	}
 }
 
-// strCaseFoldS is lower()/upper(): an already-folded receiver is returned
+// strCaseFold is lower()/upper(): an already-folded receiver is returned
 // as-is (no allocation), a changed one is folded into frame scratch and
 // arena-interned.
-func strCaseFoldS(recv strFn, upper bool) strFn {
-	return func(fr *Frame) (string, ECode) {
+func strCaseFold(recv strFn, upper bool) exprFn {
+	return func(fr *Frame) (rows.Slot, ECode) {
 		s, ec := recv(fr)
 		if ec != 0 {
-			return "", ec
+			return rows.Slot{}, ec
 		}
-		return fr.intern(appendCaseFold(fr.Scratch[:0], s, upper)), 0
+		return rows.Str(fr.intern(appendCaseFold(fr.Scratch[:0], s, upper))), 0
 	}
 }
 
-// strReplaceS is str.replace with no-match handled without rebuilding, and
+// strReplace is str.replace with no-match handled without rebuilding, and
 // rebuilt results arena-interned.
-func strReplaceS(recv, oldA, newA strFn) strFn {
-	return func(fr *Frame) (string, ECode) {
+func strReplace(recv, oldA, newA strFn) exprFn {
+	return func(fr *Frame) (rows.Slot, ECode) {
 		s, ec := recv(fr)
 		if ec != 0 {
-			return "", ec
+			return rows.Slot{}, ec
 		}
 		o, ec := oldA(fr)
 		if ec != 0 {
-			return "", ec
+			return rows.Slot{}, ec
 		}
 		n, ec := newA(fr)
 		if ec != 0 {
-			return "", ec
+			return rows.Slot{}, ec
 		}
 		if o == "" {
 			// Python's ''.replace('', n) interleaves n between
 			// characters; rare enough to leave to the stdlib.
-			return strings.ReplaceAll(s, o, n), 0
+			return rows.Str(strings.ReplaceAll(s, o, n)), 0
 		}
-		return fr.intern(appendReplace(fr.Scratch[:0], s, o, n)), 0
+		return rows.Str(fr.intern(appendReplace(fr.Scratch[:0], s, o, n))), 0
 	}
 }
 
-// strStripS is strip/lstrip/rstrip; cut nil means whitespace.
-func strStripS(recv, cut strFn, mode stripMode) strFn {
-	return func(fr *Frame) (string, ECode) {
+// strStripCall is strip/lstrip/rstrip; a nil cut or a None one means
+// whitespace.
+func strStripCall(recv strFn, cut exprFn, mode stripMode) exprFn {
+	return func(fr *Frame) (rows.Slot, ECode) {
 		s, ec := recv(fr)
 		if ec != 0 {
-			return "", ec
+			return rows.Slot{}, ec
 		}
 		cutset := pyWhitespace
 		if cut != nil {
-			cutset, ec = cut(fr)
-			if ec != 0 {
-				return "", ec
+			v, ec := cut(fr)
+			switch {
+			case ec != 0:
+				return rows.Slot{}, ec
+			case v.Tag == types.KindStr:
+				cutset = v.S
+			case v.Tag != types.KindNull:
+				return rows.Slot{}, pyvalue.ExcTypeError
 			}
 		}
-		return strStrip(s, cutset, mode), 0
+		return rows.Str(strStrip(s, cutset, mode)), 0
 	}
 }

@@ -2,7 +2,7 @@ package codegen
 
 // vec.go — vector-at-a-time expression kernels.
 //
-// The closure tree in expr.go/typed.go runs once per row. For the UDF
+// The Slot closure tree (expr.go, ops.go) runs once per row. For the UDF
 // bodies dataframe pipelines are made of — numeric arithmetic, comparisons
 // and boolean combinations over typed columns (this file), the string
 // methods, slices, parses and formats of data cleaning (vecstr.go), and
@@ -27,7 +27,7 @@ package codegen
 // closure, which produces the exception code and accounting it always
 // did. UDFs are pure, so replay is safe, and marking too many rows is
 // always correct — the compiler only has to guarantee that an unmarked
-// row computes the row closure's value bit for bit. It mirrors the typed
+// row computes the row closure's value bit for bit. It mirrors the row
 // closures' operand promotion rules to do so, and reports "not
 // vectorizable" (nil program) at the first node outside its grammar;
 // the caller then keeps the row closure.
@@ -686,8 +686,8 @@ const (
 )
 
 // vecFold folds t at rows into acc, strictly in the order of rows, with
-// the accumulator in a register. min/max keep the accumulator on ties
-// and compare through float64 like pyvalue.MinMax.
+// the accumulator in a register. min/max keep the accumulator on ties,
+// like pyvalue.MinMax.
 //
 //tuplex:kernel
 func vecFold[T vnum](op foldOp, acc T, t []T, rows []int32) T {
@@ -706,13 +706,13 @@ func vecFold[T vnum](op foldOp, acc T, t []T, rows []int32) T {
 		}
 	case foldMin:
 		for _, r := range rows {
-			if v := t[r]; float64(v) < float64(acc) {
+			if v := t[r]; v < acc {
 				acc = v
 			}
 		}
 	default:
 		for _, r := range rows {
-			if v := t[r]; float64(v) > float64(acc) {
+			if v := t[r]; v > acc {
 				acc = v
 			}
 		}
@@ -995,7 +995,7 @@ func (w *vecWalk) unary(x *pyast.UnaryOp, sel []int32) (vecOperand, bool) {
 	return vecOperand{kind: a.kind, src: srcReg, idx: reg}, true
 }
 
-// toF64 promotes an I64 operand the way asF64/f64Nat do: float64(v).
+// toF64 promotes an I64 operand the way slotF64 does: float64(v).
 func (w *vecWalk) toF64(a vecOperand, sel []int32) vecOperand {
 	if a.kind == types.KindF64 {
 		return a
@@ -1314,12 +1314,8 @@ func (w *vecWalk) selectPred(x *pyast.IfExpr, sel []int32) ([]int32, bool) {
 
 // compare evaluates a (possibly chained) numeric comparison or a None
 // identity test. A chain a op1 b op2 c evaluates each operand once and
-// offers b op2 c only the rows where a op1 b held.
-//
-// The row path compares two i64 operands as integers only in
-// compareBool's shape — one step, no Option operand; every other shape
-// goes through compareStep, which compares as float64. The same split
-// here keeps results identical beyond 2^53.
+// offers b op2 c only the rows where a op1 b held. A step over two ints
+// compares them exactly; a step with a float side compares as float64.
 func (w *vecWalk) compare(x *pyast.Compare, sel []int32) ([]int32, bool) {
 	if x.Type().Kind() != types.KindBool || len(x.Ops) == 0 || len(x.Ops) != len(x.Rest) {
 		return w.noSel(x)
@@ -1327,7 +1323,6 @@ func (w *vecWalk) compare(x *pyast.Compare, sel []int32) ([]int32, bool) {
 	if len(x.Ops) == 1 && (x.Ops[0] == "is" || x.Ops[0] == "is not") {
 		return w.isNone(x, sel)
 	}
-	asFloat := len(x.Ops) > 1
 	nStr := 0
 	for i := -1; i < len(x.Rest); i++ {
 		t := x.First.Type()
@@ -1341,9 +1336,6 @@ func (w *vecWalk) compare(x *pyast.Compare, sel []int32) ([]int32, bool) {
 		if !isVecNum(t.Unwrap().Kind()) {
 			return w.noSel(x)
 		}
-		if t.IsOption() || t.Kind() == types.KindF64 {
-			asFloat = true
-		}
 	}
 	switch nStr {
 	case 0:
@@ -1354,13 +1346,7 @@ func (w *vecWalk) compare(x *pyast.Compare, sel []int32) ([]int32, bool) {
 	}
 	operand := func(e pyast.Expr, sel []int32) (vecOperand, bool) {
 		a, ok := w.value(e, sel)
-		if !ok || !isVecNum(a.kind) {
-			return a, false
-		}
-		if asFloat {
-			a = w.toF64(a, sel)
-		}
-		return a, true
+		return a, ok && isVecNum(a.kind)
 	}
 	a, ok := operand(x.First, sel)
 	if !ok {
@@ -1375,13 +1361,17 @@ func (w *vecWalk) compare(x *pyast.Compare, sel []int32) ([]int32, bool) {
 		if !ok {
 			return nil, false
 		}
+		l, r := a, b
+		if l.kind != r.kind {
+			l, r = w.toF64(l, sel), w.toF64(r, sel)
+		}
 		out := w.buf()
 		switch {
 		case !w.run():
-		case asFloat:
-			sel = out[:cmpOperands(op, w.st.f64s(&a), w.st.f64s(&b), a.cf, b.cf, sel, out)]
+		case l.kind == types.KindF64:
+			sel = out[:cmpOperands(op, w.st.f64s(&l), w.st.f64s(&r), l.cf, r.cf, sel, out)]
 		default:
-			sel = out[:cmpOperands(op, w.st.i64s(&a), w.st.i64s(&b), a.ci, b.ci, sel, out)]
+			sel = out[:cmpOperands(op, w.st.i64s(&l), w.st.i64s(&r), l.ci, r.ci, sel, out)]
 		}
 		a = b
 	}

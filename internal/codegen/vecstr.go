@@ -202,12 +202,16 @@ func vecStrToInt(out []int64, s strArg, sel []int32, st *VecState) {
 	}
 }
 
-// vecF2I is int(float): truncation toward zero, like the row closure's.
+// vecF2I is int(float) (floatToInt); a NaN or infinite cell marks the row.
 //
 //tuplex:kernel
-func vecF2I(out []int64, a []float64, sel []int32) {
+func vecF2I(out []int64, a []float64, sel []int32, st *VecState) {
 	for _, r := range sel {
-		out[r] = int64(truncToward0(a[r]))
+		n, ec := floatToInt(a[r])
+		if ec != 0 {
+			st.markBail(r)
+		}
+		out[r] = n
 	}
 }
 
@@ -352,7 +356,7 @@ func (w *vecWalk) toInt(x *pyast.Call, sel []int32) (vecOperand, bool) {
 		a = w.dense(a, sel)
 		out := w.reg(types.KindI64)
 		if w.run() {
-			vecF2I(st.i[out.idx], st.f64s(&a), sel)
+			vecF2I(st.i[out.idx], st.f64s(&a), sel, st)
 		}
 		return out, true
 	case types.KindStr:
@@ -423,6 +427,43 @@ func (w *vecWalk) strMethod(x *pyast.Call, attr *pyast.Attr, sel []int32) (vecOp
 		vecStrStrip(st.str[out.idx], st.strs(&recv), st.strs(&args[0]), stripModeOf(attr.Name), sel)
 	}
 	return out, true
+}
+
+// maxIntFormatArgs bounds the arguments of a vectorized integer format: the
+// kernel stages them in a fixed operand list.
+const maxIntFormatArgs = 4
+
+// percentArgs lists the arguments of `fmt % right`: the elements of a
+// tuple display, or right itself.
+func percentArgs(right pyast.Expr) []pyast.Expr {
+	if t, ok := right.(*pyast.TupleLit); ok {
+		return t.Elts
+	}
+	return []pyast.Expr{right}
+}
+
+// intFormatOf compiles `fmt % args` / `fmt.format(args)` when fmt is a
+// literal the integer formatter covers and every argument is statically
+// an int; nil otherwise.
+func intFormatOf(format pyast.Expr, args []pyast.Expr, percent bool) *pyvalue.IntFormat {
+	lit, ok := format.(*pyast.StrLit)
+	if !ok || len(args) == 0 || len(args) > maxIntFormatArgs {
+		return nil
+	}
+	for _, a := range args {
+		if t := a.Type(); t.IsOption() || t.Kind() != types.KindI64 {
+			return nil
+		}
+	}
+	compile := pyvalue.CompileStrFormatInt
+	if percent {
+		compile = pyvalue.CompilePercentInt
+	}
+	f, ok := compile(lit.S)
+	if !ok || !f.Accepts(len(args)) {
+		return nil
+	}
+	return f
 }
 
 // intFormat evaluates `fmt % args` / `fmt.format(args)` for a literal fmt

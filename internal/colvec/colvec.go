@@ -325,14 +325,21 @@ func (v *Vec) AppendSlot(s rows.Slot) {
 // first turns the vector into an escape vector, so every cell reads
 // back as it was written.
 func (v *Vec) AppendCell(s rows.Slot) {
-	if s.Tag != types.KindNull && s.Tag != v.Kind && v.Kind != types.KindAny {
-		slots := make([]rows.Slot, v.n, max(v.n, 16))
-		for i := range slots {
-			slots[i] = v.Slot(i)
-		}
-		*v = Vec{Kind: types.KindAny, Nullable: v.Nullable, Nulls: v.Nulls, n: v.n, Slots: slots}
-	}
+	v.widenFor(s)
 	v.AppendSlot(s)
+}
+
+// widenFor turns v into an escape vector holding its current cells when
+// s is a non-null slot its kind does not cover.
+func (v *Vec) widenFor(s rows.Slot) {
+	if s.Tag == types.KindNull || s.Tag == v.Kind || v.Kind == types.KindAny {
+		return
+	}
+	slots := make([]rows.Slot, v.n, max(v.n, 16))
+	for i := range slots {
+		slots[i] = v.Slot(i)
+	}
+	*v = Vec{Kind: types.KindAny, Nullable: v.Nullable, Nulls: v.Nulls, n: v.n, Slots: slots}
 }
 
 // AppendSel appends src's cells at the rows in sel, sizing the payload
@@ -563,18 +570,21 @@ func (v *Vec) nulls(n int) int {
 }
 
 // Set writes an arbitrary slot at row i, dispatching on the vector
-// kind. A null slot sets the bitmap; a slot whose tag does not match a
-// typed payload falls back to the escape column only when the vector is
-// an escape vector — otherwise it is a programming error caught by the
-// differential suites (the engine only routes type-conforming results
-// here).
+// kind. A null slot sets the bitmap, and a KindNull vector keeps no
+// payload; a slot of a kind the payload does not cover (a row closure's
+// Python-typed result, max(3, 2.5) in a float column) first turns the
+// vector into an escape vector, as AppendCell does, so the cell reads
+// back as it was written. Callers that reuse the vector across batches
+// restore its kind with Retype.
 func (v *Vec) Set(i int, s rows.Slot) {
-	if s.Tag == types.KindNull {
-		if v.Kind != types.KindNull {
-			v.SetNull(i)
-		}
+	switch {
+	case v.Kind == types.KindNull:
+		return
+	case s.Tag == types.KindNull:
+		v.SetNull(i)
 		return
 	}
+	v.widenFor(s)
 	switch v.Kind {
 	case types.KindBool:
 		v.SetBool(i, s.B)
@@ -584,7 +594,6 @@ func (v *Vec) Set(i int, s rows.Slot) {
 		v.SetF64(i, s.F)
 	case types.KindStr:
 		v.SetStr(i, s.S)
-	case types.KindNull:
 	default:
 		v.SetSlot(i, s)
 	}

@@ -428,3 +428,26 @@ func TestVecAppendSelReservesLiveBytes(t *testing.T) {
 		t.Fatalf("bytes %q (cap %d), nulls %v %v", v.Bytes, cap(v.Bytes), v.IsNull(0), v.IsNull(2))
 	}
 }
+
+// A dense write of a slot the vector's kind does not cover widens it to
+// an escape vector holding every cell as written; Retype restores the
+// kind for the next batch.
+func TestVecSetWidens(t *testing.T) {
+	v := NewVec(types.F64)
+	v.Grow(3)
+	v.Set(0, rows.F64(2.5))
+	v.Set(1, rows.I64(3))
+	v.Set(2, rows.Null())
+	if v.Kind != types.KindAny {
+		t.Fatalf("kind %v after an int write, want the escape kind", v.Kind)
+	}
+	for i, w := range []rows.Slot{rows.F64(2.5), rows.I64(3), rows.Null()} {
+		if got := v.Slot(i); got.Tag != w.Tag || !rows.Equal(got, w) {
+			t.Fatalf("row %d = %+v, want %+v", i, got, w)
+		}
+	}
+	v.Retype(types.F64)
+	if v.Grow(1); v.Kind != types.KindF64 || len(v.F) != 1 {
+		t.Fatalf("Retype left kind %v, %d floats", v.Kind, len(v.F))
+	}
+}

@@ -637,8 +637,8 @@ func (sr *stageRun) runGroup(ts *task, bst *batchState, group []*batchKernel, p 
 	cur := bst.cols
 	for _, k := range group {
 		bst.views = append(bst.views, cur)
-		for _, v := range bst.derived[k.ki] {
-			v.Reset()
+		for j, v := range bst.derived[k.ki] {
+			v.Retype(k.outTypes[j]) // a row result may have widened it (colvec.Set)
 			v.Grow(n)
 		}
 		cur = layoutAfter(bst, k, cur)
@@ -852,7 +852,7 @@ func (sr *stageRun) runJoinKernel(ts *task, bst *batchState, k *batchKernel, p i
 		n, dst = len(at), nil
 	}
 	for c, d := range derived[nIn:] {
-		d.Reset()
+		d.Retype(k.outTypes[nIn+c])
 		d.Grow(n)
 		takeBuild(d, bt, c, refs, dst)
 	}
@@ -875,7 +875,7 @@ func (sr *stageRun) runJoinKernel(ts *task, bst *batchState, k *batchKernel, p i
 		newSrc = append(newSrc, bst.srcOf(r))
 	}
 	for c, d := range derived[:nIn] {
-		d.Reset()
+		d.Retype(k.outTypes[c])
 		d.AppendSel(bst.cols[c], at)
 	}
 	sel := bst.sel[:0]

@@ -567,7 +567,7 @@ func (a *analyzer) binFact(node pyast.Expr, op string, l, r Fact, le, re pyast.E
 		}
 		return a.nn(Fact{deps: deps})
 	}
-	// Operand-check raise sites (mirrors codegen's asI64/asF64/asStr).
+	// Operand-check raise sites (mirrors codegen's slotI64/slotF64/slotStr).
 	if inexact(lt) || inexact(rt) {
 		a.addRaise(pyvalue.ExcTypeError)
 	}

@@ -23,6 +23,9 @@ func (e *env) evalCall(call *pyast.Call) (pyvalue.Value, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := pyvalue.LookupMethod(recv, attr.Name); err != nil {
+			return nil, err
+		}
 		args, err := e.evalAll(call.Args)
 		if err != nil {
 			return nil, err

@@ -799,6 +799,9 @@ func (bc *bcompiler) compileCall(call *pyast.Call) (bexpr, error) {
 			if err != nil {
 				return nil, err
 			}
+			if err := pyvalue.LookupMethod(r, name); err != nil {
+				return nil, err
+			}
 			vals, err := evalAllB(fr, args)
 			if err != nil {
 				return nil, err

@@ -256,6 +256,46 @@ func TestCollectDiffText(t *testing.T) {
 	}, tuplex.WithChunkSize(4<<10))
 }
 
+// rowResultCSV is 3000 rows of a small int a and a string s.
+func rowResultCSV() []byte {
+	var sb strings.Builder
+	sb.WriteString("a,s\n")
+	for i := range 3000 {
+		fmt.Fprintf(&sb, "%d,s%d\n", i%7, i%5)
+	}
+	return []byte(sb.String())
+}
+
+// TestCollectDiffMixedNumericResult: a row closure over a CSV source
+// returns max(a, 2.5), an int for a >= 3 in a float column. The column
+// keeps the int, as the boxed plane does.
+func TestCollectDiffMixedNumericResult(t *testing.T) {
+	raw := rowResultCSV()
+	collectDiff(t, "max", func(c *tuplex.Context) *tuplex.DataSet {
+		return c.CSV("", tuplex.CSVData(raw)).
+			WithColumn("m", tuplex.UDF("lambda x: max(x['a'], 2.5)"))
+	}, tuplex.WithChunkSize(4<<10))
+}
+
+// TestCollectDiffDictResult: a compiled withColumn returning a dict
+// display yields a dict cell, not the tuple of its keys.
+func TestCollectDiffDictResult(t *testing.T) {
+	raw := rowResultCSV()
+	build := func(c *tuplex.Context) *tuplex.DataSet {
+		return c.CSV("", tuplex.CSVData(raw)).
+			WithColumn("d", tuplex.UDF("lambda x: {'k': x['a'] * 2, 'v': x['s']}"))
+	}
+	collectDiff(t, "dict", build, tuplex.WithChunkSize(4<<10))
+	got, err := build(tuplex.NewContext()).Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]any{"k": int64(6), "v": "s3"}
+	if d := got.Rows[3][2]; !reflect.DeepEqual(d, want) {
+		t.Fatalf("row 3 d = %#v, want %#v", d, want)
+	}
+}
+
 // TestCollectDiffFlights: dirty flights, whose general-path rows
 // interleave with the vector rows by order key after three joins.
 func TestCollectDiffFlights(t *testing.T) {

@@ -23,6 +23,19 @@ func CallMethod(obj Value, name string, args []Value) (Value, error) {
 	}
 }
 
+// LookupMethod is the attribute lookup Python performs before it
+// evaluates a method call's arguments: nil when obj's type has methods,
+// otherwise the AttributeError CallMethod raises (None.strip(x[0]) fails
+// on the receiver, not on x[0]).
+func LookupMethod(obj Value, name string) error {
+	switch obj.(type) {
+	case Str, *List, *Dict, *Match:
+		return nil
+	}
+	_, err := CallMethod(obj, name, nil)
+	return err
+}
+
 func wantStrArg(name string, args []Value, i int) (string, error) {
 	if i >= len(args) {
 		return "", Raise(ExcTypeError, "%s() missing argument %d", name, i+1)

@@ -1,6 +1,7 @@
 package pyvalue
 
 import (
+	"cmp"
 	"math"
 	"strconv"
 	"strings"
@@ -338,6 +339,11 @@ func Compare(op string, a, b Value) (Value, error) {
 		}
 		return Bool(!bool(v.(Bool))), nil
 	}
+	if isNaN(a) && IsNumeric(b) || isNaN(b) && IsNumeric(a) {
+		// NaN is unordered: every ordering against it is false, which
+		// no three-way result expresses.
+		return Bool(false), nil
+	}
 	c, err := order(a, b, op)
 	if err != nil {
 		return nil, err
@@ -369,8 +375,20 @@ func is(a, b Value) bool {
 	return Equal(a, b) && a.Kind() == b.Kind()
 }
 
+func isNaN(v Value) bool {
+	f, ok := v.(Float)
+	return ok && f != f
+}
+
 // order returns -1/0/1 for orderable pairs and a TypeError otherwise.
+// Two ints order exactly, as in Python; other numeric pairs through
+// float64.
 func order(a, b Value, op string) (int, error) {
+	if x, ok := a.(Int); ok {
+		if y, ok := b.(Int); ok {
+			return cmp.Compare(x, y), nil
+		}
+	}
 	if x, ok := asFloat(a); ok {
 		if y, ok := asFloat(b); ok {
 			switch {

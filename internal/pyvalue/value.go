@@ -192,8 +192,13 @@ func Truth(v Value) bool {
 }
 
 // Equal implements Python ==. Values of unrelated types compare unequal
-// rather than raising; numeric kinds compare by value.
+// rather than raising; numeric kinds compare by value, two ints exactly.
 func Equal(a, b Value) bool {
+	if ai, ok := a.(Int); ok {
+		if bi, ok := b.(Int); ok {
+			return ai == bi
+		}
+	}
 	if an, aok := asFloat(a); aok {
 		if bn, bok := asFloat(b); bok {
 			return an == bn

@@ -31,7 +31,8 @@ type Slot struct {
 	Seq []Slot
 	// Obj is the boxed escape hatch for values the unboxed representation
 	// does not model (dicts, match objects). The compiled path only
-	// produces it for KindDict/KindMatch/KindAny slots.
+	// produces it for KindDict/KindMatch/KindAny slots; a dict it builds
+	// holds the key list here and the values in Seq (DictKeys).
 	Obj pyvalue.Value
 }
 
@@ -107,11 +108,51 @@ func (s Slot) Value() pyvalue.Value {
 			items[i] = e.Value()
 		}
 		return &pyvalue.Tuple{Items: items}
-	case types.KindDict, types.KindMatch, types.KindAny:
+	case types.KindDict:
+		if keys, ok := DictSlotKeys(s); ok {
+			d := pyvalue.NewDict()
+			for i, k := range keys {
+				d.Set(k, s.Seq[i].Value())
+			}
+			return d
+		}
+		return s.Obj
+	case types.KindMatch, types.KindAny:
 		return s.Obj
 	default:
 		return pyvalue.None{}
 	}
+}
+
+// DictKeys wraps a dict display's key list as the marker a fast-path dict
+// slot carries in Obj, next to its values in Seq; the engine maps such a
+// dict onto output columns by key order without building a boxed dict.
+func DictKeys(keys []string) pyvalue.Value {
+	items := make([]pyvalue.Value, len(keys))
+	for i, k := range keys {
+		items[i] = pyvalue.Str(k)
+	}
+	return &pyvalue.Tuple{Items: items}
+}
+
+// DictSlotKeys extracts the column names of a fast-path dict slot.
+func DictSlotKeys(s Slot) ([]string, bool) {
+	if s.Tag != types.KindDict || s.Obj == nil {
+		return nil, false
+	}
+	t, ok := s.Obj.(*pyvalue.Tuple)
+	if !ok {
+		return nil, false
+	}
+	out := make([]string, len(t.Items))
+	for i, it := range t.Items {
+		str, ok := it.(pyvalue.Str)
+		if !ok {
+			return nil, false
+		}
+		out[i] = string(str)
+	}
+	return out, true
 }
 
 // FromValue unboxes a pyvalue into a slot.
@@ -144,10 +185,14 @@ func FromValue(v pyvalue.Value) Slot {
 	}
 }
 
-// Equal compares two slots with Python == semantics.
+// Equal compares two slots with Python == semantics: two ints exactly,
+// other numeric pairs through float64.
 func Equal(a, b Slot) bool {
 	switch a.Tag {
 	case types.KindBool, types.KindI64, types.KindF64:
+		if a.Tag == types.KindI64 && b.Tag == types.KindI64 {
+			return a.I == b.I
+		}
 		an, aok := a.numeric()
 		bn, bok := b.numeric()
 		return aok && bok && an == bn
