@@ -426,6 +426,8 @@ func TestIntCompareExactInEveryTier(t *testing.T) {
 			row[i] = rows.F64(p53)
 		case "h":
 			row[i] = rows.Bool(true)
+		case "n":
+			row[i] = rows.Null()
 		default:
 			row[i] = rows.Str("x")
 		}
@@ -554,7 +556,7 @@ func TestCompiledMatchesInterpreterGenerated(t *testing.T) {
 		default:
 			src = sg.udf("snb"[i/3%3], i%4 == 0)
 		}
-		checked += rowVsInterp(t, src, randomStrBatch(rng, 12), ip, names)
+		checked += rowVsInterp(t, src, randomStrBatch(rng, 12, nullModes[i%len(nullModes)]), ip, names)
 	}
 	if checked < 20000 {
 		t.Fatalf("only %d rows compared; the generators or the compiler regressed", checked)
@@ -658,6 +660,8 @@ func TestRowDivergencesPinned(t *testing.T) {
 			switch v, ok := c.cells[col.Name]; {
 			case ok:
 				row[i] = v
+			case col.Type.Kind() == types.KindNull:
+				row[i] = rows.Null()
 			case col.Type.Unwrap().Kind() == types.KindStr:
 				row[i] = rows.Str("x")
 			case col.Type.Unwrap().Kind() == types.KindF64:

@@ -30,7 +30,9 @@ package codegen
 // row computes the row closure's value bit for bit. It mirrors the row
 // closures' operand promotion rules to do so, and reports "not
 // vectorizable" (nil program) at the first node outside its grammar;
-// the caller then keeps the row closure.
+// the caller then keeps the row closure. Where None is an ordinary value
+// — a truth test, == and !=, is None, a return — a None cell of an
+// Option column is decided like any other (optValue), not marked.
 
 import (
 	"math"
@@ -262,13 +264,16 @@ const (
 
 // vecOperand is an evaluated value: where its dense payload lives.
 type vecOperand struct {
-	kind types.Kind // KindI64, KindF64, KindBool or KindStr
+	kind types.Kind // KindI64, KindF64, KindBool or KindStr; KindNull is the constant None
 	src  vecSrc
 	idx  int // column (srcCol) or register (srcReg)
 	ci   int64
 	cf   float64
 	cb   bool
 	cs   string
+	// opt marks an Option column read whose null cells are still in the
+	// selection, unmarked (optValue); the column's bitmap says which.
+	opt bool
 }
 
 func (st *VecState) i64s(o *vecOperand) []int64 {
@@ -636,6 +641,18 @@ func (st *VecState) markNulls(nulls colvec.Bitmap, sel []int32) {
 	}
 }
 
+// nullsOf is the null bitmap of an opt operand, or nil when none of its
+// cells is None.
+func (st *VecState) nullsOf(o *vecOperand) colvec.Bitmap {
+	if !o.opt {
+		return nil
+	}
+	if v := st.col(o.idx); v.Nullable && !v.AllValid() {
+		return v.Nulls
+	}
+	return nil
+}
+
 // SubtractSel writes sel minus sub to out and returns the count; both
 // ascending, sub a subset of sel, len(out) >= len(sel)-len(sub).
 //
@@ -842,23 +859,29 @@ func constOperand(s rows.Slot) (vecOperand, bool) {
 	return vecOperand{}, false
 }
 
-// load reads column col typed t. The payload is the operand; the run only
-// marks null cells, which no supported operator accepts (the row closures
-// raise TypeError on None operands, or — for the None-tolerant == and
-// != — simply get the row back).
+// load reads column col, typed as x. The payload is the operand. A column
+// typed Option[kind] comes back opt, its null cells unmarked: where None
+// is an ordinary value (optValue) the consumer routes them, and anywhere
+// else value marks them for replay. A column of any other type has its
+// stray null cells marked here, and a column the sample typed Null (a
+// KindNull vector) is the constant None.
 func (w *vecWalk) load(x pyast.Expr, col int, sel []int32) (vecOperand, bool) {
-	k := x.Type().Unwrap().Kind()
-	if !isVecKind(k) {
+	t := x.Type()
+	k := t.Unwrap().Kind()
+	if !isVecKind(k) && k != types.KindNull {
 		return w.no(x)
 	}
-	if !w.run() {
-		if ld := (vecLoad{col: col, kind: k}); !slices.Contains(w.prog.loads, ld) {
-			w.prog.loads = append(w.prog.loads, ld)
-		}
-	} else if v := w.st.col(col); v.Nullable && !v.AllValid() {
-		w.st.markNulls(v.Nulls, sel)
+	if ld := (vecLoad{col: col, kind: k}); !w.run() && !slices.Contains(w.prog.loads, ld) {
+		w.prog.loads = append(w.prog.loads, ld)
 	}
-	return vecOperand{kind: k, src: srcCol, idx: col}, true
+	a := vecOperand{kind: k, src: srcCol, idx: col, opt: true}
+	switch {
+	case k == types.KindNull:
+		return vecOperand{kind: k}, true
+	case t.IsOption():
+		return a, true
+	}
+	return w.settle(a, sel), true
 }
 
 // column resolves x to the column it reads, if it is a plain column
@@ -879,8 +902,38 @@ func (w *vecWalk) column(x pyast.Expr) (int, bool) {
 }
 
 // value evaluates x over sel as a dense value of kind I64, F64, Bool or
-// Str.
+// Str. None is an operand of no operator here: the null rows of an Option
+// operand are marked at this read, over this selection (in the then-arm
+// of `if x:` none is left), and a constant None declines.
 func (w *vecWalk) value(x pyast.Expr, sel []int32) (vecOperand, bool) {
+	a, ok := w.optValue(x, sel)
+	switch {
+	case !ok:
+		return a, false
+	case a.kind == types.KindNull:
+		return w.no(x)
+	}
+	return w.settle(a, sel), true
+}
+
+// settle marks the null rows of an opt operand over sel and returns the
+// operand as a value.
+func (w *vecWalk) settle(a vecOperand, sel []int32) vecOperand {
+	if w.run() {
+		if nulls := w.st.nullsOf(&a); nulls != nil {
+			w.st.markNulls(nulls, sel)
+		}
+	}
+	a.opt = false
+	return a
+}
+
+// optValue evaluates x where None is an ordinary value: a truth test, ==
+// and !=, is None, a return, an assignment. An Option column, read
+// directly or through a local bound to it, comes back opt, its null rows
+// still in sel; a column the sample typed Null, and the literal None, are
+// the constant None. Anything else is a value.
+func (w *vecWalk) optValue(x pyast.Expr, sel []int32) (vecOperand, bool) {
 	if !w.usable(x) {
 		return w.no(x)
 	}
@@ -888,6 +941,8 @@ func (w *vecWalk) value(x pyast.Expr, sel []int32) (vecOperand, bool) {
 		return w.load(x, col, sel)
 	}
 	switch x := x.(type) {
+	case *pyast.NoneLit:
+		return vecOperand{kind: types.KindNull}, true
 	case *pyast.NumLit:
 		if x.IsFloat {
 			return vecOperand{kind: types.KindF64, cf: x.F}, true
@@ -906,7 +961,16 @@ func (w *vecWalk) value(x pyast.Expr, sel []int32) (vecOperand, bool) {
 		return w.unary(x, sel)
 	case *pyast.BinOp:
 		return w.binary(x, x.Op, x.Left, x.Right, x.Type().Kind(), sel)
-	case *pyast.Compare, *pyast.BoolOp:
+	case *pyast.BoolOp:
+		// Python defines the operator's value as one of its operands: it is
+		// its truth only when every operand is a bool.
+		for _, e := range x.Xs {
+			if e.Type().Kind() != types.KindBool {
+				return w.no(x)
+			}
+		}
+		return w.boolValue(x, sel)
+	case *pyast.Compare:
 		return w.boolValue(x, sel)
 	case *pyast.IfExpr:
 		if x.Type().Kind() == types.KindBool {
@@ -925,7 +989,8 @@ func (w *vecWalk) value(x pyast.Expr, sel []int32) (vecOperand, bool) {
 
 // name reads a local's binding or a module constant. Parameters shadow
 // globals; the only parameter a vector expression may name is the
-// column() one.
+// column() one. A local typed Option[kind] may be bound to an opt operand
+// or to a value of kind (then it holds no None).
 func (w *vecWalk) name(x *pyast.Name) (vecOperand, bool) {
 	if i := w.env.local(x.Ident); i >= 0 {
 		a := w.loc[i]
@@ -933,7 +998,7 @@ func (w *vecWalk) name(x *pyast.Name) (vecOperand, bool) {
 		case a.kind == 0:
 			w.decline("local " + x.Ident + " read before assignment")
 			return a, false
-		case t.IsOption() || t.Kind() != a.kind:
+		case t.Unwrap().Kind() != a.kind:
 			w.decline("local " + x.Ident + " type-unstable")
 			return a, false
 		}
@@ -1183,13 +1248,18 @@ func moveInto[T any](out, a []T, c T, sel []int32) {
 // A predicate refines an ascending selection to the ascending subset
 // where it holds. The result is sel itself or a buffer of the state.
 
-// truth refines sel to the rows where a is truthy.
+// truth refines sel to the rows where a is truthy. None is falsy: the
+// null rows of an opt operand, and every row of the constant None, go to
+// the false side.
 func (w *vecWalk) truth(a vecOperand, sel []int32) []int32 {
 	if a.src == srcConst {
 		if a.cb || a.ci != 0 || a.cf != 0 || a.cs != "" {
 			return sel
 		}
 		return sel[:0]
+	}
+	if a.opt {
+		sel = w.present(a, sel)
 	}
 	out := w.buf()
 	if !w.run() {
@@ -1206,9 +1276,22 @@ func (w *vecWalk) truth(a vecOperand, sel []int32) []int32 {
 	return out[:vecCmpVC(cmpNE, w.st.f64s(&a), 0, sel, out)]
 }
 
-// pred evaluates x over sel as a selection refinement. x must be exactly
-// bool, i64, f64 or str typed: those are the types whose truthiness the
-// row path tests monomorphically.
+// present refines sel to the rows where the opt operand a is not None.
+func (w *vecWalk) present(a vecOperand, sel []int32) []int32 {
+	out := w.buf()
+	if !w.run() {
+		return nil
+	}
+	if nulls := w.st.nullsOf(&a); nulls != nil {
+		return out[:vecSelNull(nulls, false, sel, out)]
+	}
+	return sel
+}
+
+// pred evaluates x over sel as a selection refinement. x must be bool,
+// i64, f64 or str typed, an Option of one of those, or None: the types
+// whose truthiness the row path tests monomorphically, and None, which is
+// false.
 func (w *vecWalk) pred(x pyast.Expr, sel []int32) ([]int32, bool) {
 	if !w.usable(x) {
 		return w.noSel(x)
@@ -1228,29 +1311,23 @@ func (w *vecWalk) pred(x pyast.Expr, sel []int32) ([]int32, bool) {
 			return w.selectPred(x, sel)
 		}
 	}
-	if !isVecKind(x.Type().Kind()) {
+	if k := x.Type().Unwrap().Kind(); !isVecKind(k) && k != types.KindNull {
 		return w.noSel(x)
 	}
-	a, ok := w.value(x, sel)
+	a, ok := w.optValue(x, sel)
 	if !ok {
 		return nil, false
 	}
 	return w.truth(a, sel), true
 }
 
-// boolOp evaluates and/or over bool operands (the only typing under
-// which the operator's value, which Python defines as one of its
-// operands, is its truth). `and` chains the refinements; `or` offers
-// each operand only the rows every earlier one rejected and merges what
-// they accept.
+// boolOp evaluates the truth of and/or: `a and b` is true where a is
+// and then b is, whichever operand Python returns. `and` chains the
+// refinements; `or` offers each operand only the rows every earlier one
+// rejected and merges what they accept.
 func (w *vecWalk) boolOp(x *pyast.BoolOp, sel []int32) ([]int32, bool) {
-	if x.Type().Kind() != types.KindBool || len(x.Xs) == 0 {
+	if len(x.Xs) == 0 {
 		return w.noSel(x)
-	}
-	for _, e := range x.Xs {
-		if e.Type().Kind() != types.KindBool {
-			return w.noSel(x)
-		}
 	}
 	if x.Op == "and" {
 		for _, e := range x.Xs {
@@ -1312,16 +1389,23 @@ func (w *vecWalk) selectPred(x *pyast.IfExpr, sel []int32) ([]int32, bool) {
 	return union, true
 }
 
-// compare evaluates a (possibly chained) numeric comparison or a None
-// identity test. A chain a op1 b op2 c evaluates each operand once and
-// offers b op2 c only the rows where a op1 b held. A step over two ints
-// compares them exactly; a step with a float side compares as float64.
+// compare evaluates a (possibly chained) numeric or string comparison, a
+// None identity test, or an == / != a side of which may be None. A chain
+// a op1 b op2 c evaluates each operand once and offers b op2 c only the
+// rows where a op1 b held.
 func (w *vecWalk) compare(x *pyast.Compare, sel []int32) ([]int32, bool) {
 	if x.Type().Kind() != types.KindBool || len(x.Ops) == 0 || len(x.Ops) != len(x.Rest) {
 		return w.noSel(x)
 	}
-	if len(x.Ops) == 1 && (x.Ops[0] == "is" || x.Ops[0] == "is not") {
-		return w.isNone(x, sel)
+	if len(x.Ops) == 1 {
+		switch x.Ops[0] {
+		case "is", "is not":
+			return w.isNone(x, sel)
+		case "==", "!=":
+			if mayBeNone(x.First.Type()) || mayBeNone(x.Rest[0].Type()) {
+				return w.eqNone(x, sel)
+			}
+		}
 	}
 	nStr := 0
 	for i := -1; i < len(x.Rest); i++ {
@@ -1331,51 +1415,62 @@ func (w *vecWalk) compare(x *pyast.Compare, sel []int32) ([]int32, bool) {
 		}
 		if isStrType(t) {
 			nStr++
-			continue
-		}
-		if !isVecNum(t.Unwrap().Kind()) {
+		} else if !isVecNum(t.Unwrap().Kind()) {
 			return w.noSel(x)
 		}
 	}
-	switch nStr {
-	case 0:
-	case len(x.Rest) + 1:
-		return w.strCompare(x, sel)
-	default:
+	if nStr != 0 && nStr != len(x.Rest)+1 {
 		return w.noSel(x)
 	}
-	operand := func(e pyast.Expr, sel []int32) (vecOperand, bool) {
-		a, ok := w.value(e, sel)
-		return a, ok && isVecNum(a.kind)
-	}
-	a, ok := operand(x.First, sel)
+	a, ok := w.value(x.First, sel)
 	if !ok {
 		return nil, false
 	}
-	for i, s := range x.Ops {
-		op, ok := cmpOpOf(s)
-		if !ok {
-			return w.noSel(x)
-		}
-		b, ok := operand(x.Rest[i], sel)
+	for i, op := range x.Ops {
+		b, ok := w.value(x.Rest[i], sel)
 		if !ok {
 			return nil, false
 		}
-		l, r := a, b
-		if l.kind != r.kind {
-			l, r = w.toF64(l, sel), w.toF64(r, sel)
-		}
-		out := w.buf()
-		switch {
-		case !w.run():
-		case l.kind == types.KindF64:
-			sel = out[:cmpOperands(op, w.st.f64s(&l), w.st.f64s(&r), l.cf, r.cf, sel, out)]
-		default:
-			sel = out[:cmpOperands(op, w.st.i64s(&l), w.st.i64s(&r), l.ci, r.ci, sel, out)]
+		if sel, ok = w.cmpStep(x, op, a, b, sel); !ok {
+			return nil, false
 		}
 		a = b
 	}
 	return sel, true
+}
+
+func mayBeNone(t types.Type) bool { return t.IsOption() || t.Kind() == types.KindNull }
+
+// cmpStep refines sel by one comparison of two values: two strings (the
+// substring tests included), or two numbers — two ints exactly, anything
+// with a float side as float64.
+func (w *vecWalk) cmpStep(x *pyast.Compare, opName string, a, b vecOperand, sel []int32) ([]int32, bool) {
+	if a.kind == types.KindStr && b.kind == types.KindStr {
+		op, ok := strCmpOpOf(opName)
+		if !ok {
+			return w.noSel(x)
+		}
+		out := w.buf()
+		if !w.run() {
+			return nil, true
+		}
+		return out[:vecStrCmp(op, w.st.strs(&a), w.st.strs(&b), sel, out)], true
+	}
+	op, ok := cmpOpOf(opName)
+	if !ok || !isVecNum(a.kind) || !isVecNum(b.kind) {
+		return w.noSel(x)
+	}
+	if a.kind != b.kind {
+		a, b = w.toF64(a, sel), w.toF64(b, sel)
+	}
+	out := w.buf()
+	switch {
+	case !w.run():
+		return nil, true
+	case a.kind == types.KindF64:
+		return out[:cmpOperands(op, w.st.f64s(&a), w.st.f64s(&b), a.cf, b.cf, sel, out)], true
+	}
+	return out[:cmpOperands(op, w.st.i64s(&a), w.st.i64s(&b), a.ci, b.ci, sel, out)], true
 }
 
 // cmpOperands dispatches one comparison step on which sides are
@@ -1395,8 +1490,52 @@ func cmpOperands[T vnum](op cmpOp, a, b []T, ac, bc T, sel, out []int32) int {
 	return vecCmpVV(op, a, b, sel, out)
 }
 
-// isNone evaluates `col is None` / `col is not None` straight off the
-// column's null bitmap; no payload is read, so any column kind works.
+// eqNone evaluates `a == b` / `a != b` where a side may be None. None
+// equals no value: against a side that is never None, the rows where the
+// other side is None fail == and pass !=, and the rest compare as values.
+// When both sides may be None the rows where an Option column is None are
+// marked instead, and the constant None against another None declines.
+func (w *vecWalk) eqNone(x *pyast.Compare, sel []int32) ([]int32, bool) {
+	a, ok := w.optValue(x.First, sel)
+	if !ok {
+		return nil, false
+	}
+	b, ok := w.optValue(x.Rest[0], sel)
+	if !ok {
+		return nil, false
+	}
+	if b.opt || b.kind == types.KindNull {
+		a, b = b, a // == and != are symmetric
+	}
+	ne := x.Ops[0] == "!="
+	switch {
+	case b.kind == types.KindNull || a.kind == types.KindNull && b.opt:
+		return w.noSel(x)
+	case a.kind == types.KindNull:
+		if ne {
+			return sel, true
+		}
+		return sel[:0], true
+	case b.opt:
+		return w.cmpStep(x, x.Ops[0], w.settle(a, sel), w.settle(b, sel), sel)
+	}
+	in := w.present(a, sel)
+	a.opt = false
+	eq, ok := w.cmpStep(x, x.Ops[0], a, b, in)
+	if !ok || !ne {
+		return eq, ok
+	}
+	none, union := w.buf(), w.buf()
+	if !w.run() {
+		return nil, true
+	}
+	none = none[:SubtractSel(sel, in, none)]
+	return union[:MergeSel(eq, none, union)], true
+}
+
+// isNone evaluates `x is None` / `x is not None` for a column x, straight
+// off its null bitmap (no payload is read, so any column kind works), or
+// for a local x, off its binding.
 func (w *vecWalk) isNone(x *pyast.Compare, sel []int32) ([]int32, bool) {
 	side := x.First
 	if _, ok := side.(*pyast.NoneLit); ok {
@@ -1404,8 +1543,17 @@ func (w *vecWalk) isNone(x *pyast.Compare, sel []int32) ([]int32, bool) {
 	} else if _, ok := x.Rest[0].(*pyast.NoneLit); !ok {
 		return w.noSel(x)
 	}
-	col, ok := w.column(side)
-	if !ok || !w.usable(side) {
+	if !w.usable(side) {
+		return w.noSel(x)
+	}
+	var a vecOperand
+	if col, ok := w.column(side); ok {
+		a = vecOperand{src: srcCol, idx: col, opt: true} // only its bitmap is read
+	} else if nm, ok := side.(*pyast.Name); ok && w.env.local(nm.Ident) >= 0 {
+		if a, ok = w.name(nm); !ok {
+			return nil, false
+		}
+	} else {
 		return w.noSel(x)
 	}
 	wantNull := x.Ops[0] == "is"
@@ -1413,14 +1561,15 @@ func (w *vecWalk) isNone(x *pyast.Compare, sel []int32) ([]int32, bool) {
 	if !w.run() {
 		return nil, true
 	}
-	v := w.st.col(col)
-	if allNull := v.Kind == types.KindNull; allNull || !v.Nullable {
+	allNull := a.kind == types.KindNull || a.opt && w.st.col(a.idx).Kind == types.KindNull
+	nulls := w.st.nullsOf(&a)
+	if allNull || nulls == nil {
 		if allNull == wantNull {
 			return sel, true
 		}
 		return sel[:0], true
 	}
-	return out[:vecSelNull(v.Nulls, wantNull, sel, out)], true
+	return out[:vecSelNull(nulls, wantNull, sel, out)], true
 }
 
 // ---- programs ------------------------------------------------------------

@@ -22,7 +22,8 @@ import (
 
 // vecCols is the test schema. k is an integer column whose sample range
 // excludes zero (so dataflow elides zero checks under a guard the data
-// then violates); e and g are nullable; s exists only for `is None`.
+// then violates); e, g and s are Options; n is a column the sample typed
+// Null (a KindNull vector, every cell None).
 var vecCols = []types.Column{
 	{Name: "a", Type: types.I64},
 	{Name: "b", Type: types.I64},
@@ -35,6 +36,7 @@ var vecCols = []types.Column{
 	{Name: "s", Type: types.Option(types.Str)},
 	{Name: "t", Type: types.Str},
 	{Name: "u", Type: types.Str},
+	{Name: "n", Type: types.Null},
 }
 
 var vecGlobals = map[string]pyvalue.Value{"KI": pyvalue.Int(3), "KF": pyvalue.Float(0.25), "KB": pyvalue.Bool(true), "KS": pyvalue.Str("Sale")}
@@ -50,7 +52,18 @@ type vecBatch struct {
 	rows []rows.Row
 }
 
-func randomBatch(rng *rand.Rand, n int) vecBatch {
+// nullMode says which cells of a batch's Option columns are None.
+type nullMode int
+
+const (
+	someNull nullMode = iota // a random quarter
+	noneNull                 // none: the vectors are nullable but all valid
+	allNull                  // every one
+)
+
+var nullModes = []nullMode{someNull, noneNull, allNull}
+
+func randomBatch(rng *rand.Rand, n int, nulls nullMode) vecBatch {
 	b := vecBatch{rows: make([]rows.Row, n)}
 	for _, c := range vecCols {
 		b.cols = append(b.cols, colvec.NewVec(c.Type))
@@ -60,7 +73,7 @@ func randomBatch(rng *rand.Rand, n int) vecBatch {
 		for c, col := range vecCols {
 			var s rows.Slot
 			switch {
-			case col.Type.IsOption() && rng.Intn(4) == 0:
+			case col.Type.Kind() == types.KindNull:
 				s = rows.Null()
 			case col.Name == "k":
 				s = rows.I64(int64(rng.Intn(12)) - 1) // sampled range is [1, 9]: -1, 0 and 10 break the guard
@@ -73,12 +86,28 @@ func randomBatch(rng *rand.Rand, n int) vecBatch {
 			default:
 				s = rows.Str("x")
 			}
-			row[c] = s
-			b.cols[c].AppendSlot(s)
+			row[c] = appendCell(b.cols[c], s, col.Type.IsOption() && optNull(rng, nulls))
 		}
 		b.rows[r] = row
 	}
 	return b
+}
+
+// appendCell appends s to v, or — when null — a None cell that keeps s
+// as its payload, the way a derived vector's null cells keep whatever
+// was written there last. It returns the cell as the row path sees it.
+func appendCell(v *colvec.Vec, s rows.Slot, null bool) rows.Slot {
+	v.AppendSlot(s)
+	if !null {
+		return s
+	}
+	v.SetNull(v.Len() - 1)
+	return rows.Null()
+}
+
+// optNull decides whether one Option cell is None.
+func optNull(rng *rand.Rand, nulls nullMode) bool {
+	return nulls == allNull || nulls == someNull && rng.Intn(4) == 0
 }
 
 // randomSel picks all rows, none, or a random ascending subset.
@@ -112,23 +141,51 @@ func (g *exprGen) num(depth int) string {
 			return "r['" + g.pick("a", "b", "c", "d", "e", "g", "k", "k") + "']"
 		}
 	}
-	switch g.rng.Intn(8) {
+	switch g.rng.Intn(9) {
 	case 0:
 		return "(-" + g.num(depth-1) + ")"
 	case 1:
 		return "(" + g.num(depth-1) + " if " + g.boolean(depth-1) + " else " + g.num(depth-1) + ")"
+	case 2:
+		return "(" + g.num(depth-1) + " if " + g.truthy(depth-1) + " else " + g.num(depth-1) + ")"
 	default:
 		return "(" + g.num(depth-1) + " " + g.pick("+", "-", "*", "*", "/", "//", "%") + " " + g.num(depth-1) + ")"
 	}
 }
 
+// truthy writes a truth test of an operand that may be None: the operand
+// itself, or and/or over it, whose value is an Option but whose truth is
+// a bool.
+func (g *exprGen) truthy(depth int) string {
+	switch g.rng.Intn(4) {
+	case 0:
+		return "(r['" + g.pick("e", "g", "n") + "'] and " + g.boolean(depth) + ")"
+	case 1:
+		return "(" + g.boolean(depth) + " or r['" + g.pick("e", "g", "n") + "'])"
+	}
+	return "r['" + g.pick("e", "g", "n", "s") + "']"
+}
+
+// eqOpt writes == or != with a side that may be None.
+func (g *exprGen) eqOpt(depth int) string {
+	op := " " + g.pick("==", "!=") + " "
+	switch g.rng.Intn(3) {
+	case 0:
+		return "(r['s']" + op + g.pick("'x'", "''", "r['t']", "KS", "r['s']") + ")"
+	case 1:
+		return "(" + g.pick("'A'", "r['a']", "3.5", "r['h']") + op + "r['n'])"
+	}
+	return "(" + g.num(depth) + op + "r['" + g.pick("e", "g") + "'])"
+}
+
 func (g *exprGen) boolean(depth int) string {
 	if depth <= 0 || g.rng.Intn(6) == 0 {
 		return g.pick("r['h']", "r['h']", "True", "False", "KB",
-			"(r['e'] is None)", "(r['g'] is not None)", "(r['s'] is None)", "(None is not r['s'])", "(r['a'] is None)")
+			"(r['e'] is None)", "(r['g'] is not None)", "(r['s'] is None)", "(None is not r['s'])", "(r['a'] is None)",
+			"(r['n'] is None)", "(r['n'] == 'A')", "(r['n'] != 'A')", "(not r['e'])", "(not r['s'])")
 	}
 	cmp := func() string { return g.pick("<", "<=", ">", ">=", "==", "!=") }
-	switch g.rng.Intn(10) {
+	switch g.rng.Intn(12) {
 	case 0:
 		return "(not " + g.boolean(depth-1) + ")"
 	case 1, 2:
@@ -141,6 +198,10 @@ func (g *exprGen) boolean(depth int) string {
 		return "(" + g.num(depth-1) + " " + cmp() + " " + g.num(depth-1) + " " + cmp() + " " + g.num(depth-1) + ")"
 	case 6:
 		return "(" + g.boolean(depth-1) + " and " + g.boolean(depth-1) + " and " + g.boolean(depth-1) + ")"
+	case 7:
+		return "(not " + g.truthy(depth-1) + ")"
+	case 8:
+		return g.eqOpt(depth - 1)
 	default:
 		return "(" + g.num(depth-1) + " " + cmp() + " " + g.num(depth-1) + ")"
 	}
@@ -295,8 +356,8 @@ func TestVecExprDifferential(t *testing.T) {
 			continue
 		}
 		vectorized++
-		for _, n := range []int{0, 1, 9, 130} {
-			b := randomBatch(rng, n)
+		for j, n := range []int{0, 1, 9, 130} {
+			b := randomBatch(rng, n, nullModes[(i+j)%len(nullModes)])
 			bailed += diffExpr(t, src, u, st, b, randomSel(rng, n))
 		}
 	}
@@ -332,7 +393,7 @@ func TestVecShortCircuit(t *testing.T) {
 			t.Fatalf("%s: not vectorized", src)
 		}
 		for i := 0; i < 20; i++ {
-			b := randomBatch(rng, 200)
+			b := randomBatch(rng, 200, someNull)
 			if bailed := diffExpr(t, src, u, st, b, randomSel(rng, 200)); bailed != 0 {
 				t.Fatalf("%s: %d rows bailed although the guarded operand protects every row", src, bailed)
 			}
@@ -344,7 +405,7 @@ func TestVecShortCircuit(t *testing.T) {
 		if u.Vec == nil {
 			t.Fatalf("%s: not vectorized", src)
 		}
-		b := randomBatch(rng, 300)
+		b := randomBatch(rng, 300, someNull)
 		sel := make([]int32, 300)
 		for i := range sel {
 			sel[i] = int32(i)
@@ -366,12 +427,10 @@ func TestVecShortCircuit(t *testing.T) {
 // return no program rather than a wrong one.
 func TestVecDeclines(t *testing.T) {
 	for _, c := range []struct{ src, why string }{
-		{"lambda r: r['s']", "Option value returned"},
 		{"lambda r: r['a'] ** 2", "BinOp:**"},
 		{"lambda r: r['a'] & 1", "BinOp:&"},
 		{"lambda r: abs(r['a'])", "Call:abs"},
 		{"lambda r: r['h'] + 1", "BinOp:+"},
-		{"lambda r: r['e']", "Option value returned"},
 		{"lambda r: r['a'] and r['b']", "BoolOp:and"},
 		{"lambda r: (r['a'], r['b'])", "returns (i64,i64)"},
 		{"lambda r: r['a'] if r['h'] else r['c']", "IfExpr"},
@@ -390,6 +449,8 @@ func TestVecDeclines(t *testing.T) {
 		{"def f(r):\n    return len([c for c in r['t']])", "ListComp"},
 		{"def f(r):\n    if r['h']:\n        p = 1\n    else:\n        p = 'one'\n    return r['a']", "local p type-unstable"},
 		{"def f(r):\n    if r['h']:\n        p = 1\n    return p", "local p read before assignment"},
+		{"def f(r):\n    if r['h']:\n        v = r['s']\n    else:\n        v = r['t']\n    return v", "local v Option-bound on one arm"},
+		{"lambda r: r['s'] == r['n']", "Compare:=="},
 		{"def f(r):\n    if r['h']:\n        return 1", "falls off the end"},
 		{"def f(r):\n    a, b = r['a'], r['b']\n    return a + b", "assignment to a subscript or tuple"},
 		{"def f(r):\n    r = 5\n    return r", "parameter r assigned"},
@@ -411,11 +472,53 @@ func TestVecDeclines(t *testing.T) {
 	}
 }
 
+// TestVecOptionOperands runs bodies in which None is an ordinary value —
+// of an Option column, of a local bound to one, or of the Null-typed
+// column n: truth-tested, compared, identity-tested, returned — over
+// batches with some, none and all of the Option cells None. None of them
+// raises on any row, so each must vectorize, match the row closure and
+// replay nothing.
+func TestVecOptionOperands(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	st := NewVecState()
+	for _, src := range []string{
+		"lambda r: r['s']",
+		"lambda r: r['e']",
+		"lambda r: r['g'] if r['h'] else None",
+		"lambda r: 1 if r['g'] else 0",
+		"lambda r: r['s'] == 'x'",
+		"lambda r: r['e'] != r['a']",
+		"lambda r: 2.5 == r['g']",
+		"lambda r: r['n'] == 'A'",
+		"lambda r: r['a'] != r['n']",
+		"lambda r: r['a'] if r['e'] and r['h'] else -1",
+		"lambda r: r['b'] if not r['s'] or r['h'] else 2",
+		"lambda r: r['n'] is None and r['s'] is not None",
+		// Flights' cleanCode, divertedUDF and filterDefunctFlights.
+		"def f(t):\n    if t['n'] == 'A':\n        return 'carrier'\n    elif t['n'] == 'B':\n        return 'weather'\n    else:\n        return None",
+		"def f(row):\n    diverted = row['h']\n    ccode = row['s']\n    if diverted:\n        return 'diverted'\n    else:\n        if ccode:\n            return ccode\n        else:\n            return 'None'",
+		"def f(row):\n    year = row['a']\n    defunct = row['e']\n    if defunct:\n        return int(year) < int(defunct)\n    else:\n        return True",
+		"def f(r):\n    v = r['s']\n    if v is None:\n        return 'none'\n    return v",
+		"def f(r):\n    v = r['e']\n    w = r['n']\n    if v == 7 or w == 'A' or w:\n        return None\n    return v",
+	} {
+		u := compileVecUDF(t, src, []types.Type{rowType()}, false)
+		if u.Vec == nil {
+			t.Fatalf("%s: not vectorized (%s)", src, u.VecDecline)
+		}
+		for _, nulls := range nullModes {
+			b := randomBatch(rng, 200, nulls)
+			if bailed := diffExpr(t, src, u, st, b, randomSel(rng, 200)); bailed != 0 {
+				t.Fatalf("%s: %d rows replayed, but None is an ordinary value here", src, bailed)
+			}
+		}
+	}
+}
+
 // TestVecScalarParam runs a bare-value UDF against a chosen column.
 func TestVecScalarParam(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	st := NewVecState()
-	b := randomBatch(rng, 257)
+	b := randomBatch(rng, 257, someNull)
 	sel := randomSel(rng, 257)
 	for _, c := range []struct {
 		src string
@@ -425,6 +528,7 @@ func TestVecScalarParam(t *testing.T) {
 		{"lambda x: x / 4.0 >= 0.5", 3},
 		{"lambda x: x is not None and x > 0", 4},
 		{"lambda x: -x if x < 0 else x", 2},
+		{"lambda x: int(x) if x else 0", 5},
 	} {
 		u := compileVecUDF(t, c.src, []types.Type{vecCols[c.col].Type}, false)
 		if u.Vec == nil {
@@ -542,7 +646,7 @@ func TestVecFoldDifferential(t *testing.T) {
 			}
 			matched++
 			for _, n := range []int{0, 1, 40, 500} {
-				b := randomBatch(rng, n)
+				b := randomBatch(rng, n, someNull)
 				foldBoth(t, src, u, st, b, randomSel(rng, n), init)
 			}
 		}
@@ -577,7 +681,7 @@ func TestVecFoldSteadyStateAllocs(t *testing.T) {
 	if u.Fold == nil {
 		t.Fatal("Q6 aggregate did not match the fold table")
 	}
-	b := randomBatch(rand.New(rand.NewSource(3)), 4096)
+	b := randomBatch(rand.New(rand.NewSource(3)), 4096, someNull)
 	sel := make([]int32, 4096)
 	for i := range sel {
 		sel[i] = int32(i)
@@ -597,7 +701,7 @@ var sinkF64 float64
 // batch, outside the engine.
 func BenchmarkVecFoldKernel(b *testing.B) {
 	u := compileVecUDF(b, q6Agg, []types.Type{types.F64, rowType()}, false)
-	batch := randomBatch(rand.New(rand.NewSource(3)), 4096)
+	batch := randomBatch(rand.New(rand.NewSource(3)), 4096, someNull)
 	sel := make([]int32, 4096)
 	for i := range sel {
 		sel[i] = int32(i)
@@ -609,4 +713,80 @@ func BenchmarkVecFoldKernel(b *testing.B) {
 		acc = u.Fold.FoldF64(st, acc, u.Fold.Select(st, batch.cols, 0, 4096, sel))
 	}
 	sinkF64 = acc
+}
+
+// BenchmarkVecOptionKernel runs two of flights' sparse-null UDFs over a
+// 4096-row batch whose Option columns are 90% None: the delay columns'
+// `int(x) if x else 0` over an Option[f64], and divertedUDF, which
+// truth-tests and returns an Option[str] local. Each runs as a vector
+// program (rows it marks replayed through the row closure) and, side by
+// side, through the row closure alone, one row read out of the columns
+// at a time.
+func BenchmarkVecOptionKernel(b *testing.B) {
+	const n = 4096
+	rng := rand.New(rand.NewSource(3))
+	batch := randomBatch(rng, n, noneNull)
+	for c, col := range vecCols {
+		for r := 0; col.Type.IsOption() && r < n; r++ {
+			if rng.Intn(10) > 0 {
+				batch.cols[c].SetNull(r)
+				batch.rows[r][c] = rows.Null()
+			}
+		}
+	}
+	sel := make([]int32, n)
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	cols := &colvec.Batch{Cols: batch.cols, N: n}
+	const g = 5 // the Option[f64] column
+	for _, c := range []struct {
+		name, src string
+		param     types.Type
+	}{
+		{"intIfElse", "lambda x: int(x) if x else 0", vecCols[g].Type},
+		{"diverted", "def f(row):\n    diverted = row['h']\n    ccode = row['s']\n    if diverted:\n        return 'diverted'\n    else:\n        if ccode:\n            return ccode\n        else:\n            return 'None'", rowType()},
+	} {
+		u := compileVecUDF(b, c.src, []types.Type{c.param}, false)
+		if u.Vec == nil {
+			b.Fatalf("%s: not vectorized (%s)", c.src, u.VecDecline)
+		}
+		scalar := c.param.Kind() != types.KindRow
+		fr := NewFrame(u.NumSlots())
+		dst := colvec.NewVec(u.ReturnType())
+		reset := func() {
+			dst.Reset()
+			dst.Grow(n)
+		}
+		buf := make(rows.Row, len(vecCols))
+		// call runs row r through the row closure and writes what it
+		// returns; a row that raises leaves the normal path unwritten.
+		call := func(r int) {
+			arg := cols.Slot(r, g)
+			if !scalar {
+				arg = rows.Tuple(cols.ReadRow(r, buf))
+			}
+			if v, ec := u.Call1(fr, arg); ec == 0 {
+				dst.Set(r, v)
+			}
+		}
+		b.Run(c.name+"/vec", func(b *testing.B) {
+			st := NewVecState()
+			for i := 0; i < b.N; i++ {
+				reset()
+				u.Vec.Eval(st, batch.cols, g, n, sel, dst)
+				for _, r := range st.Bail() {
+					call(int(r))
+				}
+			}
+		})
+		b.Run(c.name+"/row", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				reset()
+				for r := 0; r < n; r++ {
+					call(r)
+				}
+			}
+		})
+	}
 }

@@ -13,12 +13,19 @@ package codegen
 // as decided and takes them out of the live set; a second return site
 // moves the result into a register of its own.
 //
+// None is an ordinary value of a local bound to an Option column (or to a
+// column the sample typed Null): the binding keeps the column's null
+// cells unmarked, `if v:` sends them to the false side, `v is None` reads
+// them, and `return v` records them as returning None. Any other read of
+// the local marks the null rows it sees for replay.
+//
 // Check mode declines what the selection model cannot express or the row
 // closure treats specially: loops and comprehensions, tuple and subscript
 // assignment targets, assigned parameters, a local whose kind differs
-// between the arms of an `if`, a read of a local some path leaves
-// unassigned (the closure raises NameError there), rows falling off the
-// end of a body whose return type is not an Option, and any statement
+// between the arms of an `if` or which one arm leaves bound to an Option
+// column (a phi register has no null bitmap), a read of a local some path
+// leaves unassigned (the closure raises NameError there), rows falling off
+// the end of a body whose return type is not an Option, and any statement
 // inference marked failed.
 
 import (
@@ -66,7 +73,7 @@ func (e *vecEnv) binds(name string) bool {
 
 // body runs the statements over sel. On return w.res holds the value of
 // the rows in w.resRows (ascending), and the state's null list the rows
-// that returned None.
+// that returned None — possibly every row, leaving the result empty.
 func (w *vecWalk) body(ss []pyast.Stmt, sel []int32) bool {
 	n := len(w.env.locals)
 	if w.run() {
@@ -88,8 +95,8 @@ func (w *vecWalk) body(ss []pyast.Stmt, sel []int32) bool {
 		return false
 	}
 	if w.nret == 0 {
-		w.decline("no value returned")
-		return false
+		// Every row returned None (a body that is not nullable cannot).
+		w.res, w.resRows = vecOperand{kind: w.kind}, nil
 	}
 	return true
 }
@@ -142,7 +149,7 @@ func (w *vecWalk) assign(target, value pyast.Expr, op string, live []int32) bool
 	}
 	var a vecOperand
 	if op == "" {
-		a, ok = w.value(value, live)
+		a, ok = w.optValue(value, live)
 	} else {
 		a, ok = w.binary(target, op, target, value, resultTypeOf(op, target.Type(), value.Type()).Kind(), live)
 	}
@@ -209,6 +216,9 @@ func (w *vecWalk) merge(then []vecOperand, tRest, fRest []int32, tRet, fRet bool
 		case a.kind != b.kind:
 			w.decline("local " + w.env.locals[i] + " type-unstable")
 			return nil, false, false
+		case a.opt || b.opt:
+			w.decline("local " + w.env.locals[i] + " Option-bound on one arm")
+			return nil, false, false
 		default:
 			phi := w.reg(a.kind)
 			if w.run() {
@@ -225,9 +235,10 @@ func (w *vecWalk) merge(then []vecOperand, tRest, fRest []int32, tRet, fRet bool
 	return rest, false, true
 }
 
-// ret handles `return x` for the rows in live. A None — bare, literal, or
-// the arm of a conditional at the root of x — goes to the null list;
-// anything else must have the program's kind.
+// ret handles `return x` for the rows in live. A None — bare, literal, a
+// column the sample typed Null, the null cell of an Option column or of a
+// local bound to one, or the arm of a conditional at the root of x — goes
+// to the null list; anything else must have the program's kind.
 func (w *vecWalk) ret(x pyast.Expr, live []int32) bool {
 	if x == nil {
 		return w.retNull(nil, live)
@@ -236,13 +247,7 @@ func (w *vecWalk) ret(x pyast.Expr, live []int32) bool {
 		w.no(x)
 		return false
 	}
-	switch e := x.(type) {
-	case *pyast.NoneLit:
-		return w.retNull(x, live)
-	case *pyast.IfExpr:
-		if !e.Type().IsOption() {
-			break
-		}
+	if e, ok := x.(*pyast.IfExpr); ok && e.Type().IsOption() {
 		then, els := w.liveArms(e)
 		if !then {
 			return w.ret(e.Else, live)
@@ -253,15 +258,21 @@ func (w *vecWalk) ret(x pyast.Expr, live []int32) bool {
 		t, f, ok := w.split(e.Cond, live)
 		return ok && w.ret(e.Then, t) && w.ret(e.Else, f)
 	}
-	if x.Type().IsOption() {
-		// None is an ordinary value of x here, not an exception; a load
-		// would send every such row to replay.
-		w.decline("Option value returned")
+	a, ok := w.optValue(x, live)
+	switch {
+	case !ok:
 		return false
-	}
-	a, ok := w.value(x, live)
-	if !ok {
-		return false
+	case a.kind == types.KindNull:
+		return w.retNull(x, live)
+	case a.opt && w.nullable:
+		none, in := w.buf(), w.present(a, live)
+		if w.run() {
+			none = none[:SubtractSel(live, in, none)]
+		}
+		w.retNull(x, none)
+		a.opt, live = false, in
+	case a.opt:
+		a = w.settle(a, live)
 	}
 	if a.kind != w.kind {
 		w.decline("return of another kind")

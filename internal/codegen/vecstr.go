@@ -579,28 +579,3 @@ func (w *vecWalk) strSliceExpr(x *pyast.Slice, sel []int32) (vecOperand, bool) {
 	}
 	return out, true
 }
-
-// strCompare evaluates a (possibly chained) comparison whose operands are
-// all strings: == != < <= > >= and the substring tests in / not in.
-func (w *vecWalk) strCompare(x *pyast.Compare, sel []int32) ([]int32, bool) {
-	a, ok := w.strValue(x.First, sel)
-	if !ok {
-		return nil, false
-	}
-	for i, s := range x.Ops {
-		op, ok := strCmpOpOf(s)
-		if !ok {
-			return w.noSel(x)
-		}
-		b, ok := w.strValue(x.Rest[i], sel)
-		if !ok {
-			return nil, false
-		}
-		out := w.buf()
-		if w.run() {
-			sel = out[:vecStrCmp(op, w.st.strs(&a), w.st.strs(&b), sel, out)]
-		}
-		a = b
-	}
-	return sel, true
-}

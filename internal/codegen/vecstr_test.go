@@ -28,8 +28,9 @@ var strPool = []string{
 	"ÄÖü straße", "naïve,café", "日本語", "\xff\xfe", "a\x80b", "a,b,,c", "SALE", "sale,rent", ",", ",,", "ba ,", "０１",
 }
 
-// stmtGen writes random def bodies. Locals carry a kind suffix (s0 is a
-// str, n1 an int); scope lists the ones definitely assigned.
+// stmtGen writes random def bodies. Locals carry a kind prefix (s0 is a
+// str, n1 an int, o2 bound to the Option column s); scope lists the ones
+// definitely assigned.
 type stmtGen struct {
 	exprGen
 	nlocals int
@@ -56,6 +57,9 @@ func (g *stmtGen) localOf(scope []string, kind byte) (string, bool) {
 func (g *stmtGen) str(depth int, scope []string) string {
 	if depth <= 0 || g.rng.Intn(5) == 0 {
 		if v, ok := g.localOf(scope, 's'); ok && g.rng.Intn(2) == 0 {
+			return v
+		}
+		if v, ok := g.localOf(scope, 'o'); ok && g.rng.Intn(3) == 0 {
 			return v
 		}
 		return g.pick("r['t']", "r['t']", "r['t']", "r['u']", "r['u']", "r['u']", g.strLit(), g.strLit(), g.strLit(), "r['s']")
@@ -116,8 +120,11 @@ func (g *stmtGen) int(depth int, scope []string) string {
 }
 
 func (g *stmtGen) cond(depth int, scope []string) string {
+	if v, ok := g.localOf(scope, 'o'); ok && g.rng.Intn(4) == 0 {
+		return g.optCond(v, depth, scope)
+	}
 	if depth <= 0 || g.rng.Intn(6) == 0 {
-		return g.pick("r['h']", "(r['s'] is None)", "(r['s'] is not None)", "True")
+		return g.pick("r['h']", "(r['s'] is None)", "(r['s'] is not None)", "True", "(not r['s'])", "(r['n'] == 'A')", "(r['n'] is None)")
 	}
 	s := func() string { return g.str(depth-1, scope) }
 	n := func() string { return g.int(depth-1, scope) }
@@ -137,6 +144,32 @@ func (g *stmtGen) cond(depth int, scope []string) string {
 	default:
 		return "(len(" + s() + ") > " + n() + ")"
 	}
+}
+
+// optCond writes a bool in which None is an ordinary value of the Option
+// local v: its truth, an identity test, == or !=.
+func (g *stmtGen) optCond(v string, depth int, scope []string) string {
+	switch g.rng.Intn(4) {
+	case 0:
+		return "(" + v + g.pick(" is None)", " is not None)")
+	case 1:
+		return "(" + v + " " + g.pick("==", "!=") + " " + g.pick(g.strLit(), g.str(depth-1, scope)) + ")"
+	case 2:
+		return "(not (" + v + " and " + g.str(depth-1, scope) + "))"
+	}
+	return "(not " + v + ")"
+}
+
+// test writes the condition of an if or elif: a bool, or now and then
+// the bare truth of an Option column or local.
+func (g *stmtGen) test(depth int, scope []string) string {
+	if g.rng.Intn(5) > 0 {
+		return g.cond(depth, scope)
+	}
+	if v, ok := g.localOf(scope, 'o'); ok && g.rng.Intn(2) == 0 {
+		return v
+	}
+	return g.pick("r['s']", "r['e']", "r['n']")
 }
 
 // value writes an expression of the kind ('s', 'n' or 'b').
@@ -162,13 +195,17 @@ func (g *stmtGen) block(indent, n, depth int, ret byte, optional bool, scope []s
 	for i := 0; i < n; i++ {
 		switch c := g.rng.Intn(10); {
 		case c < 4: // assignment, new local or reassignment
-			kind := byte("sn"[g.rng.Intn(2)])
+			kind := byte("snso"[g.rng.Intn(4)])
 			v, ok := g.localOf(scope, kind)
 			if !ok || g.rng.Intn(2) == 0 {
 				v = fmt.Sprintf("%c%d", kind, g.nlocals)
 				g.nlocals++
 			}
-			g.line(indent, "%s = %s", v, g.value(kind, 2, scope))
+			rhs := "r['s']"
+			if kind != 'o' {
+				rhs = g.value(kind, 2, scope)
+			}
+			g.line(indent, "%s = %s", v, rhs)
 			if !slices.Contains(scope, v) {
 				scope = append(slices.Clone(scope), v)
 			}
@@ -179,12 +216,12 @@ func (g *stmtGen) block(indent, n, depth int, ret byte, optional bool, scope []s
 				g.line(indent, "pass")
 			}
 		case c < 8 && depth > 0: // if / elif / else
-			g.line(indent, "if %s:", g.cond(2, scope))
+			g.line(indent, "if %s:", g.test(2, scope))
 			tScope, tRet := g.block(indent+1, 1+g.rng.Intn(2), depth-1, ret, optional, scope)
 			fScope, fRet := scope, false
 			switch g.rng.Intn(3) {
 			case 0:
-				g.line(indent, "elif %s:", g.cond(1, scope))
+				g.line(indent, "elif %s:", g.test(1, scope))
 				eScope, eRet := g.block(indent+1, 1, depth-1, ret, optional, scope)
 				g.line(indent, "else:")
 				fScope, fRet = g.block(indent+1, 1, depth-1, ret, optional, scope)
@@ -230,22 +267,32 @@ func intersect(a, b []string, aRet, bRet bool) []string {
 }
 
 // udf writes one def returning the kind; optional bodies also return None
-// on some paths.
+// on some paths, and a quarter of them behind a test no row passes, so
+// that every row returns None.
 func (g *stmtGen) udf(ret byte, optional bool) string {
 	g.sb.Reset()
 	g.nlocals = 0
 	g.line(0, "def f(r):")
-	scope, returned := g.block(1, 2+g.rng.Intn(4), 2, ret, optional, nil)
+	indent := 1
+	allNone := optional && g.rng.Intn(4) == 0
+	if allNone {
+		g.line(1, "if %s:", g.pick("r['n'] == 'A'", "r['n'] is not None", "r['t'] != r['t']"))
+		indent = 2
+	}
+	scope, returned := g.block(indent, 2+g.rng.Intn(4), 2, ret, optional, nil)
 	if !returned {
-		g.line(1, "return %s", g.value(ret, 2, scope))
+		g.line(indent, "return %s", g.value(ret, 2, scope))
+	}
+	if allNone {
+		g.line(1, "return None")
 	}
 	return g.sb.String()
 }
 
 // randomStrBatch is randomBatch with the string columns drawn from
 // strPool.
-func randomStrBatch(rng *rand.Rand, n int) vecBatch {
-	b := randomBatch(rng, n)
+func randomStrBatch(rng *rand.Rand, n int, nulls nullMode) vecBatch {
+	b := randomBatch(rng, n, nulls)
 	for c, col := range vecCols {
 		if col.Type.Unwrap().Kind() != types.KindStr {
 			continue
@@ -253,11 +300,7 @@ func randomStrBatch(rng *rand.Rand, n int) vecBatch {
 		b.cols[c] = colvec.NewVec(col.Type)
 		for r := 0; r < n; r++ {
 			s := rows.Str(strPool[rng.Intn(len(strPool))])
-			if col.Type.IsOption() && rng.Intn(4) == 0 {
-				s = rows.Null()
-			}
-			b.rows[r][c] = s
-			b.cols[c].AppendSlot(s)
+			b.rows[r][c] = appendCell(b.cols[c], s, col.Type.IsOption() && optNull(rng, nulls))
 		}
 	}
 	return b
@@ -278,8 +321,8 @@ func TestVecStmtDifferential(t *testing.T) {
 			continue
 		}
 		vectorized++
-		for _, rowsN := range []int{0, 1, 9, 130} {
-			b := randomStrBatch(rng, rowsN)
+		for j, rowsN := range []int{0, 1, 9, 130} {
+			b := randomStrBatch(rng, rowsN, nullModes[(i+j)%len(nullModes)])
 			sel := randomSel(rng, rowsN)
 			bailed += diffExpr(t, src, u, st, b, sel)
 			if rowsN != 130 || i%10 != 0 {
@@ -313,10 +356,10 @@ func TestVecStmtDifferential(t *testing.T) {
 	}
 	for why := range declined {
 		// The generator stays inside the grammar except where an Option
-		// column's type spreads: into a local, a conditional's arm, a
-		// format argument or the result.
+		// column's type spreads: across an if's merge, into a conditional's
+		// arm, a format argument or the result.
 		if !strings.HasPrefix(why, "local ") && !strings.HasPrefix(why, "returns ") &&
-			!slices.Contains([]string{"Option value returned", "IfExpr", "BinOp:%", "Call:.format"}, why) {
+			!slices.Contains([]string{"IfExpr", "BinOp:%", "Call:.format"}, why) {
 			t.Errorf("generated body declined for %q", why)
 		}
 	}
@@ -342,7 +385,7 @@ func TestVecStrBailExact(t *testing.T) {
 		if u.Vec == nil {
 			t.Fatalf("%s: not vectorized (%s)", src, u.VecDecline)
 		}
-		b := randomStrBatch(rng, 400)
+		b := randomStrBatch(rng, 400, someNull)
 		sel := make([]int32, 400)
 		for i := range sel {
 			sel[i] = int32(i)
@@ -385,7 +428,7 @@ func TestVecZillowShapes(t *testing.T) {
 			t.Fatalf("%s: not vectorized (%s)", src, u.VecDecline)
 		}
 		for i := 0; i < 10; i++ {
-			b := randomStrBatch(rng, 300)
+			b := randomStrBatch(rng, 300, someNull)
 			diffExpr(t, src, u, st, b, randomSel(rng, 300))
 		}
 	}

@@ -64,20 +64,23 @@ func TestKernelModesGolden(t *testing.T) {
 		// Carriers build side; airports build side (twice: two joins);
 		// then the probe stage. All three joins have unique keys, so the
 		// batch keeps its index space through them and the kernels behind
-		// them run as labelled (TestFlightsVectorKernelsRunPastJoins). The
-		// row kernels all read a column the sample typed null (an
-		// all-empty cancellation code, an unseen delay).
+		// them run as labelled (TestFlightsVectorKernelsRunPastJoins).
+		// Every probe-stage kernel is a vector program, the ones over
+		// sparse-null columns included: cleanCode compares a column the
+		// sample typed Null, divertedUDF and the defunct-year filter
+		// truth-test Option locals, and five delay columns are Option[f64]
+		// under `int(x) if x else 0`.
 		"flights": {
 			"withColumn(AirlineName):vec,withColumn(AirlineYearFounded):vec,withColumn(AirlineYearDefunct):vec",
 			"mapColumn(AirportName):row(Call:string.capwords),mapColumn(AirportCity):row(Call:string.capwords)",
 			"mapColumn(AirportName):row(Call:string.capwords),mapColumn(AirportCity):row(Call:string.capwords)",
 			"withColumn(OriginCity):vec,withColumn(OriginState):vec,withColumn(DestCity):vec,withColumn(DestState):vec," +
-				"mapColumn(CrsArrTime):vec,mapColumn(CrsDepTime):vec,withColumn(CancellationCode):row(Compare:==)," +
-				"mapColumn(Diverted):vec,mapColumn(Cancelled):vec,withColumn(CancellationReason):row(Name:ccode)," +
-				"withColumn(ActualElapsedTime):vec,mapColumn(Distance):vec,mapColumn(AirlineName):vec,filter:row(Name:airlineYearDefunct)," +
-				"mapColumn(ActualElapsedTime):vec,mapColumn(AirTime):vec,mapColumn(ArrDelay):vec,mapColumn(CarrierDelay):row(Name:x)," +
-				"mapColumn(CrsElapsedTime):vec,mapColumn(DepDelay):vec,mapColumn(LateAircraftDelay):row(Name:x),mapColumn(NasDelay):row(Name:x)," +
-				"mapColumn(SecurityDelay):row(Name:x),mapColumn(TaxiIn):vec,mapColumn(TaxiOut):vec,mapColumn(WeatherDelay):row(Name:x)",
+				"mapColumn(CrsArrTime):vec,mapColumn(CrsDepTime):vec,withColumn(CancellationCode):vec," +
+				"mapColumn(Diverted):vec,mapColumn(Cancelled):vec,withColumn(CancellationReason):vec," +
+				"withColumn(ActualElapsedTime):vec,mapColumn(Distance):vec,mapColumn(AirlineName):vec,filter:vec," +
+				"mapColumn(ActualElapsedTime):vec,mapColumn(AirTime):vec,mapColumn(ArrDelay):vec,mapColumn(CarrierDelay):vec," +
+				"mapColumn(CrsElapsedTime):vec,mapColumn(DepDelay):vec,mapColumn(LateAircraftDelay):vec,mapColumn(NasDelay):vec," +
+				"mapColumn(SecurityDelay):vec,mapColumn(TaxiIn):vec,mapColumn(TaxiOut):vec,mapColumn(WeatherDelay):vec",
 		},
 		// A text source runs the row path: no batch plan, no kernels.
 		"weblogs": nil,
@@ -92,18 +95,21 @@ func TestKernelModesGolden(t *testing.T) {
 }
 
 // TestFlightsVectorKernelsRunPastJoins pins what the flights probe stage
-// actually runs, not what it compiles: each of its vector kernels, the
-// nine ahead of the three joins and the nine behind them, runs as a
+// actually runs, not what it compiles: each of its 26 vector kernels, the
+// eleven ahead of the three joins and the fifteen behind them, runs as a
 // vector program over at least every row the stage emits on the normal
 // path. A join that sends the batch back to row closures (as a remap of
-// its index space does) fails the bound by about half.
+// its index space does) fails the bound by about half. And the vector
+// programs hand the row closures only rows that raise: a None the body
+// tests, compares or returns is decided in the vector, so the stage
+// replays no more rows than the run counts normal-path exceptions.
 func TestFlightsVectorKernelsRunPastJoins(t *testing.T) {
 	c := tuplex.NewContext(tuplex.WithTracing(tuplex.TraceSpans), tuplex.WithSeed(4242))
 	res, err := Flights(FlightsSources(c, data.Flights(data.FlightsConfig{Rows: 4000, Seed: 3}), data.Carriers(), data.Airports())).Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var kernels, vectorRows string
+	var kernels, vectorRows, bailRows string
 	var walk func(s *tuplex.Span)
 	walk = func(s *tuplex.Span) {
 		for _, a := range s.Attrs {
@@ -112,6 +118,8 @@ func TestFlightsVectorKernelsRunPastJoins(t *testing.T) {
 				kernels = a.Val
 			case s.Name == "execute" && a.Key == "vector_rows" && kernels != "" && vectorRows == "":
 				vectorRows = a.Val
+			case s.Name == "execute" && a.Key == "vector_bail_rows" && kernels != "" && bailRows == "":
+				bailRows = a.Val
 			}
 		}
 		for _, c := range s.Children {
@@ -120,13 +128,16 @@ func TestFlightsVectorKernelsRunPastJoins(t *testing.T) {
 	}
 	walk(res.Trace.Root)
 	vecKernels := strings.Count(kernels, ":vec")
-	if vecKernels != 18 {
-		t.Fatalf("probe stage has %d vector kernels, want 18: %s", vecKernels, kernels)
+	if vecKernels != 26 {
+		t.Fatalf("probe stage has %d vector kernels, want 26: %s", vecKernels, kernels)
 	}
 	r := res.Metrics.Rows
 	normalOut := r.Output - r.GeneralResolved - r.FallbackResolved - r.ResolverResolved
 	got, _ := strconv.ParseInt(vectorRows, 10, 64)
 	if want := int64(vecKernels) * normalOut; normalOut < 2000 || got < want {
 		t.Fatalf("probe stage vector rows = %s, want >= %d vector kernels x %d normal-path output rows = %d", vectorRows, vecKernels, normalOut, want)
+	}
+	if bailed, _ := strconv.ParseInt(bailRows, 10, 64); bailRows == "" || bailed > r.NormalPathExceptions {
+		t.Fatalf("probe stage replayed %q rows through row closures, more than the run's %d normal-path exceptions", bailRows, r.NormalPathExceptions)
 	}
 }
