@@ -17,6 +17,10 @@ import (
 	"github.com/gotuplex/tuplex/internal/types"
 )
 
+// generalCompiles counts general-path compiles process-wide; tests read
+// it to pin that a run without exception rows compiles none.
+var generalCompiles atomic.Int64
+
 // pathMode selects which exception path executes a boxed row.
 type pathMode uint8
 
@@ -34,30 +38,38 @@ var errDropped = errors.New("row dropped")
 
 // boxedUDF is one UDF's boxed execution forms, with a private
 // interpreter instance (the boxed paths run serially, mirroring the
-// prototype's GIL acquisition for interpreter work).
+// prototype's GIL acquisition for interpreter work). An instance
+// belongs to one goroutine: the run's, or one resolve worker's.
 type boxedUDF struct {
-	spec     *logical.UDFSpec
-	ip       *interp.Interp
+	spec *logical.UDFSpec
+	ip   *interp.Interp
+	// compiled is the general-path form, built on the first pathGeneral
+	// call: most runs have no exception row, and never need it.
 	compiled *interp.Compiled
+	tried    bool // compiled was attempted (nil: not compilable)
 	// dictParam selects dict-style (vs tuple-style) boxed rows for
 	// whole-row UDFs, from the UDF's observed access pattern.
 	dictParam bool
 }
 
-// compileBoxedUDF prepares a UDF for the exception paths. A UDF the
-// general path cannot compile still runs on the fallback interpreter.
-func compileBoxedUDF(spec *logical.UDFSpec) *boxedUDF {
+// newBoxedUDF prepares a UDF for the exception paths. The general-path
+// closures are compiled when a row first reaches them.
+func newBoxedUDF(spec *logical.UDFSpec) *boxedUDF {
 	u := &boxedUDF{spec: spec, ip: interp.New(spec.Globals)}
 	u.dictParam = len(spec.Access.ByName) > 0 || len(spec.Access.ByIndex) == 0
-	if compiled, err := u.ip.Compile(spec.Fn); err == nil {
-		u.compiled = compiled
-	}
 	return u
 }
 
-// call runs the UDF in the given mode.
+// call runs the UDF in the given mode. A UDF the general path cannot
+// compile raises ExcUnsupported there and runs on the fallback
+// interpreter.
 func (u *boxedUDF) call(mode pathMode, args []pyvalue.Value) (pyvalue.Value, error) {
 	if mode == pathGeneral {
+		if !u.tried {
+			u.tried = true
+			u.compiled, _ = u.ip.Compile(u.spec.Fn)
+			generalCompiles.Add(1)
+		}
 		if u.compiled == nil {
 			return nil, pyvalue.Raise(pyvalue.ExcUnsupported, "UDF not compilable on general path")
 		}
@@ -145,21 +157,22 @@ func applyHandlers(h *opHandlers, mode pathMode, call func() (pyvalue.Value, err
 }
 
 // instantiateBoxed copies a boxed op list with fresh interpreter
-// instances: once per run from the plan's recipe, and once per worker
-// from the run's program so the general-case path can run in parallel
-// across executors (§4.3's batched slow path; only the interpreter
-// fallback serializes, modeling the GIL).
+// instances, each compiling its general-path closures on first use:
+// once per run from the plan's recipe, and once per resolve worker from
+// the run's program so the general-case path can run in parallel across
+// executors (§4.3's batched slow path; only the interpreter fallback
+// serializes, modeling the GIL).
 func instantiateBoxed(prog []*boxedOp) []*boxedOp {
 	out := make([]*boxedOp, len(prog))
 	for i, op := range prog {
 		cp := *op
 		if op.spec != nil {
-			cp.udf = compileBoxedUDF(op.spec)
+			cp.udf = newBoxedUDF(op.spec)
 		}
 		if op.handlers != nil {
 			h := &opHandlers{ignores: op.handlers.ignores}
 			for _, r := range op.handlers.resolvers {
-				h.resolvers = append(h.resolvers, resolverSpec{exc: r.exc, spec: r.spec, udf: compileBoxedUDF(r.spec)})
+				h.resolvers = append(h.resolvers, resolverSpec{exc: r.exc, spec: r.spec, udf: newBoxedUDF(r.spec)})
 			}
 			cp.handlers = h
 		}
@@ -703,7 +716,7 @@ func (eng *engine) combinePartials(sr *stageRun, boxedAgg pyvalue.Value, boxedRo
 			next := make([]pyvalue.Value, (len(partials)+1)/2)
 			errs := make([]error, pairs)
 			eng.parallelFor(pairs, func(i int) {
-				v, err := compileBoxedUDF(sr.combSpec).call(pathFallback, []pyvalue.Value{partials[2*i], partials[2*i+1]})
+				v, err := newBoxedUDF(sr.combSpec).call(pathFallback, []pyvalue.Value{partials[2*i], partials[2*i+1]})
 				if err != nil {
 					errs[i] = fmt.Errorf("core: combiner failed: %w", err)
 					return

@@ -59,3 +59,7 @@ func (cp *CompiledPlan) KernelBench(records [][]byte) (run func() (vectorRows, b
 		return ts.vectorRows, ts.vectorBail
 	}, pl.kernelModes()
 }
+
+// GeneralCompiles reports how many general-path UDF closures the
+// process has compiled so far.
+func GeneralCompiles() int64 { return generalCompiles.Load() }

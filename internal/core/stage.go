@@ -173,10 +173,10 @@ func (sr *stageRun) attach(pl *stagePlan) {
 		}
 	}
 	if pl.aggUDF != nil {
-		sr.aggBoxed = compileBoxedUDF(pl.aggUDF.spec)
+		sr.aggBoxed = newBoxedUDF(pl.aggUDF.spec)
 	}
 	if pl.combSpec != nil {
-		sr.combBoxed = compileBoxedUDF(pl.combSpec)
+		sr.combBoxed = newBoxedUDF(pl.combSpec)
 	}
 }
 

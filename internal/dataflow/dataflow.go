@@ -113,9 +113,18 @@ type Result struct {
 // Analyze runs the forward dataflow analysis for a typed UDF. It never
 // mutates the AST; info must come from inference.TypeFunction.
 func Analyze(info *inference.Info, opts Options) *Result {
+	// Room for a fact per expression up front: growing the map from
+	// empty rehashes it several times over a large UDF.
+	nexpr := 0
+	pyast.InspectStmts(info.Fn.Body, func(n pyast.Node) bool {
+		if _, ok := n.(pyast.Expr); ok {
+			nexpr++
+		}
+		return true
+	})
 	res := &Result{
 		info:     info,
-		facts:    map[pyast.Expr]Fact{},
+		facts:    make(map[pyast.Expr]Fact, nexpr),
 		dead:     map[pyast.Node]deadInfo{},
 		raises:   map[pyast.Expr]pyvalue.ExcKind{},
 		canRaise: map[pyvalue.ExcKind]bool{},

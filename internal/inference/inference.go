@@ -88,10 +88,11 @@ func (s scope) clone() scope {
 }
 
 // TypeFunction types fn given its parameter types and global constant
-// types. It annotates every expression node in place and returns the
-// Info. A non-nil error means the function shape itself is unusable
-// (e.g. arity mismatch); recoverable typing failures land in Info.Failed
-// instead.
+// types. It annotates every expression node in place (types, and row
+// positions of subscripts), clearing any earlier annotation first, and
+// returns the Info. A non-nil error means the function shape itself is
+// unusable (e.g. arity mismatch); recoverable typing failures land in
+// Info.Failed instead.
 func TypeFunction(fn *pyast.Function, paramTypes []types.Type, globals map[string]types.Type, opts Options) (*Info, error) {
 	if len(paramTypes) != len(fn.Params) {
 		return nil, fmt.Errorf("inference: UDF %s takes %d parameters, got %d input types",
@@ -104,6 +105,19 @@ func TypeFunction(fn *pyast.Function, paramTypes []types.Type, globals map[strin
 		Dead:       map[pyast.Node]Branch{},
 		Globals:    globals,
 	}
+	// Start from the annotations of a fresh parse: arms pruned below are
+	// never typed, and must not keep the types and row positions an
+	// earlier typing of the same AST wrote there.
+	pyast.InspectStmts(fn.Body, func(n pyast.Node) bool {
+		switch n := n.(type) {
+		case *pyast.Subscript:
+			n.RowIdx = -1
+			n.SetType(types.Type{})
+		case pyast.Expr:
+			n.SetType(types.Type{})
+		}
+		return true
+	})
 	t := &typer{info: info, opts: opts}
 	env := scope{}
 	for i, p := range fn.Params {

@@ -27,8 +27,9 @@ type bexpr func(fr *bframe) (pyvalue.Value, error)
 type bstmt func(fr *bframe) (ctl, pyvalue.Value, error)
 
 // Compile translates fn into closures. The returned Compiled is safe for
-// concurrent Call only if each goroutine uses its own Interp; engines
-// compile once per executor.
+// concurrent Call only if each goroutine uses its own Interp; the engine
+// compiles once per interpreter instance (per run, and per parallel
+// resolve worker), when a row first reaches the general path.
 func (ip *Interp) Compile(fn *pyast.Function) (*Compiled, error) {
 	bc := &bcompiler{ip: ip, slots: map[string]int{}}
 	for _, p := range fn.Params {

@@ -135,8 +135,14 @@ func HasErrors(diags []Diagnostic) bool {
 // diagnostic, sorted by spec position. A nil/empty result means the
 // plan is clean: it will not fail compilation with a schema error, and
 // no provable logic defect was found.
-func Check(p *spec.Pipeline) []Diagnostic {
-	c := &checker{}
+func Check(p *spec.Pipeline) []Diagnostic { return CheckParsed(p, nil) }
+
+// CheckParsed is Check over the UDF specs a build of p already parsed
+// (spec.Pipeline.BuildParsed): a UDF found in parsed is analyzed from
+// that spec, any other is parsed here. The analysis types the shared
+// ASTs at ⊤; the engine retypes them from scratch when it compiles.
+func CheckParsed(p *spec.Pipeline, parsed spec.Parsed) []Diagnostic {
+	c := &checker{parsed: parsed}
 	if p == nil {
 		c.add(Diagnostic{Code: CodeMalformedSpec, Severity: SevError, Msg: "nil pipeline"})
 		return c.diags
@@ -155,8 +161,9 @@ func Check(p *spec.Pipeline) []Diagnostic {
 // order so liveness findings (computed in a second, backward pass)
 // still sort to their op's position.
 type checker struct {
-	diags []Diagnostic
-	ord   int
+	diags  []Diagnostic
+	ord    int
+	parsed spec.Parsed
 }
 
 func (c *checker) add(d Diagnostic) {

@@ -54,9 +54,13 @@ func (c *checker) requireUDF(op *spec.Op, in absSchema, path string) *udfResult 
 	return u
 }
 
-// parseUDF parses UDF source + globals; parse failures are TPX010
-// errors (Build would reject the spec identically).
+// parseUDF parses UDF source + globals, or takes the build's parse of
+// u when there is one; parse failures are TPX010 errors (Build would
+// reject the spec identically).
 func (c *checker) parseUDF(u *spec.UDF, path, kind string) *udfResult {
+	if s := c.parsed[u]; s != nil {
+		return &udfResult{spec: s}
+	}
 	var globals map[string]pyvalue.Value
 	if len(u.Globals) > 0 {
 		globals = make(map[string]pyvalue.Value, len(u.Globals))

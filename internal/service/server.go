@@ -26,11 +26,14 @@ import (
 // surface (/metrics, /debug/tuplex/runz, pprof) plus the /v1/jobs API
 // with admission control and the compiled-pipeline cache.
 type Server struct {
-	cfg    Config
-	mux    *http.ServeMux
-	stats  *telemetry.ServiceStats
-	cache  *planCache
-	jobs   *jobTable
+	cfg   Config
+	mux   *http.ServeMux
+	stats *telemetry.ServiceStats
+	cache *planCache
+	jobs  *jobTable
+	// check is the admission verifier (plancheck.CheckParsed; tests
+	// wrap it to see which parse it analyzed).
+	check  func(*spec.Pipeline, spec.Parsed) []plancheck.Diagnostic
 	flight *telemetry.FlightRecorder
 	slow   *slowLog
 
@@ -56,6 +59,7 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		stats:   telemetry.NewServiceStats(),
 		jobs:    newJobTable(),
+		check:   plancheck.CheckParsed,
 		flight:  telemetry.NewFlightRecorder(cfg.FlightEvents),
 		slow:    &slowLog{},
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
@@ -224,9 +228,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// turned away before it consumes a queue slot or a cache flight.
 	// Warm resubmissions skip the verifier entirely — a cached plan
 	// already passed it (and the compiler) on its cold submission, so
-	// the warm path stays at cache-hit cost.
+	// the warm path stays at cache-hit cost. A cold one is built first
+	// and checked over that build's parse, so each UDF is parsed once.
+	var built *spec.Built
 	if !s.cache.has(fp) {
-		if diags := plancheck.Check(p); plancheck.HasErrors(diags) {
+		var diags []plancheck.Diagnostic
+		if built, diags = s.buildChecked(p); plancheck.HasErrors(diags) {
 			s.rejectInvalid(w, traceID, diags)
 			return
 		}
@@ -255,13 +262,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		go func() {
 			ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
 			defer cancel()
-			s.runJob(ctx, jb, p)
+			s.runJob(ctx, jb, p, built)
 		}()
 		writeJSON(w, http.StatusAccepted, jb.status())
 		return
 	}
 	defer acancel()
-	s.runJob(actx, jb, p)
+	s.runJob(actx, jb, p, built)
 	st := jb.status()
 	code := http.StatusOK
 	switch st.State {
@@ -345,10 +352,21 @@ func (s *Server) admit(ctx context.Context, traceID string) error {
 	}
 }
 
+// buildChecked builds p once and statically verifies it over that
+// build's UDF parses. When Build fails, the checker parses on its own
+// and reports what it finds (a broken UDF is TPX010); built is then nil.
+func (s *Server) buildChecked(p *spec.Pipeline) (*spec.Built, []plancheck.Diagnostic) {
+	built, parsed, err := p.BuildParsed()
+	if err != nil {
+		return nil, s.check(p, nil)
+	}
+	return built, s.check(p, parsed)
+}
+
 // runJob executes one admitted job (the caller holds its slot) and
 // records its lifecycle. Blocking; async submissions wrap it in a
-// goroutine.
-func (s *Server) runJob(ctx context.Context, jb *job, p *spec.Pipeline) {
+// goroutine. built, when non-nil, is p already built at admission.
+func (s *Server) runJob(ctx context.Context, jb *job, p *spec.Pipeline, built *spec.Built) {
 	defer s.inflight.Done()
 	defer func() { <-s.sem }()
 	defer s.jobs.retire(jb)
@@ -360,7 +378,7 @@ func (s *Server) runJob(ctx context.Context, jb *job, p *spec.Pipeline) {
 	defer s.stats.RunningJobs.Add(-1)
 
 	t0 := time.Now()
-	res, built, hit, err := s.execute(jctx, jb, p)
+	res, built, hit, err := s.execute(jctx, jb, p, built)
 	dur := time.Since(t0)
 	// End-to-end latency (what the exemplars and slow log key on) is
 	// measured from request arrival, queue wait included.
@@ -398,15 +416,24 @@ func (s *Server) runJob(ctx context.Context, jb *job, p *spec.Pipeline) {
 // execute resolves the job through the plan cache: own the flight
 // (compile fresh, capturing the plan), or wait on the in-flight owner
 // and re-execute the cached plan. A failed flight is retried by the
-// next submitter rather than poisoning the key.
-func (s *Server) execute(ctx context.Context, jb *job, p *spec.Pipeline) (*core.Result, *spec.Built, bool, error) {
+// next submitter rather than poisoning the key. The admission build
+// (prebuilt, possibly nil) is compiled at most once; any later compile
+// builds afresh.
+func (s *Server) execute(ctx context.Context, jb *job, p *spec.Pipeline, prebuilt *spec.Built) (*core.Result, *spec.Built, bool, error) {
+	build := func() (*spec.Built, error) {
+		if b := prebuilt; b != nil {
+			prebuilt = nil
+			return b, nil
+		}
+		return p.Build()
+	}
 	lookup := time.Now()
 	for attempt := 0; attempt < 4; attempt++ {
 		e, owner := s.cache.acquire(jb.fingerprint)
 		if owner {
 			jb.noteLookup(time.Since(lookup))
 			s.flight.Record(telemetry.EventCompile, jb.id, jb.traceID, 0, "")
-			built, err := p.Build()
+			built, err := build()
 			if err != nil {
 				s.cache.fail(e, err)
 				return nil, nil, false, err
@@ -441,7 +468,7 @@ func (s *Server) execute(ctx context.Context, jb *job, p *spec.Pipeline) (*core.
 	}
 	// Pathological churn of failing flights: run once, uncached.
 	jb.noteLookup(time.Since(lookup))
-	built, err := p.Build()
+	built, err := build()
 	if err != nil {
 		return nil, nil, false, err
 	}

@@ -29,19 +29,34 @@ type Built struct {
 	IsAgg bool
 }
 
+// Parsed maps each UDF of a pipeline to the spec BuildParsed parsed
+// from it, so a static verifier can analyze the very ASTs the built plan
+// will run instead of parsing every UDF a second time.
+type Parsed map[*UDF]*logical.UDFSpec
+
 // Build validates the pipeline and lowers it to a logical plan plus
 // engine options. Errors name the offending op index and kind.
 func (p *Pipeline) Build() (*Built, error) {
-	node, err := buildChain(p)
+	b, _, err := p.BuildParsed()
+	return b, err
+}
+
+// BuildParsed is Build that also reports the parsed form of every UDF
+// it lowered (join build sides and the aggregate sink included). The
+// specs are the returned plan's own: typing writes into their ASTs, so
+// they must not serve another plan.
+func (p *Pipeline) BuildParsed() (*Built, Parsed, error) {
+	parsed := Parsed{}
+	node, err := buildChain(p, parsed)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	b := &Built{Node: node, Opts: p.Options.resolve(), Kind: core.SinkCollect, Take: -1}
 	switch p.Sink.Kind {
 	case "", "collect":
 	case "take":
 		if p.Sink.N < 0 {
-			return nil, fmt.Errorf("spec: take sink needs n >= 0, got %d", p.Sink.N)
+			return nil, nil, fmt.Errorf("spec: take sink needs n >= 0, got %d", p.Sink.N)
 		}
 		b.Take = p.Sink.N
 	case "csv":
@@ -49,15 +64,15 @@ func (p *Pipeline) Build() (*Built, error) {
 		b.CSVPath = p.Sink.Path
 	case "aggregate":
 		if p.Sink.Agg == nil || p.Sink.Comb == nil {
-			return nil, fmt.Errorf("spec: aggregate sink needs both agg and comb UDFs")
+			return nil, nil, fmt.Errorf("spec: aggregate sink needs both agg and comb UDFs")
 		}
-		agg, err := parseUDF(p.Sink.Agg, "sink aggregate")
+		agg, err := parsed.parse(p.Sink.Agg, "sink aggregate")
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		comb, err := parseUDF(p.Sink.Comb, "sink aggregate combiner")
+		comb, err := parsed.parse(p.Sink.Comb, "sink aggregate combiner")
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		b.Node = &logical.Node{
 			Op:    &logical.AggregateOp{Agg: agg, Comb: comb, Initial: boxAny(p.Sink.Initial)},
@@ -65,20 +80,20 @@ func (p *Pipeline) Build() (*Built, error) {
 		}
 		b.IsAgg = true
 	default:
-		return nil, unknownKindError("sink", p.Sink.Kind, knownSinkKinds)
+		return nil, nil, unknownKindError("sink", p.Sink.Kind, knownSinkKinds)
 	}
-	return b, nil
+	return b, parsed, nil
 }
 
 // buildChain lowers source + ops to a logical node chain (shared with
 // join build sides, which arrive as nested Pipelines without sinks).
-func buildChain(p *Pipeline) (*logical.Node, error) {
+func buildChain(p *Pipeline, parsed Parsed) (*logical.Node, error) {
 	node, err := buildSource(&p.Source)
 	if err != nil {
 		return nil, err
 	}
 	for i := range p.Ops {
-		op, err := buildOp(&p.Ops[i], i)
+		op, err := buildOp(&p.Ops[i], i, parsed)
 		if err != nil {
 			return nil, err
 		}
@@ -145,13 +160,13 @@ func buildSource(s *Source) (*logical.Node, error) {
 	}
 }
 
-func buildOp(op *Op, idx int) (logical.Op, error) {
+func buildOp(op *Op, idx int, parsed Parsed) (logical.Op, error) {
 	where := fmt.Sprintf("op %d (%s)", idx, op.Kind)
 	needUDF := func() (*logical.UDFSpec, error) {
 		if op.UDF == nil {
 			return nil, fmt.Errorf("spec: %s needs a udf", where)
 		}
-		return parseUDF(op.UDF, where)
+		return parsed.parse(op.UDF, where)
 	}
 	switch op.Kind {
 	case "map":
@@ -217,7 +232,7 @@ func buildOp(op *Op, idx int) (logical.Op, error) {
 		if op.LeftKey == "" || op.RightKey == "" {
 			return nil, fmt.Errorf("spec: %s needs left_key and right_key", where)
 		}
-		build, err := buildChain(op.Build)
+		build, err := buildChain(op.Build, parsed)
 		if err != nil {
 			return nil, fmt.Errorf("spec: %s build side: %w", where, err)
 		}
@@ -233,11 +248,11 @@ func buildOp(op *Op, idx int) (logical.Op, error) {
 		if op.Agg == nil || op.Comb == nil {
 			return nil, fmt.Errorf("spec: %s needs agg and comb UDFs", where)
 		}
-		agg, err := parseUDF(op.Agg, where)
+		agg, err := parsed.parse(op.Agg, where)
 		if err != nil {
 			return nil, err
 		}
-		comb, err := parseUDF(op.Comb, where)
+		comb, err := parsed.parse(op.Comb, where)
 		if err != nil {
 			return nil, err
 		}
@@ -251,7 +266,8 @@ func buildOp(op *Op, idx int) (logical.Op, error) {
 	}
 }
 
-func parseUDF(u *UDF, where string) (*logical.UDFSpec, error) {
+// parse parses one UDF and records its spec under u.
+func (parsed Parsed) parse(u *UDF, where string) (*logical.UDFSpec, error) {
 	var globals map[string]pyvalue.Value
 	if len(u.Globals) > 0 {
 		globals = make(map[string]pyvalue.Value, len(u.Globals))
@@ -263,6 +279,7 @@ func parseUDF(u *UDF, where string) (*logical.UDFSpec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("spec: %s: %w", where, err)
 	}
+	parsed[u] = s
 	return s, nil
 }
 
