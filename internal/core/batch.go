@@ -400,6 +400,9 @@ func (sr *stageRun) runChunkColumnar(ts *task, p int, data []byte, baseKey uint6
 		for r := range cb.Records {
 			if len(rj) > 0 && rj[0].Rec == r {
 				ts.pool = append(ts.pool, exRow{part: p, key: key, raw: rj[0].Raw, ec: rj[0].EC})
+				if ts.route != nil {
+					sr.countReject(ts, rj[0].Raw)
+				}
 				rj = rj[1:]
 			} else {
 				bst.keys = append(bst.keys, key)

@@ -25,8 +25,8 @@ var generalCompiles atomic.Int64
 type pathMode uint8
 
 const (
-	// pathGeneral is the compiled general-case path (closure-compiled
-	// boxed UDFs, most general column types).
+	// pathGeneral is the compiled general-case path: the stage's general
+	// plan (general.go), or closure-compiled boxed UDFs row by row.
 	pathGeneral pathMode = iota
 	// pathFallback is the tree-walking interpreter (always available).
 	pathFallback
@@ -402,10 +402,13 @@ func mapResultRow(v pyvalue.Value, outSchema *types.Schema) ([]pyvalue.Value, er
 
 // resolveExceptions drains the stage's exception pool through the
 // general path, the fallback path and user resolvers (§4.3, Figure 2),
-// updating the materialization in place. It runs serially — exception
-// rows are rare by construction, and the fallback path models the
-// prototype's GIL.
-func (eng *engine) resolveExceptions(sr *stageRun, out *mat) error {
+// updating the materialization in place. The general path is the stage's
+// general plan, in batches, for the raw records it takes
+// (resolveGeneral), and the boxed general path, row by row, for the rest;
+// the fallback path and the terminal run serially — exception rows are
+// rare by construction, and the fallback path models the prototype's
+// GIL.
+func (eng *engine) resolveExceptions(sr *stageRun, out *mat) (generalStats, error) {
 	pool := out.exceptional
 	out.exceptional = nil
 	// Input-materialization exceptions from the previous stage also run
@@ -495,39 +498,29 @@ func (eng *engine) resolveExceptions(sr *stageRun, out *mat) error {
 		}
 	}
 
-	// Phase 1 — the compiled general path, fanned across executors for
-	// large pools.
-	type exOutcome struct {
-		vals     []pyvalue.Value
-		outRows  [][]pyvalue.Value
-		resolved bool
-		err      error
-		mode     pathMode
-	}
+	// Phase 1 — the general path: the general plan in batches, then the
+	// rows it left on the boxed general path, fanned across executors when
+	// they are many.
 	outcomes := make([]exOutcome, len(pool))
+	gs, perRow, err := eng.resolveGeneral(sr, pool, outcomes)
+	if err != nil {
+		return gs, err
+	}
 	workers := eng.opts.Executors
 	// Cancellation is observed every 256 rows; the parallel fan-out
 	// finishes its wg.Wait before bailing so no worker is abandoned
 	// mid-chunk with half-written outcomes.
 	var ctxStop atomic.Bool
-	if workers > 1 && len(pool) >= 64 {
+	if workers > 1 && len(perRow) >= generalMinPool {
 		var wg sync.WaitGroup
-		chunk := (len(pool) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > len(pool) {
-				hi = len(pool)
-			}
-			if lo >= hi {
-				continue
-			}
+		chunk := (len(perRow) + workers - 1) / workers
+		for lo := 0; lo < len(perRow); lo += chunk {
 			wg.Add(1)
-			go func(lo, hi int) {
+			go func(rs []int) {
 				defer wg.Done()
 				prog := instantiateBoxed(sr.boxed)
-				for i := lo; i < hi; i++ {
-					if (i-lo)&0xff == 0 && (ctxStop.Load() || eng.canceled() != nil) {
+				for j, i := range rs {
+					if j&0xff == 0 && (ctxStop.Load() || eng.canceled() != nil) {
 						ctxStop.Store(true)
 						return
 					}
@@ -535,19 +528,19 @@ func (eng *engine) resolveExceptions(sr *stageRun, out *mat) error {
 					outRows, resolved, err := runResolve(prog, pathGeneral, vals)
 					outcomes[i] = exOutcome{vals: vals, outRows: outRows, resolved: resolved, err: err, mode: pathGeneral}
 				}
-			}(lo, hi)
+			}(perRow[lo:min(lo+chunk, len(perRow))])
 		}
 		wg.Wait()
 		if ctxStop.Load() {
 			if err := eng.canceled(); err != nil {
-				return err
+				return gs, err
 			}
 		}
 	} else {
-		for i := range pool {
-			if i&0xff == 0 {
+		for j, i := range perRow {
+			if j&0xff == 0 {
 				if err := eng.canceled(); err != nil {
-					return err
+					return gs, err
 				}
 			}
 			vals := genVals(&pool[i])
@@ -561,7 +554,7 @@ func (eng *engine) resolveExceptions(sr *stageRun, out *mat) error {
 	for i := range pool {
 		if i&0xff == 0 {
 			if err := eng.canceled(); err != nil {
-				return err
+				return gs, err
 			}
 		}
 		ex := pool[i]
@@ -658,14 +651,14 @@ func (eng *engine) resolveExceptions(sr *stageRun, out *mat) error {
 	if sr.terminal == physical.TerminalAggregate {
 		v, err := eng.combinePartials(sr, boxedAgg, boxedAggRows)
 		if err != nil {
-			return err
+			return gs, err
 		}
 		out.aggValue = v
 		out.isAgg = true
 		out.parts = [][]rows.Row{nil}
 		out.keys = [][]uint64{nil}
 	}
-	return nil
+	return gs, nil
 }
 
 // aggRowArg builds the row argument for the boxed aggregate UDF.

@@ -46,6 +46,8 @@ type CompiledPlan struct {
 	opts Options
 	kind SinkKind
 	root *chainPlan
+	// generalCut overrides the engine's generalCut (a test hook).
+	generalCut int
 }
 
 // chainPlan is the plan of one chain of stages: the pipeline itself or a
@@ -169,7 +171,7 @@ func (cp *CompiledPlan) run(ctx context.Context, sinkNode *logical.Node, csvPath
 	}
 	res := &Result{Metrics: &metrics.Metrics{}}
 	t0 := time.Now()
-	eng := &engine{ctx: ctx, opts: opts, res: res, tr: trace.New(opts.Trace)}
+	eng := &engine{ctx: ctx, opts: opts, res: res, tr: trace.New(opts.Trace), generalCut: cp.generalCut}
 	// Live monitoring: only when opted in (or an introspection server is
 	// up) does a RunMonitor exist — with mon nil every hook below is a
 	// nil-receiver no-op and the execution path is the unmonitored one.

@@ -8,8 +8,11 @@
 //
 //   - normal case:   internal/codegen — unboxed slot closures, return-code
 //     exceptions ("LLVM fast path");
-//   - general case:  internal/interp.Compiled — closure-compiled over
-//     boxed values with the most general (Option) column types;
+//   - general case:  a second plan of the stage, compiled by
+//     internal/codegen at the general (Option) column types with no
+//     sampled guards and run in batches (general.go), and
+//     internal/interp.Compiled — closure-compiled over boxed values — row
+//     by row for the rows that plan cannot take;
 //   - fallback:      internal/interp tree-walking — the "Python
 //     interpreter", always able to run any supported UDF.
 package core
@@ -213,6 +216,9 @@ type engine struct {
 	// warns collects advisory messages with per-source caps; Execute
 	// flushes it into Result.Warnings.
 	warns warnings
+	// generalCut is the raw-row count from which a pool runs through the
+	// stage's general plan (0: generalMinPool; a test hook changes it).
+	generalCut int
 }
 
 // canceled returns the run's cancellation error when eng.ctx is done,
@@ -333,6 +339,7 @@ func (eng *engine) runStage(sl *stageSlot, input *mat) (*mat, error) {
 		}
 		eng.tr.Child("compile", dCompile, cattrs...)
 	}
+	sr.slot = sl
 	sr.attach(sl.plan)
 	return eng.execAndResolve(sr, ssp)
 }
@@ -394,14 +401,22 @@ func (eng *engine) execAndResolve(sr *stageRun, ssp *trace.Span) (*mat, error) {
 	eng.tr.End(esp)
 
 	// Post-facto exception resolution (§4.3): general path, then
-	// fallback, then user resolvers along the way.
+	// fallback, then user resolvers along the way. A general plan built
+	// here is resolve's time, and its analyze spans are resolve's
+	// children.
+	rsp := eng.tr.Begin("resolve")
 	tRes := time.Now()
-	if err := eng.resolveExceptions(sr, out); err != nil {
+	gs, err := eng.resolveExceptions(sr, out)
+	if err != nil {
 		return nil, err
 	}
 	dRes := time.Since(tRes)
 	eng.res.Metrics.Timings.Resolve += dRes
-	eng.tr.Child("resolve", dRes, trace.Int("pool", int64(sr.poolSize)))
+	rsp.Add(trace.Int("pool", int64(sr.poolSize)),
+		trace.Int("batched", int64(gs.batched)),
+		trace.Int("per_row", int64(sr.poolSize-gs.batched)),
+		trace.Str("general_compile_ms", fmt.Sprintf("%.2f", gs.compile.Seconds()*1e3)))
+	eng.tr.End(rsp)
 	if eng.tr.Rows() {
 		ssp.Routing = sr.mergedRouting()
 	}

@@ -13,24 +13,32 @@ import (
 
 // TestCleanRunCompilesNoGeneralPath pins that the general-path closures
 // are built only when an exception row reaches them: a Zillow run over
-// clean data compiles none, a dirty one does.
+// clean data compiles none, a dirty one does. The general plan is built
+// only for a pool of at least 64 raw rows: neither the clean run nor
+// dirty runs with pools of 11 and 31 rows build one.
 func TestCleanRunCompilesNoGeneralPath(t *testing.T) {
-	run := func(dirty float64) (compiles, exceptions int64) {
+	run := func(dirty float64) (compiles, plans, exceptions int64) {
 		raw := data.Zillow(data.ZillowConfig{Rows: 2000, Seed: 42, DirtyFraction: dirty})
 		c := tuplex.NewContext(tuplex.WithExecutors(2))
-		before := core.GeneralCompiles()
+		before, plans0 := core.GeneralCompiles(), core.GeneralPlans()
 		res, err := pipelines.Zillow(c.CSV("", tuplex.CSVData(raw))).Collect()
 		if err != nil {
 			t.Fatal(err)
 		}
 		m := res.Metrics.Rows
-		return core.GeneralCompiles() - before, m.ClassifierRejects + m.NormalPathExceptions
+		return core.GeneralCompiles() - before, core.GeneralPlans() - plans0, m.ClassifierRejects + m.NormalPathExceptions
 	}
-	if n, exc := run(0); exc != 0 || n != 0 {
-		t.Fatalf("clean run: %d exception rows, %d general-path compiles; want none of either", exc, n)
+	if n, plans, exc := run(0); exc != 0 || n != 0 || plans != 0 {
+		t.Fatalf("clean run: %d exception rows, %d general-path compiles, %d general plans; want none of either", exc, n, plans)
 	}
-	if n, exc := run(0.02); exc == 0 || n == 0 {
-		t.Fatalf("dirty run: %d exception rows, %d general-path compiles; want both", exc, n)
+	for _, dirty := range []float64{0.009, 0.02} {
+		n, plans, exc := run(dirty)
+		if exc == 0 || exc >= 64 || n == 0 {
+			t.Fatalf("dirty run (%g): %d exception rows, %d general-path compiles; want a pool below 64 and compiles", dirty, exc, n)
+		}
+		if plans != 0 {
+			t.Fatalf("dirty run (%g): a pool of %d rows built %d general plans", dirty, exc, plans)
+		}
 	}
 }
 

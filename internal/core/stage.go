@@ -81,6 +81,9 @@ type stagePlan struct {
 	inSchema   *types.Schema
 	outSchema  *types.Schema
 	nullValues []string
+	// generalIn is the CSV stage input at the general schema
+	// (sample.CasePlan.GeneralSchema over the projected columns).
+	generalIn *types.Schema
 
 	entry nstep // head of the compiled normal path
 	// batch is the stage's columnar plan (CSV sources with Columnar on);
@@ -107,6 +110,17 @@ type stagePlan struct {
 	aggFold  *codegen.VecFold
 	combSpec *logical.UDFSpec
 
+	// general is the stage's general-case plan (compileGeneral), built by
+	// the first resolve whose pool warrants it, once for every run of the
+	// plan (generalOnce); nil after that means the stage has none.
+	// generalCase marks a plan that is itself one. noVec marks a plan
+	// stripped of its vector programs (a test hook); a general plan built
+	// later is stripped too.
+	generalOnce sync.Once
+	general     *stagePlan
+	generalCase bool
+	noVec       bool
+
 	// Tracing layout. opNames names the routing-ledger entries: index 0
 	// is the source/parse pseudo-op, 1..len(ops) follow the stage's
 	// operators and the last entry is the terminal.
@@ -123,6 +137,9 @@ type stagePlan struct {
 // plan it executes.
 type stageRun struct {
 	*stagePlan
+	// slot is the plan-tree slot the run executes (compileGeneral reads
+	// the stage's operators from it).
+	slot *stageSlot
 
 	// Source binding: stream for a CSV or text source, inputSlots for a
 	// parallelize source, input for an interior stage; partRanges splits
@@ -269,6 +286,26 @@ type task struct {
 	route    []int64
 	routeExc []int64
 	excOp    int32
+	// rejects tallies why the task's classifier rejects left the normal
+	// case (trace.OpRouting.Rejects; LevelRows only).
+	rejects map[rejectWhy]int64
+}
+
+// rejectWhy is a classifier reject's cause: the parser field of its first
+// cell that did not parse (-1: a wrong cell count) and that cell's kind.
+type rejectWhy struct {
+	field int
+	cell  string
+}
+
+// countReject tallies a classifier reject's cause (at LevelRows only:
+// naming it parses the record again).
+func (sr *stageRun) countReject(ts *task, rec []byte) {
+	field, cell := sr.parse.RejectCause(rec, ts.rowBuf[:sr.nFields])
+	if ts.rejects == nil {
+		ts.rejects = map[rejectWhy]int64{}
+	}
+	ts.rejects[rejectWhy{field, cell}]++
 }
 
 func (sr *stageRun) numPartitions() int { return len(sr.partRanges) }
@@ -326,6 +363,16 @@ func (sr *stageRun) mergedRouting() []trace.OpRouting {
 			out[i].NormalIn += ts.route[i]
 			out[i].NormalExc += ts.routeExc[i]
 		}
+		for why, n := range ts.rejects {
+			key := why.cell
+			if why.field >= 0 {
+				key = fmt.Sprintf("%s %s←%s", sr.inSchema.Col(why.field).Name, sr.parse.Fields[why.field].Type, why.cell)
+			}
+			if out[0].Rejects == nil {
+				out[0].Rejects = map[string]int64{}
+			}
+			out[0].Rejects[key] += n
+		}
 		// Rows that fell off the kernel prefix at the stage barrier are
 		// attributed to the barrier op itself, not folded into the
 		// generic boxed counters.
@@ -379,6 +426,9 @@ func (sr *stageRun) runRecords(ts *task, p int, recs [][]byte, baseKey uint64) {
 		if ec != 0 {
 			rejects++
 			ts.pool = append(ts.pool, exRow{part: p, key: key, raw: rec, ec: ec})
+			if ts.route != nil {
+				sr.countReject(ts, rec)
+			}
 			continue
 		}
 		if ec = sr.entry(ts, key, row); ec != 0 {
@@ -610,7 +660,7 @@ func (eng *engine) compileOps(pl *stagePlan, sl *stageSlot, srcFacts []dataflow.
 		switch op := op.(type) {
 		case *logical.MapOp:
 			scalar, paramT := paramStyle(op.UDF, schema)
-			su := eng.compileUDF(op.UDF, []types.Type{paramT}, scalar, colFacts, opName(op))
+			su := eng.compileUDF(op.UDF, []types.Type{paramT}, scalar, colFacts, opName(op), pl.generalCase)
 			lastUDF = su
 			su.frameIdx = frameIdx
 			frameIdx++
@@ -660,7 +710,7 @@ func (eng *engine) compileOps(pl *stagePlan, sl *stageSlot, srcFacts []dataflow.
 
 		case *logical.FilterOp:
 			scalar, paramT := paramStyle(op.UDF, schema)
-			su := eng.compileUDF(op.UDF, []types.Type{paramT}, scalar, colFacts, opName(op))
+			su := eng.compileUDF(op.UDF, []types.Type{paramT}, scalar, colFacts, opName(op), pl.generalCase)
 			lastUDF = su
 			su.frameIdx = frameIdx
 			frameIdx++
@@ -685,7 +735,7 @@ func (eng *engine) compileOps(pl *stagePlan, sl *stageSlot, srcFacts []dataflow.
 
 		case *logical.WithColumnOp:
 			scalar, paramT := paramStyle(op.UDF, schema)
-			su := eng.compileUDF(op.UDF, []types.Type{paramT}, scalar, colFacts, opName(op))
+			su := eng.compileUDF(op.UDF, []types.Type{paramT}, scalar, colFacts, opName(op), pl.generalCase)
 			lastUDF = su
 			su.frameIdx = frameIdx
 			frameIdx++
@@ -733,7 +783,7 @@ func (eng *engine) compileOps(pl *stagePlan, sl *stageSlot, srcFacts []dataflow.
 			}
 			colT := schema.Col(idx).Type
 			su := eng.compileUDF(op.UDF, []types.Type{colT}, true,
-				[]dataflow.ColFact{colFacts[idx]}, opName(op))
+				[]dataflow.ColFact{colFacts[idx]}, opName(op), pl.generalCase)
 			lastUDF = su
 			su.frameIdx = frameIdx
 			frameIdx++
@@ -806,7 +856,7 @@ func (eng *engine) compileOps(pl *stagePlan, sl *stageSlot, srcFacts []dataflow.
 			// never raises this kind. The resolver still applies on the
 			// general path (non-conforming rows run full Python
 			// semantics), so this is a warning, not an error.
-			if lastUDF != nil && lastUDF.compiled != nil && lastUDF.flow != nil &&
+			if !pl.generalCase && lastUDF != nil && lastUDF.compiled != nil && lastUDF.flow != nil &&
 				!lastUDF.flow.MayRaise(op.Exc) {
 				eng.warns.add(warnLint,
 					"resolve(%s): the compiled normal-case path of the preceding UDF cannot raise %s; the resolver only applies to general-path rows",
@@ -911,6 +961,16 @@ func (eng *engine) compileOps(pl *stagePlan, sl *stageSlot, srcFacts []dataflow.
 
 	pl.outSchema = schema
 	pl.nUDFs = frameIdx + 1
+	if pl.generalCase {
+		// A general plan is the operators' kernels alone: resolve boxes
+		// what leaves them, and the stage's terminal takes it from there.
+		kernels := make([]*batchKernel, len(nops))
+		for i, op := range nops {
+			kernels[i] = op.batch
+		}
+		pl.batch = &batchProg{kernels: kernels, groups: fuseKernels(kernels)}
+		return nil
+	}
 
 	// Terminal handling.
 	if st.Terminal == physical.TerminalAggregate {
@@ -1068,14 +1128,29 @@ func paramStyle(spec *logical.UDFSpec, schema *types.Schema) (scalar bool, param
 // its facts drive dead-branch pruning, constant folding and check
 // elision in codegen (guarded where they rest on sampled values).
 // colFacts seeds the analysis for the UDF's input columns; label names
-// the operator in warnings and trace output.
-func (eng *engine) compileUDF(spec *logical.UDFSpec, paramTypes []types.Type, scalar bool, colFacts []dataflow.ColFact, label string) *stageUDF {
+// the operator in warnings and trace output. general compiles for a
+// general plan (compileGeneral): from a fresh parse, null optimization
+// off, no lints.
+func (eng *engine) compileUDF(spec *logical.UDFSpec, paramTypes []types.Type, scalar bool, colFacts []dataflow.ColFact, label string, general bool) *stageUDF {
 	su := &stageUDF{spec: spec, scalarParam: scalar}
+	if general {
+		// Typing annotates the AST, and vector programs read those
+		// annotations while they run: a general plan compiles its own
+		// parse of the source, never the normal plan's AST.
+		fresh, err := logical.ParseUDF(spec.Source, spec.Globals)
+		if err != nil {
+			return su
+		}
+		su.spec, spec = fresh, fresh
+	}
 	globalTypes := map[string]types.Type{}
 	for k, v := range spec.Globals {
 		globalTypes[k] = typeOfBoxed(v)
 	}
-	infOpts := inference.Options{DisableNullPruning: eng.opts.Sample.DisableNullOpt}
+	// A general plan's UDFs see every null the data holds: nothing is
+	// pruned on the sample's nulls, and no null fact seeds the analysis.
+	noNullOpt := general || eng.opts.Sample.DisableNullOpt
+	infOpts := inference.Options{DisableNullPruning: noNullOpt}
 	info, err := inference.TypeFunction(spec.Fn, paramTypes, globalTypes, infOpts)
 	if err != nil {
 		// Structural mismatch (e.g. wrong arity): the UDF can still run
@@ -1084,11 +1159,13 @@ func (eng *engine) compileUDF(spec *logical.UDFSpec, paramTypes []types.Type, sc
 	}
 	flow := dataflow.Analyze(info, dataflow.Options{
 		Columns:   colFacts,
-		NullFacts: !eng.opts.Sample.DisableNullOpt,
+		NullFacts: !noNullOpt,
 		Globals:   spec.Globals,
 	})
 	su.flow = flow
-	eng.reportLints(label, flow.Lints())
+	if !general {
+		eng.reportLints(label, flow.Lints())
+	}
 	cgOpts := eng.opts.Codegen
 	if cgOpts.Specialize {
 		cgOpts.Flow = flow
@@ -1262,6 +1339,11 @@ func (eng *engine) planSource(pl *stagePlan, source logical.Op, sr *stageRun) ([
 		pl.parse = csvio.NewParseSpec(csvDelim(src), plan.NumCols, fields, plan.Config.NullValues)
 		pl.nFields = len(fields)
 		pl.inSchema = schema
+		gcols := make([]types.Column, len(idxs))
+		for i, idx := range idxs {
+			gcols[i] = plan.GeneralSchema.Col(idx)
+		}
+		pl.generalIn = types.NewSchema(gcols)
 		return seedColFacts(schema, plan.Stats, idxs), dSample, nil
 	case *logical.TextSource:
 		colName := src.Column

@@ -85,7 +85,8 @@ type ChunkBatch struct {
 	Slow int
 }
 
-// Reject is one record the parser routes to the exception pool.
+// Reject is one record the parser routes to the exception pool
+// (RejectCause says why).
 type Reject struct {
 	// Rec is the record's index within the batch.
 	Rec int
@@ -112,6 +113,8 @@ type Reject struct {
 //     too many digits) goes through appendCell on its exact bytes.
 //   - A record holding a '"' that does not open, close or escape within
 //     a quoted cell is handed to ParseLineVecs whole and counted in Slow.
+//   - A general spec (NewGeneralParseSpec) reads every record with
+//     parseGeneral.
 //
 // Record boundaries, raw bytes, values and rejects are therefore those of
 // SplitRecords + ParseLineVecs; FuzzParseChunk holds the two to it.
@@ -174,6 +177,9 @@ const quoteWindow = 4 << 10
 //
 //tuplex:kernel
 func (p *ParseSpec) parseLine(line []byte, nq int, vecs []*colvec.Vec) (ec pyvalue.ExcKind, slow bool) {
+	if p.general {
+		return p.parseGeneral(line, vecs), false
+	}
 	n0 := 0
 	if len(vecs) > 0 {
 		n0 = vecs[0].Len()

@@ -1,7 +1,9 @@
 package csvio
 
 import (
+	"bytes"
 	"strings"
+	"unsafe"
 
 	"github.com/gotuplex/tuplex/internal/colvec"
 	"github.com/gotuplex/tuplex/internal/pyvalue"
@@ -19,6 +21,9 @@ import (
 //
 //tuplex:kernel
 func (p *ParseSpec) ParseLineVecs(line []byte, vecs []*colvec.Vec) pyvalue.ExcKind {
+	if p.general {
+		return p.parseGeneral(line, vecs)
+	}
 	n0 := 0
 	if len(vecs) > 0 {
 		n0 = vecs[0].Len()
@@ -90,6 +95,86 @@ func (p *ParseSpec) ParseLineVecs(line []byte, vecs []*colvec.Vec) pyvalue.ExcKi
 		return pyvalue.ExcBadParse
 	}
 	return 0
+}
+
+// parseGeneral is the general spec's reading of a record (see
+// NewGeneralParseSpec): the cells of SplitCells, each projected one
+// appended as the value SniffValue boxes it as, or the record rejected.
+func (p *ParseSpec) parseGeneral(line []byte, vecs []*colvec.Vec) pyvalue.ExcKind {
+	n0 := 0
+	if len(vecs) > 0 {
+		n0 = vecs[0].Len()
+	}
+	col, fi := 0, 0
+	for i := 0; ; col++ {
+		text, next, last := splitCell(line, i, p.Delim)
+		if fi < len(p.Fields) && p.Fields[fi].Col == col {
+			if !p.appendGeneral(text, p.kinds[fi], vecs[fi]) {
+				rollbackVecs(vecs, n0)
+				return pyvalue.ExcBadParse
+			}
+			fi++
+		}
+		if last {
+			break
+		}
+		i = next
+	}
+	if col+1 != p.NumCols || fi != len(p.Fields) {
+		rollbackVecs(vecs, n0)
+		return pyvalue.ExcBadParse
+	}
+	return 0
+}
+
+// appendGeneral appends the cell's SniffValue reading onto v if it is of
+// the field's type: its kind, or None where the type is an Option or Null.
+// Int and float fields read their common spellings without sniff: sniff
+// takes exactly the strict integer spellings for ints, and a decimal
+// spelling with a '.' for a float.
+func (p *ParseSpec) appendGeneral(text []byte, f fieldKind, v *colvec.Vec) bool {
+	k := f.kind
+	switch {
+	case p.isNullBytes(text, ""):
+		switch {
+		case k == types.KindNull:
+			v.AppendUnit()
+		case f.nullable:
+			v.AppendNull()
+		default:
+			return false
+		}
+		return true
+	case k == types.KindI64:
+		x, ok := parseI64(text)
+		if ok {
+			v.AppendI64(x)
+		}
+		return ok
+	case k == types.KindF64:
+		if x, ok := parseDecimal(text); ok {
+			if bytes.IndexByte(text, '.') < 0 {
+				return false // an int, or past int64 a string
+			}
+			v.AppendF64(x)
+			return true
+		}
+	}
+	// The view lives only for this call: sniff keeps no part of it.
+	c := sniff(unsafe.String(unsafe.SliceData(text), len(text)), p.NullValues)
+	switch {
+	case c.kind != k:
+		return false
+	case k == types.KindBool:
+		v.AppendBool(c.b)
+	case k == types.KindF64:
+		v.AppendF64(c.f)
+	case k == types.KindStr:
+		v.AppendStrBytes(text)
+	default:
+		return false
+	}
+	return true
 }
 
 func rollbackVecs(vecs []*colvec.Vec, n int) {

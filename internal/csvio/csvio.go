@@ -22,6 +22,7 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/gotuplex/tuplex/internal/colvec"
 	"github.com/gotuplex/tuplex/internal/pyvalue"
 	"github.com/gotuplex/tuplex/internal/rows"
 	"github.com/gotuplex/tuplex/internal/types"
@@ -110,63 +111,61 @@ func appendRecords(out [][]byte, data []byte, limit int, quotes bool) [][]byte {
 // ("" -> "). The scratch slice is reused when capacity allows.
 func SplitCells(line []byte, delim byte, scratch []string) []string {
 	cells := scratch[:0]
-	i := 0
+	for i := 0; ; {
+		text, next, last := splitCell(line, i, delim)
+		cells = append(cells, string(text))
+		if last {
+			return cells
+		}
+		i = next
+	}
+}
+
+// splitCell reads the cell starting at line[i] as SplitCells does and
+// returns its text, the offset of the next cell and whether this was the
+// record's last cell. A quoted cell loses its quotes and has "" unescaped;
+// garbage after its closing quote is kept verbatim, and an unclosed quote
+// runs to the end of the record (dirty data stays data, not an error).
+// The text aliases line unless it had to be built.
+func splitCell(line []byte, i int, delim byte) (text []byte, next int, last bool) {
 	n := len(line)
-	for {
-		if i >= n {
-			cells = append(cells, "")
-			return cells
-		}
-		if line[i] == '"' {
-			// Quoted cell.
-			var sb strings.Builder
-			i++
-			for i < n {
-				c := line[i]
-				if c == '"' {
-					if i+1 < n && line[i+1] == '"' {
-						sb.WriteByte('"')
-						i += 2
-						continue
-					}
-					i++
-					break
-				}
-				sb.WriteByte(c)
-				i++
-			}
-			cells = append(cells, sb.String())
-			if i < n && line[i] == delim {
-				i++
-				continue
-			}
-			if i >= n {
-				return cells
-			}
-			// Garbage after closing quote: take it verbatim to the next
-			// delimiter (dirty data stays data, not an error).
-			start := i
-			for i < n && line[i] != delim {
-				i++
-			}
-			cells[len(cells)-1] += string(line[start:i])
-			if i < n {
-				i++
-				continue
-			}
-			return cells
-		}
+	if i >= n || line[i] != '"' {
 		start := i
 		for i < n && line[i] != delim {
 			i++
 		}
-		cells = append(cells, string(line[start:i]))
-		if i < n {
-			i++ // skip delimiter
-			continue
-		}
-		return cells
+		return line[start:i], i + 1, i >= n
 	}
+	i++
+	start := i
+	var built []byte // only for "" escapes and trailing garbage
+	for i < n {
+		if line[i] == '"' {
+			if i+1 < n && line[i+1] == '"' {
+				built = append(built, line[start:i+1]...)
+				i += 2
+				start = i
+				continue
+			}
+			break
+		}
+		i++
+	}
+	text = line[start:i]
+	if built != nil {
+		text = append(built, text...)
+	}
+	if i < n {
+		i++ // closing quote
+	}
+	if i < n && line[i] != delim {
+		gs := i
+		for i < n && line[i] != delim {
+			i++
+		}
+		text = append(text[:len(text):len(text)], line[gs:i]...)
+	}
+	return text, i + 1, i >= n
 }
 
 // CountCells counts cells without materializing them. Quotes are only
@@ -219,6 +218,15 @@ type ParseSpec struct {
 	maxCol int
 	// ops is ParseChunk's per-column op table (chunkparse.go).
 	ops []colOp
+	// general selects the general-case reading (NewGeneralParseSpec);
+	// kinds caches each field's colvec.PayloadKind for it.
+	general bool
+	kinds   []fieldKind
+}
+
+type fieldKind struct {
+	kind     types.Kind
+	nullable bool
 }
 
 // NewParseSpec builds a parse plan. fields must be sorted by Col.
@@ -235,6 +243,23 @@ func NewParseSpec(delim byte, numCols int, fields []FieldSpec, nullValues []stri
 	}
 	p := &ParseSpec{Delim: delim, NumCols: numCols, Fields: fields, NullValues: nullValues, maxCol: maxCol}
 	p.buildOps()
+	return p
+}
+
+// NewGeneralParseSpec builds a parse plan for the general case: its
+// fields carry the general schema's types, and it reads a record as
+// GeneralParse does — SplitCells' cells, each boxed by SniffValue — and
+// accepts it only when it has numCols cells and every projected value is
+// of its field's kind (or None, where the field's type is an Option or
+// Null). An accepted record's vectors hold exactly GeneralParse's
+// projected values; any other record is rejected (parseGeneral).
+func NewGeneralParseSpec(delim byte, numCols int, fields []FieldSpec, nullValues []string) *ParseSpec {
+	p := NewParseSpec(delim, numCols, fields, nullValues)
+	p.general = true
+	p.kinds = make([]fieldKind, len(fields))
+	for i, f := range fields {
+		p.kinds[i].kind, p.kinds[i].nullable = colvec.PayloadKind(f.Type)
+	}
 	return p
 }
 
@@ -256,14 +281,22 @@ func (p *ParseSpec) IsNullCell(cell string) bool {
 // only, and numeric cells parse straight from the input bytes without a
 // string allocation (the "generated parser" advantage of §6.2.2).
 func (p *ParseSpec) ParseLine(line []byte, out rows.Row) pyvalue.ExcKind {
+	ec, _, _, _ := p.parseRow(line, out)
+	return ec
+}
+
+// parseRow is ParseLine reporting where a rejected record failed: the
+// index of the first projected field whose cell did not parse, with the
+// cell's bytes (raw, or cell when it needed unescaping), or -1 when the
+// column count was wrong.
+func (p *ParseSpec) parseRow(line []byte, out rows.Row) (ec pyvalue.ExcKind, field int, raw []byte, cell string) {
 	n := len(line)
 	i := 0
 	col := 0
 	fi := 0
 	for {
 		wanted := fi < len(p.Fields) && p.Fields[fi].Col == col
-		var raw []byte
-		var cell string
+		raw, cell = nil, ""
 		quoted := false
 		if i < n && line[i] == '"' {
 			quoted = true
@@ -307,7 +340,7 @@ func (p *ParseSpec) ParseLine(line []byte, out rows.Row) pyvalue.ExcKind {
 		}
 		if wanted {
 			if ec := p.parseCellBytes(raw, cell, quoted, p.Fields[fi].Type, &out[fi]); ec != 0 {
-				return ec
+				return ec, fi, raw, cell
 			}
 			fi++
 		}
@@ -317,13 +350,27 @@ func (p *ParseSpec) ParseLine(line []byte, out rows.Row) pyvalue.ExcKind {
 		}
 		i++ // delimiter
 	}
-	if col != p.NumCols {
-		return pyvalue.ExcBadParse
+	if col != p.NumCols || fi != len(p.Fields) {
+		return pyvalue.ExcBadParse, -1, nil, ""
 	}
-	if fi != len(p.Fields) {
-		return pyvalue.ExcBadParse
+	return 0, 0, nil, ""
+}
+
+// RejectCause says why the spec rejects a record: it names the first
+// cell that does not parse as its field's type — the field index and
+// the kind SniffValue reads in the cell: "empty", "null", "bool", "int",
+// "float" or "str" — or returns -1 and "ragged" for a wrong column
+// count. It parses the record again, so callers ask only for rejected
+// records. scratch holds len(p.Fields) slots.
+func (p *ParseSpec) RejectCause(line []byte, scratch rows.Row) (field int, kind string) {
+	ec, field, raw, cell := p.parseRow(line, scratch)
+	if ec == 0 || field < 0 {
+		return -1, "ragged"
 	}
-	return 0
+	if raw != nil {
+		cell = string(raw)
+	}
+	return field, sniffName(cell, p.NullValues)
 }
 
 // parseCellBytes parses one projected cell. raw holds the bytes unless
@@ -629,29 +676,81 @@ func GeneralParse(line []byte, delim byte, nullValues []string) []pyvalue.Value 
 // SniffValue converts a raw cell into the boxed value its spelling
 // suggests.
 func SniffValue(cell string, nullValues []string) pyvalue.Value {
+	switch c := sniff(cell, nullValues); c.kind {
+	case types.KindNull:
+		return pyvalue.None{}
+	case types.KindBool:
+		return pyvalue.Bool(c.b)
+	case types.KindI64:
+		return pyvalue.Int(c.i)
+	case types.KindF64:
+		return pyvalue.Float(c.f)
+	default:
+		return pyvalue.Str(cell)
+	}
+}
+
+// sniffed is SniffValue's reading of a cell, unboxed: its kind (KindNull
+// for a null spelling, KindStr for the cell text itself) and value.
+type sniffed struct {
+	kind types.Kind
+	b    bool
+	i    int64
+	f    float64
+}
+
+func sniff(cell string, nullValues []string) sniffed {
 	for _, nv := range nullValues {
 		if cell == nv {
-			return pyvalue.None{}
+			return sniffed{kind: types.KindNull}
 		}
 	}
-	if b, ok := ParseBool(cell); ok {
-		if cell == "0" || cell == "1" {
-			// Keep plain 0/1 cells as ints when boxing generally; the
-			// bool reading only wins when a column's histogram says so.
-			if cell == "0" {
-				return pyvalue.Int(0)
-			}
-			return pyvalue.Int(1)
+	if cell == "" {
+		return sniffed{kind: types.KindStr}
+	}
+	// Only a bool word starts with t or f, and only a number that is not
+	// inf or nan — the float readings without '.', 'e' or 'E' — with a
+	// sign, a digit or a '.': every other cell is a string, without the
+	// parsers' failed attempts. Plain 0/1 cells stay ints when boxing
+	// generally; the bool reading only wins when a column's histogram
+	// says so.
+	switch c := cell[0]; {
+	case c == 't' || c == 'T' || c == 'f' || c == 'F':
+		if b, ok := ParseBool(cell); ok {
+			return sniffed{kind: types.KindBool, b: b}
 		}
-		return pyvalue.Bool(b)
+		return sniffed{kind: types.KindStr}
+	case c != '+' && c != '-' && c != '.' && (c < '0' || c > '9'):
+		return sniffed{kind: types.KindStr}
 	}
 	if v, ok := ParseI64(cell); ok {
-		return pyvalue.Int(v)
+		return sniffed{kind: types.KindI64, i: v}
 	}
 	if f, ok := ParseF64(cell); ok && strings.ContainsAny(cell, ".eE") {
-		return pyvalue.Float(f)
+		return sniffed{kind: types.KindF64, f: f}
 	}
-	return pyvalue.Str(cell)
+	return sniffed{kind: types.KindStr}
+}
+
+// sniffName names a cell's sniffed kind for reject diagnostics: "empty"
+// for the empty cell, "null" for another null spelling, else the kind
+// SniffValue would box it as.
+func sniffName(cell string, nullValues []string) string {
+	switch sniff(cell, nullValues).kind {
+	case types.KindNull:
+		if cell == "" {
+			return "empty"
+		}
+		return "null"
+	case types.KindBool:
+		return "bool"
+	case types.KindI64:
+		return "int"
+	case types.KindF64:
+		return "float"
+	default:
+		return "str"
+	}
 }
 
 // ---- Writer ----

@@ -306,8 +306,10 @@ type CasePlan struct {
 	NumCols int
 	// Schema is the normal-case schema (δ-specialized types).
 	Schema *types.Schema
-	// GeneralSchema types every column most generally (Option over the
-	// widened type) for the general-case path.
+	// GeneralSchema is the schema a sample with the null optimization off
+	// gives (§6.3.3): Option[T] where the sample saw nulls, else T, T being
+	// the column's majority non-null type (Null for a column the sample
+	// saw only nulls in). The general-case plan compiles at it.
 	GeneralSchema *types.Schema
 	// SampleRows is how many rows the plan was derived from.
 	SampleRows int
@@ -380,11 +382,7 @@ func Sample(records [][]byte, delim byte, header []string, cfg Config) (*CasePla
 		}
 		nt := stats[i].normalType(cfg.Delta, cfg.DisableNullOpt, true)
 		cols[i] = types.Column{Name: name, Type: nt}
-		g := stats[i].majorityNonNull(true)
-		if !g.IsValid() {
-			g = types.Str
-		}
-		gcols[i] = types.Column{Name: name, Type: types.Option(g)}
+		gcols[i] = types.Column{Name: name, Type: stats[i].normalType(cfg.Delta, true, true)}
 	}
 	return &CasePlan{
 		NumCols:       numCols,
@@ -474,15 +472,13 @@ func SampleValues(rowsIn [][]pyvalue.Value, names []string, cfg Config) (*CasePl
 			name = names[i]
 		}
 		nt := stats[i].normalType(cfg.Delta, cfg.DisableNullOpt, false)
+		gt := stats[i].normalType(cfg.Delta, true, false)
 		if len(colTypes[i]) > 0 {
 			nt = types.UnifyAll(colTypes[i])
+			gt = nt
 		}
 		cols[i] = types.Column{Name: name, Type: nt}
-		g := stats[i].majorityNonNull(false)
-		if !g.IsValid() {
-			g = types.Str
-		}
-		gcols[i] = types.Column{Name: name, Type: types.Option(g)}
+		gcols[i] = types.Column{Name: name, Type: gt}
 	}
 	return &CasePlan{
 		NumCols:       numCols,

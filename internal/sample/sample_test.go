@@ -126,16 +126,37 @@ func TestDisableNullOptForcesOptions(t *testing.T) {
 	}
 }
 
-func TestGeneralSchemaIsAllOptions(t *testing.T) {
-	plan, err := Sample(recs("1,x", "2,y"), ',', nil, Config{})
+// TestGeneralSchemaIsNullOptOff: the general schema is the schema the
+// same sample gets with the null optimization off, whatever the
+// configuration says — Option[T] only where the sample saw a null, and
+// Null for a column it saw nothing else in.
+func TestGeneralSchemaIsNullOptOff(t *testing.T) {
+	lines := []string{"1,x,,", "2,y,,", "3,,,"}
+	for i := 0; i < 40; i++ {
+		lines = append(lines, fmt.Sprintf("%d,z%d,,", i, i))
+	}
+	lines = append(lines, "5,w,2.5,")
+	plan, err := Sample(recs(lines...), ',', []string{"a", "b", "c", "d"}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < plan.GeneralSchema.Len(); i++ {
-		ty := plan.GeneralSchema.Col(i).Type
-		if !ty.IsOption() {
-			t.Errorf("general col %d = %s, want Option", i, ty)
+	off, err := Sample(recs(lines...), ',', []string{"a", "b", "c", "d"}, Config{DisableNullOpt: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []types.Type{types.I64, types.Option(types.Str), types.Option(types.F64), types.Null}
+	for i, w := range want {
+		if got := plan.GeneralSchema.Col(i).Type; !types.Equal(got, w) {
+			t.Errorf("general col %d = %s, want %s", i, got, w)
 		}
+		if got := off.Schema.Col(i).Type; !types.Equal(got, w) {
+			t.Errorf("null-opt-off col %d = %s, want %s", i, got, w)
+		}
+	}
+	// With the null optimization on, the rare null in b and the rare
+	// value in c specialize the normal case away from the general one.
+	if got := plan.Schema.Col(2).Type; !types.Equal(got, types.Null) {
+		t.Errorf("normal col c = %s, want Null", got)
 	}
 }
 

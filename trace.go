@@ -3,6 +3,7 @@ package tuplex
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
@@ -121,6 +122,12 @@ type OpRouting struct {
 	// Bounced counts rows that left the columnar batch plane at this
 	// operator (the stage barrier) and finished on the row bridge.
 	Bounced int64 `json:"bounced,omitempty"`
+	// Rejects says why the source entry's classifier rejects left the
+	// normal case: counts keyed "<column> <sampled type>←<cell kind>" by
+	// the first cell of each rejected record that did not parse as its
+	// sampled type (the cell kind as the general path reads it: empty,
+	// null, bool, int, float or str), or "ragged" for a wrong cell count.
+	Rejects map[string]int64 `json:"rejects,omitempty"`
 }
 
 // ExceptionSample is one retained exception row (TraceSamples).
@@ -265,7 +272,7 @@ func renderSpan(sb *strings.Builder, s *Span, head, tail string) {
 	}
 	sb.WriteByte('\n')
 	for _, r := range s.Routing {
-		if r == (OpRouting{Op: r.Op}) {
+		if trace.OpRouting(r).Zero() {
 			continue
 		}
 		fmt.Fprintf(sb, "%s· %-12s", tail, r.Op)
@@ -280,6 +287,17 @@ func renderSpan(sb *strings.Builder, s *Span, head, tail string) {
 		writeCount(sb, "failed", r.Failed)
 		writeCount(sb, "bounced", r.Bounced)
 		sb.WriteByte('\n')
+		if len(r.Rejects) > 0 {
+			why := make([]string, 0, len(r.Rejects))
+			for k := range r.Rejects {
+				why = append(why, k)
+			}
+			sort.Strings(why)
+			for i, k := range why {
+				why[i] = fmt.Sprintf("%s=%d", k, r.Rejects[k])
+			}
+			fmt.Fprintf(sb, "%s  rejects: %s\n", tail, strings.Join(why, " "))
+		}
 	}
 	for _, e := range s.Samples {
 		fmt.Fprintf(sb, "%s! %s at %s (%s): %s\n", tail, e.Exc, e.Op, e.Outcome, e.Input)
