@@ -11,6 +11,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"github.com/gotuplex/tuplex/internal/spec"
 )
 
 // Client talks to a tuplex-serve daemon's /v1/jobs API. The zero value
@@ -271,28 +273,59 @@ func (c *Client) do(req *http.Request) (*Job, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
+	// Job replies carry their length: read one into one buffer.
+	var body bytes.Buffer
+	if n := resp.ContentLength; n > 0 {
+		body.Grow(int(min(n, 64<<20)) + bytes.MinRead)
+	}
+	if _, err := body.ReadFrom(resp.Body); err != nil {
 		return nil, err
 	}
+	raw := body.Bytes()
 	switch resp.StatusCode {
 	case http.StatusOK, http.StatusAccepted:
-		var j Job
-		if err := json.Unmarshal(raw, &j); err != nil {
+		j, err := decodeJob(raw)
+		if err != nil {
 			return nil, fmt.Errorf("tuplex service: decoding job: %w", err)
 		}
-		return &j, nil
+		return j, nil
 	case http.StatusInternalServerError, http.StatusGatewayTimeout:
 		// The body is still a job document for sync submissions that
 		// failed or were canceled.
-		var j Job
-		if err := json.Unmarshal(raw, &j); err == nil && j.ID != "" {
-			return &j, decodeError(resp.StatusCode, raw)
+		if j, err := decodeJob(raw); err == nil && j.ID != "" {
+			return j, decodeError(resp.StatusCode, raw)
 		}
 		return nil, decodeError(resp.StatusCode, raw)
 	default:
 		return nil, decodeError(resp.StatusCode, raw)
 	}
+}
+
+// decodeJob decodes a job document as json.Unmarshal does, and fails
+// exactly when it fails, but without encoding/json ever scanning
+// result.rows: the document is split at the rows array, the rest is
+// unmarshaled with the array replaced by null, and spec.DecodeRows reads
+// the array.
+func decodeJob(raw []byte) (*Job, error) {
+	var j Job
+	start, end, ok := spec.RowsSpan(raw)
+	if !ok {
+		if err := json.Unmarshal(raw, &j); err != nil {
+			return nil, err
+		}
+		return &j, nil
+	}
+	rest := make([]byte, 0, len(raw)-(end-start)+len("null"))
+	rest = append(append(append(rest, raw[:start]...), "null"...), raw[end:]...)
+	if err := json.Unmarshal(rest, &j); err != nil {
+		return nil, err
+	}
+	rows, err := spec.DecodeRows(raw[start:end])
+	if err != nil {
+		return nil, err
+	}
+	j.Result.Rows = rows
+	return &j, nil
 }
 
 func decodeError(code int, raw []byte) error {

@@ -45,7 +45,10 @@ type JobStatus struct {
 	// automatically when the job failed so the error payload carries its
 	// own context (admission, cache outcome, execution start).
 	Events []telemetry.FlightEvent `json:"events,omitempty"`
-	Result *JobResult              `json:"result,omitempty"`
+	// Result is a finished job's output. A job retains it encoded, and
+	// the reply splices those bytes in as this, the last member (see
+	// writeJob); the field gives the document its shape for decoders.
+	Result *JobResult `json:"result,omitempty"`
 }
 
 // JobResult carries a finished job's output and row accounting.
@@ -77,7 +80,9 @@ type job struct {
 	finished    time.Time
 	cancel      context.CancelFunc
 	err         error
-	result      *JobResult
+	// result is the finished job's JobResult, encoded once at finish
+	// (encodeResult); nil until then and for jobs that did not succeed.
+	result []byte
 
 	// Observability state (see trace.go): the correlation id, the
 	// service-side timing samples the job trace is assembled from, the
@@ -147,7 +152,7 @@ func (j *job) setRunning(cancel context.CancelFunc) {
 	j.mu.Unlock()
 }
 
-func (j *job) finish(state string, hit bool, res *JobResult, err error) {
+func (j *job) finish(state string, hit bool, res []byte, err error) {
 	j.mu.Lock()
 	j.state = state
 	j.cacheHit = hit
@@ -170,7 +175,14 @@ func (j *job) requestCancel() string {
 	return state
 }
 
+// status snapshots the job's wire form without its result.
 func (j *job) status() JobStatus {
+	s, _ := j.reply()
+	return s
+}
+
+// reply snapshots the job's status and its encoded result together.
+func (j *job) reply() (JobStatus, []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	s := JobStatus{
@@ -181,7 +193,6 @@ func (j *job) status() JobStatus {
 		TraceID:     j.traceID,
 		SubmittedAt: j.submitted,
 		Events:      j.events,
-		Result:      j.result,
 	}
 	end := j.finished
 	if end.IsZero() {
@@ -191,7 +202,7 @@ func (j *job) status() JobStatus {
 	if j.err != nil {
 		s.Error = j.err.Error()
 	}
-	return s
+	return s, j.result
 }
 
 // jobTable tracks live jobs plus a bounded ring of finished ones so

