@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt-check tuplex-vet plancheck race check bench bench-check bench-ingest bench-smoke telemetry-smoke serve-smoke trace-demo loc
+.PHONY: all build test vet fmt-check tuplex-vet plancheck race check bench bench-check bench-ingest bench-smoke fuzz-smoke telemetry-smoke serve-smoke trace-demo loc
 
 all: build test
 
@@ -65,6 +65,19 @@ bench-ingest:
 # without the timing cost of a real run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# About ten seconds of each csvio fuzz target (FUZZTIME to change it).
+# FuzzParseChunk holds the chunk parser's one walk per record to
+# SplitRecords + ParseLineVecs; the others hold the record scans, the
+# float parser, the general reading, cell splitting and the sniffer to
+# their references. Not part of `check`: it runs for about a minute.
+FUZZTIME ?= 10s
+CSVIO_FUZZ = FuzzParseChunk FuzzSplitRecords FuzzParseF64Bytes FuzzGeneralParse FuzzSplitCells FuzzSniffValue
+
+fuzz-smoke:
+	for f in $(CSVIO_FUZZ); do \
+		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) ./internal/csvio || exit 1; \
+	done
 
 # End-to-end check of the introspection server: tuplex-bench with
 # -listen, scrape /metrics and /debug/tuplex/runz, fail on non-200 or

@@ -23,7 +23,7 @@ func BenchmarkIngest(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Small chunks so even this bench-sized file spans many chunks, the
-	// way a paper-scale (multi-GB) input spans 16 MiB ones.
+	// way a paper-scale (multi-GB) input spans thousands of 1 MiB ones.
 	const chunk = 256 << 10
 	for _, execs := range []int{1, benchParallelism} {
 		b.Run(fmt.Sprintf("exec=%d", execs), func(b *testing.B) {

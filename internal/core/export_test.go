@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"sync"
 
+	"github.com/gotuplex/tuplex/internal/csvio"
 	"github.com/gotuplex/tuplex/internal/metrics"
 )
 
@@ -120,4 +122,29 @@ func (cp *CompiledPlan) ResolveBench() (run func() (int, error), err error) {
 		_, err := eng.resolveExceptions(sr, out)
 		return len(pool), err
 	}, nil
+}
+
+// CountChunkBuffers makes the sources opened until restore is called
+// record their chunk pools; buffers reports how many chunk buffers those
+// pools have allocated so far.
+func CountChunkBuffers() (buffers func() int, restore func()) {
+	var mu sync.Mutex
+	var pools []*csvio.ChunkPool
+	newChunkPool = func(size int) *csvio.ChunkPool {
+		p := csvio.NewChunkPool(size)
+		mu.Lock()
+		pools = append(pools, p)
+		mu.Unlock()
+		return p
+	}
+	buffers = func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		n := 0
+		for _, p := range pools {
+			n += p.Buffers()
+		}
+		return n
+	}
+	return buffers, func() { newChunkPool = csvio.NewChunkPool }
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"sync"
 
 	"github.com/gotuplex/tuplex/internal/csvio"
 )
@@ -97,6 +96,10 @@ func (eng *engine) chunkSize(total int64) int {
 	return int(min(size, int64(eng.opts.ChunkSize)))
 }
 
+// newChunkPool makes the chunk pool of one source; a job's chunks
+// recycle its buffers (tests count them through it).
+var newChunkPool = csvio.NewChunkPool
+
 // openStreamSource opens a CSV or text source for chunked ingest and
 // reads just enough prefix chunks to sample the normal case.
 func (eng *engine) openStreamSource(pathSpec string, data []byte, delim byte, header bool, mode csvio.ChunkMode) (*streamSource, error) {
@@ -113,7 +116,7 @@ func (eng *engine) openStreamSource(pathSpec string, data []byte, delim byte, he
 		delim:  delim,
 		strip:  header,
 		size:   size,
-		pool:   csvio.NewChunkPool(size),
+		pool:   newChunkPool(size),
 	}
 	ss := &streamSource{prod: prod}
 	if mode == csvio.ChunkText {
@@ -149,7 +152,7 @@ type chunkProducer struct {
 	delim  byte
 	strip  bool
 	size   int
-	pool   *sync.Pool
+	pool   *csvio.ChunkPool
 
 	inIdx        int
 	f            *os.File // the open input file (nil for inline data)

@@ -28,8 +28,11 @@ const (
 	ChunkText
 )
 
-// DefaultChunkSize is the streaming ingest chunk size (~16 MiB).
-const DefaultChunkSize = 16 << 20
+// DefaultChunkSize is the streaming ingest chunk size (1 MiB): small
+// enough that the first chunk — the sampling prefix — is read in about a
+// millisecond and that a job holds only a few MiB of recycled buffers,
+// large enough that a task's fixed cost stays small beside its parse.
+const DefaultChunkSize = 1 << 20
 
 // Chunk is one record-aligned slice of the input. Data aliases a pooled
 // buffer: callers must not retain Data (or sub-slices of it) past
@@ -42,29 +45,69 @@ type Chunk struct {
 	Index int
 
 	buf  []byte
-	pool *sync.Pool
+	pool *ChunkPool
 }
 
 // Release returns the chunk's backing buffer to the pool for reuse.
 func (c *Chunk) Release() {
 	if c.pool != nil && c.buf != nil {
-		buf := c.buf
-		c.pool.Put(&buf)
+		c.pool.put(c.buf)
 		c.buf, c.Data, c.pool = nil, nil, nil
 	}
 }
 
-// NewChunkPool returns a buffer pool for chunks of the given size. One
-// pool can back many readers; steady-state ingest then performs zero
-// large allocations (buffers cycle producer → worker → pool).
-func NewChunkPool(size int) *sync.Pool {
+// ChunkPool recycles chunk buffers of one size. One pool can back many
+// readers; a released chunk's buffer is the next chunk's, so a stream
+// allocates only as many buffers as it holds at once, however many
+// chunks it reads (buffers cycle producer → worker → pool). Unlike a
+// sync.Pool it never drops a buffer to the collector, which would have to
+// be faulted in and zeroed again.
+type ChunkPool struct {
+	size int
+
+	mu      sync.Mutex
+	free    [][]byte
+	buffers int
+}
+
+// NewChunkPool returns a buffer pool for chunks of the given size (0
+// uses DefaultChunkSize).
+func NewChunkPool(size int) *ChunkPool {
 	if size <= 0 {
 		size = DefaultChunkSize
 	}
-	return &sync.Pool{New: func() any {
-		buf := make([]byte, size)
-		return &buf
-	}}
+	return &ChunkPool{size: size}
+}
+
+// Buffers reports how many buffers the pool has allocated.
+func (p *ChunkPool) Buffers() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.buffers
+}
+
+func (p *ChunkPool) get() []byte {
+	p.mu.Lock()
+	if k := len(p.free); k > 0 {
+		buf := p.free[k-1]
+		p.free = p.free[:k-1]
+		p.mu.Unlock()
+		return buf
+	}
+	p.buffers++
+	p.mu.Unlock()
+	return make([]byte, p.size)
+}
+
+// put takes a buffer back; one grown past the pool's size for an
+// oversized record is left to the collector.
+func (p *ChunkPool) put(buf []byte) {
+	if len(buf) != p.size {
+		return
+	}
+	p.mu.Lock()
+	p.free = append(p.free, buf)
+	p.mu.Unlock()
 }
 
 // ChunkReader streams record-aligned chunks from r.
@@ -72,7 +115,7 @@ type ChunkReader struct {
 	r    io.Reader
 	mode ChunkMode
 	size int
-	pool *sync.Pool
+	pool *ChunkPool
 
 	// carry holds the partial record trailing the last emitted chunk; it
 	// is owned by the reader and prepended to the next chunk.
@@ -84,8 +127,9 @@ type ChunkReader struct {
 
 // NewChunkReader wraps r. size is the target chunk size (0 uses
 // DefaultChunkSize); pool supplies chunk buffers (nil allocates a
-// private pool).
-func NewChunkReader(r io.Reader, mode ChunkMode, size int, pool *sync.Pool) *ChunkReader {
+// private pool). A chunk fills one buffer, so a shared pool should be
+// of the same size.
+func NewChunkReader(r io.Reader, mode ChunkMode, size int, pool *ChunkPool) *ChunkReader {
 	if size <= 0 {
 		size = DefaultChunkSize
 	}
@@ -104,47 +148,33 @@ func (cr *ChunkReader) Next() (*Chunk, error) {
 	if cr.eof && len(cr.carry) == 0 {
 		return nil, io.EOF
 	}
-	bufp := cr.pool.Get().(*[]byte)
-	buf := *bufp
-	if cap(buf) < cr.size {
-		buf = make([]byte, cr.size)
-	}
-	if len(cr.carry) > cap(buf) {
-		// An oversized-record round left more carry than one chunk;
-		// return the pooled buffer and take a bigger one.
-		cr.pool.Put(&buf)
+	buf := cr.pool.get()
+	if len(cr.carry) >= len(buf) {
+		// A grown chunk left more carry than one buffer holds; take a
+		// buffer with room for it and one read more.
+		cr.pool.put(buf)
 		buf = make([]byte, len(cr.carry)+cr.size)
 	}
-	buf = buf[:cap(buf)]
 	data := buf[:copy(buf, cr.carry)]
 	cr.carry = cr.carry[:0]
-
+	// data[:scanned] holds no record terminator and quotes '"'.
+	scanned, quotes := 0, 0
 	for {
 		if !cr.eof {
-			// Fill up to the target size (at least one read past the
-			// carried bytes).
-			want := cr.size - len(data)
-			if want <= 0 {
-				want = cr.size
-			}
-			if len(data)+want > cap(buf) {
-				grown := make([]byte, len(data), len(data)+want)
-				copy(grown, data)
-				buf, data = grown, grown
-			}
-			n, err := io.ReadFull(cr.r, buf[len(data):len(data)+want])
-			data = data[:len(data)+n]
+			// Fill the buffer (at least one read past the carried bytes).
+			n, err := io.ReadFull(cr.r, buf[len(data):])
+			data = buf[:len(data)+n]
 			cr.bytes += int64(n)
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 				cr.eof = true
 			} else if err != nil {
-				cr.pool.Put(&buf)
+				cr.pool.put(buf)
 				return nil, err
 			}
 		}
 		if cr.eof {
 			if len(data) == 0 {
-				cr.pool.Put(&buf)
+				cr.pool.put(buf)
 				return nil, io.EOF
 			}
 			// Final chunk: the trailing record needs no terminator.
@@ -152,38 +182,52 @@ func (cr *ChunkReader) Next() (*Chunk, error) {
 			cr.idx++
 			return c, nil
 		}
-		cut := lastRecordEnd(data, cr.mode)
+		cut, q := lastRecordEnd(data, scanned, quotes, cr.mode)
 		if cut > 0 {
 			cr.carry = append(cr.carry[:0], data[cut:]...)
 			c := &Chunk{Data: data[:cut], Index: cr.idx, buf: buf, pool: cr.pool}
 			cr.idx++
 			return c, nil
 		}
-		// No record terminator yet: a record larger than the chunk size.
-		// Keep reading into a grown buffer until one appears (or EOF).
+		// No record terminator yet: a record larger than the buffer.
+		// Double it and read on, rescanning nothing, so the record costs
+		// time and memory linear in its size.
+		scanned, quotes = len(data), q
+		grown := make([]byte, 2*len(buf))
+		copy(grown, data)
+		cr.pool.put(buf)
+		buf, data = grown, grown[:len(data)]
 	}
 }
 
 // lastRecordEnd returns the index just past the last record terminator
-// in data, or 0 if none. data must start at a record boundary, so CSV
-// quote parity starts closed: a newline terminates a record exactly when
-// an even number of '"' precede it. Walking candidates from the end with
-// the vectorized LastIndexByte/Count keeps the single producer goroutine
-// off a per-byte loop — the last newline almost always qualifies.
-func lastRecordEnd(data []byte, mode ChunkMode) int {
+// in data, or 0 if none, and the count of '"' in data. data must start
+// at a record boundary, so CSV quote parity starts closed: a newline
+// terminates a record exactly when an even number of '"' precede it.
+// data[:from] holds no terminator and q '"' (an earlier scan of the same
+// record), so only data[from:] is searched. Walking candidates from the
+// end with the vectorized LastIndexByte/Count keeps the single producer
+// goroutine off a per-byte loop — the last newline almost always
+// qualifies.
+func lastRecordEnd(data []byte, from, q int, mode ChunkMode) (cut, quotes int) {
 	if mode == ChunkText {
-		return bytes.LastIndexByte(data, '\n') + 1
+		if i := bytes.LastIndexByte(data[from:], '\n'); i >= 0 {
+			return from + i + 1, 0
+		}
+		return 0, 0
 	}
-	quotes := bytes.Count(data, quoteSep) // quotes before end
+	quotes = q + bytes.Count(data[from:], quoteSep)
+	before := quotes // '"' before end
 	end := len(data)
 	for {
-		i := bytes.LastIndexByte(data[:end], '\n')
+		i := bytes.LastIndexByte(data[from:end], '\n')
 		if i < 0 {
-			return 0
+			return 0, quotes
 		}
-		quotes -= bytes.Count(data[i:end], quoteSep)
-		if quotes&1 == 0 {
-			return i + 1
+		i += from
+		before -= bytes.Count(data[i:end], quoteSep)
+		if before&1 == 0 {
+			return i + 1, quotes
 		}
 		end = i
 	}

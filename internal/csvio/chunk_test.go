@@ -3,6 +3,8 @@ package csvio
 import (
 	"bytes"
 	"io"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -114,6 +116,44 @@ func TestChunkReaderRecordLargerThanChunk(t *testing.T) {
 				t.Fatalf("size %d: record %d mismatch", size, i)
 			}
 		}
+	}
+}
+
+// TestChunkReaderOversizedRecordLinear streams a 4 MB quoted record,
+// newlines inside, at the 64 KiB chunk floor. The chunks are the record
+// before it, then the record whole with the short record after it, and
+// reading them allocates a small multiple of the record: the buffer
+// doubles and the quote count carries forward, where growing it by one
+// chunk per round and recounting it cost time and memory quadratic in
+// the record.
+func TestChunkReaderOversizedRecordLinear(t *testing.T) {
+	big := `b,"` + strings.Repeat(strings.Repeat("x", 99)+"\n", 40_000) + `"` + "\n"
+	data := []byte("a,1\n" + big + "c,3\n")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cr := NewChunkReader(bytes.NewReader(data), ChunkCSV, 64<<10, nil)
+	var lens []int
+	for off := 0; ; {
+		c, err := cr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(c.Data, data[off:off+len(c.Data)]) {
+			t.Fatalf("chunk %d differs from the input at %d", len(lens), off)
+		}
+		off += len(c.Data)
+		lens = append(lens, len(c.Data))
+		c.Release()
+	}
+	runtime.ReadMemStats(&after)
+	if want := []int{4, len(data) - 4}; !slices.Equal(lens, want) {
+		t.Fatalf("chunk lengths %v, want %v", lens, want)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4*uint64(len(big)) {
+		t.Fatalf("reading a %d-byte record allocated %d bytes", len(big), alloc)
 	}
 }
 

@@ -83,6 +83,10 @@ type ChunkBatch struct {
 	Records int
 	// Slow counts the records handed to ParseLineVecs.
 	Slow int
+
+	// qf is where the last search for a '"' stopped: the chunk holds no
+	// '"' between the current record's start and qf (see bound).
+	qf int
 }
 
 // Reject is one record the parser routes to the exception pool
@@ -98,19 +102,24 @@ type Reject struct {
 // boundary pos, into vecs (vecs[i] receives p.Fields[i]; all the same
 // length on entry) and returns the offset of the first record it did not
 // consume — len(data) once the chunk is done. It is SplitRecords and
-// then ParseLineVecs on each record, fused:
+// then ParseLineVecs on each record, fused into one walk per record
+// (parseLine):
 //
-//   - A record ends at the next newline when no '"' comes before it,
-//     which one vectorized IndexByte finds (quotes are searched a window
-//     ahead, so quote-free data pays no per-record search); otherwise
-//     SplitRecords' quote-parity scan (nextTerminator) cuts it.
 //   - The cells are walked as ParseLineVecs walks them, but the spec's op
 //     table decides per column: unprojected cells are scanned past,
-//     string cells append their bytes, and int and float cells parse in
+//     string cells find their end with one vectorized IndexByte and
+//     append their bytes, and int and float cells parse in
 //     place — the digit loop of scanI64 / scanDecimal stops at the byte
 //     that must end the cell, so no separate delimiter scan runs. Every
 //     cell off those paths (a quoted cell, a null spelling, an exponent,
 //     too many digits) goes through appendCell on its exact bytes.
+//   - A record of in-place numbers is read once: the digit loop that
+//     stops at a delimiter also stops at the '\n' (or CRLF) that ends the
+//     record. The record's end is searched for only when the walk first
+//     reaches a cell that needs it (bound): one vectorized IndexByte finds
+//     the next newline, and when a '"' comes before it (quotes are
+//     searched a window ahead, so quote-free data pays no per-record
+//     search) SplitRecords' quote-parity scan (nextTerminator) cuts it.
 //   - A record holding a '"' that does not open, close or escape within
 //     a quoted cell is handed to ParseLineVecs whole and counted in Slow.
 //   - A general spec (NewGeneralParseSpec) reads every record with
@@ -121,49 +130,22 @@ type Reject struct {
 //
 //tuplex:kernel
 func (p *ParseSpec) ParseChunk(data []byte, pos, limit int, vecs []*colvec.Vec, b *ChunkBatch) int {
-	b.Raws, b.Rejects, b.Records, b.Slow = b.Raws[:0], b.Rejects[:0], 0, 0
-	n := len(data)
-	// data[pos:qf] holds no '"'; qf is n, a '"', or the end of the last
-	// window searched.
-	qf := pos
-	for ; b.Records < limit; b.Records++ {
+	raws, recs, n := b.Raws[:0], 0, len(data)
+	b.Rejects, b.Slow, b.qf = b.Rejects[:0], 0, pos
+	for ; recs < limit; recs++ {
 		if rest := n - pos; rest == 0 || rest == 1 && data[pos] == '\r' {
-			return n // an empty final record, which SplitRecords drops
+			pos = n // an empty final record, which SplitRecords drops
+			break
 		}
-		nl := n
-		if j := bytes.IndexByte(data[pos:], '\n'); j >= 0 {
-			nl = pos + j
-		}
-		qf = max(qf, pos)
-		for qf < nl && data[qf] != '"' {
-			w := data[qf:min(n, qf+quoteWindow)]
-			if j := bytes.IndexByte(w, '"'); j >= 0 {
-				qf += j
-			} else {
-				qf += len(w)
-			}
-		}
-		nq := 0
-		if qf < nl {
-			if nl, nq = nextTerminator(data, pos, true); nl < 0 {
-				nl = n
-			}
-		}
-		end := nl
-		if end > pos && data[end-1] == '\r' {
-			end--
-		}
-		ec, slow := p.parseLine(data[pos:end], nq, vecs)
-		if slow {
-			b.Slow++
-		}
+		end, next, ec := p.parseLine(data, pos, vecs, b)
 		if ec != 0 {
-			b.Rejects = append(b.Rejects, Reject{Rec: b.Records, Raw: data[pos:end], EC: ec})
+			b.Rejects = append(b.Rejects, Reject{Rec: recs, Raw: data[pos:end], EC: ec})
 		} else {
-			b.Raws = append(b.Raws, data[pos:end])
+			raws = append(raws, data[pos:end])
 		}
-		pos = min(nl+1, n)
+		pos = next
 	}
+	b.Raws, b.Records = raws, recs
 	return pos
 }
 
@@ -171,21 +153,90 @@ func (p *ParseSpec) ParseChunk(data []byte, pos, limit int, vecs []*colvec.Vec, 
 // cover about the bytes it parses, not the rest of the chunk.
 const quoteWindow = 4 << 10
 
-// parseLine parses one record holding nq '"' into vecs; slow reports it
-// went to ParseLineVecs. A rejected record leaves the vectors as it found
-// them.
+// bound finds the end of the record starting at data[pos], whose bytes
+// before from hold no '"' and no '\n': end is the end of its body (a
+// CRLF's CR trimmed), next the start of the record after it (len(data)
+// when none) and nq the count of its '"'.
+func (b *ChunkBatch) bound(data []byte, pos, from int) (end, next, nq int) {
+	n := len(data)
+	nl := n
+	if j := bytes.IndexByte(data[from:], '\n'); j >= 0 {
+		nl = from + j
+	}
+	qf := max(b.qf, from)
+	for qf < nl && data[qf] != '"' {
+		w := data[qf:min(n, qf+quoteWindow)]
+		if j := bytes.IndexByte(w, '"'); j >= 0 {
+			qf += j
+		} else {
+			qf += len(w)
+		}
+	}
+	b.qf = qf
+	if qf < nl {
+		if nl, nq = nextTerminator(data, pos, true); nl < 0 {
+			nl = n
+		}
+	}
+	end = nl
+	if end > pos && data[end-1] == '\r' {
+		end--
+	}
+	return end, min(nl+1, n), nq
+}
+
+// parseLine parses the record starting at data[pos] into vecs and
+// returns the end of its body (a CRLF's CR trimmed) and the start of the
+// next record. It is the only walk over the record. Its first leg
+// (numbers) reads in-place numbers straight off the chunk; when the
+// terminator that stops the last of them ends the record, the record was
+// read once. Otherwise, at the first cell that needs the record's end —
+// a string, skipped, quoted or appendCell cell, or a number followed by
+// anything but a delimiter or a terminator — bound finds it, and cells
+// walks on within it. A record handed to ParseLineVecs counts in b.Slow;
+// a rejected record leaves the vectors as it found them.
 //
 //tuplex:kernel
-func (p *ParseSpec) parseLine(line []byte, nq int, vecs []*colvec.Vec) (ec pyvalue.ExcKind, slow bool) {
-	if p.general {
-		return p.parseGeneral(line, vecs), false
-	}
+func (p *ParseSpec) parseLine(data []byte, pos int, vecs []*colvec.Vec, b *ChunkBatch) (end, next int, ec pyvalue.ExcKind) {
 	n0 := 0
 	if len(vecs) > 0 {
 		n0 = vecs[0].Len()
 	}
+	i, col := pos, 0
+	if !p.general && len(p.ops) > 0 && (p.ops[0].op == opI64 || p.ops[0].op == opF64) {
+		var ended bool
+		if i, col, ended = p.numbers(data, pos, vecs); ended {
+			end, next = i, min(i+1, len(data))
+			if i < len(data) && data[i] == '\r' {
+				next = min(i+2, len(data))
+			}
+			if col != p.NumCols || col <= p.maxCol {
+				rollbackVecs(vecs, n0)
+				return end, next, pyvalue.ExcBadParse
+			}
+			return end, next, 0
+		}
+	}
+	end, next, nq := b.bound(data, pos, i)
+	line := data[pos:end]
+	if p.general {
+		return end, next, p.parseGeneral(line, vecs)
+	}
+	ec, slow := p.cells(line, i-pos, col, nq, n0, vecs)
+	if slow {
+		b.Slow++
+	}
+	return end, next, ec
+}
+
+// cells walks the rest of the record line, holding nq '"', from the
+// cell at line[i], column col; the vectors held n0 rows when the record
+// began. slow reports the record went to ParseLineVecs.
+//
+//tuplex:kernel
+func (p *ParseSpec) cells(line []byte, i, col, nq, n0 int, vecs []*colvec.Vec) (ec pyvalue.ExcKind, slow bool) {
 	ops, delim, n := p.ops, p.Delim, len(line)
-	i, col, quotes := 0, 0, 0
+	quotes := 0
 	for {
 		var op colOp // opSkip past the last projected column
 		if col < len(ops) {
@@ -226,8 +277,18 @@ func (p *ParseSpec) parseLine(line []byte, nq int, vecs []*colvec.Vec) (ec pyval
 			}
 		default:
 			cs := i
-			for i < n && line[i] != delim {
-				i++
+			if op.op == opStr {
+				// String cells run long enough to pay for a vectorized
+				// search; skipped ones are mostly short or empty.
+				if j := bytes.IndexByte(line[i:], delim); j >= 0 {
+					i += j
+				} else {
+					i = n
+				}
+			} else {
+				for i < n && line[i] != delim {
+					i++
+				}
 			}
 			switch op.op {
 			case opSkip:
@@ -260,6 +321,54 @@ func (p *ParseSpec) parseLine(line []byte, nq int, vecs []*colvec.Vec) (ec pyval
 		return pyvalue.ExcBadParse, false
 	}
 	return 0, false
+}
+
+// numbers is parseLine's first leg: from the record's start data[i] it
+// appends in-place numbers, cell after cell, while each one's digits run
+// to a delimiter, and returns the offset and column of the first cell
+// that is not one — or, with ended, the offset of the record terminator
+// (or the chunk's end) that stopped the last. It reads no '"' or
+// newline as a delimiter: with such a delimiter it reads one cell at
+// most. Kept apart from parseLine's other cases, its loop runs in
+// registers.
+func (p *ParseSpec) numbers(data []byte, i int, vecs []*colvec.Vec) (int, int, bool) {
+	ops, dl := p.ops, int(p.Delim)
+	if p.Delim == '"' || p.Delim == '\n' || p.Delim == '\r' {
+		dl = -1
+	}
+	for col := 0; col < len(ops); {
+		op := ops[col]
+		var e int
+		switch op.op {
+		case opI64:
+			var x int64
+			if x, e = scanI64(data, i); e < 0 || e < len(data) && int(data[e]) != dl && !endsRecord(data, e) {
+				return i, col, false
+			}
+			vecs[op.field].AppendI64(x)
+		case opF64:
+			var x float64
+			if x, e = scanDecimal(data, i); e < 0 || e < len(data) && int(data[e]) != dl && !endsRecord(data, e) {
+				return i, col, false
+			}
+			vecs[op.field].AppendF64(x)
+		default:
+			return i, col, false
+		}
+		col++
+		if e == len(data) || int(data[e]) != dl {
+			return e, col, true
+		}
+		i = e + 1
+	}
+	return i, len(ops), false
+}
+
+// endsRecord reports whether data[i] ends the record's body: a '\n', or
+// a '\r' that starts a CRLF or is the chunk's last byte.
+func endsRecord(data []byte, i int) bool {
+	c := data[i]
+	return c == '\n' || c == '\r' && (i+1 == len(data) || data[i+1] == '\n')
 }
 
 // quotedCell scans the quoted cell opening at line[i] as ParseLineVecs

@@ -9,12 +9,16 @@ import (
 	"github.com/gotuplex/tuplex/internal/sample"
 )
 
+// benchChunkSize pins the benchmark's input to one 16 MiB chunk, whatever
+// the ingest default, so its MB/s stay comparable across changes to it.
+const benchChunkSize = 16 << 20
+
 // benchChunk generates a workload file, takes its first 16 MiB chunk the
 // way streamed ingest does (header stripped), and builds the parse spec
 // the sample yields, projecting every every-th column.
 func benchChunk(b *testing.B, raw []byte, every int) ([]byte, *csvio.ParseSpec) {
 	b.Helper()
-	cr := csvio.NewChunkReader(bytes.NewReader(raw), csvio.ChunkCSV, csvio.DefaultChunkSize, nil)
+	cr := csvio.NewChunkReader(bytes.NewReader(raw), csvio.ChunkCSV, benchChunkSize, nil)
 	c, err := cr.Next()
 	if err != nil {
 		b.Fatal(err)

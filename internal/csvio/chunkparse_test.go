@@ -108,16 +108,22 @@ func sameVecs(t *testing.T, got, want []*colvec.Vec) {
 // randSpec derives a parse spec from seed: 1–6 columns, a random subset
 // projected with Option/Null/Str/I64/F64/Bool types, a delimiter (now
 // and then one that collides with the record syntax) and null spellings,
-// some of which read as numbers.
+// some of which read as numbers. About a third of the specs project
+// every column as an int or a float: the shape whose records the walk
+// ends without searching for their terminator.
 func randSpec(seed uint64) *ParseSpec {
 	r := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
 	delims := []byte{',', ',', ',', ';', '\t', '|', ':', '\r', '"', '\n'}
 	nulls := [][]string{nil, {""}, {"", "n/a", "N/A"}, {"NA"}, {"0", ""}, {"-1"}, {"1.5", "n/a"}}
 	kinds := []types.Type{types.I64, types.F64, types.Str, types.Bool, types.Null}
+	numeric := r.IntN(3) == 0
+	if numeric {
+		kinds = kinds[:2]
+	}
 	numCols := 1 + r.IntN(6)
 	var fields []FieldSpec
 	for c := range numCols {
-		if r.IntN(10) < 6 {
+		if numeric || r.IntN(10) < 6 {
 			t := kinds[r.IntN(len(kinds))]
 			if r.IntN(2) == 0 {
 				t = types.Option(t)
@@ -264,6 +270,10 @@ func FuzzParseChunk(f *testing.F) {
 		"999999999999999999,1\n9223372036854775807,2\n9223372036854775808,3\n18446744073709551616,4\n",
 		"12345678901234567890.5,1\n1e5,2\n1.5E-3,3\n0.06,4\n",
 		"n/a,N/A\nNA,\n-1,0\n", "\"unterminated,1\n2,3\n",
+		// The edges of a record the walk ends by itself: CRLF endings, a
+		// bare '\r' ending the last record, a '\r' or a '"' right after a
+		// digit mid-record, an unterminated final record.
+		"1,2.5\r\n3,4\r\n", "1,2\n3,4\r", "1\r2,3\n4,5\n", "1,2\"3\n4,5\"\n6,7\n", "1,2\n3,4",
 	}
 	for i, s := range seeds {
 		f.Add([]byte(s), uint64(i), uint16(i))

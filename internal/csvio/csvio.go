@@ -85,7 +85,7 @@ func SplitRecords(data []byte) [][]byte {
 
 // AppendRecords appends the first limit records SplitRecords would
 // return for data to dst, without splitting the rest: sampling reads the
-// first thousand records of a 16 MiB chunk.
+// first thousand records of a chunk.
 func AppendRecords(dst [][]byte, data []byte, limit int) [][]byte {
 	// Parity counting on quote-free records finds the same terminators.
 	return appendRecords(dst, data, limit, true)

@@ -215,8 +215,17 @@ func checkSplit(t *testing.T, data []byte) {
 		}
 	}
 	for _, mode := range []ChunkMode{ChunkCSV, ChunkText} {
-		if got, want := lastRecordEnd(data, mode), lastRecordEndRef(data, mode); got != want {
-			t.Fatalf("lastRecordEnd(%q, %d) = %d, reference says %d", data, mode, got, want)
+		// Resumed after every prefix that holds no terminator, as a
+		// growing chunk resumes it.
+		want := lastRecordEndRef(data, mode)
+		for from := 0; from <= len(data) && lastRecordEndRef(data[:from], mode) == 0; from++ {
+			got, quotes := lastRecordEnd(data, from, bytes.Count(data[:from], quoteSep), mode)
+			if got != want {
+				t.Fatalf("lastRecordEnd(%q, %d, from %d) = %d, reference says %d", data, mode, from, got, want)
+			}
+			if mode == ChunkCSV && quotes != bytes.Count(data, quoteSep) {
+				t.Fatalf("lastRecordEnd(%q, from %d) counted %d quotes", data, from, quotes)
+			}
 		}
 		if got, want := SkipFirstRecord(data, mode), skipFirstRecordRef(data, mode); got != want {
 			t.Fatalf("SkipFirstRecord(%q, %d) = %d, reference says %d", data, mode, got, want)

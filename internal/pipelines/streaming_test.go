@@ -22,7 +22,7 @@ import (
 // exception samples in pool order and routing ledger. Each Appendix-A
 // pipeline runs over its input as inline data (the reference) and from
 // on-disk files at chunk sizes from 4 KiB (many record-boundary and
-// batch seams per file) to the default 16 MiB cap, on one and several
+// batch seams per file) to the default 1 MiB cap, on one and several
 // executors, and all must agree.
 
 func writeTemp(t *testing.T, name string, b []byte) string {
@@ -473,7 +473,7 @@ func TestInlineSourceIngestMetrics(t *testing.T) {
 }
 
 // TestSmallFileSmallChunk: a 2 KB file takes a chunk buffer sized to
-// the file (the 64 KiB floor), not the 16 MiB cap.
+// the file (the 64 KiB floor), not the 1 MiB cap.
 func TestSmallFileSmallChunk(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("id,name\n")

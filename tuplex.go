@@ -135,7 +135,7 @@ func WithPartitionRows(n int) Option {
 	return Option{apply: func(o *core.Options) { o.PartitionRows = n }}
 }
 
-// WithChunkSize caps the ingest chunk size in bytes (default ~16 MiB).
+// WithChunkSize caps the ingest chunk size in bytes (default 1 MiB).
 // CSV and text sources, files and inline data alike, are read in chunks
 // of about input bytes / (4 * executors), at least 64 KiB and at most n;
 // each chunk becomes one partition task, so smaller chunks expose more
