@@ -1,4 +1,4 @@
-package pipelines
+package tuplex_test
 
 import (
 	"bytes"
@@ -12,13 +12,14 @@ import (
 
 	tuplex "github.com/gotuplex/tuplex"
 	"github.com/gotuplex/tuplex/internal/data"
+	"github.com/gotuplex/tuplex/internal/pipelines"
 	"github.com/gotuplex/tuplex/internal/pyvalue"
 )
 
 // The collect sink keeps the final stage's output in column vectors and
 // boxes them at finish, merging resolved exception rows back in by order
 // key. These differentials hold it to the two other ways the same rows
-// leave the engine: the boxed row plane's Collect (value and Go type of
+// leave the engine: the row reference's Collect (value and Go type of
 // every cell) and the CSV sink (every cell's rendering), at 1–4
 // executors, over inputs that stress the merge and the vector kinds.
 
@@ -29,7 +30,7 @@ func collectDiff(t *testing.T, name string, build func(c *tuplex.Context) *tuple
 	t.Helper()
 	for ex := 1; ex <= 4; ex++ {
 		ctx := func(col bool) *tuplex.Context {
-			return tuplex.NewContext(append([]tuplex.Option{tuplex.WithExecutors(ex), tuplex.WithColumnarExecution(col)}, opts...)...)
+			return tuplex.NewContext(append([]tuplex.Option{tuplex.WithExecutors(ex), tuplex.WithRowPlane(!col)}, opts...)...)
 		}
 		label := fmt.Sprintf("%s/executors=%d", name, ex)
 		got, err := build(ctx(true)).Collect()
@@ -234,10 +235,10 @@ func TestCollectDiffUnique(t *testing.T) {
 	}, tuplex.WithChunkSize(4<<10))
 }
 
-// TestCollectDiffText: a text source runs the row path, whose terminal
-// appends cells to the output vectors; resolver rows interleave. The row
-// closures keep Python's result types, so the float column m holds ints
-// for long lines (max(7, 2.5) is 7): its vectors must keep them ints.
+// TestCollectDiffText: a text source runs as batches of one string
+// column; resolver rows interleave. The row closures keep Python's result
+// types, so the float column m holds ints for long lines (max(7, 2.5) is
+// 7): its vectors must keep them ints.
 func TestCollectDiffText(t *testing.T) {
 	var sb strings.Builder
 	for i := range 5000 {
@@ -301,6 +302,6 @@ func TestCollectDiffDictResult(t *testing.T) {
 func TestCollectDiffFlights(t *testing.T) {
 	perf := data.Flights(data.FlightsConfig{Rows: 1500, Seed: 321})
 	collectDiff(t, "flights", func(c *tuplex.Context) *tuplex.DataSet {
-		return Flights(FlightsSources(c, perf, data.Carriers(), data.Airports()))
+		return pipelines.Flights(pipelines.FlightsSources(c, perf, data.Carriers(), data.Airports()))
 	}, tuplex.WithChunkSize(64<<10))
 }

@@ -14,12 +14,12 @@ import (
 // all-null columns, and string cells with embedded quotes and newlines
 // (which make physical records span raw chunk boundaries).
 
-// bothModes runs the build function with columnar execution on and off
-// and returns the two results.
+// bothModes runs the build function on the batch plane and on the
+// row-at-a-time reference and returns the two results.
 func bothModes(t *testing.T, build func(c *tuplex.Context) (*tuplex.Result, error), extra ...tuplex.Option) (on, off *tuplex.Result) {
 	t.Helper()
 	run := func(col bool) *tuplex.Result {
-		opts := append([]tuplex.Option{tuplex.WithColumnarExecution(col)}, extra...)
+		opts := append([]tuplex.Option{tuplex.WithRowPlane(!col)}, extra...)
 		res, err := build(tuplex.NewContext(opts...))
 		if err != nil {
 			t.Fatalf("columnar=%v: %v", col, err)
@@ -120,7 +120,7 @@ func TestColumnarEmptyAndHeaderOnlyInputs(t *testing.T) {
 	// Header-only input has no sampleable rows: the engine rejects it
 	// up front, and the rejection must not depend on the execution mode.
 	for _, col := range []bool{true, false} {
-		c := tuplex.NewContext(tuplex.WithColumnarExecution(col))
+		c := tuplex.NewContext(tuplex.WithRowPlane(!col))
 		_, err := c.CSV("", tuplex.CSVData([]byte("a,b\n"))).
 			Map(tuplex.UDF("lambda x: x['a']")).
 			ToCSV("")

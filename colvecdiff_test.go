@@ -1,21 +1,25 @@
-package pipelines
+package tuplex_test
 
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	tuplex "github.com/gotuplex/tuplex"
 	"github.com/gotuplex/tuplex/internal/data"
+	"github.com/gotuplex/tuplex/internal/pipelines"
 )
 
 // The columnar batch data plane (column-vector partitions, vectorized
-// CSV ingest, batch UDF kernels with selection vectors) is a pure
-// execution-strategy choice: it must be invisible end to end. These
-// differentials run every paper pipeline twice — columnar on and off —
-// over dirty data and require byte-identical CSV output and identical
-// row accounting (output/failed/ignored), the same contract the
-// compiler-optimization differentials enforce.
+// CSV ingest, batch UDF kernels with selection vectors) must be
+// invisible end to end. These differentials run every paper pipeline
+// twice — on the batch plane and on the row-at-a-time reference
+// (WithRowPlane) — over dirty data and require byte-identical CSV output
+// and identical row accounting (output/failed/ignored), the same
+// contract the compiler-optimization differentials enforce.
 
 // colDiffCSV runs one CSV-sink pipeline in both execution modes and
 // compares bytes and accounting.
@@ -45,7 +49,7 @@ func colDiffCSV(t *testing.T, name string, run func(col bool) *tuplex.Result) {
 }
 
 func ctxCol(col bool, extra ...tuplex.Option) *tuplex.Context {
-	opts := append([]tuplex.Option{tuplex.WithColumnarExecution(col), tuplex.WithTracing(tuplex.TraceSamples)}, extra...)
+	opts := append([]tuplex.Option{tuplex.WithRowPlane(!col), tuplex.WithTracing(tuplex.TraceSamples)}, extra...)
 	return tuplex.NewContext(opts...)
 }
 
@@ -56,7 +60,7 @@ var streamedChunkSizes = []int{4 << 10, 64 << 10, 16 << 20}
 func TestColumnarDiffZillow(t *testing.T) {
 	raw := data.Zillow(data.ZillowConfig{Rows: 2000, Seed: 123, DirtyFraction: 0.03})
 	colDiffCSV(t, "zillow", func(col bool) *tuplex.Result {
-		res, err := Zillow(ctxCol(col).CSV("", tuplex.CSVData(raw))).ToCSV("")
+		res, err := pipelines.Zillow(ctxCol(col).CSV("", tuplex.CSVData(raw))).ToCSV("")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +74,7 @@ func TestColumnarDiffZillowStreamed(t *testing.T) {
 	path := writeTemp(t, "zillow.csv", data.Zillow(data.ZillowConfig{Rows: 3000, Seed: 7, DirtyFraction: 0.05}))
 	for _, size := range streamedChunkSizes {
 		colDiffCSV(t, fmt.Sprintf("zillow/streamed-%d", size), func(col bool) *tuplex.Result {
-			res, err := Zillow(ctxCol(col, tuplex.WithChunkSize(size)).CSV(path)).ToCSV("")
+			res, err := pipelines.Zillow(ctxCol(col, tuplex.WithChunkSize(size)).CSV(path)).ToCSV("")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +89,7 @@ func TestColumnarDiffFlightsStreamed(t *testing.T) {
 	for _, size := range streamedChunkSizes {
 		colDiffCSV(t, fmt.Sprintf("flights/streamed-%d", size), func(col bool) *tuplex.Result {
 			c := ctxCol(col, tuplex.WithChunkSize(size), tuplex.WithExecutors(2))
-			res, err := Flights(flightsFiles(c, perf, carriers, airports)).ToCSV("")
+			res, err := pipelines.Flights(flightsFiles(c, perf, carriers, airports)).ToCSV("")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,8 +101,8 @@ func TestColumnarDiffFlightsStreamed(t *testing.T) {
 func TestColumnarDiffFlights(t *testing.T) {
 	perf := data.Flights(data.FlightsConfig{Rows: 3000, Seed: 321})
 	colDiffCSV(t, "flights", func(col bool) *tuplex.Result {
-		in := FlightsSources(ctxCol(col), perf, data.Carriers(), data.Airports())
-		res, err := Flights(in).ToCSV("")
+		in := pipelines.FlightsSources(ctxCol(col), perf, data.Carriers(), data.Airports())
+		res, err := pipelines.Flights(in).ToCSV("")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,12 +112,12 @@ func TestColumnarDiffFlights(t *testing.T) {
 
 func TestColumnarDiffWeblogs(t *testing.T) {
 	logs, bad := data.Weblogs(data.WeblogConfig{Rows: 2500, Seed: 77})
-	for _, variant := range []WeblogVariant{WeblogStrip, WeblogSplit, WeblogRegex} {
+	for _, variant := range []pipelines.WeblogVariant{pipelines.WeblogStrip, pipelines.WeblogSplit, pipelines.WeblogRegex} {
 		colDiffCSV(t, "weblogs/"+variant.String(), func(col bool) *tuplex.Result {
 			// A fixed seed pins the endpoint randomization so both
 			// modes compute the same rows.
 			c := ctxCol(col, tuplex.WithSeed(4242))
-			res, err := Weblogs(
+			res, err := pipelines.Weblogs(
 				c.Text("", tuplex.TextData(logs)),
 				c.CSV("", tuplex.CSVData(bad)),
 				variant).ToCSV("")
@@ -128,7 +132,7 @@ func TestColumnarDiffWeblogs(t *testing.T) {
 func TestColumnarDiffThreeOneOne(t *testing.T) {
 	raw := data.ThreeOneOne(data.ThreeOneOneConfig{Rows: 4000, Seed: 55})
 	colDiffCSV(t, "311", func(col bool) *tuplex.Result {
-		res, err := ThreeOneOne(ctxCol(col).CSV("", tuplex.CSVData(raw))).ToCSV("")
+		res, err := pipelines.ThreeOneOne(ctxCol(col).CSV("", tuplex.CSVData(raw))).ToCSV("")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +163,7 @@ func q6Diff(t *testing.T, name string, src func(col bool) *tuplex.DataSet) {
 	var revenue [2]float64
 	var res [2]*tuplex.Result
 	for i, col := range []bool{true, false} {
-		v, r, err := Q6(src(col))
+		v, r, err := pipelines.Q6(src(col))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,4 +173,64 @@ func q6Diff(t *testing.T, name string, src func(col bool) *tuplex.DataSet) {
 		t.Fatalf("%s revenue differs: columnar %.6f, boxed %.6f", name, revenue[0], revenue[1])
 	}
 	requireSameRun(t, name, res[1], res[0])
+}
+
+func writeTemp(t *testing.T, name string, b []byte) string {
+	t.Helper()
+	p := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(p, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// requireSameRun asserts what no execution plane may change: the row
+// counters, the failed rows, and per stage the exception samples (in
+// pool order) and the routing ledger.
+func requireSameRun(t *testing.T, name string, base, got *tuplex.Result) {
+	t.Helper()
+	if got.Metrics.Rows != base.Metrics.Rows {
+		t.Fatalf("%s: row counters %+v, reference %+v", name, got.Metrics.Rows, base.Metrics.Rows)
+	}
+	if !reflect.DeepEqual(got.Failed, base.Failed) {
+		t.Fatalf("%s: failed rows %v, reference %v", name, got.Failed, base.Failed)
+	}
+	g, w := stageSpans(got.Trace.Root), stageSpans(base.Trace.Root)
+	if len(g) != len(w) {
+		t.Fatalf("%s: %d stages, reference %d", name, len(g), len(w))
+	}
+	for i := range w {
+		if !reflect.DeepEqual(g[i].Samples, w[i].Samples) {
+			t.Fatalf("%s: stage %d exception samples\n  got  %v\n  want %v", name, i, g[i].Samples, w[i].Samples)
+		}
+		if !reflect.DeepEqual(g[i].Routing, w[i].Routing) {
+			t.Fatalf("%s: stage %d routing ledger\n  got  %+v\n  want %+v", name, i, g[i].Routing, w[i].Routing)
+		}
+	}
+}
+
+// stageSpans lists a trace's stage spans in span order.
+func stageSpans(s *tuplex.Span) []*tuplex.Span {
+	var out []*tuplex.Span
+	if s.Name == "stage" {
+		out = append(out, s)
+	}
+	for _, c := range s.Children {
+		out = append(out, stageSpans(c)...)
+	}
+	return out
+}
+
+// flightsFiles opens the flights inputs from files, as
+// pipelines.FlightsSources does from bytes.
+func flightsFiles(c *tuplex.Context, perf, carriers, airports string) pipelines.FlightsInputs {
+	return pipelines.FlightsInputs{
+		Perf:     c.CSV(perf),
+		Carriers: c.CSV(carriers),
+		Airports: c.CSV(airports,
+			tuplex.CSVHeader(false),
+			tuplex.CSVDelimiter(':'),
+			tuplex.CSVColumns(data.AirportColumns...),
+			tuplex.CSVNullValues("", "N/a", "N/A")),
+	}
 }

@@ -609,9 +609,8 @@ type Batch struct {
 // Slot returns cell (row, col) as an unboxed slot.
 func (b *Batch) Slot(row, col int) rows.Slot { return b.Cols[col].Slot(row) }
 
-// ReadRow gathers row i into buf (batch→row bridge for the exception
-// path, the boxed program, and row-at-a-time op suffixes). buf must
-// have length >= len(b.Cols).
+// ReadRow gathers row i into buf as slots. buf must have length >=
+// len(b.Cols).
 func (b *Batch) ReadRow(i int, buf rows.Row) rows.Row {
 	out := buf[:len(b.Cols)]
 	for c, v := range b.Cols {

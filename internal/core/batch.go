@@ -1,19 +1,20 @@
 package core
 
-// Columnar batch execution (the normal-case data plane over column
-// vectors). CSV and Parallelize source stages compile the maximal
-// prefix of map/filter/withColumn/mapColumn/select/join operators into
-// batch kernels: the generated parser (or the slot-row ingest) appends
-// cells directly onto typed column vectors (internal/colvec), adjacent
-// per-row kernels fuse into one pass over the shared selection vector,
-// joins probe the sharded build table and append the build columns
-// (remapping the batch only when a key fans out), and filters shrink the
-// selection instead of copying columns. Operators the kernels cannot
-// batch (uncompiled UDF suffixes) run through the composed row-at-a-time
-// chain via a batch→row bridge at the stage barrier, and exception rows
-// bounce to the pooled boxed path exactly like the row path — output
-// bytes and row accounting are identical by construction (enforced by
-// the columnar differential suites).
+// Columnar batch execution: the normal-case data plane, over column
+// vectors, that every stage runs. Each stage compiles all of its
+// map/filter/withColumn/mapColumn/select/join operators into batch
+// kernels and runs its terminal batched. Every source yields batches:
+// the generated CSV parser appends cells directly onto typed column
+// vectors (internal/colvec), a text chunk's lines fill one string
+// column, and a Parallelize range or a previous stage's output appends
+// its slot rows. Adjacent per-row kernels fuse into one pass over the
+// shared selection vector, joins probe the sharded build table and
+// append the build columns (remapping the batch only when a key fans
+// out), and filters shrink the selection instead of copying columns.
+// Exception rows go to the pooled boxed path exactly as on the
+// row-at-a-time reference executor (Options.RowPlane) — output bytes and
+// row accounting are identical by construction (enforced by the
+// columnar differential suites).
 //
 // Join fan-out replicates the row path's depth-first abort semantics:
 // the first failure downstream of a join pools the SOURCE row once
@@ -97,23 +98,15 @@ type batchKernel struct {
 // batchProg is a stage's batch plan.
 type batchProg struct {
 	kernels []*batchKernel
-	// groups partitions the kernel prefix into fused passes: runs of
-	// adjacent map/filter/withColumn/mapColumn kernels execute in one
-	// scan over the selection vector; select and join kernels form
-	// singleton groups (they change the column layout / index space).
+	// groups partitions the kernels into fused passes: runs of adjacent
+	// map/filter/withColumn/mapColumn kernels execute in one scan over
+	// the selection vector; select and join kernels form singleton
+	// groups (they change the column layout / index space).
 	groups [][]*batchKernel
-	// suffix is the composed row-at-a-time chain for the operators after
-	// the kernel prefix plus the terminal; nil when the terminal itself is
-	// batch-executable and every operator compiled to a kernel.
-	suffix nstep
-	// barrierIdx is the routing-ledger index of the first suffix op (the
-	// stage barrier rows bounce at); the terminal index when the whole
-	// operator chain compiled to kernels.
-	barrierIdx int32
 }
 
-// fuseKernels partitions the kernel prefix into fused passes and stamps
-// each kernel's plan index and vector program.
+// fuseKernels partitions the kernels into fused passes and stamps each
+// kernel's plan index and vector program.
 func fuseKernels(kernels []*batchKernel) [][]*batchKernel {
 	var groups [][]*batchKernel
 	var cur []*batchKernel
@@ -181,7 +174,7 @@ func (pl *stagePlan) kernelModes() string {
 			parts = append(parts, pl.opNames[k.ridx]+":row("+k.rowWhy+")")
 		}
 	}
-	if pl.batch.suffix == nil && pl.terminal == physical.TerminalAggregate {
+	if pl.terminal == physical.TerminalAggregate {
 		name := pl.opNames[pl.termRouteIdx]
 		switch {
 		case pl.aggFold != nil:
@@ -418,35 +411,78 @@ func (sr *stageRun) runChunkColumnar(ts *task, p int, data []byte, baseKey uint6
 	sr.putBatchState(ts)
 }
 
-// runSlotsColumnar is the batch plan over a slot-native Parallelize
-// source: conforming rows ingest straight into the source vectors (no
-// boxing); non-conforming rows pool boxed like the row path.
-func (sr *stageRun) runSlotsColumnar(ts *task, p int) {
+// runTextColumnar is runChunkColumnar for a text source: each line of the
+// chunk is one row of the single string column, and its span goes in
+// bst.raws as a CSV record's does (a text stage's batch memory holds no
+// chunk parse, so bst.raws is its own list). Order keys and pool entries
+// are those of runRecords over splitPlainLines(data); a line never
+// rejects.
+func (sr *stageRun) runTextColumnar(ts *task, p int, data []byte, baseKey uint64) {
 	bst := sr.getBatchState(ts)
-	rg := sr.partRanges[p]
-	var input, rejects, normalExc int64
-
-	for start := rg[0]; start < rg[1]; start += batchMaxRows {
-		end := start + batchMaxRows
-		if end > rg[1] {
-			end = rg[1]
+	col := bst.src[0]
+	var input, normalExc int64
+	for pos := 0; pos < len(data); {
+		bst.beginBatch()
+		bst.raws, bst.srcRows = bst.raws[:0], nil
+		for n := 0; n < batchMaxRows && pos < len(data); n++ {
+			var line []byte
+			line, pos = nextLine(data, pos)
+			col.AppendStrBytes(line)
+			bst.raws = append(bst.raws, line)
+			bst.keys = append(bst.keys, baseKey+uint64(input))
+			input++
 		}
+		normalExc += sr.runBatchBody(ts, bst, p)
+	}
+	ts.finishRows(input, 0, normalExc)
+	sr.putBatchState(ts)
+}
+
+// runRowsColumnar is the batch plan over an in-memory partition: a
+// Parallelize range (order keys are row indexes), whose non-conforming
+// rows pool boxed as classifier rejects, or an interior stage's share of
+// the previous stage's output (order keys travel with the rows), whose
+// rows all enter the normal case as the row path takes them. A row
+// closure upstream may have left a cell whose kind its column's type
+// does not name (max(a, 2.5) is an int): AppendCell keeps it, widening
+// the batch's source vector, and a vector program over that column
+// hands the batch back to the row closures.
+func (sr *stageRun) runRowsColumnar(ts *task, p int) {
+	bst := sr.getBatchState(ts)
+	var part []rows.Row
+	var keys []uint64
+	base := 0
+	if in := sr.input; in != nil {
+		part, keys = in.parts[p], in.keys[p]
+	} else {
+		rg := sr.partRanges[p]
+		part, base = sr.inputSlots[rg[0]:rg[1]], rg[0]
+	}
+	var input, rejects, normalExc int64
+	for start := 0; start < len(part); start += batchMaxRows {
+		end := min(start+batchMaxRows, len(part))
 		input += int64(end - start)
 
 		bst.beginBatch()
 		bst.raws = nil
 		bst.srcRows = bst.srcRows[:0]
+		for c, v := range bst.src {
+			v.Retype(sr.inSchema.Col(c).Type) // undo the last batch's widening
+		}
 		for i := start; i < end; i++ {
-			src := sr.inputSlots[i]
-			if !rowConforms(src, sr.inSchema) {
+			src := part[i]
+			key := uint64(base + i)
+			if keys != nil {
+				key = keys[i]
+			} else if !rowConforms(src, sr.inSchema) {
 				rejects++
-				ts.pool = append(ts.pool, exRow{part: p, key: uint64(i), vals: rows.RowToValues(src), ec: pyvalue.ExcBadParse})
+				ts.pool = append(ts.pool, exRow{part: p, key: key, vals: rows.RowToValues(src), ec: pyvalue.ExcBadParse})
 				continue
 			}
 			for c, v := range bst.src {
-				v.AppendSlot(src[c])
+				v.AppendCell(src[c])
 			}
-			bst.keys = append(bst.keys, uint64(i))
+			bst.keys = append(bst.keys, key)
 			bst.srcRows = append(bst.srcRows, src)
 		}
 		normalExc += sr.runBatchBody(ts, bst, p)
@@ -455,55 +491,28 @@ func (sr *stageRun) runSlotsColumnar(ts *task, p int) {
 	sr.putBatchState(ts)
 }
 
-// runBatchBody executes the kernel groups and the terminal (or the
-// row-bridge suffix) over one ingested batch. Returns the normal-path
-// exception count (one per failed source row).
+// runBatchBody executes the kernel groups and the terminal over one
+// ingested batch. Returns the normal-path exception count (one per
+// failed source row).
 func (sr *stageRun) runBatchBody(ts *task, bst *batchState, p int) int64 {
-	bp := sr.batch
 	normalExc := sr.runKernels(ts, bst, p)
 	ts.columnarRows += int64(len(bst.sel))
 
-	if bp.suffix == nil {
-		switch {
-		case sr.emit == emitCSV:
-			if ts.route != nil {
-				ts.route[sr.termRouteIdx] += int64(len(bst.sel))
-			}
-			sr.renderBatchCSV(ts, bst)
-		case sr.emit == emitVecs:
-			if ts.route != nil {
-				ts.route[sr.termRouteIdx] += int64(len(bst.sel))
-			}
-			sr.collectBatch(ts, bst)
-		case sr.terminal == physical.TerminalUnique:
-			if ts.route != nil {
-				ts.route[sr.termRouteIdx] += int64(len(bst.sel))
-			}
-			sr.uniqueBatch(ts, bst)
-		case sr.terminal == physical.TerminalAggregate:
-			normalExc += sr.aggregateBatch(ts, bst, p)
-		default:
-			if ts.route != nil {
-				ts.route[sr.termRouteIdx] += int64(len(bst.sel))
-			}
-			sr.gatherBatch(ts, bst)
-		}
-	} else {
-		// The stage barrier: bounce the surviving rows to the composed
-		// row-at-a-time suffix (its routeWrap counters take over).
-		for _, r := range bst.sel {
-			if bst.anyDropped && bst.dropped.Get(int(r)) {
-				continue
-			}
-			ts.bounced++
-			row := ts.rowBuf[:len(bst.cols)]
-			for c, v := range bst.cols {
-				row[c] = v.Slot(int(r))
-			}
-			if ec := bp.suffix(ts, bst.keyOf(r), row); ec != 0 {
-				normalExc += sr.failBatchRow(ts, bst, p, r, ec, ts.excOp)
-			}
-		}
+	if sr.terminal == physical.TerminalAggregate {
+		return normalExc + sr.aggregateBatch(ts, bst, p)
+	}
+	if ts.route != nil {
+		ts.route[sr.termRouteIdx] += int64(len(bst.sel))
+	}
+	switch {
+	case sr.emit == emitCSV:
+		sr.renderBatchCSV(ts, bst)
+	case sr.emit == emitVecs:
+		sr.collectBatch(ts, bst)
+	case sr.terminal == physical.TerminalUnique:
+		sr.uniqueBatch(ts, bst)
+	default:
+		sr.gatherBatch(ts, bst)
 	}
 	return normalExc
 }

@@ -63,12 +63,12 @@ type Options struct {
 	// stream depends on its partition index, and partition cuts depend on
 	// Executors and ChunkSize, so output repeats only when those match.
 	Seed uint64
-	// Columnar enables batch execution over column vectors for CSV
-	// sources: the generated parser fills typed column vectors directly
-	// and map/filter/withColumn/select run as batch kernels with
-	// selection vectors (the row-at-a-time path remains for exception
-	// rows, later operators and non-CSV sources).
-	Columnar bool
+	// RowPlane runs every stage on the row-at-a-time reference executor
+	// (the compiled step chain over slot rows) instead of the batch plane
+	// over column vectors. It exists for the columnar differentials,
+	// which compare the batch plane against it; no public option or wire
+	// field sets it, so the zero value is the production plane.
+	RowPlane bool
 	// ChunkSize caps the ingest chunk size in bytes (0 uses
 	// csvio.DefaultChunkSize); each source derives its own size below it
 	// from its byte count (engine.chunkSize).
@@ -102,7 +102,6 @@ func DefaultOptions() Options {
 		Fusion:        true,
 		Codegen:       codegen.DefaultOptions(),
 		Seed:          0x745,
-		Columnar:      true,
 		ChunkSize:     csvio.DefaultChunkSize,
 		Trace:         trace.LevelSpans,
 	}
@@ -352,7 +351,7 @@ func (eng *engine) execAndResolve(sr *stageRun, ssp *trace.Span) (*mat, error) {
 	bytes0 := eng.res.Metrics.Ingest.BytesRead.Load()
 	rows0 := eng.res.Metrics.Counters.InputRows.Load()
 	bm := &eng.res.Metrics.Batch
-	columnar0, bounced0 := bm.ColumnarRows.Load(), bm.BouncedRows.Load()
+	columnar0 := bm.ColumnarRows.Load()
 	fused0, elided0, checked0 := bm.FusedPasses.Load(), bm.NullElisions.Load(), bm.NullChecked.Load()
 	vector0, vbail0 := bm.VectorRows.Load(), bm.VectorBailRows.Load()
 	var ms runtime.MemStats
@@ -373,18 +372,16 @@ func (eng *engine) execAndResolve(sr *stageRun, ssp *trace.Span) (*mat, error) {
 		Duration: dExec,
 	})
 	// Stage-delta batch-plane attrs: how much of this stage ran
-	// column-at-a-time, how much bounced to the row bridge, and whether
-	// the no-null kernel variants kicked in.
+	// column-at-a-time and whether the no-null kernel variants kicked in.
 	if columnar := bm.ColumnarRows.Load() - columnar0; columnar > 0 {
 		esp.Add(trace.Int("columnar_rows", columnar),
-			trace.Int("bounced_rows", bm.BouncedRows.Load()-bounced0),
 			trace.Int("fused_passes", bm.FusedPasses.Load()-fused0),
 			trace.Int("null_elisions", bm.NullElisions.Load()-elided0),
 			trace.Int("null_checked", bm.NullChecked.Load()-checked0),
 			trace.Int("vector_rows", bm.VectorRows.Load()-vector0),
 			trace.Int("vector_bail_rows", bm.VectorBailRows.Load()-vbail0))
 	}
-	if esp != nil && sr.stream != nil && sr.batch != nil {
+	if esp != nil && sr.parse != nil && sr.batch != nil {
 		// Streamed records the chunk parser handed whole to the
 		// per-record parser: a '"' that does not open a cell.
 		var slow int64

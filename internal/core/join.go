@@ -22,7 +22,7 @@ import (
 // vector set per build partition (bparts), and the hash table holds
 // packed (partition, row) references instead of materialized rows: the
 // probe gathers match cells straight from the vectors — column-at-a-time
-// on the batch plane, slot-at-a-time on the row bridge — so the build
+// on the batch plane, slot-at-a-time on the row reference — so the build
 // never boxes and never allocates per row. Hashing is sharded over the
 // canonical 64-bit key hash (internal/rows): shard = hash & shardMask,
 // and within a shard a map from hash to the (rare) list of entries
@@ -112,8 +112,8 @@ func (bt *buildTable) insert(h uint64, key []byte, ref buildRef) {
 	bt.buildRows++
 }
 
-// appendRow gathers the referenced build row's cells onto out (the
-// row-bridge probe path).
+// appendRow gathers the referenced build row's cells onto out (the row
+// reference's probe step).
 func (bt *buildTable) appendRow(out rows.Row, ref buildRef) rows.Row {
 	vecs := bt.bparts[ref>>32]
 	i := int(int32(ref))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -85,10 +86,11 @@ type stagePlan struct {
 	// (sample.CasePlan.GeneralSchema over the projected columns).
 	generalIn *types.Schema
 
-	entry nstep // head of the compiled normal path
-	// batch is the stage's columnar plan (CSV sources with Columnar on);
-	// runRecords dispatches to it instead of the per-row entry chain.
+	// batch is the stage's batch plan, the normal path every stage runs;
+	// nil only under Options.RowPlane, whose stages run entry — the
+	// compiled row-at-a-time step chain — instead.
 	batch   *batchProg
+	entry   nstep
 	maxCols int
 	nUDFs   int
 	// emit is the form the stage's tasks write (stageSlot.emit).
@@ -255,19 +257,15 @@ type task struct {
 	// per-task counters (atomics per probe would dominate tight loops).
 	probeHits, probeMisses int64
 
-	// Batch-plane counters (columnar stages only). columnarRows counts
-	// rows that completed the kernel prefix in vector form; bounced
-	// counts rows handed to the row-at-a-time suffix at the stage
-	// barrier; fusedPasses counts fused-group scans over a batch;
-	// nullElided/nullChecked count batch-column dispatches that did /
-	// did not take the no-null inner loop; vectorRows counts rows entering
-	// a vector kernel or fold, vectorBail those it handed back to the row
-	// closure.
-	columnarRows, bounced   int64
-	vectorRows, vectorBail  int64
-	bouncedFlushed          int64
-	fusedPasses             int64
-	nullElided, nullChecked int64
+	// Batch-plane counters. columnarRows counts rows that completed the
+	// stage's kernels in vector form; fusedPasses counts fused-group scans
+	// over a batch; nullElided/nullChecked count batch-column dispatches
+	// that did / did not take the no-null inner loop; vectorRows counts
+	// rows entering a vector kernel or fold, vectorBail those it handed
+	// back to the row closure.
+	columnarRows, fusedPasses int64
+	vectorRows, vectorBail    int64
+	nullElided, nullChecked   int64
 	// parseSlow counts streamed records the chunk parser handed to the
 	// per-record path (summed onto the stage's execute span).
 	parseSlow int64
@@ -373,12 +371,6 @@ func (sr *stageRun) mergedRouting() []trace.OpRouting {
 			}
 			out[0].Rejects[key] += n
 		}
-		// Rows that fell off the kernel prefix at the stage barrier are
-		// attributed to the barrier op itself, not folded into the
-		// generic boxed counters.
-		if sr.batch != nil && sr.batch.suffix != nil && int(sr.batch.barrierIdx) < len(out) {
-			out[sr.batch.barrierIdx].Bounced += ts.bounced
-		}
 	}
 	for oi, bop := range sr.boxed {
 		if bop.stats == nil {
@@ -391,25 +383,34 @@ func (sr *stageRun) mergedRouting() []trace.OpRouting {
 }
 
 // runUnit feeds one unit through the normal path: a streamed chunk
-// (order keys part<<streamKeyShift|i) or an in-memory partition.
+// (order keys part<<streamKeyShift|i) or an in-memory partition. Every
+// unit runs on the batch plane; the arms for a plan without one
+// (Options.RowPlane) are the row-at-a-time reference executor the
+// columnar differentials compare against.
 func (sr *stageRun) runUnit(ts *task, u unit) {
 	if u.chunk == nil {
-		sr.runPartition(ts, u.part)
+		if sr.batch == nil {
+			sr.runPartition(ts, u.part)
+		} else {
+			sr.runRowsColumnar(ts, u.part)
+		}
 		return
 	}
 	data, baseKey := u.chunk.Data, uint64(u.part)<<streamKeyShift
 	switch {
-	case sr.isText:
+	case sr.batch == nil && sr.isText:
 		sr.runRecords(ts, u.part, splitPlainLines(data), baseKey)
-	case sr.batch != nil:
-		sr.runChunkColumnar(ts, u.part, data, baseKey)
-	default:
+	case sr.batch == nil:
 		sr.runRecords(ts, u.part, csvio.SplitRecords(data), baseKey)
+	case sr.isText:
+		sr.runTextColumnar(ts, u.part, data, baseKey)
+	default:
+		sr.runChunkColumnar(ts, u.part, data, baseKey)
 	}
 }
 
-// runRecords feeds raw source records through the row-at-a-time normal
-// path with order keys baseKey+i.
+// runRecords feeds raw source records through the row-at-a-time
+// reference path with order keys baseKey+i.
 func (sr *stageRun) runRecords(ts *task, p int, recs [][]byte, baseKey uint64) {
 	var rejects, normalExc int64
 	for i, rec := range recs {
@@ -444,12 +445,8 @@ func (sr *stageRun) runRecords(ts *task, p int, recs [][]byte, baseKey uint64) {
 }
 
 // runPartition feeds an in-memory partition — a Parallelize range or a
-// previous stage's output — through the normal path.
+// previous stage's output — through the row-at-a-time reference path.
 func (sr *stageRun) runPartition(ts *task, p int) {
-	if sr.input == nil && sr.batch != nil {
-		sr.runSlotsColumnar(ts, p)
-		return
-	}
 	r := sr.partRanges[p]
 	var input, rejects, normalExc int64
 	switch {
@@ -530,16 +527,12 @@ func (ts *task) flushProbeCounters() {
 
 // flushBatchCounters drains the task-local batch-plane tallies into the
 // shared metrics (called once per run-partition call, like the probe
-// counters; ts.bounced stays live for the routing-ledger merge).
+// counters).
 func (ts *task) flushBatchCounters() {
 	bm := &ts.eng.res.Metrics.Batch
 	if ts.columnarRows != 0 {
 		bm.ColumnarRows.Add(ts.columnarRows)
 		ts.columnarRows = 0
-	}
-	if d := ts.bounced - ts.bouncedFlushed; d != 0 {
-		bm.BouncedRows.Add(d)
-		ts.bouncedFlushed = ts.bounced
 	}
 	if ts.fusedPasses != 0 {
 		bm.FusedPasses.Add(ts.fusedPasses)
@@ -607,12 +600,12 @@ func (eng *engine) compileStage(sl *stageSlot, sr *stageRun) (*stagePlan, time.D
 }
 
 // compileOps compiles the stage's operators and terminal into the plan's
-// normal-path chain, batch program and boxed recipe. It sees only plan
-// state — never the run that triggered the compile — so nothing it
-// closes over can be per-run. srcFacts seeds the dataflow analysis for
-// the first UDF: per-column type facts plus sampled value statistics
-// (constants, int ranges) for sources that sample values; nil means type
-// facts only.
+// batch program (or, under Options.RowPlane, its row-reference step
+// chain) and boxed recipe. It sees only plan state — never the run that
+// triggered the compile — so nothing it closes over can be per-run.
+// srcFacts seeds the dataflow analysis for the first UDF: per-column type
+// facts plus sampled value statistics (constants, int ranges) for sources
+// that sample values; nil means type facts only.
 func (eng *engine) compileOps(pl *stagePlan, sl *stageSlot, srcFacts []dataflow.ColFact) error {
 	st := sl.st
 	// Routing-ledger layout (one entry per operator plus the source and
@@ -629,11 +622,11 @@ func (eng *engine) compileOps(pl *stagePlan, sl *stageSlot, srcFacts []dataflow.
 
 	// Walk ops: compute schemas, compile UDFs, build step compilers.
 	type compiledOp struct {
+		// make builds the op's row-reference step in front of next.
 		make func(next nstep) nstep
 		// ridx is the op's routing-ledger index.
 		ridx int32
-		// batch is the op's columnar kernel (nil = not batch-compilable;
-		// the kernel prefix ends at the first nil).
+		// batch is the op's batch kernel.
 		batch *batchKernel
 	}
 	var nops []compiledOp
@@ -961,9 +954,17 @@ func (eng *engine) compileOps(pl *stagePlan, sl *stageSlot, srcFacts []dataflow.
 
 	pl.outSchema = schema
 	pl.nUDFs = frameIdx + 1
-	if pl.generalCase {
-		// A general plan is the operators' kernels alone: resolve boxes
-		// what leaves them, and the stage's terminal takes it from there.
+	if !pl.generalCase && st.Terminal == physical.TerminalAggregate {
+		agg := st.TerminalOp.(*logical.AggregateOp)
+		eng.compileAggregate(pl, agg, schema)
+	}
+	if pl.generalCase || !eng.opts.RowPlane {
+		// The batch plan: every operator's kernel, adjacent per-row
+		// kernels grouped into fused passes that share one
+		// selection-vector scan, and the terminal run batched
+		// (runBatchBody). A general plan is the operators' kernels alone:
+		// resolve boxes what leaves them, and the stage's terminal takes
+		// it from there.
 		kernels := make([]*batchKernel, len(nops))
 		for i, op := range nops {
 			kernels[i] = op.batch
@@ -972,63 +973,23 @@ func (eng *engine) compileOps(pl *stagePlan, sl *stageSlot, srcFacts []dataflow.
 		return nil
 	}
 
-	// Terminal handling.
-	if st.Terminal == physical.TerminalAggregate {
-		agg := st.TerminalOp.(*logical.AggregateOp)
-		eng.compileAggregate(pl, agg, schema)
-	}
-	term, err := pl.makeTerminal()
+	// The row reference (Options.RowPlane): the steps composed back to
+	// front onto the terminal; at LevelRows every step (and the
+	// terminal) is preceded by its ledger counter.
+	entry, err := pl.makeTerminal()
 	if err != nil {
 		return err
 	}
-	// Compose the chain back to front; at LevelRows every step (and the
-	// terminal) is preceded by its ledger counter. compose(from) builds
-	// the chain starting at op index from — compose(0) is the full row
-	// path, later starts serve as the batch plan's row-at-a-time suffix.
-	compose := func(from int) nstep {
-		entry := term
+	if pl.traceRows {
+		entry = routeWrap(entry, pl.termRouteIdx)
+	}
+	for i := len(nops) - 1; i >= 0; i-- {
+		entry = nops[i].make(entry)
 		if pl.traceRows {
-			entry = routeWrap(entry, pl.termRouteIdx)
+			entry = routeWrap(entry, nops[i].ridx)
 		}
-		for i := len(nops) - 1; i >= from; i-- {
-			entry = nops[i].make(entry)
-			if pl.traceRows {
-				entry = routeWrap(entry, nops[i].ridx)
-			}
-		}
-		return entry
 	}
-	pl.entry = compose(0)
-
-	// Columnar batch plan: CSV and Parallelize sources compile the
-	// maximal prefix of batchable ops into kernels; anything after (plus
-	// non-batchable terminals) runs through the composed suffix via the
-	// row bridge. Adjacent per-row kernels group into fused passes that
-	// share one selection-vector scan.
-	_, slotSource := st.Source.(*logical.ParallelizeSource)
-	if eng.opts.Columnar && (pl.parse != nil || slotSource) {
-		prefix := 0
-		for prefix < len(nops) && nops[prefix].batch != nil {
-			prefix++
-		}
-		kernels := make([]*batchKernel, prefix)
-		for i := range kernels {
-			kernels[i] = nops[i].batch
-		}
-		bp := &batchProg{kernels: kernels, groups: fuseKernels(kernels)}
-		batchTerm := pl.terminal == physical.TerminalSink || pl.terminal == physical.TerminalMaterialize ||
-			pl.terminal == physical.TerminalUnique || pl.terminal == physical.TerminalAggregate
-		if prefix < len(nops) || !batchTerm {
-			bp.suffix = compose(prefix)
-			// The stage barrier: rows reaching the end of the kernel
-			// prefix bounce to the composed row path at this ledger index.
-			bp.barrierIdx = pl.termRouteIdx
-			if prefix < len(nops) {
-				bp.barrierIdx = nops[prefix].ridx
-			}
-		}
-		pl.batch = bp
-	}
+	pl.entry = entry
 	return nil
 }
 
@@ -1486,22 +1447,28 @@ func splitRange(n, size int) [][2]int {
 	return out
 }
 
-// splitPlainLines splits text content on newlines (no quoting).
+// splitPlainLines splits text content into its lines (the row
+// reference's record list).
 func splitPlainLines(data []byte) [][]byte {
 	var out [][]byte
-	start := 0
-	for i := 0; i < len(data); i++ {
-		if data[i] == '\n' {
-			end := i
-			if end > start && data[end-1] == '\r' {
-				end--
-			}
-			out = append(out, data[start:end])
-			start = i + 1
-		}
-	}
-	if start < len(data) {
-		out = append(out, data[start:])
+	for pos := 0; pos < len(data); {
+		var line []byte
+		line, pos = nextLine(data, pos)
+		out = append(out, line)
 	}
 	return out
+}
+
+// nextLine returns the text line starting at pos, without its "\n" or
+// "\r\n" (no quoting), and the start of the next line.
+func nextLine(data []byte, pos int) (line []byte, next int) {
+	i := bytes.IndexByte(data[pos:], '\n')
+	if i < 0 {
+		return data[pos:], len(data)
+	}
+	end := pos + i
+	if end > pos && data[end-1] == '\r' {
+		end--
+	}
+	return data[pos:end], pos + i + 1
 }

@@ -395,7 +395,7 @@ func BenchmarkVecZillowKernels(b *testing.B) {
 
 // ---- joins ---------------------------------------------------------------
 
-// boxedRun runs the plan on the boxed row plane (columnar execution off).
+// boxedRun runs the plan on the row-at-a-time reference executor.
 // That plane meets a partition's classifier rejects ahead of its
 // normal-path exceptions, so its exception samples are left out and its
 // failed rows compare as a set (sortFailed).
@@ -404,7 +404,7 @@ func boxedRun(t *testing.T, sink *logical.Node, executors int) runObs {
 	opts := core.DefaultOptions()
 	opts.Executors = executors
 	opts.Trace = trace.LevelSamples
-	opts.Columnar = false
+	opts.RowPlane = true
 	res, _, err := core.CompileAndExecute(context.Background(), sink, core.SinkCollect, "", opts)
 	if err != nil {
 		t.Fatalf("boxed plane: %v", err)

@@ -96,16 +96,16 @@ func (j *Join) HitRate() float64 {
 	return float64(j.ProbeHits.Load()) / float64(n)
 }
 
-// Batch tallies the columnar batch plane: how many rows ran
-// column-at-a-time versus bounced to the row bridge at a stage barrier,
-// plus kernel-fusion and null-check-elision activity. Flushed per task.
+// Batch tallies the columnar batch plane every stage runs on: the rows
+// that completed their stage's kernels, plus kernel-fusion and
+// null-check-elision activity. Flushed per task.
 type Batch struct {
-	// ColumnarRows counts row×kernel-group passes executed on the batch
-	// plane (a row surviving three fused groups counts three times, so
-	// the ratio to BouncedRows reflects actual columnar work done).
+	// ColumnarRows counts rows that completed their stage's kernels on
+	// the batch plane.
 	ColumnarRows atomic.Int64
-	// BouncedRows counts rows that left the batch plane at a stage
-	// barrier and finished on the compiled row bridge.
+	// BouncedRows is always 0: every operator and terminal runs on the
+	// batch plane, so no row leaves it for a row-at-a-time suffix. It
+	// stays for the benchmark's core.bounced_rows reading.
 	BouncedRows atomic.Int64
 	// FusedPasses counts fused kernel-group executions (one scan over a
 	// batch's selection vector, however many adjacent ops it covers).
@@ -258,9 +258,9 @@ func (m *Metrics) String() string {
 			fmt.Fprintf(&sb, " general=%d", n)
 		}
 	}
-	if b := &m.Batch; b.ColumnarRows.Load() > 0 || b.BouncedRows.Load() > 0 {
-		fmt.Fprintf(&sb, " | batch: columnar=%d bounced=%d fused_passes=%d elision=%.2f vector=%d vector_bail=%d",
-			b.ColumnarRows.Load(), b.BouncedRows.Load(), b.FusedPasses.Load(), b.ElisionRate(),
+	if b := &m.Batch; b.ColumnarRows.Load() > 0 {
+		fmt.Fprintf(&sb, " | batch: columnar=%d fused_passes=%d elision=%.2f vector=%d vector_bail=%d",
+			b.ColumnarRows.Load(), b.FusedPasses.Load(), b.ElisionRate(),
 			b.VectorRows.Load(), b.VectorBailRows.Load())
 	}
 	for _, s := range m.Stage {

@@ -109,20 +109,13 @@ func Split(sink *logical.Node, opts Options) (*Plan, error) {
 			}
 		}
 	}
+	// A chain that ended exactly at an aggregate, unique or cache has
+	// already flushed its last stage, which feeds the sink as it is.
 	if len(p.Stages) == 0 || len(cur.Ops) > 0 || cur.Source != nil {
 		flush(TerminalSink, nil)
-	} else {
-		// The chain ended exactly at an aggregate/unique: its stage is
-		// already flushed; mark the last stage as the sink producer.
-		p.Stages[len(p.Stages)-1].Terminal = terminalAsSink(p.Stages[len(p.Stages)-1].Terminal)
 	}
 	return p, nil
 }
-
-// terminalAsSink keeps aggregate/unique terminals but notes they feed
-// the sink directly; sink handling is the engine's job, so the kind is
-// unchanged. Present for symmetry and future extension.
-func terminalAsSink(t TerminalKind) TerminalKind { return t }
 
 func isUDFOp(op logical.Op) bool {
 	switch op.(type) {

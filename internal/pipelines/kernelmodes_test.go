@@ -82,10 +82,13 @@ func TestKernelModesGolden(t *testing.T) {
 				"mapColumn(CrsElapsedTime):vec,mapColumn(DepDelay):vec,mapColumn(LateAircraftDelay):vec,mapColumn(NasDelay):vec," +
 				"mapColumn(SecurityDelay):vec,mapColumn(TaxiIn):vec,mapColumn(TaxiOut):vec,mapColumn(WeatherDelay):vec",
 		},
-		// A text source runs the row path: no batch plan, no kernels.
-		"weblogs": nil,
-		"311":     {"mapColumn(Incident Zip):row(Call:str),filter:vec"},
-		"q6":      {"aggregate:vec"},
+		// The text stage runs as batches of one string column. Its map
+		// returns a row (no vector program for a map kernel) and its
+		// endpoint cleanup calls re.sub, outside the vector grammar.
+		"weblogs": {"map:row(returns Row[ip:str, client_id:str, user_id:str, date:str, method:str, endpoint:str, protocol:str, response_code:i64, content_size:i64])," +
+			"mapColumn(endpoint):row(Call:re_sub)"},
+		"311": {"mapColumn(Incident Zip):row(Call:str),filter:vec"},
+		"q6":  {"aggregate:vec"},
 	}
 	for name, w := range want {
 		if g := got[name]; strings.Join(g, "\n") != strings.Join(w, "\n") {

@@ -346,9 +346,6 @@ func (o *Options) resolve() core.Options {
 	if o.Seed != 0 {
 		opts.Seed = o.Seed
 	}
-	if o.Columnar != nil {
-		opts.Columnar = *o.Columnar
-	}
 	if o.ChunkSize > 0 {
 		opts.ChunkSize = o.ChunkSize
 	}

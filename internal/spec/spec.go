@@ -128,7 +128,6 @@ type Options struct {
 	StageFusion           *bool   `json:"stage_fusion,omitempty"`
 	CompilerOptimizations *bool   `json:"compiler_optimizations,omitempty"`
 	Seed                  uint64  `json:"seed,omitempty"`
-	Columnar              *bool   `json:"columnar,omitempty"`
 	ChunkSize             int     `json:"chunk_size,omitempty"`
 }
 
@@ -205,8 +204,7 @@ var (
 	optFields  = map[string]bool{"executors": true, "partition_rows": true, "sample_size": true,
 		"null_threshold": true, "null_optimization": true, "projection_pushdown": true,
 		"filter_pushdown": true, "join_reorder": true, "stage_fusion": true,
-		"compiler_optimizations": true, "seed": true, "columnar": true,
-		"chunk_size": true}
+		"compiler_optimizations": true, "seed": true, "chunk_size": true}
 )
 
 // scanPipeline walks the generic JSON form of one pipeline (path "" for

@@ -161,16 +161,19 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 }
 
 // TestDecodeRejectsStreamingOption: every CSV and text source is read
-// in chunks, so the old streaming toggle is no longer part of the wire
-// form and a spec carrying it fails strict decode.
+// in chunks and every stage runs on the batch plane, so the old
+// streaming and columnar toggles are no longer part of the wire form and
+// a spec carrying either fails strict decode, naming the field.
 func TestDecodeRejectsStreamingOption(t *testing.T) {
-	_, err := Decode([]byte(`{"v": 1, "source": {"kind": "csv", "path": "x.csv"}, "options": {"streaming": false}}`))
-	var de *DecodeError
-	if !errors.As(err, &de) {
-		t.Fatalf("want *DecodeError, got %T: %v", err, err)
-	}
-	if len(de.Problems) != 1 || de.Problems[0] != `options: unknown field "streaming"` {
-		t.Fatalf("problems = %q, want the unknown streaming field", de.Problems)
+	for _, field := range []string{"streaming", "columnar"} {
+		_, err := Decode([]byte(`{"v": 1, "source": {"kind": "csv", "path": "x.csv"}, "options": {"` + field + `": false}}`))
+		var de *DecodeError
+		if !errors.As(err, &de) {
+			t.Fatalf("%s: want *DecodeError, got %T: %v", field, err, err)
+		}
+		if want := `options: unknown field "` + field + `"`; len(de.Problems) != 1 || de.Problems[0] != want {
+			t.Fatalf("problems = %q, want the unknown %s field", de.Problems, field)
+		}
 	}
 }
 
@@ -373,7 +376,6 @@ func TestOptionsRoundTrip(t *testing.T) {
 	cases := []core.Options{core.DefaultOptions()}
 	mod := core.DefaultOptions()
 	mod.Executors = 8
-	mod.Columnar = false
 	mod.Fusion = false
 	mod.Sample.Size = 123
 	mod.Seed = 42

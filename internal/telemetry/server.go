@@ -136,9 +136,8 @@ type RunReport struct {
 	ResolveP50NS int64 `json:"resolve_p50_ns"`
 	ResolveP99NS int64 `json:"resolve_p99_ns"`
 
-	// Columnar batch-plane activity (0 when the run is row-at-a-time).
+	// Columnar batch-plane activity.
 	ColumnarRows    int64   `json:"columnar_rows"`
-	BouncedRows     int64   `json:"bounced_rows"`
 	FusedPasses     int64   `json:"fused_passes"`
 	NullElisionRate float64 `json:"null_elision_rate"`
 	VectorRows      int64   `json:"vector_rows"`
@@ -265,7 +264,6 @@ func runReport(m *RunMonitor, live bool, maxSamples int) RunReport {
 	if mm := m.m; mm != nil {
 		b := &mm.Batch
 		r.ColumnarRows = b.ColumnarRows.Load()
-		r.BouncedRows = b.BouncedRows.Load()
 		r.FusedPasses = b.FusedPasses.Load()
 		r.NullElisionRate = b.ElisionRate()
 		r.VectorRows = b.VectorRows.Load()

@@ -135,9 +135,6 @@ type OpRouting struct {
 	// ignore() handler dropped / that no path could process.
 	Ignored int64 `json:"ignored"`
 	Failed  int64 `json:"failed"`
-	// Bounced counts rows that left the columnar batch plane at this
-	// operator (the stage barrier) and finished on the row bridge.
-	Bounced int64 `json:"bounced,omitempty"`
 	// Rejects says why the source entry's classifier rejects left the
 	// normal case: counts keyed "<column> <sampled type>←<cell kind>" by
 	// the first cell of each rejected record that did not parse as its
@@ -150,7 +147,7 @@ type OpRouting struct {
 func (r OpRouting) Zero() bool {
 	return r.NormalIn == 0 && r.NormalExc == 0 && r.GeneralIn == 0 && r.FallbackIn == 0 &&
 		r.GeneralResolved == 0 && r.FallbackResolved == 0 && r.ResolverResolved == 0 &&
-		r.Ignored == 0 && r.Failed == 0 && r.Bounced == 0 && len(r.Rejects) == 0
+		r.Ignored == 0 && r.Failed == 0 && len(r.Rejects) == 0
 }
 
 // ExcSample is one retained exception row (LevelSamples).

@@ -122,16 +122,13 @@ func (j JoinMetrics) HitRate() float64 {
 	return float64(j.ProbeHits) / float64(n)
 }
 
-// BatchMetrics tallies the columnar batch plane: how much of the run
-// stayed column-at-a-time versus bouncing to the row bridge at a stage
-// barrier, plus kernel-fusion and null-check-elision activity.
+// BatchMetrics tallies the columnar batch plane every stage runs on:
+// the rows that completed their stage's kernels, plus kernel-fusion,
+// null-check-elision and vector-program activity.
 type BatchMetrics struct {
-	// ColumnarRows counts row×kernel-group passes executed on the batch
-	// plane.
+	// ColumnarRows counts rows that completed their stage's kernels on
+	// the batch plane.
 	ColumnarRows int64 `json:"columnar_rows"`
-	// BouncedRows counts rows that left the batch plane at a stage
-	// barrier and finished on the compiled row bridge.
-	BouncedRows int64 `json:"bounced_rows"`
 	// FusedPasses counts fused kernel-group executions (one scan over a
 	// batch's selection vector, however many adjacent ops it covers).
 	FusedPasses int64 `json:"fused_passes"`
@@ -256,7 +253,6 @@ func newMetrics(m *metrics.Metrics) *Metrics {
 		},
 		Batch: BatchMetrics{
 			ColumnarRows: m.Batch.ColumnarRows.Load(),
-			BouncedRows:  m.Batch.BouncedRows.Load(),
 			FusedPasses:  m.Batch.FusedPasses.Load(),
 			NullElisions: m.Batch.NullElisions.Load(),
 			NullChecked:  m.Batch.NullChecked.Load(),
@@ -323,9 +319,9 @@ func (m *Metrics) String() string {
 			fmt.Fprintf(&sb, " general=%d", j.GeneralRows)
 		}
 	}
-	if b := m.Batch; b.ColumnarRows > 0 || b.BouncedRows > 0 {
-		fmt.Fprintf(&sb, " | batch: columnar=%d bounced=%d fused_passes=%d elision=%.2f vector=%d vector_bail=%d",
-			b.ColumnarRows, b.BouncedRows, b.FusedPasses, b.ElisionRate(), b.VectorRows, b.VectorBailRows)
+	if b := m.Batch; b.ColumnarRows > 0 {
+		fmt.Fprintf(&sb, " | batch: columnar=%d fused_passes=%d elision=%.2f vector=%d vector_bail=%d",
+			b.ColumnarRows, b.FusedPasses, b.ElisionRate(), b.VectorRows, b.VectorBailRows)
 	}
 	for _, s := range m.Stages {
 		if s.Records == 0 && s.Bytes == 0 {

@@ -119,9 +119,6 @@ type OpRouting struct {
 	// ignore() handler dropped / that no path could process.
 	Ignored int64 `json:"ignored"`
 	Failed  int64 `json:"failed"`
-	// Bounced counts rows that left the columnar batch plane at this
-	// operator (the stage barrier) and finished on the row bridge.
-	Bounced int64 `json:"bounced,omitempty"`
 	// Rejects says why the source entry's classifier rejects left the
 	// normal case: counts keyed "<column> <sampled type>←<cell kind>" by
 	// the first cell of each rejected record that did not parse as its
@@ -285,7 +282,6 @@ func renderSpan(sb *strings.Builder, s *Span, head, tail string) {
 		writeCount(sb, "resolver_ok", r.ResolverResolved)
 		writeCount(sb, "ignored", r.Ignored)
 		writeCount(sb, "failed", r.Failed)
-		writeCount(sb, "bounced", r.Bounced)
 		sb.WriteByte('\n')
 		if len(r.Rejects) > 0 {
 			why := make([]string, 0, len(r.Rejects))

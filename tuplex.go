@@ -144,17 +144,6 @@ func WithChunkSize(n int) Option {
 	return Option{apply: func(o *core.Options) { o.ChunkSize = n }}
 }
 
-// WithColumnarExecution toggles the columnar batch data plane (default
-// on). When on, CSV sources parse straight into column vectors and the
-// normal-case prefix of each stage runs as batch kernels over those
-// vectors; rows that reject or raise bounce to the boxed row path, so
-// results and exception accounting are identical either way. Turn it
-// off to force the row-at-a-time plane (mainly for differential
-// testing).
-func WithColumnarExecution(on bool) Option {
-	return Option{apply: func(o *core.Options) { o.Columnar = on }}
-}
-
 // Context owns configuration and is the entry point for pipelines,
 // mirroring tuplex.Context() in the paper.
 type Context struct {
