@@ -66,11 +66,15 @@ bench-ingest:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# About ten seconds of each csvio fuzz target (FUZZTIME to change it).
+# About ten seconds of each fuzz target (FUZZTIME to change it).
 # FuzzParseChunk holds the chunk parser's one walk per record to
-# SplitRecords + ParseLineVecs; the others hold the record scans, the
-# float parser, the general reading, cell splitting and the sniffer to
-# their references. Not part of `check`: it runs for about a minute.
+# SplitRecords + ParseLineVecs; the other csvio targets hold the record
+# scans, the float parser, the general reading, cell splitting and the
+# sniffer to their references. FuzzSubmit posts each body to /v1/jobs
+# twice and holds the second reply (spec memo, plan cache) to the first;
+# minimizing a new input re-runs whole jobs, so its minimization is cut
+# to 50 runs, or a short smoke spends its time minimizing instead of
+# fuzzing. Not part of `check`: it runs for about a minute.
 FUZZTIME ?= 10s
 CSVIO_FUZZ = FuzzParseChunk FuzzSplitRecords FuzzParseF64Bytes FuzzGeneralParse FuzzSplitCells FuzzSniffValue
 
@@ -78,6 +82,7 @@ fuzz-smoke:
 	for f in $(CSVIO_FUZZ); do \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) ./internal/csvio || exit 1; \
 	done
+	$(GO) test -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 50x ./internal/service
 
 # End-to-end check of the introspection server: tuplex-bench with
 # -listen, scrape /metrics and /debug/tuplex/runz, fail on non-200 or

@@ -124,7 +124,7 @@ func (c *Client) SubmitAsync(ctx context.Context, p *Plan) (*Job, error) {
 }
 
 func (c *Client) submit(ctx context.Context, p *Plan, async bool, traceID string) (*Job, error) {
-	body, err := json.Marshal(p)
+	body, err := p.wireBytes()
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -343,6 +342,10 @@ func (eng *engine) runStage(sl *stageSlot, input *mat) (*mat, error) {
 	return eng.execAndResolve(sr, ssp)
 }
 
+// readMallocs reads the allocation count around each stage's execute
+// phase (a test hook; see export_test.go).
+var readMallocs = (*metrics.Mallocs).Read
+
 // execAndResolve runs a bound, compiled stage's partitions and the
 // post-facto exception-resolution pass, closing the stage span.
 func (eng *engine) execAndResolve(sr *stageRun, ssp *trace.Span) (*mat, error) {
@@ -354,21 +357,20 @@ func (eng *engine) execAndResolve(sr *stageRun, ssp *trace.Span) (*mat, error) {
 	columnar0 := bm.ColumnarRows.Load()
 	fused0, elided0, checked0 := bm.FusedPasses.Load(), bm.NullElisions.Load(), bm.NullChecked.Load()
 	vector0, vbail0 := bm.VectorRows.Load(), bm.VectorBailRows.Load()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	mallocs0 := ms.Mallocs
+	var mallocs metrics.Mallocs
+	mallocs0 := readMallocs(&mallocs)
 	out, err := eng.executeStage(sr)
 	if err != nil {
 		return nil, err
 	}
 	dExec := time.Since(tExec)
-	runtime.ReadMemStats(&ms)
+	mallocs1 := readMallocs(&mallocs)
 	eng.res.Metrics.Timings.Execute += dExec
 	eng.res.Metrics.Stage = append(eng.res.Metrics.Stage, metrics.StageIngest{
 		Stage:    len(eng.res.Metrics.Stage),
 		Bytes:    eng.res.Metrics.Ingest.BytesRead.Load() - bytes0,
 		Records:  eng.res.Metrics.Counters.InputRows.Load() - rows0,
-		Allocs:   int64(ms.Mallocs - mallocs0),
+		Allocs:   int64(mallocs1 - mallocs0),
 		Duration: dExec,
 	})
 	// Stage-delta batch-plane attrs: how much of this stage ran

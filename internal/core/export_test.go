@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"sync"
 
 	"github.com/gotuplex/tuplex/internal/csvio"
@@ -147,4 +148,29 @@ func CountChunkBuffers() (buffers func() int, restore func()) {
 		return n
 	}
 	return buffers, func() { newChunkPool = csvio.NewChunkPool }
+}
+
+// MemStatsAtStageReads makes every per-stage allocation read, until
+// restore is called, first call runtime.ReadMemStats, which flushes the
+// per-P allocation caches, and record its Mallocs: at those points the
+// runtime/metrics count the stage reads must equal MemStats.Mallocs.
+// mallocs reports the recorded values, two per stage.
+func MemStatsAtStageReads() (mallocs func() []uint64, restore func()) {
+	var mu sync.Mutex
+	var got []uint64
+	readMallocs = func(m *metrics.Mallocs) uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		n := m.Read()
+		mu.Lock()
+		got = append(got, ms.Mallocs)
+		mu.Unlock()
+		return n
+	}
+	mallocs = func() []uint64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]uint64(nil), got...)
+	}
+	return mallocs, func() { readMallocs = (*metrics.Mallocs).Read }
 }

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"crypto/sha256"
+	"slices"
 	"sync"
 
 	"github.com/gotuplex/tuplex/internal/core"
@@ -15,12 +17,20 @@ import (
 // of being served a poisoned error forever. Completed entries evict
 // least-recently-used under the cap; in-flight compiles are never
 // evicted (they are not in the LRU list until they complete).
+//
+// A completed entry also remembers the request bodies that resolved to
+// it (the spec memo), so a byte-identical resubmission skips the decode.
+// The bodies live and die with their entry: an eviction or a failed
+// flight drops them, so the memo is bounded by the cache itself.
 type planCache struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[string]*cacheEntry
 	order   []string // completed keys, least-recently-used first
-	stats   *telemetry.ServiceStats
+	// bodies indexes every remembered body by its digest. It holds
+	// exactly the bodies of the entries in entries, nothing more.
+	bodies map[[sha256.Size]byte]*cacheEntry
+	stats  *telemetry.ServiceStats
 }
 
 type cacheEntry struct {
@@ -29,10 +39,33 @@ type cacheEntry struct {
 	plan  *core.CompiledPlan
 	built *spec.Built
 	err   error // set (before close) when the flight failed
+	// bodies are the request bodies remembered for this entry, oldest
+	// first, at most maxEntryBodies; guarded by planCache.mu.
+	bodies []*decodedBody
+}
+
+// maxEntryBodies bounds the request bodies one entry remembers. Bodies
+// differ at one fingerprint only by JSON spelling (field order,
+// whitespace, number forms), and a client sends one spelling.
+const maxEntryBodies = 4
+
+// decodedBody is one request body with its decode: the body's digest,
+// the pipeline it decodes to and that pipeline's CanonicalDigest. A
+// remembered pipeline is shared by every job its body submits, so
+// nothing may write to it (Build and the verifier only read a spec).
+type decodedBody struct {
+	sum       [sha256.Size]byte
+	pipeline  *spec.Pipeline
+	canonical [sha256.Size]byte
 }
 
 func newPlanCache(capEntries int, stats *telemetry.ServiceStats) *planCache {
-	return &planCache{cap: capEntries, entries: make(map[string]*cacheEntry), stats: stats}
+	return &planCache{
+		cap:     capEntries,
+		entries: make(map[string]*cacheEntry),
+		bodies:  make(map[[sha256.Size]byte]*cacheEntry),
+		stats:   stats,
+	}
 }
 
 // acquire returns the entry for key and whether the caller owns the
@@ -61,6 +94,7 @@ func (c *planCache) complete(e *cacheEntry, plan *core.CompiledPlan, built *spec
 		c.order = c.order[1:]
 		if old, ok := c.entries[victim]; ok && old != e {
 			delete(c.entries, victim)
+			c.forget(old)
 			c.stats.CacheEvictions.Add(1)
 		}
 	}
@@ -76,7 +110,57 @@ func (c *planCache) fail(e *cacheEntry, err error) {
 	if c.entries[e.key] == e {
 		delete(c.entries, e.key)
 	}
+	c.forget(e)
 	c.mu.Unlock()
+}
+
+// remember records that body resolved to the completed entry e, unless
+// e has left the cache since. It moves a body remembered for another
+// entry (its input files changed), and past maxEntryBodies it forgets
+// the entry's oldest body.
+func (c *planCache) remember(e *cacheEntry, body *decodedBody) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.entries[e.key] != e {
+		return
+	}
+	switch old := c.bodies[body.sum]; old {
+	case e:
+		return
+	case nil:
+	default:
+		old.bodies = slices.DeleteFunc(old.bodies, func(b *decodedBody) bool { return b.sum == body.sum })
+	}
+	if len(e.bodies) == maxEntryBodies {
+		delete(c.bodies, e.bodies[0].sum)
+		e.bodies = slices.Delete(e.bodies, 0, 1)
+	}
+	e.bodies = append(e.bodies, body)
+	c.bodies[body.sum] = e
+}
+
+// recall returns the remembered decode of the body with digest sum.
+func (c *planCache) recall(sum [sha256.Size]byte) (*decodedBody, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e := c.bodies[sum]; e != nil {
+		for _, b := range e.bodies {
+			if b.sum == sum {
+				return b, true
+			}
+		}
+	}
+	return nil, false
+}
+
+// forget drops e's bodies from the index. The caller holds c.mu.
+func (c *planCache) forget(e *cacheEntry) {
+	for _, b := range e.bodies {
+		if c.bodies[b.sum] == e {
+			delete(c.bodies, b.sum)
+		}
+	}
+	e.bodies = nil
 }
 
 // touch moves a completed key to the most-recently-used end. In-flight

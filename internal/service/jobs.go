@@ -90,21 +90,38 @@ type job struct {
 	// failures.
 	traceID    string
 	arrival    time.Time     // request arrival (before admission)
-	queueWait  time.Duration // admission slot wait
+	front      frontTimes    // decode and fingerprint, before admission
+	queueWait  time.Duration // arrival → execution slot held
 	lookupWait time.Duration // plan-cache resolution (wait-on-flight)
 	execOffset time.Duration // arrival → engine execution start
 	jobTrace   *trace.Trace
 	events     []telemetry.FlightEvent
 }
 
+// frontTimes are the submit path's phases before the job exists, as
+// offsets from request arrival: the body's decode (or its memo lookup),
+// the fingerprint right after it, and the start of the slot wait.
+type frontTimes struct {
+	decodeAt, decode, fingerprint, admitAt time.Duration
+	memoHit                                bool
+}
+
+// set stamps the decode phase [t0, t1) and the fingerprint [t1, t2).
+func (f *frontTimes) set(arrival, t0, t1, t2 time.Time, memoHit bool) {
+	f.decodeAt, f.decode, f.fingerprint = t0.Sub(arrival), t1.Sub(t0), t2.Sub(t1)
+	f.memoHit = memoHit
+}
+
 // setAdmission stamps the pre-execution observability fields right
-// after the job is created (the queue wait happened before it existed).
-func (j *job) setAdmission(traceID string, arrival time.Time, queueWait time.Duration) {
+// after the job is created (decode and the queue wait happened before
+// it existed).
+func (j *job) setAdmission(traceID string, arrival time.Time, queueWait time.Duration, front frontTimes) {
 	j.mu.Lock()
 	j.traceID = traceID
 	if !arrival.IsZero() {
 		j.arrival = arrival
 	}
+	j.front = front
 	j.queueWait = queueWait
 	j.mu.Unlock()
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -204,7 +205,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
 		return
 	}
-	p, err := spec.Decode(body)
+	var front frontTimes
+	sub, fp, err := s.resolve(body, arrival, &front)
 	if err != nil {
 		if diags := decodeDiagnostics(err); diags != nil {
 			s.rejectInvalid(w, traceID, diags)
@@ -213,6 +215,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	p := sub.pipeline
 	if s.cfg.MemoryBudget > 0 {
 		if n := estimateInputBytes(p); n > s.cfg.MemoryBudget {
 			s.flight.Record(telemetry.EventReject, "", traceID, 0, "memory budget")
@@ -220,11 +223,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("job references ~%d input bytes, per-job budget is %d", n, s.cfg.MemoryBudget))
 			return
 		}
-	}
-	fp, err := p.Fingerprint()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
 	}
 	// Fail-fast admission: a spec the verifier can prove broken is
 	// turned away before it consumes a queue slot or a cache flight.
@@ -244,6 +242,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Admission happens before the job exists: a rejected submission
 	// leaves no trace beyond the rejected counter. The queue wait is
 	// bounded by the request timeout.
+	front.admitAt = time.Since(arrival)
 	actx, acancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	if err := s.admit(actx, traceID); err != nil {
 		acancel()
@@ -255,7 +254,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	queueWait := time.Since(arrival)
 	s.stats.JobsSubmitted.Add(1)
 	jb := s.jobs.create(fp)
-	jb.setAdmission(traceID, arrival, queueWait)
+	jb.setAdmission(traceID, arrival, queueWait, front)
 	s.flight.Record(telemetry.EventAdmit, jb.id, traceID, queueWait.Nanoseconds(), "")
 	s.inflight.Add(1)
 
@@ -264,13 +263,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		go func() {
 			ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
 			defer cancel()
-			s.runJob(ctx, jb, p, built)
+			s.runJob(ctx, jb, sub, built)
 		}()
 		writeJob(w, http.StatusAccepted, jb)
 		return
 	}
 	defer acancel()
-	s.runJob(actx, jb, p, built)
+	s.runJob(actx, jb, sub, built)
 	code := http.StatusOK
 	switch jb.status().State {
 	case StateFailed:
@@ -363,10 +362,43 @@ func (s *Server) buildChecked(p *spec.Pipeline) (*spec.Built, []plancheck.Diagno
 	return built, s.check(p, parsed)
 }
 
+// resolve turns a request body into its pipeline and fingerprint,
+// timing the decode and fingerprint phases into front. A body the plan
+// cache remembers, and whose fingerprint (re-read from its inputs) is
+// still cached, is served from the memo without a decode. Any other
+// body is decoded strictly and its canonical encoding hashed; it enters
+// the memo only once its plan compiled (execute), so an invalid body
+// never does.
+func (s *Server) resolve(body []byte, arrival time.Time, front *frontTimes) (*decodedBody, string, error) {
+	t0 := time.Now()
+	sum := sha256.Sum256(body)
+	if b, ok := s.cache.recall(sum); ok {
+		t1 := time.Now()
+		if fp := b.pipeline.FingerprintWith(b.canonical); s.cache.has(fp) {
+			s.stats.SpecMemoHits.Add(1)
+			front.set(arrival, t0, t1, time.Now(), true)
+			return b, fp, nil
+		}
+	}
+	p, err := spec.Decode(body)
+	if err != nil {
+		return nil, "", err
+	}
+	canonical, err := p.CanonicalDigest()
+	if err != nil {
+		return nil, "", err
+	}
+	t1 := time.Now()
+	fp := p.FingerprintWith(canonical)
+	front.set(arrival, t0, t1, time.Now(), false)
+	return &decodedBody{sum: sum, pipeline: p, canonical: canonical}, fp, nil
+}
+
 // runJob executes one admitted job (the caller holds its slot) and
 // records its lifecycle. Blocking; async submissions wrap it in a
-// goroutine. built, when non-nil, is p already built at admission.
-func (s *Server) runJob(ctx context.Context, jb *job, p *spec.Pipeline, built *spec.Built) {
+// goroutine. built, when non-nil, is sub's pipeline already built at
+// admission.
+func (s *Server) runJob(ctx context.Context, jb *job, sub *decodedBody, built *spec.Built) {
 	defer s.inflight.Done()
 	defer func() { <-s.sem }()
 	defer s.jobs.retire(jb)
@@ -378,7 +410,7 @@ func (s *Server) runJob(ctx context.Context, jb *job, p *spec.Pipeline, built *s
 	defer s.stats.RunningJobs.Add(-1)
 
 	t0 := time.Now()
-	res, built, hit, err := s.execute(jctx, jb, p, built)
+	res, built, hit, err := s.execute(jctx, jb, sub, built)
 	dur := time.Since(t0)
 	// The result is encoded once, here: the job keeps the bytes, and the
 	// engine's boxed rows become garbage when runJob returns. A value with
@@ -427,14 +459,15 @@ func (s *Server) runJob(ctx context.Context, jb *job, p *spec.Pipeline, built *s
 // and re-execute the cached plan. A failed flight is retried by the
 // next submitter rather than poisoning the key. The admission build
 // (prebuilt, possibly nil) is compiled at most once; any later compile
-// builds afresh.
-func (s *Server) execute(ctx context.Context, jb *job, p *spec.Pipeline, prebuilt *spec.Built) (*core.Result, *spec.Built, bool, error) {
+// builds afresh. Once the job's entry holds a compiled plan, the entry
+// remembers sub's body.
+func (s *Server) execute(ctx context.Context, jb *job, sub *decodedBody, prebuilt *spec.Built) (*core.Result, *spec.Built, bool, error) {
 	build := func() (*spec.Built, error) {
 		if b := prebuilt; b != nil {
 			prebuilt = nil
 			return b, nil
 		}
-		return p.Build()
+		return sub.pipeline.Build()
 	}
 	lookup := time.Now()
 	for attempt := 0; attempt < 4; attempt++ {
@@ -457,6 +490,7 @@ func (s *Server) execute(ctx context.Context, jb *job, p *spec.Pipeline, prebuil
 				return nil, built, false, err
 			}
 			s.cache.complete(e, cp, built)
+			s.cache.remember(e, sub)
 			return res, built, false, nil
 		}
 		select {
@@ -467,6 +501,7 @@ func (s *Server) execute(ctx context.Context, jb *job, p *spec.Pipeline, prebuil
 		if e.err != nil {
 			continue // the owner failed; compete to compile it ourselves
 		}
+		s.cache.remember(e, sub)
 		jb.noteLookup(time.Since(lookup))
 		s.stats.CacheHits.Add(1)
 		s.flight.Record(telemetry.EventCacheHit, jb.id, jb.traceID, 0, "")

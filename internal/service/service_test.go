@@ -535,7 +535,7 @@ func TestCanceledJobReportsCanceled(t *testing.T) {
 	cancel()
 	s.inflight.Add(1)
 	s.sem <- struct{}{}
-	s.runJob(ctx, jb, p, nil)
+	s.runJob(ctx, jb, &decodedBody{pipeline: p}, nil)
 	if st := jb.status(); st.State != StateCanceled {
 		t.Fatalf("want canceled, got %q (err=%q)", st.State, st.Error)
 	}

@@ -12,11 +12,12 @@ import (
 )
 
 // Job trace assembly: every finished job gets one span tree that starts
-// at request arrival and nests the service-side phases (admission queue
-// wait, plan-cache lookup) above the engine's own span tree, shifted
-// onto the job clock. GET /v1/jobs/{id}/trace serves it natively or in
-// Chrome trace-event form, and the slow-job log retains it for jobs
-// over the configured threshold.
+// at request arrival and nests the service-side phases (decode,
+// fingerprint, admission queue wait, plan-cache lookup) above the
+// engine's own span tree, shifted onto the job clock.
+// GET /v1/jobs/{id}/trace serves it natively or in Chrome trace-event
+// form, and the slow-job log retains it for jobs over the configured
+// threshold.
 
 // newTraceID generates a 16-hex-char correlation id for submissions
 // that did not propagate one via X-Tuplex-Trace.
@@ -52,7 +53,7 @@ func sanitizeTraceID(id string) string {
 // The engine trace is owned by the job from here on (Shift mutates it).
 func buildJobTrace(jb *job, engine *trace.Trace, total time.Duration) *trace.Trace {
 	jb.mu.Lock()
-	traceID, queueWait, lookupWait, execOffset := jb.traceID, jb.queueWait, jb.lookupWait, jb.execOffset
+	traceID, front, queueWait, lookupWait, execOffset := jb.traceID, jb.front, jb.queueWait, jb.lookupWait, jb.execOffset
 	hit, state := jb.cacheHit, jb.state
 	jb.mu.Unlock()
 
@@ -66,9 +67,23 @@ func buildJobTrace(jb *job, engine *trace.Trace, total time.Duration) *trace.Tra
 			trace.Bool("cache_hit", hit),
 		},
 	}
+	memo := "miss"
+	if front.memoHit {
+		memo = "hit"
+	}
 	root.Children = append(root.Children, &trace.Span{
-		Name:  "admission",
-		DurNS: queueWait.Nanoseconds(),
+		Name:    "decode",
+		StartNS: front.decodeAt.Nanoseconds(),
+		DurNS:   front.decode.Nanoseconds(),
+		Attrs:   []trace.Attr{trace.Str("memo", memo)},
+	}, &trace.Span{
+		Name:    "fingerprint",
+		StartNS: (front.decodeAt + front.decode).Nanoseconds(),
+		DurNS:   front.fingerprint.Nanoseconds(),
+	}, &trace.Span{
+		Name:    "admission",
+		StartNS: front.admitAt.Nanoseconds(),
+		DurNS:   (queueWait - front.admitAt).Nanoseconds(),
 	})
 	root.Children = append(root.Children, &trace.Span{
 		Name:    "cache_lookup",

@@ -24,24 +24,43 @@ import (
 const sampleBytes = 64 << 10
 
 // Fingerprint derives the compiled-pipeline cache key: a hash over the
-// canonical spec encoding (UDF sources, globals, op chain, options,
-// sink) plus, for every file-backed source in the pipeline (join build
-// sides included), each file's size and first 64 KiB. Byte-identical
-// resubmissions of the same spec over unchanged inputs map to the same
-// key; editing a UDF, an option or the input prefix changes it.
+// digest of the canonical spec encoding (UDF sources, globals, op
+// chain, options, sink) plus, for every file-backed source in the
+// pipeline (join build sides included), each file's size and first
+// 64 KiB. Byte-identical resubmissions of the same spec over unchanged
+// inputs map to the same key; editing a UDF, an option or the input
+// prefix changes it.
 //
 // Unreadable files hash their error string instead of failing: the
 // submission will surface the real error when the job runs, and a
 // missing file must not collide with an empty one.
 func (p *Pipeline) Fingerprint() (string, error) {
-	canonical, err := p.Encode()
+	canonical, err := p.CanonicalDigest()
 	if err != nil {
 		return "", err
 	}
+	return p.FingerprintWith(canonical), nil
+}
+
+// CanonicalDigest is the SHA-256 of the pipeline's canonical encoding:
+// the part of the fingerprint that depends on the spec alone, which a
+// caller holding an unchanged pipeline computes once.
+func (p *Pipeline) CanonicalDigest() ([sha256.Size]byte, error) {
+	canonical, err := p.Encode()
+	if err != nil {
+		return [sha256.Size]byte{}, err
+	}
+	return sha256.Sum256(canonical), nil
+}
+
+// FingerprintWith completes the fingerprint from the pipeline's
+// CanonicalDigest by hashing its sources, so it re-reads every input
+// prefix on each call and a changed input still changes the key.
+func (p *Pipeline) FingerprintWith(canonical [sha256.Size]byte) string {
 	h := sha256.New()
-	h.Write(canonical)
+	h.Write(canonical[:])
 	fingerprintSources(h, p)
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 func fingerprintSources(h io.Writer, p *Pipeline) {

@@ -167,6 +167,7 @@ type ServiceReport struct {
 	CacheHits      int64 `json:"cache_hits"`
 	CacheMisses    int64 `json:"cache_misses"`
 	CacheEvictions int64 `json:"cache_evictions"`
+	SpecMemoHits   int64 `json:"spec_memo_hits"`
 
 	QueueDepth  int64 `json:"queue_depth"`
 	RunningJobs int64 `json:"running_jobs"`
@@ -218,6 +219,7 @@ func serviceReport(st *ServiceStats) *ServiceReport {
 		CacheHits:      st.CacheHits.Load(),
 		CacheMisses:    st.CacheMisses.Load(),
 		CacheEvictions: st.CacheEvictions.Load(),
+		SpecMemoHits:   st.SpecMemoHits.Load(),
 		QueueDepth:     st.QueueDepth.Load(),
 		RunningJobs:    st.RunningJobs.Load(),
 		ColdP50NS:      st.ColdLatency.Quantile(0.50),
@@ -394,6 +396,7 @@ func writeServicePrometheus(w http.ResponseWriter, st *ServiceStats, om bool) {
 	c("tuplex_service_cache_hits_total", "Jobs served from the compiled-pipeline cache.", st.CacheHits.Load())
 	c("tuplex_service_cache_misses_total", "Jobs that compiled a fresh pipeline.", st.CacheMisses.Load())
 	c("tuplex_service_cache_evictions_total", "Compiled pipelines evicted under the cache cap.", st.CacheEvictions.Load())
+	c("tuplex_service_spec_memo_hits_total", "Submissions served from a remembered request body without a decode.", st.SpecMemoHits.Load())
 	g("tuplex_service_queue_depth", "Submissions waiting for an execution slot.", st.QueueDepth.Load())
 	g("tuplex_service_running_jobs", "Jobs currently executing.", st.RunningJobs.Load())
 	hist := func(h *Histogram, name string) {

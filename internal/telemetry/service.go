@@ -18,6 +18,9 @@ type ServiceStats struct {
 	CacheHits      atomic.Int64
 	CacheMisses    atomic.Int64
 	CacheEvictions atomic.Int64
+	// SpecMemoHits counts submissions served from a remembered request
+	// body, without decoding it.
+	SpecMemoHits atomic.Int64
 
 	// QueueDepth / RunningJobs are gauges (current values).
 	QueueDepth  atomic.Int64

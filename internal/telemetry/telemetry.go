@@ -21,7 +21,6 @@
 package telemetry
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,7 +92,8 @@ type Sample struct {
 	// Executors is the pool size.
 	BusyExecutors int `json:"busy_executors"`
 	Executors     int `json:"executors"`
-	// HeapBytes is runtime.MemStats.HeapAlloc at sample time.
+	// HeapBytes is the heap object bytes at sample time
+	// (runtime.MemStats.HeapAlloc, read without stopping the world).
 	HeapBytes uint64 `json:"heap_bytes"`
 	// GCPauseNS / GCCycles are the GC pause time and cycle count since
 	// the previous sample.
@@ -191,7 +191,8 @@ type RunMonitor struct {
 	prevRows    int64
 	prevBytes   int64
 	prevGCPause uint64
-	prevGCNum   uint32
+	prevGCNum   uint64
+	gc          metrics.GC // the sampler goroutine's reader
 }
 
 // NewRunMonitor builds a monitor over the run's shared metrics.
@@ -274,8 +275,7 @@ func (m *RunMonitor) sampleOnce() {
 	c := &m.m.Counters
 	rows := c.InputRows.Load()
 	bytes := m.m.Ingest.BytesRead.Load() + m.streamBytes.Load()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
+	gc := m.gc.Read()
 	s := Sample{
 		AtNS:          now,
 		Stage:         int(m.curStage.Load()),
@@ -288,16 +288,16 @@ func (m *RunMonitor) sampleOnce() {
 		BytesRead:     bytes,
 		BusyExecutors: int(m.busy.Load()),
 		Executors:     m.executors,
-		HeapBytes:     ms.HeapAlloc,
-		GCPauseNS:     ms.PauseTotalNs - m.prevGCPause,
-		GCCycles:      ms.NumGC - m.prevGCNum,
+		HeapBytes:     gc.HeapBytes,
+		GCPauseNS:     gc.PauseNS - m.prevGCPause,
+		GCCycles:      uint32(gc.Cycles - m.prevGCNum),
 	}
 	if dt := now - m.prevNS; dt > 0 {
 		s.RowsPerSec = float64(rows-m.prevRows) / (float64(dt) / 1e9)
 		s.BytesPerSec = float64(bytes-m.prevBytes) / (float64(dt) / 1e9)
 	}
 	m.prevNS, m.prevRows, m.prevBytes = now, rows, bytes
-	m.prevGCPause, m.prevGCNum = ms.PauseTotalNs, ms.NumGC
+	m.prevGCPause, m.prevGCNum = gc.PauseNS, gc.Cycles
 	m.ring.push(s)
 }
 

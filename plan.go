@@ -1,7 +1,10 @@
 package tuplex
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"sync/atomic"
 
 	"github.com/gotuplex/tuplex/internal/spec"
 )
@@ -18,8 +21,15 @@ import (
 // Plans are produced from a DataSet with (*DataSet).Plan, parsed from
 // JSON with ParsePlan or json.Unmarshal, executed locally with Run, and
 // submitted remotely with Client.Submit.
+//
+// A Plan does not change once made (the sink setters return copies), so
+// it caches its wire bytes on first use: every Submit of one Plan sends
+// the same bytes without re-encoding, and a daemon serves those bytes
+// from its memo of request bodies. A Plan is safe for concurrent use;
+// UnmarshalJSON, which replaces its content, is not.
 type Plan struct {
-	p *spec.Pipeline
+	p    *spec.Pipeline
+	wire atomic.Pointer[[]byte] // canonical encoding, set on first use
 }
 
 // Plan captures the DataSet's operator chain and its context's options
@@ -49,7 +59,10 @@ func ParsePlan(data []byte) (*Plan, error) {
 }
 
 // MarshalJSON renders the canonical (deterministic, compact) wire form.
-func (p *Plan) MarshalJSON() ([]byte, error) { return p.p.Encode() }
+func (p *Plan) MarshalJSON() ([]byte, error) {
+	b, err := p.wireBytes()
+	return bytes.Clone(b), err
+}
 
 // UnmarshalJSON decodes with ParsePlan's strictness.
 func (p *Plan) UnmarshalJSON(data []byte) error {
@@ -58,7 +71,22 @@ func (p *Plan) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	p.p = sp
+	p.wire.Store(nil)
 	return nil
+}
+
+// wireBytes returns the plan's cached canonical encoding, encoding it on
+// first use. Callers must not modify the bytes.
+func (p *Plan) wireBytes() ([]byte, error) {
+	if b := p.wire.Load(); b != nil {
+		return *b, nil
+	}
+	b, err := p.p.Encode()
+	if err != nil {
+		return nil, err
+	}
+	p.wire.Store(&b)
+	return b, nil
 }
 
 // String renders the plan as indented JSON (debugging, golden files).
@@ -77,7 +105,13 @@ func (p *Plan) Version() int { return spec.Version }
 // daemon would use for this plan: a hash over the canonical encoding
 // plus each file-backed source's size and sampled prefix. Two plans
 // with equal fingerprints share one compiled pipeline server-side.
-func (p *Plan) Fingerprint() (string, error) { return p.p.Fingerprint() }
+func (p *Plan) Fingerprint() (string, error) {
+	b, err := p.wireBytes()
+	if err != nil {
+		return "", err
+	}
+	return p.p.FingerprintWith(sha256.Sum256(b)), nil
+}
 
 // Validate builds the plan against this binary's operator set and
 // reports the first problem (unknown op kind, unparsable UDF, missing
