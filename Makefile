@@ -70,7 +70,11 @@ bench-smoke:
 # FuzzParseChunk holds the chunk parser's one walk per record to
 # SplitRecords + ParseLineVecs; the other csvio targets hold the record
 # scans, the float parser, the general reading, cell splitting and the
-# sniffer to their references. FuzzSubmit posts each body to /v1/jobs
+# sniffer to their references. FuzzParseUDF holds the UDF lexer and
+# parser to increasing token positions, in-source error positions and a
+# deterministic parse; a new input minimizes in 200 runs, as a parse is
+# cheap and the default minute of minimizing would stall a short smoke.
+# FuzzSubmit posts each body to /v1/jobs
 # twice and holds the second reply (spec memo, plan cache) to the first;
 # minimizing a new input re-runs whole jobs, so its minimization is cut
 # to 50 runs, or a short smoke spends its time minimizing instead of
@@ -82,6 +86,7 @@ fuzz-smoke:
 	for f in $(CSVIO_FUZZ); do \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) ./internal/csvio || exit 1; \
 	done
+	$(GO) test -run '^$$' -fuzz '^FuzzParseUDF$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 200x ./internal/pyast
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 50x ./internal/service
 
 # End-to-end check of the introspection server: tuplex-bench with

@@ -167,6 +167,33 @@ func (v *Vec) Reset() {
 	v.sealLen = 0
 }
 
+// Reserve gives the vector room for n rows of payload (not string
+// bytes), so n appends to a fresh vector allocate once instead of at
+// each of append's growth steps.
+func (v *Vec) Reserve(n int) {
+	switch v.Kind {
+	case types.KindBool:
+		v.B = reserve(v.B, n)
+	case types.KindI64:
+		v.I = reserve(v.I, n)
+	case types.KindF64:
+		v.F = reserve(v.F, n)
+	case types.KindStr:
+		v.Off = reserve(v.Off, n)
+		v.SLen = reserve(v.SLen, n)
+	case types.KindNull:
+	default:
+		v.Slots = reserve(v.Slots, n)
+	}
+}
+
+func reserve[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return slices.Grow(s, n-len(s))
+	}
+	return s
+}
+
 // Grow extends the vector's payload storage to length n (dense derived
 // columns write at absolute positions; holes stay zero and unread).
 func (v *Vec) Grow(n int) {

@@ -89,6 +89,33 @@ func TestVecNulls(t *testing.T) {
 	}
 }
 
+// TestVecReserve checks that a fresh vector reserved for n rows takes n
+// appends without regrowing its payload.
+func TestVecReserve(t *testing.T) {
+	const n = 2500
+	for _, ty := range []types.Type{types.I64, types.F64, types.Bool, types.Str} {
+		v := NewVec(ty)
+		v.Reserve(n)
+		caps := func() [5]int { return [5]int{cap(v.B), cap(v.I), cap(v.F), cap(v.Off), cap(v.SLen)} }
+		reserved := caps()
+		for i := range n {
+			switch ty.Kind() {
+			case types.KindI64:
+				v.AppendI64(int64(i))
+			case types.KindF64:
+				v.AppendF64(float64(i))
+			case types.KindBool:
+				v.AppendBool(i%2 == 0)
+			case types.KindStr:
+				v.AppendStrBytes(nil)
+			}
+		}
+		if v.Len() != n || caps() != reserved {
+			t.Fatalf("%v: %d rows, payload capacities %v after the appends, %v reserved", ty, v.Len(), caps(), reserved)
+		}
+	}
+}
+
 func TestVecTruncate(t *testing.T) {
 	v := NewVec(types.Option(types.Str))
 	v.AppendStr("aa")

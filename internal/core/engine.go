@@ -217,6 +217,30 @@ type engine struct {
 	// generalCut is the raw-row count from which a pool runs through the
 	// stage's general plan (0: generalMinPool; a test hook changes it).
 	generalCut int
+	// phases, set while a stage compiles, sums its UDFs' front-end
+	// phases for the compile span.
+	phases *udfPhases
+}
+
+// udfPhases is the time a stage's compile spent typing (phInfer),
+// analyzing (phDataflow) and generating code (phCodegen) for its UDFs:
+// one clock read per phase per UDF.
+type udfPhases [3]time.Duration
+
+const (
+	phInfer = iota
+	phDataflow
+	phCodegen
+)
+
+// lap charges the time since *t to phase i and moves *t to now. A nil
+// p (no stage compiling) only moves *t.
+func (p *udfPhases) lap(i int, t *time.Time) {
+	now := time.Now()
+	if p != nil {
+		p[i] += now.Sub(*t)
+	}
+	*t = now
 }
 
 // canceled returns the run's cancellation error when eng.ctx is done,
@@ -318,7 +342,10 @@ func (eng *engine) runStage(sl *stageSlot, input *mat) (*mat, error) {
 	}
 	if sl.plan == nil {
 		tCompile := time.Now()
+		var ph udfPhases
+		eng.phases = &ph
 		pl, dSample, err := eng.compileStage(sl, sr)
+		eng.phases = nil
 		if err != nil {
 			return nil, err
 		}
@@ -331,7 +358,10 @@ func (eng *engine) runStage(sl *stageSlot, input *mat) (*mat, error) {
 			eng.tr.Child("sample", dSample)
 		}
 		eng.res.Metrics.Timings.Compile += dCompile
-		cattrs := []trace.Attr{trace.Int("udfs", int64(pl.nUDFs))}
+		cattrs := []trace.Attr{trace.Int("udfs", int64(pl.nUDFs)),
+			trace.Int("infer_us", ph[phInfer].Microseconds()),
+			trace.Int("dataflow_us", ph[phDataflow].Microseconds()),
+			trace.Int("codegen_us", ph[phCodegen].Microseconds())}
 		if km := pl.kernelModes(); km != "" {
 			cattrs = append(cattrs, trace.Str("kernels", km))
 		}

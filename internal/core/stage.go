@@ -1112,7 +1112,9 @@ func (eng *engine) compileUDF(spec *logical.UDFSpec, paramTypes []types.Type, sc
 	// pruned on the sample's nulls, and no null fact seeds the analysis.
 	noNullOpt := general || eng.opts.Sample.DisableNullOpt
 	infOpts := inference.Options{DisableNullPruning: noNullOpt}
+	ph, t := eng.phases, time.Now()
 	info, err := inference.TypeFunction(spec.Fn, paramTypes, globalTypes, infOpts)
+	ph.lap(phInfer, &t)
 	if err != nil {
 		// Structural mismatch (e.g. wrong arity): the UDF can still run
 		// boxed; the fast path is simply absent.
@@ -1123,6 +1125,7 @@ func (eng *engine) compileUDF(spec *logical.UDFSpec, paramTypes []types.Type, sc
 		NullFacts: !noNullOpt,
 		Globals:   spec.Globals,
 	})
+	ph.lap(phDataflow, &t)
 	su.flow = flow
 	if !general {
 		eng.reportLints(label, flow.Lints())
@@ -1131,7 +1134,9 @@ func (eng *engine) compileUDF(spec *logical.UDFSpec, paramTypes []types.Type, sc
 	if cgOpts.Specialize {
 		cgOpts.Flow = flow
 	}
+	t = time.Now() // lints are not a front-end phase
 	u, err := codegen.Compile(info, spec.Globals, cgOpts)
+	ph.lap(phCodegen, &t)
 	if err != nil {
 		eng.traceAnalyze(label, flow, nil)
 		return su

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"github.com/gotuplex/tuplex/internal/codegen"
 	"github.com/gotuplex/tuplex/internal/csvio"
@@ -110,8 +111,11 @@ func (eng *engine) compileAggregate(pl *stagePlan, agg *logical.AggregateOp, sch
 	for k, v := range agg.Agg.Globals {
 		globalTypes[k] = typeOfBoxed(v)
 	}
+	ph := eng.phases
 	for range 3 {
+		t := time.Now()
 		info, err := inference.TypeFunction(agg.Agg.Fn, []types.Type{accT, rowT}, globalTypes, inference.Options{})
+		ph.lap(phInfer, &t)
 		if err != nil {
 			break // wrong arity etc: boxed-only aggregation
 		}
@@ -121,6 +125,7 @@ func (eng *engine) compileAggregate(pl *stagePlan, agg *logical.AggregateOp, sch
 		ret := info.ReturnType
 		if types.Equal(ret, accT) {
 			u, cerr := codegen.Compile(info, agg.Agg.Globals, eng.opts.Codegen)
+			ph.lap(phCodegen, &t)
 			if cerr == nil {
 				su.compiled = u
 				pl.aggFold = u.Fold

@@ -82,6 +82,30 @@ type analyzer struct {
 	info *inference.Info
 	opts Options
 	res  *Result
+	// undo records what refinement overwrote, newest last, so an
+	// expression-level branch can refine in place and roll back.
+	undo []undoEntry
+}
+
+// undoEntry is one overwritten fact: ev.row[col] when col >= 0, else
+// ev.vars[name].
+type undoEntry struct {
+	name string
+	col  int
+	old  Fact
+}
+
+// rollback restores ev to its state when the undo log was mark long.
+func (a *analyzer) rollback(ev *env, mark int) {
+	for i := len(a.undo) - 1; i >= mark; i-- {
+		u := &a.undo[i]
+		if u.col >= 0 {
+			ev.row[u.col] = u.old
+		} else {
+			ev.vars[u.name] = u.old
+		}
+	}
+	a.undo = a.undo[:mark]
 }
 
 func (a *analyzer) run() {
@@ -142,8 +166,24 @@ func (a *analyzer) nn(f Fact) Fact {
 
 func (a *analyzer) addRaise(k pyvalue.ExcKind) {
 	if k != pyvalue.ExcOK {
-		a.res.canRaise[k] = true
+		a.res.canRaise |= 1 << k
 	}
+}
+
+// failed reports n's inference failure, if inference recorded one.
+func (a *analyzer) failed(n pyast.Node) (inference.Failure, bool) {
+	if len(a.info.Failed) == 0 {
+		return inference.Failure{}, false
+	}
+	f, ok := a.info.Failed[n]
+	return f, ok
+}
+
+func (a *analyzer) markDead(n pyast.Node, d deadInfo) {
+	if a.res.dead == nil {
+		a.res.dead = map[pyast.Node]deadInfo{}
+	}
+	a.res.dead[n] = d
 }
 
 func (a *analyzer) lint(pos pyast.Pos, code, msg string) {
@@ -152,10 +192,26 @@ func (a *analyzer) lint(pos pyast.Pos, code, msg string) {
 
 // record stores a non-top fact for codegen queries.
 func (a *analyzer) record(e pyast.Expr, f Fact) Fact {
-	if !f.isTop() {
-		a.res.facts[e] = f
+	if f.isTop() {
+		return f
+	}
+	if n := a.res.slot(e); n > 0 {
+		a.res.facts[n] = f
 	}
 	return f
+}
+
+// recordRaise marks e as always raising k.
+func (a *analyzer) recordRaise(e pyast.Expr, k pyvalue.ExcKind) {
+	r := a.res
+	n := r.slot(e)
+	if n == 0 {
+		return
+	}
+	if r.raises == nil {
+		r.raises = make([]pyvalue.ExcKind, len(r.facts))
+	}
+	r.raises[n] = k
 }
 
 // ---- statements ----
@@ -180,7 +236,7 @@ func (a *analyzer) stmts(ss []pyast.Stmt, ev *env) bool {
 }
 
 func (a *analyzer) stmt(s pyast.Stmt, ev *env) bool {
-	if f, ok := a.info.Failed[s]; ok {
+	if f, ok := a.failed(s); ok {
 		a.addRaise(kindFromName(f.Raises))
 		return true
 	}
@@ -337,7 +393,7 @@ func (a *analyzer) ifStmt(s *pyast.If, ev *env) bool {
 			if t {
 				arm = inference.DeadElse
 			}
-			a.res.dead[s] = deadInfo{arm: arm, deps: cf.deps}
+			a.markDead(s, deadInfo{arm: arm, deps: cf.deps})
 		}
 		// Analyze the dead arm on a scratch env (lints, conservative
 		// raise collection), then continue with the live arm's env.
@@ -349,8 +405,11 @@ func (a *analyzer) ifStmt(s *pyast.If, ev *env) bool {
 		return a.stmts(s.Else, ev)
 	}
 	thenEnv, elseEnv := ev.clone(), ev.clone()
+	mark := len(a.undo)
 	a.refine(s.Cond, true, thenEnv)
 	a.refine(s.Cond, false, elseEnv)
+	// The clones are the branches' own state: nothing to roll back.
+	a.undo = a.undo[:mark]
 	tTerm := a.stmts(s.Then, thenEnv)
 	eTerm := false
 	if len(s.Else) > 0 {
@@ -434,7 +493,7 @@ func (a *analyzer) expr(e pyast.Expr, ev *env) Fact {
 	if e == nil {
 		return Fact{}
 	}
-	if f, ok := a.info.Failed[e]; ok {
+	if f, ok := a.failed(e); ok {
 		a.addRaise(kindFromName(f.Raises))
 		return Fact{}
 	}
@@ -556,7 +615,7 @@ func (a *analyzer) binFact(node pyast.Expr, op string, l, r Fact, le, re pyast.E
 				// A dep-free always-raise: every normal-case row raises
 				// here, so codegen may compile the expression to an
 				// exception exit (and the lint surface reports it).
-				a.res.raises[node] = k
+				a.recordRaise(node, k)
 				a.lint(node.Pos(), "always-raises",
 					"expression always raises "+k.String())
 			}
@@ -742,15 +801,16 @@ func (a *analyzer) boolOpFact(e *pyast.BoolOp, ev *env) Fact {
 
 func (a *analyzer) compareFact(e *pyast.Compare, ev *env) Fact {
 	first := a.expr(e.First, ev)
-	rest := make([]Fact, len(e.Rest))
-	for i, x := range e.Rest {
-		rest[i] = a.expr(x, ev)
-	}
 	if len(e.Ops) == 1 {
-		if t, deps, ok := a.compareStepFact(e.Ops[0], first, rest[0], e.First, e.Rest[0]); ok {
+		second := a.expr(e.Rest[0], ev)
+		if t, deps, ok := a.compareStepFact(e.Ops[0], first, second, e.First, e.Rest[0]); ok {
 			return constFact(pyvalue.Bool(t)).withDeps(deps)
 		}
 		return a.nn(Fact{})
+	}
+	rest := make([]Fact, len(e.Rest))
+	for i, x := range e.Rest {
+		rest[i] = a.expr(x, ev)
 	}
 	// Chained comparisons: decide only if every step decides.
 	all := true
@@ -892,20 +952,25 @@ func (a *analyzer) ifExprFact(e *pyast.IfExpr, ev *env) Fact {
 			if t {
 				arm = inference.DeadElse
 			}
-			a.res.dead[e] = deadInfo{arm: arm, deps: cf.deps}
+			a.markDead(e, deadInfo{arm: arm, deps: cf.deps})
 		}
+		// Expressions never write the environment (refinements below
+		// roll back), so the dead arm needs no scratch copy.
 		if t {
-			a.expr(e.Else, ev.clone())
+			a.expr(e.Else, ev)
 			return a.expr(e.Then, ev).withDeps(cf.deps)
 		}
-		a.expr(e.Then, ev.clone())
+		a.expr(e.Then, ev)
 		return a.expr(e.Else, ev).withDeps(cf.deps)
 	}
-	thenEnv, elseEnv := ev.clone(), ev.clone()
-	a.refine(e.Cond, true, thenEnv)
-	a.refine(e.Cond, false, elseEnv)
-	tf := a.expr(e.Then, thenEnv)
-	ef := a.expr(e.Else, elseEnv)
+	// Refine in place for each arm, then roll the refinement back.
+	mark := len(a.undo)
+	a.refine(e.Cond, true, ev)
+	tf := a.expr(e.Then, ev)
+	a.rollback(ev, mark)
+	a.refine(e.Cond, false, ev)
+	ef := a.expr(e.Else, ev)
+	a.rollback(ev, mark)
 	return join(tf, ef)
 }
 

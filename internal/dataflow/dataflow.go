@@ -28,6 +28,7 @@ package dataflow
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"github.com/gotuplex/tuplex/internal/inference"
@@ -99,12 +100,17 @@ type deadInfo struct {
 // queries it during compilation; queries that consume a sample-seeded
 // fact mark the fact's columns as load-bearing, and RequiredGuards
 // reports the guards those decisions require.
+//
+// Per-expression facts and always-raise sites live in slices indexed by
+// the expression's parse number (pyast.Expr.Num). Index 0 stays top: a
+// node outside 1..Fn.NumExprs — one not built by the UDF's parse — gets
+// no facts and never always-raises.
 type Result struct {
 	info     *inference.Info
-	facts    map[pyast.Expr]Fact
+	facts    []Fact
+	raises   []pyvalue.ExcKind // allocated on the first always-raise site
 	dead     map[pyast.Node]deadInfo
-	raises   map[pyast.Expr]pyvalue.ExcKind
-	canRaise map[pyvalue.ExcKind]bool
+	canRaise uint64 // bit k set: the UDF can raise ExcKind k
 	lints    []Lint
 	cols     []ColFact
 	used     uint64
@@ -113,22 +119,10 @@ type Result struct {
 // Analyze runs the forward dataflow analysis for a typed UDF. It never
 // mutates the AST; info must come from inference.TypeFunction.
 func Analyze(info *inference.Info, opts Options) *Result {
-	// Room for a fact per expression up front: growing the map from
-	// empty rehashes it several times over a large UDF.
-	nexpr := 0
-	pyast.InspectStmts(info.Fn.Body, func(n pyast.Node) bool {
-		if _, ok := n.(pyast.Expr); ok {
-			nexpr++
-		}
-		return true
-	})
 	res := &Result{
-		info:     info,
-		facts:    make(map[pyast.Expr]Fact, nexpr),
-		dead:     map[pyast.Node]deadInfo{},
-		raises:   map[pyast.Expr]pyvalue.ExcKind{},
-		canRaise: map[pyvalue.ExcKind]bool{},
-		cols:     opts.Columns,
+		info:  info,
+		facts: make([]Fact, info.Fn.NumExprs+1),
+		cols:  opts.Columns,
 	}
 	a := &analyzer{info: info, opts: opts, res: res}
 	a.run()
@@ -136,6 +130,20 @@ func Analyze(info *inference.Info, opts Options) *Result {
 	res.lints = append(res.lints, unusedVarLints(info.Fn)...)
 	sortLints(res.lints)
 	return res
+}
+
+// slot is e's index into the dense per-expression slices, or 0 (the
+// slot that stays top) when e is not numbered by this UDF's parse.
+func (r *Result) slot(e pyast.Expr) int {
+	if n := e.Num(); n > 0 && n < len(r.facts) {
+		return n
+	}
+	return 0
+}
+
+// fact is the recorded fact of e; the zero Fact (top) when none was.
+func (r *Result) fact(e pyast.Expr) Fact {
+	return r.facts[r.slot(e)]
 }
 
 // DeadBranch reports the statically dead arm of an If or IfExpr under
@@ -154,8 +162,8 @@ func (r *Result) DeadBranch(n pyast.Node) inference.Branch {
 // and exactly matching e's static type, marking the decision's seeded
 // columns as load-bearing.
 func (r *Result) Constant(e pyast.Expr) (pyvalue.Value, bool) {
-	f, ok := r.facts[e]
-	if !ok || f.Const == nil || !matchesType(f.Const, e.Type()) {
+	f := r.fact(e)
+	if f.Const == nil || !matchesType(f.Const, e.Type()) {
 		return nil, false
 	}
 	r.used |= f.deps
@@ -176,15 +184,18 @@ func (r *Result) ConstantTruth(e pyast.Expr) (bool, bool) {
 // exception kind (dep-free proofs only, so the exit is valid for every
 // normal-case row).
 func (r *Result) AlwaysRaises(e pyast.Expr) (pyvalue.ExcKind, bool) {
-	k, ok := r.raises[e]
-	return k, ok
+	var k pyvalue.ExcKind
+	if r.raises != nil {
+		k = r.raises[r.slot(e)]
+	}
+	return k, k != pyvalue.ExcOK
 }
 
 // NonNull reports whether e is provably not None, marking load-bearing
 // columns.
 func (r *Result) NonNull(e pyast.Expr) bool {
-	f, ok := r.facts[e]
-	if !ok || f.Null != NullNever {
+	f := r.fact(e)
+	if f.Null != NullNever {
 		return false
 	}
 	r.used |= f.deps
@@ -194,8 +205,8 @@ func (r *Result) NonNull(e pyast.Expr) bool {
 // NonZero reports whether e is provably a non-zero number, marking
 // load-bearing columns.
 func (r *Result) NonZero(e pyast.Expr) bool {
-	f, ok := r.facts[e]
-	if !ok || !f.nonZero() {
+	f := r.fact(e)
+	if !f.nonZero() {
 		return false
 	}
 	r.used |= f.deps
@@ -205,8 +216,8 @@ func (r *Result) NonZero(e pyast.Expr) bool {
 // NonNegative reports whether e is provably ≥ 0, marking load-bearing
 // columns.
 func (r *Result) NonNegative(e pyast.Expr) bool {
-	f, ok := r.facts[e]
-	if !ok || !f.nonNegative() {
+	f := r.fact(e)
+	if !f.nonNegative() {
 		return false
 	}
 	r.used |= f.deps
@@ -238,16 +249,15 @@ func (r *Result) RequiredGuards() []Guard {
 // normal-case path, conservatively over-approximated. An empty slice is
 // a proof the compiled UDF never raises.
 func (r *Result) CanRaise() []pyvalue.ExcKind {
-	ks := make([]pyvalue.ExcKind, 0, len(r.canRaise))
-	for k := range r.canRaise {
-		ks = append(ks, k)
+	ks := make([]pyvalue.ExcKind, 0, bits.OnesCount64(r.canRaise))
+	for m := r.canRaise; m != 0; m &= m - 1 {
+		ks = append(ks, pyvalue.ExcKind(bits.TrailingZeros64(m)))
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
 	return ks
 }
 
 // MayRaise reports whether the UDF can raise the given kind.
-func (r *Result) MayRaise(k pyvalue.ExcKind) bool { return r.canRaise[k] }
+func (r *Result) MayRaise(k pyvalue.ExcKind) bool { return r.canRaise&(1<<k) != 0 }
 
 // Lints returns the user-facing diagnostics, ordered by position. The
 // lint set is independent of sample value statistics and optimization

@@ -30,18 +30,22 @@ type Fact struct {
 	// Const is the value this expression always evaluates to, when
 	// known (scalar kinds plus None only).
 	Const pyvalue.Value
-	// Null is the nullability component.
-	Null Nullness
 	// Lo/Hi bound integer values when HasLo/HasHi are set.
-	Lo, Hi       int64
+	Lo, Hi int64
+
+	deps uint64
+
+	// The one-byte fields go last: a Fact packs into 48 bytes, and a
+	// Result holds one per expression.
+
+	// Null is the nullability component.
+	Null         Nullness
 	HasLo, HasHi bool
 
 	// notZero records a numeric value proven ≠ 0 without interval bounds
 	// (e.g. a truthiness check on an unbounded int). Any sampled-column
 	// dependence still travels in deps.
 	notZero bool
-
-	deps uint64
 }
 
 // isTop reports whether the fact carries no information.

@@ -29,6 +29,13 @@ func failedLints(info *inference.Info) []Lint {
 // unusedVarLints reports locals that are assigned but never read.
 // Parameters and "_" are exempt.
 func unusedVarLints(fn *pyast.Function) []Lint {
+	// A body of one return (every lambda) assigns nothing, so it needs
+	// no read count.
+	if len(fn.Body) == 1 {
+		if _, ok := fn.Body[0].(*pyast.Return); ok {
+			return nil
+		}
+	}
 	params := map[string]bool{}
 	for _, p := range fn.Params {
 		params[p] = true

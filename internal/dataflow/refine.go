@@ -182,7 +182,8 @@ func (a *analyzer) refineNone(lv pyast.Expr, isNone bool, ev *env) {
 }
 
 // updateLV applies fn to the fact of a refinable lvalue: a plain local
-// name, or a row-column subscript through a row alias.
+// name, or a row-column subscript through a row alias. It is the only
+// writer refinement has, and it logs the fact it overwrites to a.undo.
 func (a *analyzer) updateLV(lv pyast.Expr, ev *env, fn func(Fact) Fact) {
 	switch lv := lv.(type) {
 	case *pyast.Name:
@@ -190,11 +191,13 @@ func (a *analyzer) updateLV(lv pyast.Expr, ev *env, fn func(Fact) Fact) {
 			return // the row value itself, not a scalar
 		}
 		if f, ok := ev.vars[lv.Ident]; ok {
+			a.undo = append(a.undo, undoEntry{name: lv.Ident, col: -1, old: f})
 			ev.vars[lv.Ident] = fn(f)
 		}
 	case *pyast.Subscript:
 		if xn, ok := lv.X.(*pyast.Name); ok && ev.aliases[xn.Ident] &&
 			lv.RowIdx >= 0 && lv.RowIdx < len(ev.row) {
+			a.undo = append(a.undo, undoEntry{col: lv.RowIdx, old: ev.row[lv.RowIdx]})
 			ev.row[lv.RowIdx] = fn(ev.row[lv.RowIdx])
 		}
 	}

@@ -73,6 +73,10 @@ func AnalyzeColumns(fn *Function) *ColumnAccess {
 		}
 		return false
 	}
+	// Collect accesses in the same walk; any bare use of the parameter
+	// that is not the X of a constant subscript escapes the row. A
+	// constant subscript's children are the consumed Name and a literal,
+	// so the walk skips them.
 	InspectStmts(fn.Body, func(n Node) bool {
 		switch n := n.(type) {
 		case *Assign:
@@ -106,46 +110,29 @@ func AnalyzeColumns(fn *Function) *ColumnAccess {
 					shadowed = true
 				}
 			}
-		}
-		return true
-	})
-	if shadowed {
-		ca.WholeRow = true
-		return ca
-	}
-
-	// Collect accesses; any bare use of the parameter that is not the X of
-	// a constant subscript escapes the row. We walk twice: first marking
-	// Name uses consumed by an enclosing constant Subscript, then flagging
-	// the rest.
-	consumed := map[*Name]bool{}
-	InspectStmts(fn.Body, func(n Node) bool {
-		sub, ok := n.(*Subscript)
-		if !ok {
-			return true
-		}
-		nm, ok := sub.X.(*Name)
-		if !ok || nm.Ident != param {
-			return true
-		}
-		switch idx := sub.Index.(type) {
-		case *StrLit:
-			byName[idx.S] = true
-			consumed[nm] = true
-		case *NumLit:
-			if !idx.IsFloat {
-				byIndex[int(idx.I)] = true
-				consumed[nm] = true
+		case *Subscript:
+			if nm, ok := n.X.(*Name); ok && nm.Ident == param {
+				switch idx := n.Index.(type) {
+				case *StrLit:
+					byName[idx.S] = true
+					return false
+				case *NumLit:
+					if !idx.IsFloat {
+						byIndex[int(idx.I)] = true
+						return false
+					}
+				}
+			}
+		case *Name:
+			if n.Ident == param {
+				ca.WholeRow = true
 			}
 		}
 		return true
 	})
-	InspectStmts(fn.Body, func(n Node) bool {
-		if nm, ok := n.(*Name); ok && nm.Ident == param && !consumed[nm] {
-			ca.WholeRow = true
-		}
-		return true
-	})
+	if shadowed {
+		return &ColumnAccess{WholeRow: true}
+	}
 
 	for n := range byName {
 		ca.ByName = append(ca.ByName, n)
@@ -169,7 +156,9 @@ func dictReturnColumns(body []Stmt) []string {
 	InspectStmts(body, func(n Node) bool {
 		r, isRet := n.(*Return)
 		if !isRet || !ok {
-			return true
+			// A return is a statement: no expression holds one.
+			_, isExpr := n.(Expr)
+			return !isExpr
 		}
 		sawReturn = true
 		d, isDict := r.X.(*DictLit)

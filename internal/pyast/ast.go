@@ -21,6 +21,11 @@ type Expr interface {
 	Type() types.Type
 	// SetType records the inferred static type.
 	SetType(types.Type)
+	// Num is the expression's number in its parse, 1..NumExprs of the
+	// Function the parse produced; 0 for a node built outside the parser.
+	// Analyses index per-expression facts by it and give unnumbered
+	// nodes no facts.
+	Num() int
 }
 
 // Stmt is a statement node.
@@ -32,12 +37,14 @@ type Stmt interface {
 type exprBase struct {
 	P  Pos
 	Ty types.Type
+	N  int32 // parse-order number; see Expr.Num
 }
 
 func (b *exprBase) Pos() Pos             { return b.P }
 func (b *exprBase) exprNode()            {}
 func (b *exprBase) Type() types.Type     { return b.Ty }
 func (b *exprBase) SetType(t types.Type) { b.Ty = t }
+func (b *exprBase) Num() int             { return int(b.N) }
 
 type stmtBase struct{ P Pos }
 
@@ -268,6 +275,10 @@ type Function struct {
 	Params []string
 	Body   []Stmt
 	Source string
+	// NumExprs bounds the expression numbers of Body: every node the
+	// parse built has Num in 1..NumExprs. Zero for a Function whose body
+	// was not built by ParseUDF.
+	NumExprs int
 }
 
 // NumLocals reports an upper bound on distinct local variables (params

@@ -10,43 +10,37 @@ import (
 // joining with a trailing backslash, comments, and string literals with
 // single/double quotes and escapes.
 type lexer struct {
-	src     string
-	off     int
-	line    int
-	col     int
-	indents []int
-	pending []Tok // queued INDENT/DEDENT tokens
-	depth   int   // bracket nesting depth ([({ vs )}])
-	atBOL   bool  // at beginning of a logical line
-	emitted bool  // some non-NEWLINE token emitted on current line
-}
-
-func newLexer(src string) *lexer {
-	// Normalize line endings so the indentation logic sees \n only.
-	src = strings.ReplaceAll(src, "\r\n", "\n")
-	src = strings.ReplaceAll(src, "\r", "\n")
-	return &lexer{src: src, line: 1, col: 1, indents: []int{0}, atBOL: true}
+	src       string
+	off       int
+	line      int
+	lineStart int // offset of the current line's first byte
+	indents   []int
+	toks      []Tok
+	depth     int  // bracket nesting depth ([({ vs )}])
+	atBOL     bool // at beginning of a logical line
+	emitted   bool // some non-NEWLINE token emitted on current line
 }
 
 // Lex tokenizes the whole source.
 func Lex(src string) ([]Tok, error) {
-	lx := newLexer(src)
+	// Normalize line endings so the indentation logic sees \n only.
+	src = strings.ReplaceAll(src, "\r\n", "\n")
+	src = strings.ReplaceAll(src, "\r", "\n")
 	// UDF source runs about two bytes per token; reserving that up front
 	// spares the slice its regrowth copies.
-	toks := make([]Tok, 0, len(src)/2+8)
-	for {
-		t, err := lx.next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.Kind == TokEOF {
-			return toks, nil
-		}
+	lx := &lexer{src: src, line: 1, indents: []int{0}, atBOL: true, toks: make([]Tok, 0, len(src)/2+8)}
+	if err := lx.run(); err != nil {
+		return nil, err
 	}
+	return lx.toks, nil
 }
 
-func (lx *lexer) pos() Pos { return Pos{Line: lx.line, Col: lx.col} }
+func (lx *lexer) pos() Pos { return Pos{Line: lx.line, Col: lx.off - lx.lineStart + 1} }
+
+// emit appends a token that starts at offset start of the current line.
+func (lx *lexer) emit(kind TokKind, op opcode, text string, start int) {
+	lx.toks = append(lx.toks, Tok{Text: text, Line: int32(lx.line), Col: int32(start - lx.lineStart + 1), Kind: kind, op: op})
+}
 
 func (lx *lexer) peekByte() byte {
 	if lx.off >= len(lx.src) {
@@ -67,164 +61,144 @@ func (lx *lexer) advance() byte {
 	lx.off++
 	if c == '\n' {
 		lx.line++
-		lx.col = 1
-	} else {
-		lx.col++
+		lx.lineStart = lx.off
 	}
 	return c
 }
 
-func (lx *lexer) next() (Tok, error) {
-	if len(lx.pending) > 0 {
-		t := lx.pending[0]
-		lx.pending = lx.pending[1:]
-		return t, nil
-	}
-
-	if lx.atBOL && lx.depth == 0 {
-		if tok, handled, err := lx.handleIndentation(); err != nil {
-			return Tok{}, err
-		} else if handled {
-			return tok, nil
+// run lexes up to and including EOF. A NUL byte ends the input.
+func (lx *lexer) run() error {
+	for {
+		if lx.atBOL && lx.depth == 0 {
+			if err := lx.handleIndentation(); err != nil {
+				return err
+			}
 		}
-	}
 
-	lx.skipSpacesAndComments()
+		lx.skipSpacesAndComments()
 
-	pos := lx.pos()
-	c := lx.peekByte()
+		start := lx.off
+		c := lx.peekByte()
+		var err error
+		switch {
+		case c == 0:
+			// Close the final logical line and drain indents.
+			if lx.emitted {
+				lx.emit(TokNewline, opNone, "", start)
+			}
+			for len(lx.indents) > 1 {
+				lx.indents = lx.indents[:len(lx.indents)-1]
+				lx.emit(TokDedent, opNone, "", start)
+			}
+			lx.emit(TokEOF, opNone, "", start)
+			return nil
 
-	switch {
-	case c == 0:
-		// Close the final logical line and drain indents.
-		if lx.emitted {
-			lx.emitted = false
-			return Tok{Kind: TokNewline, Pos: pos}, nil
-		}
-		for len(lx.indents) > 1 {
-			lx.indents = lx.indents[:len(lx.indents)-1]
-			lx.pending = append(lx.pending, Tok{Kind: TokDedent, Pos: pos})
-		}
-		lx.pending = append(lx.pending, Tok{Kind: TokEOF, Pos: pos})
-		t := lx.pending[0]
-		lx.pending = lx.pending[1:]
-		return t, nil
-
-	case c == '\n':
-		lx.advance()
-		if lx.depth > 0 || !lx.emitted {
+		case c == '\n':
 			// Implicit joining inside brackets; blank lines produce no
 			// NEWLINE either.
+			if lx.depth == 0 && lx.emitted {
+				lx.emit(TokNewline, opNone, "", start)
+				lx.emitted = false
+			}
+			lx.advance()
 			lx.atBOL = lx.depth == 0
-			return lx.next()
+
+		case c == '\\' && lx.peekByteAt(1) == '\n':
+			lx.advance()
+			lx.advance()
+
+		case isDigit(c) || (c == '.' && isDigit(lx.peekByteAt(1))):
+			lx.lexNumber()
+
+		case c == '\'' || c == '"':
+			err = lx.lexString(c)
+
+		case isNameStart(c):
+			err = lx.lexName()
+
+		default:
+			err = lx.lexOp()
 		}
-		lx.atBOL = true
-		lx.emitted = false
-		return Tok{Kind: TokNewline, Pos: pos}, nil
-
-	case c == '\\' && lx.peekByteAt(1) == '\n':
-		lx.advance()
-		lx.advance()
-		return lx.next()
-
-	case isDigit(c) || (c == '.' && isDigit(lx.peekByteAt(1))):
-		return lx.lexNumber()
-
-	case c == '\'' || c == '"':
-		return lx.lexString(c)
-
-	case isNameStart(c):
-		return lx.lexName()
-
-	default:
-		return lx.lexOp()
+		if err != nil {
+			return err
+		}
 	}
 }
 
 // handleIndentation measures leading whitespace of a fresh logical line
-// and emits INDENT/DEDENT tokens as needed. It reports handled=false when
-// the line is blank or comment-only (no tokens emitted).
-func (lx *lexer) handleIndentation() (Tok, bool, error) {
+// and emits INDENT/DEDENT tokens as needed. A blank or comment-only line
+// emits none.
+func (lx *lexer) handleIndentation() error {
+	lx.atBOL = false
 	width := 0
 	for {
 		c := lx.peekByte()
 		if c == ' ' {
 			width++
-			lx.advance()
+			lx.off++
 		} else if c == '\t' {
 			width += 8 - width%8
-			lx.advance()
+			lx.off++
 		} else {
 			break
 		}
 	}
-	c := lx.peekByte()
-	if c == '\n' || c == '#' || c == 0 {
-		// Blank/comment-only line: no indentation effect.
-		lx.atBOL = false
-		return Tok{}, false, nil
+	if c := lx.peekByte(); c == '\n' || c == '#' || c == 0 {
+		return nil
 	}
-	lx.atBOL = false
-	pos := lx.pos()
 	cur := lx.indents[len(lx.indents)-1]
 	switch {
 	case width > cur:
 		lx.indents = append(lx.indents, width)
-		return Tok{Kind: TokIndent, Pos: pos}, true, nil
+		lx.emit(TokIndent, opNone, "", lx.off)
 	case width < cur:
-		var toks []Tok
 		for len(lx.indents) > 1 && lx.indents[len(lx.indents)-1] > width {
 			lx.indents = lx.indents[:len(lx.indents)-1]
-			toks = append(toks, Tok{Kind: TokDedent, Pos: pos})
+			lx.emit(TokDedent, opNone, "", lx.off)
 		}
 		if lx.indents[len(lx.indents)-1] != width {
-			return Tok{}, false, errf(pos, "unindent does not match any outer indentation level")
+			return errf(lx.pos(), "unindent does not match any outer indentation level")
 		}
-		lx.pending = append(lx.pending, toks[1:]...)
-		return toks[0], true, nil
-	default:
-		return Tok{}, false, nil
 	}
+	return nil
 }
 
 func (lx *lexer) skipSpacesAndComments() {
-	for {
-		c := lx.peekByte()
-		if c == ' ' || c == '\t' {
-			lx.advance()
-			continue
-		}
-		if c == '#' {
-			for lx.peekByte() != '\n' && lx.peekByte() != 0 {
-				lx.advance()
+	for lx.off < len(lx.src) {
+		switch lx.src[lx.off] {
+		case ' ', '\t':
+			lx.off++
+		case '#':
+			// A NUL byte ends the input, inside a comment too.
+			for lx.off < len(lx.src) && lx.src[lx.off] != '\n' && lx.src[lx.off] != 0 {
+				lx.off++
 			}
-			continue
+		default:
+			return
 		}
-		return
 	}
 }
 
-func (lx *lexer) lexNumber() (Tok, error) {
-	pos := lx.pos()
+func (lx *lexer) lexNumber() {
 	start := lx.off
 	isFloat := false
 	// Hex literals.
 	if lx.peekByte() == '0' && (lx.peekByteAt(1) == 'x' || lx.peekByteAt(1) == 'X') {
-		lx.advance()
-		lx.advance()
+		lx.off += 2
 		for isHexDigit(lx.peekByte()) || lx.peekByte() == '_' {
-			lx.advance()
+			lx.off++
 		}
-		return Tok{Kind: TokInt, Text: lx.src[start:lx.off], Pos: pos}, nil
+		lx.emit(TokInt, opNone, lx.src[start:lx.off], start)
+		return
 	}
 	for isDigit(lx.peekByte()) || lx.peekByte() == '_' {
-		lx.advance()
+		lx.off++
 	}
 	if lx.peekByte() == '.' && lx.peekByteAt(1) != '.' {
 		isFloat = true
-		lx.advance()
+		lx.off++
 		for isDigit(lx.peekByte()) || lx.peekByte() == '_' {
-			lx.advance()
+			lx.off++
 		}
 	}
 	if c := lx.peekByte(); c == 'e' || c == 'E' {
@@ -234,11 +208,9 @@ func (lx *lexer) lexNumber() (Tok, error) {
 		}
 		if isDigit(lx.peekByteAt(d)) {
 			isFloat = true
-			for range d {
-				lx.advance()
-			}
+			lx.off += d
 			for isDigit(lx.peekByte()) {
-				lx.advance()
+				lx.off++
 			}
 		}
 	}
@@ -246,26 +218,56 @@ func (lx *lexer) lexNumber() (Tok, error) {
 	if isFloat {
 		kind = TokFloat
 	}
-	return Tok{Kind: kind, Text: lx.src[start:lx.off], Pos: pos}, nil
+	lx.emit(kind, opNone, lx.src[start:lx.off], start)
 }
 
-func (lx *lexer) lexString(quote byte) (Tok, error) {
-	pos := lx.pos()
-	lx.advance() // opening quote
+func (lx *lexer) lexString(quote byte) error {
+	at := Tok{Line: int32(lx.line), Col: int32(lx.off - lx.lineStart + 1), Kind: TokString}
+	pos := at.Pos()
+	lx.off++ // opening quote
 	// Triple-quoted strings.
 	triple := lx.peekByte() == quote && lx.peekByteAt(1) == quote
 	if triple {
-		lx.advance()
-		lx.advance()
+		lx.off += 2
 	}
+	body := lx.off
+	// Fast path: a literal without escapes is a substring of the source.
+	for lx.off < len(lx.src) {
+		c := lx.src[lx.off]
+		if c == '\\' || c == 0 {
+			break
+		}
+		if c == quote && (!triple || (lx.peekByteAt(1) == quote && lx.peekByteAt(2) == quote)) {
+			at.Text = lx.src[body:lx.off]
+			if triple {
+				lx.off += 3
+			} else {
+				lx.off++
+			}
+			lx.emitted = true
+			lx.toks = append(lx.toks, at)
+			return nil
+		}
+		if c == '\n' {
+			if !triple {
+				return errf(pos, "newline in string literal")
+			}
+			lx.line++
+			lx.lineStart = lx.off + 1
+		}
+		lx.off++
+	}
+	// An escape (or the end of the input): decode from here on, behind
+	// the escape-free prefix.
 	var sb strings.Builder
+	sb.WriteString(lx.src[body:lx.off])
 	for {
 		c := lx.peekByte()
 		if c == 0 {
-			return Tok{}, errf(pos, "unterminated string literal")
+			return errf(pos, "unterminated string literal")
 		}
 		if !triple && c == '\n' {
-			return Tok{}, errf(pos, "newline in string literal")
+			return errf(pos, "newline in string literal")
 		}
 		if c == quote {
 			if !triple {
@@ -273,9 +275,7 @@ func (lx *lexer) lexString(quote byte) (Tok, error) {
 				break
 			}
 			if lx.peekByteAt(1) == quote && lx.peekByteAt(2) == quote {
-				lx.advance()
-				lx.advance()
-				lx.advance()
+				lx.off += 3
 				break
 			}
 			sb.WriteByte(lx.advance())
@@ -285,7 +285,7 @@ func (lx *lexer) lexString(quote byte) (Tok, error) {
 			lx.advance()
 			e := lx.peekByte()
 			if e == 0 {
-				return Tok{}, errf(pos, "unterminated string literal")
+				return errf(pos, "unterminated string literal")
 			}
 			lx.advance()
 			switch e {
@@ -306,10 +306,9 @@ func (lx *lexer) lexString(quote byte) (Tok, error) {
 			case 'x':
 				hi, lo := lx.peekByte(), lx.peekByteAt(1)
 				if !isHexDigit(hi) || !isHexDigit(lo) {
-					return Tok{}, errf(lx.pos(), `invalid \x escape`)
+					return errf(lx.pos(), `invalid \x escape`)
 				}
-				lx.advance()
-				lx.advance()
+				lx.off += 2
 				sb.WriteByte(hexVal(hi)<<4 | hexVal(lo))
 			case '\n':
 				// Line continuation inside a string: swallowed.
@@ -324,14 +323,15 @@ func (lx *lexer) lexString(quote byte) (Tok, error) {
 		sb.WriteByte(lx.advance())
 	}
 	lx.emitted = true
-	return Tok{Kind: TokString, Str: sb.String(), Pos: pos}, nil
+	at.Text = sb.String()
+	lx.toks = append(lx.toks, at)
+	return nil
 }
 
-func (lx *lexer) lexName() (Tok, error) {
-	pos := lx.pos()
+func (lx *lexer) lexName() error {
 	start := lx.off
-	for isNameCont(lx.peekByte()) {
-		lx.advance()
+	for lx.off < len(lx.src) && isNameCont(lx.src[lx.off]) {
+		lx.off++
 	}
 	text := lx.src[start:lx.off]
 	// Raw string prefix: r'...' or r"..." (used for regex patterns).
@@ -339,75 +339,98 @@ func (lx *lexer) lexName() (Tok, error) {
 		return lx.lexRawString(lx.peekByte())
 	}
 	lx.emitted = true
-	if keywords[text] {
-		return Tok{Kind: TokKeyword, Text: text, Pos: pos}, nil
+	if kw := keyword(text); kw != opNone {
+		lx.emit(TokKeyword, kw, text, start)
+		return nil
 	}
-	return Tok{Kind: TokName, Text: text, Pos: pos}, nil
+	lx.emit(TokName, opNone, text, start)
+	return nil
 }
 
-func (lx *lexer) lexRawString(quote byte) (Tok, error) {
-	pos := lx.pos()
-	lx.advance() // opening quote
-	var sb strings.Builder
+func (lx *lexer) lexRawString(quote byte) error {
+	start, pos := lx.off, lx.pos()
+	lx.off++ // opening quote
+	body := lx.off
 	for {
 		c := lx.peekByte()
 		if c == 0 || c == '\n' {
-			return Tok{}, errf(pos, "unterminated raw string literal")
+			return errf(pos, "unterminated raw string literal")
 		}
 		if c == quote {
-			lx.advance()
 			break
 		}
+		lx.off++
 		if c == '\\' {
 			// In a raw string the backslash is kept and the next char can
 			// never terminate the string.
-			sb.WriteByte(lx.advance())
 			if n := lx.peekByte(); n != 0 && n != '\n' {
-				sb.WriteByte(lx.advance())
+				lx.off++
 			}
-			continue
 		}
-		sb.WriteByte(lx.advance())
 	}
+	text := lx.src[body:lx.off]
+	lx.off++
 	lx.emitted = true
-	return Tok{Kind: TokString, Str: sb.String(), Pos: pos}, nil
+	lx.emit(TokString, opNone, text, start)
+	return nil
 }
 
-// multi-character operators, longest first.
-var multiOps = []string{
-	"**=", "//=", "<<=", ">>=",
-	"==", "!=", "<=", ">=", "**", "//", "->", "+=", "-=", "*=", "/=", "%=",
-	"&=", "|=", "^=", "<<", ">>",
+// opBytes is the operator table, indexed by an operator's first byte:
+// the one-byte operator, its '=' form, and for ** // << >> the doubled
+// operator and its '=' form.
+var opBytes = [256]struct{ one, eq, dbl, dblEq opcode }{
+	'+': {one: opAdd, eq: opAddEq},
+	'-': {one: opSub, eq: opSubEq},
+	'*': {opMul, opMulEq, opPow, opPowEq},
+	'/': {opDiv, opDivEq, opFloorDiv, opFloorDivEq},
+	'%': {one: opMod, eq: opModEq},
+	'&': {one: opBitAnd, eq: opAndEq},
+	'|': {one: opBitOr, eq: opOrEq},
+	'^': {one: opBitXor, eq: opXorEq},
+	'<': {opLt, opLe, opLShift, opLShiftEq},
+	'>': {opGt, opGe, opRShift, opRShiftEq},
+	'=': {one: opAssign, eq: opEq},
+	'!': {eq: opNe},
+	'~': {one: opInvert},
+	'(': {one: opLParen}, ')': {one: opRParen},
+	'[': {one: opLBracket}, ']': {one: opRBracket},
+	'{': {one: opLBrace}, '}': {one: opRBrace},
+	',': {one: opComma}, ':': {one: opColon}, '.': {one: opDot},
+	';': {one: opSemi}, '@': {one: opAt},
 }
 
-func (lx *lexer) lexOp() (Tok, error) {
-	pos := lx.pos()
-	rest := lx.src[lx.off:]
-	for _, op := range multiOps {
-		if strings.HasPrefix(rest, op) {
-			for range len(op) {
-				lx.advance()
-			}
-			lx.emitted = true
-			return Tok{Kind: TokOp, Text: op, Pos: pos}, nil
+// lexOp reads an operator or a punctuation mark: the first byte picks
+// the table row, the next two pick among its forms.
+func (lx *lexer) lexOp() error {
+	start := lx.off
+	c, c1 := lx.src[start], lx.peekByteAt(1)
+	row := &opBytes[c]
+	op, n := row.one, 1
+	switch {
+	case row.dbl != opNone && c1 == c:
+		op, n = row.dbl, 2
+		if lx.peekByteAt(2) == '=' {
+			op, n = row.dblEq, 3
 		}
+	case row.eq != opNone && c1 == '=':
+		op, n = row.eq, 2
+	case c == '-' && c1 == '>':
+		op, n = opArrow, 2
 	}
-	c := lx.advance()
-	switch c {
-	case '(', '[', '{':
+	switch op {
+	case opNone:
+		return errf(lx.pos(), "unexpected character %q", string(c))
+	case opLParen, opLBracket, opLBrace:
 		lx.depth++
-	case ')', ']', '}':
+	case opRParen, opRBracket, opRBrace:
 		if lx.depth > 0 {
 			lx.depth--
 		}
 	}
-	switch c {
-	case '+', '-', '*', '/', '%', '<', '>', '=', '(', ')', '[', ']', '{', '}',
-		',', ':', '.', ';', '@', '&', '|', '^', '~':
-		lx.emitted = true
-		return Tok{Kind: TokOp, Text: lx.src[lx.off-1 : lx.off], Pos: pos}, nil
-	}
-	return Tok{}, errf(pos, "unexpected character %q", string(c))
+	lx.off += n
+	lx.emitted = true
+	lx.emit(TokOp, op, lx.src[start:lx.off], start)
+	return nil
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }

@@ -5,10 +5,19 @@ import (
 	"strings"
 )
 
-// parser is a recursive-descent parser over the token stream.
+// parser is a recursive-descent parser over the token stream. Binary
+// operators parse by precedence climbing over binPrec; operators and
+// keywords are matched by op code.
 type parser struct {
-	toks []Tok
-	pos  int
+	toks  []Tok
+	pos   int
+	nexpr int32 // expressions numbered so far
+}
+
+// node starts the base of a new expression node at pos, numbering it.
+func (p *parser) node(pos Pos) exprBase {
+	p.nexpr++
+	return exprBase{P: pos, N: p.nexpr}
 }
 
 // ParseUDF parses UDF source code: either a single lambda expression or
@@ -16,20 +25,22 @@ type parser struct {
 // last def is the entry point, matching how the paper's pipelines pass a
 // named function). It returns the entry function in normalized form.
 func ParseUDF(src string) (*Function, error) {
-	stmts, err := ParseModule(src)
+	p, stmts, err := parseModule(src)
 	if err != nil {
 		return nil, err
 	}
 	if len(stmts) == 0 {
 		return nil, errf(Pos{1, 1}, "empty UDF source")
 	}
+	nexpr := int(p.nexpr)
 	// A single expression statement that is a lambda.
 	if es, ok := stmts[len(stmts)-1].(*ExprStmt); ok && len(stmts) == 1 {
 		if lam, ok := es.X.(*Lambda); ok {
 			return &Function{
-				Params: lam.Params,
-				Body:   []Stmt{&Return{stmtBase: stmtBase{P: lam.Pos()}, X: lam.Body}},
-				Source: src,
+				Params:   lam.Params,
+				Body:     []Stmt{&Return{stmtBase: stmtBase{P: lam.Pos()}, X: lam.Body}},
+				Source:   src,
+				NumExprs: nexpr,
 			}, nil
 		}
 		return nil, errf(es.Pos(), "UDF must be a lambda or def, got a bare expression")
@@ -41,25 +52,30 @@ func ParseUDF(src string) (*Function, error) {
 	if len(stmts) > 1 {
 		return nil, errf(stmts[0].Pos(), "UDF source must contain exactly one top-level definition")
 	}
-	return &Function{Name: fd.Name, Params: fd.Params, Body: fd.Body, Source: src}, nil
+	return &Function{Name: fd.Name, Params: fd.Params, Body: fd.Body, Source: src, NumExprs: nexpr}, nil
 }
 
 // ParseModule parses a sequence of top-level statements.
 func ParseModule(src string) ([]Stmt, error) {
+	_, stmts, err := parseModule(src)
+	return stmts, err
+}
+
+func parseModule(src string) (*parser, []Stmt, error) {
 	toks, err := Lex(src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p := &parser{toks: toks}
 	var stmts []Stmt
 	for !p.at(TokEOF) {
 		s, err := p.parseStmt()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		stmts = append(stmts, s)
 	}
-	return stmts, nil
+	return p, stmts, nil
 }
 
 // ParseExprString parses a single expression (used by tests and the
@@ -74,51 +90,49 @@ func ParseExprString(src string) (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.accept(TokNewline, "")
+	p.accept(TokNewline)
 	if !p.at(TokEOF) {
-		return nil, errf(p.cur().Pos, "trailing tokens after expression: %s", p.cur())
+		return nil, errf(p.cur().Pos(), "trailing tokens after expression: %s", p.cur())
 	}
 	return e, nil
 }
 
-func (p *parser) cur() Tok  { return p.toks[p.pos] }
-func (p *parser) next() Tok { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) cur() *Tok  { return &p.toks[p.pos] }
+func (p *parser) next() *Tok { t := &p.toks[p.pos]; p.pos++; return t }
 
-func (p *parser) at(kind TokKind) bool { return p.cur().Kind == kind }
+func (p *parser) at(kind TokKind) bool { return p.toks[p.pos].Kind == kind }
 
-func (p *parser) atText(kind TokKind, text string) bool {
-	return p.cur().Kind == kind && p.cur().Text == text
-}
+// atOp reports whether the current token is the operator or keyword op;
+// op codes never collide, so the token kind needs no test.
+func (p *parser) atOp(op opcode) bool { return p.toks[p.pos].op == op }
 
-func (p *parser) atOp(text string) bool { return p.atText(TokOp, text) }
-func (p *parser) atKw(text string) bool { return p.atText(TokKeyword, text) }
-
-// accept consumes the current token if it matches; text=="" matches any
-// text of the kind.
-func (p *parser) accept(kind TokKind, text string) bool {
-	if p.cur().Kind == kind && (text == "" || p.cur().Text == text) {
+// accept consumes the current token if it is of the kind.
+func (p *parser) accept(kind TokKind) bool {
+	if p.toks[p.pos].Kind == kind {
 		p.pos++
 		return true
 	}
 	return false
 }
 
-func (p *parser) expectOp(text string) error {
-	if !p.accept(TokOp, text) {
-		return errf(p.cur().Pos, "expected %q, got %s", text, p.cur())
+// acceptOp consumes the current token if it is the operator or keyword.
+func (p *parser) acceptOp(op opcode) bool {
+	if p.toks[p.pos].op == op {
+		p.pos++
+		return true
 	}
-	return nil
+	return false
 }
 
-func (p *parser) expectKw(text string) error {
-	if !p.accept(TokKeyword, text) {
-		return errf(p.cur().Pos, "expected %q, got %s", text, p.cur())
+func (p *parser) expectOp(op opcode) error {
+	if !p.acceptOp(op) {
+		return errf(p.cur().Pos(), "expected %q, got %s", opText[op], p.cur())
 	}
 	return nil
 }
 
 func (p *parser) skipNewlines() {
-	for p.accept(TokNewline, "") {
+	for p.accept(TokNewline) {
 	}
 }
 
@@ -127,20 +141,20 @@ func (p *parser) skipNewlines() {
 func (p *parser) parseStmt() (Stmt, error) {
 	p.skipNewlines()
 	t := p.cur()
-	switch {
-	case t.Kind == TokKeyword:
-		switch t.Text {
-		case "def":
+	if t.Kind == TokKeyword {
+		pos := t.Pos()
+		switch t.op {
+		case kwDef:
 			return p.parseDef()
-		case "if":
+		case kwIf:
 			return p.parseIf()
-		case "for":
+		case kwFor:
 			return p.parseFor()
-		case "while":
+		case kwWhile:
 			return p.parseWhile()
-		case "return":
+		case kwReturn:
 			p.next()
-			r := &Return{stmtBase: stmtBase{P: t.Pos}}
+			r := &Return{stmtBase: stmtBase{P: pos}}
 			if !p.at(TokNewline) && !p.at(TokEOF) && !p.at(TokDedent) {
 				x, err := p.parseExprOrTuple()
 				if err != nil {
@@ -148,61 +162,67 @@ func (p *parser) parseStmt() (Stmt, error) {
 				}
 				r.X = x
 			}
-			p.accept(TokNewline, "")
+			p.accept(TokNewline)
 			return r, nil
-		case "pass":
+		case kwPass:
 			p.next()
-			p.accept(TokNewline, "")
-			return &Pass{stmtBase{P: t.Pos}}, nil
-		case "break":
+			p.accept(TokNewline)
+			return &Pass{stmtBase{P: pos}}, nil
+		case kwBreak:
 			p.next()
-			p.accept(TokNewline, "")
-			return &Break{stmtBase{P: t.Pos}}, nil
-		case "continue":
+			p.accept(TokNewline)
+			return &Break{stmtBase{P: pos}}, nil
+		case kwContinue:
 			p.next()
-			p.accept(TokNewline, "")
-			return &Continue{stmtBase{P: t.Pos}}, nil
+			p.accept(TokNewline)
+			return &Continue{stmtBase{P: pos}}, nil
 		}
 	}
 	return p.parseSimpleStmt()
 }
 
+// augOps maps the augmented assignments of the subset to their
+// arithmetic operator; the bitwise ones are not in the subset.
+var augOps = [numOpcodes]string{
+	opAddEq: "+", opSubEq: "-", opMulEq: "*", opDivEq: "/",
+	opFloorDivEq: "//", opModEq: "%", opPowEq: "**",
+}
+
 func (p *parser) parseSimpleStmt() (Stmt, error) {
-	pos := p.cur().Pos
+	pos := p.cur().Pos()
 	lhs, err := p.parseExprOrTuple()
 	if err != nil {
 		return nil, err
 	}
 	// Augmented assignment.
-	for _, op := range []string{"+", "-", "*", "/", "//", "%", "**"} {
-		if p.accept(TokOp, op+"=") {
-			rhs, err := p.parseExprOrTuple()
-			if err != nil {
-				return nil, err
-			}
-			if err := checkAssignable(lhs); err != nil {
-				return nil, err
-			}
-			p.accept(TokNewline, "")
-			return &AugAssign{stmtBase: stmtBase{P: pos}, Target: lhs, Op: op, Value: rhs}, nil
+	if op := augOps[p.cur().op]; op != "" {
+		p.next()
+		rhs, err := p.parseExprOrTuple()
+		if err != nil {
+			return nil, err
 		}
+		if err := checkAssignable(lhs); err != nil {
+			return nil, err
+		}
+		p.accept(TokNewline)
+		return &AugAssign{stmtBase: stmtBase{P: pos}, Target: lhs, Op: op, Value: rhs}, nil
 	}
-	if p.accept(TokOp, "=") {
+	if p.acceptOp(opAssign) {
 		rhs, err := p.parseExprOrTuple()
 		if err != nil {
 			return nil, err
 		}
 		// Chained assignment a = b = expr is not in the subset.
-		if p.atOp("=") {
-			return nil, errf(p.cur().Pos, "chained assignment is not supported")
+		if p.atOp(opAssign) {
+			return nil, errf(p.cur().Pos(), "chained assignment is not supported")
 		}
 		if err := checkAssignable(lhs); err != nil {
 			return nil, err
 		}
-		p.accept(TokNewline, "")
+		p.accept(TokNewline)
 		return &Assign{stmtBase: stmtBase{P: pos}, Target: lhs, Value: rhs}, nil
 	}
-	p.accept(TokNewline, "")
+	p.accept(TokNewline)
 	return &ExprStmt{stmtBase: stmtBase{P: pos}, X: lhs}, nil
 }
 
@@ -223,28 +243,28 @@ func checkAssignable(e Expr) error {
 }
 
 func (p *parser) parseDef() (Stmt, error) {
-	pos := p.cur().Pos
-	if err := p.expectKw("def"); err != nil {
+	pos := p.cur().Pos()
+	if err := p.expectOp(kwDef); err != nil {
 		return nil, err
 	}
 	if !p.at(TokName) {
-		return nil, errf(p.cur().Pos, "expected function name, got %s", p.cur())
+		return nil, errf(p.cur().Pos(), "expected function name, got %s", p.cur())
 	}
 	name := p.next().Text
-	if err := p.expectOp("("); err != nil {
+	if err := p.expectOp(opLParen); err != nil {
 		return nil, err
 	}
 	var params []string
-	for !p.atOp(")") {
+	for !p.atOp(opRParen) {
 		if !p.at(TokName) {
-			return nil, errf(p.cur().Pos, "expected parameter name, got %s", p.cur())
+			return nil, errf(p.cur().Pos(), "expected parameter name, got %s", p.cur())
 		}
 		params = append(params, p.next().Text)
-		if !p.accept(TokOp, ",") {
+		if !p.acceptOp(opComma) {
 			break
 		}
 	}
-	if err := p.expectOp(")"); err != nil {
+	if err := p.expectOp(opRParen); err != nil {
 		return nil, err
 	}
 	body, err := p.parseBlock()
@@ -256,10 +276,10 @@ func (p *parser) parseDef() (Stmt, error) {
 
 // parseBlock parses `: NEWLINE INDENT stmts DEDENT` or `: simple_stmt`.
 func (p *parser) parseBlock() ([]Stmt, error) {
-	if err := p.expectOp(":"); err != nil {
+	if err := p.expectOp(opColon); err != nil {
 		return nil, err
 	}
-	if !p.accept(TokNewline, "") {
+	if !p.accept(TokNewline) {
 		// Inline suite: a single simple statement on the same line.
 		s, err := p.parseStmt()
 		if err != nil {
@@ -267,13 +287,13 @@ func (p *parser) parseBlock() ([]Stmt, error) {
 		}
 		return []Stmt{s}, nil
 	}
-	if !p.accept(TokIndent, "") {
-		return nil, errf(p.cur().Pos, "expected an indented block, got %s", p.cur())
+	if !p.accept(TokIndent) {
+		return nil, errf(p.cur().Pos(), "expected an indented block, got %s", p.cur())
 	}
 	var stmts []Stmt
 	for {
 		p.skipNewlines()
-		if p.accept(TokDedent, "") || p.at(TokEOF) {
+		if p.accept(TokDedent) || p.at(TokEOF) {
 			break
 		}
 		s, err := p.parseStmt()
@@ -283,13 +303,13 @@ func (p *parser) parseBlock() ([]Stmt, error) {
 		stmts = append(stmts, s)
 	}
 	if len(stmts) == 0 {
-		return nil, errf(p.cur().Pos, "empty block")
+		return nil, errf(p.cur().Pos(), "empty block")
 	}
 	return stmts, nil
 }
 
 func (p *parser) parseIf() (Stmt, error) {
-	pos := p.cur().Pos
+	pos := p.cur().Pos()
 	p.next() // if or elif
 	cond, err := p.parseExpr()
 	if err != nil {
@@ -301,13 +321,13 @@ func (p *parser) parseIf() (Stmt, error) {
 	}
 	node := &If{stmtBase: stmtBase{P: pos}, Cond: cond, Then: then}
 	p.skipNewlines()
-	if p.atKw("elif") {
+	if p.atOp(kwElif) {
 		sub, err := p.parseIf()
 		if err != nil {
 			return nil, err
 		}
 		node.Else = []Stmt{sub}
-	} else if p.atKw("else") {
+	} else if p.atOp(kwElse) {
 		p.next()
 		els, err := p.parseBlock()
 		if err != nil {
@@ -319,13 +339,13 @@ func (p *parser) parseIf() (Stmt, error) {
 }
 
 func (p *parser) parseFor() (Stmt, error) {
-	pos := p.cur().Pos
+	pos := p.cur().Pos()
 	p.next()
 	target, err := p.parseForTarget()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectKw("in"); err != nil {
+	if err := p.expectOp(kwIn); err != nil {
 		return nil, err
 	}
 	iter, err := p.parseExprOrTuple()
@@ -341,26 +361,26 @@ func (p *parser) parseFor() (Stmt, error) {
 
 // parseForTarget parses `name` or `name, name, ...` loop targets.
 func (p *parser) parseForTarget() (Expr, error) {
-	pos := p.cur().Pos
+	pos := p.cur().Pos()
 	if !p.at(TokName) {
 		return nil, errf(pos, "expected loop variable, got %s", p.cur())
 	}
-	first := &Name{exprBase: exprBase{P: pos}, Ident: p.next().Text, Slot: -1}
-	if !p.atOp(",") {
+	first := &Name{exprBase: p.node(pos), Ident: p.next().Text, Slot: -1}
+	if !p.atOp(opComma) {
 		return first, nil
 	}
 	elts := []Expr{first}
-	for p.accept(TokOp, ",") {
+	for p.acceptOp(opComma) {
 		if !p.at(TokName) {
-			return nil, errf(p.cur().Pos, "expected loop variable, got %s", p.cur())
+			return nil, errf(p.cur().Pos(), "expected loop variable, got %s", p.cur())
 		}
-		elts = append(elts, &Name{exprBase: exprBase{P: p.cur().Pos}, Ident: p.next().Text, Slot: -1})
+		elts = append(elts, &Name{exprBase: p.node(p.cur().Pos()), Ident: p.next().Text, Slot: -1})
 	}
-	return &TupleLit{exprBase: exprBase{P: pos}, Elts: elts}, nil
+	return &TupleLit{exprBase: p.node(pos), Elts: elts}, nil
 }
 
 func (p *parser) parseWhile() (Stmt, error) {
-	pos := p.cur().Pos
+	pos := p.cur().Pos()
 	p.next()
 	cond, err := p.parseExpr()
 	if err != nil {
@@ -378,17 +398,18 @@ func (p *parser) parseWhile() (Stmt, error) {
 // parseExprOrTuple parses expr (',' expr)* — a possibly parenthesis-free
 // tuple, as in `return a, b`.
 func (p *parser) parseExprOrTuple() (Expr, error) {
-	pos := p.cur().Pos
+	pos := p.cur().Pos()
 	first, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	if !p.atOp(",") {
+	if !p.atOp(opComma) {
 		return first, nil
 	}
 	elts := []Expr{first}
-	for p.accept(TokOp, ",") {
-		if p.at(TokNewline) || p.at(TokEOF) || p.atOp(")") || p.atOp("]") || p.atOp("}") || p.atOp("=") {
+	for p.acceptOp(opComma) {
+		if t := p.cur(); t.Kind == TokNewline || t.Kind == TokEOF ||
+			t.op == opRParen || t.op == opRBracket || t.op == opRBrace || t.op == opAssign {
 			break
 		}
 		e, err := p.parseExpr()
@@ -397,140 +418,123 @@ func (p *parser) parseExprOrTuple() (Expr, error) {
 		}
 		elts = append(elts, e)
 	}
-	return &TupleLit{exprBase: exprBase{P: pos}, Elts: elts}, nil
+	return &TupleLit{exprBase: p.node(pos), Elts: elts}, nil
 }
 
 // parseExpr parses a single expression (ternary level).
 func (p *parser) parseExpr() (Expr, error) {
-	if p.atKw("lambda") {
+	if p.atOp(kwLambda) {
 		return p.parseLambda()
 	}
 	then, err := p.parseOr()
 	if err != nil {
 		return nil, err
 	}
-	if p.atKw("if") {
-		pos := p.cur().Pos
-		p.next()
+	if p.atOp(kwIf) {
+		pos := p.next().Pos()
 		cond, err := p.parseOr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expectKw("else"); err != nil {
+		if err := p.expectOp(kwElse); err != nil {
 			return nil, err
 		}
 		els, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		return &IfExpr{exprBase: exprBase{P: pos}, Cond: cond, Then: then, Else: els}, nil
+		return &IfExpr{exprBase: p.node(pos), Cond: cond, Then: then, Else: els}, nil
 	}
 	return then, nil
 }
 
 func (p *parser) parseLambda() (Expr, error) {
-	pos := p.cur().Pos
-	p.next()
+	pos := p.next().Pos()
 	var params []string
 	for p.at(TokName) {
 		params = append(params, p.next().Text)
-		if !p.accept(TokOp, ",") {
+		if !p.acceptOp(opComma) {
 			break
 		}
 	}
-	if err := p.expectOp(":"); err != nil {
+	if err := p.expectOp(opColon); err != nil {
 		return nil, err
 	}
 	body, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	return &Lambda{exprBase: exprBase{P: pos}, Params: params, Body: body}, nil
+	return &Lambda{exprBase: p.node(pos), Params: params, Body: body}, nil
 }
 
+// parseOr and parseAnd parse `or` and `and` chains into one BoolOp.
 func (p *parser) parseOr() (Expr, error) {
-	x, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	if !p.atKw("or") {
-		return x, nil
-	}
-	xs := []Expr{x}
-	pos := p.cur().Pos
-	for p.accept(TokKeyword, "or") {
-		y, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		xs = append(xs, y)
-	}
-	return &BoolOp{exprBase: exprBase{P: pos}, Op: "or", Xs: xs}, nil
+	return p.parseBoolChain(kwOr, p.parseAnd)
 }
 
 func (p *parser) parseAnd() (Expr, error) {
-	x, err := p.parseNot()
+	return p.parseBoolChain(kwAnd, p.parseNot)
+}
+
+func (p *parser) parseBoolChain(kw opcode, sub func() (Expr, error)) (Expr, error) {
+	x, err := sub()
 	if err != nil {
 		return nil, err
 	}
-	if !p.atKw("and") {
+	if !p.atOp(kw) {
 		return x, nil
 	}
 	xs := []Expr{x}
-	pos := p.cur().Pos
-	for p.accept(TokKeyword, "and") {
-		y, err := p.parseNot()
+	pos := p.cur().Pos()
+	for p.acceptOp(kw) {
+		y, err := sub()
 		if err != nil {
 			return nil, err
 		}
 		xs = append(xs, y)
 	}
-	return &BoolOp{exprBase: exprBase{P: pos}, Op: "and", Xs: xs}, nil
+	return &BoolOp{exprBase: p.node(pos), Op: opText[kw], Xs: xs}, nil
 }
 
 func (p *parser) parseNot() (Expr, error) {
-	if p.atKw("not") {
-		pos := p.cur().Pos
-		p.next()
+	if p.atOp(kwNot) {
+		pos := p.next().Pos()
 		x, err := p.parseNot()
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryOp{exprBase: exprBase{P: pos}, Op: "not", X: x}, nil
+		return &UnaryOp{exprBase: p.node(pos), Op: "not", X: x}, nil
 	}
 	return p.parseComparison()
 }
 
-var compareOps = map[string]bool{
-	"==": true, "!=": true, "<": true, "<=": true, ">": true, ">=": true,
-}
-
 func (p *parser) parseComparison() (Expr, error) {
-	first, err := p.parseBitOr()
+	first, err := p.parseBinary(1)
 	if err != nil {
 		return nil, err
 	}
 	var ops []string
 	var rest []Expr
-	pos := p.cur().Pos
+	pos := p.cur().Pos()
 	for {
 		var op string
-		switch {
-		case p.cur().Kind == TokOp && compareOps[p.cur().Text]:
-			op = p.next().Text
-		case p.atKw("in"):
-			p.next()
+		switch t := p.cur(); t.op {
+		case opEq, opNe, opLt, opLe, opGt, opGe:
+			op = opText[t.op]
+			p.pos++
+		case kwIn:
+			p.pos++
 			op = "in"
-		case p.atKw("not"):
+		case kwNot:
 			// "not in"
-			p.next()
-			if err := p.expectKw("in"); err != nil {
+			p.pos++
+			if err := p.expectOp(kwIn); err != nil {
 				return nil, err
 			}
 			op = "not in"
-		case p.atKw("is"):
-			p.next()
-			if p.accept(TokKeyword, "not") {
+		case kwIs:
+			p.pos++
+			if p.acceptOp(kwNot) {
 				op = "is not"
 			} else {
 				op = "is"
@@ -539,9 +543,9 @@ func (p *parser) parseComparison() (Expr, error) {
 			if len(ops) == 0 {
 				return first, nil
 			}
-			return &Compare{exprBase: exprBase{P: pos}, First: first, Ops: ops, Rest: rest}, nil
+			return &Compare{exprBase: p.node(pos), First: first, Ops: ops, Rest: rest}, nil
 		}
-		y, err := p.parseBitOr()
+		y, err := p.parseBinary(1)
 		if err != nil {
 			return nil, err
 		}
@@ -550,57 +554,45 @@ func (p *parser) parseComparison() (Expr, error) {
 	}
 }
 
-func (p *parser) parseBitOr() (Expr, error) {
-	return p.parseBinOpLevel([]string{"|"}, func() (Expr, error) {
-		return p.parseBinOpLevel([]string{"^"}, func() (Expr, error) {
-			return p.parseBinOpLevel([]string{"&"}, func() (Expr, error) {
-				return p.parseBinOpLevel([]string{"<<", ">>"}, p.parseArith)
-			})
-		})
-	})
+// binPrec is the binding power of each binary operator below the
+// comparisons, loosest first: | ^ & (<< >>) (+ -) (* / // %). Zero
+// marks a token that is not one of them; ** binds tighter than unary
+// minus and parses in parsePower.
+var binPrec = [numOpcodes]uint8{
+	opBitOr: 1, opBitXor: 2, opBitAnd: 3, opLShift: 4, opRShift: 4,
+	opAdd: 5, opSub: 5, opMul: 6, opDiv: 6, opFloorDiv: 6, opMod: 6,
 }
 
-func (p *parser) parseArith() (Expr, error) {
-	return p.parseBinOpLevel([]string{"+", "-"}, func() (Expr, error) {
-		return p.parseBinOpLevel([]string{"*", "/", "//", "%"}, p.parseUnary)
-	})
-}
-
-func (p *parser) parseBinOpLevel(ops []string, sub func() (Expr, error)) (Expr, error) {
-	x, err := sub()
+// parseBinary parses a left-associative chain of binary operators that
+// bind at least as tightly as minPrec, by precedence climbing.
+func (p *parser) parseBinary(minPrec uint8) (Expr, error) {
+	x, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		matched := ""
-		for _, op := range ops {
-			if p.atOp(op) {
-				matched = op
-				break
-			}
-		}
-		if matched == "" {
+		t := p.cur()
+		prec := binPrec[t.op]
+		if prec == 0 || prec < minPrec {
 			return x, nil
 		}
-		pos := p.cur().Pos
-		p.next()
-		y, err := sub()
+		p.pos++
+		y, err := p.parseBinary(prec + 1)
 		if err != nil {
 			return nil, err
 		}
-		x = &BinOp{exprBase: exprBase{P: pos}, Op: matched, Left: x, Right: y}
+		x = &BinOp{exprBase: p.node(t.Pos()), Op: opText[t.op], Left: x, Right: y}
 	}
 }
 
 func (p *parser) parseUnary() (Expr, error) {
-	if p.atOp("-") || p.atOp("+") || p.atOp("~") {
-		pos := p.cur().Pos
-		op := p.next().Text
+	if op := p.cur().op; op == opSub || op == opAdd || op == opInvert {
+		pos := p.next().Pos()
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryOp{exprBase: exprBase{P: pos}, Op: op, X: x}, nil
+		return &UnaryOp{exprBase: p.node(pos), Op: opText[op], X: x}, nil
 	}
 	return p.parsePower()
 }
@@ -610,16 +602,15 @@ func (p *parser) parsePower() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.atOp("**") {
-		pos := p.cur().Pos
-		p.next()
+	if p.atOp(opPow) {
+		pos := p.next().Pos()
 		// ** is right-associative and binds tighter than unary on the
 		// right: 2**-1 is valid.
 		y, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &BinOp{exprBase: exprBase{P: pos}, Op: "**", Left: x, Right: y}, nil
+		return &BinOp{exprBase: p.node(pos), Op: "**", Left: x, Right: y}, nil
 	}
 	return x, nil
 }
@@ -630,21 +621,19 @@ func (p *parser) parsePostfix() (Expr, error) {
 		return nil, err
 	}
 	for {
-		switch {
-		case p.atOp("."):
-			pos := p.cur().Pos
-			p.next()
+		switch p.cur().op {
+		case opDot:
+			pos := p.next().Pos()
 			if !p.at(TokName) {
-				return nil, errf(p.cur().Pos, "expected attribute name, got %s", p.cur())
+				return nil, errf(p.cur().Pos(), "expected attribute name, got %s", p.cur())
 			}
-			x = &Attr{exprBase: exprBase{P: pos}, X: x, Name: p.next().Text}
-		case p.atOp("("):
-			pos := p.cur().Pos
-			p.next()
-			call := &Call{exprBase: exprBase{P: pos}, Fn: x}
-			for !p.atOp(")") {
+			x = &Attr{exprBase: p.node(pos), X: x, Name: p.next().Text}
+		case opLParen:
+			pos := p.next().Pos()
+			call := &Call{Fn: x}
+			for !p.atOp(opRParen) {
 				// Keyword argument?
-				if p.at(TokName) && p.toks[p.pos+1].Kind == TokOp && p.toks[p.pos+1].Text == "=" {
+				if p.at(TokName) && p.toks[p.pos+1].op == opAssign {
 					kw := p.next().Text
 					p.next() // '='
 					v, err := p.parseExpr()
@@ -660,17 +649,17 @@ func (p *parser) parsePostfix() (Expr, error) {
 					}
 					call.Args = append(call.Args, a)
 				}
-				if !p.accept(TokOp, ",") {
+				if !p.acceptOp(opComma) {
 					break
 				}
 			}
-			if err := p.expectOp(")"); err != nil {
+			if err := p.expectOp(opRParen); err != nil {
 				return nil, err
 			}
+			call.exprBase = p.node(pos)
 			x = call
-		case p.atOp("["):
-			pos := p.cur().Pos
-			p.next()
+		case opLBracket:
+			pos := p.next().Pos()
 			sub, err := p.parseSubscriptInner(x, pos)
 			if err != nil {
 				return nil, err
@@ -687,37 +676,36 @@ func (p *parser) parsePostfix() (Expr, error) {
 func (p *parser) parseSubscriptInner(x Expr, pos Pos) (Expr, error) {
 	var lo, hi, step Expr
 	var err error
-	if !p.atOp(":") {
+	if !p.atOp(opColon) {
 		lo, err = p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if p.atOp("]") {
-			p.next()
-			return &Subscript{exprBase: exprBase{P: pos}, X: x, Index: lo, RowIdx: -1}, nil
+		if p.acceptOp(opRBracket) {
+			return &Subscript{exprBase: p.node(pos), X: x, Index: lo, RowIdx: -1}, nil
 		}
 	}
-	if err := p.expectOp(":"); err != nil {
+	if err := p.expectOp(opColon); err != nil {
 		return nil, err
 	}
-	if !p.atOp("]") && !p.atOp(":") {
+	if !p.atOp(opRBracket) && !p.atOp(opColon) {
 		hi, err = p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
 	}
-	if p.accept(TokOp, ":") {
-		if !p.atOp("]") {
+	if p.acceptOp(opColon) {
+		if !p.atOp(opRBracket) {
 			step, err = p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
 		}
 	}
-	if err := p.expectOp("]"); err != nil {
+	if err := p.expectOp(opRBracket); err != nil {
 		return nil, err
 	}
-	return &Slice{exprBase: exprBase{P: pos}, X: x, Lo: lo, Hi: hi, Step: step}, nil
+	return &Slice{exprBase: p.node(pos), X: x, Lo: lo, Hi: hi, Step: step}, nil
 }
 
 func (p *parser) parseAtom() (Expr, error) {
@@ -734,82 +722,80 @@ func (p *parser) parseAtom() (Expr, error) {
 			v, err = strconv.ParseInt(text, 10, 64)
 		}
 		if err != nil {
-			return nil, errf(t.Pos, "bad integer literal %q", t.Text)
+			return nil, errf(t.Pos(), "bad integer literal %q", t.Text)
 		}
-		return &NumLit{exprBase: exprBase{P: t.Pos}, I: v}, nil
+		return &NumLit{exprBase: p.node(t.Pos()), I: v}, nil
 	case TokFloat:
 		p.next()
 		v, err := strconv.ParseFloat(strings.ReplaceAll(t.Text, "_", ""), 64)
 		if err != nil {
-			return nil, errf(t.Pos, "bad float literal %q", t.Text)
+			return nil, errf(t.Pos(), "bad float literal %q", t.Text)
 		}
-		return &NumLit{exprBase: exprBase{P: t.Pos}, IsFloat: true, F: v}, nil
+		return &NumLit{exprBase: p.node(t.Pos()), IsFloat: true, F: v}, nil
 	case TokString:
 		p.next()
-		s := t.Str
+		s := t.Text
 		// Adjacent string literal concatenation: 'a' 'b' == 'ab'.
 		for p.at(TokString) {
-			s += p.next().Str
+			s += p.next().Text
 		}
-		return &StrLit{exprBase: exprBase{P: t.Pos}, S: s}, nil
+		return &StrLit{exprBase: p.node(t.Pos()), S: s}, nil
 	case TokName:
 		p.next()
-		return &Name{exprBase: exprBase{P: t.Pos}, Ident: t.Text, Slot: -1}, nil
+		return &Name{exprBase: p.node(t.Pos()), Ident: t.Text, Slot: -1}, nil
 	case TokKeyword:
-		switch t.Text {
-		case "None":
+		switch t.op {
+		case kwNone:
 			p.next()
-			return &NoneLit{exprBase{P: t.Pos}}, nil
-		case "True":
+			return &NoneLit{p.node(t.Pos())}, nil
+		case kwTrue:
 			p.next()
-			return &BoolLit{exprBase: exprBase{P: t.Pos}, B: true}, nil
-		case "False":
+			return &BoolLit{exprBase: p.node(t.Pos()), B: true}, nil
+		case kwFalse:
 			p.next()
-			return &BoolLit{exprBase: exprBase{P: t.Pos}, B: false}, nil
-		case "lambda":
+			return &BoolLit{exprBase: p.node(t.Pos()), B: false}, nil
+		case kwLambda:
 			return p.parseLambda()
 		}
 	case TokOp:
-		switch t.Text {
-		case "(":
+		switch t.op {
+		case opLParen:
 			p.next()
-			if p.accept(TokOp, ")") {
-				return &TupleLit{exprBase: exprBase{P: t.Pos}}, nil
+			if p.acceptOp(opRParen) {
+				return &TupleLit{exprBase: p.node(t.Pos())}, nil
 			}
 			e, err := p.parseExprOrTuple()
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expectOp(")"); err != nil {
+			if err := p.expectOp(opRParen); err != nil {
 				return nil, err
 			}
 			return e, nil
-		case "[":
+		case opLBracket:
 			return p.parseListOrComp()
-		case "{":
+		case opLBrace:
 			return p.parseDict()
 		}
 	}
-	return nil, errf(t.Pos, "unexpected token %s", t)
+	return nil, errf(t.Pos(), "unexpected token %s", t)
 }
 
 func (p *parser) parseListOrComp() (Expr, error) {
-	pos := p.cur().Pos
-	p.next() // '['
-	if p.accept(TokOp, "]") {
-		return &ListLit{exprBase: exprBase{P: pos}}, nil
+	pos := p.next().Pos() // '['
+	if p.acceptOp(opRBracket) {
+		return &ListLit{exprBase: p.node(pos)}, nil
 	}
 	first, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	if p.atKw("for") {
-		p.next()
+	if p.acceptOp(kwFor) {
 		if !p.at(TokName) {
-			return nil, errf(p.cur().Pos, "expected comprehension variable, got %s", p.cur())
+			return nil, errf(p.cur().Pos(), "expected comprehension variable, got %s", p.cur())
 		}
 		v := p.next().Text
-		if err := p.expectKw("in"); err != nil {
+		if err := p.expectOp(kwIn); err != nil {
 			return nil, err
 		}
 		// Python's grammar uses or_test here (no bare ternary), so the
@@ -820,20 +806,20 @@ func (p *parser) parseListOrComp() (Expr, error) {
 			return nil, err
 		}
 		var cond Expr
-		if p.accept(TokKeyword, "if") {
+		if p.acceptOp(kwIf) {
 			cond, err = p.parseOr()
 			if err != nil {
 				return nil, err
 			}
 		}
-		if err := p.expectOp("]"); err != nil {
+		if err := p.expectOp(opRBracket); err != nil {
 			return nil, err
 		}
-		return &ListComp{exprBase: exprBase{P: pos}, Elt: first, Var: v, Iter: iter, Cond: cond, VarSlot: -1}, nil
+		return &ListComp{exprBase: p.node(pos), Elt: first, Var: v, Iter: iter, Cond: cond, VarSlot: -1}, nil
 	}
 	elts := []Expr{first}
-	for p.accept(TokOp, ",") {
-		if p.atOp("]") {
+	for p.acceptOp(opComma) {
+		if p.atOp(opRBracket) {
 			break
 		}
 		e, err := p.parseExpr()
@@ -842,22 +828,21 @@ func (p *parser) parseListOrComp() (Expr, error) {
 		}
 		elts = append(elts, e)
 	}
-	if err := p.expectOp("]"); err != nil {
+	if err := p.expectOp(opRBracket); err != nil {
 		return nil, err
 	}
-	return &ListLit{exprBase: exprBase{P: pos}, Elts: elts}, nil
+	return &ListLit{exprBase: p.node(pos), Elts: elts}, nil
 }
 
 func (p *parser) parseDict() (Expr, error) {
-	pos := p.cur().Pos
-	p.next() // '{'
-	d := &DictLit{exprBase: exprBase{P: pos}}
-	for !p.atOp("}") {
+	pos := p.next().Pos() // '{'
+	d := &DictLit{}
+	for !p.atOp(opRBrace) {
 		k, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expectOp(":"); err != nil {
+		if err := p.expectOp(opColon); err != nil {
 			return nil, err
 		}
 		v, err := p.parseExpr()
@@ -866,12 +851,13 @@ func (p *parser) parseDict() (Expr, error) {
 		}
 		d.Keys = append(d.Keys, k)
 		d.Vals = append(d.Vals, v)
-		if !p.accept(TokOp, ",") {
+		if !p.acceptOp(opComma) {
 			break
 		}
 	}
-	if err := p.expectOp("}"); err != nil {
+	if err := p.expectOp(opRBrace); err != nil {
 		return nil, err
 	}
+	d.exprBase = p.node(pos)
 	return d, nil
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/gotuplex/tuplex/internal/core"
 	"github.com/gotuplex/tuplex/internal/logical"
@@ -240,7 +241,7 @@ func BenchmarkColdSubmit(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		built, diags := s.buildChecked(p)
+		built, diags := s.buildChecked(p, time.Now(), &frontTimes{})
 		if built == nil || plancheck.HasErrors(diags) {
 			b.Fatalf("cold spec rejected: %v", diags)
 		}

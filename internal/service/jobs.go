@@ -100,10 +100,13 @@ type job struct {
 
 // frontTimes are the submit path's phases before the job exists, as
 // offsets from request arrival: the body's decode (or its memo lookup),
-// the fingerprint right after it, and the start of the slot wait.
+// the fingerprint right after it, on a cold submission the build (the
+// UDFs' parse) and the plancheck over it, and the start of the slot
+// wait.
 type frontTimes struct {
 	decodeAt, decode, fingerprint, admitAt time.Duration
-	memoHit                                bool
+	buildAt, build, plancheck              time.Duration
+	memoHit, built                         bool
 }
 
 // set stamps the decode phase [t0, t1) and the fingerprint [t1, t2).

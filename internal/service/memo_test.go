@@ -9,9 +9,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	tuplex "github.com/gotuplex/tuplex"
 	"github.com/gotuplex/tuplex/internal/core"
@@ -336,7 +338,7 @@ func TestBuildLeavesPipelineUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		built, diags := s.buildChecked(p)
+		built, diags := s.buildChecked(p, time.Now(), &frontTimes{})
 		if built == nil {
 			t.Fatalf("body %d did not build: %v", i, diags)
 		}
@@ -432,5 +434,79 @@ func BenchmarkWarmSubmit(b *testing.B) {
 	}
 	if hits := s.stats.SpecMemoHits.Load(); hits != int64(b.N) {
 		b.Fatalf("%d memo hits in %d warm submissions", hits, b.N)
+	}
+}
+
+// TestJobTraceFrontEndSpans pins the cold submission's front-end spans:
+// build (the UDFs' parse) and plancheck sit between fingerprint and
+// admission, and the engine's compile span splits its UDF work into
+// infer_us, dataflow_us and codegen_us, which sum to at most the span.
+// A warm resubmission runs neither the build nor the checker, and
+// its trace has neither span.
+func TestJobTraceFrontEndSpans(t *testing.T) {
+	_, hs := newTestServer(t, Config{MaxConcurrent: 1})
+	cold := submitTraced(t, hs.URL, coldSpec(11), "")
+	warm := submitTraced(t, hs.URL, coldSpec(11), "")
+	if cold.CacheHit || !warm.CacheHit {
+		t.Fatalf("want a cold then a warm submission, got cache_hit %v, %v", cold.CacheHit, warm.CacheHit)
+	}
+	for _, st := range []JobStatus{cold, warm} {
+		code, body := fetchTrace(t, hs.URL, st.ID, "native")
+		if code != http.StatusOK {
+			t.Fatalf("trace fetch: %d %s", code, body)
+		}
+		tr, err := trace.Parse(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spans := map[string]*trace.Span{}
+		for _, c := range tr.Root.Children {
+			spans[c.Name] = c
+		}
+		fp, build, check, adm := spans["fingerprint"], spans["build"], spans["plancheck"], spans["admission"]
+		if st.CacheHit {
+			if build != nil || check != nil {
+				t.Fatalf("warm job %s has front-end spans: %v", st.ID, tr.Root.Children)
+			}
+			continue
+		}
+		if build == nil || check == nil {
+			t.Fatalf("cold job %s lacks build/plancheck: %v", st.ID, tr.Root.Children)
+		}
+		if build.StartNS < fp.StartNS+fp.DurNS || check.StartNS != build.StartNS+build.DurNS ||
+			adm.StartNS < check.StartNS+check.DurNS {
+			t.Fatalf("cold job %s: fingerprint [%d+%d], build [%d+%d], plancheck [%d+%d], admission at %d: want them in order",
+				st.ID, fp.StartNS, fp.DurNS, build.StartNS, build.DurNS, check.StartNS, check.DurNS, adm.StartNS)
+		}
+		compiles := 0
+		var walk func(s *trace.Span)
+		walk = func(s *trace.Span) {
+			if s.Name == "compile" {
+				compiles++
+				var sum int64
+				for _, key := range []string{"infer_us", "dataflow_us", "codegen_us"} {
+					v := int64(-1)
+					for _, a := range s.Attrs {
+						if a.Key == key {
+							v, _ = strconv.ParseInt(a.Val, 10, 64)
+						}
+					}
+					if v < 0 {
+						t.Fatalf("compile span lacks %s: %v", key, s.Attrs)
+					}
+					sum += v
+				}
+				if sum == 0 || sum*1000 > s.DurNS {
+					t.Fatalf("compile span of %d ns: its phases sum to %d us", s.DurNS, sum)
+				}
+			}
+			for _, c := range s.Children {
+				walk(c)
+			}
+		}
+		walk(tr.Root)
+		if compiles == 0 {
+			t.Fatalf("cold job %s has no compile span", st.ID)
+		}
 	}
 }

@@ -194,7 +194,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, http.StatusServiceUnavailable, "service is draining")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
+	body, err := readBody(r, s.cfg.MaxBodyBytes)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "reading request body: %v", err)
 		return
@@ -233,7 +233,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var built *spec.Built
 	if !s.cache.has(fp) {
 		var diags []plancheck.Diagnostic
-		if built, diags = s.buildChecked(p); plancheck.HasErrors(diags) {
+		if built, diags = s.buildChecked(p, arrival, &front); plancheck.HasErrors(diags) {
 			s.rejectInvalid(w, traceID, diags)
 			return
 		}
@@ -278,6 +278,39 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusGatewayTimeout
 	}
 	writeJob(w, code, jb)
+}
+
+// bodyPresize caps the buffer a declared Content-Length sizes before any
+// body byte has arrived, so a client that declares MaxBodyBytes and then
+// sends nothing holds no more than this; a longer body grows by append.
+const bodyPresize = 64 << 10
+
+// readBody reads up to max+1 bytes of r's body, so a caller sees a body
+// past max by its length. A Content-Length within max sizes the buffer
+// (up to bodyPresize) at once: one allocation for a serve-sized body
+// instead of io.ReadAll's doublings from 512 B. A body shorter or longer
+// than declared reads as io.ReadAll reads it.
+func readBody(r *http.Request, max int64) ([]byte, error) {
+	src := io.LimitReader(r.Body, max+1)
+	if r.ContentLength < 0 || r.ContentLength > max {
+		return io.ReadAll(src)
+	}
+	// One spare byte lets the final read of a body within the presize
+	// see EOF without a regrowth.
+	b := make([]byte, 0, min(r.ContentLength, bodyPresize)+1)
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := src.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if errors.Is(err, io.EOF) {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -354,12 +387,17 @@ func (s *Server) admit(ctx context.Context, traceID string) error {
 // buildChecked builds p once and statically verifies it over that
 // build's UDF parses. When Build fails, the checker parses on its own
 // and reports what it finds (a broken UDF is TPX010); built is then nil.
-func (s *Server) buildChecked(p *spec.Pipeline) (*spec.Built, []plancheck.Diagnostic) {
+func (s *Server) buildChecked(p *spec.Pipeline, arrival time.Time, front *frontTimes) (*spec.Built, []plancheck.Diagnostic) {
+	t0 := time.Now()
 	built, parsed, err := p.BuildParsed()
+	t1 := time.Now()
 	if err != nil {
-		return nil, s.check(p, nil)
+		built, parsed = nil, nil
 	}
-	return built, s.check(p, parsed)
+	diags := s.check(p, parsed)
+	front.buildAt, front.build, front.plancheck = t0.Sub(arrival), t1.Sub(t0), time.Since(t1)
+	front.built = true
+	return built, diags
 }
 
 // resolve turns a request body into its pipeline and fingerprint,

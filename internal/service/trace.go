@@ -13,8 +13,9 @@ import (
 
 // Job trace assembly: every finished job gets one span tree that starts
 // at request arrival and nests the service-side phases (decode,
-// fingerprint, admission queue wait, plan-cache lookup) above the
-// engine's own span tree, shifted onto the job clock.
+// fingerprint, on a cold submission build and plancheck, admission
+// queue wait, plan-cache lookup) above the engine's own span tree,
+// shifted onto the job clock.
 // GET /v1/jobs/{id}/trace serves it natively or in Chrome trace-event
 // form, and the slow-job log retains it for jobs over the configured
 // threshold.
@@ -80,7 +81,19 @@ func buildJobTrace(jb *job, engine *trace.Trace, total time.Duration) *trace.Tra
 		Name:    "fingerprint",
 		StartNS: (front.decodeAt + front.decode).Nanoseconds(),
 		DurNS:   front.fingerprint.Nanoseconds(),
-	}, &trace.Span{
+	})
+	if front.built {
+		root.Children = append(root.Children, &trace.Span{
+			Name:    "build",
+			StartNS: front.buildAt.Nanoseconds(),
+			DurNS:   front.build.Nanoseconds(),
+		}, &trace.Span{
+			Name:    "plancheck",
+			StartNS: (front.buildAt + front.build).Nanoseconds(),
+			DurNS:   front.plancheck.Nanoseconds(),
+		})
+	}
+	root.Children = append(root.Children, &trace.Span{
 		Name:    "admission",
 		StartNS: front.admitAt.Nanoseconds(),
 		DurNS:   (queueWait - front.admitAt).Nanoseconds(),

@@ -3,7 +3,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"github.com/gotuplex/tuplex/internal/plancheck"
@@ -47,7 +46,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "use POST with a pipeline spec body")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
+	body, err := readBody(r, s.cfg.MaxBodyBytes)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "reading request body: %v", err)
 		return

@@ -109,25 +109,33 @@ func (s Sample) BusyFraction() float64 {
 	return float64(s.BusyExecutors) / float64(s.Executors)
 }
 
-// ring is a fixed-size sample buffer: a single writer (the sampler
-// goroutine) appends, readers snapshot the chronological tail. The
-// mutex is held for one copy at the sampling interval, never on an
-// executor path.
+// ring is a bounded sample buffer: a single writer (the sampler
+// goroutine) appends, readers snapshot the chronological tail. It grows
+// by append up to size samples, then wraps, so a short run holds only
+// the samples it took. The mutex is held for one copy at the sampling
+// interval, never on an executor path.
 type ring struct {
-	mu    sync.Mutex
-	buf   []Sample
-	next  int
-	count int
+	mu   sync.Mutex
+	buf  []Sample
+	size int
+	next int // once full: the oldest sample's index
 }
 
-func newRing(size int) *ring { return &ring{buf: make([]Sample, size)} }
+func newRing(size int) *ring { return &ring{size: size} }
 
 func (r *ring) push(s Sample) {
 	r.mu.Lock()
-	r.buf[r.next] = s
-	r.next = (r.next + 1) % len(r.buf)
-	if r.count < len(r.buf) {
-		r.count++
+	if len(r.buf) < r.size {
+		if len(r.buf) == cap(r.buf) {
+			// Double, but never past size.
+			grown := make([]Sample, len(r.buf), min(max(2*cap(r.buf), 4), r.size))
+			copy(grown, r.buf)
+			r.buf = grown
+		}
+		r.buf = append(r.buf, s)
+	} else {
+		r.buf[r.next] = s
+		r.next = (r.next + 1) % len(r.buf)
 	}
 	r.mu.Unlock()
 }
@@ -137,7 +145,7 @@ func (r *ring) push(s Sample) {
 func (r *ring) snapshot(max int) []Sample {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := r.count
+	n := len(r.buf)
 	if max > 0 && n > max {
 		n = max
 	}

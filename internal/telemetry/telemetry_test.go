@@ -2,10 +2,12 @@ package telemetry
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/gotuplex/tuplex/internal/metrics"
 )
@@ -160,6 +162,49 @@ func TestRingWrapsAndSnapshotsChronologically(t *testing.T) {
 	}
 	if tail := r.snapshot(2); len(tail) != 2 || tail[1].AtNS != 10 {
 		t.Fatalf("snapshot(2) = %+v, want the two newest", tail)
+	}
+}
+
+// TestRingPastSizeKeepsLastSamples pins the wrap of a grown ring: past
+// its size it keeps exactly the newest size samples, oldest first, and
+// its buffer never grows past size.
+func TestRingPastSizeKeepsLastSamples(t *testing.T) {
+	const size = DefaultRingSize
+	r := newRing(size)
+	for i := 1; i <= size+size/2+7; i++ {
+		r.push(Sample{AtNS: int64(i)})
+		if n := len(r.snapshot(0)); n != min(i, size) {
+			t.Fatalf("after %d pushes the ring holds %d samples", i, n)
+		}
+	}
+	got := r.snapshot(0)
+	first := int64(size/2 + 7 + 1)
+	for i, s := range got {
+		if want := first + int64(i); s.AtNS != want {
+			t.Fatalf("snapshot[%d].AtNS = %d, want %d", i, s.AtNS, want)
+		}
+	}
+	if cap(r.buf) != size {
+		t.Fatalf("ring capacity %d, want %d", cap(r.buf), size)
+	}
+}
+
+// TestShortRunRingIsSmall pins that a monitor which took one sample
+// allocated a small fraction of a monitor with a preallocated full
+// ring: the ring grows on demand.
+func TestShortRunRingIsSmall(t *testing.T) {
+	const runs = 50
+	full := float64(unsafe.Sizeof(Sample{}))*DefaultRingSize + 2*8*float64(numBuckets)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		m := NewRunMonitor(Config{}, &metrics.Metrics{}, 1)
+		m.ring.push(Sample{AtNS: 1})
+	}
+	runtime.ReadMemStats(&after)
+	if bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs; bytes > full/4 {
+		t.Fatalf("a one-sample monitor allocated %.0f bytes; with a full ring it is %.0f", bytes, full)
 	}
 }
 
