@@ -18,7 +18,7 @@ func TestPublicAPISurfaceNamesNoInternalType(t *testing.T) {
 		Trace{}, Span{}, TraceAttr{}, TaskTiming{}, OpRouting{}, ExceptionSample{},
 		TraceLevel(0), ExcKind(0), UDFDef{},
 		Option{}, CSVOption{}, TextOption{},
-		Plan{}, Client{}, Job{}, JobResult{}, ServiceError{},
+		Plan{}, Client{}, Job{}, JobResult{}, ServiceError{}, ErrResultExpired,
 	}
 	seen := map[reflect.Type]bool{}
 	var visit func(rt reflect.Type, path string)

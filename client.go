@@ -6,6 +6,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -47,8 +48,18 @@ type Job struct {
 	// Events is the service flight recorder's tail for this job,
 	// attached automatically when the job failed.
 	Events []JobEvent `json:"events,omitempty"`
-	Result *JobResult `json:"result,omitempty"`
+	// ResultExpired marks a done job whose result the daemon no longer
+	// holds: it keeps the results of its most recent finished jobs up to
+	// a byte budget. Job and Wait return such a job with
+	// ErrResultExpired.
+	ResultExpired bool       `json:"result_expired,omitempty"`
+	Result        *JobResult `json:"result,omitempty"`
 }
+
+// ErrResultExpired is returned, with the job, by Client.Job and
+// Client.Wait for a finished job whose result the daemon dropped. A
+// synchronous Submit always carries its result.
+var ErrResultExpired = errors.New("tuplex service: job result expired")
 
 // JobEvent is one service lifecycle event (admit, compile, cache_hit,
 // execute, done, failed, ...) from the daemon's flight recorder.
@@ -192,13 +203,18 @@ func newClientTraceID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// Job fetches one job's current state by id.
+// Job fetches one job's current state by id. A finished job whose
+// result has expired comes back flagged, with ErrResultExpired.
 func (c *Client) Job(ctx context.Context, id string) (*Job, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id, nil)
 	if err != nil {
 		return nil, err
 	}
-	return c.do(req)
+	j, err := c.do(req)
+	if err == nil && j.ResultExpired {
+		return j, fmt.Errorf("job %s: %w", id, ErrResultExpired)
+	}
+	return j, err
 }
 
 // Jobs lists every job the daemon knows about (live plus the retained
@@ -241,14 +257,15 @@ func (c *Client) Cancel(ctx context.Context, id string) (*Job, error) {
 }
 
 // Wait polls a job until it reaches a terminal state (use after
-// SubmitAsync). The poll interval backs off from 5ms to 250ms; ctx
+// SubmitAsync); a job whose result expired first returns with
+// ErrResultExpired. The poll interval backs off from 5ms to 250ms; ctx
 // bounds the overall wait.
 func (c *Client) Wait(ctx context.Context, id string) (*Job, error) {
 	delay := 5 * time.Millisecond
 	for {
 		j, err := c.Job(ctx, id)
 		if err != nil {
-			return nil, err
+			return j, err // the job with ErrResultExpired, nil otherwise
 		}
 		if j.Done() {
 			return j, nil

@@ -4,6 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -140,5 +144,61 @@ func TestClientEndToEnd(t *testing.T) {
 	// Unknown job ids surface as typed 404s.
 	if _, err := cl.Job(ctx, "nope"); !errors.As(err, &se) || se.StatusCode != 404 {
 		t.Fatalf("want ServiceError 404, got %v", err)
+	}
+}
+
+// TestClientReportsExpiredResult finishes an async job, pushes the
+// daemon's finished-job ring past its result byte budget with later
+// jobs of about 4 MiB each, and checks Job and Wait then hand back the
+// flagged job with ErrResultExpired, never a done job without its
+// result.
+func TestClientReportsExpiredResult(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("id,s\n")
+	pad := strings.Repeat("x", 120)
+	for i := 0; i < 32_000; i++ {
+		fmt.Fprintf(&b, "%d,%s\n", i, pad)
+	}
+	path := filepath.Join(t.TempDir(), "big.csv")
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := service.Serve(service.Config{Addr: "127.0.0.1:0", Registry: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl := NewClient("http://" + srv.Addr())
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	pl, err := NewContext(WithExecutors(1)).CSV(path).
+		WithColumn("t", UDF("lambda x: x['id'] + 1")).Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl = pl.WithCSVSink("")
+
+	async, err := cl.SubmitAsync(ctx, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := cl.Wait(ctx, async.ID)
+	if err != nil || first.Result == nil || first.ResultExpired {
+		t.Fatalf("async job before expiry: %+v / %v", first, err)
+	}
+	for i := 0; srv.Stats().ResultsExpired.Load() == 0; i++ {
+		if i == 10 {
+			t.Fatal("ten more jobs expired no result")
+		}
+		j, err := cl.Submit(ctx, pl)
+		if err != nil || j.Result == nil || len(j.Result.CSV) != len(first.Result.CSV) {
+			t.Fatalf("sync job %d: %+v / %v", i, j, err)
+		}
+	}
+	for name, get := range map[string]func(context.Context, string) (*Job, error){"Job": cl.Job, "Wait": cl.Wait} {
+		j, err := get(ctx, async.ID)
+		if !errors.Is(err, ErrResultExpired) || j == nil || !j.ResultExpired || j.Result != nil || j.State != "done" {
+			t.Fatalf("%s on the expired job: %+v / %v", name, j, err)
+		}
 	}
 }

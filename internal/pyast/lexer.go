@@ -23,16 +23,27 @@ type lexer struct {
 
 // Lex tokenizes the whole source.
 func Lex(src string) ([]Tok, error) {
+	toks, err := lex(src, nil)
+	if err != nil {
+		return nil, err
+	}
+	return toks, nil
+}
+
+// lex tokenizes src into buf's storage, or a fresh slice when buf is
+// short, and returns the tokens, with the error if lexing failed.
+func lex(src string, buf []Tok) ([]Tok, error) {
 	// Normalize line endings so the indentation logic sees \n only.
 	src = strings.ReplaceAll(src, "\r\n", "\n")
 	src = strings.ReplaceAll(src, "\r", "\n")
 	// UDF source runs about two bytes per token; reserving that up front
 	// spares the slice its regrowth copies.
-	lx := &lexer{src: src, line: 1, indents: []int{0}, atBOL: true, toks: make([]Tok, 0, len(src)/2+8)}
-	if err := lx.run(); err != nil {
-		return nil, err
+	if n := len(src)/2 + 8; cap(buf) < n {
+		buf = make([]Tok, 0, n)
 	}
-	return lx.toks, nil
+	lx := &lexer{src: src, line: 1, indents: []int{0}, atBOL: true, toks: buf[:0]}
+	err := lx.run()
+	return lx.toks, err
 }
 
 func (lx *lexer) pos() Pos { return Pos{Line: lx.line, Col: lx.off - lx.lineStart + 1} }

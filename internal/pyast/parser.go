@@ -3,6 +3,7 @@ package pyast
 import (
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // parser is a recursive-descent parser over the token stream. Binary
@@ -25,14 +26,13 @@ func (p *parser) node(pos Pos) exprBase {
 // last def is the entry point, matching how the paper's pipelines pass a
 // named function). It returns the entry function in normalized form.
 func ParseUDF(src string) (*Function, error) {
-	p, stmts, err := parseModule(src)
+	stmts, nexpr, err := parseModule(src)
 	if err != nil {
 		return nil, err
 	}
 	if len(stmts) == 0 {
 		return nil, errf(Pos{1, 1}, "empty UDF source")
 	}
-	nexpr := int(p.nexpr)
 	// A single expression statement that is a lambda.
 	if es, ok := stmts[len(stmts)-1].(*ExprStmt); ok && len(stmts) == 1 {
 		if lam, ok := es.X.(*Lambda); ok {
@@ -57,25 +57,39 @@ func ParseUDF(src string) (*Function, error) {
 
 // ParseModule parses a sequence of top-level statements.
 func ParseModule(src string) ([]Stmt, error) {
-	_, stmts, err := parseModule(src)
+	stmts, _, err := parseModule(src)
 	return stmts, err
 }
 
-func parseModule(src string) (*parser, []Stmt, error) {
-	toks, err := Lex(src)
+// tokBufs recycles parseModule's token buffers. No AST node keeps a
+// token, so the buffer is garbage once the parse returns; it is cleared
+// before it goes back, as its tokens alias the source.
+var tokBufs = sync.Pool{New: func() any { return new([]Tok) }}
+
+// parseModule parses src's statements and counts the expressions they
+// hold. It lexes the whole source before parsing any of it, so a lex
+// error wins over a parse error earlier in the source.
+func parseModule(src string) ([]Stmt, int, error) {
+	buf := tokBufs.Get().(*[]Tok)
+	toks, err := lex(src, *buf)
+	defer func() {
+		clear(toks)
+		*buf = toks[:0]
+		tokBufs.Put(buf)
+	}()
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	p := &parser{toks: toks}
 	var stmts []Stmt
 	for !p.at(TokEOF) {
 		s, err := p.parseStmt()
 		if err != nil {
-			return nil, nil, err
+			return nil, 0, err
 		}
 		stmts = append(stmts, s)
 	}
-	return p, stmts, nil
+	return stmts, int(p.nexpr), nil
 }
 
 // ParseExprString parses a single expression (used by tests and the

@@ -555,3 +555,20 @@ func TestParseZillowExtractPrice(t *testing.T) {
 		t.Fatalf("ByName = %v, want %v", ca.ByName, want)
 	}
 }
+
+// TestLexErrorWinsOverEarlierParseError pins that the whole source is
+// lexed before any of it is parsed: a lex error reports even behind an
+// earlier syntax error, and a recycled token buffer leaves the next
+// parse unchanged.
+func TestLexErrorWinsOverEarlierParseError(t *testing.T) {
+	_, err := ParseModule("x = = 1\ny = $\n")
+	if err == nil || !strings.Contains(err.Error(), "unexpected character") {
+		t.Fatalf("got %v, want the line-2 lex error", err)
+	}
+	for i := 0; i < 3; i++ {
+		fn, err := ParseUDF("lambda x: x['a'] + 1")
+		if err != nil || fn.NumExprs != 6 || len(fn.Params) != 1 {
+			t.Fatalf("parse %d after a lex error: %+v / %v", i, fn, err)
+		}
+	}
+}

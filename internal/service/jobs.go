@@ -21,8 +21,15 @@ const (
 	StateCanceled = "canceled"
 )
 
-// maxRecentJobs bounds finished jobs retained for GET /v1/jobs/{id}.
-const maxRecentJobs = 256
+// The finished-job ring keeps at most maxRecentJobs jobs for
+// GET /v1/jobs/{id}, and their encoded results up to
+// maxRetainedResultBytes: past it, the oldest jobs drop their results
+// and keep their status. The newest finished job keeps its result
+// whatever its size.
+const (
+	maxRecentJobs          = 256
+	maxRetainedResultBytes = 16 << 20
+)
 
 // JobStatus is the wire form of one job, returned by every /v1/jobs
 // endpoint.
@@ -45,6 +52,9 @@ type JobStatus struct {
 	// automatically when the job failed so the error payload carries its
 	// own context (admission, cache outcome, execution start).
 	Events []telemetry.FlightEvent `json:"events,omitempty"`
+	// ResultExpired marks a done job whose result the server no longer
+	// holds: the finished-job ring dropped it under its byte budget.
+	ResultExpired bool `json:"result_expired,omitempty"`
 	// Result is a finished job's output. A job retains it encoded, and
 	// the reply splices those bytes in as this, the last member (see
 	// writeJob); the field gives the document its shape for decoders.
@@ -81,8 +91,13 @@ type job struct {
 	cancel      context.CancelFunc
 	err         error
 	// result is the finished job's JobResult, encoded once at finish
-	// (encodeResult); nil until then and for jobs that did not succeed.
-	result []byte
+	// (encodeResult); nil until then, for jobs that did not succeed, and
+	// once expired.
+	result  []byte
+	expired bool
+	// held is len(result) while the finished-job ring counts it against
+	// its byte budget, 0 once dropped; guarded by jobTable.mu.
+	held int64
 
 	// Observability state (see trace.go): the correlation id, the
 	// service-side timing samples the job trace is assembled from, the
@@ -222,7 +237,15 @@ func (j *job) reply() (JobStatus, []byte) {
 	if j.err != nil {
 		s.Error = j.err.Error()
 	}
+	s.ResultExpired = j.expired
 	return s, j.result
+}
+
+// expire drops the job's result (status, events and trace stay).
+func (j *job) expire() {
+	j.mu.Lock()
+	j.result, j.expired = nil, true
+	j.mu.Unlock()
 }
 
 // jobTable tracks live jobs plus a bounded ring of finished ones so
@@ -232,10 +255,13 @@ type jobTable struct {
 	nextID int64
 	live   map[string]*job
 	recent []*job // oldest first
+	// retained is the sum of held over recent.
+	retained int64
+	stats    *telemetry.ServiceStats
 }
 
-func newJobTable() *jobTable {
-	return &jobTable{live: make(map[string]*job)}
+func newJobTable(stats *telemetry.ServiceStats) *jobTable {
+	return &jobTable{live: make(map[string]*job), stats: stats}
 }
 
 func (t *jobTable) create(fingerprint string) *job {
@@ -254,22 +280,45 @@ func (t *jobTable) create(fingerprint string) *job {
 	return j
 }
 
-// retire moves a finished job from the live set to the recent ring.
+// retire moves a finished job from the live set to the recent ring,
+// evicting the oldest jobs past maxRecentJobs and then dropping the
+// oldest results past maxRetainedResultBytes, the new job's excepted.
 func (t *jobTable) retire(j *job) {
 	t.mu.Lock()
-	if _, ok := t.live[j.id]; ok {
-		delete(t.live, j.id)
-		t.recent = append(t.recent, j)
-		if len(t.recent) > maxRecentJobs {
-			// Shift down rather than re-slice: a re-slice keeps evicted
-			// jobs — and their inline results — reachable through the
-			// backing array until append happens to reallocate it.
-			n := copy(t.recent, t.recent[len(t.recent)-maxRecentJobs:])
-			clear(t.recent[n:])
-			t.recent = t.recent[:n]
+	defer t.mu.Unlock()
+	if _, ok := t.live[j.id]; !ok {
+		return
+	}
+	delete(t.live, j.id)
+	j.mu.Lock()
+	j.held = int64(len(j.result))
+	j.mu.Unlock()
+	t.retained += j.held
+	t.recent = append(t.recent, j)
+	if len(t.recent) > maxRecentJobs {
+		evict := len(t.recent) - maxRecentJobs
+		for _, old := range t.recent[:evict] {
+			t.retained -= old.held
+		}
+		// Shift down rather than re-slice: a re-slice keeps evicted
+		// jobs — and their inline results — reachable through the
+		// backing array until append happens to reallocate it.
+		n := copy(t.recent, t.recent[evict:])
+		clear(t.recent[n:])
+		t.recent = t.recent[:n]
+	}
+	for _, old := range t.recent[:len(t.recent)-1] {
+		if t.retained <= maxRetainedResultBytes {
+			break
+		}
+		if old.held > 0 {
+			old.expire()
+			t.retained -= old.held
+			old.held = 0
+			t.stats.ResultsExpired.Add(1)
 		}
 	}
-	t.mu.Unlock()
+	t.stats.RetainedResultBytes.Store(t.retained)
 }
 
 func (t *jobTable) get(id string) *job {

@@ -58,10 +58,11 @@ type Server struct {
 // shows up as its own row in /runz labeled with its job id.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	stats := telemetry.NewServiceStats()
 	s := &Server{
 		cfg:     cfg,
-		stats:   telemetry.NewServiceStats(),
-		jobs:    newJobTable(),
+		stats:   stats,
+		jobs:    newJobTable(stats),
 		check:   plancheck.CheckParsed,
 		flight:  telemetry.NewFlightRecorder(cfg.FlightEvents),
 		slow:    &slowLog{},
@@ -264,12 +265,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
 			defer cancel()
 			s.runJob(ctx, jb, sub, built)
+			s.jobs.retire(jb)
 		}()
 		writeJob(w, http.StatusAccepted, jb)
 		return
 	}
 	defer acancel()
 	s.runJob(actx, jb, sub, built)
+	// The job retires once its reply is written: a retire — this job's
+	// or another tenant's — may drop the results of retired jobs, and a
+	// synchronous reply always carries its result.
+	defer s.jobs.retire(jb)
 	code := http.StatusOK
 	switch jb.status().State {
 	case StateFailed:
@@ -433,13 +439,12 @@ func (s *Server) resolve(body []byte, arrival time.Time, front *frontTimes) (*de
 }
 
 // runJob executes one admitted job (the caller holds its slot) and
-// records its lifecycle. Blocking; async submissions wrap it in a
-// goroutine. built, when non-nil, is sub's pipeline already built at
-// admission.
+// records its lifecycle; the caller retires the job afterwards.
+// Blocking; async submissions wrap it in a goroutine. built, when
+// non-nil, is sub's pipeline already built at admission.
 func (s *Server) runJob(ctx context.Context, jb *job, sub *decodedBody, built *spec.Built) {
 	defer s.inflight.Done()
 	defer func() { <-s.sem }()
-	defer s.jobs.retire(jb)
 
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()

@@ -166,7 +166,11 @@ func (l *slowLog) add(e SlowJob) {
 	l.mu.Lock()
 	l.entries = append(l.entries, e)
 	if len(l.entries) > maxSlowJobs {
-		l.entries = l.entries[len(l.entries)-maxSlowJobs:]
+		// Shift down, as jobTable.retire does: a re-slice would keep
+		// evicted entries and their traces reachable.
+		n := copy(l.entries, l.entries[len(l.entries)-maxSlowJobs:])
+		clear(l.entries[n:])
+		l.entries = l.entries[:n]
 	}
 	l.mu.Unlock()
 }

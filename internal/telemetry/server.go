@@ -169,6 +169,9 @@ type ServiceReport struct {
 	CacheEvictions int64 `json:"cache_evictions"`
 	SpecMemoHits   int64 `json:"spec_memo_hits"`
 
+	RetainedResultBytes int64 `json:"retained_result_bytes"`
+	ResultsExpired      int64 `json:"results_expired"`
+
 	QueueDepth  int64 `json:"queue_depth"`
 	RunningJobs int64 `json:"running_jobs"`
 
@@ -226,6 +229,9 @@ func serviceReport(st *ServiceStats) *ServiceReport {
 		ColdP99NS:      st.ColdLatency.Quantile(0.99),
 		WarmP50NS:      st.WarmLatency.Quantile(0.50),
 		WarmP99NS:      st.WarmLatency.Quantile(0.99),
+
+		RetainedResultBytes: st.RetainedResultBytes.Load(),
+		ResultsExpired:      st.ResultsExpired.Load(),
 	}
 	if e, ok := st.ColdLatency.ExemplarNear(0.99); ok {
 		rep.ColdP99Exemplar = &e
@@ -399,6 +405,8 @@ func writeServicePrometheus(w http.ResponseWriter, st *ServiceStats, om bool) {
 	c("tuplex_service_spec_memo_hits_total", "Submissions served from a remembered request body without a decode.", st.SpecMemoHits.Load())
 	g("tuplex_service_queue_depth", "Submissions waiting for an execution slot.", st.QueueDepth.Load())
 	g("tuplex_service_running_jobs", "Jobs currently executing.", st.RunningJobs.Load())
+	g("tuplex_service_retained_result_bytes", "Encoded result bytes held by finished jobs.", st.RetainedResultBytes.Load())
+	c("tuplex_service_results_expired_total", "Finished jobs whose result was dropped under the retention byte budget.", st.ResultsExpired.Load())
 	hist := func(h *Histogram, name string) {
 		if om {
 			h.WriteOpenMetrics(w, name, "")

@@ -232,3 +232,48 @@ func TestServeLifecycleAndAutoEnable(t *testing.T) {
 		t.Fatal("Close must release auto-enable")
 	}
 }
+
+// TestServiceRetentionMetrics pins the finished-result retention gauge
+// and the expiry counter on both surfaces: /metrics (gauge and counter
+// types) and the runz service section.
+func TestServiceRetentionMetrics(t *testing.T) {
+	reg := NewRegistry()
+	st := NewServiceStats()
+	st.RetainedResultBytes.Store(16 << 20)
+	st.ResultsExpired.Add(3)
+	reg.SetService(st)
+	srv := httptest.NewServer(NewMux(reg))
+	defer srv.Close()
+
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	body := get("/metrics")
+	checkPrometheusText(t, body)
+	for _, want := range []string{
+		"# TYPE tuplex_service_retained_result_bytes gauge\ntuplex_service_retained_result_bytes 16777216\n",
+		"# TYPE tuplex_service_results_expired_total counter\ntuplex_service_results_expired_total 3\n",
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("/metrics lacks %q:\n%s", want, body)
+		}
+	}
+
+	var rep RunzReport
+	if err := json.Unmarshal([]byte(get("/debug/tuplex/runz")), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Service == nil || rep.Service.RetainedResultBytes != 16<<20 || rep.Service.ResultsExpired != 3 {
+		t.Fatalf("runz service section = %+v, want retained 16 MiB and 3 expired", rep.Service)
+	}
+}

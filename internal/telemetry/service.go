@@ -26,6 +26,12 @@ type ServiceStats struct {
 	QueueDepth  atomic.Int64
 	RunningJobs atomic.Int64
 
+	// RetainedResultBytes is a gauge: the encoded result bytes the
+	// finished-job ring holds. ResultsExpired counts finished jobs whose
+	// result the ring dropped to stay under its byte budget.
+	RetainedResultBytes atomic.Int64
+	ResultsExpired      atomic.Int64
+
 	// ColdLatency / WarmLatency record end-to-end job latency (ns) split
 	// by cache outcome — the ≥10× cold-vs-warm spread is the service's
 	// headline number.

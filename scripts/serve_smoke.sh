@@ -20,7 +20,13 @@
 #      32-way storm with 429s, the flight recorder at
 #      /debug/tuplex/eventz shows the shed events, and the daemon still
 #      answers afterwards.
-#   8. SIGTERM drains cleanly (exit 0, "drained cleanly" in the log).
+#   8. expiry: an async job over a 20k-row zillow file finishes with its
+#      result; enough later jobs push the finished-job ring past its
+#      16 MiB result budget, after which GET /v1/jobs/{id} answers the
+#      job's status with "result_expired":true and no result, and
+#      /metrics' retained-bytes gauge is within the budget plus one
+#      result.
+#   9. SIGTERM drains cleanly (exit 0, "drained cleanly" in the log).
 set -eu
 
 PORT="${PORT:-9825}"
@@ -36,6 +42,7 @@ trap 'kill "$SERVE_PID" "$SERVE2_PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
 
 go build -o "$TMP/tuplex-serve" ./cmd/tuplex-serve
 go build -o "$TMP/tuplex-loadgen" ./cmd/tuplex-loadgen
+go build -o "$TMP/tuplex-datagen" ./cmd/tuplex-datagen
 
 "$TMP/tuplex-serve" -addr "$ADDR" >"$TMP/serve.log" 2>&1 &
 SERVE_PID=$!
@@ -60,11 +67,11 @@ jnum() { sed -n "s/.*\"$2\": *\([0-9][0-9]*\).*/\1/p" "$1" | head -n 1; }
 # jstr FILE FIELD extracts a string field.
 jstr() { sed -n "s/.*\"$2\": *\"\([^\"]*\)\".*/\1/p" "$1" | head -n 1; }
 
-echo "serve-smoke: [1/8] zillow job + cache hit on resubmission"
+echo "serve-smoke: [1/9] zillow job + cache hit on resubmission"
 "$TMP/tuplex-loadgen" -addr "http://$ADDR" -pipeline zillow -zillow-rows 20000 \
     -n 2 -c 1 -assert-hits -json >"$TMP/zillow.json"
 
-echo "serve-smoke: [2/8] cold vs warm: cache must skip sample+compile (>=10x)"
+echo "serve-smoke: [2/9] cold vs warm: cache must skip sample+compile (>=10x)"
 "$TMP/tuplex-loadgen" -addr "http://$ADDR" -pipeline small \
     -n 20 -c 1 -assert-hits -json >"$TMP/small.json"
 cold_p50=$(jnum "$TMP/small.json" cold_p50_ns)
@@ -81,11 +88,11 @@ warm_p99=$(jnum "$TMP/small.json" warm_p99_ns)
 }
 echo "serve-smoke:   cold p50 ${cold_p50}ns, warm p50 ${warm_p50}ns, warm p99 ${warm_p99}ns"
 
-echo "serve-smoke: [3/8] sustained throughput >= 1000 jobs/sec"
+echo "serve-smoke: [3/9] sustained throughput >= 1000 jobs/sec"
 "$TMP/tuplex-loadgen" -addr "http://$ADDR" -pipeline tiny \
     -n 3000 -c 8 -assert-hits -assert-min-rate 1000 -json >"$TMP/tiny.json"
 
-echo "serve-smoke: [4/8] service metrics exposed"
+echo "serve-smoke: [4/9] service metrics exposed"
 curl -s "http://$ADDR/metrics" >"$TMP/metrics.txt"
 grep -q '^tuplex_service_cache_hits_total ' "$TMP/metrics.txt" || {
     echo "serve-smoke: tuplex_service_cache_hits_total missing from /metrics" >&2
@@ -97,7 +104,7 @@ hits=$(awk '/^tuplex_service_cache_hits_total /{print int($2)}' "$TMP/metrics.tx
     exit 1
 }
 
-echo "serve-smoke: [5/8] job trace endpoint: valid Chrome trace for a warm job"
+echo "serve-smoke: [5/9] job trace endpoint: valid Chrome trace for a warm job"
 GOOD_SPEC='{"v":1,"source":{"kind":"parallelize","columns":["a","b"],"rows":[[1,2],[3,4]]},"ops":[{"kind":"withColumn","col":"c","udf":{"code":"lambda x: x[\"a\"] + 1"}}]}'
 curl -s -o /dev/null -X POST "http://$ADDR/v1/jobs" -d "$GOOD_SPEC"
 curl -s -H 'X-Tuplex-Trace: smoke-trace-1' -X POST "http://$ADDR/v1/jobs" \
@@ -132,7 +139,7 @@ grep -q '"traceEvents"' "$TMP/job-trace.json" &&
 [ "$ART" = "$TMP" ] || cp "$TMP/job-trace.json" "$ART/job-trace.json"
 echo "serve-smoke:   chrome trace for job $job_id kept at $ART/job-trace.json"
 
-echo "serve-smoke: [6/8] invalid spec: 422 with diagnostics, no slot or cache entry consumed"
+echo "serve-smoke: [6/9] invalid spec: 422 with diagnostics, no slot or cache entry consumed"
 BAD_SPEC='{"v":1,"source":{"kind":"parallelize","columns":["a","b"],"rows":[[1,2]]},"ops":[{"kind":"withColumn","col":"c","udf":{"code":"lambda x: x[\"nope\"] + 1"}}]}'
 metric() { awk -v m="^$2 " '$0 ~ m {print int($2)}' "$1"; }
 curl -s "http://$ADDR/metrics" >"$TMP/before.txt"
@@ -172,7 +179,7 @@ grep -q '"TPX001"' "$TMP/validate.json" || {
     exit 1
 }
 
-echo "serve-smoke: [7/8] overload sheds with 429 and the flight recorder shows it"
+echo "serve-smoke: [7/9] overload sheds with 429 and the flight recorder shows it"
 "$TMP/tuplex-serve" -addr "$ADDR2" -max-concurrent 1 -queue-depth -1 \
     >"$TMP/serve2.log" 2>&1 &
 SERVE2_PID=$!
@@ -197,7 +204,57 @@ grep -q '"kind": *"shed"' "$TMP/eventz.json" || {
 "$TMP/tuplex-loadgen" -addr "http://$ADDR2" -pipeline tiny \
     -n 5 -c 1 -assert-hits -json >"$TMP/after.json"
 
-echo "serve-smoke: [8/8] SIGTERM drains cleanly"
+echo "serve-smoke: [8/9] result expiry: an async job's result is dropped past the byte budget"
+"$TMP/tuplex-datagen" -dataset zillow -rows 20000 -seed 7 -out "$TMP/expiry.csv" >/dev/null
+EXPIRY_SPEC='{"v":1,"source":{"kind":"csv","path":"'"$TMP/expiry.csv"'"},"ops":[{"kind":"mapColumn","col":"city","udf":{"code":"lambda c: c.upper()"}}],"sink":{"kind":"csv"}}'
+code=$(curl -s -o "$TMP/expiry-submit.json" -w '%{http_code}' -X POST "http://$ADDR/v1/jobs?wait=false" -d "$EXPIRY_SPEC")
+job_id=$(jstr "$TMP/expiry-submit.json" id)
+[ "$code" = "202" ] && [ -n "$job_id" ] || {
+    echo "serve-smoke: async submission answered $code, want 202 with an id:" >&2
+    cat "$TMP/expiry-submit.json" >&2
+    exit 1
+}
+for i in $(seq 1 100); do
+    curl -s "http://$ADDR/v1/jobs/$job_id" >"$TMP/expiry-job.json"
+    [ "$(jstr "$TMP/expiry-job.json" state)" = "running" ] ||
+        [ "$(jstr "$TMP/expiry-job.json" state)" = "queued" ] || break
+    sleep 0.1
+done
+grep -q '"state":"done"' "$TMP/expiry-job.json" && grep -q '"result":{' "$TMP/expiry-job.json" || {
+    echo "serve-smoke: async job $job_id did not finish with its result:" >&2
+    head -c 400 "$TMP/expiry-job.json" >&2
+    exit 1
+}
+# The whole reply bounds the one result it carries.
+result_bytes=$(wc -c <"$TMP/expiry-job.json")
+budget=$((16 << 20))
+expired=0
+for i in $(seq 1 $((2 * budget / result_bytes + 2))); do
+    code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$ADDR/v1/jobs" -d "$EXPIRY_SPEC")
+    [ "$code" = "200" ] || {
+        echo "serve-smoke: sync resubmission $i answered $code" >&2
+        exit 1
+    }
+    curl -s "http://$ADDR/metrics" >"$TMP/expiry-metrics.txt"
+    expired=$(metric "$TMP/expiry-metrics.txt" tuplex_service_results_expired_total)
+    [ "$expired" -eq 0 ] || break
+done
+curl -s "http://$ADDR/v1/jobs/$job_id" >"$TMP/expiry-job.json"
+grep -q '"state":"done"' "$TMP/expiry-job.json" &&
+    grep -q '"result_expired":true' "$TMP/expiry-job.json" &&
+    ! grep -q '"result":' "$TMP/expiry-job.json" || {
+    echo "serve-smoke: job $job_id is not flagged expired after $expired expiries:" >&2
+    head -c 400 "$TMP/expiry-job.json" >&2
+    exit 1
+}
+retained=$(metric "$TMP/expiry-metrics.txt" tuplex_service_retained_result_bytes)
+[ -n "$retained" ] && [ "$retained" -le $((budget + result_bytes)) ] || {
+    echo "serve-smoke: retained result bytes ${retained:-missing} exceed the budget $budget plus one result ($result_bytes)" >&2
+    exit 1
+}
+echo "serve-smoke:   job $job_id expired; $expired results dropped, $retained result bytes retained"
+
+echo "serve-smoke: [9/9] SIGTERM drains cleanly"
 for pid in "$SERVE_PID" "$SERVE2_PID"; do
     kill -TERM "$pid"
     wait "$pid" || {
@@ -214,4 +271,4 @@ grep -q 'drained cleanly' "$TMP/serve.log" || {
     exit 1
 }
 
-echo "serve-smoke: ok (cache hit, >=10x cold/warm, >=1k jobs/sec, chrome trace, 422 fail-fast, 429 shedding + eventz, clean drain)"
+echo "serve-smoke: ok (cache hit, >=10x cold/warm, >=1k jobs/sec, chrome trace, 422 fail-fast, 429 shedding + eventz, result expiry, clean drain)"
