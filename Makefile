@@ -74,6 +74,9 @@ bench-smoke:
 # parser to increasing token positions, in-source error positions and a
 # deterministic parse; a new input minimizes in 200 runs, as a parse is
 # cheap and the default minute of minimizing would stall a short smoke.
+# FuzzRowClosure holds the row closures of generated numeric and boolean
+# UDFs (both Specialize modes) to the tree-walker, from a fuzzed
+# generator seed; its minimization is cut to 200 runs like FuzzParseUDF's.
 # FuzzSubmit posts each body to /v1/jobs
 # twice and holds the second reply (spec memo, plan cache) to the first;
 # minimizing a new input re-runs whole jobs, so its minimization is cut
@@ -87,6 +90,7 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) ./internal/csvio || exit 1; \
 	done
 	$(GO) test -run '^$$' -fuzz '^FuzzParseUDF$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 200x ./internal/pyast
+	$(GO) test -run '^$$' -fuzz '^FuzzRowClosure$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 200x ./internal/codegen
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 50x ./internal/service
 
 # End-to-end check of the introspection server: tuplex-bench with

@@ -429,7 +429,7 @@ func (c *compiler) builtinCall(x *pyast.Call, name string) (exprFn, error) {
 		return func(fr *Frame) (rows.Slot, ECode) {
 			n, ec := a(fr)
 			if ec != 0 {
-				return rows.Slot{}, ec
+				return rows.Slot{}, operandErr(ec)
 			}
 			if n < 0 || n > 127 {
 				return rows.Slot{}, pyvalue.ExcValueError
@@ -570,9 +570,9 @@ func (c *compiler) matchMethodCall(x *pyast.Call, attr *pyast.Attr) (exprFn, err
 	if err != nil {
 		return nil, err
 	}
-	var idx exprFn
+	var idx i64Fn
 	if len(x.Args) >= 1 {
-		if idx, err = c.intExpr(x.Args[0]); err != nil {
+		if idx, err = c.i64(x.Args[0]); err != nil {
 			return nil, err
 		}
 	}
@@ -589,11 +589,9 @@ func (c *compiler) matchMethodCall(x *pyast.Call, attr *pyast.Attr) (exprFn, err
 			}
 			i := int64(0)
 			if idx != nil {
-				iv, ec := idx(fr)
-				if ec != 0 {
-					return rows.Slot{}, ec
+				if i, ec = idx(fr); ec != 0 {
+					return rows.Slot{}, operandErr(ec)
 				}
-				i = iv.I
 			}
 			if i < 0 || int(i) >= len(m.Groups) {
 				return rows.Slot{}, pyvalue.ExcIndexError

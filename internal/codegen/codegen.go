@@ -3,10 +3,10 @@
 //
 // Where the paper's prototype emits LLVM IR and JIT-compiles it, this
 // implementation emits two forms of the same typed AST. The row form is a
-// tree of Go closures over rows.Slot registers, one closure per node,
-// compiled in one pass: no heap boxing, operators specialized on the
-// operands' static types, exceptions as integer return codes (the
-// paper's own choice, §5). The vector form (vec.go) runs the UDF bodies
+// tree of Go closures, one per node, compiled in one pass: int and bool
+// code returns int64s and bools, everything else rows.Slot registers; no
+// heap boxing, operators specialized on the operands' static types,
+// exceptions as integer return codes (the paper's own choice, §5). The vector form (vec.go) runs the UDF bodies
 // of its grammar once per batch; the row form serves every other body
 // and replays the rows a vector program hands back. The asymmetry both
 // create against the boxed interpreter is the mechanism every Tuplex
@@ -73,7 +73,13 @@ const (
 	ctlContinue
 )
 
-type exprFn func(fr *Frame) (rows.Slot, ECode)
+type exprFn = func(fr *Frame) (rows.Slot, ECode)
+
+// The typed forms of an int-like and of a truth-tested expression.
+type (
+	i64Fn  = func(*Frame) (int64, ECode)
+	boolFn = func(*Frame) (bool, ECode)
+)
 type stmtFn func(fr *Frame) (ctl, rows.Slot, ECode)
 
 // Options tunes code generation.
@@ -331,28 +337,55 @@ func (c *compiler) flowNonNull(x pyast.Expr) bool {
 	return c.opts.Flow != nil && x != nil && c.opts.Flow.NonNull(x)
 }
 
-// flowFold compiles x straight to a constant or an exception exit when
-// the dataflow facts decide it. Literals are skipped (already free).
-func (c *compiler) flowFold(x pyast.Expr) (exprFn, bool) {
+// decided reports x's outcome when it is fixed at compile time: an
+// exception exit for a node inference recorded as failed, or for one the
+// dataflow facts prove always raises, or a constant the facts prove.
+// Every compile entry (expr, i64, truth) asks it first. Literals are
+// left to the entries (already free).
+func (c *compiler) decided(x pyast.Expr) (rows.Slot, ECode, bool) {
+	if f, ok := c.info.Failed[x]; ok {
+		return rows.Slot{}, excFromName(f.Raises), true
+	}
 	if c.opts.Flow == nil {
-		return nil, false
+		return rows.Slot{}, 0, false
 	}
 	if k, ok := c.opts.Flow.AlwaysRaises(x); ok {
 		c.stats.RaiseExits++
-		ec := k
-		return func(fr *Frame) (rows.Slot, ECode) { return rows.Slot{}, ec }, true
+		return rows.Slot{}, k, true
 	}
 	switch x.(type) {
 	case *pyast.NumLit, *pyast.StrLit, *pyast.BoolLit, *pyast.NoneLit:
-		return nil, false
+		return rows.Slot{}, 0, false
 	}
 	v, ok := c.opts.Flow.Constant(x)
 	if !ok {
-		return nil, false
+		return rows.Slot{}, 0, false
 	}
-	s := rows.FromValue(v)
 	c.stats.ConstsFolded++
-	return func(fr *Frame) (rows.Slot, ECode) { return s, 0 }, true
+	return rows.FromValue(v), 0, true
+}
+
+// local reports the frame slot of x when x reads a local or parameter
+// that decided would not fold, so its consumer can read fr.Slots[s] in
+// place instead of copying the slot out.
+func (c *compiler) local(x pyast.Expr) (int, bool) {
+	n, ok := x.(*pyast.Name)
+	if !ok {
+		return 0, false
+	}
+	s, ok := c.slots[n.Ident]
+	if _, failed := c.info.Failed[n]; !ok || failed {
+		return 0, false
+	}
+	if f := c.opts.Flow; f != nil {
+		if _, raises := f.AlwaysRaises(n); raises {
+			return 0, false
+		}
+		if _, konst := f.Constant(n); konst {
+			return 0, false
+		}
+	}
+	return s, true
 }
 
 // slotsToClear computes which non-parameter slots could be observed
@@ -423,17 +456,6 @@ func (c *compiler) slotTarget(t pyast.Expr) {
 	}
 }
 
-// failedExit returns the exception-exit closure for a node recorded as
-// failed by inference, or nil.
-func (c *compiler) failedExit(n pyast.Node) exprFn {
-	f, ok := c.info.Failed[n]
-	if !ok {
-		return nil
-	}
-	ec := excFromName(f.Raises)
-	return func(fr *Frame) (rows.Slot, ECode) { return rows.Slot{}, ec }
-}
-
 func excFromName(name string) ECode {
 	switch name {
 	case "TypeError":
@@ -500,22 +522,10 @@ func (c *compiler) stmt(s pyast.Stmt) (stmtFn, error) {
 		}
 		return c.assign(s.Target, v)
 	case *pyast.AugAssign:
-		cur, err := c.expr(s.Target)
-		if err != nil {
-			return nil, err
-		}
-		rhs, err := c.expr(s.Value)
-		if err != nil {
-			return nil, err
-		}
-		var lt, rt types.Type
-		if te, ok := s.Target.(pyast.Expr); ok {
-			lt = te.Type()
-		}
-		rt = s.Value.Type()
+		lt, rt := s.Target.Type(), s.Value.Type()
 		// Result type of target op= value matches what inference stored
 		// on the target after the statement; recompute from operands.
-		comb, err := c.binOp(s.Op, cur, rhs, s.Target, s.Value, lt, rt, resultTypeOf(s.Op, lt, rt))
+		comb, err := c.binOp(s.Op, s.Target, s.Value, lt, rt, resultTypeOf(s.Op, lt, rt))
 		if err != nil {
 			return nil, err
 		}
@@ -542,7 +552,7 @@ func (c *compiler) stmt(s pyast.Stmt) (stmtFn, error) {
 	case *pyast.For:
 		return c.forStmt(s)
 	case *pyast.While:
-		cond, err := c.truthExpr(s.Cond)
+		cond, err := c.truth(s.Cond)
 		if err != nil {
 			return nil, err
 		}
@@ -615,7 +625,7 @@ func (c *compiler) ifStmt(s *pyast.If) (stmtFn, error) {
 		}
 		return func(fr *Frame) (ctl, rows.Slot, ECode) { return runStmts(fr, body) }, nil
 	}
-	cond, err := c.truthExpr(s.Cond)
+	cond, err := c.truth(s.Cond)
 	if err != nil {
 		return nil, err
 	}
@@ -750,25 +760,25 @@ func rangeCall(e pyast.Expr) (*pyast.Call, bool) {
 
 // rangeBounds compiles range arguments into a (start, stop, step) thunk.
 func (c *compiler) rangeBounds(call *pyast.Call) (func(fr *Frame) (int64, int64, int64, ECode), error) {
-	args := make([]exprFn, len(call.Args))
+	args := make([]i64Fn, len(call.Args))
 	for i, a := range call.Args {
-		e, err := c.intExpr(a)
+		e, err := c.i64(a)
 		if err != nil {
 			return nil, err
 		}
 		args[i] = e
 	}
 	return func(fr *Frame) (start, stop, step int64, ec ECode) {
-		step = 1
-		vals := make([]int64, len(args))
+		var vals [3]int64
 		for i, a := range args {
-			s, e := a(fr)
+			n, e := a(fr)
 			if e != 0 {
-				return 0, 0, 0, e
+				return 0, 0, 0, operandErr(e)
 			}
-			vals[i] = s.I
+			vals[i] = n
 		}
-		switch len(vals) {
+		step = 1
+		switch len(args) {
 		case 1:
 			stop = vals[0]
 		case 2:

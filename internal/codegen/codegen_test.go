@@ -563,6 +563,31 @@ func TestCompiledMatchesInterpreterGenerated(t *testing.T) {
 	}
 }
 
+// FuzzRowClosure is TestCompiledMatchesInterpreterGenerated's numeric
+// and boolean expressions from a fuzzed generator seed: the row closure
+// (Call1, Specialize on and off) held to the tree-walker on a random
+// batch, value for value or exception kind for exception kind.
+func FuzzRowClosure(f *testing.F) {
+	for _, seed := range []int64{1, 7, 20261016} {
+		f.Add(seed, false)
+		f.Add(seed, true)
+	}
+	names := make([]string, len(vecCols))
+	for i, c := range vecCols {
+		names[i] = c.Name
+	}
+	f.Fuzz(func(t *testing.T, seed int64, boolean bool) {
+		rng := rand.New(rand.NewSource(seed))
+		eg := &exprGen{rng: rng}
+		src := "lambda r: " + eg.num(3)
+		if boolean {
+			src = "lambda r: " + eg.boolean(3)
+		}
+		b := randomStrBatch(rng, 12, nullModes[rng.Intn(len(nullModes))])
+		rowVsInterp(t, src, b, interp.New(vecGlobals), names)
+	})
+}
+
 // termsUDF is an n-term conditional sum over one int, the shape of a
 // compile-heavy plan: a + 7 + Σ (a*k if a % (k+1) == 0 else k - a).
 func termsUDF(n int) string {
@@ -618,6 +643,58 @@ func BenchmarkCompileUDF(b *testing.B) {
 	}
 }
 
+// serveUDF is the withColumn UDF of serve.cold's and serve.warm's light
+// plan over column c0: x['c0'] + k0 + Σ (x['c0']*(t+1) if x['c0'] %
+// (t+2) == 0 else t - x['c0']), 40 terms.
+func serveUDF() string {
+	var sb strings.Builder
+	sb.WriteString("lambda x: x['c0'] + k0")
+	for t := 0; t < 40; t++ {
+		fmt.Fprintf(&sb, " + (x['c0'] * %d if x['c0'] %% %d == 0 else %d - x['c0'])", t+1, t+2, t)
+	}
+	return sb.String()
+}
+
+// BenchmarkRowClosure is one row-closure call (Call1) of the 40-term UDF
+// over an int parameter (terms) and of the light serve plan's UDF over a
+// row parameter (row): the path a batch below the engine's vector
+// minimum takes for every row.
+func BenchmarkRowClosure(b *testing.B) {
+	rowCols := []types.Column{{Name: "a", Type: types.I64}, {Name: "s", Type: types.Str}, {Name: "c0", Type: types.I64}}
+	for _, c := range []struct {
+		name, src string
+		param     types.Type
+		arg       rows.Slot
+	}{
+		{"terms", termsUDF(40), types.I64, rows.I64(12)},
+		{"row", serveUDF(), types.Row(types.NewSchema(rowCols)), rows.Tuple([]rows.Slot{rows.I64(3), rows.Str("cc"), rows.I64(12)})},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			fn, err := pyast.ParseUDF(c.src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			info, err := inference.TypeFunction(fn, []types.Type{c.param}, map[string]types.Type{"k0": types.I64}, inference.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			u, err := Compile(info, map[string]pyvalue.Value{"k0": pyvalue.Int(5)}, DefaultOptions())
+			if err != nil {
+				b.Fatal(err)
+			}
+			fr := NewFrame(u.NumSlots())
+			if v, ec := u.Call1(fr, c.arg); ec != 0 || v.Tag != types.KindI64 {
+				b.Fatalf("%v (%v)", v.Value(), ec)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				u.Call1(fr, c.arg)
+			}
+		})
+	}
+}
+
 // TestRowDivergencesPinned pins the row-closure and interpreter
 // divergences the generated differential found, each at Python's answer:
 // an exception kind, or a value. Every case failed on some tier before.
@@ -654,6 +731,23 @@ func TestRowDivergencesPinned(t *testing.T) {
 		// ints, and truthiness reads the value held.
 		{"lambda r: (r['a'] if r['h'] else r['c']) * 3", map[string]rows.Slot{"a": rows.I64(1<<53 + 1), "h": rows.Bool(true)}, pyvalue.Int((1<<53 + 1) * 3), 0},
 		{"lambda r: 'y' if (r['h'] if r['h'] else r['c']) else 'n'", map[string]rows.Slot{"h": rows.Bool(true)}, pyvalue.Str("y"), 0},
+		// An int-typed conditional returns the bool its taken arm holds.
+		{"lambda r: r['h'] if r['h'] else r['a']", map[string]rows.Slot{"h": rows.Bool(true)}, pyvalue.Bool(true), 0},
+		// An int operand that is None still lets the other evaluate first.
+		{"lambda r: r['e'] + (1 // (r['a'] - r['a']))", map[string]rows.Slot{"e": rows.Null()}, nil, pyvalue.ExcZeroDivisionError},
+		// A bool indexes as 0 or 1.
+		{"lambda r: 'abc'[r['h']]", map[string]rows.Slot{"h": rows.Bool(true)}, pyvalue.Str("b"), 0},
+		// An unbound local raises NameError before the other operand runs.
+		{"def f(r):\n    if r['h']:\n        y = 1\n    return y + (1 // (r['a'] - r['a']))\n", nil, nil, pyvalue.ExcNameError},
+		// A chain stops at its first false link.
+		{"lambda r: r['a'] < r['b'] < (1 // (r['a'] - r['a']))", map[string]rows.Slot{"b": rows.I64(1)}, pyvalue.Bool(false), 0},
+		// A bool equals its int, but is not it.
+		{"lambda r: True == 1", nil, pyvalue.Bool(true), 0},
+		{"lambda r: True is 1", nil, pyvalue.Bool(false), 0},
+		{"lambda r: r['h'] == 1", map[string]rows.Slot{"h": rows.Bool(true)}, pyvalue.Bool(true), 0},
+		// A negative shift count raises ValueError.
+		{"lambda r: r['a'] << (r['b'] - 3)", nil, nil, pyvalue.ExcValueError},
+		{"lambda r: r['a'] >> (r['b'] - 3)", nil, nil, pyvalue.ExcValueError},
 	} {
 		row := make(rows.Row, len(vecCols))
 		for i, col := range vecCols {

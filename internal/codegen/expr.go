@@ -10,14 +10,19 @@ import (
 	"github.com/gotuplex/tuplex/internal/types"
 )
 
-// expr compiles one expression. Nodes recorded as typing failures
-// compile into exception exits.
+// A node compiles through the entry for the form its consumer needs:
+// expr (a rows.Slot), i64 (an int64) or truth (a bool). Each entry asks
+// decided first, then emits the node's own form when it has one, else
+// compiles it by expr and converts on the edge (asI64, Slot.Truth). A
+// parent calls one entry per child, so each node compiles once.
+
+// expr compiles one expression into a Slot producer.
 func (c *compiler) expr(x pyast.Expr) (exprFn, error) {
-	if exit := c.failedExit(x); exit != nil {
-		return exit, nil
-	}
-	if fn, ok := c.flowFold(x); ok {
-		return fn, nil
+	if v, ec, ok := c.decided(x); ok {
+		if ec != 0 {
+			return exitFn(ec), nil
+		}
+		return func(fr *Frame) (rows.Slot, ECode) { return v, 0 }, nil
 	}
 	switch x := x.(type) {
 	// Literal closures capture the scalar, not an 80-byte Slot: a
@@ -40,69 +45,36 @@ func (c *compiler) expr(x pyast.Expr) (exprFn, error) {
 	case *pyast.Name:
 		if s, ok := c.slots[x.Ident]; ok {
 			return func(fr *Frame) (rows.Slot, ECode) {
-				v := fr.Slots[s]
-				if v.Tag == types.KindInvalid {
+				p := &fr.Slots[s]
+				if p.Tag == types.KindInvalid {
 					return rows.Slot{}, pyvalue.ExcNameError
 				}
-				return v, 0
+				return *p, 0
 			}, nil
 		}
 		if g, ok := c.globals[x.Ident]; ok {
 			return func(fr *Frame) (rows.Slot, ECode) { return g, 0 }, nil
 		}
-		return func(fr *Frame) (rows.Slot, ECode) { return rows.Slot{}, pyvalue.ExcNameError }, nil
+		return exitFn(pyvalue.ExcNameError), nil
 	case *pyast.BinOp:
-		l, err := c.expr(x.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.expr(x.Right)
-		if err != nil {
-			return nil, err
-		}
-		return c.binOp(x.Op, l, r, x.Left, x.Right, x.Left.Type(), x.Right.Type(), x.Type())
+		return c.binOp(x.Op, x.Left, x.Right, x.Left.Type(), x.Right.Type(), x.Type())
 	case *pyast.UnaryOp:
+		switch {
+		case x.Op == "not":
+			return boxBool(c.not(x))
+		case c.intUnary(x):
+			return boxI64(c.i64Unary(x))
+		}
 		return c.unaryOp(x)
 	case *pyast.Compare:
-		return c.compare(x)
+		return boxBool(c.compare(x))
 	case *pyast.BoolOp:
-		return c.boolOp(x)
+		if c.opts.Specialize && !x.Type().IsOption() && x.Type().Kind() == types.KindBool {
+			return boxBool(c.boolOp(x))
+		}
+		return c.boolOpValue(x)
 	case *pyast.IfExpr:
-		dead := c.info.Dead[x]
-		if dead == inference.DeadNone {
-			if d := c.flowDead(x); d != inference.DeadNone {
-				dead = d
-				c.stats.BranchesPruned++
-			}
-		}
-		switch dead {
-		case inference.DeadThen:
-			return c.expr(x.Else)
-		case inference.DeadElse:
-			return c.expr(x.Then)
-		}
-		cond, err := c.truthExpr(x.Cond)
-		if err != nil {
-			return nil, err
-		}
-		then, err := c.expr(x.Then)
-		if err != nil {
-			return nil, err
-		}
-		els, err := c.expr(x.Else)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *Frame) (rows.Slot, ECode) {
-			t, ec := cond(fr)
-			if ec != 0 {
-				return rows.Slot{}, ec
-			}
-			if t {
-				return then(fr)
-			}
-			return els(fr)
-		}, nil
+		return ifExpr(c, x, c.expr)
 	case *pyast.Subscript:
 		return c.subscript(x)
 	case *pyast.Slice:
@@ -190,13 +162,218 @@ func (c *compiler) exprs(xs []pyast.Expr) ([]exprFn, error) {
 	return out, nil
 }
 
-// truthExpr compiles an expression into a Python-truthiness test.
-func (c *compiler) truthExpr(x pyast.Expr) (func(fr *Frame) (bool, ECode), error) {
+// ifExpr compiles a conditional expression in the form its arms are
+// compiled by arm; an arm dead by inference or the facts is not compiled.
+func ifExpr[T any](c *compiler, x *pyast.IfExpr, arm func(pyast.Expr) (func(*Frame) (T, ECode), error)) (func(*Frame) (T, ECode), error) {
+	dead := c.info.Dead[x]
+	if dead == inference.DeadNone {
+		if d := c.flowDead(x); d != inference.DeadNone {
+			dead = d
+			c.stats.BranchesPruned++
+		}
+	}
+	switch dead {
+	case inference.DeadThen:
+		return arm(x.Else)
+	case inference.DeadElse:
+		return arm(x.Then)
+	}
+	cond, err := c.truth(x.Cond)
+	if err != nil {
+		return nil, err
+	}
+	then, err := arm(x.Then)
+	if err != nil {
+		return nil, err
+	}
+	els, err := arm(x.Else)
+	if err != nil {
+		return nil, err
+	}
+	return func(fr *Frame) (T, ECode) {
+		t, ec := cond(fr)
+		if ec != 0 {
+			var zero T
+			return zero, ec
+		}
+		if t {
+			return then(fr)
+		}
+		return els(fr)
+	}, nil
+}
+
+// excOperand is the code of an i64 form whose value is not an int or a
+// bool (None): the operand evaluated, and its consumer raises TypeError
+// once its other operands have evaluated too. It never leaves codegen.
+const excOperand ECode = 0xff
+
+// operandErr is ec with excOperand raised as TypeError.
+func operandErr(ec ECode) ECode {
+	if ec == excOperand {
+		return pyvalue.ExcTypeError
+	}
+	return ec
+}
+
+// i64 compiles x, typed int or bool (or an Option of one), into an int64
+// producer: a bool reads as 0 or 1 (an int-typed value may hold one), and
+// any other value returns excOperand, which the consumer must handle.
+func (c *compiler) i64(x pyast.Expr) (i64Fn, error) {
+	if !c.opts.Specialize {
+		return c.unboxI64(x)
+	}
+	if v, ec, ok := c.decided(x); ok {
+		n, nec := refI64(&v)
+		if ec == 0 {
+			ec = nec
+		}
+		return func(fr *Frame) (int64, ECode) { return n, ec }, nil
+	}
+	switch x := x.(type) {
+	case *pyast.NumLit:
+		if !x.IsFloat {
+			n := x.I
+			return func(fr *Frame) (int64, ECode) { return n, 0 }, nil
+		}
+	case *pyast.Name:
+		if s, ok := c.slots[x.Ident]; ok {
+			return func(fr *Frame) (int64, ECode) {
+				p := &fr.Slots[s]
+				if p.Tag == types.KindInvalid {
+					return 0, pyvalue.ExcNameError
+				}
+				return refI64(p)
+			}, nil
+		}
+		if g, ok := c.globals[x.Ident]; ok {
+			n, ec := refI64(&g)
+			return func(fr *Frame) (int64, ECode) { return n, ec }, nil
+		}
+	case *pyast.Subscript:
+		if s, idx, ok := c.column(x); ok {
+			return func(fr *Frame) (int64, ECode) {
+				row := &fr.Slots[s]
+				if idx >= len(row.Seq) {
+					return 0, columnErr(row)
+				}
+				return refI64(&row.Seq[idx])
+			}, nil
+		}
+	case *pyast.BinOp:
+		if c.intOp(x.Op, x.Left.Type(), x.Right.Type(), x.Type()) {
+			return c.intBinOp(x.Op, x.Left, x.Right)
+		}
+	case *pyast.UnaryOp:
+		if c.intUnary(x) {
+			return c.i64Unary(x)
+		}
+	case *pyast.IfExpr:
+		return ifExpr(c, x, c.i64)
+	}
+	return c.unboxI64(x)
+}
+
+// unboxI64 compiles x through expr, unboxed on the edge.
+func (c *compiler) unboxI64(x pyast.Expr) (i64Fn, error) {
 	e, err := c.expr(x)
 	if err != nil {
 		return nil, err
 	}
+	return asI64(e), nil
+}
+
+// asI64 is the unbox edge: e's Slot read as an int64, excOperand when it
+// holds neither an int nor a bool.
+func asI64(e exprFn) i64Fn {
+	return func(fr *Frame) (int64, ECode) {
+		v, ec := e(fr)
+		if ec != 0 {
+			return 0, ec
+		}
+		return refI64(&v)
+	}
+}
+
+// boxI64 and boxBool are the box edges: an int or bool form's value as a
+// Slot, where it leaves int or bool code.
+func boxI64(f i64Fn, err error) (exprFn, error) {
+	if err != nil {
+		return nil, err
+	}
+	return func(fr *Frame) (rows.Slot, ECode) {
+		n, ec := f(fr)
+		return rows.I64(n), ec
+	}, nil
+}
+
+func boxBool(f boolFn, err error) (exprFn, error) {
+	if err != nil {
+		return nil, err
+	}
+	return func(fr *Frame) (rows.Slot, ECode) {
+		b, ec := f(fr)
+		return rows.Bool(b), ec
+	}, nil
+}
+
+// refI64 reads an int-like slot in place.
+func refI64(p *rows.Slot) (int64, ECode) {
+	switch p.Tag {
+	case types.KindI64:
+		return p.I, 0
+	case types.KindBool:
+		return int64(b2i(p.B)), 0
+	}
+	return 0, excOperand
+}
+
+// column reports the frame slot and column index of x when x reads a
+// column of a row local (r['a']) that its consumer can read in place.
+func (c *compiler) column(x *pyast.Subscript) (slot, idx int, ok bool) {
+	if x.RowIdx < 0 {
+		return 0, 0, false
+	}
+	slot, ok = c.local(x.X)
+	return slot, x.RowIdx, ok
+}
+
+// columnErr is the error of a column read past the end of row: the row
+// local unbound, or too short.
+func columnErr(row *rows.Slot) ECode {
+	if row.Tag == types.KindInvalid {
+		return pyvalue.ExcNameError
+	}
+	return pyvalue.ExcIndexError
+}
+
+// truth compiles x into a Python-truthiness test. Under Specialize a
+// comparison, `not`, and/or and a conditional test natively; every other
+// node tests its Slot.
+func (c *compiler) truth(x pyast.Expr) (boolFn, error) {
 	t := x.Type()
+	if c.opts.Specialize && !t.IsOption() {
+		if v, ec, ok := c.decided(x); ok {
+			b := v.Truth()
+			return func(fr *Frame) (bool, ECode) { return b, ec }, nil
+		}
+		switch x := x.(type) {
+		case *pyast.Compare:
+			return c.compare(x)
+		case *pyast.BoolOp:
+			return c.boolOp(x)
+		case *pyast.IfExpr:
+			return ifExpr(c, x, c.truth)
+		case *pyast.UnaryOp:
+			if x.Op == "not" {
+				return c.not(x)
+			}
+		}
+	}
+	e, err := c.expr(x)
+	if err != nil {
+		return nil, err
+	}
 	if t.IsOption() && c.flowNonNull(x) {
 		// Null-check elision: the Option value is proven non-null here,
 		// so truthiness dispatches on the unwrapped kind directly.
@@ -233,47 +410,46 @@ func (c *compiler) truthExpr(x pyast.Expr) (func(fr *Frame) (bool, ECode), error
 	}, nil
 }
 
-// intExpr compiles an expression guaranteed by typing to be int-like into
-// an I64-slot producer: bools coerce (an i64-typed value may hold one),
-// None raises TypeError.
-func (c *compiler) intExpr(x pyast.Expr) (exprFn, error) {
-	e, err := c.expr(x)
+// not compiles `not x`.
+func (c *compiler) not(x *pyast.UnaryOp) (boolFn, error) {
+	inner, err := c.truth(x.X)
 	if err != nil {
 		return nil, err
 	}
-	return func(fr *Frame) (rows.Slot, ECode) {
-		v, ec := e(fr)
-		if ec != 0 {
-			return rows.Slot{}, ec
-		}
-		switch v.Tag {
-		case types.KindI64:
-			return v, 0
-		case types.KindBool:
-			if v.B {
-				return rows.I64(1), 0
-			}
-			return rows.I64(0), 0
-		default:
-			return rows.Slot{}, pyvalue.ExcTypeError
-		}
+	return func(fr *Frame) (bool, ECode) {
+		t, ec := inner(fr)
+		return !t, ec
 	}, nil
 }
 
+// intUnary reports whether x is a specialized - + ~ over an int or a bool.
+func (c *compiler) intUnary(x *pyast.UnaryOp) bool {
+	k := x.X.Type().Unwrap().Kind()
+	return c.opts.Specialize && x.Op != "not" && (k == types.KindI64 || k == types.KindBool)
+}
+
+// i64Unary compiles - + ~ over an int operand.
+func (c *compiler) i64Unary(x *pyast.UnaryOp) (i64Fn, error) {
+	sub, err := c.i64(x.X)
+	if err != nil {
+		return nil, err
+	}
+	neg, inv := x.Op == "-", x.Op == "~"
+	return func(fr *Frame) (int64, ECode) {
+		n, ec := sub(fr)
+		switch {
+		case neg:
+			n = -n
+		case inv:
+			n = ^n
+		}
+		return n, operandErr(ec)
+	}, nil
+}
+
+// unaryOp compiles - + ~ boxed: over a float, or unspecialized.
 func (c *compiler) unaryOp(x *pyast.UnaryOp) (exprFn, error) {
 	switch x.Op {
-	case "not":
-		inner, err := c.truthExpr(x.X)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *Frame) (rows.Slot, ECode) {
-			t, ec := inner(fr)
-			if ec != 0 {
-				return rows.Slot{}, ec
-			}
-			return rows.Bool(!t), 0
-		}, nil
 	case "-", "+", "~":
 		sub, err := c.expr(x.X)
 		if err != nil {
@@ -296,10 +472,7 @@ func (c *compiler) unaryOp(x *pyast.UnaryOp) (exprFn, error) {
 					return rows.I64(^v.I), 0
 				}
 			case types.KindBool:
-				n := int64(0)
-				if v.B {
-					n = 1
-				}
+				n := int64(b2i(v.B))
 				switch op {
 				case "-":
 					return rows.I64(-n), 0
@@ -325,7 +498,35 @@ func (c *compiler) unaryOp(x *pyast.UnaryOp) (exprFn, error) {
 	}
 }
 
-func (c *compiler) boolOp(x *pyast.BoolOp) (exprFn, error) {
+// boolOp compiles the truth of `a and b` / `a or b`: the truth of the
+// operand that decides it, the rest not evaluated.
+func (c *compiler) boolOp(x *pyast.BoolOp) (boolFn, error) {
+	subs := make([]boolFn, len(x.Xs))
+	for i, sub := range x.Xs {
+		f, err := c.truth(sub)
+		if err != nil {
+			return nil, err
+		}
+		subs[i] = f
+	}
+	isAnd := x.Op == "and"
+	return func(fr *Frame) (bool, ECode) {
+		for _, sub := range subs {
+			t, ec := sub(fr)
+			if ec != 0 {
+				return false, ec
+			}
+			if t != isAnd {
+				return t, 0
+			}
+		}
+		return isAnd, 0
+	}, nil
+}
+
+// boolOpValue compiles `a and b` / `a or b` as a value: the operand
+// that decides it.
+func (c *compiler) boolOpValue(x *pyast.BoolOp) (exprFn, error) {
 	subs, err := c.exprs(x.Xs)
 	if err != nil {
 		return nil, err
@@ -335,18 +536,10 @@ func (c *compiler) boolOp(x *pyast.BoolOp) (exprFn, error) {
 		var v rows.Slot
 		var ec ECode
 		for i, sub := range subs {
-			v, ec = sub(fr)
-			if ec != 0 {
+			if v, ec = sub(fr); ec != 0 {
 				return rows.Slot{}, ec
 			}
-			if i == len(subs)-1 {
-				break
-			}
-			t := v.Truth()
-			if isAnd && !t {
-				return v, 0
-			}
-			if !isAnd && t {
+			if i < len(subs)-1 && v.Truth() != isAnd {
 				return v, 0
 			}
 		}
@@ -355,7 +548,17 @@ func (c *compiler) boolOp(x *pyast.BoolOp) (exprFn, error) {
 }
 
 func (c *compiler) subscript(x *pyast.Subscript) (exprFn, error) {
-	// Row column access resolved by inference: a direct slice load.
+	// Row column access resolved by inference: a direct slice load, in
+	// place when the row is a local.
+	if s, idx, ok := c.column(x); ok {
+		return func(fr *Frame) (rows.Slot, ECode) {
+			row := &fr.Slots[s]
+			if idx >= len(row.Seq) {
+				return rows.Slot{}, columnErr(row)
+			}
+			return row.Seq[idx], 0
+		}, nil
+	}
 	if x.RowIdx >= 0 {
 		base, err := c.expr(x.X)
 		if err != nil {
@@ -381,7 +584,7 @@ func (c *compiler) subscript(x *pyast.Subscript) (exprFn, error) {
 	var at func(fr *Frame) (rows.Slot, int64, ECode)
 	switch ct.Kind() {
 	case types.KindStr, types.KindList, types.KindTuple, types.KindMatch:
-		idx, err := c.intExpr(x.Index)
+		idx, err := c.i64(x.Index)
 		if err != nil {
 			return nil, err
 		}
@@ -392,8 +595,8 @@ func (c *compiler) subscript(x *pyast.Subscript) (exprFn, error) {
 			if ec != 0 {
 				return s, 0, ec
 			}
-			iv, ec := idx(fr)
-			return s, iv.I, ec
+			i, ec := idx(fr)
+			return s, i, operandErr(ec)
 		}
 	}
 	switch ct.Kind() {
@@ -512,11 +715,8 @@ func (c *compiler) slice(x *pyast.Slice) (exprFn, error) {
 		if ec != 0 || v.Tag == types.KindNull {
 			return nil, ec // s[None:] is s[:]
 		}
-		n, ok := slotI64(v)
-		if !ok {
-			return nil, pyvalue.ExcTypeError
-		}
-		return &n, 0
+		n, ec := refI64(&v)
+		return &n, operandErr(ec)
 	}
 	isStr := x.X.Type().Unwrap().Kind() == types.KindStr
 	return func(fr *Frame) (rows.Slot, ECode) {
@@ -582,7 +782,7 @@ func (c *compiler) listComp(x *pyast.ListComp) (exprFn, error) {
 	var cond func(fr *Frame) (bool, ECode)
 	var err error
 	if x.Cond != nil {
-		cond, err = c.truthExpr(x.Cond)
+		cond, err = c.truth(x.Cond)
 		if err != nil {
 			return nil, err
 		}

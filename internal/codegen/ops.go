@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"cmp"
 	"math"
 	"strings"
 
@@ -62,25 +63,7 @@ func applyBoxedOp(op string, a, b pyvalue.Value) (pyvalue.Value, error) {
 	}
 }
 
-type i64Fn = func(*Frame) (int64, ECode)
 type strFn = func(*Frame) (string, ECode)
-
-// asI64 wraps e (typed int-like, possibly optional) into an int64
-// producer. It dispatches on the slot's tag rather than the static type:
-// a value typed i64 may hold a bool (bool < i64 in the type lattice).
-func asI64(e exprFn) i64Fn {
-	return func(fr *Frame) (int64, ECode) {
-		v, ec := e(fr)
-		if ec != 0 {
-			return 0, ec
-		}
-		n, ok := slotI64(v)
-		if !ok {
-			return 0, pyvalue.ExcTypeError
-		}
-		return n, 0
-	}
-}
 
 // asStr wraps e (typed str, possibly optional) into a string producer.
 // A None at runtime raises ec (TypeError by default; AttributeError for
@@ -104,56 +87,142 @@ func asStr(e exprFn, t types.Type, onNull ECode) strFn {
 	}
 }
 
-// operands evaluates l, then r, and only then converts both: Python
-// evaluates both operands before the operator raises on their types, so
-// `None / (1 / 0)` raises ZeroDivisionError. Conversion goes by the
-// slots' tags: a value typed f64 may hold an int or a bool, such as the
-// taken arm of `1 if c else 2.5`. A plain function, not a closure: the
-// operator closures that call it are all a compiled plan retains.
-func operands[T any](fr *Frame, l, r exprFn, conv func(rows.Slot) (T, bool)) (a, b T, ec ECode) {
-	x, ec := l(fr)
-	if ec != 0 {
-		return a, b, ec
+// intOp reports whether op over operands typed lt and rt, with result
+// type resT, is an int operator: specialized, it computes on the
+// operands' i64 forms.
+func (c *compiler) intOp(op string, lt, rt, resT types.Type) bool {
+	if !c.opts.Specialize {
+		return false
 	}
-	y, ec := r(fr)
-	if ec != 0 {
-		return a, b, ec
+	switch op {
+	case "&", "|", "^", "<<", ">>":
+		return true
+	case "+", "-", "*", "//", "%", "**":
+		return resT.Unwrap().Kind() == types.KindI64 && lt.Unwrap().IsNumeric() && rt.Unwrap().IsNumeric()
 	}
-	a, aok := conv(x)
-	b, bok := conv(y)
-	if !aok || !bok {
-		return a, b, pyvalue.ExcTypeError
-	}
-	return a, b, 0
+	return false
 }
 
-func slotI64(s rows.Slot) (int64, bool) {
-	switch s.Tag {
-	case types.KindI64:
-		return s.I, true
-	case types.KindBool:
-		if s.B {
-			return 1, true
+// ints evaluates l, then r, and only then raises TypeError for an operand
+// that is not an int: Python evaluates both operands before the operator
+// raises on their types, so `None + (1 // 0)` raises ZeroDivisionError.
+func ints(fr *Frame, l, r i64Fn) (a, b int64, ec ECode) {
+	a, ec = l(fr)
+	if ec != 0 {
+		if ec == excOperand {
+			if _, ec = r(fr); ec == 0 || ec == excOperand {
+				ec = pyvalue.ExcTypeError
+			}
 		}
-		return 0, true
-	default:
-		return 0, false
+		return 0, 0, ec
 	}
+	b, ec = r(fr)
+	return a, b, operandErr(ec)
 }
 
-func slotStr(s rows.Slot) (string, bool) { return s.S, s.Tag == types.KindStr }
+// intBinOp compiles an int operator over its operands' i64 forms. lx and
+// rx let dataflow facts elide the zero-divisor and negative-exponent
+// tests the values provably cannot trip.
+func (c *compiler) intBinOp(op string, lx, rx pyast.Expr) (i64Fn, error) {
+	l, err := c.i64(lx)
+	if err != nil {
+		return nil, err
+	}
+	r, err := c.i64(rx)
+	if err != nil {
+		return nil, err
+	}
+	switch op {
+	case "+":
+		return func(fr *Frame) (int64, ECode) {
+			a, b, ec := ints(fr, l, r)
+			return a + b, ec
+		}, nil
+	case "-":
+		return func(fr *Frame) (int64, ECode) {
+			a, b, ec := ints(fr, l, r)
+			return a - b, ec
+		}, nil
+	case "*":
+		return func(fr *Frame) (int64, ECode) {
+			a, b, ec := ints(fr, l, r)
+			return a * b, ec
+		}, nil
+	case "//", "%":
+		checkZero := !c.flowNonZero(rx)
+		if !checkZero {
+			c.stats.ChecksElided++
+		}
+		mod := op == "%"
+		return func(fr *Frame) (int64, ECode) {
+			a, b, ec := ints(fr, l, r)
+			switch {
+			case ec != 0:
+				return 0, ec
+			case checkZero && b == 0:
+				return 0, pyvalue.ExcZeroDivisionError
+			case mod:
+				return pyvalue.FloorModInt(a, b), 0
+			}
+			return pyvalue.FloorDivInt(a, b), 0
+		}, nil
+	case "**":
+		checkNeg := !c.flowNonNegative(rx)
+		if !checkNeg {
+			c.stats.ChecksElided++
+		}
+		return func(fr *Frame) (int64, ECode) {
+			a, b, ec := ints(fr, l, r)
+			switch {
+			case ec != 0:
+				return 0, ec
+			case checkNeg && b < 0:
+				// int**negative is a float in Python: off the
+				// normal-case type, retried on the general path.
+				return 0, pyvalue.ExcUnsupported
+			}
+			return pyvalue.IPow(a, b), 0
+		}, nil
+	}
+	// The bit operators are rare in UDFs: one closure switches on them.
+	return func(fr *Frame) (int64, ECode) {
+		a, b, ec := ints(fr, l, r)
+		switch {
+		case ec != 0:
+			return 0, ec
+		case op == "&":
+			return a & b, 0
+		case op == "|":
+			return a | b, 0
+		case op == "^":
+			return a ^ b, 0
+		}
+		return pyvalue.ShiftInt(op == "<<", a, b)
+	}, nil
+}
 
-// binOp compiles a typed binary operator. lx/rx are the operand AST
-// nodes when available (nil otherwise); they let dataflow facts elide
-// runtime checks the values provably cannot trip. A result of the
-// operator's value is only meaningful when its code is 0.
-func (c *compiler) binOp(op string, l, r exprFn, lx, rx pyast.Expr, lt, rt, resT types.Type) (exprFn, error) {
+// binOp compiles a binary operator into a Slot producer: an int operator
+// boxes its i64 form; the rest compute on Slots. lx/rx are the operand
+// AST nodes; they let dataflow facts elide runtime checks the values
+// provably cannot trip. A result of the operator's value is only
+// meaningful when its code is 0.
+func (c *compiler) binOp(op string, lx, rx pyast.Expr, lt, rt, resT types.Type) (exprFn, error) {
+	if c.intOp(op, lt, rt, resT) {
+		return boxI64(c.intBinOp(op, lx, rx))
+	}
+	l, err := c.expr(lx)
+	if err != nil {
+		return nil, err
+	}
+	r, err := c.expr(rx)
+	if err != nil {
+		return nil, err
+	}
 	if !c.opts.Specialize {
 		return boxedBinOp(op, l, r), nil
 	}
 	lu, ru := lt.Unwrap(), rt.Unwrap()
 	numeric := lu.IsNumeric() && ru.IsNumeric()
-	intResult := numeric && resT.Unwrap().Kind() == types.KindI64
 	checkZero := true
 	if numeric && (op == "//" || op == "%" || op == "/") {
 		if checkZero = !c.flowNonZero(rx); !checkZero {
@@ -163,67 +232,24 @@ func (c *compiler) binOp(op string, l, r exprFn, lx, rx pyast.Expr, lt, rt, resT
 
 	switch op {
 	case "+", "-", "*", "//", "%", "**":
-		if intResult {
-			switch op {
-			case "+":
-				return func(fr *Frame) (rows.Slot, ECode) {
-					a, b, ec := operands(fr, l, r, slotI64)
-					return rows.I64(a + b), ec
-				}, nil
-			case "-":
-				return func(fr *Frame) (rows.Slot, ECode) {
-					a, b, ec := operands(fr, l, r, slotI64)
-					return rows.I64(a - b), ec
-				}, nil
-			case "*":
-				return func(fr *Frame) (rows.Slot, ECode) {
-					a, b, ec := operands(fr, l, r, slotI64)
-					return rows.I64(a * b), ec
-				}, nil
-			case "//", "%":
-				mod := op == "%"
-				return func(fr *Frame) (rows.Slot, ECode) {
-					a, b, ec := operands(fr, l, r, slotI64)
-					switch {
-					case ec != 0:
-						return rows.Slot{}, ec
-					case checkZero && b == 0:
-						return rows.Slot{}, pyvalue.ExcZeroDivisionError
-					case mod:
-						return rows.I64(pyvalue.FloorModInt(a, b)), 0
-					}
-					return rows.I64(pyvalue.FloorDivInt(a, b)), 0
-				}, nil
-			default: // "**"
-				checkNeg := !c.flowNonNegative(rx)
-				if !checkNeg {
-					c.stats.ChecksElided++
-				}
-				return func(fr *Frame) (rows.Slot, ECode) {
-					a, b, ec := operands(fr, l, r, slotI64)
-					switch {
-					case ec != 0:
-						return rows.Slot{}, ec
-					case checkNeg && b < 0:
-						// int**negative is a float in Python: off the
-						// normal-case type, retried on the general path.
-						return rows.Slot{}, pyvalue.ExcUnsupported
-					}
-					return rows.I64(pyvalue.IPow(a, b)), 0
-				}, nil
-			}
-		}
 		if numeric {
 			return numOp(op, l, r, checkZero), nil
 		}
 		// String cases.
 		if op == "+" && lu.Kind() == types.KindStr && ru.Kind() == types.KindStr {
 			return func(fr *Frame) (rows.Slot, ECode) {
-				a, b, ec := operands(fr, l, r, slotStr)
+				x, ec := l(fr)
 				if ec != 0 {
 					return rows.Slot{}, ec
 				}
-				return rows.Str(fr.intern(appendConcat(fr.Scratch[:0], a, b))), 0
+				y, ec := r(fr)
+				if ec != 0 {
+					return rows.Slot{}, ec
+				}
+				if x.Tag != types.KindStr || y.Tag != types.KindStr {
+					return rows.Slot{}, pyvalue.ExcTypeError
+				}
+				return rows.Str(fr.intern(appendConcat(fr.Scratch[:0], x.S, y.S))), 0
 			}, nil
 		}
 		if op == "*" && lu.Kind() == types.KindStr && ru.IsNumeric() {
@@ -236,8 +262,8 @@ func (c *compiler) binOp(op string, l, r exprFn, lx, rx pyast.Expr, lt, rt, resT
 				if ec != 0 {
 					return rows.Slot{}, ec
 				}
-				n, ok := slotI64(y)
-				if x.Tag != types.KindStr || !ok {
+				n, nec := refI64(&y)
+				if x.Tag != types.KindStr || nec != 0 {
 					return rows.Slot{}, pyvalue.ExcTypeError
 				}
 				if n <= 0 {
@@ -273,23 +299,6 @@ func (c *compiler) binOp(op string, l, r exprFn, lx, rx pyast.Expr, lt, rt, resT
 		return boxedBinOp(op, l, r), nil
 	case "/":
 		return numOp(op, l, r, checkZero), nil
-	case "&", "|", "^", "<<", ">>":
-		o := op
-		return func(fr *Frame) (rows.Slot, ECode) {
-			a, b, ec := operands(fr, l, r, slotI64)
-			switch o {
-			case "&":
-				return rows.I64(a & b), ec
-			case "|":
-				return rows.I64(a | b), ec
-			case "^":
-				return rows.I64(a ^ b), ec
-			case "<<":
-				return rows.I64(a << uint(b)), ec
-			default:
-				return rows.I64(a >> uint(b)), ec
-			}
-		}, nil
 	default:
 		return boxedBinOp(op, l, r), nil
 	}
@@ -354,16 +363,15 @@ func floatKernel(op string, checkZero bool) func(a, b float64) (rows.Slot, ECode
 	}
 }
 
-// compare compiles a (possibly chained) comparison.
-func (c *compiler) compare(x *pyast.Compare) (exprFn, error) {
+// compare compiles a (possibly chained) comparison into a bool producer.
+func (c *compiler) compare(x *pyast.Compare) (boolFn, error) {
 	operands := append([]pyast.Expr{x.First}, x.Rest...)
-	fns := make([]exprFn, len(operands))
-	for i, e := range operands {
-		f, err := c.expr(e)
-		if err != nil {
-			return nil, err
-		}
-		fns[i] = f
+	if c.intCompare(operands, x.Ops) {
+		return c.compareInts(operands, x.Ops)
+	}
+	fns, err := c.exprs(operands)
+	if err != nil {
+		return nil, err
 	}
 	steps := make([]func(fr *Frame, a, b rows.Slot) (bool, ECode), len(x.Ops))
 	for i, op := range x.Ops {
@@ -375,45 +383,85 @@ func (c *compiler) compare(x *pyast.Compare) (exprFn, error) {
 		}
 		steps[i] = step
 	}
-	if len(steps) == 1 {
-		lf, rf := fns[0], fns[1]
-		step := steps[0]
-		return func(fr *Frame) (rows.Slot, ECode) {
-			a, ec := lf(fr)
-			if ec != 0 {
-				return rows.Slot{}, ec
-			}
-			b, ec := rf(fr)
-			if ec != 0 {
-				return rows.Slot{}, ec
-			}
-			ok, ec := step(fr, a, b)
-			if ec != 0 {
-				return rows.Slot{}, ec
-			}
-			return rows.Bool(ok), 0
-		}, nil
-	}
-	return func(fr *Frame) (rows.Slot, ECode) {
+	return func(fr *Frame) (bool, ECode) {
 		left, ec := fns[0](fr)
 		if ec != 0 {
-			return rows.Slot{}, ec
+			return false, ec
 		}
 		for i, step := range steps {
 			right, ec := fns[i+1](fr)
 			if ec != 0 {
-				return rows.Slot{}, ec
+				return false, ec
 			}
 			ok, ec := step(fr, left, right)
-			if ec != 0 {
-				return rows.Slot{}, ec
-			}
-			if !ok {
-				return rows.Bool(false), 0
+			if ec != 0 || !ok {
+				return false, ec
 			}
 			left = right
 		}
-		return rows.Bool(true), 0
+		return true, 0
+	}, nil
+}
+
+// intCmpMask is the set of cmp.Compare outcomes (bit outcome+1) each int
+// comparison accepts.
+var intCmpMask = map[string]uint8{"<": 1, "==": 2, "<=": 3, ">": 4, "!=": 5, ">=": 6}
+
+// intCompare reports whether a comparison chain compares ints: every
+// operand a non-Option int or bool, every operator an equality or an
+// ordering.
+func (c *compiler) intCompare(operands []pyast.Expr, ops []string) bool {
+	if !c.opts.Specialize {
+		return false
+	}
+	for _, x := range operands {
+		t := x.Type()
+		if t.IsOption() || t.Kind() != types.KindI64 && t.Kind() != types.KindBool {
+			return false
+		}
+	}
+	for _, op := range ops {
+		if _, ok := intCmpMask[op]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// compareInts compiles an int comparison chain over its operands' i64
+// forms. Two ints order exactly, as in Python: float64 would merge
+// neighbours beyond 2^53.
+func (c *compiler) compareInts(operands []pyast.Expr, ops []string) (boolFn, error) {
+	fns := make([]i64Fn, len(operands))
+	for i, x := range operands {
+		f, err := c.i64(x)
+		if err != nil {
+			return nil, err
+		}
+		fns[i] = f
+	}
+	masks := make([]uint8, len(ops))
+	for i, op := range ops {
+		masks[i] = intCmpMask[op]
+	}
+	return func(fr *Frame) (bool, ECode) {
+		a, ec := fns[0](fr)
+		if ec != 0 && ec != excOperand {
+			return false, ec
+		}
+		for i, mask := range masks {
+			b, bec := fns[i+1](fr)
+			switch {
+			case bec != 0 && bec != excOperand:
+				return false, bec
+			case ec != 0 || bec != 0:
+				return false, pyvalue.ExcTypeError
+			case mask>>(cmp.Compare(a, b)+1)&1 == 0:
+				return false, 0
+			}
+			a = b
+		}
+		return true, 0
 	}, nil
 }
 

@@ -130,7 +130,7 @@ func (c *compiler) strMethodCall(x *pyast.Call, attr *pyast.Attr) (exprFn, error
 			if maxSplit != nil {
 				m, ec := maxSplit(fr)
 				if ec != 0 {
-					return rows.Slot{}, ec
+					return rows.Slot{}, operandErr(ec)
 				}
 				if m >= 0 {
 					n = int(m) + 1
@@ -242,7 +242,7 @@ func (c *compiler) strMethodCall(x *pyast.Call, attr *pyast.Attr) (exprFn, error
 			}
 			width, ec := w(fr)
 			if ec != 0 {
-				return rows.Slot{}, ec
+				return rows.Slot{}, operandErr(ec)
 			}
 			res, err := pyvalue.CallMethod(pyvalue.Str(s), name, []pyvalue.Value{pyvalue.Int(width)})
 			if err != nil {

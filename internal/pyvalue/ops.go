@@ -257,13 +257,35 @@ func BitXor(a, b Value) (Value, error) {
 }
 
 // LShift implements Python <<.
-func LShift(a, b Value) (Value, error) {
-	return bitOp("<<", a, b, func(x, y int64) int64 { return x << uint(y) })
-}
+func LShift(a, b Value) (Value, error) { return shift("<<", a, b) }
 
 // RShift implements Python >>.
-func RShift(a, b Value) (Value, error) {
-	return bitOp(">>", a, b, func(x, y int64) int64 { return x >> uint(y) })
+func RShift(a, b Value) (Value, error) { return shift(">>", a, b) }
+
+func shift(op string, a, b Value) (Value, error) {
+	x, aok := asInt(a)
+	y, bok := asInt(b)
+	if !aok || !bok {
+		return nil, binTypeError(op, a, b)
+	}
+	n, k := ShiftInt(op == "<<", x, y)
+	if k != ExcOK {
+		return nil, Raise(k, "negative shift count")
+	}
+	return Int(n), nil
+}
+
+// ShiftInt is x << y (left) or x >> y. A negative count raises
+// ValueError, as in Python; the boxed operators and the compiled path
+// both shift through it.
+func ShiftInt(left bool, x, y int64) (int64, ExcKind) {
+	switch {
+	case y < 0:
+		return 0, ExcValueError
+	case left:
+		return x << uint64(y), ExcOK
+	}
+	return x >> uint64(y), ExcOK
 }
 
 func bitOp(op string, a, b Value, f func(x, y int64) int64) (Value, error) {
