@@ -66,22 +66,25 @@ bench-ingest:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# About ten seconds of each fuzz target (FUZZTIME to change it).
-# FuzzParseChunk holds the chunk parser's one walk per record to
-# SplitRecords + ParseLineVecs; the other csvio targets hold the record
-# scans, the float parser, the general reading, cell splitting and the
-# sniffer to their references. FuzzParseUDF holds the UDF lexer and
-# parser to increasing token positions, in-source error positions and a
-# deterministic parse; a new input minimizes in 200 runs, as a parse is
-# cheap and the default minute of minimizing would stall a short smoke.
-# FuzzRowClosure holds the row closures of generated numeric and boolean
-# UDFs (both Specialize modes) to the tree-walker, from a fuzzed
-# generator seed; its minimization is cut to 200 runs like FuzzParseUDF's.
-# FuzzSubmit posts each body to /v1/jobs
+# About ten seconds of each fuzz target (FUZZTIME to change it; CI runs
+# it at FUZZTIME=5s on every change). FuzzParseChunk holds the chunk
+# parser's one walk per record to SplitRecords + ParseLineVecs, with
+# random fields lazy (checked in the walk, converted after it) and
+# compared once every lazy cell is converted; the other csvio targets
+# hold the record scans, the float parser, the general reading, cell
+# splitting and the sniffer to their references. FuzzParseUDF holds the
+# UDF lexer and parser to increasing token positions, in-source error
+# positions and a deterministic parse; a new input minimizes in 200
+# runs, as a parse is cheap and the default minute of minimizing would
+# stall a short smoke. FuzzRowClosure holds the row closures of
+# generated numeric and boolean UDFs (both Specialize modes) to the
+# tree-walker, from a fuzzed generator seed; its minimization is cut to
+# 200 runs like FuzzParseUDF's. FuzzSubmit posts each body to /v1/jobs
 # twice and holds the second reply (spec memo, plan cache) to the first;
 # minimizing a new input re-runs whole jobs, so its minimization is cut
 # to 50 runs, or a short smoke spends its time minimizing instead of
-# fuzzing. Not part of `check`: it runs for about a minute.
+# fuzzing. Not part of `check`: it runs for about a minute (half that in
+# CI).
 FUZZTIME ?= 10s
 CSVIO_FUZZ = FuzzParseChunk FuzzSplitRecords FuzzParseF64Bytes FuzzGeneralParse FuzzSplitCells FuzzSniffValue
 

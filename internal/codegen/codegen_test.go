@@ -695,6 +695,22 @@ func BenchmarkRowClosure(b *testing.B) {
 	}
 }
 
+// TestSliceClosureAllocs pins string slicing in a row closure to no
+// allocation: the bounds of s[1:] and s[:k] stay on the stack.
+func TestSliceClosureAllocs(t *testing.T) {
+	for _, src := range []string{"lambda s: s[1:]", "lambda s: s[:2]", "lambda s: s[1:-1]"} {
+		u, _ := compileUDF(t, src, []types.Type{types.Str}, DefaultOptions())
+		fr := NewFrame(u.NumSlots())
+		arg := rows.Str("abcdef")
+		if v, ec := u.Call1(fr, arg); ec != 0 || v.Tag != types.KindStr {
+			t.Fatalf("%s: %v (%v)", src, v.Value(), ec)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { u.Call1(fr, arg) }); allocs != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", src, allocs)
+		}
+	}
+}
+
 // TestRowDivergencesPinned pins the row-closure and interpreter
 // divergences the generated differential found, each at Python's answer:
 // an exception kind, or a value. Every case failed on some tier before.

@@ -707,16 +707,18 @@ func (c *compiler) slice(x *pyast.Slice) (exprFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	evalBound := func(fr *Frame, b exprFn) (*int64, ECode) {
+	// evalBound returns the bound's value and whether it is given: a
+	// pointer result would move every bound to the heap, once per call.
+	evalBound := func(fr *Frame, b exprFn) (int64, bool, ECode) {
 		if b == nil {
-			return nil, 0
+			return 0, false, 0
 		}
 		v, ec := b(fr)
 		if ec != 0 || v.Tag == types.KindNull {
-			return nil, ec // s[None:] is s[:]
+			return 0, false, ec // s[None:] is s[:]
 		}
 		n, ec := refI64(&v)
-		return &n, operandErr(ec)
+		return n, true, operandErr(ec)
 	}
 	isStr := x.X.Type().Unwrap().Kind() == types.KindStr
 	return func(fr *Frame) (rows.Slot, ECode) {
@@ -724,28 +726,26 @@ func (c *compiler) slice(x *pyast.Slice) (exprFn, error) {
 		if ec != 0 {
 			return rows.Slot{}, ec
 		}
-		l, ec := evalBound(fr, lo)
+		l, hasL, ec := evalBound(fr, lo)
 		if ec != 0 {
 			return rows.Slot{}, ec
 		}
-		h, ec := evalBound(fr, hi)
+		h, hasH, ec := evalBound(fr, hi)
 		if ec != 0 {
 			return rows.Slot{}, ec
 		}
-		stp, ec := evalBound(fr, step)
+		st, hasSt, ec := evalBound(fr, step)
 		if ec != 0 {
 			return rows.Slot{}, ec
 		}
-		st := int64(1)
-		if stp != nil {
-			st = *stp
-			if st == 0 {
-				return rows.Slot{}, pyvalue.ExcValueError
-			}
+		if !hasSt {
+			st = 1
+		} else if st == 0 {
+			return rows.Slot{}, pyvalue.ExcValueError
 		}
 		if isStr && s.Tag == types.KindStr {
 			n := int64(len(s.S))
-			start, stop := pyvalue.SliceBounds(l, h, st, n)
+			start, stop := pyvalue.SliceBounds(givenBound(&l, hasL), givenBound(&h, hasH), st, n)
 			if st == 1 {
 				if start >= stop {
 					return rows.Str(""), 0
@@ -760,7 +760,7 @@ func (c *compiler) slice(x *pyast.Slice) (exprFn, error) {
 		}
 		if s.Tag == types.KindList || s.Tag == types.KindTuple {
 			n := int64(len(s.Seq))
-			start, stop := pyvalue.SliceBounds(l, h, st, n)
+			start, stop := pyvalue.SliceBounds(givenBound(&l, hasL), givenBound(&h, hasH), st, n)
 			var out []rows.Slot
 			for i := start; (st > 0 && i < stop) || (st < 0 && i > stop); i += st {
 				out = append(out, s.Seq[i])
@@ -775,6 +775,16 @@ func (c *compiler) slice(x *pyast.Slice) (exprFn, error) {
 		}
 		return rows.Slot{}, pyvalue.ExcUnsupported
 	}, nil
+}
+
+// givenBound passes a slice bound to pyvalue.SliceBounds (nil when the
+// bound is not given); SliceBounds keeps neither pointer, so the bounds
+// stay on the stack.
+func givenBound(n *int64, given bool) *int64 {
+	if given {
+		return n
+	}
+	return nil
 }
 
 func (c *compiler) listComp(x *pyast.ListComp) (exprFn, error) {

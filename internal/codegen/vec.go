@@ -88,10 +88,26 @@ type VecState struct {
 
 	// term is the operand the last VecFold.Select left for Fold*.
 	term vecOperand
+
+	// lazy converts the cells a parser left unconverted (SetLazy).
+	lazy Lazy
+}
+
+// Lazy converts the cells of a batch's columns that a parser checked but
+// did not convert (csvio.ChunkBatch): after Ensure(v, sel), v's payload
+// holds the values of its cells at the rows of sel.
+type Lazy interface {
+	Ensure(v *colvec.Vec, sel []int32)
 }
 
 // NewVecState returns an empty state.
 func NewVecState() *VecState { return &VecState{} }
+
+// SetLazy makes every run of the state convert, through l, the cells of
+// each column it reads at the rows it reads them — a guard's column at
+// the program's whole selection, any other column at the selection of
+// that load. nil (the default) reads every column as it is.
+func (st *VecState) SetLazy(l Lazy) { st.lazy = l }
 
 // Bail lists, in ascending row order, the rows of the last run's
 // selection the program did not compute. Valid until the next run.
@@ -204,6 +220,9 @@ func (p *vecProg) checkGuards(st *VecState, sel []int32) {
 	for gi := range p.guards {
 		g := &p.guards[gi]
 		v := st.col(g.col)
+		if st.lazy != nil {
+			st.lazy.Ensure(v, sel)
+		}
 		if g.isRng && v.Kind == types.KindI64 {
 			vals := v.I
 			nullable := v.Nullable && !v.AllValid()
@@ -859,12 +878,14 @@ func constOperand(s rows.Slot) (vecOperand, bool) {
 	return vecOperand{}, false
 }
 
-// load reads column col, typed as x. The payload is the operand. A column
-// typed Option[kind] comes back opt, its null cells unmarked: where None
-// is an ordinary value (optValue) the consumer routes them, and anywhere
-// else value marks them for replay. A column of any other type has its
-// stray null cells marked here, and a column the sample typed Null (a
-// KindNull vector) is the constant None.
+// load reads column col, typed as x. The payload is the operand; a run
+// has the state's Lazy convert the column's cells at sel first, and the
+// operand is read at no row outside sel. A column typed Option[kind]
+// comes back opt, its null cells unmarked: where None is an ordinary
+// value (optValue) the consumer routes them, and anywhere else value
+// marks them for replay. A column of any other type has its stray null
+// cells marked here, and a column the sample typed Null (a KindNull
+// vector) is the constant None.
 func (w *vecWalk) load(x pyast.Expr, col int, sel []int32) (vecOperand, bool) {
 	t := x.Type()
 	k := t.Unwrap().Kind()
@@ -873,6 +894,8 @@ func (w *vecWalk) load(x pyast.Expr, col int, sel []int32) (vecOperand, bool) {
 	}
 	if ld := (vecLoad{col: col, kind: k}); !w.run() && !slices.Contains(w.prog.loads, ld) {
 		w.prog.loads = append(w.prog.loads, ld)
+	} else if w.run() && w.st.lazy != nil && k != types.KindNull {
+		w.st.lazy.Ensure(w.st.col(col), sel)
 	}
 	a := vecOperand{kind: k, src: srcCol, idx: col, opt: true}
 	switch {

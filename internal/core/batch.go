@@ -246,6 +246,12 @@ type batchState struct {
 	// vec is the scratch of the stage's vector programs (registers,
 	// selection buffers, bail list).
 	vec *codegen.VecState
+
+	// lazy marks a stage whose chunk parser leaves lazy columns'
+	// cells unconverted (stagePlan.markLazy): every reader of the source
+	// vectors has them converted first — vector programs at each load
+	// (through vec), the rest through ensure.
+	lazy bool
 }
 
 func newBatchState(pl *stagePlan) *batchState {
@@ -271,7 +277,21 @@ func newBatchState(pl *stagePlan) *batchState {
 	}
 	bst.argBuf = make([]rows.Slot, pl.maxCols)
 	bst.vec = codegen.NewVecState()
+	if pl.parse != nil && pl.parse.HasLazy() {
+		bst.lazy = true
+		bst.vec.SetLazy(&bst.chunk)
+	}
 	return bst
+}
+
+// ensure converts the lazy source cells at the rows of sel before a
+// reader other than a vector program's load reads the batch's columns
+// there. After a fan-out join the columns are copies, converted when the
+// join read them.
+func (bst *batchState) ensure(sel []int32) {
+	if bst.lazy && bst.srcIdx == nil {
+		bst.chunk.EnsureAll(sel)
+	}
 }
 
 // getBatchState takes a batch-state from the stage pool (or builds one).
@@ -417,26 +437,36 @@ func (sr *stageRun) runChunkColumnar(ts *task, p int, data []byte, baseKey uint6
 			break // the chunk ended in an empty record
 		}
 		bst.raws = cb.Raws
-		key, rj := baseKey+uint64(input), cb.Rejects
-		for r := range cb.Records {
-			if len(rj) > 0 && rj[0].Rec == r {
-				ts.pool = append(ts.pool, exRow{part: p, key: key, raw: rj[0].Raw, ec: rj[0].EC})
-				if ts.route != nil {
-					sr.countReject(ts, rj[0].Raw)
-				}
-				rj = rj[1:]
-			} else {
-				bst.keys = append(bst.keys, key)
+		// The accepted records' keys run consecutively between rejects.
+		key, next := baseKey+uint64(input), 0
+		for _, rj := range cb.Rejects {
+			bst.keys = appendKeys(bst.keys, key+uint64(next), rj.Rec-next)
+			ts.pool = append(ts.pool, exRow{part: p, key: key + uint64(rj.Rec), raw: rj.Raw, ec: rj.EC})
+			if ts.route != nil {
+				sr.countReject(ts, rj.Raw)
 			}
-			key++
+			next = rj.Rec + 1
 		}
+		bst.keys = appendKeys(bst.keys, key+uint64(next), cb.Records-next)
 		input += int64(cb.Records)
 		rejects += int64(len(cb.Rejects))
 		ts.parseSlow += int64(cb.Slow)
 		normalExc += sr.runBatchBody(ts, bst, p)
+		ts.lazyCells += int64(cb.LazyCells)
+		ts.lazyConverted += int64(cb.Converted)
 	}
 	ts.finishRows(input, rejects, normalExc)
 	sr.putBatchState(ts)
+}
+
+// appendKeys appends the n consecutive order keys from k to keys.
+func appendKeys(keys []uint64, k uint64, n int) []uint64 {
+	l := len(keys)
+	keys = slices.Grow(keys, n)[:l+n]
+	for i := range keys[l:] {
+		keys[l+i] = k + uint64(i)
+	}
+	return keys
 }
 
 // runTextColumnar is runChunkColumnar for a text source: each line of the
@@ -537,6 +567,7 @@ func (sr *stageRun) runBatchBody(ts *task, bst *batchState, p int) int64 {
 	if ts.route != nil {
 		ts.route[sr.termRouteIdx] += int64(len(bst.sel))
 	}
+	bst.ensure(bst.sel)
 	switch {
 	case sr.emit == emitCSV:
 		sr.renderBatchCSV(ts, bst)
@@ -731,6 +762,7 @@ func (sr *stageRun) runGroup(ts *task, bst *batchState, group []*batchKernel, p 
 //
 //tuplex:kernel
 func (sr *stageRun) runRowKernels(ts *task, bst *batchState, group []*batchKernel, lo, hi, p int) int64 {
+	bst.ensure(bst.sel)
 	var excs int64
 	newSel := bst.sel2[:0]
 rowLoop:
@@ -804,6 +836,9 @@ func (sr *stageRun) runVecKernel(ts *task, bst *batchState, k *batchKernel, gi, 
 	}
 	bail := st.Bail()
 	ts.vectorBail += int64(len(bail))
+	// The replay reads every column its row closure reads, lazy ones
+	// too, at rows the program may have left before loading them.
+	bst.ensure(bail)
 	// Replay. A bailed row is out of a filter's result and still in a
 	// column kernel's selection; bail[:m] collects the rows the replay
 	// decides otherwise — passing filter rows, failed column rows.
@@ -855,6 +890,7 @@ func (sr *stageRun) runVecKernel(ts *task, bst *batchState, k *batchKernel, gi, 
 func (sr *stageRun) runJoinKernel(ts *task, bst *batchState, k *batchKernel, p int) int64 {
 	bt := sr.joins[k.joinIdx]
 	keyVec := bst.cols[k.colIdx]
+	bst.ensure(bst.sel)
 	var excs int64
 	at, refs := bst.sel2[:0], bst.refs[:0]
 	for _, r := range bst.sel {
@@ -1105,6 +1141,7 @@ func (sr *stageRun) foldBatch(ts *task, bst *batchState, f *codegen.VecFold, p i
 //
 //tuplex:kernel
 func (sr *stageRun) foldRows(ts *task, bst *batchState, sel []int32, p int) int64 {
+	bst.ensure(sel)
 	su := sr.aggUDF
 	var excs int64
 	for _, r := range sel {

@@ -365,6 +365,9 @@ func (eng *engine) runStage(sl *stageSlot, input *mat) (*mat, error) {
 		if km := pl.kernelModes(); km != "" {
 			cattrs = append(cattrs, trace.Str("kernels", km))
 		}
+		if lc := pl.lazyCols(); lc != "" {
+			cattrs = append(cattrs, trace.Str("lazy_cols", lc))
+		}
 		eng.tr.Child("compile", dCompile, cattrs...)
 	}
 	sr.slot = sl
@@ -416,13 +419,20 @@ func (eng *engine) execAndResolve(sr *stageRun, ssp *trace.Span) (*mat, error) {
 	if esp != nil && sr.parse != nil && sr.batch != nil {
 		// Streamed records the chunk parser handed whole to the
 		// per-record parser: a '"' that does not open a cell.
-		var slow int64
+		var slow, lazy, converted int64
 		for _, ts := range sr.tasks {
 			if ts != nil {
 				slow += ts.parseSlow
+				lazy += ts.lazyCells
+				converted += ts.lazyConverted
 			}
 		}
 		esp.Add(trace.Int("parse_slow_records", slow))
+		if lazy > 0 {
+			// Lazy columns' cells the walk only checked, and those a
+			// kernel or sink then read.
+			esp.Add(trace.Int("lazy_cells", lazy), trace.Int("lazy_converted", converted))
+		}
 	}
 	if esp != nil {
 		esp.Tasks = eng.taskTimings(sr.tasks)

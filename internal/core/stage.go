@@ -3,12 +3,15 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"github.com/gotuplex/tuplex/internal/codegen"
+	"github.com/gotuplex/tuplex/internal/colvec"
 	"github.com/gotuplex/tuplex/internal/csvio"
 	"github.com/gotuplex/tuplex/internal/dataflow"
 	"github.com/gotuplex/tuplex/internal/inference"
@@ -267,8 +270,10 @@ type task struct {
 	vectorRows, vectorBail    int64
 	nullElided, nullChecked   int64
 	// parseSlow counts streamed records the chunk parser handed to the
-	// per-record path (summed onto the stage's execute span).
-	parseSlow int64
+	// per-record path; lazyCells the cells of lazy columns it checked
+	// without converting, lazyConverted those a reader then had
+	// converted (all summed onto the stage's execute span).
+	parseSlow, lazyCells, lazyConverted int64
 
 	// Tracing scratch. worker/start/dur/inRows feed the execute span's
 	// task timings (filled only when the tracer is on). route/routeExc
@@ -596,7 +601,122 @@ func (eng *engine) compileStage(sl *stageSlot, sr *stageRun) (*stagePlan, time.D
 	if err := eng.compileOps(pl, sl, srcFacts); err != nil {
 		return nil, 0, err
 	}
+	if pl.parse != nil {
+		pl.markLazy(sr.stream.sample)
+	}
 	return pl, dSample, nil
+}
+
+// lazyMaxShare is the largest share of a batch's rows a column may be
+// read at for the chunk parser to convert its cells on read. Checking a
+// cell in the walk and converting it at a random fifth of the rows costs
+// about what converting every cell in the walk does; at every row it
+// costs some 40–50% more (csvio's BenchmarkParseChunk, q6/ensure against
+// q6/batch).
+const lazyMaxShare = 0.2
+
+// markLazy picks the stage's lazy source columns — the int and float
+// columns whose cells the chunk parser checks in its walk and converts
+// only at the rows a reader asks for (csvio.FieldSpec.Lazy) — and
+// rebuilds the parser with them. It is decided on the source sample
+// (records), once per stage. When the stage's first kernel is a vector
+// filter or the stage is a vector fold, markLazy runs that program over
+// the sample and notes the rows each column is loaded at; a column is
+// also read, by later kernels, sinks and row replays, at every row the
+// filter keeps or the program hands back. A numeric column read at no
+// more than lazyMaxShare of the sample is lazy. With any other first
+// kernel every column is read at every row, and none is lazy.
+func (pl *stagePlan) markLazy(records [][]byte) {
+	if pl.parse == nil || pl.batch == nil || pl.generalCase {
+		return
+	}
+	// run runs the program over sel and returns the rows every column is
+	// read at after it.
+	var run func(st *codegen.VecState, vecs []*colvec.Vec, sel []int32) int
+	switch ks := pl.batch.kernels; {
+	case len(ks) > 0 && ks[0].kind == bkFilter && ks[0].vec != nil:
+		k := ks[0]
+		run = func(st *codegen.VecState, vecs []*colvec.Vec, sel []int32) int {
+			return len(k.vec.Filter(st, vecs, k.argIdx, len(sel), sel, nil)) + len(st.Bail())
+		}
+	case len(ks) == 0 && pl.aggFold != nil:
+		run = func(st *codegen.VecState, vecs []*colvec.Vec, sel []int32) int {
+			pl.aggFold.Select(st, vecs, 0, len(sel), sel)
+			return len(st.Bail())
+		}
+	default:
+		return
+	}
+	vecs := pl.parse.NewVecsFor()
+	for _, rec := range records {
+		pl.parse.ParseLineVecs(rec, vecs)
+	}
+	n := 0
+	if len(vecs) > 0 {
+		n = vecs[0].Len()
+	}
+	if n < vecMinRows {
+		return
+	}
+	sel := make([]int32, n)
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	reads := &loadedRows{vecs: vecs, rows: make([]colvec.Bitmap, len(vecs))}
+	st := codegen.NewVecState()
+	st.SetLazy(reads)
+	after := run(st, vecs, sel)
+	fields := slices.Clone(pl.parse.Fields)
+	lazy := false
+	for i := range fields {
+		k, _ := colvec.PayloadKind(fields[i].Type)
+		read := max(after, reads.count(i))
+		if (k == types.KindI64 || k == types.KindF64) && float64(read) <= lazyMaxShare*float64(n) {
+			fields[i].Lazy, lazy = true, true
+		}
+	}
+	if lazy {
+		pl.parse = csvio.NewParseSpec(pl.parse.Delim, pl.parse.NumCols, fields, pl.parse.NullValues)
+	}
+}
+
+// loadedRows is markLazy's codegen.Lazy: it notes the rows a vector
+// program loads each column at, and converts nothing.
+type loadedRows struct {
+	vecs []*colvec.Vec
+	rows []colvec.Bitmap
+}
+
+func (l *loadedRows) Ensure(v *colvec.Vec, sel []int32) {
+	if i := slices.Index(l.vecs, v); i >= 0 {
+		for _, r := range sel {
+			l.rows[i].Set(int(r))
+		}
+	}
+}
+
+// count is the number of rows column i was loaded at.
+func (l *loadedRows) count(i int) int {
+	c := 0
+	for _, w := range l.rows[i] {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// lazyCols names the source columns the chunk parser converts on read
+// (markLazy), "" when there are none.
+func (pl *stagePlan) lazyCols() string {
+	if pl.parse == nil {
+		return ""
+	}
+	var names []string
+	for i := range pl.parse.Fields {
+		if pl.parse.IsLazy(i) {
+			names = append(names, pl.inSchema.Col(i).Name)
+		}
+	}
+	return strings.Join(names, ",")
 }
 
 // compileOps compiles the stage's operators and terminal into the plan's

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"math/rand/v2"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -11,15 +13,29 @@ import (
 	"github.com/gotuplex/tuplex/internal/types"
 )
 
+// withLazy is spec with the fields whose bit is set in mask marked lazy.
+func withLazy(spec *ParseSpec, mask uint64) *ParseSpec {
+	fields := slices.Clone(spec.Fields)
+	for i := range fields {
+		fields[i].Lazy = mask>>(i%64)&1 != 0
+	}
+	return NewParseSpec(spec.Delim, spec.NumCols, fields, spec.NullValues)
+}
+
 // checkParseChunk runs data through ParseChunk in batches of cut records
 // and, batch by batch, through SplitRecords + ParseLineVecs, and requires
 // the same record count, accepted raw records, rejects (index, bytes,
-// code) and vectors (length, null bits, payload bits).
-func checkParseChunk(t *testing.T, spec *ParseSpec, data []byte, cut int) {
+// code) and vectors (length, null bits, payload bits). ParseChunk runs
+// with the fields of lazy's set bits lazy; after each call every lazy
+// cell left is converted (half of them first at a random half of the
+// rows) and counted.
+func checkParseChunk(t *testing.T, spec *ParseSpec, lazy uint64, data []byte, cut int) {
 	t.Helper()
 	recs := SplitRecords(data)
 	want, got := spec.NewVecsFor(), spec.NewVecsFor()
+	chunkSpec := withLazy(spec, lazy)
 	var b ChunkBatch
+	var sel []int32
 	pos := 0
 	for start := 0; ; start += cut {
 		for i := range want {
@@ -36,7 +52,31 @@ func checkParseChunk(t *testing.T, spec *ParseSpec, data []byte, cut int) {
 				wantRaws = append(wantRaws, rec)
 			}
 		}
-		next := spec.ParseChunk(data, pos, cut, got, &b)
+		next := chunkSpec.ParseChunk(data, pos, cut, got, &b)
+		if n := len(b.Raws); len(got) > 0 && got[0].Len() != n {
+			t.Fatalf("%q (cut %d): %d rows for %d accepted records", data, cut, got[0].Len(), n)
+		}
+		if lazy == 0 && b.LazyCells != 0 {
+			t.Fatalf("%q (cut %d): %d lazy cells with no lazy field", data, cut, b.LazyCells)
+		}
+		sel = sel[:0]
+		for r := range len(b.Raws) {
+			if (r^int(lazy))%2 == 0 {
+				sel = append(sel, int32(r))
+			}
+		}
+		for _, v := range got {
+			b.Ensure(v, sel)
+		}
+		sel = sel[:0]
+		for r := range len(b.Raws) {
+			sel = append(sel, int32(r))
+		}
+		b.EnsureAll(sel)
+		b.EnsureAll(sel) // converted cells stay converted
+		if b.Converted != b.LazyCells {
+			t.Fatalf("%q (cut %d): converted %d of %d lazy cells", data, cut, b.Converted, b.LazyCells)
+		}
 		if b.Records != end-start {
 			t.Fatalf("%q (cut %d) batch at record %d: %d records, SplitRecords has %d", data, cut, start, b.Records, end-start)
 		}
@@ -222,7 +262,8 @@ func TestParseChunkRecordCases(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, cut := range []int{1, 2, 3, 4096} {
-			checkParseChunk(t, c.spec, []byte(c.data), cut)
+			checkParseChunk(t, c.spec, 0, []byte(c.data), cut)
+			checkParseChunk(t, c.spec, ^uint64(0), []byte(c.data), cut)
 		}
 		var b ChunkBatch
 		c.spec.ParseChunk([]byte(c.data), 0, 4096, c.spec.NewVecsFor(), &b)
@@ -255,9 +296,152 @@ func TestParseChunkRandom(t *testing.T) {
 	for i := range 3000 {
 		spec := randSpec(uint64(i))
 		data := randChunk(r, spec)
-		checkParseChunk(t, spec, data, 1+r.IntN(5))
-		checkParseChunk(t, spec, data, 4096)
+		checkParseChunk(t, spec, 0, data, 1+r.IntN(5))
+		checkParseChunk(t, spec, r.Uint64(), data, 1+r.IntN(5))
+		checkParseChunk(t, spec, r.Uint64(), data, 4096)
 	}
+}
+
+// TestParseChunkLazyCells pins the plain shapes a lazy field leaves
+// unconverted — and the spellings next to them that the walk converts —
+// against the eager parse, at a record's end, at the chunk's end and
+// before a CRLF.
+func TestParseChunkLazyCells(t *testing.T) {
+	i64 := NewParseSpec(',', 2, []FieldSpec{{Col: 0, Type: types.I64}, {Col: 1, Type: types.Option(types.I64)}}, nil)
+	f64 := NewParseSpec(',', 2, []FieldSpec{{Col: 0, Type: types.F64}, {Col: 1, Type: types.Option(types.F64)}}, []string{"", "n/a"})
+	// A null spelling that reads as a number keeps its field off the
+	// in-place path, and so eager.
+	f64z := NewParseSpec(',', 2, []FieldSpec{{Col: 0, Type: types.F64}, {Col: 1, Type: types.Option(types.F64)}}, []string{"0.0"})
+	cases := []struct {
+		spec    *ParseSpec
+		data    string
+		lazy    int // lazy cells of the accepted records
+		records int // accepted records
+	}{
+		{i64, "1,2\n-3,+4\n", 4, 2},
+		{i64, "123456789012345678,1\n1234567890123456789,2\n12345678901234567890,3\n", 3, 2},
+		{i64, "-,1\n+,2\n-5,\n7,-\n", 1, 1},
+		{i64, "1,2\r\n3,4\r\n5,6", 6, 3},
+		{i64, "1,2\n3,4\r", 4, 2},
+		{i64, "1,\"2\"\n\"3\",4\n", 2, 2},
+		{f64, "1.5,2.25\n123456789012345,1\n1234567890123456,2\n12345678901.2345,0.5\n1234567890123.456,0.5\n", 8, 5},
+		{f64, "1.,2\n.5,3\n1e5,4\n", 3, 3},
+		{f64, "1,0.0\n2,n/a\n3,\n", 4, 3},
+		{f64, "1.25,-0.0\r\n2,+7.5\r\n", 4, 2},
+		{f64z, "1,0.0\n2,1.5\n", 2, 2},
+	}
+	for _, c := range cases {
+		checkParseChunk(t, c.spec, ^uint64(0), []byte(c.data), 4096)
+		var b ChunkBatch
+		vecs := c.spec.NewVecsFor()
+		withLazy(c.spec, ^uint64(0)).ParseChunk([]byte(c.data), 0, 4096, vecs, &b)
+		if b.LazyCells != c.lazy || len(b.Raws) != c.records {
+			t.Errorf("%q: %d lazy cells in %d records, want %d in %d", c.data, b.LazyCells, len(b.Raws), c.lazy, c.records)
+		}
+	}
+}
+
+// plainRef is the plain shape read a byte at a time: [sign]digits of at
+// most maxInt digits, or with frac also [sign]digits.digits of at most 15
+// digits in all; the end, or -1.
+func plainRef(s []byte, i int, frac bool) int {
+	if i < len(s) && (s[i] == '+' || s[i] == '-') {
+		i++
+	}
+	e := i
+	for e < len(s) && s[e] >= '0' && s[e] <= '9' {
+		e++
+	}
+	digits := e - i
+	if !frac {
+		if digits == 0 || digits > 18 {
+			return -1
+		}
+		return e
+	}
+	if digits == 0 {
+		return -1
+	}
+	if e < len(s) && s[e] == '.' {
+		f := e + 1
+		for e = f; e < len(s) && s[e] >= '0' && s[e] <= '9'; e++ {
+		}
+		if e == f {
+			return -1
+		}
+		digits += e - f
+	}
+	if digits > 15 {
+		return -1
+	}
+	return e
+}
+
+// TestPlainShapes holds plainI64 and plainDecimal, whose word-at-a-time
+// steps read cells with 8 or 16 bytes to spare, to the byte-at-a-time
+// shape, on generated cells at every offset before the buffer's end,
+// wordDigits to strconv on every run plainWord reads, and scanWordI64 to
+// scanI64.
+func TestPlainShapes(t *testing.T) {
+	r := rand.New(rand.NewPCG(3, 4))
+	alphabet := []byte("0123456789012345678901234567890123456789..+-,\n\r\"e \x00\xff\xfa\xf9/:")
+	for range 20000 {
+		var cell []byte
+		for range r.IntN(24) {
+			cell = append(cell, alphabet[r.IntN(len(alphabet))])
+		}
+		if r.IntN(2) == 0 {
+			// Mostly digit runs with a '.' in them.
+			cell = cell[:0]
+			for range 1 + r.IntN(9) {
+				cell = append(cell, byte('0'+r.IntN(10)))
+			}
+			if r.IntN(3) > 0 {
+				cell = append(cell, '.')
+				for range r.IntN(10) {
+					cell = append(cell, byte('0'+r.IntN(10)))
+				}
+			}
+			cell = append(cell, alphabet[40+r.IntN(len(alphabet)-40)])
+		}
+		for pad := 0; pad < 18; pad++ {
+			s := append(slices.Clone(cell), make([]byte, pad)...)
+			for j := range pad {
+				s[len(cell)+j] = alphabet[r.IntN(len(alphabet))]
+			}
+			if got, want := plainI64(s, 0), plainRef(s, 0, false); got != want {
+				t.Fatalf("plainI64(%q) = %d, want %d", s, got, want)
+			}
+			if got, want := plainDecimal(s, 0), plainRef(s, 0, true); got != want {
+				t.Fatalf("plainDecimal(%q) = %d, want %d", s, got, want)
+			}
+			if w, n := plainWord(s, 0); n > 0 {
+				if want, err := strconv.ParseUint(string(s[:n]), 10, 64); err != nil || wordDigits(w, n) != want {
+					t.Fatalf("wordDigits(%q, %d) = %d, want %d", s, n, wordDigits(w, n), want)
+				}
+			}
+			x, e := scanWordI64(s, 0)
+			if x0, e0 := scanI64(s, 0); x != x0 || e != e0 {
+				t.Fatalf("scanWordI64(%q) = %d, %d, scanI64 %d, %d", s, x, e, x0, e0)
+			}
+		}
+	}
+	// Every run length, with leading zeros and nines.
+	for n := 1; n <= 7; n++ {
+		for _, d := range []string{"0000000", "9999999", "1000000", "0000001", "1234567", "7654321"} {
+			s := []byte(d[:n] + ",0000000")
+			if w, k := plainWord(s, 0); k != n || wordDigits(w, k) != must(strconv.ParseUint(d[:n], 10, 64)) {
+				t.Fatalf("%q: plainWord run %d, wordDigits %d", s, k, wordDigits(w, k))
+			}
+		}
+	}
+}
+
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 // FuzzParseChunk holds the batch parser to SplitRecords + ParseLineVecs
@@ -274,11 +458,19 @@ func FuzzParseChunk(f *testing.F) {
 		// bare '\r' ending the last record, a '\r' or a '"' right after a
 		// digit mid-record, an unterminated final record.
 		"1,2.5\r\n3,4\r\n", "1,2\n3,4\r", "1\r2,3\n4,5\n", "1,2\"3\n4,5\"\n6,7\n", "1,2\n3,4",
+		// Lazy fields' edges: the longest plain floats and ints and the
+		// spellings one digit past them, a sign alone, "1." and ".5",
+		// null spellings that read as numbers, and a plain cell last in
+		// its record and in the chunk.
+		"123456789012345,1.5\n1234567890123456,2\n1.23456789012345,3\n",
+		"123456789012345678,1\n1234567890123456789,2\n12345678901234567890,3\n",
+		"-,1\n+,2\n1.,3\n.5,4\n-0,-0.0\n", "0,-1\n1.5,n/a\n,0\n",
+		"1,2\r\n3,4\r\n", "5,6\n7,8",
 	}
 	for i, s := range seeds {
-		f.Add([]byte(s), uint64(i), uint16(i))
+		f.Add([]byte(s), uint64(i), uint16(i), uint64(i)*0x9e3779b97f4a7c15)
 	}
-	f.Fuzz(func(t *testing.T, data []byte, seed uint64, cut uint16) {
-		checkParseChunk(t, randSpec(seed), data, 1+int(cut)%4096)
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64, cut uint16, lazy uint64) {
+		checkParseChunk(t, randSpec(seed), lazy, data, 1+int(cut)%4096)
 	})
 }

@@ -205,6 +205,10 @@ type FieldSpec struct {
 	Col int
 	// Type is the expected normal-case type (Option/Null allowed).
 	Type types.Type
+	// Lazy asks ParseChunk to check the cells of an int or float field
+	// in its walk and leave their conversion to ChunkBatch.Ensure (see
+	// ParseChunk). Other fields, ParseLine and ParseLineVecs ignore it.
+	Lazy bool
 }
 
 // ParseSpec is a parsing plan specialized to a sampled normal case: the
@@ -216,8 +220,10 @@ type ParseSpec struct {
 	NullValues []string
 	// maxCol caches the highest projected column.
 	maxCol int
-	// ops is ParseChunk's per-column op table (chunkparse.go).
-	ops []colOp
+	// ops is ParseChunk's per-column op table (chunkparse.go); lazy lists
+	// the fields whose ops are lazy.
+	ops  []colOp
+	lazy []int32
 	// general selects the general-case reading (NewGeneralParseSpec);
 	// kinds caches each field's colvec.PayloadKind for it.
 	general bool
@@ -255,7 +261,7 @@ func NewParseSpec(delim byte, numCols int, fields []FieldSpec, nullValues []stri
 // projected values; any other record is rejected (parseGeneral).
 func NewGeneralParseSpec(delim byte, numCols int, fields []FieldSpec, nullValues []string) *ParseSpec {
 	p := NewParseSpec(delim, numCols, fields, nullValues)
-	p.general = true
+	p.general, p.lazy = true, nil // parseGeneral converts every cell
 	p.kinds = make([]fieldKind, len(fields))
 	for i, f := range fields {
 		p.kinds[i].kind, p.kinds[i].nullable = colvec.PayloadKind(f.Type)
