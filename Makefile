@@ -77,9 +77,16 @@ bench-smoke:
 # positions and a deterministic parse; a new input minimizes in 200
 # runs, as a parse is cheap and the default minute of minimizing would
 # stall a short smoke. FuzzRowClosure holds the row closures of
-# generated numeric and boolean UDFs (both Specialize modes) to the
-# tree-walker, from a fuzzed generator seed; its minimization is cut to
-# 200 runs like FuzzParseUDF's. FuzzSubmit posts each body to /v1/jobs
+# generated numeric and boolean UDFs (both Specialize modes), and the
+# general path's compiled closures, to the tree-walker, from a fuzzed
+# generator seed. The generator draws its operators from pyvalue.Op's
+# range: + - * / // % ** & | ^ << >> (shift counts 0, 63, 64, 65 and
+# negative; floats under the bitwise ones), unary - + ~ not, and every
+# comparison (in, not in, is, is not too), so an operator added to
+# pyvalue.Op is fuzzed without a change here; divergences it found are
+# pinned in TestRowDivergencesPinned, not in the corpus, as its inputs
+# are generator seeds. Its minimization is cut to 200 runs like
+# FuzzParseUDF's. FuzzSubmit posts each body to /v1/jobs
 # twice and holds the second reply (spec memo, plan cache) to the first;
 # minimizing a new input re-runs whole jobs, so its minimization is cut
 # to 50 runs, or a short smoke spends its time minimizing instead of

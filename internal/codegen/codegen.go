@@ -15,7 +15,14 @@
 // Typing failures recorded by the inference pass compile into exception
 // exits: at runtime the affected row leaves the fast path with a return
 // code and is retried on the general-case path, never aborting the
-// pipeline (§4.3 "Exception handling").
+// pipeline (§4.3 "Exception handling"). A failed operator still
+// evaluates its operands first and raises what the boxed operator
+// raises on them, as Python does.
+//
+// Operators are pyvalue.Op codes. The row and vector forms switch on
+// them to emit one closure or one loop per operator; whatever is not
+// specialized goes through pyvalue.Binary, Unary and Compare, the one
+// boxed dispatch the interpreter and dataflow's folds share.
 //
 // With Options.Specialize=false the generator instead emits generic
 // closures that box each operand and dispatch through pyvalue — the
@@ -341,10 +348,17 @@ func (c *compiler) flowNonNull(x pyast.Expr) bool {
 // exception exit for a node inference recorded as failed, or for one the
 // dataflow facts prove always raises, or a constant the facts prove.
 // Every compile entry (expr, i64, truth) asks it first. Literals are
-// left to the entries (already free).
+// left to the entries (already free), and so is a failed operator, which
+// raises only once its operands have evaluated: a BinOp or UnaryOp
+// compiles by raises, and a Compare's chain by compare, whose boxed steps
+// raise where the boxed path does.
 func (c *compiler) decided(x pyast.Expr) (rows.Slot, ECode, bool) {
 	if f, ok := c.info.Failed[x]; ok {
-		return rows.Slot{}, excFromName(f.Raises), true
+		switch x.(type) {
+		case *pyast.BinOp, *pyast.UnaryOp, *pyast.Compare:
+			return rows.Slot{}, 0, false
+		}
+		return rows.Slot{}, pyvalue.ExcNamed(f.Raises), true
 	}
 	if c.opts.Flow == nil {
 		return rows.Slot{}, 0, false
@@ -456,27 +470,6 @@ func (c *compiler) slotTarget(t pyast.Expr) {
 	}
 }
 
-func excFromName(name string) ECode {
-	switch name {
-	case "TypeError":
-		return pyvalue.ExcTypeError
-	case "ValueError":
-		return pyvalue.ExcValueError
-	case "ZeroDivisionError":
-		return pyvalue.ExcZeroDivisionError
-	case "IndexError":
-		return pyvalue.ExcIndexError
-	case "KeyError":
-		return pyvalue.ExcKeyError
-	case "AttributeError":
-		return pyvalue.ExcAttributeError
-	case "NameError":
-		return pyvalue.ExcNameError
-	default:
-		return pyvalue.ExcUnsupported
-	}
-}
-
 func (c *compiler) stmts(ss []pyast.Stmt) ([]stmtFn, error) {
 	out := make([]stmtFn, 0, len(ss))
 	for _, s := range ss {
@@ -522,10 +515,7 @@ func (c *compiler) stmt(s pyast.Stmt) (stmtFn, error) {
 		}
 		return c.assign(s.Target, v)
 	case *pyast.AugAssign:
-		lt, rt := s.Target.Type(), s.Value.Type()
-		// Result type of target op= value matches what inference stored
-		// on the target after the statement; recompute from operands.
-		comb, err := c.binOp(s.Op, s.Target, s.Value, lt, rt, resultTypeOf(s.Op, lt, rt))
+		comb, err := c.binOp(s.Op, s.Target, s.Value, s.Target.Type(), s.Value.Type(), s.Ty)
 		if err != nil {
 			return nil, err
 		}
@@ -844,29 +834,5 @@ func (c *compiler) assignSetter(target pyast.Expr) (func(fr *Frame, v rows.Slot)
 		return func(fr *Frame, v rows.Slot) ECode { return pyvalue.ExcUnsupported }, nil
 	default:
 		return nil, fmt.Errorf("codegen: unsupported assignment target %T", target)
-	}
-}
-
-// resultTypeOf mirrors inference's binOpType result for augmented
-// assignment without re-running inference.
-func resultTypeOf(op string, l, r types.Type) types.Type {
-	lu, ru := l.Unwrap(), r.Unwrap()
-	num := func(t types.Type) bool { return t.IsNumeric() }
-	switch op {
-	case "/", "":
-		return types.F64
-	case "+", "-", "*", "//", "%", "**":
-		if num(lu) && num(ru) {
-			if lu.Kind() == types.KindF64 || ru.Kind() == types.KindF64 {
-				return types.F64
-			}
-			return types.I64
-		}
-		if lu.Kind() == types.KindStr {
-			return types.Str
-		}
-		return lu
-	default:
-		return types.I64
 	}
 }

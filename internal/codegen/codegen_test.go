@@ -486,14 +486,32 @@ func TestIntCompareExactInEveryTier(t *testing.T) {
 }
 
 // rowVsInterp holds compiled execution of src (both Specialize modes, over
-// the vector test schema) to the tree-walker on each row: equal values
-// (NaN matching NaN) or the same exception kind. A compiled
-// ExcUnsupported is a request to retry on the general path, and passes.
+// the vector test schema) and the general path's interp.Compiled to the
+// tree-walker on each row: equal values (NaN matching NaN) or the same
+// exception kind. A row closure's ExcUnsupported is a request to retry on
+// the general path, and passes.
 func rowVsInterp(t *testing.T, src string, b vecBatch, ip *interp.Interp, names []string) (checked int) {
 	t.Helper()
 	fn, err := pyast.ParseUDF(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
+	}
+	general, err := ip.Compile(fn)
+	if err != nil {
+		t.Fatalf("interp compile %q: %v", src, err)
+	}
+	same := func(g, w pyvalue.Value) bool {
+		gf, gok := g.(pyvalue.Float)
+		wf, wok := w.(pyvalue.Float)
+		return pyvalue.Equal(g, w) || gok && wok && gf != gf && wf != wf
+	}
+	for _, row := range b.rows {
+		arg := []pyvalue.Value{rows.DictRow(names, row)}
+		got, gerr := general.Call(ip, arg)
+		want, werr := ip.Call(fn, arg)
+		if pyvalue.KindOf(gerr) != pyvalue.KindOf(werr) || werr == nil && !same(got, want) {
+			t.Fatalf("%s row %v: general path %v (%v), interpreter %v (%v)", src, rows.RowToValues(row), got, gerr, want, werr)
+		}
 	}
 	gt := map[string]types.Type{"KI": types.I64, "KF": types.F64, "KB": types.Bool, "KS": types.Str}
 	for _, spec := range []bool{true, false} {
@@ -518,10 +536,7 @@ func rowVsInterp(t *testing.T, src string, b vecBatch, ip *interp.Interp, names 
 					t.Fatalf("%s [spec=%v] row %v: compiled raises %v, interpreter %v", src, spec, rows.RowToValues(row), ec, werr)
 				}
 			default:
-				g := got.Value()
-				gf, gok := g.(pyvalue.Float)
-				wf, wok := want.(pyvalue.Float)
-				if !pyvalue.Equal(g, want) && !(gok && wok && gf != gf && wf != wf) {
+				if g := got.Value(); !same(g, want) {
 					t.Fatalf("%s [spec=%v] row %v: compiled %s, interpreter %s", src, spec, rows.RowToValues(row), pyvalue.Repr(g), pyvalue.Repr(want))
 				}
 			}
@@ -533,7 +548,8 @@ func rowVsInterp(t *testing.T, src string, b vecBatch, ip *interp.Interp, names 
 
 // TestCompiledMatchesInterpreterGenerated is TestCompiledMatchesInterpreter
 // over the differential suites' generators: numeric and boolean
-// expressions (Option operands, chained compares) and statement-bodied
+// expressions over every pyvalue.Op (Option operands, chained compares)
+// and statement-bodied
 // string UDFs (slices, parses, % and .format over ints), on cells drawn
 // from intPool, floatPool and strPool.
 func TestCompiledMatchesInterpreterGenerated(t *testing.T) {
@@ -564,9 +580,10 @@ func TestCompiledMatchesInterpreterGenerated(t *testing.T) {
 }
 
 // FuzzRowClosure is TestCompiledMatchesInterpreterGenerated's numeric
-// and boolean expressions from a fuzzed generator seed: the row closure
-// (Call1, Specialize on and off) held to the tree-walker on a random
-// batch, value for value or exception kind for exception kind.
+// and boolean expressions, over every pyvalue.Op, from a fuzzed generator
+// seed: the row closure (Call1, Specialize on and off) and the general
+// path's interp.Compiled held to the tree-walker on a random batch, value
+// for value or exception kind for exception kind.
 func FuzzRowClosure(f *testing.F) {
 	for _, seed := range []int64{1, 7, 20261016} {
 		f.Add(seed, false)
@@ -761,6 +778,13 @@ func TestRowDivergencesPinned(t *testing.T) {
 		{"lambda r: True == 1", nil, pyvalue.Bool(true), 0},
 		{"lambda r: True is 1", nil, pyvalue.Bool(false), 0},
 		{"lambda r: r['h'] == 1", map[string]rows.Slot{"h": rows.Bool(true)}, pyvalue.Bool(true), 0},
+		// An operator inference rejects still evaluates its operands first.
+		{"lambda r: (1 // r['a']) & 1.5", map[string]rows.Slot{"a": rows.I64(0)}, nil, pyvalue.ExcZeroDivisionError},
+		{"lambda r: 1.5 & (1 // r['a'])", map[string]rows.Slot{"a": rows.I64(0)}, nil, pyvalue.ExcZeroDivisionError},
+		{"lambda r: ~(1 / r['c'])", map[string]rows.Slot{"c": rows.F64(0)}, nil, pyvalue.ExcZeroDivisionError},
+		{"lambda r: r['t'] - (1 // r['a'])", map[string]rows.Slot{"a": rows.I64(0)}, nil, pyvalue.ExcZeroDivisionError},
+		{"lambda r: r['t'] < (1 // r['a'])", map[string]rows.Slot{"a": rows.I64(0)}, nil, pyvalue.ExcZeroDivisionError},
+		{"lambda r: (1 // r['a']) & 1.5", nil, nil, pyvalue.ExcTypeError},
 		// A negative shift count raises ValueError.
 		{"lambda r: r['a'] << (r['b'] - 3)", nil, nil, pyvalue.ExcValueError},
 		{"lambda r: r['a'] >> (r['b'] - 3)", nil, nil, pyvalue.ExcValueError},

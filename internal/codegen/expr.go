@@ -57,10 +57,21 @@ func (c *compiler) expr(x pyast.Expr) (exprFn, error) {
 		}
 		return exitFn(pyvalue.ExcNameError), nil
 	case *pyast.BinOp:
+		if _, failed := c.info.Failed[x]; failed {
+			ops, err := c.exprs([]pyast.Expr{x.Left, x.Right})
+			if err != nil {
+				return nil, err
+			}
+			return raises(boxedBinOp(x.Op, ops[0], ops[1])), nil
+		}
 		return c.binOp(x.Op, x.Left, x.Right, x.Left.Type(), x.Right.Type(), x.Type())
 	case *pyast.UnaryOp:
+		_, failed := c.info.Failed[x]
 		switch {
-		case x.Op == "not":
+		case failed:
+			sub, err := c.expr(x.X)
+			return raises(boxedUnary(x.Op, sub)), err
+		case x.Op == pyvalue.OpNot:
 			return boxBool(c.not(x))
 		case c.intUnary(x):
 			return boxI64(c.i64Unary(x))
@@ -150,6 +161,20 @@ func (c *compiler) expr(x pyast.Expr) (exprFn, error) {
 	}
 }
 
+// raises compiles an operator inference rejected, given its boxed form:
+// the operands evaluate first, as in Python, and the operator raises
+// what the boxed path raises on their values. A value instead means
+// inference's verdict was too coarse for this row (an f64-typed operand
+// may hold an int), and the row retries on the general path.
+func raises(boxed exprFn) exprFn {
+	return func(fr *Frame) (rows.Slot, ECode) {
+		if _, ec := boxed(fr); ec != 0 {
+			return rows.Slot{}, ec
+		}
+		return rows.Slot{}, pyvalue.ExcUnsupported
+	}
+}
+
 func (c *compiler) exprs(xs []pyast.Expr) ([]exprFn, error) {
 	out := make([]exprFn, len(xs))
 	for i, x := range xs {
@@ -220,7 +245,8 @@ func operandErr(ec ECode) ECode {
 // producer: a bool reads as 0 or 1 (an int-typed value may hold one), and
 // any other value returns excOperand, which the consumer must handle.
 func (c *compiler) i64(x pyast.Expr) (i64Fn, error) {
-	if !c.opts.Specialize {
+	// A failed operator compiles by expr (raises), not to an int form.
+	if _, failed := c.info.Failed[x]; failed || !c.opts.Specialize {
 		return c.unboxI64(x)
 	}
 	if v, ec, ok := c.decided(x); ok {
@@ -365,7 +391,7 @@ func (c *compiler) truth(x pyast.Expr) (boolFn, error) {
 		case *pyast.IfExpr:
 			return ifExpr(c, x, c.truth)
 		case *pyast.UnaryOp:
-			if x.Op == "not" {
+			if x.Op == pyvalue.OpNot {
 				return c.not(x)
 			}
 		}
@@ -425,7 +451,7 @@ func (c *compiler) not(x *pyast.UnaryOp) (boolFn, error) {
 // intUnary reports whether x is a specialized - + ~ over an int or a bool.
 func (c *compiler) intUnary(x *pyast.UnaryOp) bool {
 	k := x.X.Type().Unwrap().Kind()
-	return c.opts.Specialize && x.Op != "not" && (k == types.KindI64 || k == types.KindBool)
+	return c.opts.Specialize && x.Op != pyvalue.OpNot && (k == types.KindI64 || k == types.KindBool)
 }
 
 // i64Unary compiles - + ~ over an int operand.
@@ -434,7 +460,7 @@ func (c *compiler) i64Unary(x *pyast.UnaryOp) (i64Fn, error) {
 	if err != nil {
 		return nil, err
 	}
-	neg, inv := x.Op == "-", x.Op == "~"
+	neg, inv := x.Op == pyvalue.OpSub, x.Op == pyvalue.OpInvert
 	return func(fr *Frame) (int64, ECode) {
 		n, ec := sub(fr)
 		switch {
@@ -447,55 +473,27 @@ func (c *compiler) i64Unary(x *pyast.UnaryOp) (i64Fn, error) {
 	}, nil
 }
 
-// unaryOp compiles - + ~ boxed: over a float, or unspecialized.
+// unaryOp compiles - + ~ over a float in place, and over anything else
+// (every operand, unspecialized) boxed.
 func (c *compiler) unaryOp(x *pyast.UnaryOp) (exprFn, error) {
-	switch x.Op {
-	case "-", "+", "~":
-		sub, err := c.expr(x.X)
-		if err != nil {
-			return nil, err
-		}
-		op := x.Op
-		return func(fr *Frame) (rows.Slot, ECode) {
-			v, ec := sub(fr)
-			if ec != 0 {
-				return rows.Slot{}, ec
-			}
-			switch v.Tag {
-			case types.KindI64:
-				switch op {
-				case "-":
-					return rows.I64(-v.I), 0
-				case "+":
-					return v, 0
-				default:
-					return rows.I64(^v.I), 0
-				}
-			case types.KindBool:
-				n := int64(b2i(v.B))
-				switch op {
-				case "-":
-					return rows.I64(-n), 0
-				case "+":
-					return rows.I64(n), 0
-				default:
-					return rows.I64(^n), 0
-				}
-			case types.KindF64:
-				if op == "~" {
-					return rows.Slot{}, pyvalue.ExcTypeError
-				}
-				if op == "-" {
-					return rows.F64(-v.F), 0
-				}
-				return v, 0
-			default:
-				return rows.Slot{}, pyvalue.ExcTypeError
-			}
-		}, nil
-	default:
-		return nil, fmt.Errorf("codegen: unary %q", x.Op)
+	sub, err := c.expr(x.X)
+	if err != nil || !c.opts.Specialize {
+		return boxedUnary(x.Op, sub), err
 	}
+	op := x.Op
+	return func(fr *Frame) (rows.Slot, ECode) {
+		v, ec := sub(fr)
+		switch {
+		case ec != 0:
+			return rows.Slot{}, ec
+		case v.Tag == types.KindF64 && op != pyvalue.OpInvert:
+			if op == pyvalue.OpSub {
+				v.F = -v.F
+			}
+			return v, 0
+		}
+		return boxedResult(pyvalue.Unary(op, v.Value()))
+	}, nil
 }
 
 // boolOp compiles the truth of `a and b` / `a or b`: the truth of the
@@ -509,7 +507,7 @@ func (c *compiler) boolOp(x *pyast.BoolOp) (boolFn, error) {
 		}
 		subs[i] = f
 	}
-	isAnd := x.Op == "and"
+	isAnd := x.Op == pyvalue.OpAnd
 	return func(fr *Frame) (bool, ECode) {
 		for _, sub := range subs {
 			t, ec := sub(fr)
@@ -531,7 +529,7 @@ func (c *compiler) boolOpValue(x *pyast.BoolOp) (exprFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	isAnd := x.Op == "and"
+	isAnd := x.Op == pyvalue.OpAnd
 	return func(fr *Frame) (rows.Slot, ECode) {
 		var v rows.Slot
 		var ec ECode

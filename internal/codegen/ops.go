@@ -14,7 +14,7 @@ import (
 // boxedBinOp is the non-specialized fallback: box operands, dispatch
 // through pyvalue, unbox the result. It is what "LLVM optimizers off"
 // compiles to in the Fig. 11 ablation.
-func boxedBinOp(op string, l, r exprFn) exprFn {
+func boxedBinOp(op pyvalue.Op, l, r exprFn) exprFn {
 	return func(fr *Frame) (rows.Slot, ECode) {
 		a, ec := l(fr)
 		if ec != 0 {
@@ -24,43 +24,27 @@ func boxedBinOp(op string, l, r exprFn) exprFn {
 		if ec != 0 {
 			return rows.Slot{}, ec
 		}
-		v, err := applyBoxedOp(op, a.Value(), b.Value())
-		if err != nil {
-			return rows.Slot{}, pyvalue.KindOf(err)
-		}
-		return rows.FromValue(v), 0
+		return boxedResult(pyvalue.Binary(op, a.Value(), b.Value()))
 	}
 }
 
-func applyBoxedOp(op string, a, b pyvalue.Value) (pyvalue.Value, error) {
-	switch op {
-	case "+":
-		return pyvalue.Add(a, b)
-	case "-":
-		return pyvalue.Sub(a, b)
-	case "*":
-		return pyvalue.Mul(a, b)
-	case "/":
-		return pyvalue.TrueDiv(a, b)
-	case "//":
-		return pyvalue.FloorDiv(a, b)
-	case "%":
-		return pyvalue.Mod(a, b)
-	case "**":
-		return pyvalue.Pow(a, b)
-	case "&":
-		return pyvalue.BitAnd(a, b)
-	case "|":
-		return pyvalue.BitOr(a, b)
-	case "^":
-		return pyvalue.BitXor(a, b)
-	case "<<":
-		return pyvalue.LShift(a, b)
-	case ">>":
-		return pyvalue.RShift(a, b)
-	default:
-		return nil, pyvalue.Raise(pyvalue.ExcUnsupported, "operator %q", op)
+// boxedUnary is boxedBinOp's unary twin.
+func boxedUnary(op pyvalue.Op, sub exprFn) exprFn {
+	return func(fr *Frame) (rows.Slot, ECode) {
+		v, ec := sub(fr)
+		if ec != 0 {
+			return rows.Slot{}, ec
+		}
+		return boxedResult(pyvalue.Unary(op, v.Value()))
 	}
+}
+
+// boxedResult is a boxed operator's outcome as a Slot and a code.
+func boxedResult(v pyvalue.Value, err error) (rows.Slot, ECode) {
+	if err != nil {
+		return rows.Slot{}, pyvalue.KindOf(err)
+	}
+	return rows.FromValue(v), 0
 }
 
 type strFn = func(*Frame) (string, ECode)
@@ -90,17 +74,14 @@ func asStr(e exprFn, t types.Type, onNull ECode) strFn {
 // intOp reports whether op over operands typed lt and rt, with result
 // type resT, is an int operator: specialized, it computes on the
 // operands' i64 forms.
-func (c *compiler) intOp(op string, lt, rt, resT types.Type) bool {
-	if !c.opts.Specialize {
+func (c *compiler) intOp(op pyvalue.Op, lt, rt, resT types.Type) bool {
+	switch {
+	case !c.opts.Specialize:
 		return false
-	}
-	switch op {
-	case "&", "|", "^", "<<", ">>":
+	case op.IntOnly():
 		return true
-	case "+", "-", "*", "//", "%", "**":
-		return resT.Unwrap().Kind() == types.KindI64 && lt.Unwrap().IsNumeric() && rt.Unwrap().IsNumeric()
 	}
-	return false
+	return op != pyvalue.OpDiv && resT.Unwrap().Kind() == types.KindI64 && lt.Unwrap().IsNumeric() && rt.Unwrap().IsNumeric()
 }
 
 // ints evaluates l, then r, and only then raises TypeError for an operand
@@ -123,7 +104,7 @@ func ints(fr *Frame, l, r i64Fn) (a, b int64, ec ECode) {
 // intBinOp compiles an int operator over its operands' i64 forms. lx and
 // rx let dataflow facts elide the zero-divisor and negative-exponent
 // tests the values provably cannot trip.
-func (c *compiler) intBinOp(op string, lx, rx pyast.Expr) (i64Fn, error) {
+func (c *compiler) intBinOp(op pyvalue.Op, lx, rx pyast.Expr) (i64Fn, error) {
 	l, err := c.i64(lx)
 	if err != nil {
 		return nil, err
@@ -133,27 +114,24 @@ func (c *compiler) intBinOp(op string, lx, rx pyast.Expr) (i64Fn, error) {
 		return nil, err
 	}
 	switch op {
-	case "+":
+	case pyvalue.OpAdd:
 		return func(fr *Frame) (int64, ECode) {
 			a, b, ec := ints(fr, l, r)
 			return a + b, ec
 		}, nil
-	case "-":
+	case pyvalue.OpSub:
 		return func(fr *Frame) (int64, ECode) {
 			a, b, ec := ints(fr, l, r)
 			return a - b, ec
 		}, nil
-	case "*":
+	case pyvalue.OpMul:
 		return func(fr *Frame) (int64, ECode) {
 			a, b, ec := ints(fr, l, r)
 			return a * b, ec
 		}, nil
-	case "//", "%":
-		checkZero := !c.flowNonZero(rx)
-		if !checkZero {
-			c.stats.ChecksElided++
-		}
-		mod := op == "%"
+	case pyvalue.OpFloorDiv, pyvalue.OpMod:
+		checkZero := c.checkZero(rx)
+		mod := op == pyvalue.OpMod
 		return func(fr *Frame) (int64, ECode) {
 			a, b, ec := ints(fr, l, r)
 			switch {
@@ -166,7 +144,7 @@ func (c *compiler) intBinOp(op string, lx, rx pyast.Expr) (i64Fn, error) {
 			}
 			return pyvalue.FloorDivInt(a, b), 0
 		}, nil
-	case "**":
+	case pyvalue.OpPow:
 		checkNeg := !c.flowNonNegative(rx)
 		if !checkNeg {
 			c.stats.ChecksElided++
@@ -190,14 +168,14 @@ func (c *compiler) intBinOp(op string, lx, rx pyast.Expr) (i64Fn, error) {
 		switch {
 		case ec != 0:
 			return 0, ec
-		case op == "&":
+		case op == pyvalue.OpBitAnd:
 			return a & b, 0
-		case op == "|":
+		case op == pyvalue.OpBitOr:
 			return a | b, 0
-		case op == "^":
+		case op == pyvalue.OpBitXor:
 			return a ^ b, 0
 		}
-		return pyvalue.ShiftInt(op == "<<", a, b)
+		return pyvalue.ShiftInt(op == pyvalue.OpLShift, a, b)
 	}, nil
 }
 
@@ -206,7 +184,7 @@ func (c *compiler) intBinOp(op string, lx, rx pyast.Expr) (i64Fn, error) {
 // AST nodes; they let dataflow facts elide runtime checks the values
 // provably cannot trip. A result of the operator's value is only
 // meaningful when its code is 0.
-func (c *compiler) binOp(op string, lx, rx pyast.Expr, lt, rt, resT types.Type) (exprFn, error) {
+func (c *compiler) binOp(op pyvalue.Op, lx, rx pyast.Expr, lt, rt, resT types.Type) (exprFn, error) {
 	if c.intOp(op, lt, rt, resT) {
 		return boxI64(c.intBinOp(op, lx, rx))
 	}
@@ -223,94 +201,87 @@ func (c *compiler) binOp(op string, lx, rx pyast.Expr, lt, rt, resT types.Type) 
 	}
 	lu, ru := lt.Unwrap(), rt.Unwrap()
 	numeric := lu.IsNumeric() && ru.IsNumeric()
-	checkZero := true
-	if numeric && (op == "//" || op == "%" || op == "/") {
-		if checkZero = !c.flowNonZero(rx); !checkZero {
-			c.stats.ChecksElided++
-		}
+	switch {
+	case numeric && !op.IntOnly():
+		return numOp(op, l, r, op.Divides() && c.checkZero(rx)), nil
+	case op == pyvalue.OpAdd && lu.Kind() == types.KindStr && ru.Kind() == types.KindStr:
+		return func(fr *Frame) (rows.Slot, ECode) {
+			x, ec := l(fr)
+			if ec != 0 {
+				return rows.Slot{}, ec
+			}
+			y, ec := r(fr)
+			if ec != 0 {
+				return rows.Slot{}, ec
+			}
+			if x.Tag != types.KindStr || y.Tag != types.KindStr {
+				return rows.Slot{}, pyvalue.ExcTypeError
+			}
+			return rows.Str(fr.intern(appendConcat(fr.Scratch[:0], x.S, y.S))), 0
+		}, nil
+	case op == pyvalue.OpMul && lu.Kind() == types.KindStr && ru.IsNumeric():
+		return func(fr *Frame) (rows.Slot, ECode) {
+			x, ec := l(fr)
+			if ec != 0 {
+				return rows.Slot{}, ec
+			}
+			y, ec := r(fr)
+			if ec != 0 {
+				return rows.Slot{}, ec
+			}
+			n, nec := refI64(&y)
+			if x.Tag != types.KindStr || nec != 0 {
+				return rows.Slot{}, pyvalue.ExcTypeError
+			}
+			if n <= 0 {
+				return rows.Str(""), 0
+			}
+			return rows.Str(strings.Repeat(x.S, int(n))), 0
+		}, nil
+	case op == pyvalue.OpMod && lu.Kind() == types.KindStr:
+		// printf-style formatting: the shared formatter appends into
+		// the frame's scratch buffer and the result is arena-interned,
+		// so a hot-loop format pays only the operand boxing.
+		return func(fr *Frame) (rows.Slot, ECode) {
+			x, ec := l(fr)
+			if ec != 0 {
+				return rows.Slot{}, ec
+			}
+			y, ec := r(fr)
+			if ec != 0 {
+				return rows.Slot{}, ec
+			}
+			if x.Tag != types.KindStr {
+				return rows.Slot{}, pyvalue.ExcTypeError
+			}
+			out, err := pyvalue.AppendPercentFormat(fr.Scratch[:0], x.S, y.Value())
+			if err != nil {
+				return rows.Slot{}, pyvalue.KindOf(err)
+			}
+			fr.Scratch = out[:0]
+			return rows.Str(fr.Arena.Intern(out)), 0
+		}, nil
 	}
+	return boxedBinOp(op, l, r), nil
+}
 
-	switch op {
-	case "+", "-", "*", "//", "%", "**":
-		if numeric {
-			return numOp(op, l, r, checkZero), nil
-		}
-		// String cases.
-		if op == "+" && lu.Kind() == types.KindStr && ru.Kind() == types.KindStr {
-			return func(fr *Frame) (rows.Slot, ECode) {
-				x, ec := l(fr)
-				if ec != 0 {
-					return rows.Slot{}, ec
-				}
-				y, ec := r(fr)
-				if ec != 0 {
-					return rows.Slot{}, ec
-				}
-				if x.Tag != types.KindStr || y.Tag != types.KindStr {
-					return rows.Slot{}, pyvalue.ExcTypeError
-				}
-				return rows.Str(fr.intern(appendConcat(fr.Scratch[:0], x.S, y.S))), 0
-			}, nil
-		}
-		if op == "*" && lu.Kind() == types.KindStr && ru.IsNumeric() {
-			return func(fr *Frame) (rows.Slot, ECode) {
-				x, ec := l(fr)
-				if ec != 0 {
-					return rows.Slot{}, ec
-				}
-				y, ec := r(fr)
-				if ec != 0 {
-					return rows.Slot{}, ec
-				}
-				n, nec := refI64(&y)
-				if x.Tag != types.KindStr || nec != 0 {
-					return rows.Slot{}, pyvalue.ExcTypeError
-				}
-				if n <= 0 {
-					return rows.Str(""), 0
-				}
-				return rows.Str(strings.Repeat(x.S, int(n))), 0
-			}, nil
-		}
-		if op == "%" && lu.Kind() == types.KindStr {
-			// printf-style formatting: the shared formatter appends into
-			// the frame's scratch buffer and the result is arena-interned,
-			// so a hot-loop format pays only the operand boxing.
-			return func(fr *Frame) (rows.Slot, ECode) {
-				x, ec := l(fr)
-				if ec != 0 {
-					return rows.Slot{}, ec
-				}
-				y, ec := r(fr)
-				if ec != 0 {
-					return rows.Slot{}, ec
-				}
-				if x.Tag != types.KindStr {
-					return rows.Slot{}, pyvalue.ExcTypeError
-				}
-				out, err := pyvalue.AppendPercentFormat(fr.Scratch[:0], x.S, y.Value())
-				if err != nil {
-					return rows.Slot{}, pyvalue.KindOf(err)
-				}
-				fr.Scratch = out[:0]
-				return rows.Str(fr.Arena.Intern(out)), 0
-			}, nil
-		}
-		return boxedBinOp(op, l, r), nil
-	case "/":
-		return numOp(op, l, r, checkZero), nil
-	default:
-		return boxedBinOp(op, l, r), nil
+// checkZero reports whether the divisor x needs its zero test: dataflow
+// facts elide it where x provably cannot be zero.
+func (c *compiler) checkZero(x pyast.Expr) bool {
+	if c.flowNonZero(x) {
+		c.stats.ChecksElided++
+		return false
 	}
+	return true
 }
 
 // numOp is an f64-typed + - * / // % **. An f64-typed value may hold an
 // int (the taken arm of `1 if c else 2.5`); two int operands compute as
 // ints, as in Python and on the general path, every other pair through
 // float64. checkZero keeps the zero-divisor test of the division family.
-func numOp(op string, l, r exprFn, checkZero bool) exprFn {
+func numOp(op pyvalue.Op, l, r exprFn, checkZero bool) exprFn {
 	f := floatKernel(op, checkZero)
-	intPair := op != "/" // true division of two ints is a float in Python
+	intPair := op != pyvalue.OpDiv // true division of two ints is a float in Python
 	return func(fr *Frame) (rows.Slot, ECode) {
 		x, ec := l(fr)
 		if ec != 0 {
@@ -321,11 +292,7 @@ func numOp(op string, l, r exprFn, checkZero bool) exprFn {
 			return rows.Slot{}, ec
 		}
 		if intPair && isIntTag(x.Tag) && isIntTag(y.Tag) {
-			v, err := applyBoxedOp(op, x.Value(), y.Value())
-			if err != nil {
-				return rows.Slot{}, pyvalue.KindOf(err)
-			}
-			return rows.FromValue(v), 0
+			return boxedResult(pyvalue.Binary(op, x.Value(), y.Value()))
 		}
 		a, aok := slotF64(x)
 		b, bok := slotF64(y)
@@ -339,24 +306,24 @@ func numOp(op string, l, r exprFn, checkZero bool) exprFn {
 func isIntTag(t rows.Tag) bool { return t == types.KindI64 || t == types.KindBool }
 
 // floatKernel is op over two float64s.
-func floatKernel(op string, checkZero bool) func(a, b float64) (rows.Slot, ECode) {
+func floatKernel(op pyvalue.Op, checkZero bool) func(a, b float64) (rows.Slot, ECode) {
 	switch op {
-	case "+":
+	case pyvalue.OpAdd:
 		return func(a, b float64) (rows.Slot, ECode) { return rows.F64(a + b), 0 }
-	case "-":
+	case pyvalue.OpSub:
 		return func(a, b float64) (rows.Slot, ECode) { return rows.F64(a - b), 0 }
-	case "*":
+	case pyvalue.OpMul:
 		return func(a, b float64) (rows.Slot, ECode) { return rows.F64(a * b), 0 }
-	case "**":
+	case pyvalue.OpPow:
 		return func(a, b float64) (rows.Slot, ECode) { return rows.F64(math.Pow(a, b)), 0 }
 	}
 	return func(a, b float64) (rows.Slot, ECode) {
 		switch {
 		case checkZero && b == 0:
 			return rows.Slot{}, pyvalue.ExcZeroDivisionError
-		case op == "/":
+		case op == pyvalue.OpDiv:
 			return rows.F64(a / b), 0
-		case op == "//":
+		case op == pyvalue.OpFloorDiv:
 			return rows.F64(math.Floor(a / b)), 0
 		}
 		return rows.F64(pyvalue.FloorModFloat(a, b)), 0
@@ -403,14 +370,14 @@ func (c *compiler) compare(x *pyast.Compare) (boolFn, error) {
 	}, nil
 }
 
-// intCmpMask is the set of cmp.Compare outcomes (bit outcome+1) each int
-// comparison accepts.
-var intCmpMask = map[string]uint8{"<": 1, "==": 2, "<=": 3, ">": 4, "!=": 5, ">=": 6}
+// cmpMask is the set of cmp.Compare outcomes (bit outcome+1) each
+// ordering or equality test accepts; 0 for the other comparisons.
+var cmpMask = [pyvalue.NumOps]uint8{pyvalue.OpLt: 1, pyvalue.OpEq: 2, pyvalue.OpLe: 3, pyvalue.OpGt: 4, pyvalue.OpNe: 5, pyvalue.OpGe: 6}
 
 // intCompare reports whether a comparison chain compares ints: every
 // operand a non-Option int or bool, every operator an equality or an
 // ordering.
-func (c *compiler) intCompare(operands []pyast.Expr, ops []string) bool {
+func (c *compiler) intCompare(operands []pyast.Expr, ops []pyvalue.Op) bool {
 	if !c.opts.Specialize {
 		return false
 	}
@@ -421,7 +388,7 @@ func (c *compiler) intCompare(operands []pyast.Expr, ops []string) bool {
 		}
 	}
 	for _, op := range ops {
-		if _, ok := intCmpMask[op]; !ok {
+		if cmpMask[op] == 0 {
 			return false
 		}
 	}
@@ -431,7 +398,7 @@ func (c *compiler) intCompare(operands []pyast.Expr, ops []string) bool {
 // compareInts compiles an int comparison chain over its operands' i64
 // forms. Two ints order exactly, as in Python: float64 would merge
 // neighbours beyond 2^53.
-func (c *compiler) compareInts(operands []pyast.Expr, ops []string) (boolFn, error) {
+func (c *compiler) compareInts(operands []pyast.Expr, ops []pyvalue.Op) (boolFn, error) {
 	fns := make([]i64Fn, len(operands))
 	for i, x := range operands {
 		f, err := c.i64(x)
@@ -442,7 +409,7 @@ func (c *compiler) compareInts(operands []pyast.Expr, ops []string) (boolFn, err
 	}
 	masks := make([]uint8, len(ops))
 	for i, op := range ops {
-		masks[i] = intCmpMask[op]
+		masks[i] = cmpMask[op]
 	}
 	return func(fr *Frame) (bool, ECode) {
 		a, ec := fns[0](fr)
@@ -465,7 +432,7 @@ func (c *compiler) compareInts(operands []pyast.Expr, ops []string) (boolFn, err
 	}, nil
 }
 
-func (c *compiler) compareStep(op string, lt, rt types.Type) (func(fr *Frame, a, b rows.Slot) (bool, ECode), error) {
+func (c *compiler) compareStep(op pyvalue.Op, lt, rt types.Type) (func(fr *Frame, a, b rows.Slot) (bool, ECode), error) {
 	boxed := func(fr *Frame, a, b rows.Slot) (bool, ECode) {
 		v, err := pyvalue.Compare(op, a.Value(), b.Value())
 		if err != nil {
@@ -478,24 +445,20 @@ func (c *compiler) compareStep(op string, lt, rt types.Type) (func(fr *Frame, a,
 	}
 	lu, ru := lt.Unwrap(), rt.Unwrap()
 	switch op {
-	case "==", "!=":
-		neg := op == "!="
+	case pyvalue.OpEq, pyvalue.OpNe:
+		neg := op == pyvalue.OpNe
 		return func(fr *Frame, a, b rows.Slot) (bool, ECode) {
 			return rows.Equal(a, b) != neg, 0
 		}, nil
-	case "is":
-		return func(fr *Frame, a, b rows.Slot) (bool, ECode) {
-			return a.Tag == types.KindNull && b.Tag == types.KindNull ||
-				(a.Tag == b.Tag && rows.Equal(a, b)), 0
-		}, nil
-	case "is not":
+	case pyvalue.OpIs, pyvalue.OpIsNot:
+		neg := op == pyvalue.OpIsNot
 		return func(fr *Frame, a, b rows.Slot) (bool, ECode) {
 			same := a.Tag == types.KindNull && b.Tag == types.KindNull ||
 				(a.Tag == b.Tag && rows.Equal(a, b))
-			return !same, 0
+			return same != neg, 0
 		}, nil
-	case "in", "not in":
-		neg := op == "not in"
+	case pyvalue.OpIn, pyvalue.OpNotIn:
+		neg := op == pyvalue.OpNotIn
 		if ru.Kind() == types.KindStr {
 			return strStep(op), nil
 		}
@@ -512,56 +475,55 @@ func (c *compiler) compareStep(op string, lt, rt types.Type) (func(fr *Frame, a,
 			}
 			return found != neg, 0
 		}, nil
-	case "<", "<=", ">", ">=":
+	case pyvalue.OpLt, pyvalue.OpLe, pyvalue.OpGt, pyvalue.OpGe:
 		if lu.IsNumeric() && ru.IsNumeric() {
-			o := op
 			return func(fr *Frame, a, b rows.Slot) (bool, ECode) {
 				if a.Tag == types.KindI64 && b.Tag == types.KindI64 {
 					// Two ints order exactly, as in Python: float64 would
 					// merge neighbours beyond 2^53.
-					return ordered(o, a.I, b.I), 0
+					return cmpOrdered(op, a.I, b.I), 0
 				}
 				af, aok := slotF64(a)
 				bf, bok := slotF64(b)
 				if !aok || !bok {
 					return false, pyvalue.ExcTypeError
 				}
-				return ordered(o, af, bf), 0
+				return cmpOrdered(op, af, bf), 0
 			}, nil
 		}
 		if lu.Kind() == types.KindStr && ru.Kind() == types.KindStr {
 			return strStep(op), nil
 		}
-		return boxed, nil
-	default:
-		return boxed, nil
 	}
+	return boxed, nil
 }
 
 // strStep is one string comparison or substring test, through the
 // helper the vector kernels share (strhelp.go).
-func strStep(op string) func(fr *Frame, a, b rows.Slot) (bool, ECode) {
-	o, _ := strCmpOpOf(op)
+func strStep(op pyvalue.Op) func(fr *Frame, a, b rows.Slot) (bool, ECode) {
 	return func(fr *Frame, a, b rows.Slot) (bool, ECode) {
 		if a.Tag != types.KindStr || b.Tag != types.KindStr {
 			return false, pyvalue.ExcTypeError
 		}
-		return strCompare(o, a.S, b.S), 0
+		return strCompare(op, a.S, b.S), 0
 	}
 }
 
-// ordered evaluates a op b for one of < <= > >=.
-func ordered[T int64 | float64](op string, a, b T) bool {
+// cmpOrdered evaluates a op b for an ordering or an equality test.
+func cmpOrdered[T cmp.Ordered](op pyvalue.Op, a, b T) bool {
 	switch op {
-	case "<":
+	case pyvalue.OpLt:
 		return a < b
-	case "<=":
+	case pyvalue.OpLe:
 		return a <= b
-	case ">":
+	case pyvalue.OpGt:
 		return a > b
-	default:
+	case pyvalue.OpGe:
 		return a >= b
+	case pyvalue.OpEq:
+		return a == b
 	}
+	return a != b
 }
 
 func slotF64(s rows.Slot) (float64, bool) {

@@ -179,57 +179,12 @@ func strSlice(s string, lo, hi *int64) string {
 
 // strCompare is the single-step comparison a op b (and the substring test
 // a in b) over two strings.
-func strCompare(op strCmpOp, a, b string) bool {
+func strCompare(op pyvalue.Op, a, b string) bool {
 	switch op {
-	case strEQ:
-		return a == b
-	case strNE:
-		return a != b
-	case strLT:
-		return a < b
-	case strLE:
-		return a <= b
-	case strGT:
-		return a > b
-	case strGE:
-		return a >= b
-	case strIn:
+	case pyvalue.OpIn:
 		return strings.Contains(b, a)
+	case pyvalue.OpNotIn:
+		return !strings.Contains(b, a)
 	}
-	return !strings.Contains(b, a)
-}
-
-type strCmpOp uint8
-
-const (
-	strEQ strCmpOp = iota
-	strNE
-	strLT
-	strLE
-	strGT
-	strGE
-	strIn
-	strNotIn
-)
-
-func strCmpOpOf(op string) (strCmpOp, bool) {
-	switch op {
-	case "==":
-		return strEQ, true
-	case "!=":
-		return strNE, true
-	case "<":
-		return strLT, true
-	case "<=":
-		return strLE, true
-	case ">":
-		return strGT, true
-	case ">=":
-		return strGE, true
-	case "in":
-		return strIn, true
-	case "not in":
-		return strNotIn, true
-	}
-	return 0, false
+	return cmpOrdered(op, a, b)
 }

@@ -331,66 +331,6 @@ func (st *VecState) bools(o *vecOperand) []bool {
 
 type vnum interface{ int64 | float64 }
 
-type cmpOp uint8
-
-const (
-	cmpLT cmpOp = iota
-	cmpLE
-	cmpGT
-	cmpGE
-	cmpEQ
-	cmpNE
-)
-
-func cmpOpOf(op string) (cmpOp, bool) {
-	switch op {
-	case "<":
-		return cmpLT, true
-	case "<=":
-		return cmpLE, true
-	case ">":
-		return cmpGT, true
-	case ">=":
-		return cmpGE, true
-	case "==":
-		return cmpEQ, true
-	case "!=":
-		return cmpNE, true
-	}
-	return 0, false
-}
-
-// mirror returns the operator m with (a op b) == (b m a).
-func (o cmpOp) mirror() cmpOp {
-	switch o {
-	case cmpLT:
-		return cmpGT
-	case cmpLE:
-		return cmpGE
-	case cmpGT:
-		return cmpLT
-	case cmpGE:
-		return cmpLE
-	}
-	return o
-}
-
-func cmpScalar[T vnum](op cmpOp, a, b T) bool {
-	switch op {
-	case cmpLT:
-		return a < b
-	case cmpLE:
-		return a <= b
-	case cmpGT:
-		return a > b
-	case cmpGE:
-		return a >= b
-	case cmpEQ:
-		return a == b
-	}
-	return a != b
-}
-
 // b2i is the branch-free bool→int the selection kernels advance their
 // write cursor with: a mispredicted branch per row would cost more than
 // the comparison.
@@ -405,30 +345,30 @@ func b2i(b bool) int {
 // their count. len(out) >= len(sel).
 //
 //tuplex:kernel
-func vecCmpVC[T vnum](op cmpOp, a []T, c T, sel, out []int32) int {
+func vecCmpVC[T vnum](op pyvalue.Op, a []T, c T, sel, out []int32) int {
 	k := 0
 	switch op {
-	case cmpLT:
+	case pyvalue.OpLt:
 		for _, r := range sel {
 			out[k] = r
 			k += b2i(a[r] < c)
 		}
-	case cmpLE:
+	case pyvalue.OpLe:
 		for _, r := range sel {
 			out[k] = r
 			k += b2i(a[r] <= c)
 		}
-	case cmpGT:
+	case pyvalue.OpGt:
 		for _, r := range sel {
 			out[k] = r
 			k += b2i(a[r] > c)
 		}
-	case cmpGE:
+	case pyvalue.OpGe:
 		for _, r := range sel {
 			out[k] = r
 			k += b2i(a[r] >= c)
 		}
-	case cmpEQ:
+	case pyvalue.OpEq:
 		for _, r := range sel {
 			out[k] = r
 			k += b2i(a[r] == c)
@@ -445,26 +385,23 @@ func vecCmpVC[T vnum](op cmpOp, a []T, c T, sel, out []int32) int {
 // vecCmpVV is vecCmpVC against a second vector.
 //
 //tuplex:kernel
-func vecCmpVV[T vnum](op cmpOp, a, b []T, sel, out []int32) int {
-	switch op {
-	case cmpGT:
-		op, a, b = cmpLT, b, a
-	case cmpGE:
-		op, a, b = cmpLE, b, a
+func vecCmpVV[T vnum](op pyvalue.Op, a, b []T, sel, out []int32) int {
+	if op == pyvalue.OpGt || op == pyvalue.OpGe {
+		op, a, b = op.Mirror(), b, a
 	}
 	k := 0
 	switch op {
-	case cmpLT:
+	case pyvalue.OpLt:
 		for _, r := range sel {
 			out[k] = r
 			k += b2i(a[r] < b[r])
 		}
-	case cmpLE:
+	case pyvalue.OpLe:
 		for _, r := range sel {
 			out[k] = r
 			k += b2i(a[r] <= b[r])
 		}
-	case cmpEQ:
+	case pyvalue.OpEq:
 		for _, r := range sel {
 			out[k] = r
 			k += b2i(a[r] == b[r])
@@ -478,30 +415,19 @@ func vecCmpVV[T vnum](op cmpOp, a, b []T, sel, out []int32) int {
 	return k
 }
 
-type arithOp uint8
-
-const (
-	opAdd arithOp = iota
-	opSub
-	opMul
-	opTrueDiv
-	opFloorDiv
-	opMod
-)
-
 // vecArith computes out[r] = a[r] op b[r] for + - *, where either side
 // may be the constant ac/bc instead of a vector.
 //
 //tuplex:kernel
-func vecArith[T vnum](op arithOp, out, a, b []T, ac, bc T, sel []int32) {
+func vecArith[T vnum](op pyvalue.Op, out, a, b []T, ac, bc T, sel []int32) {
 	switch {
 	case b == nil:
 		switch op {
-		case opAdd:
+		case pyvalue.OpAdd:
 			for _, r := range sel {
 				out[r] = a[r] + bc
 			}
-		case opSub:
+		case pyvalue.OpSub:
 			for _, r := range sel {
 				out[r] = a[r] - bc
 			}
@@ -512,11 +438,11 @@ func vecArith[T vnum](op arithOp, out, a, b []T, ac, bc T, sel []int32) {
 		}
 	case a == nil:
 		switch op {
-		case opAdd:
+		case pyvalue.OpAdd:
 			for _, r := range sel {
 				out[r] = ac + b[r]
 			}
-		case opSub:
+		case pyvalue.OpSub:
 			for _, r := range sel {
 				out[r] = ac - b[r]
 			}
@@ -527,11 +453,11 @@ func vecArith[T vnum](op arithOp, out, a, b []T, ac, bc T, sel []int32) {
 		}
 	default:
 		switch op {
-		case opAdd:
+		case pyvalue.OpAdd:
 			for _, r := range sel {
 				out[r] = a[r] + b[r]
 			}
-		case opSub:
+		case pyvalue.OpSub:
 			for _, r := range sel {
 				out[r] = a[r] - b[r]
 			}
@@ -547,9 +473,9 @@ func vecArith[T vnum](op arithOp, out, a, b []T, ac, bc T, sel []int32) {
 // row (ZeroDivisionError on the row path).
 //
 //tuplex:kernel
-func vecDivF(op arithOp, out, a, b []float64, sel []int32, st *VecState) {
+func vecDivF(op pyvalue.Op, out, a, b []float64, sel []int32, st *VecState) {
 	switch op {
-	case opTrueDiv:
+	case pyvalue.OpDiv:
 		for _, r := range sel {
 			if d := b[r]; d != 0 {
 				out[r] = a[r] / d
@@ -557,7 +483,7 @@ func vecDivF(op arithOp, out, a, b []float64, sel []int32, st *VecState) {
 				st.markBail(r)
 			}
 		}
-	case opFloorDiv:
+	case pyvalue.OpFloorDiv:
 		for _, r := range sel {
 			if d := b[r]; d != 0 {
 				out[r] = math.Floor(a[r] / d)
@@ -579,8 +505,8 @@ func vecDivF(op arithOp, out, a, b []float64, sel []int32, st *VecState) {
 // vecDivI is the integer // and %.
 //
 //tuplex:kernel
-func vecDivI(op arithOp, out, a, b []int64, sel []int32, st *VecState) {
-	if op == opFloorDiv {
+func vecDivI(op pyvalue.Op, out, a, b []int64, sel []int32, st *VecState) {
+	if op == pyvalue.OpFloorDiv {
 		for _, r := range sel {
 			if d := b[r]; d != 0 {
 				out[r] = pyvalue.FloorDivInt(a[r], d)
@@ -978,7 +904,7 @@ func (w *vecWalk) optValue(x pyast.Expr, sel []int32) (vecOperand, bool) {
 	case *pyast.Name:
 		return w.name(x)
 	case *pyast.UnaryOp:
-		if x.Op == "not" {
+		if x.Op == pyvalue.OpNot {
 			return w.boolValue(x, sel)
 		}
 		return w.unary(x, sel)
@@ -1055,14 +981,14 @@ func (w *vecWalk) boolValue(x pyast.Expr, sel []int32) (vecOperand, bool) {
 }
 
 func (w *vecWalk) unary(x *pyast.UnaryOp, sel []int32) (vecOperand, bool) {
-	if x.Op != "-" && x.Op != "+" {
+	if x.Op != pyvalue.OpSub && x.Op != pyvalue.OpAdd {
 		return w.no(x)
 	}
 	a, ok := w.value(x.X, sel)
 	if !ok || !isVecNum(a.kind) || x.Type().Kind() != a.kind {
 		return w.no(x)
 	}
-	if x.Op == "+" {
+	if x.Op == pyvalue.OpAdd {
 		return a, true
 	}
 	if a.src == srcConst {
@@ -1121,7 +1047,7 @@ func (w *vecWalk) dense(a vecOperand, sel []int32) vecOperand {
 // binary evaluates `left op right` — node x, a BinOp or the target of an
 // augmented assignment — whose result has kind resK: string + and %, or
 // numeric arithmetic.
-func (w *vecWalk) binary(x pyast.Node, op string, left, right pyast.Expr, resK types.Kind, sel []int32) (vecOperand, bool) {
+func (w *vecWalk) binary(x pyast.Node, op pyvalue.Op, left, right pyast.Expr, resK types.Kind, sel []int32) (vecOperand, bool) {
 	if isStrType(left.Type()) {
 		if resK != types.KindStr {
 			return w.no(x)
@@ -1134,23 +1060,9 @@ func (w *vecWalk) binary(x pyast.Node, op string, left, right pyast.Expr, resK t
 // arith evaluates + - * / // % with binOp's typing: an I64 result means
 // integer arithmetic on two I64 operands, anything else float arithmetic
 // on float64-promoted operands.
-func (w *vecWalk) arith(x pyast.Node, opName string, left, right pyast.Expr, resK types.Kind, sel []int32) (vecOperand, bool) {
-	var op arithOp
-	switch opName {
-	case "+":
-		op = opAdd
-	case "-":
-		op = opSub
-	case "*":
-		op = opMul
-	case "/":
-		op = opTrueDiv
-	case "//":
-		op = opFloorDiv
-	case "%":
-		op = opMod
-	default:
-		return w.no(x)
+func (w *vecWalk) arith(x pyast.Node, op pyvalue.Op, left, right pyast.Expr, resK types.Kind, sel []int32) (vecOperand, bool) {
+	if op == pyvalue.OpPow || op.IntOnly() {
+		return w.no(x) // the row closures' int forms compute them
 	}
 	a, ok := w.value(left, sel)
 	if !ok || !isVecNum(a.kind) {
@@ -1161,15 +1073,15 @@ func (w *vecWalk) arith(x pyast.Node, opName string, left, right pyast.Expr, res
 		return w.no(x)
 	}
 	switch {
-	case resK == types.KindI64 && op != opTrueDiv && a.kind == types.KindI64 && b.kind == types.KindI64:
-	case resK == types.KindF64 && (op == opTrueDiv || a.kind == types.KindF64 || b.kind == types.KindF64):
+	case resK == types.KindI64 && op != pyvalue.OpDiv && a.kind == types.KindI64 && b.kind == types.KindI64:
+	case resK == types.KindF64 && (op == pyvalue.OpDiv || a.kind == types.KindF64 || b.kind == types.KindF64):
 		a, b = w.toF64(a, sel), w.toF64(b, sel)
 	default:
 		return w.no(x)
 	}
 	// The + - * kernels take a constant on either side; the division
 	// family (and constant ⊕ constant) gets filled registers.
-	if op >= opTrueDiv {
+	if op.Divides() {
 		a, b = w.dense(a, sel), w.dense(b, sel)
 	} else if b.src == srcConst {
 		a = w.dense(a, sel)
@@ -1179,7 +1091,7 @@ func (w *vecWalk) arith(x pyast.Node, opName string, left, right pyast.Expr, res
 		reg := w.regI()
 		switch {
 		case !w.run():
-		case op >= opTrueDiv:
+		case op.Divides():
 			vecDivI(op, st.i[reg], st.i64s(&a), st.i64s(&b), sel, st)
 		default:
 			vecArith(op, st.i[reg], st.i64s(&a), st.i64s(&b), a.ci, b.ci, sel)
@@ -1189,7 +1101,7 @@ func (w *vecWalk) arith(x pyast.Node, opName string, left, right pyast.Expr, res
 	reg := w.regF()
 	switch {
 	case !w.run():
-	case op >= opTrueDiv:
+	case op.Divides():
 		vecDivF(op, st.f[reg], st.f64s(&a), st.f64s(&b), sel, st)
 	default:
 		vecArith(op, st.f[reg], st.f64s(&a), st.f64s(&b), a.cf, b.cf, sel)
@@ -1292,11 +1204,11 @@ func (w *vecWalk) truth(a vecOperand, sel []int32) []int32 {
 	case types.KindBool:
 		return out[:vecSelTrue(w.st.bools(&a), sel, out)]
 	case types.KindI64:
-		return out[:vecCmpVC(cmpNE, w.st.i64s(&a), 0, sel, out)]
+		return out[:vecCmpVC(pyvalue.OpNe, w.st.i64s(&a), 0, sel, out)]
 	case types.KindStr:
 		return out[:vecStrTruthy(w.st.strs(&a), sel, out)]
 	}
-	return out[:vecCmpVC(cmpNE, w.st.f64s(&a), 0, sel, out)]
+	return out[:vecCmpVC(pyvalue.OpNe, w.st.f64s(&a), 0, sel, out)]
 }
 
 // present refines sel to the rows where the opt operand a is not None.
@@ -1325,7 +1237,7 @@ func (w *vecWalk) pred(x pyast.Expr, sel []int32) ([]int32, bool) {
 	case *pyast.BoolOp:
 		return w.boolOp(x, sel)
 	case *pyast.UnaryOp:
-		if x.Op == "not" {
+		if x.Op == pyvalue.OpNot {
 			_, f, ok := w.split(x.X, sel)
 			return f, ok
 		}
@@ -1352,7 +1264,7 @@ func (w *vecWalk) boolOp(x *pyast.BoolOp, sel []int32) ([]int32, bool) {
 	if len(x.Xs) == 0 {
 		return w.noSel(x)
 	}
-	if x.Op == "and" {
+	if x.Op == pyvalue.OpAnd {
 		for _, e := range x.Xs {
 			var ok bool
 			if sel, ok = w.pred(e, sel); !ok {
@@ -1422,9 +1334,9 @@ func (w *vecWalk) compare(x *pyast.Compare, sel []int32) ([]int32, bool) {
 	}
 	if len(x.Ops) == 1 {
 		switch x.Ops[0] {
-		case "is", "is not":
+		case pyvalue.OpIs, pyvalue.OpIsNot:
 			return w.isNone(x, sel)
-		case "==", "!=":
+		case pyvalue.OpEq, pyvalue.OpNe:
 			if mayBeNone(x.First.Type()) || mayBeNone(x.Rest[0].Type()) {
 				return w.eqNone(x, sel)
 			}
@@ -1467,10 +1379,9 @@ func mayBeNone(t types.Type) bool { return t.IsOption() || t.Kind() == types.Kin
 // cmpStep refines sel by one comparison of two values: two strings (the
 // substring tests included), or two numbers — two ints exactly, anything
 // with a float side as float64.
-func (w *vecWalk) cmpStep(x *pyast.Compare, opName string, a, b vecOperand, sel []int32) ([]int32, bool) {
+func (w *vecWalk) cmpStep(x *pyast.Compare, op pyvalue.Op, a, b vecOperand, sel []int32) ([]int32, bool) {
 	if a.kind == types.KindStr && b.kind == types.KindStr {
-		op, ok := strCmpOpOf(opName)
-		if !ok {
+		if cmpMask[op] == 0 && op != pyvalue.OpIn && op != pyvalue.OpNotIn {
 			return w.noSel(x)
 		}
 		out := w.buf()
@@ -1479,8 +1390,7 @@ func (w *vecWalk) cmpStep(x *pyast.Compare, opName string, a, b vecOperand, sel 
 		}
 		return out[:vecStrCmp(op, w.st.strs(&a), w.st.strs(&b), sel, out)], true
 	}
-	op, ok := cmpOpOf(opName)
-	if !ok || !isVecNum(a.kind) || !isVecNum(b.kind) {
+	if cmpMask[op] == 0 || !isVecNum(a.kind) || !isVecNum(b.kind) {
 		return w.noSel(x)
 	}
 	if a.kind != b.kind {
@@ -1498,17 +1408,17 @@ func (w *vecWalk) cmpStep(x *pyast.Compare, opName string, a, b vecOperand, sel 
 
 // cmpOperands dispatches one comparison step on which sides are
 // constants (nil vectors).
-func cmpOperands[T vnum](op cmpOp, a, b []T, ac, bc T, sel, out []int32) int {
+func cmpOperands[T vnum](op pyvalue.Op, a, b []T, ac, bc T, sel, out []int32) int {
 	switch {
 	case a == nil && b == nil:
-		if cmpScalar(op, ac, bc) {
+		if cmpOrdered(op, ac, bc) {
 			return copy(out, sel)
 		}
 		return 0
 	case b == nil:
 		return vecCmpVC(op, a, bc, sel, out)
 	case a == nil:
-		return vecCmpVC(op.mirror(), b, ac, sel, out)
+		return vecCmpVC(op.Mirror(), b, ac, sel, out)
 	}
 	return vecCmpVV(op, a, b, sel, out)
 }
@@ -1530,7 +1440,7 @@ func (w *vecWalk) eqNone(x *pyast.Compare, sel []int32) ([]int32, bool) {
 	if b.opt || b.kind == types.KindNull {
 		a, b = b, a // == and != are symmetric
 	}
-	ne := x.Ops[0] == "!="
+	ne := x.Ops[0] == pyvalue.OpNe
 	switch {
 	case b.kind == types.KindNull || a.kind == types.KindNull && b.opt:
 		return w.noSel(x)
@@ -1579,7 +1489,7 @@ func (w *vecWalk) isNone(x *pyast.Compare, sel []int32) ([]int32, bool) {
 	} else {
 		return w.noSel(x)
 	}
-	wantNull := x.Ops[0] == "is"
+	wantNull := x.Ops[0] == pyvalue.OpIs
 	out := w.buf()
 	if !w.run() {
 		return nil, true
@@ -1891,11 +1801,11 @@ func matchFold(env *vecEnv, body pyast.Expr, accT types.Type) *VecFold {
 	switch s := step.(type) {
 	case *pyast.BinOp:
 		switch s.Op {
-		case "+":
+		case pyvalue.OpAdd:
 			f.op = foldAdd
-		case "-":
+		case pyvalue.OpSub:
 			f.op = foldSub
-		case "*":
+		case pyvalue.OpMul:
 			f.op = foldMul
 		default:
 			return nil

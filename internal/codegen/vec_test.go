@@ -128,6 +128,16 @@ type exprGen struct{ rng *rand.Rand }
 
 func (g *exprGen) pick(xs ...string) string { return xs[g.rng.Intn(len(xs))] }
 
+// op draws one of pyvalue's operators that keep accepts, so an operator
+// added there is drawn too.
+func (g *exprGen) op(keep func(pyvalue.Op) bool) pyvalue.Op {
+	for {
+		if op := pyvalue.Op(g.rng.Intn(int(pyvalue.NumOps))); keep(op) {
+			return op
+		}
+	}
+}
+
 func (g *exprGen) num(depth int) string {
 	if depth <= 0 || g.rng.Intn(4) == 0 {
 		switch g.rng.Intn(8) {
@@ -141,13 +151,27 @@ func (g *exprGen) num(depth int) string {
 			return "r['" + g.pick("a", "b", "c", "d", "e", "g", "k", "k") + "']"
 		}
 	}
-	switch g.rng.Intn(9) {
+	switch g.rng.Intn(10) {
 	case 0:
-		return "(-" + g.num(depth-1) + ")"
+		// Mostly the minus the vector programs compute; one time in
+		// three any unary operator, not and ~ over floats included.
+		op := pyvalue.OpSub
+		if g.rng.Intn(3) == 0 {
+			op = g.op(pyvalue.Op.IsUnary)
+		}
+		return "(" + op.String() + " " + g.num(depth-1) + ")"
 	case 1:
 		return "(" + g.num(depth-1) + " if " + g.boolean(depth-1) + " else " + g.num(depth-1) + ")"
 	case 2:
 		return "(" + g.num(depth-1) + " if " + g.truthy(depth-1) + " else " + g.num(depth-1) + ")"
+	case 3:
+		// Any binary operator: ** and the bitwise ones over floats, and
+		// shift counts around the word size and below zero.
+		op, right := g.op(pyvalue.Op.IsBinary), g.num(depth-1)
+		if (op == pyvalue.OpLShift || op == pyvalue.OpRShift) && g.rng.Intn(2) == 0 {
+			right = g.pick("0", "1", "63", "64", "65", "-1", "(r['b'] - 3)")
+		}
+		return "(" + g.num(depth-1) + " " + op.String() + " " + right + ")"
 	default:
 		return "(" + g.num(depth-1) + " " + g.pick("+", "-", "*", "*", "/", "//", "%") + " " + g.num(depth-1) + ")"
 	}
@@ -184,7 +208,12 @@ func (g *exprGen) boolean(depth int) string {
 			"(r['e'] is None)", "(r['g'] is not None)", "(r['s'] is None)", "(None is not r['s'])", "(r['a'] is None)",
 			"(r['n'] is None)", "(r['n'] == 'A')", "(r['n'] != 'A')", "(not r['e'])", "(not r['s'])")
 	}
-	cmp := func() string { return g.pick("<", "<=", ">", ">=", "==", "!=") }
+	cmp := func() string {
+		if g.rng.Intn(8) == 0 {
+			return g.op(pyvalue.Op.IsCompare).String() // in and is too
+		}
+		return g.pick("<", "<=", ">", ">=", "==", "!=")
+	}
 	switch g.rng.Intn(12) {
 	case 0:
 		return "(not " + g.boolean(depth-1) + ")"

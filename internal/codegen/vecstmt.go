@@ -35,6 +35,7 @@ import (
 
 	"github.com/gotuplex/tuplex/internal/inference"
 	"github.com/gotuplex/tuplex/internal/pyast"
+	"github.com/gotuplex/tuplex/internal/pyvalue"
 	"github.com/gotuplex/tuplex/internal/types"
 )
 
@@ -113,11 +114,11 @@ func (w *vecWalk) block(ss []pyast.Stmt, live []int32) (rest []int32, returned, 
 		switch s := s.(type) {
 		case *pyast.Pass:
 		case *pyast.Assign:
-			if !w.assign(s.Target, s.Value, "", live) {
+			if !w.assign(s.Target, s.Value, pyvalue.OpNone, 0, live) {
 				return nil, false, false
 			}
 		case *pyast.AugAssign:
-			if !w.assign(s.Target, s.Value, s.Op, live) {
+			if !w.assign(s.Target, s.Value, s.Op, s.Ty.Kind(), live) {
 				return nil, false, false
 			}
 		case *pyast.Return:
@@ -135,8 +136,8 @@ func (w *vecWalk) block(ss []pyast.Stmt, live []int32) (rest []int32, returned, 
 }
 
 // assign binds the target local to the value's operand; with op set it is
-// the augmented `target op= value`.
-func (w *vecWalk) assign(target, value pyast.Expr, op string, live []int32) bool {
+// the augmented `target op= value`, whose result has kind resK.
+func (w *vecWalk) assign(target, value pyast.Expr, op pyvalue.Op, resK types.Kind, live []int32) bool {
 	nm, ok := target.(*pyast.Name)
 	if !ok {
 		w.decline(nodeLabel(target) + " assignment target")
@@ -148,10 +149,10 @@ func (w *vecWalk) assign(target, value pyast.Expr, op string, live []int32) bool
 		return false
 	}
 	var a vecOperand
-	if op == "" {
+	if op == pyvalue.OpNone {
 		a, ok = w.optValue(value, live)
 	} else {
-		a, ok = w.binary(target, op, target, value, resultTypeOf(op, target.Type(), value.Type()).Kind(), live)
+		a, ok = w.binary(target, op, target, value, resK, live)
 	}
 	if !ok {
 		return false
@@ -371,13 +372,13 @@ func nodeLabel(n pyast.Node) string {
 	case *pyast.Name:
 		return "Name:" + n.Ident
 	case *pyast.BinOp:
-		return "BinOp:" + n.Op
+		return "BinOp:" + n.Op.String()
 	case *pyast.UnaryOp:
-		return "UnaryOp:" + n.Op
+		return "UnaryOp:" + n.Op.String()
 	case *pyast.Compare:
-		return "Compare:" + n.Ops[0]
+		return "Compare:" + n.Ops[0].String()
 	case *pyast.BoolOp:
-		return "BoolOp:" + n.Op
+		return "BoolOp:" + n.Op.String()
 	case *pyast.Attr:
 		return "Attr:" + n.Name
 	}

@@ -243,7 +243,7 @@ func vecStrCopy(out []string, a strArg, sel []int32) {
 // tests) to out and returns their count.
 //
 //tuplex:kernel
-func vecStrCmp(op strCmpOp, a, b strArg, sel, out []int32) int {
+func vecStrCmp(op pyvalue.Op, a, b strArg, sel, out []int32) int {
 	k := 0
 	for _, r := range sel {
 		out[k] = r
@@ -502,9 +502,9 @@ func (w *vecWalk) intFormat(x pyast.Node, format pyast.Expr, fargs []pyast.Expr,
 }
 
 // strBinary is + over two strings and % over a literal format.
-func (w *vecWalk) strBinary(x pyast.Node, op string, left, right pyast.Expr, sel []int32) (vecOperand, bool) {
+func (w *vecWalk) strBinary(x pyast.Node, op pyvalue.Op, left, right pyast.Expr, sel []int32) (vecOperand, bool) {
 	switch op {
-	case "+":
+	case pyvalue.OpAdd:
 		if !isStrType(right.Type()) {
 			return w.no(x)
 		}
@@ -522,7 +522,7 @@ func (w *vecWalk) strBinary(x pyast.Node, op string, left, right pyast.Expr, sel
 			vecStrConcat(st.str[out.idx], st.strs(&a), st.strs(&b), sel, st)
 		}
 		return out, true
-	case "%":
+	case pyvalue.OpMod:
 		if !w.usable(right) {
 			return w.no(right)
 		}

@@ -432,6 +432,7 @@ func (sr *stageRun) runChunkColumnar(ts *task, p int, data []byte, baseKey uint6
 	for pos := 0; pos < len(data); {
 		bst.beginBatch()
 		bst.srcRows = nil
+		pool0 := len(ts.pool)
 		pos = sr.parse.ParseChunk(data, pos, batchMaxRows, bst.src, cb)
 		if cb.Records == 0 {
 			break // the chunk ended in an empty record
@@ -451,7 +452,7 @@ func (sr *stageRun) runChunkColumnar(ts *task, p int, data []byte, baseKey uint6
 		input += int64(cb.Records)
 		rejects += int64(len(cb.Rejects))
 		ts.parseSlow += int64(cb.Slow)
-		normalExc += sr.runBatchBody(ts, bst, p)
+		normalExc += sr.runBatchBody(ts, bst, p, pool0)
 		ts.lazyCells += int64(cb.LazyCells)
 		ts.lazyConverted += int64(cb.Converted)
 	}
@@ -487,6 +488,7 @@ func (sr *stageRun) runTextColumnar(ts *task, p int, data []byte, baseKey uint64
 	for pos := 0; pos < len(data); {
 		bst.beginBatch()
 		bst.raws, bst.srcRows = bst.raws[:0], nil
+		pool0 := len(ts.pool)
 		for n := 0; n < batchMaxRows && pos < len(data); n++ {
 			var line []byte
 			line, pos = nextLine(data, pos)
@@ -495,7 +497,7 @@ func (sr *stageRun) runTextColumnar(ts *task, p int, data []byte, baseKey uint64
 			bst.keys = append(bst.keys, baseKey+uint64(input))
 			input++
 		}
-		normalExc += sr.runBatchBody(ts, bst, p)
+		normalExc += sr.runBatchBody(ts, bst, p, pool0)
 	}
 	ts.finishRows(input, 0, normalExc)
 	sr.putBatchState(ts)
@@ -529,6 +531,7 @@ func (sr *stageRun) runRowsColumnar(ts *task, p int) {
 		bst.beginBatch()
 		bst.raws = nil
 		bst.srcRows = bst.srcRows[:0]
+		pool0 := len(ts.pool)
 		for c, v := range bst.src {
 			v.Retype(sr.inSchema.Col(c).Type) // undo the last batch's widening
 		}
@@ -548,7 +551,7 @@ func (sr *stageRun) runRowsColumnar(ts *task, p int) {
 			bst.keys = append(bst.keys, key)
 			bst.srcRows = append(bst.srcRows, src)
 		}
-		normalExc += sr.runBatchBody(ts, bst, p)
+		normalExc += sr.runBatchBody(ts, bst, p, pool0)
 	}
 	ts.finishRows(input, rejects, normalExc)
 	sr.putBatchState(ts)
@@ -556,13 +559,24 @@ func (sr *stageRun) runRowsColumnar(ts *task, p int) {
 
 // runBatchBody executes the kernel groups and the terminal over one
 // ingested batch. Returns the normal-path exception count (one per
-// failed source row).
-func (sr *stageRun) runBatchBody(ts *task, bst *batchState, p int) int64 {
+// failed source row). The batch's pool entries start at ts.pool[pool0]:
+// the rejects its ingest pooled, then what each kernel pass and the
+// terminal pool. The row plane pools a row's failure when it reaches
+// the row, so the batch's entries are put in key order (keys ascend with
+// the input rows) once the body has run.
+func (sr *stageRun) runBatchBody(ts *task, bst *batchState, p, pool0 int) int64 {
 	normalExc := sr.runKernels(ts, bst, p)
 	ts.columnarRows += int64(len(bst.sel))
+	normalExc += sr.runTerminal(ts, bst, p)
+	sortPool(ts.pool[pool0:])
+	return normalExc
+}
 
+// runTerminal runs the stage's terminal over the batch's surviving rows.
+// Returns the normal-path exception count.
+func (sr *stageRun) runTerminal(ts *task, bst *batchState, p int) int64 {
 	if sr.terminal == physical.TerminalAggregate {
-		return normalExc + sr.aggregateBatch(ts, bst, p)
+		return sr.aggregateBatch(ts, bst, p)
 	}
 	if ts.route != nil {
 		ts.route[sr.termRouteIdx] += int64(len(bst.sel))
@@ -578,7 +592,16 @@ func (sr *stageRun) runBatchBody(ts *task, bst *batchState, p int) int64 {
 	default:
 		sr.gatherBatch(ts, bst)
 	}
-	return normalExc
+	return 0
+}
+
+// sortPool puts one batch's pool entries in key order, unless they
+// already are.
+func sortPool(pooled []exRow) {
+	byKey := func(a, b exRow) int { return cmp.Compare(a.key, b.key) }
+	if !slices.IsSortedFunc(pooled, byKey) {
+		slices.SortStableFunc(pooled, byKey)
+	}
 }
 
 // runKernels selects every ingested row of the batch and runs the kernel
@@ -730,9 +753,8 @@ func (sr *stageRun) runGroup(ts *task, bst *batchState, group []*batchKernel, p 
 	}
 
 	vecOK := bst.srcIdx == nil && len(bst.sel) >= vecMinRows
-	pool0, passes := len(ts.pool), 0
 	var excs int64
-	for lo := 0; lo < len(group); passes++ {
+	for lo := 0; lo < len(group); {
 		if vecOK && group[lo].vec != nil {
 			excs += sr.runVecKernel(ts, bst, group[lo], lo, p)
 			lo++
@@ -744,12 +766,6 @@ func (sr *stageRun) runGroup(ts *task, bst *batchState, group []*batchKernel, p 
 		}
 		excs += sr.runRowKernels(ts, bst, group, lo, hi, p)
 		lo = hi
-	}
-	if pooled := ts.pool[pool0:]; passes > 1 && len(pooled) > 1 {
-		// One scan pools a group's failures in row order; several passes
-		// pool them pass by pass. Keys ascend with the rows, so sorting
-		// restores the single scan's pool order.
-		slices.SortFunc(pooled, func(a, b exRow) int { return cmp.Compare(a.key, b.key) })
 	}
 	bst.cols = append(bst.cols[:0], final...)
 	ts.fusedPasses++

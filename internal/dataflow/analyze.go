@@ -237,7 +237,7 @@ func (a *analyzer) stmts(ss []pyast.Stmt, ev *env) bool {
 
 func (a *analyzer) stmt(s pyast.Stmt, ev *env) bool {
 	if f, ok := a.failed(s); ok {
-		a.addRaise(kindFromName(f.Raises))
+		a.addRaise(pyvalue.ExcNamed(f.Raises))
 		return true
 	}
 	switch s := s.(type) {
@@ -251,7 +251,7 @@ func (a *analyzer) stmt(s pyast.Stmt, ev *env) bool {
 	case *pyast.AugAssign:
 		cur := a.expr(s.Target, ev)
 		rhs := a.expr(s.Value, ev)
-		res := a.binFact(s.Target, s.Op, cur, rhs, s.Target, s.Value, exprType(s.Target))
+		res := a.binFact(s.Target, s.Op, cur, rhs, s.Target, s.Value, s.Ty)
 		a.assign(s.Target, nil, res, ev)
 		return false
 	case *pyast.Return:
@@ -455,7 +455,7 @@ func litTruth(e pyast.Expr) (bool, bool) {
 	case *pyast.StrLit:
 		return e.S != "", true
 	case *pyast.UnaryOp:
-		if e.Op == "not" {
+		if e.Op == pyvalue.OpNot {
 			if t, ok := litTruth(e.X); ok {
 				return !t, true
 			}
@@ -467,11 +467,8 @@ func litTruth(e pyast.Expr) (bool, bool) {
 			if !ok {
 				return false, false
 			}
-			if e.Op == "and" && !t {
-				return false, true
-			}
-			if e.Op == "or" && t {
-				return true, true
+			if t == (e.Op == pyvalue.OpOr) {
+				return t, true
 			}
 			all = t
 		}
@@ -494,7 +491,7 @@ func (a *analyzer) expr(e pyast.Expr, ev *env) Fact {
 		return Fact{}
 	}
 	if f, ok := a.failed(e); ok {
-		a.addRaise(kindFromName(f.Raises))
+		a.addRaise(pyvalue.ExcNamed(f.Raises))
 		return Fact{}
 	}
 	switch e := e.(type) {
@@ -602,12 +599,12 @@ func inexact(t types.Type) bool {
 	return t.IsOption() || t.Kind() == types.KindAny || t.Kind() == types.KindInvalid
 }
 
-func (a *analyzer) binFact(node pyast.Expr, op string, l, r Fact, le, re pyast.Expr, resT types.Type) Fact {
+func (a *analyzer) binFact(node pyast.Expr, op pyvalue.Op, l, r Fact, le, re pyast.Expr, resT types.Type) Fact {
 	lt, rt := exprType(le), exprType(re)
 	deps := l.deps | r.deps
 	// Constant folding: both operands known → apply the real operator.
 	if l.Const != nil && r.Const != nil {
-		v, err := applyBin(op, l.Const, r.Const)
+		v, err := pyvalue.Binary(op, l.Const, r.Const)
 		if err != nil {
 			k := pyvalue.KindOf(err)
 			a.addRaise(k)
@@ -630,20 +627,20 @@ func (a *analyzer) binFact(node pyast.Expr, op string, l, r Fact, le, re pyast.E
 	if inexact(lt) || inexact(rt) {
 		a.addRaise(pyvalue.ExcTypeError)
 	}
-	switch op {
-	case "/", "//", "%":
+	switch {
+	case op.Divides():
 		// Only a dep-free proof removes the raise site: a sample-seeded
 		// non-zero divisor holds solely for rows passing the guard, and
 		// CanRaise must describe the unguarded normal path too.
 		if !(r.nonZero() && r.deps == 0) {
 			a.addRaise(pyvalue.ExcZeroDivisionError)
 		}
-		if op == "%" && lt.Kind() == types.KindStr {
+		if op == pyvalue.OpMod && lt.Kind() == types.KindStr {
 			// String formatting can reject the format spec / operands.
 			a.addRaise(pyvalue.ExcTypeError)
 			a.addRaise(pyvalue.ExcValueError)
 		}
-	case "**":
+	case op == pyvalue.OpPow:
 		if exactKind(resT, types.KindI64) && !r.nonNegative() {
 			// Negative integer exponents are outside the specialized
 			// int arm.
@@ -653,13 +650,13 @@ func (a *analyzer) binFact(node pyast.Expr, op string, l, r Fact, le, re pyast.E
 	out := Fact{deps: deps}
 	if resT.Kind() == types.KindI64 && !resT.IsOption() {
 		switch op {
-		case "+":
+		case pyvalue.OpAdd:
 			out.Lo, out.Hi, out.HasLo, out.HasHi = intervalAdd(l, r)
-		case "-":
+		case pyvalue.OpSub:
 			out.Lo, out.Hi, out.HasLo, out.HasHi = intervalSub(l, r)
-		case "*":
+		case pyvalue.OpMul:
 			out.Lo, out.Hi, out.HasLo, out.HasHi = intervalMul(l, r)
-		case "%":
+		case pyvalue.OpMod:
 			// Python modulo with a constant positive modulus m yields a
 			// result in [0, m-1] regardless of the dividend's sign.
 			if m, ok := r.Const.(pyvalue.Int); ok && int64(m) > 0 {
@@ -682,89 +679,52 @@ func isScalar(v pyvalue.Value) bool {
 	return false
 }
 
-// applyBin mirrors the boxed operator dispatch so folded constants have
-// exactly the semantics the general path computes.
-func applyBin(op string, x, y pyvalue.Value) (pyvalue.Value, error) {
-	switch op {
-	case "+":
-		return pyvalue.Add(x, y)
-	case "-":
-		return pyvalue.Sub(x, y)
-	case "*":
-		return pyvalue.Mul(x, y)
-	case "/":
-		return pyvalue.TrueDiv(x, y)
-	case "//":
-		return pyvalue.FloorDiv(x, y)
-	case "%":
-		return pyvalue.Mod(x, y)
-	case "**":
-		return pyvalue.Pow(x, y)
-	case "&":
-		return pyvalue.BitAnd(x, y)
-	case "|":
-		return pyvalue.BitOr(x, y)
-	case "^":
-		return pyvalue.BitXor(x, y)
-	case "<<":
-		return pyvalue.LShift(x, y)
-	case ">>":
-		return pyvalue.RShift(x, y)
-	default:
-		return nil, pyvalue.Raise(pyvalue.ExcUnsupported, "operator %q", op)
-	}
-}
-
 func (a *analyzer) unaryFact(e *pyast.UnaryOp, ev *env) Fact {
 	x := a.expr(e.X, ev)
 	xt := exprType(e.X)
-	switch e.Op {
-	case "not":
+	switch {
+	case e.Op == pyvalue.OpNot:
 		if t, ok := x.truth(); ok {
 			return constFact(pyvalue.Bool(!t)).withDeps(x.deps)
 		}
 		return a.nn(Fact{})
-	case "-":
-		if x.Const != nil {
-			if v, err := pyvalue.Neg(x.Const); err == nil && isScalar(v) {
-				return constFact(v).withDeps(x.deps)
-			}
-			a.addRaise(pyvalue.ExcTypeError)
-			return Fact{}
+	case x.Const != nil:
+		if v, err := pyvalue.Unary(e.Op, x.Const); err == nil && isScalar(v) {
+			return constFact(v).withDeps(x.deps)
 		}
-		if inexact(xt) || !xt.IsNumeric() {
-			a.addRaise(pyvalue.ExcTypeError)
-		}
-		out := Fact{deps: x.deps}
-		if exactKind(exprType(e), types.KindI64) {
-			lo, hi, hasLo, hasHi := x.interval()
-			if hasHi {
-				if v, ok := subOv(0, hi); ok {
-					out.Lo, out.HasLo = v, true
-				}
-			}
-			if hasLo {
-				if v, ok := subOv(0, lo); ok {
-					out.Hi, out.HasHi = v, true
-				}
-			}
-		}
-		out = a.nn(out)
-		if out.isTop() {
-			out.deps = 0
-		}
-		return out
-	case "+":
-		if inexact(xt) || !xt.IsNumeric() {
-			a.addRaise(pyvalue.ExcTypeError)
-		}
-		return x
-	default: // "~"
+		a.addRaise(pyvalue.ExcTypeError)
+		return Fact{}
+	case e.Op == pyvalue.OpInvert:
 		if inexact(xt) {
 			a.addRaise(pyvalue.ExcTypeError)
 		}
 		return a.nn(Fact{})
 	}
+	if inexact(xt) || !xt.IsNumeric() {
+		a.addRaise(pyvalue.ExcTypeError)
+	}
+	if e.Op == pyvalue.OpAdd {
+		return x
+	}
+	out := Fact{deps: x.deps}
+	if exactKind(exprType(e), types.KindI64) {
+		lo, hi, hasLo, hasHi := x.interval()
+		if hasHi {
+			if v, ok := subOv(0, hi); ok {
+				out.Lo, out.HasLo = v, true
+			}
+		}
+		if hasLo {
+			if v, ok := subOv(0, lo); ok {
+				out.Hi, out.HasHi = v, true
+			}
+		}
+	}
+	out = a.nn(out)
+	if out.isTop() {
+		out.deps = 0
+	}
+	return out
 }
 
 func (a *analyzer) boolOpFact(e *pyast.BoolOp, ev *env) Fact {
@@ -785,7 +745,7 @@ func (a *analyzer) boolOpFact(e *pyast.BoolOp, ev *env) Fact {
 			break
 		}
 		deps |= facts[i].deps
-		if (e.Op == "and" && !t) || (e.Op == "or" && t) {
+		if t == (e.Op == pyvalue.OpOr) {
 			break
 		}
 	}
@@ -837,12 +797,12 @@ func (a *analyzer) compareFact(e *pyast.Compare, ev *env) Fact {
 }
 
 // compareStepFact decides one comparison step when the facts allow.
-func (a *analyzer) compareStepFact(op string, l, r Fact, le, re pyast.Expr) (result bool, deps uint64, ok bool) {
+func (a *analyzer) compareStepFact(op pyvalue.Op, l, r Fact, le, re pyast.Expr) (result bool, deps uint64, ok bool) {
 	lt, rt := exprType(le), exprType(re)
 	deps = l.deps | r.deps
 	// None tests resolve from nullability alone.
-	if op == "is" || op == "==" || op == "is not" || op == "!=" {
-		neg := op == "is not" || op == "!="
+	if op == pyvalue.OpIs || op == pyvalue.OpEq || op == pyvalue.OpIsNot || op == pyvalue.OpNe {
+		neg := op == pyvalue.OpIsNot || op == pyvalue.OpNe
 		if _, rNone := re.(*pyast.NoneLit); rNone {
 			if l.Null == NullAlways {
 				return !neg, l.deps, true
@@ -861,70 +821,30 @@ func (a *analyzer) compareStepFact(op string, l, r Fact, le, re pyast.Expr) (res
 		}
 	}
 	if l.Const != nil && r.Const != nil {
-		v, err := pyvalue.Compare(cmpOp(op), l.Const, r.Const)
+		v, err := pyvalue.Compare(op, l.Const, r.Const)
 		if err != nil {
 			a.addRaise(pyvalue.KindOf(err))
 			return false, 0, false
 		}
 		if b, isB := v.(pyvalue.Bool); isB {
-			if op == "is not" || op == "not in" {
-				return !bool(b), deps, true
-			}
 			return bool(b), deps, true
 		}
 		return false, 0, false
 	}
 	// Interval-decided orderings on exact ints.
 	if exactKind(lt, types.KindI64) && exactKind(rt, types.KindI64) {
-		llo, lhi, lHasLo, lHasHi := l.interval()
-		rlo, rhi, rHasLo, rHasHi := r.interval()
-		switch op {
-		case "<":
-			if lHasHi && rHasLo && lhi < rlo {
-				return true, deps, true
-			}
-			if lHasLo && rHasHi && llo >= rhi {
-				return false, deps, true
-			}
-		case "<=":
-			if lHasHi && rHasLo && lhi <= rlo {
-				return true, deps, true
-			}
-			if lHasLo && rHasHi && llo > rhi {
-				return false, deps, true
-			}
-		case ">":
-			if lHasLo && rHasHi && llo > rhi {
-				return true, deps, true
-			}
-			if lHasHi && rHasLo && lhi <= rlo {
-				return false, deps, true
-			}
-		case ">=":
-			if lHasLo && rHasHi && llo >= rhi {
-				return true, deps, true
-			}
-			if lHasHi && rHasLo && lhi < rlo {
-				return false, deps, true
-			}
-		case "==":
-			if (lHasHi && rHasLo && lhi < rlo) || (lHasLo && rHasHi && llo > rhi) {
-				return false, deps, true
-			}
-		case "!=":
-			if (lHasHi && rHasLo && lhi < rlo) || (lHasLo && rHasHi && llo > rhi) {
-				return true, deps, true
-			}
+		if t, ok := intervalCompare(op, l, r); ok {
+			return t, deps, true
 		}
 	}
 	// Raise sites: ordering between inexact or mixed kinds can
 	// TypeError at runtime.
-	switch op {
-	case "<", "<=", ">", ">=":
+	switch {
+	case op.IsOrder():
 		if inexact(lt) || inexact(rt) {
 			a.addRaise(pyvalue.ExcTypeError)
 		}
-	case "in", "not in":
+	case op == pyvalue.OpIn || op == pyvalue.OpNotIn:
 		if inexact(rt) {
 			a.addRaise(pyvalue.ExcTypeError)
 		}
@@ -932,15 +852,31 @@ func (a *analyzer) compareStepFact(op string, l, r Fact, le, re pyast.Expr) (res
 	return false, 0, false
 }
 
-// cmpOp maps negated operators onto their base for pyvalue.Compare.
-func cmpOp(op string) string {
-	switch op {
-	case "is not":
-		return "is"
-	case "not in":
-		return "in"
+// intervalCompare decides l op r over two ints from their intervals: an
+// ordering or an equality test.
+func intervalCompare(op pyvalue.Op, l, r Fact) (result, ok bool) {
+	if op == pyvalue.OpGt || op == pyvalue.OpGe {
+		op, l, r = op.Mirror(), r, l
 	}
-	return op
+	llo, lhi, lHasLo, lHasHi := l.interval()
+	rlo, rhi, rHasLo, rHasHi := r.interval()
+	below := lHasHi && rHasLo && lhi < rlo // l < r everywhere
+	above := lHasLo && rHasHi && llo > rhi // l > r everywhere
+	switch op {
+	case pyvalue.OpLt:
+		if below || lHasLo && rHasHi && llo >= rhi {
+			return below, true
+		}
+	case pyvalue.OpLe:
+		if above || lHasHi && rHasLo && lhi <= rlo {
+			return !above, true
+		}
+	case pyvalue.OpEq, pyvalue.OpNe:
+		if below || above {
+			return op == pyvalue.OpNe, true
+		}
+	}
+	return false, false
 }
 
 func (a *analyzer) ifExprFact(e *pyast.IfExpr, ev *env) Fact {

@@ -24,6 +24,12 @@
 // skipped and dead resolvers are reported), and the UDF lint surface
 // (unreachable code, always-raising expressions, unused variables,
 // unsupported constructs) exposed through Result.Warnings.
+//
+// Constants fold through pyvalue.Binary, Unary and Compare, the boxed
+// operator dispatch the general path runs, so a folded constant is the
+// value (or the exception) that path computes; the operator questions the
+// rules ask — which comparison mirrors or negates another, which operators
+// divide — are methods of pyvalue.Op.
 package dataflow
 
 import (
@@ -268,30 +274,6 @@ func (r *Result) Lints() []Lint { return r.lints }
 // PrunedBranches counts fact-derived dead arms found by this analysis
 // (excluding those inference already found).
 func (r *Result) PrunedBranches() int { return len(r.dead) }
-
-// kindFromName maps a Python exception class name to its kind.
-func kindFromName(name string) pyvalue.ExcKind {
-	switch name {
-	case "TypeError":
-		return pyvalue.ExcTypeError
-	case "ValueError":
-		return pyvalue.ExcValueError
-	case "ZeroDivisionError":
-		return pyvalue.ExcZeroDivisionError
-	case "IndexError":
-		return pyvalue.ExcIndexError
-	case "KeyError":
-		return pyvalue.ExcKeyError
-	case "AttributeError":
-		return pyvalue.ExcAttributeError
-	case "OverflowError":
-		return pyvalue.ExcOverflowError
-	case "NameError":
-		return pyvalue.ExcNameError
-	default:
-		return pyvalue.ExcUnsupported
-	}
-}
 
 func sortLints(ls []Lint) {
 	sort.SliceStable(ls, func(i, j int) bool {

@@ -170,7 +170,7 @@ func TestAlwaysRaisesAndLint(t *testing.T) {
 	res, info := analyzeScalar(t, "lambda x: 1 // 0", types.I64, Options{NullFacts: true})
 	div := findExpr(t, info.Fn, func(e pyast.Expr) bool {
 		b, ok := e.(*pyast.BinOp)
-		return ok && b.Op == "//"
+		return ok && b.Op == pyvalue.OpFloorDiv
 	})
 	k, ok := res.AlwaysRaises(div)
 	if !ok || k != pyvalue.ExcZeroDivisionError {
@@ -210,7 +210,7 @@ func TestSeededRangeElidesZeroCheck(t *testing.T) {
 	})
 	div := findExpr(t, info.Fn, func(e pyast.Expr) bool {
 		b, ok := e.(*pyast.BinOp)
-		return ok && b.Op == "//"
+		return ok && b.Op == pyvalue.OpFloorDiv
 	})
 	b := div.(*pyast.BinOp)
 	if !res.NonZero(b.Right) {
@@ -234,7 +234,7 @@ func TestTruthinessRefinement(t *testing.T) {
 	res, info := analyzeUDF(t, src, s, Options{NullFacts: true})
 	div := findExpr(t, info.Fn, func(e pyast.Expr) bool {
 		b, ok := e.(*pyast.BinOp)
-		return ok && b.Op == "//"
+		return ok && b.Op == pyvalue.OpFloorDiv
 	})
 	b := div.(*pyast.BinOp)
 	if !res.NonZero(b.Right) {
@@ -251,7 +251,7 @@ func TestOrderRefinement(t *testing.T) {
 	res, info := analyzeUDF(t, src, s, Options{NullFacts: true})
 	mod := findExpr(t, info.Fn, func(e pyast.Expr) bool {
 		b, ok := e.(*pyast.BinOp)
-		return ok && b.Op == "%"
+		return ok && b.Op == pyvalue.OpMod
 	})
 	b := mod.(*pyast.BinOp)
 	if !res.NonZero(b.Left) {
@@ -337,7 +337,7 @@ func TestRowAliasTracksFacts(t *testing.T) {
 	})
 	mul := findExpr(t, info.Fn, func(e pyast.Expr) bool {
 		b, ok := e.(*pyast.BinOp)
-		return ok && b.Op == "*"
+		return ok && b.Op == pyvalue.OpMul
 	})
 	if v, ok := res.Constant(mul); !ok || int64(v.(pyvalue.Int)) != 6 {
 		t.Fatalf("aliased row subscript should fold, got %v %v", v, ok)
@@ -353,7 +353,7 @@ func TestRowMutationKillsFacts(t *testing.T) {
 	})
 	mul := findExpr(t, info.Fn, func(e pyast.Expr) bool {
 		b, ok := e.(*pyast.BinOp)
-		return ok && b.Op == "*"
+		return ok && b.Op == pyvalue.OpMul
 	})
 	if _, ok := res.Constant(mul); ok {
 		t.Fatal("facts must not survive row mutation")
@@ -402,7 +402,7 @@ func TestLoopKillsFacts(t *testing.T) {
 	res, info := analyzeScalar(t, src, types.I64, Options{NullFacts: true})
 	div := findExpr(t, info.Fn, func(e pyast.Expr) bool {
 		b, ok := e.(*pyast.BinOp)
-		return ok && b.Op == "//"
+		return ok && b.Op == pyvalue.OpFloorDiv
 	})
 	b := div.(*pyast.BinOp)
 	if res.NonZero(b.Right) {

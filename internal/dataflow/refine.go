@@ -16,12 +16,12 @@ func (a *analyzer) refine(cond pyast.Expr, truthy bool, ev *env) {
 	case *pyast.Name, *pyast.Subscript:
 		a.refineTruth(cond, truthy, ev)
 	case *pyast.UnaryOp:
-		if cond.Op == "not" {
+		if cond.Op == pyvalue.OpNot {
 			a.refine(cond.X, !truthy, ev)
 		}
 	case *pyast.BoolOp:
 		// `a and b` true ⇒ both true; `a or b` false ⇒ both false.
-		if (cond.Op == "and" && truthy) || (cond.Op == "or" && !truthy) {
+		if truthy == (cond.Op == pyvalue.OpAnd) {
 			for _, x := range cond.Xs {
 				a.refine(x, truthy, ev)
 			}
@@ -70,19 +70,16 @@ func (a *analyzer) refineTruth(lv pyast.Expr, truthy bool, ev *env) {
 }
 
 // refineCompare narrows on a single comparison step.
-func (a *analyzer) refineCompare(op string, le, re pyast.Expr, truthy bool, ev *env) {
+func (a *analyzer) refineCompare(op pyvalue.Op, le, re pyast.Expr, truthy bool, ev *env) {
 	// Negated operators flip the branch sense.
-	switch op {
-	case "is not":
-		op, truthy = "is", !truthy
-	case "!=":
-		op, truthy = "==", !truthy
+	if op == pyvalue.OpIsNot || op == pyvalue.OpNe {
+		op, truthy = op.Negate(), !truthy
 	}
 	// None tests: `x is None` / `x == None`.
-	if op == "is" || op == "==" {
+	if op == pyvalue.OpIs || op == pyvalue.OpEq {
 		if _, rNone := re.(*pyast.NoneLit); rNone {
 			a.refineNone(le, truthy, ev)
-			if op == "is" {
+			if op == pyvalue.OpIs {
 				return
 			}
 		}
@@ -92,7 +89,7 @@ func (a *analyzer) refineCompare(op string, le, re pyast.Expr, truthy bool, ev *
 		}
 	}
 	// Equality against a literal constant pins the value.
-	if op == "==" && truthy {
+	if op == pyvalue.OpEq && truthy {
 		if c := litConst(re); c != nil {
 			a.updateLV(le, ev, func(f Fact) Fact { return meet(constFact(c), f) })
 		}
@@ -107,56 +104,30 @@ func (a *analyzer) refineCompare(op string, le, re pyast.Expr, truthy bool, ev *
 		a.refineOrder(le, op, int64(c), truthy, ev)
 	}
 	if c, ok := litConst(le).(pyvalue.Int); ok && exactKind(exprType(re), types.KindI64) {
-		a.refineOrder(re, flipOrder(op), int64(c), truthy, ev)
+		a.refineOrder(re, op.Mirror(), int64(c), truthy, ev)
 	}
-}
-
-func flipOrder(op string) string {
-	switch op {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	case ">":
-		return "<"
-	case ">=":
-		return "<="
-	}
-	return op
 }
 
 // refineOrder narrows lv under `lv op c` being truthy/falsy.
-func (a *analyzer) refineOrder(lv pyast.Expr, op string, c int64, truthy bool, ev *env) {
+func (a *analyzer) refineOrder(lv pyast.Expr, op pyvalue.Op, c int64, truthy bool, ev *env) {
 	// Reduce to one of: lv ≤ hi, lv ≥ lo.
 	var lo, hi int64
 	var hasLo, hasHi bool
-	eff := op
 	if !truthy {
-		switch op {
-		case "<":
-			eff = ">="
-		case "<=":
-			eff = ">"
-		case ">":
-			eff = "<="
-		case ">=":
-			eff = "<"
-		default:
-			return
-		}
+		op = op.Negate()
 	}
-	switch eff {
-	case "<":
+	switch op {
+	case pyvalue.OpLt:
 		if v, ok := subOv(c, 1); ok {
 			hi, hasHi = v, true
 		}
-	case "<=":
+	case pyvalue.OpLe:
 		hi, hasHi = c, true
-	case ">":
+	case pyvalue.OpGt:
 		if v, ok := addOv(c, 1); ok {
 			lo, hasLo = v, true
 		}
-	case ">=":
+	case pyvalue.OpGe:
 		lo, hasLo = c, true
 	default:
 		return
@@ -219,7 +190,7 @@ func litConst(e pyast.Expr) pyvalue.Value {
 	case *pyast.NoneLit:
 		return pyvalue.None{}
 	case *pyast.UnaryOp:
-		if e.Op == "-" {
+		if e.Op == pyvalue.OpSub {
 			if n, ok := e.X.(*pyast.NumLit); ok {
 				if n.IsFloat {
 					return pyvalue.Float(-n.F)

@@ -2,6 +2,7 @@ package inference
 
 import (
 	"github.com/gotuplex/tuplex/internal/pyast"
+	"github.com/gotuplex/tuplex/internal/pyvalue"
 	"github.com/gotuplex/tuplex/internal/types"
 )
 
@@ -151,7 +152,7 @@ func ConstIntIndex(e pyast.Expr) (int, bool) {
 			return int(e.I), true
 		}
 	case *pyast.UnaryOp:
-		if e.Op == "-" {
+		if e.Op == pyvalue.OpSub {
 			if lit, ok := e.X.(*pyast.NumLit); ok && !lit.IsFloat {
 				return -int(lit.I), true
 			}
@@ -176,17 +177,25 @@ func numKind(ty types.Type) int {
 	}
 }
 
-func (t *typer) binOpType(n pyast.Node, op string, l, r types.Type) types.Type {
+// binOpType is the result type of l op r, or a failure: the raise of
+// the boxed pyvalue.Binary where the operand types decide it.
+func (t *typer) binOpType(n pyast.Node, op pyvalue.Op, l, r types.Type) types.Type {
 	lu, ru := l.Unwrap(), r.Unwrap()
 	lk, rk := numKind(l), numKind(r)
-	switch op {
-	case "+":
-		if lk > 0 && rk > 0 {
-			if lk == 3 || rk == 3 {
-				return types.F64
-			}
+	switch {
+	case op.IntOnly():
+		if lk > 0 && lk < 3 && rk > 0 && rk < 3 {
 			return types.I64
 		}
+	case op.IsBinary() && lk > 0 && rk > 0:
+		// int ** int: non-negative exponents yield int — the normal
+		// case the paper establishes by sample tracing. Negative
+		// exponents raise to the general path at runtime.
+		if op == pyvalue.OpDiv || lk == 3 || rk == 3 {
+			return types.F64
+		}
+		return types.I64
+	case op == pyvalue.OpAdd:
 		if lu.Kind() == types.KindStr && ru.Kind() == types.KindStr {
 			return types.Str
 		}
@@ -200,82 +209,28 @@ func (t *typer) binOpType(n pyast.Node, op string, l, r types.Type) types.Type {
 		if lu.Kind() == types.KindTuple && ru.Kind() == types.KindTuple {
 			return types.Tuple(append(append([]types.Type{}, lu.Elts()...), ru.Elts()...)...)
 		}
-		return t.fail(n, "TypeError", "unsupported operand type(s) for +: %s and %s", l, r)
-	case "-":
-		if lk > 0 && rk > 0 {
-			if lk == 3 || rk == 3 {
-				return types.F64
-			}
-			return types.I64
-		}
-		return t.fail(n, "TypeError", "unsupported operand type(s) for -: %s and %s", l, r)
-	case "*":
-		if lk > 0 && rk > 0 {
-			if lk == 3 || rk == 3 {
-				return types.F64
-			}
-			return types.I64
-		}
-		if lu.Kind() == types.KindStr && rk > 0 && rk < 3 {
-			return types.Str
-		}
-		if ru.Kind() == types.KindStr && lk > 0 && lk < 3 {
+	case op == pyvalue.OpMul:
+		if lu.Kind() == types.KindStr && rk > 0 && rk < 3 || ru.Kind() == types.KindStr && lk > 0 && lk < 3 {
 			return types.Str
 		}
 		if lu.Kind() == types.KindList && rk > 0 && rk < 3 {
 			return lu
 		}
-		return t.fail(n, "TypeError", "unsupported operand type(s) for *: %s and %s", l, r)
-	case "/":
-		if lk > 0 && rk > 0 {
-			return types.F64
-		}
-		return t.fail(n, "TypeError", "unsupported operand type(s) for /: %s and %s", l, r)
-	case "//":
-		if lk > 0 && rk > 0 {
-			if lk == 3 || rk == 3 {
-				return types.F64
-			}
-			return types.I64
-		}
-		return t.fail(n, "TypeError", "unsupported operand type(s) for //: %s and %s", l, r)
-	case "%":
+	case op == pyvalue.OpMod:
 		if lu.Kind() == types.KindStr {
 			return types.Str // printf-style formatting
 		}
-		if lk > 0 && rk > 0 {
-			if lk == 3 || rk == 3 {
-				return types.F64
-			}
-			return types.I64
-		}
-		return t.fail(n, "TypeError", "unsupported operand type(s) for %%: %s and %s", l, r)
-	case "**":
-		if lk > 0 && rk > 0 {
-			if lk == 3 || rk == 3 {
-				return types.F64
-			}
-			// int ** int: non-negative exponents yield int — the normal
-			// case the paper establishes by sample tracing. Negative
-			// exponents raise to the general path at runtime.
-			return types.I64
-		}
-		return t.fail(n, "TypeError", "unsupported operand type(s) for **: %s and %s", l, r)
-	case "&", "|", "^", "<<", ">>":
-		if lk > 0 && lk < 3 && rk > 0 && rk < 3 {
-			return types.I64
-		}
-		return t.fail(n, "TypeError", "unsupported operand type(s) for %s: %s and %s", op, l, r)
-	default:
+	case !op.IsBinary():
 		return t.fail(n, "", "unsupported operator %q", op)
 	}
+	return t.fail(n, "TypeError", "unsupported operand type(s) for %s: %s and %s", op, l, r)
 }
 
-func (t *typer) unaryOpType(n pyast.Node, op string, v types.Type) types.Type {
+func (t *typer) unaryOpType(n pyast.Node, op pyvalue.Op, v types.Type) types.Type {
 	switch op {
-	case "not":
+	case pyvalue.OpNot:
 		return types.Bool
-	case "-", "+":
+	case pyvalue.OpSub, pyvalue.OpAdd:
 		switch numKind(v) {
 		case 1, 2:
 			return types.I64
@@ -283,7 +238,7 @@ func (t *typer) unaryOpType(n pyast.Node, op string, v types.Type) types.Type {
 			return types.F64
 		}
 		return t.fail(n, "TypeError", "bad operand type for unary %s: %s", op, v)
-	case "~":
+	case pyvalue.OpInvert:
 		if k := numKind(v); k == 1 || k == 2 {
 			return types.I64
 		}
@@ -293,11 +248,9 @@ func (t *typer) unaryOpType(n pyast.Node, op string, v types.Type) types.Type {
 	}
 }
 
-func (t *typer) checkComparable(n pyast.Node, op string, l, r types.Type) {
-	switch op {
-	case "==", "!=", "is", "is not":
-		return // always defined
-	case "in", "not in":
+func (t *typer) checkComparable(n pyast.Node, op pyvalue.Op, l, r types.Type) {
+	switch {
+	case op == pyvalue.OpIn || op == pyvalue.OpNotIn:
 		ru := r.Unwrap()
 		switch ru.Kind() {
 		case types.KindStr:
@@ -308,8 +261,7 @@ func (t *typer) checkComparable(n pyast.Node, op string, l, r types.Type) {
 		default:
 			t.fail(n, "TypeError", "argument of type %s is not iterable", r)
 		}
-		return
-	default: // ordering
+	case op.IsOrder():
 		lu, ru := l.Unwrap(), r.Unwrap()
 		if numKind(l) > 0 && numKind(r) > 0 {
 			return
@@ -322,6 +274,7 @@ func (t *typer) checkComparable(n pyast.Node, op string, l, r types.Type) {
 		}
 		t.fail(n, "TypeError", "%q not supported between %s and %s", op, l, r)
 	}
+	// == != is and is not are always defined.
 }
 
 func (t *typer) subscriptType(x *pyast.Subscript, env scope) types.Type {

@@ -178,8 +178,8 @@ func (t *typer) stmt(s pyast.Stmt, env scope) types.Type {
 	case *pyast.AugAssign:
 		cur := t.expr(s.Target, env)
 		rhs := t.expr(s.Value, env)
-		res := t.binOpType(s, s.Op, cur, rhs)
-		t.assign(s.Target, res, env)
+		s.Ty = t.binOpType(s, s.Op, cur, rhs)
+		t.assign(s.Target, s.Ty, env)
 		return types.Type{}
 	case *pyast.Return:
 		if s.X == nil {

@@ -373,7 +373,7 @@ func sortedBuiltin(args []pyvalue.Value) (pyvalue.Value, error) {
 	// unorderable pairs); n is small in UDF usage.
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0; j-- {
-			lt, err := pyvalue.Compare("<", out[j], out[j-1])
+			lt, err := pyvalue.Compare(pyvalue.OpLt, out[j], out[j-1])
 			if err != nil {
 				return nil, err
 			}

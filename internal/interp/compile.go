@@ -164,7 +164,7 @@ func (bc *bcompiler) compileStmt(s pyast.Stmt) (bstmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			return binOp(op, a, b)
+			return pyvalue.Binary(op, a, b)
 		}
 		return bc.compileAssign(s.Target, comb)
 	case *pyast.Return:
@@ -444,7 +444,7 @@ func (bc *bcompiler) compileExpr(x pyast.Expr) (bexpr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return binOp(op, a, b)
+			return pyvalue.Binary(op, a, b)
 		}, nil
 	case *pyast.UnaryOp:
 		sub, err := bc.compileExpr(x.X)
@@ -457,7 +457,7 @@ func (bc *bcompiler) compileExpr(x pyast.Expr) (bexpr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return unaryOp(op, v)
+			return pyvalue.Unary(op, v)
 		}, nil
 	case *pyast.Compare:
 		first, err := bc.compileExpr(x.First)
@@ -495,7 +495,7 @@ func (bc *bcompiler) compileExpr(x pyast.Expr) (bexpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		isAnd := x.Op == "and"
+		isOr := x.Op == pyvalue.OpOr
 		return func(fr *bframe) (pyvalue.Value, error) {
 			var v pyvalue.Value
 			var err error
@@ -507,10 +507,7 @@ func (bc *bcompiler) compileExpr(x pyast.Expr) (bexpr, error) {
 				if i == len(subs)-1 {
 					break
 				}
-				if isAnd && !pyvalue.Truth(v) {
-					return v, nil
-				}
-				if !isAnd && pyvalue.Truth(v) {
+				if pyvalue.Truth(v) == isOr {
 					return v, nil
 				}
 			}

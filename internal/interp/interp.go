@@ -10,8 +10,10 @@
 //   - Trace: warmup-counted trace compilation with per-call type guards
 //     and deopt (the PyPy tracing-JIT analog).
 //
-// All modes share pyvalue's Python semantics, so they are interchangeable
-// oracles for the compiled fast path.
+// All modes share pyvalue's Python semantics, and apply every operator
+// through pyvalue.Binary, Unary and Compare (the dispatch the compiled
+// paths' boxed closures and dataflow's constant folds call too), so they
+// are interchangeable oracles for the compiled fast path.
 package interp
 
 import (
@@ -132,7 +134,7 @@ func (e *env) exec(s pyast.Stmt) (ctl, pyvalue.Value, error) {
 		if err != nil {
 			return ctlNext, nil, err
 		}
-		v, err := binOp(s.Op, cur, rhs)
+		v, err := pyvalue.Binary(s.Op, cur, rhs)
 		if err != nil {
 			return ctlNext, nil, err
 		}
@@ -316,13 +318,13 @@ func (e *env) eval(x pyast.Expr) (pyvalue.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		return binOp(x.Op, l, r)
+		return pyvalue.Binary(x.Op, l, r)
 	case *pyast.UnaryOp:
 		v, err := e.eval(x.X)
 		if err != nil {
 			return nil, err
 		}
-		return unaryOp(x.Op, v)
+		return pyvalue.Unary(x.Op, v)
 	case *pyast.Compare:
 		left, err := e.eval(x.First)
 		if err != nil {
@@ -355,10 +357,7 @@ func (e *env) eval(x pyast.Expr) (pyvalue.Value, error) {
 			if last {
 				return v, nil
 			}
-			if x.Op == "and" && !pyvalue.Truth(v) {
-				return v, nil
-			}
-			if x.Op == "or" && pyvalue.Truth(v) {
+			if pyvalue.Truth(v) == (x.Op == pyvalue.OpOr) {
 				return v, nil
 			}
 		}
@@ -515,50 +514,4 @@ func (e *env) evalAll(xs []pyast.Expr) ([]pyvalue.Value, error) {
 		items[i] = v
 	}
 	return items, nil
-}
-
-func binOp(op string, l, r pyvalue.Value) (pyvalue.Value, error) {
-	switch op {
-	case "+":
-		return pyvalue.Add(l, r)
-	case "-":
-		return pyvalue.Sub(l, r)
-	case "*":
-		return pyvalue.Mul(l, r)
-	case "/":
-		return pyvalue.TrueDiv(l, r)
-	case "//":
-		return pyvalue.FloorDiv(l, r)
-	case "%":
-		return pyvalue.Mod(l, r)
-	case "**":
-		return pyvalue.Pow(l, r)
-	case "&":
-		return pyvalue.BitAnd(l, r)
-	case "|":
-		return pyvalue.BitOr(l, r)
-	case "^":
-		return pyvalue.BitXor(l, r)
-	case "<<":
-		return pyvalue.LShift(l, r)
-	case ">>":
-		return pyvalue.RShift(l, r)
-	default:
-		return nil, pyvalue.Raise(pyvalue.ExcUnsupported, "operator %q", op)
-	}
-}
-
-func unaryOp(op string, v pyvalue.Value) (pyvalue.Value, error) {
-	switch op {
-	case "-":
-		return pyvalue.Neg(v)
-	case "+":
-		return pyvalue.Pos(v)
-	case "~":
-		return pyvalue.Invert(v)
-	case "not":
-		return pyvalue.Not(v), nil
-	default:
-		return nil, pyvalue.Raise(pyvalue.ExcUnsupported, "unary operator %q", op)
-	}
 }

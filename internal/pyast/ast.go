@@ -3,6 +3,7 @@ package pyast
 import (
 	"strings"
 
+	"github.com/gotuplex/tuplex/internal/pyvalue"
 	"github.com/gotuplex/tuplex/internal/types"
 )
 
@@ -88,14 +89,15 @@ type Name struct {
 // BinOp is a binary arithmetic/bit operation (+ - * / // % ** & | ^ << >>).
 type BinOp struct {
 	exprBase
-	Op          string
+	Op          pyvalue.Op
 	Left, Right Expr
 }
 
-// UnaryOp is -x, +x, ~x or not x.
+// UnaryOp is -x, +x, ~x or not x (Op is OpSub, OpAdd, OpInvert or
+// OpNot).
 type UnaryOp struct {
 	exprBase
-	Op string
+	Op pyvalue.Op
 	X  Expr
 }
 
@@ -104,14 +106,14 @@ type UnaryOp struct {
 type Compare struct {
 	exprBase
 	First Expr
-	Ops   []string
+	Ops   []pyvalue.Op
 	Rest  []Expr
 }
 
 // BoolOp is "and"/"or" over two or more operands with short-circuiting.
 type BoolOp struct {
 	exprBase
-	Op string // "and" or "or"
+	Op pyvalue.Op // OpAnd or OpOr
 	Xs []Expr
 }
 
@@ -213,8 +215,10 @@ type Assign struct {
 type AugAssign struct {
 	stmtBase
 	Target Expr
-	Op     string // the arithmetic op without '='
+	Op     pyvalue.Op // the arithmetic op without '='
 	Value  Expr
+	// Ty is the type of `target op value`, set by type inference.
+	Ty types.Type
 }
 
 // If is an if/elif/else chain; elifs are nested Ifs in Else.
@@ -457,25 +461,25 @@ func dump(sb *strings.Builder, n Node) {
 	case *Name:
 		sb.WriteString(n.Ident)
 	case *BinOp:
-		sb.WriteString("(" + n.Op + " ")
+		sb.WriteString("(" + n.Op.String() + " ")
 		dump(sb, n.Left)
 		sb.WriteString(" ")
 		dump(sb, n.Right)
 		sb.WriteString(")")
 	case *UnaryOp:
-		sb.WriteString("(" + n.Op + " ")
+		sb.WriteString("(" + n.Op.String() + " ")
 		dump(sb, n.X)
 		sb.WriteString(")")
 	case *Compare:
 		sb.WriteString("(cmp ")
 		dump(sb, n.First)
 		for i, op := range n.Ops {
-			sb.WriteString(" " + op + " ")
+			sb.WriteString(" " + op.String() + " ")
 			dump(sb, n.Rest[i])
 		}
 		sb.WriteString(")")
 	case *BoolOp:
-		sb.WriteString("(" + n.Op)
+		sb.WriteString("(" + n.Op.String())
 		for _, x := range n.Xs {
 			sb.WriteString(" ")
 			dump(sb, x)
@@ -546,7 +550,7 @@ func dump(sb *strings.Builder, n Node) {
 		dump(sb, n.Value)
 		sb.WriteString(")")
 	case *AugAssign:
-		sb.WriteString("(" + n.Op + "= ")
+		sb.WriteString("(" + n.Op.String() + "= ")
 		dump(sb, n.Target)
 		sb.WriteString(" ")
 		dump(sb, n.Value)

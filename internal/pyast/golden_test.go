@@ -386,7 +386,12 @@ func renderNode(sb *strings.Builder, n Node, depth int) {
 		line("%q", n.Op)
 		kids(n.X)
 	case *Compare:
-		line("%q", n.Ops)
+		// %q of a []pyvalue.Op would print it as bytes: spell each op.
+		ops := make([]string, len(n.Ops))
+		for i, op := range n.Ops {
+			ops[i] = op.String()
+		}
+		line("%q", ops)
 		kids(n.First)
 		exprs(n.Rest)
 	case *BoolOp:

@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"github.com/gotuplex/tuplex/internal/pyvalue"
 )
 
 // parser is a recursive-descent parser over the token stream. Binary
@@ -195,11 +197,18 @@ func (p *parser) parseStmt() (Stmt, error) {
 	return p.parseSimpleStmt()
 }
 
-// augOps maps the augmented assignments of the subset to their
-// arithmetic operator; the bitwise ones are not in the subset.
-var augOps = [numOpcodes]string{
-	opAddEq: "+", opSubEq: "-", opMulEq: "*", opDivEq: "/",
-	opFloorDivEq: "//", opModEq: "%", opPowEq: "**",
+// tokOps maps each operator token to the operator it applies, and each
+// augmented assignment of the subset to its arithmetic operator (the
+// bitwise ones are not in the subset).
+var tokOps = [numOpcodes]pyvalue.Op{
+	opBitOr: pyvalue.OpBitOr, opBitXor: pyvalue.OpBitXor, opBitAnd: pyvalue.OpBitAnd,
+	opLShift: pyvalue.OpLShift, opRShift: pyvalue.OpRShift,
+	opAdd: pyvalue.OpAdd, opSub: pyvalue.OpSub, opMul: pyvalue.OpMul, opDiv: pyvalue.OpDiv,
+	opFloorDiv: pyvalue.OpFloorDiv, opMod: pyvalue.OpMod, opPow: pyvalue.OpPow, opInvert: pyvalue.OpInvert,
+	opEq: pyvalue.OpEq, opNe: pyvalue.OpNe, opLt: pyvalue.OpLt, opLe: pyvalue.OpLe, opGt: pyvalue.OpGt, opGe: pyvalue.OpGe,
+	opAddEq: pyvalue.OpAdd, opSubEq: pyvalue.OpSub, opMulEq: pyvalue.OpMul, opDivEq: pyvalue.OpDiv,
+	opFloorDivEq: pyvalue.OpFloorDiv, opModEq: pyvalue.OpMod, opPowEq: pyvalue.OpPow,
+	kwAnd: pyvalue.OpAnd, kwOr: pyvalue.OpOr, kwNot: pyvalue.OpNot, kwIn: pyvalue.OpIn, kwIs: pyvalue.OpIs,
 }
 
 func (p *parser) parseSimpleStmt() (Stmt, error) {
@@ -209,7 +218,8 @@ func (p *parser) parseSimpleStmt() (Stmt, error) {
 		return nil, err
 	}
 	// Augmented assignment.
-	if op := augOps[p.cur().op]; op != "" {
+	if t := p.cur().op; t >= opAddEq && t <= opRShiftEq && tokOps[t] != pyvalue.OpNone {
+		op := tokOps[t]
 		p.next()
 		rhs, err := p.parseExprOrTuple()
 		if err != nil {
@@ -507,7 +517,7 @@ func (p *parser) parseBoolChain(kw opcode, sub func() (Expr, error)) (Expr, erro
 		}
 		xs = append(xs, y)
 	}
-	return &BoolOp{exprBase: p.node(pos), Op: opText[kw], Xs: xs}, nil
+	return &BoolOp{exprBase: p.node(pos), Op: tokOps[kw], Xs: xs}, nil
 }
 
 func (p *parser) parseNot() (Expr, error) {
@@ -517,7 +527,7 @@ func (p *parser) parseNot() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryOp{exprBase: p.node(pos), Op: "not", X: x}, nil
+		return &UnaryOp{exprBase: p.node(pos), Op: pyvalue.OpNot, X: x}, nil
 	}
 	return p.parseComparison()
 }
@@ -527,31 +537,27 @@ func (p *parser) parseComparison() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ops []string
+	var ops []pyvalue.Op
 	var rest []Expr
 	pos := p.cur().Pos()
 	for {
-		var op string
+		var op pyvalue.Op
 		switch t := p.cur(); t.op {
-		case opEq, opNe, opLt, opLe, opGt, opGe:
-			op = opText[t.op]
+		case opEq, opNe, opLt, opLe, opGt, opGe, kwIn:
+			op = tokOps[t.op]
 			p.pos++
-		case kwIn:
-			p.pos++
-			op = "in"
 		case kwNot:
 			// "not in"
 			p.pos++
 			if err := p.expectOp(kwIn); err != nil {
 				return nil, err
 			}
-			op = "not in"
+			op = pyvalue.OpNotIn
 		case kwIs:
 			p.pos++
+			op = pyvalue.OpIs
 			if p.acceptOp(kwNot) {
-				op = "is not"
-			} else {
-				op = "is"
+				op = pyvalue.OpIsNot
 			}
 		default:
 			if len(ops) == 0 {
@@ -595,7 +601,7 @@ func (p *parser) parseBinary(minPrec uint8) (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		x = &BinOp{exprBase: p.node(t.Pos()), Op: opText[t.op], Left: x, Right: y}
+		x = &BinOp{exprBase: p.node(t.Pos()), Op: tokOps[t.op], Left: x, Right: y}
 	}
 }
 
@@ -606,7 +612,7 @@ func (p *parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryOp{exprBase: p.node(pos), Op: opText[op], X: x}, nil
+		return &UnaryOp{exprBase: p.node(pos), Op: tokOps[op], X: x}, nil
 	}
 	return p.parsePower()
 }
@@ -624,7 +630,7 @@ func (p *parser) parsePower() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &BinOp{exprBase: p.node(pos), Op: "**", Left: x, Right: y}, nil
+		return &BinOp{exprBase: p.node(pos), Op: pyvalue.OpPow, Left: x, Right: y}, nil
 	}
 	return x, nil
 }

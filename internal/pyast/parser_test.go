@@ -3,6 +3,8 @@ package pyast
 import (
 	"strings"
 	"testing"
+
+	"github.com/gotuplex/tuplex/internal/pyvalue"
 )
 
 func mustParseUDF(t *testing.T, src string) *Function {
@@ -27,7 +29,7 @@ func TestParseLambdaSimple(t *testing.T) {
 		t.Fatalf("body[0] = %T", fn.Body[0])
 	}
 	bin, ok := ret.X.(*BinOp)
-	if !ok || bin.Op != "*" {
+	if !ok || bin.Op != pyvalue.OpMul {
 		t.Fatalf("ret.X = %s", Dump(ret.X))
 	}
 }
@@ -58,7 +60,7 @@ func TestParseChainedComparison(t *testing.T) {
 	if !ok || len(cmp.Ops) != 2 {
 		t.Fatalf("ret.X = %s", Dump(ret.X))
 	}
-	if cmp.Ops[0] != "<" || cmp.Ops[1] != "<=" {
+	if cmp.Ops[0] != pyvalue.OpLt || cmp.Ops[1] != pyvalue.OpLe {
 		t.Fatalf("ops = %v", cmp.Ops)
 	}
 }
@@ -186,7 +188,7 @@ func TestParsePercentFormat(t *testing.T) {
 	fn := mustParseUDF(t, "lambda x: '%05d' % int(x['postal_code'])")
 	ret := fn.Body[0].(*Return)
 	bin, ok := ret.X.(*BinOp)
-	if !ok || bin.Op != "%" {
+	if !ok || bin.Op != pyvalue.OpMod {
 		t.Fatalf("ret = %s", Dump(ret.X))
 	}
 }
@@ -195,11 +197,11 @@ func TestParseInOperator(t *testing.T) {
 	fn := mustParseUDF(t, "lambda t: 'condo' in t or 'apartment' in t")
 	ret := fn.Body[0].(*Return)
 	bo, ok := ret.X.(*BoolOp)
-	if !ok || bo.Op != "or" || len(bo.Xs) != 2 {
+	if !ok || bo.Op != pyvalue.OpOr || len(bo.Xs) != 2 {
 		t.Fatalf("ret = %s", Dump(ret.X))
 	}
 	cmp := bo.Xs[0].(*Compare)
-	if cmp.Ops[0] != "in" {
+	if cmp.Ops[0] != pyvalue.OpIn {
 		t.Fatalf("op = %v", cmp.Ops)
 	}
 }
@@ -207,7 +209,7 @@ func TestParseInOperator(t *testing.T) {
 func TestParseNotIn(t *testing.T) {
 	fn := mustParseUDF(t, "lambda x: x not in ('a', 'b')")
 	cmp := fn.Body[0].(*Return).X.(*Compare)
-	if cmp.Ops[0] != "not in" {
+	if cmp.Ops[0] != pyvalue.OpNotIn {
 		t.Fatalf("op = %v", cmp.Ops)
 	}
 }
@@ -331,10 +333,10 @@ func TestParseOperatorPrecedence(t *testing.T) {
 		t.Fatal(err)
 	}
 	top := e.(*BinOp)
-	if top.Op != "+" {
+	if top.Op != pyvalue.OpAdd {
 		t.Fatalf("top = %q", top.Op)
 	}
-	if r, ok := top.Right.(*BinOp); !ok || r.Op != "*" {
+	if r, ok := top.Right.(*BinOp); !ok || r.Op != pyvalue.OpMul {
 		t.Fatalf("precedence wrong: %s", Dump(e))
 	}
 }
@@ -346,7 +348,7 @@ func TestParseUnaryMinusPrecedence(t *testing.T) {
 	}
 	// -x**2 is -(x**2) in Python.
 	top, ok := e.(*UnaryOp)
-	if !ok || top.Op != "-" {
+	if !ok || top.Op != pyvalue.OpSub {
 		t.Fatalf("got %s", Dump(e))
 	}
 	if _, ok := top.X.(*BinOp); !ok {

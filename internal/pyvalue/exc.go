@@ -71,6 +71,17 @@ func (k ExcKind) String() string {
 	}
 }
 
+// ExcNamed is the kind of the Python exception class name, or
+// ExcUnsupported for a name no kind spells ("" included).
+func ExcNamed(name string) ExcKind {
+	for k := ExcTypeError; k <= ExcNameError; k++ {
+		if k.String() == name {
+			return k
+		}
+	}
+	return ExcUnsupported
+}
+
 // Exc is a raised Python exception. It implements error; the engine
 // propagates it as a return code rather than a Go panic.
 type Exc struct {

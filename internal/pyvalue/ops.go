@@ -243,32 +243,32 @@ func IPow(base, exp int64) int64 { return ipow(base, exp) }
 
 // BitAnd, BitOr, BitXor, LShift, RShift implement the integer bit ops.
 func BitAnd(a, b Value) (Value, error) {
-	return bitOp("&", a, b, func(x, y int64) int64 { return x & y })
+	return bitOp(OpBitAnd, a, b, func(x, y int64) int64 { return x & y })
 }
 
 // BitOr implements Python |.
 func BitOr(a, b Value) (Value, error) {
-	return bitOp("|", a, b, func(x, y int64) int64 { return x | y })
+	return bitOp(OpBitOr, a, b, func(x, y int64) int64 { return x | y })
 }
 
 // BitXor implements Python ^.
 func BitXor(a, b Value) (Value, error) {
-	return bitOp("^", a, b, func(x, y int64) int64 { return x ^ y })
+	return bitOp(OpBitXor, a, b, func(x, y int64) int64 { return x ^ y })
 }
 
 // LShift implements Python <<.
-func LShift(a, b Value) (Value, error) { return shift("<<", a, b) }
+func LShift(a, b Value) (Value, error) { return shift(OpLShift, a, b) }
 
 // RShift implements Python >>.
-func RShift(a, b Value) (Value, error) { return shift(">>", a, b) }
+func RShift(a, b Value) (Value, error) { return shift(OpRShift, a, b) }
 
-func shift(op string, a, b Value) (Value, error) {
+func shift(op Op, a, b Value) (Value, error) {
 	x, aok := asInt(a)
 	y, bok := asInt(b)
 	if !aok || !bok {
-		return nil, binTypeError(op, a, b)
+		return nil, binTypeError(op.String(), a, b)
 	}
-	n, k := ShiftInt(op == "<<", x, y)
+	n, k := ShiftInt(op == OpLShift, x, y)
 	if k != ExcOK {
 		return nil, Raise(k, "negative shift count")
 	}
@@ -288,11 +288,11 @@ func ShiftInt(left bool, x, y int64) (int64, ExcKind) {
 	return x >> uint64(y), ExcOK
 }
 
-func bitOp(op string, a, b Value, f func(x, y int64) int64) (Value, error) {
+func bitOp(op Op, a, b Value, f func(x, y int64) int64) (Value, error) {
 	x, aok := asInt(a)
 	y, bok := asInt(b)
 	if !aok || !bok {
-		return nil, binTypeError(op, a, b)
+		return nil, binTypeError(op.String(), a, b)
 	}
 	return Int(f(x, y)), nil
 }
@@ -340,26 +340,28 @@ func Invert(v Value) (Value, error) {
 // Not implements `not v`.
 func Not(v Value) Value { return Bool(!Truth(v)) }
 
-// Compare implements a single comparison step. op is one of
-// == != < <= > >= in "not in" is "is not".
-func Compare(op string, a, b Value) (Value, error) {
+// Compare applies the comparison op (one link of a chain) to a and b.
+func Compare(op Op, a, b Value) (Value, error) {
 	switch op {
-	case "==":
+	case OpEq:
 		return Bool(Equal(a, b)), nil
-	case "!=":
+	case OpNe:
 		return Bool(!Equal(a, b)), nil
-	case "is":
+	case OpIs:
 		return Bool(is(a, b)), nil
-	case "is not":
+	case OpIsNot:
 		return Bool(!is(a, b)), nil
-	case "in":
+	case OpIn:
 		return Contains(b, a)
-	case "not in":
+	case OpNotIn:
 		v, err := Contains(b, a)
 		if err != nil {
 			return nil, err
 		}
 		return Bool(!bool(v.(Bool))), nil
+	}
+	if !op.IsOrder() {
+		return nil, Raise(ExcUnsupported, "comparison operator %s", op)
 	}
 	if isNaN(a) && IsNumeric(b) || isNaN(b) && IsNumeric(a) {
 		// NaN is unordered: every ordering against it is false, which
@@ -371,16 +373,14 @@ func Compare(op string, a, b Value) (Value, error) {
 		return nil, err
 	}
 	switch op {
-	case "<":
+	case OpLt:
 		return Bool(c < 0), nil
-	case "<=":
+	case OpLe:
 		return Bool(c <= 0), nil
-	case ">":
+	case OpGt:
 		return Bool(c > 0), nil
-	case ">=":
-		return Bool(c >= 0), nil
 	}
-	return nil, Raise(ExcTypeError, "unknown comparison operator %q", op)
+	return Bool(c >= 0), nil
 }
 
 // is approximates Python identity: exact for None/bool, value identity
@@ -405,7 +405,7 @@ func isNaN(v Value) bool {
 // order returns -1/0/1 for orderable pairs and a TypeError otherwise.
 // Two ints order exactly, as in Python; other numeric pairs through
 // float64.
-func order(a, b Value, op string) (int, error) {
+func order(a, b Value, op Op) (int, error) {
 	if x, ok := a.(Int); ok {
 		if y, ok := b.(Int); ok {
 			return cmp.Compare(x, y), nil
@@ -438,10 +438,10 @@ func order(a, b Value, op string) (int, error) {
 			return orderSeq(x.Items, y.Items, op)
 		}
 	}
-	return 0, Raise(ExcTypeError, "%q not supported between instances of %q and %q", op, TypeName(a), TypeName(b))
+	return 0, Raise(ExcTypeError, "%q not supported between instances of %q and %q", op.String(), TypeName(a), TypeName(b))
 }
 
-func orderSeq(a, b []Value, op string) (int, error) {
+func orderSeq(a, b []Value, op Op) (int, error) {
 	for i := 0; i < len(a) && i < len(b); i++ {
 		if Equal(a[i], b[i]) {
 			continue
@@ -823,7 +823,7 @@ func MinMax(args []Value, wantMax bool) (Value, error) {
 	}
 	best := items[0]
 	for _, it := range items[1:] {
-		c, err := order(it, best, "<")
+		c, err := order(it, best, OpLt)
 		if err != nil {
 			return nil, err
 		}

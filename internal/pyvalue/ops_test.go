@@ -96,20 +96,20 @@ func TestStringRepeat(t *testing.T) {
 }
 
 func TestCompareMixedNumeric(t *testing.T) {
-	v, err := Compare("<", Int(1), Float(1.5))
+	v, err := Compare(OpLt, Int(1), Float(1.5))
 	wantVal(t, v, err, Bool(true))
-	v, err = Compare("==", Int(1), Float(1.0))
+	v, err = Compare(OpEq, Int(1), Float(1.0))
 	wantVal(t, v, err, Bool(true))
-	v, err = Compare("==", Str("1"), Int(1))
+	v, err = Compare(OpEq, Str("1"), Int(1))
 	wantVal(t, v, err, Bool(false)) // cross-type == is False, not an error
-	_, err = Compare("<", Str("a"), Int(1))
+	_, err = Compare(OpLt, Str("a"), Int(1))
 	wantExc(t, err, ExcTypeError) // cross-type < raises
 }
 
 func TestCompareStrings(t *testing.T) {
-	v, err := Compare("<", Str("abc"), Str("abd"))
+	v, err := Compare(OpLt, Str("abc"), Str("abd"))
 	wantVal(t, v, err, Bool(true))
-	v, err = Compare(">=", Str("b"), Str("ab"))
+	v, err = Compare(OpGe, Str("b"), Str("ab"))
 	wantVal(t, v, err, Bool(true))
 }
 

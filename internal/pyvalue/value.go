@@ -6,6 +6,10 @@
 // make interpreted Python slow; the compiled paths use unboxed slots
 // instead (see internal/codegen).
 //
+// Every Python operator is an Op code, which the parser stores in the
+// AST and every tier dispatches on; Binary, Unary and Compare are the
+// one boxed implementation of the operators (op.go).
+//
 // Deviations from CPython, documented per the paper's own prototype
 // scope: integers are 64-bit (no big ints), dict keys are strings, and
 // unsupported library surface raises ExcUnsupported which routes the row

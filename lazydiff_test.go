@@ -101,14 +101,14 @@ var lazyPlans = []struct {
 		}
 		return res, string(res.CSV), nil
 	}},
-	{"filter-bail", true, func(_ *tuplex.Context, ds *tuplex.DataSet) (*tuplex.Result, string, error) {
+	{"filter-bail", false, func(_ *tuplex.Context, ds *tuplex.DataSet) (*tuplex.Result, string, error) {
 		res, err := ds.Filter(tuplex.UDF("lambda r: r['l_shipdate'] < 300 and r['l_extendedprice'] / r['l_discount'] > 400000.0")).ToCSV("")
 		if err != nil {
 			return nil, "", err
 		}
 		return res, string(res.CSV), nil
 	}},
-	{"filter-guard", true, func(_ *tuplex.Context, ds *tuplex.DataSet) (*tuplex.Result, string, error) {
+	{"filter-guard", false, func(_ *tuplex.Context, ds *tuplex.DataSet) (*tuplex.Result, string, error) {
 		// The sample puts l_quantity in [1, 50], so the division skips
 		// its zero test under a guard that reads l_quantity at every row.
 		res, err := ds.Filter(tuplex.UDF("lambda r: r['l_shipdate'] < 300 and r['l_extendedprice'] / r['l_quantity'] > 950.0")).ToCSV("")

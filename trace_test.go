@@ -306,3 +306,27 @@ func TestTraceString(t *testing.T) {
 		t.Fatalf("nil trace String = %q", empty.String())
 	}
 }
+
+// TestTraceSampleExcEvaluatesOperandsFirst: an operator inference rejects
+// (str - int) still evaluates its operands first, so the normal path
+// raises the ZeroDivisionError of 1 // 0, as the general path does; the
+// trace's sample names the exception the normal path raised.
+func TestTraceSampleExcEvaluatesOperandsFirst(t *testing.T) {
+	c := NewContext(WithTracing(TraceSamples))
+	res, err := c.Parallelize([][]any{{"s", 0, true}}, []string{"t", "a", "h"}).
+		Map(UDF("lambda r: (r['t'] - (1 // r['a'])) if r['h'] else r['a']")).
+		Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Failed) != 1 || res.Failed[0].Exc != ZeroDivisionError {
+		t.Fatalf("failed rows = %+v, want one ZeroDivisionError", res.Failed)
+	}
+	var samples []ExceptionSample
+	for _, st := range findSpans(res.Trace.Root, "stage") {
+		samples = append(samples, st.Samples...)
+	}
+	if len(samples) != 1 || samples[0].Exc != "ZeroDivisionError" {
+		t.Fatalf("samples = %+v, want the normal path's ZeroDivisionError", samples)
+	}
+}
