@@ -66,42 +66,47 @@ bench-ingest:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# About ten seconds of each fuzz target (FUZZTIME to change it; CI runs
-# it at FUZZTIME=5s on every change). FuzzParseChunk holds the chunk
-# parser's one walk per record to SplitRecords + ParseLineVecs, with
-# random fields lazy (checked in the walk, converted after it) and
-# compared once every lazy cell is converted; the other csvio targets
-# hold the record scans, the float parser, the general reading, cell
-# splitting and the sniffer to their references. FuzzParseUDF holds the
-# UDF lexer and parser to increasing token positions, in-source error
-# positions and a deterministic parse; a new input minimizes in 200
-# runs, as a parse is cheap and the default minute of minimizing would
-# stall a short smoke. FuzzRowClosure holds the row closures of
-# generated numeric and boolean UDFs (both Specialize modes), and the
-# general path's compiled closures, to the tree-walker, from a fuzzed
-# generator seed. The generator draws its operators from pyvalue.Op's
-# range: + - * / // % ** & | ^ << >> (shift counts 0, 63, 64, 65 and
-# negative; floats under the bitwise ones), unary - + ~ not, and every
-# comparison (in, not in, is, is not too), so an operator added to
-# pyvalue.Op is fuzzed without a change here; divergences it found are
-# pinned in TestRowDivergencesPinned, not in the corpus, as its inputs
-# are generator seeds. Its minimization is cut to 200 runs like
-# FuzzParseUDF's. FuzzSubmit posts each body to /v1/jobs
-# twice and holds the second reply (spec memo, plan cache) to the first;
-# minimizing a new input re-runs whole jobs, so its minimization is cut
-# to 50 runs, or a short smoke spends its time minimizing instead of
-# fuzzing. Not part of `check`: it runs for about a minute (half that in
-# CI).
+# About ten seconds of every fuzz target in the module (FUZZTIME to
+# change it; CI runs it at FUZZTIME=5s on every change). The targets are
+# listed per package by `go test -list '^Fuzz'`, so a new one is fuzzed
+# without a change here. FuzzParseChunk holds the chunk parser's one walk
+# per record to SplitRecords + ParseLineVecs, with random fields lazy
+# (checked in the walk, converted after it) and compared once every lazy
+# cell is converted; the other csvio targets hold the record scans, the
+# float parser, the general reading, cell splitting and the sniffer to
+# their references. FuzzParseUDF holds the UDF lexer and parser to
+# increasing token positions, in-source error positions and a
+# deterministic parse. FuzzRowClosure holds the row closures of generated
+# numeric and boolean UDFs (both Specialize modes), and interp.Compiled,
+# to the tree-walker, from a fuzzed generator seed. The generator draws
+# its operators from pyvalue.Op's range: + - * / // % ** & | ^ << >>
+# (shift counts 0, 63, 64, 65 and negative; floats under the bitwise
+# ones), unary - + ~ not, and every comparison (in, not in, is, is not
+# too), so an operator added to pyvalue.Op is fuzzed without a change
+# here; divergences it found are pinned in TestRowDivergencesPinned, not
+# in the corpus, as its inputs are generator seeds. FuzzVecStrFind and
+# FuzzVecIntParse hold the string vector kernels' find and int parse to
+# the standard library and a reference parser, FuzzIntFormat the
+# compiled int format strings to the boxed formatter, FuzzAppendResult
+# the typed result encoder to json.Marshal, and FuzzDecodeJob the
+# client's job decoder to json.Unmarshal. FuzzSubmit posts each body to
+# /v1/jobs twice and holds the second reply (spec memo, plan cache) to
+# the first. FUZZ_MINIMIZE caps the minimization of a new input for the
+# targets whose default minute of minimizing would stall a short smoke:
+# a UDF parse or closure run is cheap, so 200 runs; a submission re-runs
+# whole jobs, so 50. Not part of `check`: it runs for a few minutes.
 FUZZTIME ?= 10s
-CSVIO_FUZZ = FuzzParseChunk FuzzSplitRecords FuzzParseF64Bytes FuzzGeneralParse FuzzSplitCells FuzzSniffValue
+FUZZ_MINIMIZE = FuzzParseUDF=200x FuzzRowClosure=200x FuzzSubmit=50x
 
 fuzz-smoke:
-	for f in $(CSVIO_FUZZ); do \
-		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) ./internal/csvio || exit 1; \
-	done
-	$(GO) test -run '^$$' -fuzz '^FuzzParseUDF$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 200x ./internal/pyast
-	$(GO) test -run '^$$' -fuzz '^FuzzRowClosure$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 200x ./internal/codegen
-	$(GO) test -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 50x ./internal/service
+	list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list"; exit 1; }; \
+	echo "$$list" | \
+		awk '/^Fuzz/ { f[n++] = $$1; next } /^ok/ { for (i = 0; i < n; i++) print $$2, f[i] } { n = 0 }' | \
+		while read pkg f; do \
+			min=$$(for m in $(FUZZ_MINIMIZE); do case $$m in "$$f="*) echo "-fuzzminimizetime $${m#*=}";; esac; done); \
+			echo "fuzz $$f ($$pkg)"; \
+			$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) $$min $$pkg || exit 1; \
+		done
 
 # End-to-end check of the introspection server: tuplex-bench with
 # -listen, scrape /metrics and /debug/tuplex/runz, fail on non-200 or

@@ -412,7 +412,8 @@ func TestFrameReuseDoesNotLeakState(t *testing.T) {
 // TestIntCompareExactInEveryTier pins Python's exact int ordering at the
 // 2^53 boundary, where float64 merges neighbours, on all four executable
 // forms of a UDF: the vector program, the row closure, the interpreter's
-// compiled general path and the tree-walker.
+// closure compiler (interp.Compiled, the blackbox baselines') and the
+// tree-walker.
 func TestIntCompareExactInEveryTier(t *testing.T) {
 	const p53 = 1 << 53
 	row := make(rows.Row, len(vecCols))
@@ -477,7 +478,7 @@ func TestIntCompareExactInEveryTier(t *testing.T) {
 			t.Fatalf("%s: interp compile: %v", c.src, err)
 		}
 		if v, err := compiled.Call(ip, boxedRow); err != nil || v != pyvalue.Bool(c.want) {
-			t.Errorf("%s: general path = %v (%v), want %v", c.src, v, err, c.want)
+			t.Errorf("%s: interp.Compiled = %v (%v), want %v", c.src, v, err, c.want)
 		}
 		if v, err := ip.Call(fn, boxedRow); err != nil || v != pyvalue.Bool(c.want) {
 			t.Errorf("%s: tree-walker = %v (%v), want %v", c.src, v, err, c.want)
@@ -486,9 +487,9 @@ func TestIntCompareExactInEveryTier(t *testing.T) {
 }
 
 // rowVsInterp holds compiled execution of src (both Specialize modes, over
-// the vector test schema) and the general path's interp.Compiled to the
-// tree-walker on each row: equal values (NaN matching NaN) or the same
-// exception kind. A row closure's ExcUnsupported is a request to retry on
+// the vector test schema) and interp.Compiled (the blackbox baselines'
+// closure compiler) to the tree-walker on each row: equal values (NaN
+// matching NaN) or the same exception kind. A row closure's ExcUnsupported is a request to retry on
 // the general path, and passes.
 func rowVsInterp(t *testing.T, src string, b vecBatch, ip *interp.Interp, names []string) (checked int) {
 	t.Helper()
@@ -510,7 +511,7 @@ func rowVsInterp(t *testing.T, src string, b vecBatch, ip *interp.Interp, names 
 		got, gerr := general.Call(ip, arg)
 		want, werr := ip.Call(fn, arg)
 		if pyvalue.KindOf(gerr) != pyvalue.KindOf(werr) || werr == nil && !same(got, want) {
-			t.Fatalf("%s row %v: general path %v (%v), interpreter %v (%v)", src, rows.RowToValues(row), got, gerr, want, werr)
+			t.Fatalf("%s row %v: interp.Compiled %v (%v), interpreter %v (%v)", src, rows.RowToValues(row), got, gerr, want, werr)
 		}
 	}
 	gt := map[string]types.Type{"KI": types.I64, "KF": types.F64, "KB": types.Bool, "KS": types.Str}
@@ -581,8 +582,8 @@ func TestCompiledMatchesInterpreterGenerated(t *testing.T) {
 
 // FuzzRowClosure is TestCompiledMatchesInterpreterGenerated's numeric
 // and boolean expressions, over every pyvalue.Op, from a fuzzed generator
-// seed: the row closure (Call1, Specialize on and off) and the general
-// path's interp.Compiled held to the tree-walker on a random batch, value
+// seed: the row closure (Call1, Specialize on and off) and
+// interp.Compiled held to the tree-walker on a random batch, value
 // for value or exception kind for exception kind.
 func FuzzRowClosure(f *testing.F) {
 	for _, seed := range []int64{1, 7, 20261016} {
@@ -833,6 +834,6 @@ func TestRowDivergencesPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		v, err = compiled.Call(ip, arg)
-		check("general path", v, pyvalue.KindOf(err))
+		check("interp.Compiled", v, pyvalue.KindOf(err))
 	}
 }

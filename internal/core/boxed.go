@@ -3,8 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"strings"
 	"time"
 
 	"github.com/gotuplex/tuplex/internal/csvio"
@@ -17,64 +16,31 @@ import (
 	"github.com/gotuplex/tuplex/internal/types"
 )
 
-// generalCompiles counts general-path compiles process-wide; tests read
-// it to pin that a run without exception rows compiles none.
-var generalCompiles atomic.Int64
-
-// pathMode selects which exception path executes a boxed row.
-type pathMode uint8
-
-const (
-	// pathGeneral is the compiled general-case path: the stage's general
-	// plan (general.go), or closure-compiled boxed UDFs row by row.
-	pathGeneral pathMode = iota
-	// pathFallback is the tree-walking interpreter (always available).
-	pathFallback
-)
-
 // errDropped signals that a row was legitimately removed (filter false,
 // ignore() handler, inner-join miss).
 var errDropped = errors.New("row dropped")
 
-// boxedUDF is one UDF's boxed execution forms, with a private
-// interpreter instance (the boxed paths run serially, mirroring the
-// prototype's GIL acquisition for interpreter work). An instance
-// belongs to one goroutine: the run's, or one resolve worker's.
+// boxedUDF is one UDF on the fallback path, with a private tree-walking
+// interpreter (the fallback runs serially, mirroring the prototype's GIL
+// acquisition for interpreter work). An instance belongs to one
+// goroutine.
 type boxedUDF struct {
 	spec *logical.UDFSpec
 	ip   *interp.Interp
-	// compiled is the general-path form, built on the first pathGeneral
-	// call: most runs have no exception row, and never need it.
-	compiled *interp.Compiled
-	tried    bool // compiled was attempted (nil: not compilable)
 	// dictParam selects dict-style (vs tuple-style) boxed rows for
 	// whole-row UDFs, from the UDF's observed access pattern.
 	dictParam bool
 }
 
-// newBoxedUDF prepares a UDF for the exception paths. The general-path
-// closures are compiled when a row first reaches them.
+// newBoxedUDF prepares a UDF for the fallback path.
 func newBoxedUDF(spec *logical.UDFSpec) *boxedUDF {
 	u := &boxedUDF{spec: spec, ip: interp.New(spec.Globals)}
 	u.dictParam = len(spec.Access.ByName) > 0 || len(spec.Access.ByIndex) == 0
 	return u
 }
 
-// call runs the UDF in the given mode. A UDF the general path cannot
-// compile raises ExcUnsupported there and runs on the fallback
-// interpreter.
-func (u *boxedUDF) call(mode pathMode, args []pyvalue.Value) (pyvalue.Value, error) {
-	if mode == pathGeneral {
-		if !u.tried {
-			u.tried = true
-			u.compiled, _ = u.ip.Compile(u.spec.Fn)
-			generalCompiles.Add(1)
-		}
-		if u.compiled == nil {
-			return nil, pyvalue.Raise(pyvalue.ExcUnsupported, "UDF not compilable on general path")
-		}
-		return u.compiled.Call(u.ip, args)
-	}
+// call runs the UDF on the tree-walking interpreter.
+func (u *boxedUDF) call(args []pyvalue.Value) (pyvalue.Value, error) {
 	return u.ip.Call(u.spec.Fn, args)
 }
 
@@ -111,24 +77,12 @@ type boxedOp struct {
 	// accessCols caches the row positions of the UDF's accessed columns
 	// (lazily resolved; -1 for columns missing from the schema).
 	accessCols []int
-	// stats counts rows entering this op on the exception paths (nil
-	// below trace.LevelRows); within one run the pointer is shared
-	// across the parallel resolve workers' copies, hence atomics.
-	stats *boxedOpStats
-}
-
-// boxedOpStats is the routing ledger's exception-path side for one
-// operator. Atomics are fine here: exception rows are rare by
-// construction, so contention never touches the fast path.
-type boxedOpStats struct {
-	generalIn, fallbackIn atomic.Int64
 }
 
 // applyHandlers wraps a UDF invocation with the operator's ignore and
-// resolve handlers (§3: resolvers run on the exception paths only; a
-// compilable resolver runs on the general path, every resolver runs on
-// the fallback path).
-func applyHandlers(h *opHandlers, mode pathMode, call func() (pyvalue.Value, error), args []pyvalue.Value) (pyvalue.Value, error, bool) {
+// resolve handlers (§3: resolvers run on the exception paths only — here
+// on the fallback path).
+func applyHandlers(h *opHandlers, call func() (pyvalue.Value, error), args []pyvalue.Value) (pyvalue.Value, error, bool) {
 	v, err := call()
 	if err == nil {
 		return v, nil, false
@@ -144,24 +98,19 @@ func applyHandlers(h *opHandlers, mode pathMode, call func() (pyvalue.Value, err
 			if r.exc != kind {
 				continue
 			}
-			rv, rerr := r.udf.call(mode, args)
+			rv, rerr := r.udf.call(args)
 			if rerr == nil {
 				return rv, nil, true
 			}
-			// The resolver itself failed: surface its error (a general
-			// path failure will retry everything on the fallback path).
+			// The resolver itself failed: surface its error.
 			return nil, rerr, false
 		}
 	}
 	return nil, err, false
 }
 
-// instantiateBoxed copies a boxed op list with fresh interpreter
-// instances, each compiling its general-path closures on first use:
-// once per run from the plan's recipe, and once per resolve worker from
-// the run's program so the general-case path can run in parallel across
-// executors (§4.3's batched slow path; only the interpreter fallback
-// serializes, modeling the GIL).
+// instantiateBoxed copies a plan's boxed recipe with fresh interpreter
+// instances, once per run.
 func instantiateBoxed(prog []*boxedOp) []*boxedOp {
 	out := make([]*boxedOp, len(prog))
 	for i, op := range prog {
@@ -181,26 +130,22 @@ func instantiateBoxed(prog []*boxedOp) []*boxedOp {
 	return out
 }
 
-// runBoxedRow pushes one boxed row through the given boxed program and
+// runBoxedRow pushes one boxed row through the stage's boxed program and
 // returns the output rows (possibly several after joins, or none after
 // filters/inner-join misses). resolved reports whether a user resolver
 // fired.
-func (sr *stageRun) runBoxedRow(prog []*boxedOp, mode pathMode, vals []pyvalue.Value) (out [][]pyvalue.Value, resolved bool, err error) {
+func (sr *stageRun) runBoxedRow(vals []pyvalue.Value) (out [][]pyvalue.Value, resolved bool, err error) {
 	cur := [][]pyvalue.Value{vals}
-	for _, op := range prog {
+	for oi, op := range sr.boxed {
 		if len(cur) == 0 {
 			return nil, resolved, errDropped
 		}
-		if op.stats != nil {
-			if mode == pathGeneral {
-				op.stats.generalIn.Add(int64(len(cur)))
-			} else {
-				op.stats.fallbackIn.Add(int64(len(cur)))
-			}
+		if sr.routing != nil {
+			sr.routing[oi+1].FallbackIn += int64(len(cur))
 		}
 		var next [][]pyvalue.Value
 		for _, row := range cur {
-			produced, res, err := op.apply(sr.joins, mode, row)
+			produced, res, err := op.apply(sr.joins, row)
 			if err != nil {
 				if errors.Is(err, errDropped) {
 					continue
@@ -268,14 +213,14 @@ func (op *boxedOp) udfArg(row []pyvalue.Value) pyvalue.Value {
 }
 
 // apply runs one boxed operator on one row.
-func (op *boxedOp) apply(joins []*buildTable, mode pathMode, row []pyvalue.Value) ([][]pyvalue.Value, bool, error) {
+func (op *boxedOp) apply(joins []*buildTable, row []pyvalue.Value) ([][]pyvalue.Value, bool, error) {
 	switch op.kind {
 	case bOpNoop:
 		return [][]pyvalue.Value{row}, false, nil
 	case bOpMap:
 		arg := op.udfArg(row)
-		v, err, res := applyHandlers(op.handlers, mode, func() (pyvalue.Value, error) {
-			return op.udf.call(mode, []pyvalue.Value{arg})
+		v, err, res := applyHandlers(op.handlers, func() (pyvalue.Value, error) {
+			return op.udf.call([]pyvalue.Value{arg})
 		}, []pyvalue.Value{arg})
 		if err != nil {
 			return nil, res, err
@@ -287,8 +232,8 @@ func (op *boxedOp) apply(joins []*buildTable, mode pathMode, row []pyvalue.Value
 		return [][]pyvalue.Value{out}, res, nil
 	case bOpFilter:
 		arg := op.udfArg(row)
-		v, err, res := applyHandlers(op.handlers, mode, func() (pyvalue.Value, error) {
-			return op.udf.call(mode, []pyvalue.Value{arg})
+		v, err, res := applyHandlers(op.handlers, func() (pyvalue.Value, error) {
+			return op.udf.call([]pyvalue.Value{arg})
 		}, []pyvalue.Value{arg})
 		if err != nil {
 			return nil, res, err
@@ -299,8 +244,8 @@ func (op *boxedOp) apply(joins []*buildTable, mode pathMode, row []pyvalue.Value
 		return [][]pyvalue.Value{row}, res, nil
 	case bOpWithColumn:
 		arg := op.udfArg(row)
-		v, err, res := applyHandlers(op.handlers, mode, func() (pyvalue.Value, error) {
-			return op.udf.call(mode, []pyvalue.Value{arg})
+		v, err, res := applyHandlers(op.handlers, func() (pyvalue.Value, error) {
+			return op.udf.call([]pyvalue.Value{arg})
 		}, []pyvalue.Value{arg})
 		if err != nil {
 			return nil, res, err
@@ -318,8 +263,8 @@ func (op *boxedOp) apply(joins []*buildTable, mode pathMode, row []pyvalue.Value
 			return nil, false, pyvalue.Raise(pyvalue.ExcIndexError, "row too short for column %q", op.col)
 		}
 		arg := row[op.colIdx]
-		v, err, res := applyHandlers(op.handlers, mode, func() (pyvalue.Value, error) {
-			return op.udf.call(mode, []pyvalue.Value{arg})
+		v, err, res := applyHandlers(op.handlers, func() (pyvalue.Value, error) {
+			return op.udf.call([]pyvalue.Value{arg})
 		}, []pyvalue.Value{arg})
 		if err != nil {
 			return nil, res, err
@@ -404,10 +349,10 @@ func mapResultRow(v pyvalue.Value, outSchema *types.Schema) ([]pyvalue.Value, er
 // general path, the fallback path and user resolvers (§4.3, Figure 2),
 // updating the materialization in place. The general path is the stage's
 // general plan, in batches, for the raw records it takes
-// (resolveGeneral), and the boxed general path, row by row, for the rest;
-// the fallback path and the terminal run serially — exception rows are
-// rare by construction, and the fallback path models the prototype's
-// GIL.
+// (resolveGeneral); every other pool row runs on the fallback path, where
+// the resolvers run too. The fallback path and the terminal run serially
+// — exception rows are rare by construction, and the fallback path
+// models the prototype's GIL.
 func (eng *engine) resolveExceptions(sr *stageRun, out *mat) (generalStats, error) {
 	pool := out.exceptional
 	out.exceptional = nil
@@ -470,87 +415,35 @@ func (eng *engine) resolveExceptions(sr *stageRun, out *mat) (generalStats, erro
 		if sr.isText {
 			return []pyvalue.Value{pyvalue.Str(string(ex.raw))}
 		}
-		// Parse generally, then project to the stage's input columns so
-		// positions line up with the (possibly pushdown-narrowed)
-		// schema. Cells missing from short rows become None — the
-		// interpreter view of dirty data.
-		full := csvio.GeneralParse(ex.raw, sr.parse.Delim, sr.nullValues)
-		vals := make([]pyvalue.Value, len(sr.parse.Fields))
-		for i, f := range sr.parse.Fields {
-			if f.Col < len(full) {
-				vals[i] = full[f.Col]
-			} else {
-				vals[i] = pyvalue.None{}
-			}
-		}
-		return vals
+		// Parse generally the stage's input columns, so positions line
+		// up with the (possibly pushdown-narrowed) schema. Cells missing
+		// from short rows become None — the interpreter view of dirty
+		// data.
+		return csvio.GeneralFields(ex.raw, sr.parse.Delim, sr.parse.Fields, sr.nullValues)
 	}
 
 	// runResolve wraps runBoxedRow with per-row resolve-latency
 	// recording; with telemetry off it is the bare call.
 	runResolve := sr.runBoxedRow
 	if eng.mon != nil {
-		runResolve = func(prog []*boxedOp, mode pathMode, vals []pyvalue.Value) ([][]pyvalue.Value, bool, error) {
+		runResolve = func(vals []pyvalue.Value) ([][]pyvalue.Value, bool, error) {
 			t := time.Now()
-			outRows, resolved, err := sr.runBoxedRow(prog, mode, vals)
+			outRows, resolved, err := sr.runBoxedRow(vals)
 			eng.mon.RecordResolve(time.Since(t))
 			return outRows, resolved, err
 		}
 	}
 
-	// Phase 1 — the general path: the general plan in batches, then the
-	// rows it left on the boxed general path, fanned across executors when
-	// they are many.
+	// Phase 1 — the general path: the general plan, in batches.
 	outcomes := make([]exOutcome, len(pool))
-	gs, perRow, err := eng.resolveGeneral(sr, pool, outcomes)
+	gs, err := eng.resolveGeneral(sr, pool, outcomes)
 	if err != nil {
 		return gs, err
 	}
-	workers := eng.opts.Executors
-	// Cancellation is observed every 256 rows; the parallel fan-out
-	// finishes its wg.Wait before bailing so no worker is abandoned
-	// mid-chunk with half-written outcomes.
-	var ctxStop atomic.Bool
-	if workers > 1 && len(perRow) >= generalMinPool {
-		var wg sync.WaitGroup
-		chunk := (len(perRow) + workers - 1) / workers
-		for lo := 0; lo < len(perRow); lo += chunk {
-			wg.Add(1)
-			go func(rs []int) {
-				defer wg.Done()
-				prog := instantiateBoxed(sr.boxed)
-				for j, i := range rs {
-					if j&0xff == 0 && (ctxStop.Load() || eng.canceled() != nil) {
-						ctxStop.Store(true)
-						return
-					}
-					vals := genVals(&pool[i])
-					outRows, resolved, err := runResolve(prog, pathGeneral, vals)
-					outcomes[i] = exOutcome{vals: vals, outRows: outRows, resolved: resolved, err: err, mode: pathGeneral}
-				}
-			}(perRow[lo:min(lo+chunk, len(perRow))])
-		}
-		wg.Wait()
-		if ctxStop.Load() {
-			if err := eng.canceled(); err != nil {
-				return gs, err
-			}
-		}
-	} else {
-		for j, i := range perRow {
-			if j&0xff == 0 {
-				if err := eng.canceled(); err != nil {
-					return gs, err
-				}
-			}
-			vals := genVals(&pool[i])
-			outRows, resolved, err := runResolve(sr.boxed, pathGeneral, vals)
-			outcomes[i] = exOutcome{vals: vals, outRows: outRows, resolved: resolved, err: err, mode: pathGeneral}
-		}
-	}
 
-	// Phase 2 — retries on the interpreter fallback run serially (the
-	// GIL analog), then terminal application in input order.
+	// Phase 2 — every row the general plan did not take runs on the
+	// interpreter fallback, serially (the GIL analog); then terminal
+	// application in input order.
 	for i := range pool {
 		if i&0xff == 0 {
 			if err := eng.canceled(); err != nil {
@@ -559,12 +452,18 @@ func (eng *engine) resolveExceptions(sr *stageRun, out *mat) (generalStats, erro
 		}
 		ex := pool[i]
 		oc := &outcomes[i]
-		vals := oc.vals
-		mode := oc.mode
-		outRows, resolved, err := oc.outRows, oc.resolved, oc.err
-		if err != nil && !errors.Is(err, errDropped) {
-			mode = pathFallback
-			outRows, resolved, err = runResolve(sr.boxed, mode, vals)
+		var (
+			vals     []pyvalue.Value
+			outRows  = oc.outRows
+			resolved bool
+			err      error
+		)
+		switch {
+		case !oc.general:
+			vals = genVals(&ex)
+			outRows, resolved, err = runResolve(vals)
+		case len(outRows) == 0:
+			err = errDropped
 		}
 		if errors.Is(err, errDropped) {
 			c.IgnoredRows.Add(1)
@@ -594,7 +493,7 @@ func (eng *engine) resolveExceptions(sr *stageRun, out *mat) (generalStats, erro
 				rt[ex.op].ResolverResolved++
 			}
 			addSample(&ex, vals, "resolver")
-		case mode == pathGeneral:
+		case oc.general:
 			c.GeneralResolved.Add(1)
 			if rt != nil {
 				rt[ex.op].GeneralResolved++
@@ -616,7 +515,7 @@ func (eng *engine) resolveExceptions(sr *stageRun, out *mat) (generalStats, erro
 					acc = sr.aggInit
 				}
 				arg := aggRowArg(sr, r)
-				v, aerr := sr.aggBoxed.call(pathFallback, []pyvalue.Value{acc, arg})
+				v, aerr := sr.aggBoxed.call([]pyvalue.Value{acc, arg})
 				if aerr != nil {
 					c.FailedRows.Add(1)
 					if rt != nil {
@@ -709,7 +608,7 @@ func (eng *engine) combinePartials(sr *stageRun, boxedAgg pyvalue.Value, boxedRo
 			next := make([]pyvalue.Value, (len(partials)+1)/2)
 			errs := make([]error, pairs)
 			eng.parallelFor(pairs, func(i int) {
-				v, err := newBoxedUDF(sr.combSpec).call(pathFallback, []pyvalue.Value{partials[2*i], partials[2*i+1]})
+				v, err := newBoxedUDF(sr.combSpec).call([]pyvalue.Value{partials[2*i], partials[2*i+1]})
 				if err != nil {
 					errs[i] = fmt.Errorf("core: combiner failed: %w", err)
 					return
@@ -730,7 +629,7 @@ func (eng *engine) combinePartials(sr *stageRun, boxedAgg pyvalue.Value, boxedRo
 	}
 	acc := partials[0]
 	for _, p := range partials[1:] {
-		v, err := sr.combBoxed.call(pathFallback, []pyvalue.Value{acc, p})
+		v, err := sr.combBoxed.call([]pyvalue.Value{acc, p})
 		if err != nil {
 			return nil, fmt.Errorf("core: combiner failed: %w", err)
 		}
@@ -747,16 +646,5 @@ func renderInput(ex exRow, vals []pyvalue.Value) string {
 	for i, v := range vals {
 		parts[i] = pyvalue.Repr(v)
 	}
-	return "(" + joinStrings(parts, ", ") + ")"
-}
-
-func joinStrings(parts []string, sep string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += sep
-		}
-		out += p
-	}
-	return out
+	return "(" + strings.Join(parts, ", ") + ")"
 }

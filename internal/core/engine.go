@@ -10,11 +10,11 @@
 //     exceptions ("LLVM fast path");
 //   - general case:  a second plan of the stage, compiled by
 //     internal/codegen at the general (Option) column types with no
-//     sampled guards and run in batches (general.go), and
-//     internal/interp.Compiled — closure-compiled over boxed values — row
-//     by row for the rows that plan cannot take;
+//     sampled guards and run in batches (general.go);
 //   - fallback:      internal/interp tree-walking — the "Python
-//     interpreter", always able to run any supported UDF.
+//     interpreter", always able to run any supported UDF — row by row
+//     for every pool row the general plan does not take, and for the
+//     resolvers.
 package core
 
 import (

@@ -45,10 +45,9 @@ func stripVec(c *chainPlan) (n int) {
 	return n
 }
 
-// ResolvePerRow makes the plan's later runs resolve every pool row by row
-// on the boxed general path, whatever the pool's size — phase 1 as it was
-// before general plans.
-func (cp *CompiledPlan) ResolvePerRow() { cp.generalCut = math.MaxInt }
+// ResolveFallback makes the plan's later runs resolve every pool row on
+// the fallback, whatever the pool's size: no general plan is used.
+func (cp *CompiledPlan) ResolveFallback() { cp.generalCut = math.MaxInt }
 
 // ResolveBatched makes the plan's later runs send every pool's raw
 // records through the general plan, however few.
@@ -86,15 +85,11 @@ func (cp *CompiledPlan) KernelBench(records [][]byte) (run func() (vectorRows, b
 	}, pl.kernelModes()
 }
 
-// GeneralCompiles reports how many general-path UDF closures the
-// process has compiled so far.
-func GeneralCompiles() int64 { return generalCompiles.Load() }
-
 // ResolveBench readies the plan's first root stage for a resolve
 // benchmark: it binds the stage, builds its join tables and runs its
 // normal path once, keeping the exception pool that leaves behind. run
-// resolves a fresh copy of that pool — the general plan, the per-row
-// remainder, fallback retries and the terminal — and returns its size.
+// resolves a fresh copy of that pool — the general plan, the fallback
+// for the rest and the terminal — and returns its size.
 func (cp *CompiledPlan) ResolveBench() (run func() (int, error), err error) {
 	sl := cp.root.stages[0]
 	eng := &engine{opts: cp.opts, res: &Result{Metrics: &metrics.Metrics{}}, generalCut: cp.generalCut}

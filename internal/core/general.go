@@ -7,9 +7,10 @@ package core
 // their types admit them. So resolve first runs the pool's raw records
 // through a second plan of the stage, compiled by the same compileOps at
 // the general schema with no sampled guards, on the batch plane the
-// normal case uses. Only the records that plan cannot take — the general
-// parse rejects them, or they raise — go row by row through the boxed
-// general path, as every pool row once did.
+// normal case uses. That plan is the general case. The records it cannot
+// take — the general parse rejects them, or they raise — and the pool
+// rows that are not raw records go row by row to the tree-walking
+// fallback (resolveExceptions).
 
 import (
 	"sync/atomic"
@@ -23,22 +24,20 @@ import (
 )
 
 // generalMinPool is the pool size from which resolve runs the raw
-// records through the stage's general plan, and from which the rows left
-// for the boxed path fan out across executors: below it, building a plan
-// or starting workers costs more than the rows save.
+// records through the stage's general plan: below it, building and
+// running the plan costs more than the rows save on the fallback.
 const generalMinPool = 64
 
 // generalPlans counts general plans built process-wide; tests read it to
 // pin that the plan is built once, and only for pools that warrant it.
 var generalPlans atomic.Int64
 
-// exOutcome is a pool row's phase-1 result (resolveExceptions).
+// exOutcome is a pool row's phase-1 result (resolveExceptions): whether
+// the general plan took the row, and if so its output rows (none: the
+// row was dropped).
 type exOutcome struct {
-	vals     []pyvalue.Value
-	outRows  [][]pyvalue.Value
-	resolved bool
-	err      error
-	mode     pathMode
+	outRows [][]pyvalue.Value
+	general bool
 }
 
 // generalStats is what a resolve reports on its span: the pool rows the
@@ -59,18 +58,18 @@ func (eng *engine) generalPlan(sr *stageRun) (gp *stagePlan, d time.Duration) {
 	return sr.general, d
 }
 
-// compileGeneral builds a CSV batch stage's general plan: the stage's
-// operators — not its terminal — compiled again by compileOps at the
-// general schema (pl.generalIn), each UDF from a fresh parse of its
-// source, with type-only dataflow facts and null pruning off, so no code
-// rests on a sampled guard and no arm is pruned by the sample. Its
-// parser is the general spec (csvio.NewGeneralParseSpec), so every value
-// it runs on is the one the boxed general path would box. It adds
-// nothing to Result.Warnings. nil means the stage has none: no CSV batch
-// plan, an operator that does not compile, or a UDF without a compiled
+// compileGeneral builds a CSV stage's general plan, on either normal-case
+// plane: the stage's operators — not its terminal — compiled again by
+// compileOps at the general schema (pl.generalIn), each UDF from a fresh
+// parse of its source, with type-only dataflow facts and null pruning
+// off, so no code rests on a sampled guard and no arm is pruned by the
+// sample. Its parser is the general spec (csvio.NewGeneralParseSpec), so
+// every value it runs on is the one the fallback would box. It adds
+// nothing to Result.Warnings. nil means the stage has none: not a CSV
+// stage, an operator that does not compile, or a UDF without a compiled
 // form at these types (every row would raise).
 func (eng *engine) compileGeneral(sl *stageSlot, pl *stagePlan) *stagePlan {
-	if pl.batch == nil || pl.parse == nil || pl.generalIn == nil || sl == nil {
+	if pl.parse == nil || pl.generalIn == nil || sl == nil {
 		return nil
 	}
 	fields := make([]csvio.FieldSpec, len(pl.parse.Fields))
@@ -101,18 +100,18 @@ func (eng *engine) compileGeneral(sl *stageSlot, pl *stagePlan) *stagePlan {
 	return gp
 }
 
-// resolveGeneral is resolve's phase 1 on the general plan. A CSV batch
-// stage whose pool holds at least generalMinPool raw records runs them
-// through the plan in equal batches of at most batchMaxRows across the
-// executors, with the run's build tables; each record the plan takes
-// gets its outcome. It returns the pool indexes left for the per-row
-// path: records the general parse rejects or the plan fails on, entries
-// with boxed values, and the whole pool when the plan is not used. The
-// pass counts nothing into the normal-path counters; the ledger gets
-// each taken row's per-op entries once.
-func (eng *engine) resolveGeneral(sr *stageRun, pool []exRow, outcomes []exOutcome) (gs generalStats, perRow []int, err error) {
+// resolveGeneral is resolve's phase 1 on the general plan. A CSV stage
+// whose pool holds at least generalMinPool raw records runs them through
+// the plan in equal batches of at most batchMaxRows across the executors,
+// with the run's build tables; each record the plan takes gets its
+// outcome. The rows it leaves for the fallback are records the general
+// parse rejects or the plan fails on, entries with boxed values, and the
+// whole pool when the plan is not used. The pass counts nothing into the
+// normal-path counters; the ledger gets each taken row's per-op entries
+// once.
+func (eng *engine) resolveGeneral(sr *stageRun, pool []exRow, outcomes []exOutcome) (gs generalStats, err error) {
 	var raw []int
-	if sr.batch != nil && sr.parse != nil {
+	if sr.parse != nil {
 		for i := range pool {
 			if pool[i].vals == nil {
 				raw = append(raw, i)
@@ -127,7 +126,6 @@ func (eng *engine) resolveGeneral(sr *stageRun, pool []exRow, outcomes []exOutco
 	if len(raw) >= cut {
 		gp, gs.compile = eng.generalPlan(sr)
 	}
-	taken := make([]bool, len(pool))
 	if gp != nil {
 		g := &stageRun{stagePlan: gp, joins: sr.joins}
 		// Equal batches, at least one per executor while each keeps
@@ -142,35 +140,32 @@ func (eng *engine) resolveGeneral(sr *stageRun, pool []exRow, outcomes []exOutco
 			}
 			ts := g.newTask(eng, b)
 			idx := raw[min(b*size, len(raw)):min((b+1)*size, len(raw))]
-			produced[b] = g.runGeneralBatch(ts, pool, idx, outcomes, taken)
+			produced[b] = g.runGeneralBatch(ts, pool, idx, outcomes)
 			routes[b] = ts.route
 		})
 		if err := eng.canceled(); err != nil {
-			return gs, nil, err
+			return gs, err
 		}
 		if sr.traceRows {
 			sr.countGeneral(gp, routes, produced)
 		}
 	}
-	for i, t := range taken {
-		if t {
+	for i := range outcomes {
+		if outcomes[i].general {
 			gs.batched++
-		} else {
-			perRow = append(perRow, i)
 		}
 	}
-	return gs, perRow, nil
+	return gs, nil
 }
 
 // runGeneralBatch runs pool entries idx through the general plan as one
 // batch: it parses their records at the general spec, runs the kernel
 // groups, and gives each entry that the parse accepted and the plan did
-// not fail on its outcome — its output rows boxed in order, or
-// errDropped for none — and marks it taken. It returns the rows boxed.
-// When the ledger is on, ts.route counts the taken entries' rows: a
-// failed entry goes per row, where the boxed path counts it, so the batch
-// runs again without it.
-func (g *stageRun) runGeneralBatch(ts *task, pool []exRow, idx []int, outcomes []exOutcome, taken []bool) (produced int64) {
+// not fail on its outcome — its output rows boxed in order — and marks it
+// taken. It returns the rows boxed. When the ledger is on, ts.route
+// counts the taken entries' rows: a failed entry goes to the fallback,
+// which counts it, so the batch runs again without it.
+func (g *stageRun) runGeneralBatch(ts *task, pool []exRow, idx []int, outcomes []exOutcome) (produced int64) {
 	bst := g.getBatchState(ts)
 	defer g.putBatchState(ts)
 	for {
@@ -216,18 +211,13 @@ func (g *stageRun) runGeneralBatch(ts *task, pool []exRow, idx []int, outcomes [
 		if failed(s) {
 			continue
 		}
-		oc := &outcomes[i]
-		oc.mode = pathGeneral
-		if len(oc.outRows) == 0 {
-			oc.err = errDropped
-		}
-		taken[i] = true
+		outcomes[i].general = true
 	}
 	return produced
 }
 
 // countGeneral adds the general pass's per-op entering rows to the
-// ledger's boxed-path counters, as runBoxedRow would have counted them:
+// ledger's general-path counters, as runBoxedRow counts the fallback's:
 // each kernel's from the batches' route counters, and each operator
 // without a kernel (rename, resolve, ignore) the rows that enter the
 // next operator — the rows boxed, after the last.
@@ -251,8 +241,8 @@ func (sr *stageRun) countGeneral(gp *stagePlan, routes [][]int64, produced []int
 			counts[oi+1] = next
 		}
 	}
-	for oi, bop := range sr.boxed {
-		bop.stats.generalIn.Add(counts[oi+1])
+	for oi := range sr.boxed {
+		sr.routing[oi+1].GeneralIn += counts[oi+1]
 	}
 }
 

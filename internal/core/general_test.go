@@ -25,9 +25,10 @@ import (
 
 // The general plan claims to change nothing but speed: a pool resolved
 // in batches through it must be indistinguishable from the same pool
-// resolved row by row on the boxed general path — result rows and their
-// order, failed rows, warnings, counters, every per-op ledger entry and
-// the exception samples.
+// resolved row by row on the fallback — result rows and their order,
+// failed rows, warnings, counters, every per-op ledger entry and the
+// exception samples — except for which of the two paths a row is counted
+// on.
 
 // generalObs is a run's observation plus what only these tests compare.
 type generalObs struct {
@@ -55,27 +56,80 @@ func observeGeneral(t *testing.T, res *core.Result) generalObs {
 	return o
 }
 
-func requireSameGeneral(t *testing.T, what string, batched, perRow generalObs) {
-	t.Helper()
-	if reflect.DeepEqual(batched, perRow) {
-		return
-	}
-	bv, pv := reflect.ValueOf(batched.runObs), reflect.ValueOf(perRow.runObs)
-	for i := 0; i < bv.NumField(); i++ {
-		if !reflect.DeepEqual(bv.Field(i).Interface(), pv.Field(i).Interface()) {
-			t.Errorf("%s: %s differs:\n  batched: %+v\n  per row: %+v", what, bv.Type().Field(i).Name, bv.Field(i).Interface(), pv.Field(i).Interface())
+// Counters indexes (runObs.Counters).
+const (
+	cGeneralResolved  = 4
+	cFallbackResolved = 5
+)
+
+// onFallback returns o with every row the general path counted moved to
+// the fallback's counters: the run-wide resolved counter, each ledger
+// entry's entering and resolved counts, and each sample's outcome.
+func onFallback(o generalObs) generalObs {
+	o.Counters[cFallbackResolved] += o.Counters[cGeneralResolved]
+	o.Counters[cGeneralResolved] = 0
+	ledgers := make([][]trace.OpRouting, len(o.Ledgers))
+	for i, l := range o.Ledgers {
+		ledgers[i] = append([]trace.OpRouting(nil), l...)
+		for j := range ledgers[i] {
+			r := &ledgers[i][j]
+			r.FallbackIn, r.GeneralIn = r.FallbackIn+r.GeneralIn, 0
+			r.FallbackResolved, r.GeneralResolved = r.FallbackResolved+r.GeneralResolved, 0
 		}
 	}
-	if !reflect.DeepEqual(batched.Warnings, perRow.Warnings) {
-		t.Errorf("%s: warnings differ:\n  batched: %q\n  per row: %q", what, batched.Warnings, perRow.Warnings)
+	o.Ledgers = ledgers
+	samples := make([][]trace.ExcSample, len(o.Samples))
+	for i, ss := range o.Samples {
+		samples[i] = append([]trace.ExcSample(nil), ss...)
+		for j := range samples[i] {
+			if samples[i][j].Outcome == "general" {
+				samples[i][j].Outcome = "fallback"
+			}
+		}
+	}
+	o.Samples = samples
+	return o
+}
+
+func requireSameGeneral(t *testing.T, what string, batched, fallback generalObs) {
+	t.Helper()
+	if reflect.DeepEqual(batched, fallback) {
+		return
+	}
+	bv, pv := reflect.ValueOf(batched.runObs), reflect.ValueOf(fallback.runObs)
+	for i := 0; i < bv.NumField(); i++ {
+		if !reflect.DeepEqual(bv.Field(i).Interface(), pv.Field(i).Interface()) {
+			t.Errorf("%s: %s differs:\n  batched:  %+v\n  fallback: %+v", what, bv.Type().Field(i).Name, bv.Field(i).Interface(), pv.Field(i).Interface())
+		}
+	}
+	if !reflect.DeepEqual(batched.Warnings, fallback.Warnings) {
+		t.Errorf("%s: warnings differ:\n  batched:  %q\n  fallback: %q", what, batched.Warnings, fallback.Warnings)
 	}
 	t.FailNow()
 }
 
+// requireFallbackOnly fails unless the run counted nothing on the
+// general path.
+func requireFallbackOnly(t *testing.T, what string, o generalObs) {
+	t.Helper()
+	if o.batched != 0 || o.Counters[cGeneralResolved] != 0 {
+		t.Fatalf("%s: the fallback-only run batched %d rows and general-resolved %d", what, o.batched, o.Counters[cGeneralResolved])
+	}
+	for _, l := range o.Ledgers {
+		for _, r := range l {
+			if r.GeneralIn != 0 || r.GeneralResolved != 0 {
+				t.Fatalf("%s: the fallback-only run's ledger counts general rows: %+v", what, r)
+			}
+		}
+	}
+}
+
 // generalOnOff compiles the plan cold, then runs it warm with every pool
-// resolved per row and with every pool batched through the general plan
-// — as compiled, and with its vector programs stripped — and requires
-// each pair to agree. It returns the rows the batched runs resolved.
+// resolved on the fallback and with every pool batched through the
+// general plan — as compiled, and with its vector programs stripped —
+// and requires each pair to agree once the batched run's general counts
+// are moved to the fallback. It returns the rows the batched runs
+// resolved.
 func generalOnOff(t *testing.T, name string, sink *logical.Node, executors int) int64 {
 	t.Helper()
 	opts := core.DefaultOptions()
@@ -89,7 +143,7 @@ func generalOnOff(t *testing.T, name string, sink *logical.Node, executors int) 
 		if batched {
 			cp.ResolveBatched()
 		} else {
-			cp.ResolvePerRow()
+			cp.ResolveFallback()
 		}
 		res, err := cp.Execute(context.Background(), "")
 		if err != nil {
@@ -98,21 +152,23 @@ func generalOnOff(t *testing.T, name string, sink *logical.Node, executors int) 
 		return observeGeneral(t, res)
 	}
 	what := fmt.Sprintf("%s executors=%d", name, executors)
-	perRow, batched := run(false), run(true)
-	if perRow.batched != 0 {
-		t.Fatalf("%s: the per-row run batched %d rows", what, perRow.batched)
-	}
+	fallback, batched := run(false), run(true)
+	requireFallbackOnly(t, what, fallback)
 	n := batched.batched
+	if got := batched.Counters[cGeneralResolved]; got > n {
+		t.Fatalf("%s: %d rows general-resolved, but only %d batched", what, got, n)
+	}
 	batched.batched = 0
-	requireSameGeneral(t, what, batched, perRow)
+	requireSameGeneral(t, what, onFallback(batched), fallback)
 
 	cp.StripVec()
-	stripped, strippedPerRow := run(true), run(false)
+	stripped, strippedFallback := run(true), run(false)
 	if stripped.Vector != 0 || stripped.batched != n {
 		t.Fatalf("%s stripped: vector rows %d, batched %d (want 0, %d)", what, stripped.Vector, stripped.batched, n)
 	}
+	requireFallbackOnly(t, what+" stripped", strippedFallback)
 	stripped.batched = 0
-	requireSameGeneral(t, what+" stripped", stripped, strippedPerRow)
+	requireSameGeneral(t, what+" stripped", onFallback(stripped), strippedFallback)
 	if left := cp.StripVec(); left != 0 {
 		t.Fatalf("%s: %d vector programs survived StripVec", what, left)
 	}
@@ -122,8 +178,8 @@ func generalOnOff(t *testing.T, name string, sink *logical.Node, executors int) 
 // resolverCSV has a float column b that is empty in one row in 60 of
 // the sample (normal type f64, general Option[f64]) and in one in 7 past
 // it, and 0.0 in one row in 11: the general plan takes the empty-b rows,
-// and rows that divide by zero raise in it and go per row, to a resolver
-// or an ignore.
+// and rows that divide by zero raise in it and go to the fallback, to a
+// resolver or an ignore.
 func resolverCSV() []byte {
 	var sb strings.Builder
 	sb.WriteString("a,b,s\n")
@@ -140,12 +196,12 @@ func resolverCSV() []byte {
 	return []byte(sb.String())
 }
 
-// TestGeneralPlanSameAsPerRow runs flights, dirty Zillow, 311, a CSV
+// TestGeneralPlanSameAsFallback runs flights, dirty Zillow, 311, a CSV
 // resolver/ignore pipeline, an int column holding strings and a left
-// join whose build side has general rows (probes hitting them go per
-// row; null probe keys, Option-typed in general, batch) at 1–4
-// executors, per row and batched, compiled and stripped.
-func TestGeneralPlanSameAsPerRow(t *testing.T) {
+// join whose build side has general rows (probes hitting them go to the
+// fallback; null probe keys, Option-typed in general, batch) at 1–4
+// executors, on the fallback only and batched, compiled and stripped.
+func TestGeneralPlanSameAsFallback(t *testing.T) {
 	c := tuplex.NewContext()
 	udf := func(s string) *logical.UDFSpec { return mustUDF(t, s) }
 	src := func(csv []byte) logical.Op { return &logical.CSVSource{Data: csv, Header: true} }
@@ -301,12 +357,20 @@ func TestGeneralPlanConcurrentRuns(t *testing.T) {
 	}
 }
 
-// resolveCancelCtx is canceled by the first cancellation check made from
-// the general pass, so the run stops mid-pool.
+// resolveCancelCtx is canceled by the cancellation check number skip+1
+// (counting from 0) made from a function whose name holds in, so the run
+// stops mid-pool.
 type resolveCancelCtx struct {
 	context.Context
-	once sync.Once
-	done chan struct{}
+	in     string
+	skip   int
+	checks int
+	mu     sync.Mutex
+	done   chan struct{}
+}
+
+func newResolveCancelCtx(in string, skip int) *resolveCancelCtx {
+	return &resolveCancelCtx{Context: context.Background(), in: in, skip: skip, done: make(chan struct{})}
 }
 
 func (c *resolveCancelCtx) Done() <-chan struct{} {
@@ -314,8 +378,17 @@ func (c *resolveCancelCtx) Done() <-chan struct{} {
 	frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
 	for {
 		f, more := frames.Next()
-		if strings.Contains(f.Function, "resolveGeneral") {
-			c.once.Do(func() { close(c.done) })
+		// The engine's check is canceled(); the frame after it is the
+		// function that made the check.
+		if strings.HasSuffix(f.Function, ").canceled") {
+			if f, _ = frames.Next(); strings.Contains(f.Function, c.in) {
+				c.mu.Lock()
+				if c.checks == c.skip {
+					close(c.done)
+				}
+				c.checks++
+				c.mu.Unlock()
+			}
 			break
 		}
 		if !more {
@@ -334,27 +407,22 @@ func (c *resolveCancelCtx) Err() error {
 	}
 }
 
-// TestGeneralPlanCancel cancels a run inside the general pass: it
-// returns context.Canceled and leaves no goroutine behind.
-func TestGeneralPlanCancel(t *testing.T) {
-	path, drift := driftFiles(t)
-	drift()
-	sink := driftPlan(t, path)
-	opts := core.DefaultOptions()
-	opts.Executors = 3
-	if _, _, err := core.CompileAndExecute(context.Background(), sink, core.SinkCollect, "", opts); err != nil {
-		t.Fatal(err)
-	}
+// requireCanceledClean runs the compiled plan under ctx and requires the
+// run to stop with a cancellation raised where ctx cancels, leaving no
+// goroutine behind.
+func requireCanceledClean(t *testing.T, cp *core.CompiledPlan, ctx *resolveCancelCtx) {
+	t.Helper()
 	base := runtime.NumGoroutine()
-	ctx := &resolveCancelCtx{Context: context.Background(), done: make(chan struct{})}
-	_, _, err := core.CompileAndExecute(ctx, sink, core.SinkCollect, "", opts)
+	_, err := cp.Execute(ctx, "")
 	if !errors.Is(err, context.Canceled) || !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("err = %v, want a cancellation from inside resolve", err)
 	}
 	select {
 	case <-ctx.done:
 	default:
-		t.Fatal("the run never checked for cancellation inside the general pass")
+		ctx.mu.Lock()
+		defer ctx.mu.Unlock()
+		t.Fatalf("the run made %d cancellation checks in %s, want more than %d", ctx.checks, ctx.in, ctx.skip)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
@@ -363,6 +431,39 @@ func TestGeneralPlanCancel(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > base {
 		t.Fatalf("%d goroutines after the canceled run, %d before", n, base)
 	}
+}
+
+// TestGeneralPlanCancel cancels a run inside the general pass: it
+// returns context.Canceled and leaves no goroutine behind.
+func TestGeneralPlanCancel(t *testing.T) {
+	path, drift := driftFiles(t)
+	drift()
+	opts := core.DefaultOptions()
+	opts.Executors = 3
+	_, cp, err := core.CompileAndExecute(context.Background(), driftPlan(t, path), core.SinkCollect, "", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireCanceledClean(t, cp, newResolveCancelCtx("resolveGeneral", 0))
+}
+
+// TestFallbackCancel cancels a fallback-only resolve of mixedCSV's 400
+// string-in-int rows at the loop's second cancellation check, 256 rows
+// in: it returns context.Canceled and leaves no goroutine behind.
+func TestFallbackCancel(t *testing.T) {
+	sink := chain(&logical.CSVSource{Data: mixedCSV(), Header: true},
+		&logical.WithColumnOp{Col: "z", UDF: mustUDF(t, "lambda x: x['b'] * 2.0")})
+	opts := core.DefaultOptions()
+	opts.Executors = 3
+	res, cp, err := core.CompileAndExecute(context.Background(), sink, core.SinkCollect, "", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pool := res.Metrics.Counters.ClassifierRejects.Load(); pool != 400 {
+		t.Fatalf("pool holds %d rows, want mixedCSV's 400", pool)
+	}
+	cp.ResolveFallback()
+	requireCanceledClean(t, cp, newResolveCancelCtx("resolveExceptions", 1))
 }
 
 // TestRejectCausesReconcile: the source entry of flights' probe stage

@@ -14,10 +14,10 @@ import (
 // stage over a 150k-row file: ~4.5k raw records (empty cells in columns
 // sampled f64, values in columns sampled Null, guard misses) through
 // resolveExceptions, outside ingest and the normal path. With the
-// general plan every one of them runs in batches; the per-row boxed path
-// is what ResolvePerRow measures.
+// general plan every one of them runs in batches; the tree-walking
+// fallback, row by row, is what ResolveFallback measures.
 func BenchmarkResolvePool(b *testing.B) {
-	for _, mode := range []string{"batched", "per-row"} {
+	for _, mode := range []string{"batched", "fallback"} {
 		b.Run(mode, func(b *testing.B) {
 			c := tuplex.NewContext()
 			ds := pipelines.Flights(pipelines.FlightsSources(c, data.Flights(data.FlightsConfig{Rows: 150000, Seed: 7}), data.Carriers(), data.Airports()))
@@ -25,8 +25,8 @@ func BenchmarkResolvePool(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if mode == "per-row" {
-				cp.ResolvePerRow()
+			if mode == "fallback" {
+				cp.ResolveFallback()
 			}
 			run, err := cp.ResolveBench()
 			if err != nil {

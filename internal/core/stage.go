@@ -99,10 +99,9 @@ type stagePlan struct {
 	// emit is the form the stage's tasks write (stageSlot.emit).
 	emit emitForm
 
-	// recipe is the boxed-path program (general & fallback), parallel to
-	// the stage ops, without interpreters: those are not thread-safe, so
-	// every run (and every parallel resolve worker) instantiates its own
-	// from it.
+	// recipe is the fallback path's boxed program, parallel to the stage
+	// ops, without interpreters: those are not thread-safe, so every run
+	// instantiates its own from it.
 	recipe []*boxedOp
 
 	// aggregate terminal
@@ -164,7 +163,7 @@ type stageRun struct {
 	combBoxed *boxedUDF
 
 	tasks []*task
-	// routing accumulates the serial resolve-phase outcomes (plus merged
+	// routing accumulates the resolve phase's counts (plus merged
 	// per-task counters), samples the bounded exception-row sample.
 	routing []trace.OpRouting
 	samples []trace.ExcSample
@@ -180,7 +179,7 @@ type stageRun struct {
 }
 
 // attach points the run at the plan it executes and instantiates the
-// per-run halves of it: private interpreters for the boxed paths and a
+// per-run halves of it: private interpreters for the fallback and a
 // fresh routing ledger.
 func (sr *stageRun) attach(pl *stagePlan) {
 	sr.stagePlan = pl
@@ -189,9 +188,6 @@ func (sr *stageRun) attach(pl *stagePlan) {
 		sr.routing = make([]trace.OpRouting, len(pl.opNames))
 		for i, n := range pl.opNames {
 			sr.routing[i].Op = n
-		}
-		for _, op := range sr.boxed {
-			op.stats = &boxedOpStats{}
 		}
 	}
 	if pl.aggUDF != nil {
@@ -376,13 +372,6 @@ func (sr *stageRun) mergedRouting() []trace.OpRouting {
 			}
 			out[0].Rejects[key] += n
 		}
-	}
-	for oi, bop := range sr.boxed {
-		if bop.stats == nil {
-			continue
-		}
-		out[oi+1].GeneralIn += bop.stats.generalIn.Load()
-		out[oi+1].FallbackIn += bop.stats.fallbackIn.Load()
 	}
 	return out
 }

@@ -679,6 +679,31 @@ func GeneralParse(line []byte, delim byte, nullValues []string) []pyvalue.Value 
 	return out
 }
 
+// GeneralFields is GeneralParse projected to fields: out[i] is the boxed
+// value of cell fields[i].Col, or None when the record has no such cell.
+// Only the projected cells are converted.
+func GeneralFields(line []byte, delim byte, fields []FieldSpec, nullValues []string) []pyvalue.Value {
+	out := make([]pyvalue.Value, len(fields))
+	maxCol := -1
+	for i, f := range fields {
+		out[i] = pyvalue.None{}
+		maxCol = max(maxCol, f.Col)
+	}
+	for col, at := 0, 0; col <= maxCol; col++ {
+		text, next, last := splitCell(line, at, delim)
+		for i, f := range fields {
+			if f.Col == col {
+				out[i] = SniffValue(string(text), nullValues)
+			}
+		}
+		if last {
+			break
+		}
+		at = next
+	}
+	return out
+}
+
 // SniffValue converts a raw cell into the boxed value its spelling
 // suggests.
 func SniffValue(cell string, nullValues []string) pyvalue.Value {

@@ -64,6 +64,16 @@ func generalConforms(v pyvalue.Value, t types.Type) bool {
 func checkGeneralParse(t *testing.T, spec *ParseSpec, rec []byte) {
 	t.Helper()
 	vals := GeneralParse(rec, spec.Delim, spec.NullValues)
+	projected := GeneralFields(rec, spec.Delim, spec.Fields, spec.NullValues)
+	for fi, f := range spec.Fields {
+		var v pyvalue.Value = pyvalue.None{}
+		if f.Col < len(vals) {
+			v = vals[f.Col]
+		}
+		if !sameGeneralValue(projected[fi], v) {
+			t.Fatalf("record %q field %d (col %d): GeneralFields %#v, GeneralParse %#v", rec, fi, f.Col, projected[fi], v)
+		}
+	}
 	want := len(vals) == spec.NumCols
 	for _, f := range spec.Fields {
 		if want && !generalConforms(vals[f.Col], f.Type) {
@@ -147,7 +157,7 @@ func FuzzGeneralParse(f *testing.F) {
 }
 
 // TestGeneralParseKinds pins the spellings the general spec turns away
-// because the boxed general path would see another kind in them.
+// because the fallback would see another kind in them.
 func TestGeneralParseKinds(t *testing.T) {
 	cases := []struct {
 		cell string
