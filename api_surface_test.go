@@ -83,7 +83,6 @@ func TestOptionConstructorsCompile(t *testing.T) {
 		WithStageFusion(true),
 		WithCompilerOptimizations(true),
 		WithSeed(42),
-		WithPartitionRows(1024),
 		WithChunkSize(1 << 20),
 		WithTracing(TraceRows),
 	}

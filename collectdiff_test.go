@@ -197,7 +197,8 @@ func TestCollectDiffKinds(t *testing.T) {
 
 // TestCollectDiffDictColumn: a dict column from an in-memory source is
 // an escape vector of boxed values; a string in its int column makes
-// exception rows in some partitions.
+// exception rows in some partitions (3000 rows are three partitions of
+// at most 1024 rows at every executor count).
 func TestCollectDiffDictColumn(t *testing.T) {
 	in := make([][]any, 3000)
 	for i := range in {
@@ -210,7 +211,7 @@ func TestCollectDiffDictColumn(t *testing.T) {
 	collectDiff(t, "dict", func(c *tuplex.Context) *tuplex.DataSet {
 		return c.Parallelize(in, []string{"a", "d"}).
 			WithColumn("b", tuplex.UDF("lambda x: x['a'] * 2"))
-	}, tuplex.WithPartitionRows(256))
+	})
 }
 
 // TestCollectDiffUnique: a trailing unique (or cache) is a rows

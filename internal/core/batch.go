@@ -18,7 +18,7 @@ package core
 //
 // Join fan-out replicates the row path's depth-first abort semantics:
 // the first failure downstream of a join pools the SOURCE row once
-// (unscaled key — resolve replays the whole boxed program from source
+// (unscaled key — resolve replays the stage's ops from source
 // values) and invalidates the same source's not-yet-processed output
 // rows, while already-emitted earlier matches stay.
 
@@ -48,79 +48,27 @@ const batchMaxRows = 4096
 // jobs — the closures are cheaper.
 const vecMinRows = 16
 
-// bkKind enumerates batch kernel kinds.
-type bkKind uint8
-
-const (
-	bkMap bkKind = iota
-	bkFilter
-	bkWithColumn
-	bkMapColumn
-	bkSelect
-	bkJoin
-)
-
-// batchKernel is one operator compiled for batch execution.
-type batchKernel struct {
-	kind bkKind
-	su   *stageUDF
-	ridx int32
-	// ki is the kernel's index in the stage plan (set by fuseKernels);
-	// it addresses the kernel's derived vectors in batchState.
-	ki int
-	// scalar marks UDFs receiving a bare column value, argIdx the column
-	// it is read from. colIdx is the mapColumn target, the withColumn
-	// replace index (-1 = append) and the join probe-key column.
-	scalar bool
-	argIdx int
-	colIdx int
-	// vec is the UDF's vector program (codegen/vec.go) when this kernel
-	// can run it: a filter over any vectorizable body, a
-	// withColumn/mapColumn whose derived vector has the program's kind.
-	// nil keeps the row closure, and rowWhy says why.
-	vec    *codegen.VecExpr
-	rowWhy string
-	// inCols is the schema width entering the op; argCols lists the
-	// columns a whole-row UDF actually reads (accessed columns plus guard
-	// columns; nil = fill every column).
-	inCols  int
-	argCols []int
-	// outTypes types the derived output vectors (map: one per output
-	// column; withColumn/mapColumn: one; join: the full output schema).
-	outTypes []types.Type
-	// perm is the select permutation.
-	perm []int
-	// join state (bkJoin): the build table's index in the run's joins and
-	// the left-outer flag.
-	joinIdx   int
-	leftOuter bool
-}
-
-// batchProg is a stage's batch plan.
-type batchProg struct {
-	kernels []*batchKernel
-	// groups partitions the kernels into fused passes: runs of adjacent
-	// map/filter/withColumn/mapColumn kernels execute in one scan over
-	// the selection vector; select and join kernels form singleton
-	// groups (they change the column layout / index space).
-	groups [][]*batchKernel
-}
-
-// fuseKernels partitions the kernels into fused passes and stamps each
-// kernel's plan index and vector program.
-func fuseKernels(kernels []*batchKernel) [][]*batchKernel {
-	var groups [][]*batchKernel
-	var cur []*batchKernel
-	for i, k := range kernels {
-		k.ki = i
+// fuseKernels stamps each kernel's vector program and partitions the
+// plan's ops into fused passes: runs of adjacent map/filter/withColumn/
+// mapColumn kernels execute in one scan over the selection vector;
+// select and join kernels form singleton groups (they change the column
+// layout / index space). A plan stripped of its vector programs (noVec)
+// gets none.
+func (pl *stagePlan) fuseKernels() [][]*stageOp {
+	var groups [][]*stageOp
+	var cur []*stageOp
+	for _, k := range pl.ops {
 		k.vec, k.rowWhy = kernelVec(k)
+		if pl.noVec {
+			k.vec = nil
+		}
 		switch k.kind {
-		case bkSelect, bkJoin:
+		case opSelect, opJoin:
 			if len(cur) > 0 {
 				groups = append(groups, cur)
 				cur = nil
 			}
-			groups = append(groups, []*batchKernel{k})
+			groups = append(groups, []*stageOp{k})
 		default:
 			cur = append(cur, k)
 		}
@@ -133,7 +81,7 @@ func fuseKernels(kernels []*batchKernel) [][]*batchKernel {
 
 // kernelVec returns the vector program kernel k can run in place of its
 // row closure, or nil and what keeps it on the closure.
-func kernelVec(k *batchKernel) (*codegen.VecExpr, string) {
+func kernelVec(k *stageOp) (*codegen.VecExpr, string) {
 	if k.su == nil {
 		return nil, ""
 	}
@@ -144,9 +92,9 @@ func kernelVec(k *batchKernel) (*codegen.VecExpr, string) {
 	switch {
 	case v == nil:
 		return nil, k.su.compiled.VecDecline
-	case k.kind == bkFilter:
+	case k.kind == opFilter:
 		return v, ""
-	case k.kind == bkMap:
+	case k.kind == opMap:
 		return nil, "map kernel"
 	}
 	// The derived vector is typed from the stage's schema; the program
@@ -162,11 +110,11 @@ func kernelVec(k *batchKernel) (*codegen.VecExpr, string) {
 // span, so a UDF that stopped vectorizing — and the node that stopped it —
 // shows without a profiler.
 func (pl *stagePlan) kernelModes() string {
-	if pl.batch == nil {
+	if pl.entry != nil {
 		return ""
 	}
 	var parts []string
-	for _, k := range pl.batch.kernels {
+	for _, k := range pl.ops {
 		switch {
 		case k.su == nil:
 		case k.vec != nil:
@@ -264,8 +212,8 @@ func newBatchState(pl *stagePlan) *batchState {
 			bst.src[i] = colvec.NewVec(pl.inSchema.Col(i).Type)
 		}
 	}
-	bst.derived = make([][]*colvec.Vec, len(pl.batch.kernels))
-	for ki, k := range pl.batch.kernels {
+	bst.derived = make([][]*colvec.Vec, len(pl.ops))
+	for ki, k := range pl.ops {
 		if len(k.outTypes) == 0 {
 			continue
 		}
@@ -374,8 +322,8 @@ func (bst *batchState) keyOf(r int32) uint64 {
 
 // sourceEx builds the pool entry for source row sr: raw record bytes on
 // the parse path, boxed source values on the slot path. The key is the
-// SOURCE order key — resolve replays the whole boxed program from source
-// values and rescales per join.
+// SOURCE order key — resolve replays the stage's ops from source values
+// and rescales per join.
 func (bst *batchState) sourceEx(p int, sr int32, ec ECode, op int32) exRow {
 	ex := exRow{part: p, key: bst.keys[sr], ec: ec, op: op}
 	if bst.raws != nil {
@@ -420,7 +368,7 @@ func (sr *stageRun) failBatchRow(ts *task, bst *batchState, p int, r int32, ec E
 // Order keys, pool entries, counters and routing-ledger arithmetic are
 // those of runRecords over csvio.SplitRecords(data), with the per-row
 // parse/step/render work replaced by per-batch vector loops.
-func (sr *stageRun) runChunkColumnar(ts *task, p int, data []byte, baseKey uint64) {
+func (sr *stageRun) runChunkColumnar(ts *task, p int, data []byte) {
 	bst := sr.getBatchState(ts)
 	cb := &bst.chunk
 	if bst.fresh() {
@@ -439,7 +387,7 @@ func (sr *stageRun) runChunkColumnar(ts *task, p int, data []byte, baseKey uint6
 		}
 		bst.raws = cb.Raws
 		// The accepted records' keys run consecutively between rejects.
-		key, next := baseKey+uint64(input), 0
+		key, next := uint64(input), 0
 		for _, rj := range cb.Rejects {
 			bst.keys = appendKeys(bst.keys, key+uint64(next), rj.Rec-next)
 			ts.pool = append(ts.pool, exRow{part: p, key: key + uint64(rj.Rec), raw: rj.Raw, ec: rj.EC})
@@ -476,7 +424,7 @@ func appendKeys(keys []uint64, k uint64, n int) []uint64 {
 // chunk parse, so bst.raws is its own list). Order keys and pool entries
 // are those of runRecords over splitPlainLines(data); a line never
 // rejects.
-func (sr *stageRun) runTextColumnar(ts *task, p int, data []byte, baseKey uint64) {
+func (sr *stageRun) runTextColumnar(ts *task, p int, data []byte) {
 	bst := sr.getBatchState(ts)
 	if bst.fresh() {
 		n := firstBatchRows(data)
@@ -494,7 +442,7 @@ func (sr *stageRun) runTextColumnar(ts *task, p int, data []byte, baseKey uint64
 			line, pos = nextLine(data, pos)
 			col.AppendStrBytes(line)
 			bst.raws = append(bst.raws, line)
-			bst.keys = append(bst.keys, baseKey+uint64(input))
+			bst.keys = append(bst.keys, uint64(input))
 			input++
 		}
 		normalExc += sr.runBatchBody(ts, bst, p, pool0)
@@ -617,17 +565,17 @@ func (sr *stageRun) runKernels(ts *task, bst *batchState, p int) int64 {
 	bst.cols = append(bst.cols[:0], bst.src...)
 
 	var normalExc int64
-	for _, g := range sr.batch.groups {
+	for _, g := range sr.groups {
 		switch g[0].kind {
-		case bkJoin:
+		case opJoin:
 			normalExc += sr.runJoinKernel(ts, bst, g[0], p)
-		case bkSelect:
+		case opSelect:
 			k := g[0]
 			if ts.route != nil {
 				ts.route[k.ridx] += int64(len(bst.sel))
 			}
 			out := bst.cols2[:0]
-			for _, i := range k.perm {
+			for _, i := range k.sel {
 				out = append(out, bst.cols[i])
 			}
 			bst.cols, bst.cols2 = out, bst.cols
@@ -641,19 +589,19 @@ func (sr *stageRun) runKernels(ts *task, bst *batchState, p int) int64 {
 // layoutAfter simulates kernel k's column-layout transformation over an
 // input view (layout is row-independent, so each fused pass computes
 // every kernel's input view once per batch).
-func layoutAfter(bst *batchState, k *batchKernel, in []*colvec.Vec) []*colvec.Vec {
+func layoutAfter(bst *batchState, k *stageOp, in []*colvec.Vec) []*colvec.Vec {
 	d := bst.derived[k.ki]
 	switch k.kind {
-	case bkFilter:
+	case opFilter:
 		return in
-	case bkMap:
+	case opMap:
 		return d
-	case bkMapColumn:
+	case opMapColumn:
 		out := bst.carve(len(in))
 		copy(out, in)
 		out[k.colIdx] = d[0]
 		return out
-	case bkWithColumn:
+	case opWithColumn:
 		if k.colIdx >= 0 {
 			out := bst.carve(len(in))
 			copy(out, in)
@@ -685,7 +633,7 @@ func (bst *batchState) carve(n int) []*colvec.Vec {
 // and that no kernel in the current fused group writes — dispatch to a
 // null-check-elided variant reading a re-sliced typed array (bounds
 // checks hoisted to the [:n] re-slice).
-func (sr *stageRun) argAccessor(ts *task, bst *batchState, k *batchKernel, view []*colvec.Vec, n int) func(int32) rows.Slot {
+func (sr *stageRun) argAccessor(ts *task, bst *batchState, k *stageOp, view []*colvec.Vec, n int) func(int32) rows.Slot {
 	if !k.scalar {
 		return func(r int32) rows.Slot { return gatherArgView(k, view, bst, int(r)) }
 	}
@@ -729,7 +677,7 @@ func (sr *stageRun) argAccessor(ts *task, bst *batchState, k *batchKernel, view 
 // one failing output row invalidates its not-yet-processed siblings, an
 // order only the row-major scan defines. A unique-key join keeps the
 // index space, and the vector path with it.
-func (sr *stageRun) runGroup(ts *task, bst *batchState, group []*batchKernel, p int) int64 {
+func (sr *stageRun) runGroup(ts *task, bst *batchState, group []*stageOp, p int) int64 {
 	n := bst.n
 	bst.viewArena = bst.viewArena[:0]
 	bst.views = bst.views[:0]
@@ -777,7 +725,7 @@ func (sr *stageRun) runGroup(ts *task, bst *batchState, group []*batchKernel, p 
 // protocol.
 //
 //tuplex:kernel
-func (sr *stageRun) runRowKernels(ts *task, bst *batchState, group []*batchKernel, lo, hi, p int) int64 {
+func (sr *stageRun) runRowKernels(ts *task, bst *batchState, group []*stageOp, lo, hi, p int) int64 {
 	bst.ensure(bst.sel)
 	var excs int64
 	newSel := bst.sel2[:0]
@@ -798,11 +746,11 @@ rowLoop:
 			}
 			derived := bst.derived[k.ki]
 			switch k.kind {
-			case bkFilter:
+			case opFilter:
 				if !v.Truth() {
 					continue rowLoop
 				}
-			case bkMap:
+			case opMap:
 				switch {
 				case len(v.Seq) > 0 && (v.Tag == types.KindDict || v.Tag == types.KindTuple):
 					if len(v.Seq) != len(derived) {
@@ -818,7 +766,7 @@ rowLoop:
 					excs += sr.failBatchRow(ts, bst, p, r, pyvalue.ExcUnsupported, k.ridx)
 					continue rowLoop
 				}
-			case bkWithColumn, bkMapColumn:
+			case opWithColumn, opMapColumn:
 				derived[0].Set(int(r), v)
 			}
 		}
@@ -835,13 +783,13 @@ rowLoop:
 // row scan would have — same value, same exception, same pool entry.
 //
 //tuplex:kernel
-func (sr *stageRun) runVecKernel(ts *task, bst *batchState, k *batchKernel, gi, p int) int64 {
+func (sr *stageRun) runVecKernel(ts *task, bst *batchState, k *stageOp, gi, p int) int64 {
 	sel, st := bst.sel, bst.vec
 	if ts.route != nil {
 		ts.route[k.ridx] += int64(len(sel))
 	}
 	ts.vectorRows += int64(len(sel))
-	filter := k.kind == bkFilter
+	filter := k.kind == opFilter
 	var out []int32 // filter: the rows the program accepted
 	var d *colvec.Vec
 	if filter {
@@ -903,7 +851,7 @@ func (sr *stageRun) runVecKernel(ts *task, bst *batchState, k *batchKernel, gi, 
 // carries the key*256+sub order keys the row path produces).
 //
 //tuplex:kernel
-func (sr *stageRun) runJoinKernel(ts *task, bst *batchState, k *batchKernel, p int) int64 {
+func (sr *stageRun) runJoinKernel(ts *task, bst *batchState, k *stageOp, p int) int64 {
 	bt := sr.joins[k.joinIdx]
 	keyVec := bst.cols[k.colIdx]
 	bst.ensure(bst.sel)
@@ -943,7 +891,7 @@ func (sr *stageRun) runJoinKernel(ts *task, bst *batchState, k *batchKernel, p i
 		}
 	}
 	bst.refs = refs
-	nIn, derived := k.inCols, bst.derived[k.ki]
+	nIn, derived := k.inSchema.Len(), bst.derived[k.ki]
 	n, dst := bst.n, at // unique keys: each build cell lands at its probe row
 	if !bt.unique {
 		n, dst = len(at), nil
@@ -1017,10 +965,11 @@ func takeBuild(d *colvec.Vec, bt *buildTable, c int, refs []buildRef, at []int32
 // compiled body never loads.
 //
 //tuplex:kernel
-func gatherArgView(k *batchKernel, view []*colvec.Vec, bst *batchState, r int) rows.Slot {
-	row := bst.argBuf[:k.inCols]
+func gatherArgView(k *stageOp, view []*colvec.Vec, bst *batchState, r int) rows.Slot {
+	n := k.inSchema.Len()
+	row := bst.argBuf[:n]
 	if k.argCols == nil {
-		for c, v := range view[:k.inCols] {
+		for c, v := range view[:n] {
 			row[c] = v.Slot(r)
 		}
 	} else {

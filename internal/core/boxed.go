@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -44,108 +45,62 @@ func (u *boxedUDF) call(args []pyvalue.Value) (pyvalue.Value, error) {
 	return u.ip.Call(u.spec.Fn, args)
 }
 
-// bOpKind enumerates boxed-path operator kinds.
-type bOpKind uint8
-
-const (
-	bOpNoop bOpKind = iota
-	bOpMap
-	bOpFilter
-	bOpWithColumn
-	bOpMapColumn
-	bOpSelect
-	bOpJoin
-)
-
-// boxedOp is one stage operator in boxed form. The plan's recipe holds
-// ops with spec set and udf nil; instantiateBoxed fills udf (and the
-// handlers' resolver udfs) with private interpreters.
-type boxedOp struct {
-	kind      bOpKind
-	spec      *logical.UDFSpec
-	udf       *boxedUDF
-	handlers  *opHandlers
-	inSchema  *types.Schema
-	outSchema *types.Schema
-	col       string
-	colIdx    int
-	scalar    bool
-	sel       []int
-	joinIdx   int // index into the run's joins (bOpJoin)
-	keyIdx    int
-	leftOuter bool
-	// accessCols caches the row positions of the UDF's accessed columns
-	// (lazily resolved; -1 for columns missing from the schema).
-	accessCols []int
-}
-
-// applyHandlers wraps a UDF invocation with the operator's ignore and
-// resolve handlers (§3: resolvers run on the exception paths only — here
-// on the fallback path).
-func applyHandlers(h *opHandlers, call func() (pyvalue.Value, error), args []pyvalue.Value) (pyvalue.Value, error, bool) {
-	v, err := call()
-	if err == nil {
-		return v, nil, false
-	}
-	kind := pyvalue.KindOf(err)
-	if h != nil {
-		for _, ig := range h.ignores {
-			if ig == kind {
-				return nil, errDropped, false
-			}
+// newInterps builds a run's fallback interpreters for the plan's ops:
+// per op, its UDF's and then each resolver's (none for select and join).
+func newInterps(ops []*stageOp) [][]*boxedUDF {
+	ips := make([][]*boxedUDF, len(ops))
+	for i, op := range ops {
+		if op.su == nil {
+			continue
 		}
-		for _, r := range h.resolvers {
-			if r.exc != kind {
-				continue
-			}
-			rv, rerr := r.udf.call(args)
-			if rerr == nil {
-				return rv, nil, true
-			}
-			// The resolver itself failed: surface its error.
-			return nil, rerr, false
+		ips[i] = []*boxedUDF{newBoxedUDF(op.su.spec)}
+		for _, r := range op.handlers.resolvers {
+			ips[i] = append(ips[i], newBoxedUDF(r.spec))
 		}
 	}
-	return nil, err, false
+	return ips
 }
 
-// instantiateBoxed copies a plan's boxed recipe with fresh interpreter
-// instances, once per run.
-func instantiateBoxed(prog []*boxedOp) []*boxedOp {
-	out := make([]*boxedOp, len(prog))
-	for i, op := range prog {
-		cp := *op
-		if op.spec != nil {
-			cp.udf = newBoxedUDF(op.spec)
-		}
-		if op.handlers != nil {
-			h := &opHandlers{ignores: op.handlers.ignores}
-			for _, r := range op.handlers.resolvers {
-				h.resolvers = append(h.resolvers, resolverSpec{exc: r.exc, spec: r.spec, udf: newBoxedUDF(r.spec)})
-			}
-			cp.handlers = h
-		}
-		out[i] = &cp
+// boxedAccessCols resolves the row positions of the columns a whole-row
+// UDF reads by name at this schema point (-1 for a name the schema
+// lacks), so that its fallback dict holds only those — the general
+// path's analog of the planner's projection pushdown. The access
+// analysis is sound: a whole-row escape, or a UDF that reads no column by
+// name, gets nil, and its argument holds the whole row.
+func boxedAccessCols(spec *logical.UDFSpec, schema *types.Schema) []int {
+	access := spec.Access
+	if access == nil || access.WholeRow || len(access.ByName) == 0 {
+		return nil
 	}
-	return out
+	names := schema.Names()
+	cols := make([]int, len(access.ByName))
+	for j, name := range access.ByName {
+		cols[j] = slices.Index(names, name)
+	}
+	return cols
 }
 
-// runBoxedRow pushes one boxed row through the stage's boxed program and
-// returns the output rows (possibly several after joins, or none after
-// filters/inner-join misses). resolved reports whether a user resolver
-// fired.
+// runBoxedRow pushes one boxed row through the stage's ops on the
+// fallback and returns the output rows (possibly several after joins, or
+// none after filters/inner-join misses). resolved reports whether a user
+// resolver fired. The ledger counts the rows entering every operator,
+// rename, resolve and ignore included.
 func (sr *stageRun) runBoxedRow(vals []pyvalue.Value) (out [][]pyvalue.Value, resolved bool, err error) {
 	cur := [][]pyvalue.Value{vals}
-	for oi, op := range sr.boxed {
+	ri := int32(1) // the next ledger entry to count
+	count := func(through int32) {
+		for ; sr.routing != nil && ri <= through; ri++ {
+			sr.routing[ri].FallbackIn += int64(len(cur))
+		}
+	}
+	for i, op := range sr.ops {
 		if len(cur) == 0 {
 			return nil, resolved, errDropped
 		}
-		if sr.routing != nil {
-			sr.routing[oi+1].FallbackIn += int64(len(cur))
-		}
+		count(op.ridx)
 		var next [][]pyvalue.Value
 		for _, row := range cur {
-			produced, res, err := op.apply(sr.joins, row)
+			produced, res, err := op.apply(sr.interps[i], sr.joins, row)
 			if err != nil {
 				if errors.Is(err, errDropped) {
 					continue
@@ -160,48 +115,30 @@ func (sr *stageRun) runBoxedRow(vals []pyvalue.Value) (out [][]pyvalue.Value, re
 	if len(cur) == 0 {
 		return nil, resolved, errDropped
 	}
+	count(sr.termRouteIdx - 1)
 	return cur, resolved, nil
 }
 
-// udfArg builds the boxed argument for a whole-row or scalar UDF.
-func (op *boxedOp) udfArg(row []pyvalue.Value) pyvalue.Value {
-	if op.scalar {
-		idx := op.colIdx
-		if op.kind != bOpMapColumn {
-			idx = 0
-		}
-		if idx >= len(row) {
+// udfArg builds the boxed argument of a whole-row or scalar UDF; u is
+// its interpreter.
+func (op *stageOp) udfArg(u *boxedUDF, row []pyvalue.Value) pyvalue.Value {
+	switch {
+	case op.scalar:
+		if op.argIdx >= len(row) {
 			return pyvalue.None{}
 		}
-		return row[idx]
-	}
-	if op.udf != nil && op.udf.dictParam {
+		return row[op.argIdx]
+	case op.accessCols != nil:
+		d := pyvalue.NewDict()
+		for j, idx := range op.accessCols {
+			if idx >= 0 && idx < len(row) {
+				d.Set(u.spec.Access.ByName[j], row[idx])
+			}
+		}
+		return d
+	case u.dictParam:
 		names := op.inSchema.Names()
 		d := pyvalue.NewDict()
-		// Build only the columns the UDF reads (the access analysis is
-		// sound: whole-row escapes force the full dict) — the general
-		// path's analog of the planner's projection pushdown.
-		access := op.udf.spec.Access
-		if !access.WholeRow && len(access.ByName) > 0 {
-			if op.accessCols == nil {
-				op.accessCols = make([]int, len(access.ByName))
-				for j, name := range access.ByName {
-					op.accessCols[j] = -1
-					for i, n := range names {
-						if n == name {
-							op.accessCols[j] = i
-							break
-						}
-					}
-				}
-			}
-			for j, idx := range op.accessCols {
-				if idx >= 0 && idx < len(row) {
-					d.Set(access.ByName[j], row[idx])
-				}
-			}
-			return d
-		}
 		for i, v := range row {
 			if i < len(names) {
 				d.Set(names[i], v)
@@ -212,67 +149,39 @@ func (op *boxedOp) udfArg(row []pyvalue.Value) pyvalue.Value {
 	return &pyvalue.Tuple{Items: row}
 }
 
-// apply runs one boxed operator on one row.
-func (op *boxedOp) apply(joins []*buildTable, row []pyvalue.Value) ([][]pyvalue.Value, bool, error) {
+// call runs the operator's UDF (ips[0]) on arg, with its ignore and
+// resolve handlers (§3: resolvers run on the exception paths only — here
+// on the fallback path); ips[1+j] runs resolver j. resolved reports that
+// a resolver produced v.
+func (op *stageOp) call(ips []*boxedUDF, arg pyvalue.Value) (v pyvalue.Value, resolved bool, err error) {
+	v, err = ips[0].call([]pyvalue.Value{arg})
+	if err == nil {
+		return v, false, nil
+	}
+	kind := pyvalue.KindOf(err)
+	if slices.Contains(op.handlers.ignores, kind) {
+		return nil, false, errDropped
+	}
+	for j, r := range op.handlers.resolvers {
+		if r.exc != kind {
+			continue
+		}
+		rv, rerr := ips[1+j].call([]pyvalue.Value{arg})
+		if rerr != nil {
+			// The resolver itself failed: surface its error.
+			return nil, false, rerr
+		}
+		return rv, true, nil
+	}
+	return nil, false, err
+}
+
+// apply runs the operator on one boxed row with the run's interpreters
+// for it (ips) and build tables (joins).
+func (op *stageOp) apply(ips []*boxedUDF, joins []*buildTable, row []pyvalue.Value) ([][]pyvalue.Value, bool, error) {
+	var arg pyvalue.Value
 	switch op.kind {
-	case bOpNoop:
-		return [][]pyvalue.Value{row}, false, nil
-	case bOpMap:
-		arg := op.udfArg(row)
-		v, err, res := applyHandlers(op.handlers, func() (pyvalue.Value, error) {
-			return op.udf.call([]pyvalue.Value{arg})
-		}, []pyvalue.Value{arg})
-		if err != nil {
-			return nil, res, err
-		}
-		out, err := mapResultRow(v, op.outSchema)
-		if err != nil {
-			return nil, res, err
-		}
-		return [][]pyvalue.Value{out}, res, nil
-	case bOpFilter:
-		arg := op.udfArg(row)
-		v, err, res := applyHandlers(op.handlers, func() (pyvalue.Value, error) {
-			return op.udf.call([]pyvalue.Value{arg})
-		}, []pyvalue.Value{arg})
-		if err != nil {
-			return nil, res, err
-		}
-		if !pyvalue.Truth(v) {
-			return nil, res, errDropped
-		}
-		return [][]pyvalue.Value{row}, res, nil
-	case bOpWithColumn:
-		arg := op.udfArg(row)
-		v, err, res := applyHandlers(op.handlers, func() (pyvalue.Value, error) {
-			return op.udf.call([]pyvalue.Value{arg})
-		}, []pyvalue.Value{arg})
-		if err != nil {
-			return nil, res, err
-		}
-		out := append(append([]pyvalue.Value{}, row...), nil)
-		if op.colIdx >= 0 && op.colIdx < len(row) {
-			out = out[:len(row)]
-			out[op.colIdx] = v
-		} else {
-			out[len(row)] = v
-		}
-		return [][]pyvalue.Value{out}, res, nil
-	case bOpMapColumn:
-		if op.colIdx >= len(row) {
-			return nil, false, pyvalue.Raise(pyvalue.ExcIndexError, "row too short for column %q", op.col)
-		}
-		arg := row[op.colIdx]
-		v, err, res := applyHandlers(op.handlers, func() (pyvalue.Value, error) {
-			return op.udf.call([]pyvalue.Value{arg})
-		}, []pyvalue.Value{arg})
-		if err != nil {
-			return nil, res, err
-		}
-		out := append([]pyvalue.Value{}, row...)
-		out[op.colIdx] = v
-		return [][]pyvalue.Value{out}, res, nil
-	case bOpSelect:
+	case opSelect:
 		out := make([]pyvalue.Value, len(op.sel))
 		for i, idx := range op.sel {
 			if idx >= len(row) {
@@ -281,21 +190,54 @@ func (op *boxedOp) apply(joins []*buildTable, row []pyvalue.Value) ([][]pyvalue.
 			out[i] = row[idx]
 		}
 		return [][]pyvalue.Value{out}, false, nil
-	case bOpJoin:
+	case opJoin:
 		return op.applyJoin(joins[op.joinIdx], row)
+	case opMapColumn:
+		if op.colIdx >= len(row) {
+			return nil, false, pyvalue.Raise(pyvalue.ExcIndexError, "row too short for column %q", op.inSchema.Col(op.colIdx).Name)
+		}
+		arg = row[op.colIdx]
 	default:
-		return nil, false, fmt.Errorf("core: unknown boxed op %d", op.kind)
+		arg = op.udfArg(ips[0], row)
 	}
+	v, res, err := op.call(ips, arg)
+	if err != nil {
+		return nil, res, err
+	}
+	var out []pyvalue.Value
+	switch op.kind {
+	case opMap:
+		if out, err = mapResultRow(v, op.outSchema); err != nil {
+			return nil, res, err
+		}
+	case opFilter:
+		if !pyvalue.Truth(v) {
+			return nil, res, errDropped
+		}
+		out = row
+	case opWithColumn:
+		out = append(append([]pyvalue.Value{}, row...), nil)
+		if op.colIdx >= 0 && op.colIdx < len(row) {
+			out = out[:len(row)]
+			out[op.colIdx] = v
+		} else {
+			out[len(row)] = v
+		}
+	case opMapColumn:
+		out = append([]pyvalue.Value{}, row...)
+		out[op.colIdx] = v
+	}
+	return [][]pyvalue.Value{out}, res, nil
 }
 
 // applyJoin probes both the sharded normal table and the general build
 // map (§4.5's pairwise NC/EC coverage for exception-side probe rows).
-func (op *boxedOp) applyJoin(bt *buildTable, row []pyvalue.Value) ([][]pyvalue.Value, bool, error) {
-	if op.keyIdx >= len(row) {
+func (op *stageOp) applyJoin(bt *buildTable, row []pyvalue.Value) ([][]pyvalue.Value, bool, error) {
+	if op.colIdx >= len(row) {
 		return nil, false, pyvalue.Raise(pyvalue.ExcKeyError, "row too short for join key")
 	}
 	var out [][]pyvalue.Value
-	if key, ok := rows.AppendJoinKeyValue(nil, row[op.keyIdx]); ok {
+	if key, ok := rows.AppendJoinKeyValue(nil, row[op.colIdx]); ok {
 		for _, ref := range bt.lookup(rows.Hash64(key), key) {
 			joined := append(append([]pyvalue.Value{}, row...), bt.boxRow(ref)...)
 			out = append(out, joined)
@@ -357,7 +299,7 @@ func (eng *engine) resolveExceptions(sr *stageRun, out *mat) (generalStats, erro
 	pool := out.exceptional
 	out.exceptional = nil
 	// Input-materialization exceptions from the previous stage also run
-	// through this stage's boxed program. Source stages have no previous
+	// through this stage's ops. Source stages have no previous
 	// stage.
 	if sr.input != nil {
 		n := len(pool)
@@ -399,8 +341,8 @@ func (eng *engine) resolveExceptions(sr *stageRun, out *mat) (generalStats, erro
 	}
 	c := &eng.res.Metrics.Counters
 	joinScale := uint64(1)
-	for _, op := range sr.boxed {
-		if op.kind == bOpJoin {
+	for _, op := range sr.ops {
+		if op.kind == opJoin {
 			joinScale *= 256
 		}
 	}
@@ -444,6 +386,9 @@ func (eng *engine) resolveExceptions(sr *stageRun, out *mat) (generalStats, erro
 	// Phase 2 — every row the general plan did not take runs on the
 	// interpreter fallback, serially (the GIL analog); then terminal
 	// application in input order.
+	if gs.batched < len(pool) {
+		sr.interps = newInterps(sr.ops)
+	}
 	for i := range pool {
 		if i&0xff == 0 {
 			if err := eng.canceled(); err != nil {
@@ -529,10 +474,9 @@ func (eng *engine) resolveExceptions(sr *stageRun, out *mat) (generalStats, erro
 				boxedAggRows++
 			}
 		case physical.TerminalUnique:
-			// mergeUnique left one partition, in order-key order.
 			for _, r := range outRows {
 				if uniqSeen.addRow(rows.RowFromValues(r)) {
-					out.exceptional = append(out.exceptional, exRow{key: ex.key * joinScale, vals: r})
+					out.exceptional = append(out.exceptional, exRow{part: ex.part, key: ex.key * joinScale, vals: r})
 				}
 			}
 		default:

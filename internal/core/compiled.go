@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"github.com/gotuplex/tuplex/internal/logical"
@@ -101,6 +102,7 @@ func newChainPlan(sinkNode *logical.Node, emit emitForm, fusion bool) (*chainPla
 		return nil, err
 	}
 	c := &chainPlan{stages: make([]*stageSlot, len(pplan.Stages))}
+	joins := 0
 	for si := range pplan.Stages {
 		st := &pplan.Stages[si]
 		sl := &stageSlot{st: st}
@@ -109,6 +111,9 @@ func newChainPlan(sinkNode *logical.Node, emit emitForm, fusion bool) (*chainPla
 		}
 		for _, op := range st.Ops {
 			if j, ok := op.(*logical.JoinOp); ok {
+				if joins++; joins > maxKeyJoins {
+					return nil, fmt.Errorf("core: more than %d joins along one pipeline: its rows' order keys hold %d", maxKeyJoins, maxKeyJoins)
+				}
 				build, err := newChainPlan(j.Build, emitRows, fusion)
 				if err != nil {
 					return nil, err

@@ -47,9 +47,6 @@ type Options struct {
 	// Executors is the worker-thread count (the paper's per-server
 	// executor threads).
 	Executors int
-	// PartitionRows caps rows per partition task of a Parallelize
-	// source; CSV and text sources partition by chunk (ChunkSize).
-	PartitionRows int
 	// Sample configures normal-case detection.
 	Sample sample.Config
 	// Logical toggles the planner rewrites.
@@ -95,23 +92,19 @@ type Options struct {
 // DefaultOptions returns the fully-optimized single-threaded setup.
 func DefaultOptions() Options {
 	return Options{
-		Executors:     1,
-		PartitionRows: 1 << 16,
-		Logical:       logical.AllOptimizations(),
-		Fusion:        true,
-		Codegen:       codegen.DefaultOptions(),
-		Seed:          0x745,
-		ChunkSize:     csvio.DefaultChunkSize,
-		Trace:         trace.LevelSpans,
+		Executors: 1,
+		Logical:   logical.AllOptimizations(),
+		Fusion:    true,
+		Codegen:   codegen.DefaultOptions(),
+		Seed:      0x745,
+		ChunkSize: csvio.DefaultChunkSize,
+		Trace:     trace.LevelSpans,
 	}
 }
 
 func (o Options) withDefaults() Options {
 	if o.Executors <= 0 {
 		o.Executors = 1
-	}
-	if o.PartitionRows <= 0 {
-		o.PartitionRows = 1 << 16
 	}
 	if o.ChunkSize <= 0 {
 		o.ChunkSize = csvio.DefaultChunkSize
@@ -416,7 +409,7 @@ func (eng *engine) execAndResolve(sr *stageRun, ssp *trace.Span) (*mat, error) {
 			trace.Int("vector_rows", bm.VectorRows.Load()-vector0),
 			trace.Int("vector_bail_rows", bm.VectorBailRows.Load()-vbail0))
 	}
-	if esp != nil && sr.parse != nil && sr.batch != nil {
+	if esp != nil && sr.parse != nil && sr.entry == nil {
 		// Streamed records the chunk parser handed whole to the
 		// per-record parser: a '"' that does not open a cell.
 		var slow, lazy, converted int64

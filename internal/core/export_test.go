@@ -31,10 +31,10 @@ func stripVec(c *chainPlan) (n int) {
 			n++
 		}
 		for _, p := range []*stagePlan{pl, pl.general} {
-			if p == nil || p.batch == nil {
+			if p == nil {
 				continue
 			}
-			for _, k := range p.batch.kernels {
+			for _, k := range p.ops {
 				if k.vec != nil {
 					k.vec = nil
 					n++

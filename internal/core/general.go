@@ -84,16 +84,14 @@ func (eng *engine) compileGeneral(sl *stageSlot, pl *stagePlan) *stagePlan {
 		inSchema:    pl.generalIn,
 		nullValues:  pl.nullValues,
 		generalCase: true,
+		noVec:       pl.noVec,
 	}
 	if err := eng.compileOps(gp, sl, nil); err != nil {
 		return nil
 	}
-	for _, k := range gp.batch.kernels {
+	for _, k := range gp.ops {
 		if k.su != nil && k.su.compiled == nil {
 			return nil
-		}
-		if pl.noVec {
-			k.vec = nil
 		}
 	}
 	generalPlans.Add(1)
@@ -230,19 +228,13 @@ func (sr *stageRun) countGeneral(gp *stagePlan, routes [][]int64, produced []int
 		}
 		next += produced[b]
 	}
-	kernel := make([]bool, len(gp.opNames))
-	for _, k := range gp.batch.kernels {
-		kernel[k.ridx] = true
-	}
-	for oi := len(sr.boxed) - 1; oi >= 0; oi-- {
-		if kernel[oi+1] {
-			next = counts[oi+1]
-		} else {
-			counts[oi+1] = next
+	k := len(gp.ops) - 1
+	for ri := gp.termRouteIdx - 1; ri > 0; ri-- {
+		if k >= 0 && gp.ops[k].ridx == ri {
+			next = counts[ri]
+			k--
 		}
-	}
-	for oi := range sr.boxed {
-		sr.routing[oi+1].GeneralIn += counts[oi+1]
+		sr.routing[ri].GeneralIn += next
 	}
 }
 

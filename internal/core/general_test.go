@@ -279,14 +279,27 @@ func mixedCSV() []byte {
 // function that rewrites it with the same prefix and, past it, an empty
 // b in one row in five — a pool the general plan takes.
 func driftFiles(t *testing.T) (path string, drift func()) {
+	path, write := driftWriter(t)
+	write(1000, 1<<30, 0)
+	return path, func() { write(6000, 5, 0) }
+}
+
+// driftWriter returns driftFiles' path and writer: rows rows, an empty b
+// in one row in every from row 1000 on and, when boolEvery > 0, a True b
+// in one row in boolEvery from row 1000 on — a cell the general parse
+// rejects, so its row goes to the fallback.
+func driftWriter(t *testing.T) (path string, write func(rows, every, boolEvery int)) {
 	path = filepath.Join(t.TempDir(), "in.csv")
-	write := func(rows int, every int) {
+	return path, func(rows, every, boolEvery int) {
 		var sb strings.Builder
 		sb.WriteString("a,b,s\n")
 		for i := range rows {
 			b := fmt.Sprintf("%d.25", i%17)
-			if i%50 == 3 || i >= 1000 && i%every == 1 {
+			switch {
+			case i%50 == 3 || i >= 1000 && i%every == 1:
 				b = ""
+			case i >= 1000 && boolEvery > 0 && i%boolEvery == 2:
+				b = "True"
 			}
 			fmt.Fprintf(&sb, "%d,%s,s%d\n", i, b, i%7)
 		}
@@ -294,8 +307,6 @@ func driftFiles(t *testing.T) (path string, drift func()) {
 			t.Fatal(err)
 		}
 	}
-	write(1000, 1<<30)
-	return path, func() { write(6000, 5) }
 }
 
 func driftPlan(t *testing.T, path string) *logical.Node {
@@ -307,9 +318,21 @@ func driftPlan(t *testing.T, path string) *logical.Node {
 
 // TestGeneralPlanConcurrentRuns: two concurrent Executes of one cached
 // plan meet pools for the first time. The general plan is built once,
-// shared, and both results equal a serial run's (run under -race).
+// shared, and both results equal a serial run's (run under -race). In
+// the second input, rows also reach the fallback, where the first UDF —
+// a whole-row dict UDF that reads one of the three columns — runs on
+// every run's own interpreters over the plan's shared operators.
 func TestGeneralPlanConcurrentRuns(t *testing.T) {
-	path, drift := driftFiles(t)
+	for _, boolEvery := range []int{0, 13} {
+		t.Run(fmt.Sprintf("boolEvery=%d", boolEvery), func(t *testing.T) {
+			testGeneralPlanConcurrentRuns(t, boolEvery)
+		})
+	}
+}
+
+func testGeneralPlanConcurrentRuns(t *testing.T, boolEvery int) {
+	path, write := driftWriter(t)
+	write(1000, 1<<30, 0)
 	opts := core.DefaultOptions()
 	opts.Executors = 2
 	opts.Trace = trace.LevelRows
@@ -321,7 +344,7 @@ func TestGeneralPlanConcurrentRuns(t *testing.T) {
 	if n := core.GeneralPlans() - before; n != 0 {
 		t.Fatalf("the sample-sized input built %d general plans; its pool is below the cut", n)
 	}
-	drift()
+	write(6000, 5, boolEvery)
 	var wg sync.WaitGroup
 	obs := make([]generalObs, 2)
 	errs := make([]error, 2)
@@ -348,6 +371,9 @@ func TestGeneralPlanConcurrentRuns(t *testing.T) {
 	serial := observeGeneral(t, res)
 	if serial.batched == 0 {
 		t.Fatal("the drifted input's pool did not reach the general plan")
+	}
+	if fallback := serial.Counters[cFallbackResolved] > 0; fallback != (boolEvery > 0) {
+		t.Fatalf("fallback-resolved rows: %d, want them only with True cells", serial.Counters[cFallbackResolved])
 	}
 	if n := core.GeneralPlans() - before; n != 1 {
 		t.Fatalf("built %d general plans, want 1", n)

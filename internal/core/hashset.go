@@ -2,7 +2,8 @@ package core
 
 import (
 	"bytes"
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/gotuplex/tuplex/internal/rows"
 )
@@ -22,9 +23,11 @@ type uniqEntry struct {
 	h   uint64
 	key []byte
 	row rows.Row
-	// ord is the row's order key; the merged output keeps, per distinct
-	// key, the row with the smallest ord (first in input order).
+	// ord is the row's order key in partition part (set by the merge);
+	// the merged output keeps, per distinct key, the row with the
+	// smallest (part, ord) — the first in input order.
 	ord  uint64
+	part int32
 	next int32
 }
 
@@ -68,14 +71,13 @@ func (u *uniqSet) insert(h uint64, key []byte, row rows.Row, ord uint64) bool {
 	return true
 }
 
-// mergeEntry folds one already-encoded entry into the set, keeping the
-// smallest ord per key. The entry's key and row are referenced, not
-// copied — merge inputs outlive the merged set.
-func (u *uniqSet) mergeEntry(e *uniqEntry) {
+// mergeEntry folds one already-encoded entry of partition part into the
+// set, keeping the smallest (part, ord) per key. The entry's key and row
+// are referenced, not copied — merge inputs outlive the merged set.
+func (u *uniqSet) mergeEntry(e *uniqEntry, part int32) {
 	if i := u.find(e.h, e.key); i >= 0 {
-		if e.ord < u.ents[i].ord {
-			u.ents[i].row = e.row
-			u.ents[i].ord = e.ord
+		if m := &u.ents[i]; part < m.part || part == m.part && e.ord < m.ord {
+			m.row, m.ord, m.part = e.row, e.ord, part
 		}
 		return
 	}
@@ -84,7 +86,7 @@ func (u *uniqSet) mergeEntry(e *uniqEntry) {
 	if had {
 		next = head
 	}
-	u.ents = append(u.ents, uniqEntry{h: e.h, key: e.key, row: e.row, ord: e.ord, next: next})
+	u.ents = append(u.ents, uniqEntry{h: e.h, key: e.key, row: e.row, ord: e.ord, part: part, next: next})
 	u.idx[e.h] = int32(len(u.ents) - 1)
 }
 
@@ -108,9 +110,10 @@ func (ui *uniqIndex) addRow(r rows.Row) bool {
 
 // mergeUnique folds per-task unique sets into the output mat,
 // shard-parallel: phase 1 buckets each task's entries by hash shard,
-// phase 2 merges each shard across tasks (keeping the smallest order key
-// per row), and the surviving entries sort back into input order. It
-// returns the merged index for exception deduplication.
+// phase 2 merges each shard across tasks (keeping each row's first
+// occurrence), and every surviving row goes back to the partition of
+// that occurrence, in key order. It returns the merged index for
+// exception deduplication.
 func (eng *engine) mergeUnique(sr *stageRun, out *mat) *uniqIndex {
 	nshards := shardCount(eng.opts.Executors)
 	mask := uint64(nshards - 1)
@@ -140,35 +143,28 @@ func (eng *engine) mergeUnique(sr *stageRun, out *mat) *uniqIndex {
 		for t := range tasks {
 			ents := tasks[t].uniq.ents
 			for _, i := range perTask[t][s] {
-				us.mergeEntry(&ents[i])
+				us.mergeEntry(&ents[i], int32(tasks[t].part))
 			}
 		}
 		shards[s] = us
 	})
 
-	// Collect survivors and restore input order.
-	total := 0
-	for _, us := range shards {
-		total += len(us.ents)
-	}
-	type ordered struct {
-		row rows.Row
-		ord uint64
-	}
-	entries := make([]ordered, 0, total)
+	// Collect the survivors by partition and restore input order.
+	byPart := make([][]*uniqEntry, len(out.keys))
 	for _, us := range shards {
 		for i := range us.ents {
-			entries = append(entries, ordered{row: us.ents[i].row, ord: us.ents[i].ord})
+			e := &us.ents[i]
+			byPart[e.part] = append(byPart[e.part], e)
 		}
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].ord < entries[j].ord })
-	rowsOut := make([]rows.Row, len(entries))
-	keysOut := make([]uint64, len(entries))
-	for i, e := range entries {
-		rowsOut[i] = e.row
-		keysOut[i] = e.ord
+	out.parts = make([][]rows.Row, len(byPart))
+	for p, ents := range byPart {
+		slices.SortFunc(ents, func(a, b *uniqEntry) int { return cmp.Compare(a.ord, b.ord) })
+		out.parts[p] = make([]rows.Row, len(ents))
+		out.keys[p] = make([]uint64, len(ents))
+		for i, e := range ents {
+			out.parts[p][i], out.keys[p][i] = e.row, e.ord
+		}
 	}
-	out.parts = [][]rows.Row{rowsOut}
-	out.keys = [][]uint64{keysOut}
 	return &uniqIndex{shards: shards, mask: mask}
 }

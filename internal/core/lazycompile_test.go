@@ -99,3 +99,72 @@ func TestUncompilableGeneralPathFallsBack(t *testing.T) {
 		t.Fatalf("routing ledger changed:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// TestLedgerAcrossOperatorsWithoutKernels pins the routing ledger of a
+// stage whose rename, select, resolve and ignore sit between UDF
+// operators. Those four compile to nothing, yet each keeps its ledger
+// entry on every path: rows run the normal path, nulls the sample did
+// not see go through the general plan, and a string in the float column
+// (which the general parse rejects) and every row that raises in a UDF
+// go to the fallback, where the resolver and the ignore handler act.
+func TestLedgerAcrossOperatorsWithoutKernels(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("a,b,s\n")
+	for i := 0; i < 600; i++ {
+		b := fmt.Sprintf("%d.25", i%17)
+		switch {
+		case i%50 == 3, i >= 100 && i%7 == 3:
+			b = ""
+		case i >= 100 && i%29 == 5:
+			b = "x"
+		}
+		fmt.Fprintf(&sb, "%d,%s,s%d\n", i, b, i%5)
+	}
+	c := tuplex.NewContext(tuplex.WithExecutors(2), tuplex.WithSampleSize(50),
+		tuplex.WithTracing(tuplex.TraceRows))
+	res, err := c.CSV("", tuplex.CSVData([]byte(sb.String()))).
+		WithColumn("c", tuplex.UDF("lambda x: x['b'] * 2.0 if x['b'] else -1.0")).
+		RenameColumn("a", "id").
+		MapColumn("s", tuplex.UDF("lambda s: 10 // int(s[1:])")).
+		SelectColumns("id", "c", "s").
+		Resolve(tuplex.ZeroDivisionError, tuplex.UDF("lambda s: -1")).
+		Filter(tuplex.UDF("lambda x: x['id'] % 3 != 1")).
+		WithColumn("d", tuplex.UDF("lambda x: x['c'] / (x['id'] % 4)")).
+		Ignore(tuplex.ZeroDivisionError).
+		Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ledger []string
+	var walk func(s *tuplex.Span)
+	walk = func(s *tuplex.Span) {
+		for _, r := range s.Routing {
+			ledger = append(ledger, fmt.Sprintf("%s normal=%d exc=%d general=%d general_ok=%d fallback=%d fallback_ok=%d resolver=%d ignored=%d failed=%d",
+				r.Op, r.NormalIn, r.NormalExc, r.GeneralIn, r.GeneralResolved, r.FallbackIn, r.FallbackResolved,
+				r.ResolverResolved, r.Ignored, r.Failed))
+		}
+		for _, ch := range s.Children {
+			walk(ch)
+		}
+	}
+	walk(res.Trace.Root)
+	got := strings.Join(ledger, "\n")
+	want := strings.Join([]string{
+		"source normal=600 exc=97 general=0 general_ok=36 fallback=0 fallback_ok=0 resolver=7 ignored=40 failed=14",
+		"withColumn(c) normal=503 exc=0 general=59 general_ok=0 fallback=210 fallback_ok=0 resolver=0 ignored=0 failed=0",
+		"rename normal=0 exc=0 general=59 general_ok=0 fallback=196 fallback_ok=0 resolver=0 ignored=0 failed=0",
+		"mapColumn(s) normal=503 exc=103 general=59 general_ok=0 fallback=196 fallback_ok=0 resolver=52 ignored=51 failed=0",
+		"select normal=400 exc=0 general=59 general_ok=0 fallback=196 fallback_ok=0 resolver=0 ignored=0 failed=0",
+		"resolve normal=0 exc=0 general=59 general_ok=0 fallback=196 fallback_ok=0 resolver=0 ignored=0 failed=0",
+		"filter normal=400 exc=0 general=59 general_ok=0 fallback=196 fallback_ok=0 resolver=0 ignored=0 failed=0",
+		"withColumn(d) normal=267 exc=69 general=36 general_ok=0 fallback=157 fallback_ok=0 resolver=0 ignored=69 failed=0",
+		"ignore normal=0 exc=0 general=36 general_ok=0 fallback=59 fallback_ok=0 resolver=0 ignored=0 failed=0",
+		"collect normal=198 exc=0 general=0 general_ok=0 fallback=0 fallback_ok=0 resolver=0 ignored=0 failed=0",
+	}, "\n")
+	if got != want {
+		t.Fatalf("routing ledger changed:\n%s\nwant:\n%s", got, want)
+	}
+	if len(res.Rows) != 293 || len(res.Failed) != 14 {
+		t.Fatalf("got %d rows and %d failed, want 293 and 14", len(res.Rows), len(res.Failed))
+	}
+}

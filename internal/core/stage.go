@@ -63,7 +63,73 @@ type opHandlers struct {
 type resolverSpec struct {
 	exc  pyvalue.ExcKind
 	spec *logical.UDFSpec
-	udf  *boxedUDF // nil in the plan's recipe (see boxedOp)
+}
+
+// opKind enumerates the stage operators that compile to a stageOp.
+// Rename, resolve and ignore compile to none: a rename changes only the
+// schema, and a resolver or ignore joins its UDF operator's handlers.
+type opKind uint8
+
+const (
+	opMap opKind = iota
+	opFilter
+	opWithColumn
+	opMapColumn
+	opSelect
+	opJoin
+)
+
+// stageOp is one stage operator as compileOps compiles it, once, for all
+// three of its readers: the batch plan runs it as a kernel (runKernels),
+// the row reference as a step (rowStep) and the fallback as a boxed
+// operator over the run's interpreters (apply). Only compileOps writes
+// it; every run of the plan reads it, concurrently.
+type stageOp struct {
+	kind opKind
+	// ridx is the operator's routing-ledger index, ki its index in the
+	// plan's ops (it addresses the kernel's derived vectors in
+	// batchState).
+	ridx int32
+	ki   int
+	// su is the operator's UDF and handlers its resolvers and ignores
+	// (both nil for select and join).
+	su       *stageUDF
+	handlers *opHandlers
+	// inSchema and outSchema are the schemas entering and leaving it.
+	inSchema, outSchema *types.Schema
+	// scalar marks a UDF receiving a bare column value, argIdx the column
+	// it is read from. colIdx is the mapColumn target, the withColumn
+	// replace index (-1 = append) and the join probe-key column.
+	scalar bool
+	argIdx int
+	colIdx int
+	// sel is the select permutation.
+	sel []int
+	// joinIdx is the join's build table in the run's joins; leftOuter
+	// marks a left join.
+	joinIdx   int
+	leftOuter bool
+	// scratch is the task scratch slot a row step builds its output row in
+	// (map, select, join).
+	scratch int
+
+	// The batch kernel's fields. vec is the UDF's vector program
+	// (codegen/vec.go) when the kernel can run it: a filter over any
+	// vectorizable body, a withColumn/mapColumn whose derived vector has
+	// the program's kind. nil keeps the row closure, and rowWhy says why.
+	// argCols lists the columns a whole-row UDF reads (accessed columns
+	// plus guard columns; nil = fill every column). outTypes types the
+	// derived output vectors (map: one per output column;
+	// withColumn/mapColumn: one; join: the full output schema).
+	vec      *codegen.VecExpr
+	rowWhy   string
+	argCols  []int
+	outTypes []types.Type
+
+	// accessCols, the fallback's, are the row positions of the columns a
+	// whole-row UDF reads by name (-1: not in the schema): its dict
+	// argument holds only those. nil builds the whole row.
+	accessCols []int
 }
 
 // stagePlan is the immutable compile product of one stage: everything
@@ -89,20 +155,17 @@ type stagePlan struct {
 	// (sample.CasePlan.GeneralSchema over the projected columns).
 	generalIn *types.Schema
 
-	// batch is the stage's batch plan, the normal path every stage runs;
-	// nil only under Options.RowPlane, whose stages run entry — the
-	// compiled row-at-a-time step chain — instead.
-	batch   *batchProg
+	// ops are the stage's compiled operators. The batch plan, the normal
+	// path every stage runs, groups them into fused passes (groups); under
+	// Options.RowPlane a stage runs entry instead — the row-at-a-time step
+	// chain built from them — and entry != nil marks that plan.
+	ops     []*stageOp
+	groups  [][]*stageOp
 	entry   nstep
 	maxCols int
 	nUDFs   int
 	// emit is the form the stage's tasks write (stageSlot.emit).
 	emit emitForm
-
-	// recipe is the fallback path's boxed program, parallel to the stage
-	// ops, without interpreters: those are not thread-safe, so every run
-	// instantiates its own from it.
-	recipe []*boxedOp
 
 	// aggregate terminal
 	aggInit     pyvalue.Value
@@ -135,7 +198,7 @@ type stagePlan struct {
 }
 
 // stageRun is one run's private state for one stage: the bound source,
-// the join build tables, the boxed interpreters, and what execution
+// the join build tables, the fallback's interpreters, and what execution
 // leaves behind (tasks, routing ledger, exception samples). bind creates
 // it before the stage's plan necessarily exists; attach points it at the
 // plan it executes.
@@ -157,8 +220,10 @@ type stageRun struct {
 	// order; join steps and kernels index it by their joinIdx.
 	joins []*buildTable
 
-	// Private boxed interpreters, instantiated from the plan's recipe.
-	boxed     []*boxedOp
+	// Private interpreters (an interpreter belongs to one goroutine):
+	// interps holds, per op, its UDF's and then each resolver's (nil for
+	// select and join), built by resolve for the rows the fallback runs.
+	interps   [][]*boxedUDF
 	aggBoxed  *boxedUDF
 	combBoxed *boxedUDF
 
@@ -179,11 +244,10 @@ type stageRun struct {
 }
 
 // attach points the run at the plan it executes and instantiates the
-// per-run halves of it: private interpreters for the fallback and a
-// fresh routing ledger.
+// per-run halves of it: the terminal's interpreters and a fresh routing
+// ledger.
 func (sr *stageRun) attach(pl *stagePlan) {
 	sr.stagePlan = pl
-	sr.boxed = instantiateBoxed(pl.recipe)
 	if pl.traceRows {
 		sr.routing = make([]trace.OpRouting, len(pl.opNames))
 		for i, n := range pl.opNames {
@@ -206,11 +270,8 @@ type stageUDF struct {
 	compiled *codegen.UDF // normal path; nil if not fast-path compilable
 	// flow carries the dataflow analysis for the typed normal-case form
 	// (nil when typing failed); consulted for dead-resolver warnings.
-	flow *dataflow.Result
-	// scalarParam reports that the UDF receives the bare column value
-	// (single-column rows / mapColumn).
-	scalarParam bool
-	frameIdx    int
+	flow     *dataflow.Result
+	frameIdx int
 }
 
 // task is per-partition execution state.
@@ -377,38 +438,38 @@ func (sr *stageRun) mergedRouting() []trace.OpRouting {
 }
 
 // runUnit feeds one unit through the normal path: a streamed chunk
-// (order keys part<<streamKeyShift|i) or an in-memory partition. Every
+// (order keys are record indexes) or an in-memory partition. Every
 // unit runs on the batch plane; the arms for a plan without one
 // (Options.RowPlane) are the row-at-a-time reference executor the
 // columnar differentials compare against.
 func (sr *stageRun) runUnit(ts *task, u unit) {
 	if u.chunk == nil {
-		if sr.batch == nil {
+		if sr.entry != nil {
 			sr.runPartition(ts, u.part)
 		} else {
 			sr.runRowsColumnar(ts, u.part)
 		}
 		return
 	}
-	data, baseKey := u.chunk.Data, uint64(u.part)<<streamKeyShift
+	data := u.chunk.Data
 	switch {
-	case sr.batch == nil && sr.isText:
-		sr.runRecords(ts, u.part, splitPlainLines(data), baseKey)
-	case sr.batch == nil:
-		sr.runRecords(ts, u.part, csvio.SplitRecords(data), baseKey)
+	case sr.entry != nil && sr.isText:
+		sr.runRecords(ts, u.part, splitPlainLines(data))
+	case sr.entry != nil:
+		sr.runRecords(ts, u.part, csvio.SplitRecords(data))
 	case sr.isText:
-		sr.runTextColumnar(ts, u.part, data, baseKey)
+		sr.runTextColumnar(ts, u.part, data)
 	default:
-		sr.runChunkColumnar(ts, u.part, data, baseKey)
+		sr.runChunkColumnar(ts, u.part, data)
 	}
 }
 
 // runRecords feeds raw source records through the row-at-a-time
-// reference path with order keys baseKey+i.
-func (sr *stageRun) runRecords(ts *task, p int, recs [][]byte, baseKey uint64) {
+// reference path, record i with order key i.
+func (sr *stageRun) runRecords(ts *task, p int, recs [][]byte) {
 	var rejects, normalExc int64
 	for i, rec := range recs {
-		key := baseKey + uint64(i)
+		key := uint64(i)
 		var row rows.Row
 		var ec ECode
 		if sr.isText {
@@ -579,8 +640,8 @@ func rowConforms(row rows.Row, sch *types.Schema) bool {
 }
 
 // compileStage builds the plan for one stage: the source-side decisions
-// from the sample the binding holds (planSource), then the normal and
-// boxed programs (compileOps). It also reports the time spent sampling.
+// from the sample the binding holds (planSource), then its operators
+// (compileOps). It also reports the time spent sampling.
 func (eng *engine) compileStage(sl *stageSlot, sr *stageRun) (*stagePlan, time.Duration, error) {
 	pl := &stagePlan{terminal: sl.st.Terminal, emit: sl.emit}
 	srcFacts, dSample, err := eng.planSource(pl, sl.st.Source, sr)
@@ -616,14 +677,14 @@ const lazyMaxShare = 0.2
 // more than lazyMaxShare of the sample is lazy. With any other first
 // kernel every column is read at every row, and none is lazy.
 func (pl *stagePlan) markLazy(records [][]byte) {
-	if pl.parse == nil || pl.batch == nil || pl.generalCase {
+	if pl.parse == nil || pl.entry != nil || pl.generalCase {
 		return
 	}
 	// run runs the program over sel and returns the rows every column is
 	// read at after it.
 	var run func(st *codegen.VecState, vecs []*colvec.Vec, sel []int32) int
-	switch ks := pl.batch.kernels; {
-	case len(ks) > 0 && ks[0].kind == bkFilter && ks[0].vec != nil:
+	switch ks := pl.ops; {
+	case len(ks) > 0 && ks[0].kind == opFilter && ks[0].vec != nil:
 		k := ks[0]
 		run = func(st *codegen.VecState, vecs []*colvec.Vec, sel []int32) int {
 			return len(k.vec.Filter(st, vecs, k.argIdx, len(sel), sel, nil)) + len(st.Bail())
@@ -708,10 +769,10 @@ func (pl *stagePlan) lazyCols() string {
 	return strings.Join(names, ",")
 }
 
-// compileOps compiles the stage's operators and terminal into the plan's
-// batch program (or, under Options.RowPlane, its row-reference step
-// chain) and boxed recipe. It sees only plan state — never the run that
-// triggered the compile — so nothing it closes over can be per-run.
+// compileOps compiles the stage's operators, each once into its stageOp,
+// and then the plan's batch program (or, under Options.RowPlane, its
+// row-reference step chain). It sees only plan state — never the run
+// that triggered the compile — so nothing it closes over can be per-run.
 // srcFacts seeds the dataflow analysis for the first UDF: per-column type
 // facts plus sampled value statistics (constants, int ranges) for sources
 // that sample values; nil means type facts only.
@@ -729,23 +790,12 @@ func (eng *engine) compileOps(pl *stagePlan, sl *stageSlot, srcFacts []dataflow.
 	pl.opNames = append(pl.opNames, terminalName(st.Terminal, pl.emit))
 	pl.termRouteIdx = int32(len(st.Ops) + 1)
 
-	// Walk ops: compute schemas, compile UDFs, build step compilers.
-	type compiledOp struct {
-		// make builds the op's row-reference step in front of next.
-		make func(next nstep) nstep
-		// ridx is the op's routing-ledger index.
-		ridx int32
-		// batch is the op's batch kernel.
-		batch *batchKernel
-	}
-	var nops []compiledOp
 	schema := pl.inSchema
 	pl.maxCols = schema.Len()
 	frameIdx := 0
-	var lastHandlers *opHandlers
-	// lastUDF tracks the UDF a following resolve() attaches to, for the
-	// dead-resolver lint.
-	var lastUDF *stageUDF
+	// lastUDF is the UDF operator a following resolve() or ignore()
+	// attaches to.
+	var lastUDF *stageOp
 	// nJoins counts the JoinOps seen so far: the index of the next one's
 	// build side in sl.builds and of its table in a run's joins.
 	nJoins := 0
@@ -758,114 +808,43 @@ func (eng *engine) compileOps(pl *stagePlan, sl *stageSlot, srcFacts []dataflow.
 	}
 
 	for oi, op := range st.Ops {
-		ridx := int32(oi + 1)
+		rec := &stageOp{ridx: int32(oi + 1), ki: len(pl.ops), inSchema: schema}
+		// compile compiles the operator's UDF for a parameter of type
+		// paramT: the whole row, or one column value when scalar.
+		compile := func(spec *logical.UDFSpec, scalar bool, paramT types.Type, facts []dataflow.ColFact) {
+			su := eng.compileUDF(spec, []types.Type{paramT}, facts, opName(op), pl.generalCase)
+			su.frameIdx = frameIdx
+			frameIdx++
+			rec.su, rec.handlers, rec.scalar, rec.scratch = su, &opHandlers{}, scalar, su.frameIdx
+			if !scalar {
+				rec.argCols = kernelArgCols(su, schema)
+				rec.accessCols = boxedAccessCols(spec, schema)
+			}
+			lastUDF = rec
+		}
 		switch op := op.(type) {
 		case *logical.MapOp:
 			scalar, paramT := paramStyle(op.UDF, schema)
-			su := eng.compileUDF(op.UDF, []types.Type{paramT}, scalar, colFacts, opName(op), pl.generalCase)
-			lastUDF = su
-			su.frameIdx = frameIdx
-			frameIdx++
-			outSchema := mapOutputSchema(su)
-			h := &opHandlers{}
-			bop := &boxedOp{kind: bOpMap, spec: op.UDF, handlers: h, inSchema: schema, outSchema: outSchema, scalar: scalar}
-			pl.recipe = append(pl.recipe, bop)
-			lastHandlers = h
-			inIdx := 0 // scalar single-column index
-			nCols := outSchema.Len()
-			scratchIdx := su.frameIdx
-			outTs := make([]types.Type, outSchema.Len())
-			for i := range outTs {
-				outTs[i] = outSchema.Col(i).Type
-			}
-			bk := &batchKernel{kind: bkMap, su: su, ridx: ridx, scalar: scalar, argIdx: inIdx,
-				inCols: schema.Len(), argCols: kernelArgCols(su, schema), outTypes: outTs}
-			nops = append(nops, compiledOp{ridx: ridx, batch: bk, make: func(next nstep) nstep {
-				return func(ts *task, key uint64, row rows.Row) ECode {
-					v, ec := callNormalUDF(ts, su, row, inIdx, scalar)
-					if ec != 0 {
-						ts.excOp = ridx
-						return ec
-					}
-					out := ts.opScratch(scratchIdx, pl.maxCols)
-					switch {
-					case len(v.Seq) > 0 && (v.Tag == types.KindDict || v.Tag == types.KindTuple):
-						if len(v.Seq) != nCols {
-							ts.excOp = ridx
-							return pyvalue.ExcUnsupported
-						}
-						out = append(out, v.Seq...)
-					case nCols == 1:
-						out = append(out, v)
-					default:
-						ts.excOp = ridx
-						return pyvalue.ExcUnsupported
-					}
-					return next(ts, key, out)
-				}
-			}})
-			schema = outSchema
-			colFacts = typeColFacts(outSchema)
-			if schema.Len() > pl.maxCols {
-				pl.maxCols = schema.Len() + 8
-			}
+			compile(op.UDF, scalar, paramT, colFacts)
+			rec.kind = opMap
+			schema = mapOutputSchema(rec.su)
+			rec.outTypes = schemaTypes(schema)
+			colFacts = typeColFacts(schema)
 
 		case *logical.FilterOp:
 			scalar, paramT := paramStyle(op.UDF, schema)
-			su := eng.compileUDF(op.UDF, []types.Type{paramT}, scalar, colFacts, opName(op), pl.generalCase)
-			lastUDF = su
-			su.frameIdx = frameIdx
-			frameIdx++
-			h := &opHandlers{}
-			pl.recipe = append(pl.recipe, &boxedOp{kind: bOpFilter, spec: op.UDF, handlers: h, inSchema: schema, scalar: scalar})
-			lastHandlers = h
-			fbk := &batchKernel{kind: bkFilter, su: su, ridx: ridx, scalar: scalar,
-				inCols: schema.Len(), argCols: kernelArgCols(su, schema)}
-			nops = append(nops, compiledOp{ridx: ridx, batch: fbk, make: func(next nstep) nstep {
-				return func(ts *task, key uint64, row rows.Row) ECode {
-					v, ec := callNormalUDF(ts, su, row, 0, scalar)
-					if ec != 0 {
-						ts.excOp = ridx
-						return ec
-					}
-					if !v.Truth() {
-						return 0
-					}
-					return next(ts, key, row)
-				}
-			}})
+			compile(op.UDF, scalar, paramT, colFacts)
+			rec.kind = opFilter
 
 		case *logical.WithColumnOp:
 			scalar, paramT := paramStyle(op.UDF, schema)
-			su := eng.compileUDF(op.UDF, []types.Type{paramT}, scalar, colFacts, opName(op), pl.generalCase)
-			lastUDF = su
-			su.frameIdx = frameIdx
-			frameIdx++
-			retT := su.returnType()
+			compile(op.UDF, scalar, paramT, colFacts)
+			retT := rec.su.returnType()
 			replaceIdx, exists := schema.Lookup(op.Col)
 			if !exists {
 				replaceIdx = -1
 			}
-			h := &opHandlers{}
-			pl.recipe = append(pl.recipe, &boxedOp{kind: bOpWithColumn, spec: op.UDF, handlers: h, inSchema: schema, col: op.Col, colIdx: replaceIdx, scalar: scalar})
-			lastHandlers = h
-			wbk := &batchKernel{kind: bkWithColumn, su: su, ridx: ridx, scalar: scalar, colIdx: replaceIdx,
-				inCols: schema.Len(), argCols: kernelArgCols(su, schema), outTypes: []types.Type{retT}}
-			nops = append(nops, compiledOp{ridx: ridx, batch: wbk, make: func(next nstep) nstep {
-				return func(ts *task, key uint64, row rows.Row) ECode {
-					v, ec := callNormalUDF(ts, su, row, 0, scalar)
-					if ec != 0 {
-						ts.excOp = ridx
-						return ec
-					}
-					if replaceIdx >= 0 {
-						row[replaceIdx] = v
-					} else {
-						row = append(row, v)
-					}
-					return next(ts, key, row)
-				}
-			}})
+			rec.kind, rec.colIdx, rec.outTypes = opWithColumn, replaceIdx, []types.Type{retT}
 			schema = schema.WithColumn(op.Col, retT)
 			nf := append([]dataflow.ColFact(nil), colFacts...)
 			if replaceIdx >= 0 && replaceIdx < len(nf) {
@@ -874,40 +853,18 @@ func (eng *engine) compileOps(pl *stagePlan, sl *stageSlot, srcFacts []dataflow.
 				nf = append(nf, dataflow.ColFact{Type: retT})
 			}
 			colFacts = nf
-			if schema.Len() > pl.maxCols {
-				pl.maxCols = schema.Len() + 8
-			}
 
 		case *logical.MapColumnOp:
 			idx, ok := schema.Lookup(op.Col)
 			if !ok {
 				return fmt.Errorf("core: mapColumn: no column %q in %s", op.Col, schema)
 			}
-			colT := schema.Col(idx).Type
-			su := eng.compileUDF(op.UDF, []types.Type{colT}, true,
-				[]dataflow.ColFact{colFacts[idx]}, opName(op), pl.generalCase)
-			lastUDF = su
-			su.frameIdx = frameIdx
-			frameIdx++
-			h := &opHandlers{}
-			pl.recipe = append(pl.recipe, &boxedOp{kind: bOpMapColumn, spec: op.UDF, handlers: h, inSchema: schema, col: op.Col, colIdx: idx, scalar: true})
-			lastHandlers = h
-			mbk := &batchKernel{kind: bkMapColumn, su: su, ridx: ridx, scalar: true, argIdx: idx, colIdx: idx,
-				inCols: schema.Len(), outTypes: []types.Type{su.returnType()}}
-			nops = append(nops, compiledOp{ridx: ridx, batch: mbk, make: func(next nstep) nstep {
-				return func(ts *task, key uint64, row rows.Row) ECode {
-					v, ec := callNormalUDF(ts, su, row, idx, true)
-					if ec != 0 {
-						ts.excOp = ridx
-						return ec
-					}
-					row[idx] = v
-					return next(ts, key, row)
-				}
-			}})
-			schema = schema.WithColumn(op.Col, su.returnType())
+			compile(op.UDF, true, schema.Col(idx).Type, []dataflow.ColFact{colFacts[idx]})
+			retT := rec.su.returnType()
+			rec.kind, rec.argIdx, rec.colIdx, rec.outTypes = opMapColumn, idx, idx, []types.Type{retT}
+			schema = schema.WithColumn(op.Col, retT)
 			nf := append([]dataflow.ColFact(nil), colFacts...)
-			nf[idx] = dataflow.ColFact{Type: su.returnType()}
+			nf[idx] = dataflow.ColFact{Type: retT}
 			colFacts = nf
 
 		case *logical.RenameOp:
@@ -916,7 +873,7 @@ func (eng *engine) compileOps(pl *stagePlan, sl *stageSlot, srcFacts []dataflow.
 				return err
 			}
 			schema = ns
-			pl.recipe = append(pl.recipe, &boxedOp{kind: bOpNoop})
+			continue
 
 		case *logical.SelectOp:
 			ns, idx, err := schema.Select(op.Cols)
@@ -933,44 +890,31 @@ func (eng *engine) compileOps(pl *stagePlan, sl *stageSlot, srcFacts []dataflow.
 			}
 			colFacts = nf
 			schema = ns
-			sel := append([]int(nil), idx...)
-			selScratch := frameIdx
+			rec.kind, rec.sel, rec.scratch = opSelect, append([]int(nil), idx...), frameIdx
 			frameIdx++
-			pl.recipe = append(pl.recipe, &boxedOp{kind: bOpSelect, sel: sel})
-			sbk := &batchKernel{kind: bkSelect, ridx: ridx, perm: sel}
-			nops = append(nops, compiledOp{ridx: ridx, batch: sbk, make: func(next nstep) nstep {
-				return func(ts *task, key uint64, row rows.Row) ECode {
-					out := ts.opScratch(selScratch, len(sel))
-					for _, i := range sel {
-						out = append(out, row[i])
-					}
-					return next(ts, key, out)
-				}
-			}})
 
 		case *logical.ResolveOp:
-			if lastHandlers == nil {
+			if lastUDF == nil {
 				return fmt.Errorf("core: resolve() without a preceding UDF operator")
 			}
-			lastHandlers.resolvers = append(lastHandlers.resolvers, resolverSpec{exc: op.Exc, spec: op.UDF})
-			pl.recipe = append(pl.recipe, &boxedOp{kind: bOpNoop})
+			lastUDF.handlers.resolvers = append(lastUDF.handlers.resolvers, resolverSpec{exc: op.Exc, spec: op.UDF})
 			// Dead-resolver lint: the compiled normal-case path provably
 			// never raises this kind. The resolver still applies on the
 			// general path (non-conforming rows run full Python
 			// semantics), so this is a warning, not an error.
-			if !pl.generalCase && lastUDF != nil && lastUDF.compiled != nil && lastUDF.flow != nil &&
-				!lastUDF.flow.MayRaise(op.Exc) {
+			if su := lastUDF.su; !pl.generalCase && su.compiled != nil && su.flow != nil && !su.flow.MayRaise(op.Exc) {
 				eng.warns.add(warnLint,
 					"resolve(%s): the compiled normal-case path of the preceding UDF cannot raise %s; the resolver only applies to general-path rows",
 					op.Exc, op.Exc)
 			}
+			continue
 
 		case *logical.IgnoreOp:
-			if lastHandlers == nil {
+			if lastUDF == nil {
 				return fmt.Errorf("core: ignore() without a preceding UDF operator")
 			}
-			lastHandlers.ignores = append(lastHandlers.ignores, op.Exc)
-			pl.recipe = append(pl.recipe, &boxedOp{kind: bOpNoop})
+			lastUDF.handlers.ignores = append(lastUDF.handlers.ignores, op.Exc)
+			continue
 
 		case *logical.JoinOp:
 			// The build chain ran (and so compiled) before this stage
@@ -987,78 +931,25 @@ func (eng *engine) compileOps(pl *stagePlan, sl *stageSlot, srcFacts []dataflow.
 				return fmt.Errorf("core: join: no column %q in %s", op.LeftKey, schema)
 			}
 			outSchema := joinOutputSchema(schema, op, added)
-			left := op.Left
-			bAdd := added.Len()
-			scratchIdx := frameIdx
-			frameIdx++ // reserve a scratch slot (no frame needed)
-			pl.recipe = append(pl.recipe, &boxedOp{kind: bOpJoin, joinIdx: ji, keyIdx: keyIdx, leftOuter: left, inSchema: schema, outSchema: outSchema})
-			jOutTs := make([]types.Type, outSchema.Len())
-			for i := range jOutTs {
-				jOutTs[i] = outSchema.Col(i).Type
-			}
-			jbk := &batchKernel{kind: bkJoin, ridx: ridx, colIdx: keyIdx, joinIdx: ji, leftOuter: left,
-				inCols: schema.Len(), outTypes: jOutTs}
-			nops = append(nops, compiledOp{ridx: ridx, batch: jbk, make: func(next nstep) nstep {
-				return func(ts *task, key uint64, row rows.Row) ECode {
-					bt := ts.run.joins[ji]
-					// Probe: encode the key into the task scratch buffer,
-					// hash, and look up the shard — no allocation. (The
-					// string(buf) map index below does not allocate; Go
-					// optimizes byte-slice map probes, and the general map
-					// is only consulted when exception build rows exist.)
-					buf, ok := rows.AppendJoinKey(ts.keyBuf[:0], row[keyIdx])
-					ts.keyBuf = buf
-					var matches []buildRef
-					if ok {
-						if bt.genCount > 0 && len(bt.general[string(buf)]) > 0 {
-							// Normal×exception join pairs run on the
-							// exception path (§4.5 pairwise joins).
-							ts.excOp = ridx
-							return pyvalue.ExcUnsupported
-						}
-						matches = bt.lookup(rows.Hash64(buf), buf)
-					}
-					if len(matches) == 0 {
-						ts.probeMisses++
-						if !left {
-							return 0
-						}
-						out := ts.opScratch(scratchIdx, pl.maxCols)
-						out = append(out, row...)
-						for range bAdd {
-							out = append(out, rows.Null())
-						}
-						return next(ts, key*256, out)
-					}
-					ts.probeHits++
-					for i, ref := range matches {
-						sub := uint64(i)
-						if sub > 255 {
-							sub = 255
-						}
-						out := ts.opScratch(scratchIdx, pl.maxCols)
-						out = append(out, row...)
-						out = bt.appendRow(out, ref)
-						if ec := next(ts, key*256+sub, out); ec != 0 {
-							return ec
-						}
-					}
-					return 0
-				}
-			}})
+			rec.kind, rec.colIdx, rec.joinIdx, rec.leftOuter = opJoin, keyIdx, ji, op.Left
+			rec.outTypes = schemaTypes(outSchema)
+			rec.scratch = frameIdx
+			frameIdx++ // a scratch slot (no frame needed)
 			nf := append([]dataflow.ColFact(nil), colFacts...)
 			for i := schema.Len(); i < outSchema.Len(); i++ {
 				nf = append(nf, dataflow.ColFact{Type: outSchema.Col(i).Type})
 			}
 			colFacts = nf
 			schema = outSchema
-			if schema.Len() > pl.maxCols {
-				pl.maxCols = schema.Len() + 8
-			}
 
 		default:
 			return fmt.Errorf("core: unsupported operator %T", op)
 		}
+		rec.outSchema = schema
+		if schema.Len() > pl.maxCols {
+			pl.maxCols = schema.Len() + 8
+		}
+		pl.ops = append(pl.ops, rec)
 	}
 
 	pl.outSchema = schema
@@ -1074,11 +965,7 @@ func (eng *engine) compileOps(pl *stagePlan, sl *stageSlot, srcFacts []dataflow.
 		// (runBatchBody). A general plan is the operators' kernels alone:
 		// resolve boxes what leaves them, and the stage's terminal takes
 		// it from there.
-		kernels := make([]*batchKernel, len(nops))
-		for i, op := range nops {
-			kernels[i] = op.batch
-		}
-		pl.batch = &batchProg{kernels: kernels, groups: fuseKernels(kernels)}
+		pl.groups = pl.fuseKernels()
 		return nil
 	}
 
@@ -1092,14 +979,132 @@ func (eng *engine) compileOps(pl *stagePlan, sl *stageSlot, srcFacts []dataflow.
 	if pl.traceRows {
 		entry = routeWrap(entry, pl.termRouteIdx)
 	}
-	for i := len(nops) - 1; i >= 0; i-- {
-		entry = nops[i].make(entry)
+	for i := len(pl.ops) - 1; i >= 0; i-- {
+		entry = pl.rowStep(pl.ops[i], entry)
 		if pl.traceRows {
-			entry = routeWrap(entry, nops[i].ridx)
+			entry = routeWrap(entry, pl.ops[i].ridx)
 		}
 	}
 	pl.entry = entry
 	return nil
+}
+
+// schemaTypes lists a schema's column types.
+func schemaTypes(s *types.Schema) []types.Type {
+	ts := make([]types.Type, s.Len())
+	for i := range ts {
+		ts[i] = s.Col(i).Type
+	}
+	return ts
+}
+
+// rowStep builds op's row-reference step in front of next.
+func (pl *stagePlan) rowStep(op *stageOp, next nstep) nstep {
+	su, ridx, scalar, argIdx := op.su, op.ridx, op.scalar, op.argIdx
+	switch op.kind {
+	case opMap:
+		nCols := op.outSchema.Len()
+		return func(ts *task, key uint64, row rows.Row) ECode {
+			v, ec := callNormalUDF(ts, su, row, argIdx, scalar)
+			if ec != 0 {
+				ts.excOp = ridx
+				return ec
+			}
+			out := ts.opScratch(op.scratch, pl.maxCols)
+			switch {
+			case len(v.Seq) > 0 && (v.Tag == types.KindDict || v.Tag == types.KindTuple):
+				if len(v.Seq) != nCols {
+					ts.excOp = ridx
+					return pyvalue.ExcUnsupported
+				}
+				out = append(out, v.Seq...)
+			case nCols == 1:
+				out = append(out, v)
+			default:
+				ts.excOp = ridx
+				return pyvalue.ExcUnsupported
+			}
+			return next(ts, key, out)
+		}
+	case opFilter:
+		return func(ts *task, key uint64, row rows.Row) ECode {
+			v, ec := callNormalUDF(ts, su, row, argIdx, scalar)
+			if ec != 0 {
+				ts.excOp = ridx
+				return ec
+			}
+			if !v.Truth() {
+				return 0
+			}
+			return next(ts, key, row)
+		}
+	case opWithColumn, opMapColumn:
+		colIdx := op.colIdx
+		return func(ts *task, key uint64, row rows.Row) ECode {
+			v, ec := callNormalUDF(ts, su, row, argIdx, scalar)
+			if ec != 0 {
+				ts.excOp = ridx
+				return ec
+			}
+			if colIdx >= 0 {
+				row[colIdx] = v
+			} else {
+				row = append(row, v)
+			}
+			return next(ts, key, row)
+		}
+	case opSelect:
+		return func(ts *task, key uint64, row rows.Row) ECode {
+			out := ts.opScratch(op.scratch, len(op.sel))
+			for _, i := range op.sel {
+				out = append(out, row[i])
+			}
+			return next(ts, key, out)
+		}
+	}
+	keyIdx, left, bAdd := op.colIdx, op.leftOuter, op.outSchema.Len()-op.inSchema.Len()
+	return func(ts *task, key uint64, row rows.Row) ECode {
+		bt := ts.run.joins[op.joinIdx]
+		// Probe: encode the key into the task scratch buffer, hash, and
+		// look up the shard — no allocation. (The string(buf) map index
+		// below does not allocate; Go optimizes byte-slice map probes,
+		// and the general map is only consulted when exception build
+		// rows exist.)
+		buf, ok := rows.AppendJoinKey(ts.keyBuf[:0], row[keyIdx])
+		ts.keyBuf = buf
+		var matches []buildRef
+		if ok {
+			if bt.genCount > 0 && len(bt.general[string(buf)]) > 0 {
+				// Normal×exception join pairs run on the exception path
+				// (§4.5 pairwise joins).
+				ts.excOp = ridx
+				return pyvalue.ExcUnsupported
+			}
+			matches = bt.lookup(rows.Hash64(buf), buf)
+		}
+		if len(matches) == 0 {
+			ts.probeMisses++
+			if !left {
+				return 0
+			}
+			out := ts.opScratch(op.scratch, pl.maxCols)
+			out = append(out, row...)
+			for range bAdd {
+				out = append(out, rows.Null())
+			}
+			return next(ts, key*256, out)
+		}
+		ts.probeHits++
+		for i, ref := range matches {
+			out := ts.opScratch(op.scratch, pl.maxCols)
+			out = append(out, row...)
+			out = bt.appendRow(out, ref)
+			if ec := next(ts, key*256+uint64(min(i, 255)), out); ec != 0 {
+				return ec
+			}
+		}
+		return 0
+	}
 }
 
 // opName names an operator for the routing ledger and trace output.
@@ -1201,8 +1206,8 @@ func paramStyle(spec *logical.UDFSpec, schema *types.Schema) (scalar bool, param
 // the operator in warnings and trace output. general compiles for a
 // general plan (compileGeneral): from a fresh parse, null optimization
 // off, no lints.
-func (eng *engine) compileUDF(spec *logical.UDFSpec, paramTypes []types.Type, scalar bool, colFacts []dataflow.ColFact, label string, general bool) *stageUDF {
-	su := &stageUDF{spec: spec, scalarParam: scalar}
+func (eng *engine) compileUDF(spec *logical.UDFSpec, paramTypes []types.Type, colFacts []dataflow.ColFact, label string, general bool) *stageUDF {
+	su := &stageUDF{spec: spec}
 	if general {
 		// Typing annotates the AST, and vector programs read those
 		// annotations while they run: a general plan compiles its own
@@ -1346,13 +1351,6 @@ func (eng *engine) bind(source logical.Op, input *mat) (*stageRun, error) {
 		sr.stream = ss
 	case *logical.ParallelizeSource:
 		sr.inputSlots = src.SlotRows
-		if sr.inputSlots == nil && src.Rows != nil {
-			// Legacy boxed form: unbox once up front.
-			sr.inputSlots = make([]rows.Row, len(src.Rows))
-			for i, r := range src.Rows {
-				sr.inputSlots[i] = rows.RowFromValues(r)
-			}
-		}
 		sr.partRanges = splitRange(len(sr.inputSlots), eng.partSize(len(sr.inputSlots)))
 	case nil:
 		if input == nil {
@@ -1535,15 +1533,13 @@ func projectedFields(plan *sample.CasePlan, proj []string) ([]csvio.FieldSpec, *
 	return fields, types.NewSchema(cols), idxs
 }
 
+// maxPartRows caps the rows of one in-memory partition task.
+const maxPartRows = 1 << 16
+
+// partSize derives the rows per partition of an n-row in-memory source:
+// four partitions per executor, between 1024 and maxPartRows rows each.
 func (eng *engine) partSize(n int) int {
-	per := n / (4 * eng.opts.Executors)
-	if per < 1024 {
-		per = 1024
-	}
-	if per > eng.opts.PartitionRows {
-		per = eng.opts.PartitionRows
-	}
-	return per
+	return min(max(n/(4*eng.opts.Executors), 1024), maxPartRows)
 }
 
 func splitRange(n, size int) [][2]int {

@@ -21,13 +21,18 @@ import (
 // count is dynamic — it grows with the input instead of being fixed by
 // an upfront scan.
 //
-// Order keys: a streamed partition p assigns row i the key p<<32|i, so
-// keys are monotone in input order both within a partition and across
-// partitions (unique terminals and the ordered merge rely on this).
-
-// streamKeyShift positions the partition index above the in-chunk row
-// index in streamed order keys.
-const streamKeyShift = 32
+// Order keys: every row carries a uint64 key that orders it within its
+// partition; partitions are ordered by their index, never by key (the
+// unique merge compares partition, then key). A source row's key is its
+// index in its chunk or, from a Parallelize source, in the whole input —
+// below 2^32 either way. Each join scales the key by 256 and adds the
+// match's index among its key's build rows (at most 255), so a join's
+// output rows keep their probe row's place and follow one another in
+// build order, and exception rows merge back at the same keys. 64 bits
+// hold the 32-bit row index and maxKeyJoins such scalings: a pipeline
+// that joins more often along its chain of stages is refused
+// (newChainPlan).
+const maxKeyJoins = 4
 
 // minChunkSize floors the derived chunk size: below it, per-task
 // overhead outweighs the parallelism a smaller chunk would expose.

@@ -68,12 +68,10 @@ type TextSource struct {
 	Column string
 }
 
-// ParallelizeSource wraps in-memory rows. SlotRows is the primary
-// representation (unboxed slots over a shared slab, so the engine
-// classifies and executes without a boxed detour); Rows is the legacy
-// boxed form, still honored when SlotRows is nil.
+// ParallelizeSource wraps in-memory rows: unboxed slots over a shared
+// slab, so the engine classifies and executes them without a boxed
+// detour.
 type ParallelizeSource struct {
-	Rows     [][]pyvalue.Value
 	SlotRows []rows.Row
 	Names    []string
 }

@@ -316,9 +316,6 @@ func (o *Options) resolve() core.Options {
 	if o.Executors > 0 {
 		opts.Executors = o.Executors
 	}
-	if o.PartitionRows > 0 {
-		opts.PartitionRows = o.PartitionRows
-	}
 	if o.SampleSize > 0 {
 		opts.Sample.Size = o.SampleSize
 	}

@@ -64,26 +64,14 @@ func fromSourceOp(op logical.Op) (*Source, error) {
 	case *logical.TextSource:
 		return &Source{Kind: "text", Path: src.Path, Data: string(src.Data), Column: src.Column}, nil
 	case *logical.ParallelizeSource:
-		s := &Source{Kind: "parallelize", Columns: src.Names}
-		if src.SlotRows != nil {
-			s.Rows = make([][]any, len(src.SlotRows))
-			for i, r := range src.SlotRows {
-				vals := rows.RowToValues(r)
-				row := make([]any, len(vals))
-				for j, v := range vals {
-					row[j] = rows.AnyValue(v)
-				}
-				s.Rows[i] = row
+		s := &Source{Kind: "parallelize", Columns: src.Names, Rows: make([][]any, len(src.SlotRows))}
+		for i, r := range src.SlotRows {
+			vals := rows.RowToValues(r)
+			row := make([]any, len(vals))
+			for j, v := range vals {
+				row[j] = rows.AnyValue(v)
 			}
-		} else {
-			s.Rows = make([][]any, len(src.Rows))
-			for i, r := range src.Rows {
-				row := make([]any, len(r))
-				for j, v := range r {
-					row[j] = rows.AnyValue(v)
-				}
-				s.Rows[i] = row
-			}
+			s.Rows[i] = row
 		}
 		return s, nil
 	default:
@@ -159,7 +147,6 @@ func fromOptions(o core.Options) *Options {
 	b := func(v bool) *bool { return &v }
 	return &Options{
 		Executors:             o.Executors,
-		PartitionRows:         o.PartitionRows,
 		SampleSize:            o.Sample.Size,
 		NullThreshold:         o.Sample.Delta,
 		NullOptimization:      b(!o.Sample.DisableNullOpt),

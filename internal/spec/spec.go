@@ -118,7 +118,6 @@ type Sink struct {
 // default to on).
 type Options struct {
 	Executors             int     `json:"executors,omitempty"`
-	PartitionRows         int     `json:"partition_rows,omitempty"`
 	SampleSize            int     `json:"sample_size,omitempty"`
 	NullThreshold         float64 `json:"null_threshold,omitempty"`
 	NullOptimization      *bool   `json:"null_optimization,omitempty"`
@@ -201,7 +200,7 @@ var (
 		"left_prefix": true, "right_prefix": true, "agg": true, "comb": true, "initial": true}
 	udfFields  = map[string]bool{"code": true, "globals": true}
 	sinkFields = map[string]bool{"kind": true, "n": true, "path": true, "agg": true, "comb": true, "initial": true}
-	optFields  = map[string]bool{"executors": true, "partition_rows": true, "sample_size": true,
+	optFields  = map[string]bool{"executors": true, "sample_size": true,
 		"null_threshold": true, "null_optimization": true, "projection_pushdown": true,
 		"filter_pushdown": true, "join_reorder": true, "stage_fusion": true,
 		"compiler_optimizations": true, "seed": true, "chunk_size": true}

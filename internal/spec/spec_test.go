@@ -161,11 +161,13 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 }
 
 // TestDecodeRejectsStreamingOption: every CSV and text source is read
-// in chunks and every stage runs on the batch plane, so the old
-// streaming and columnar toggles are no longer part of the wire form and
-// a spec carrying either fails strict decode, naming the field.
+// in chunks, every stage runs on the batch plane and a Parallelize
+// source's partition size derives from its row count and the executors,
+// so the old streaming, columnar and partition_rows options are no
+// longer part of the wire form and a spec carrying one fails strict
+// decode, naming the field.
 func TestDecodeRejectsStreamingOption(t *testing.T) {
-	for _, field := range []string{"streaming", "columnar"} {
+	for _, field := range []string{"streaming", "columnar", "partition_rows"} {
 		_, err := Decode([]byte(`{"v": 1, "source": {"kind": "csv", "path": "x.csv"}, "options": {"` + field + `": false}}`))
 		var de *DecodeError
 		if !errors.As(err, &de) {

@@ -3,6 +3,7 @@ package tuplex
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/gotuplex/tuplex/internal/types"
@@ -217,5 +218,70 @@ func TestUniqueParallelMatchesSerial(t *testing.T) {
 	serial := run(1)
 	if parallel := run(4); parallel != serial {
 		t.Fatalf("parallel unique differs from serial:\n%s\nvs\n%s", parallel, serial)
+	}
+}
+
+// TestJoinChainKeepsOrder: each join scales the order keys by 256, and
+// a pipeline of up to four joins — as many as the key layout holds —
+// returns its rows in input order on both planes: through a unique
+// terminal, which merges its partitions by key, and with dirty probe
+// keys the fallback resolves and merges back in by key. A fifth join is
+// refused.
+func TestJoinChainKeepsOrder(t *testing.T) {
+	input := func(dirty bool) []byte {
+		var sb strings.Builder
+		sb.WriteString("id,k\n")
+		for i := range 2000 {
+			k := fmt.Sprint(i % 5)
+			if dirty && i%97 == 0 {
+				k = "x"
+			}
+			fmt.Fprintf(&sb, "%d,%s\n", i, k)
+		}
+		return []byte(sb.String())
+	}
+	joined := func(c *Context, data []byte, joins int) *DataSet {
+		ds := c.CSV("", CSVData(data))
+		for j := range joins {
+			var build [][]any
+			for k := range 5 {
+				build = append(build, []any{int64(k), fmt.Sprintf("v%d.%d", j, k)})
+			}
+			ds = ds.LeftJoin(c.Parallelize(build, []string{"k", fmt.Sprintf("v%d", j)}), "k", "k")
+		}
+		return ds
+	}
+	inOrder := func(label string, res *Result) {
+		t.Helper()
+		if len(res.Rows) != 2000 {
+			t.Fatalf("%s: %d rows, want 2000", label, len(res.Rows))
+		}
+		for i, row := range res.Rows {
+			if row[0] != int64(i) {
+				t.Fatalf("%s: row %d has id %v", label, i, row[0])
+			}
+		}
+	}
+	clean, dirty := input(false), input(true)
+	for ex := 1; ex <= 2; ex++ {
+		for _, rowPlane := range []bool{false, true} {
+			c := NewContext(WithExecutors(ex), WithChunkSize(4096), WithRowPlane(rowPlane))
+			label := fmt.Sprintf("executors=%d row_plane=%v", ex, rowPlane)
+			res, err := joined(c, clean, 4).SelectColumns("id").Unique().Collect()
+			if err != nil {
+				t.Fatalf("%s: unique: %v", label, err)
+			}
+			inOrder(label+" unique", res)
+			if res, err = joined(c, dirty, 4).Collect(); err != nil {
+				t.Fatalf("%s: dirty: %v", label, err)
+			}
+			if res.Metrics.Rows.FallbackResolved == 0 {
+				t.Fatalf("%s: no dirty row reached the fallback", label)
+			}
+			inOrder(label+" dirty", res)
+			if _, err = joined(c, clean, 5).Collect(); err == nil || !strings.Contains(err.Error(), "joins") {
+				t.Fatalf("%s: five joins: err = %v, want a refusal", label, err)
+			}
+		}
 	}
 }

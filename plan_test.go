@@ -22,7 +22,6 @@ func fullDataSet() *DataSet {
 		WithExecutors(3),
 		WithSampleSize(32),
 		WithSeed(9),
-		WithPartitionRows(512),
 	)
 	build := c.Parallelize([][]any{{"10001", "NY"}, {"10002", "NY"}}, []string{"zip", "state"})
 	return c.CSV("", CSVData([]byte("zip,price,beds\n10001,100,2\n10002,250,3\nbad,x,1\n")), CSVHeader(true)).

@@ -129,12 +129,6 @@ func WithSeed(seed uint64) Option {
 	return Option{apply: func(o *core.Options) { o.Seed = seed }}
 }
 
-// WithPartitionRows caps rows per partition task of a Parallelize
-// source (CSV and text sources partition by chunk; see WithChunkSize).
-func WithPartitionRows(n int) Option {
-	return Option{apply: func(o *core.Options) { o.PartitionRows = n }}
-}
-
 // WithChunkSize caps the ingest chunk size in bytes (default 1 MiB).
 // CSV and text sources, files and inline data alike, are read in chunks
 // of about input bytes / (4 * executors), at least 64 KiB and at most n;
