@@ -18,19 +18,19 @@ import (
 
 // The collect sink keeps the final stage's output in column vectors and
 // boxes them at finish, merging resolved exception rows back in by order
-// key. These differentials hold it to the two other ways the same rows
-// leave the engine: the row reference's Collect (value and Go type of
-// every cell) and the CSV sink (every cell's rendering), at 1–4
-// executors, over inputs that stress the merge and the vector kinds.
+// key. These differentials hold it to the Collect of a run with every
+// row on the tree-walking fallback (value and Go type of every cell) and
+// to the CSV sink (every cell's rendering), at 1–4 executors, over inputs
+// that stress the merge and the vector kinds.
 
 // collectDiff runs build's pipeline three ways at each executor count and
-// requires the columnar Collect to match the boxed plane's Collect cell
-// for cell and the columnar ToCSV output field for field.
+// requires the compiled Collect to match the fallback-only run's Collect
+// cell for cell and the compiled ToCSV output field for field.
 func collectDiff(t *testing.T, name string, build func(c *tuplex.Context) *tuplex.DataSet, opts ...tuplex.Option) {
 	t.Helper()
 	for ex := 1; ex <= 4; ex++ {
 		ctx := func(col bool) *tuplex.Context {
-			return tuplex.NewContext(append([]tuplex.Option{tuplex.WithExecutors(ex), tuplex.WithRowPlane(!col)}, opts...)...)
+			return tuplex.NewContext(append([]tuplex.Option{tuplex.WithExecutors(ex), tuplex.WithFallbackOnly(!col)}, opts...)...)
 		}
 		label := fmt.Sprintf("%s/executors=%d", name, ex)
 		got, err := build(ctx(true)).Collect()
@@ -40,18 +40,19 @@ func collectDiff(t *testing.T, name string, build func(c *tuplex.Context) *tuple
 		if len(got.Rows) == 0 || int64(len(got.Rows)) != got.Metrics.Rows.Output {
 			t.Fatalf("%s: collected %d rows, output counter %d", label, len(got.Rows), got.Metrics.Rows.Output)
 		}
-		boxed, err := build(ctx(false)).Collect()
+		ref, err := build(ctx(false)).Collect()
 		if err != nil {
-			t.Fatalf("%s: boxed collect: %v", label, err)
+			t.Fatalf("%s: reference collect: %v", label, err)
 		}
-		if len(boxed.Rows) != len(got.Rows) {
-			t.Fatalf("%s: %d rows, boxed plane %d", label, len(got.Rows), len(boxed.Rows))
+		if len(ref.Rows) != len(got.Rows) {
+			t.Fatalf("%s: %d rows, reference %d", label, len(got.Rows), len(ref.Rows))
 		}
 		for i, row := range got.Rows {
-			if !sameRow(row, boxed.Rows[i]) {
-				t.Fatalf("%s: row %d\n  columnar %s\n  boxed    %s", label, i, typedRow(row), typedRow(boxed.Rows[i]))
+			if !sameRow(row, ref.Rows[i]) {
+				t.Fatalf("%s: row %d\n  compiled  %s\n  reference %s", label, i, typedRow(row), typedRow(ref.Rows[i]))
 			}
 		}
+		requireSameRun(t, label, ref, got)
 		rendered, err := build(ctx(true)).ToCSV("")
 		if err != nil {
 			t.Fatalf("%s: tocsv: %v", label, err)
@@ -270,7 +271,7 @@ func rowResultCSV() []byte {
 
 // TestCollectDiffMixedNumericResult: a row closure over a CSV source
 // returns max(a, 2.5), an int for a >= 3 in a float column. The column
-// keeps the int, as the boxed plane does.
+// keeps the int, as the interpreter does.
 func TestCollectDiffMixedNumericResult(t *testing.T) {
 	raw := rowResultCSV()
 	collectDiff(t, "max", func(c *tuplex.Context) *tuplex.DataSet {

@@ -9,20 +9,20 @@ import (
 )
 
 // Columnar edge cases: the column-vector data plane must agree with the
-// boxed row path byte-for-byte on inputs that stress its layout — null
+// interpreter byte-for-byte on inputs that stress its layout — null
 // bitmaps across chunk seams, chunks with no complete record payload,
 // all-null columns, and string cells with embedded quotes and newlines
 // (which make physical records span raw chunk boundaries).
 
-// bothModes runs the build function on the batch plane and on the
-// row-at-a-time reference and returns the two results.
+// bothModes runs the build function as compiled (on) and with every row
+// on the tree-walking fallback (off) and returns the two results.
 func bothModes(t *testing.T, build func(c *tuplex.Context) (*tuplex.Result, error), extra ...tuplex.Option) (on, off *tuplex.Result) {
 	t.Helper()
 	run := func(col bool) *tuplex.Result {
-		opts := append([]tuplex.Option{tuplex.WithRowPlane(!col)}, extra...)
+		opts := append([]tuplex.Option{tuplex.WithFallbackOnly(!col)}, extra...)
 		res, err := build(tuplex.NewContext(opts...))
 		if err != nil {
-			t.Fatalf("columnar=%v: %v", col, err)
+			t.Fatalf("compiled=%v: %v", col, err)
 		}
 		return res
 	}
@@ -32,11 +32,9 @@ func bothModes(t *testing.T, build func(c *tuplex.Context) (*tuplex.Result, erro
 func wantSameCSV(t *testing.T, on, off *tuplex.Result) {
 	t.Helper()
 	if string(on.CSV) != string(off.CSV) {
-		t.Fatalf("CSV differs:\n  columnar %q\n  boxed    %q", on.CSV, off.CSV)
+		t.Fatalf("CSV differs:\n  compiled  %q\n  reference %q", on.CSV, off.CSV)
 	}
-	if on.Metrics.Rows != off.Metrics.Rows {
-		t.Fatalf("accounting differs: columnar %+v, boxed %+v", on.Metrics.Rows, off.Metrics.Rows)
-	}
+	requireSameRun(t, "csv", off, on)
 }
 
 func TestColumnarNullBitmapsAcrossChunkSeams(t *testing.T) {
@@ -120,12 +118,12 @@ func TestColumnarEmptyAndHeaderOnlyInputs(t *testing.T) {
 	// Header-only input has no sampleable rows: the engine rejects it
 	// up front, and the rejection must not depend on the execution mode.
 	for _, col := range []bool{true, false} {
-		c := tuplex.NewContext(tuplex.WithRowPlane(!col))
+		c := tuplex.NewContext(tuplex.WithFallbackOnly(!col))
 		_, err := c.CSV("", tuplex.CSVData([]byte("a,b\n"))).
 			Map(tuplex.UDF("lambda x: x['a']")).
 			ToCSV("")
 		if err == nil || !strings.Contains(err.Error(), "empty CSV input") {
-			t.Fatalf("columnar=%v: err = %v, want empty-input rejection", col, err)
+			t.Fatalf("compiled=%v: err = %v, want empty-input rejection", col, err)
 		}
 	}
 }

@@ -11,25 +11,28 @@ import (
 )
 
 // Columnar join edge cases: the vector-native build/probe path must
-// agree with the boxed row path on inputs that stress its layout — keys
+// agree with the interpreter on inputs that stress its layout — keys
 // from all-null columns, string keys long enough to span arena chunk
 // seams, a filter-annihilated build side, and duplicate-key fan-out
-// ordering — plus a dirty-key NC/EC differential over inline data and
-// files.
+// ordering and failures — plus a dirty-key NC/EC differential over
+// inline data and files.
 
 func wantSameRows(t *testing.T, on, off *tuplex.Result) {
 	t.Helper()
-	if got, want := fmt.Sprint(on.Rows), fmt.Sprint(off.Rows); got != want {
-		t.Fatalf("rows differ:\n  columnar %s\n  boxed    %s", got, want)
+	if len(on.Rows) != len(off.Rows) {
+		t.Fatalf("%d rows, reference %d:\n  compiled  %v\n  reference %v", len(on.Rows), len(off.Rows), on.Rows, off.Rows)
 	}
-	if on.Metrics.Rows != off.Metrics.Rows {
-		t.Fatalf("accounting differs: columnar %+v, boxed %+v", on.Metrics.Rows, off.Metrics.Rows)
+	for i, row := range on.Rows {
+		if !sameRow(row, off.Rows[i]) {
+			t.Fatalf("row %d\n  compiled  %s\n  reference %s", i, typedRow(row), typedRow(off.Rows[i]))
+		}
 	}
+	requireSameRun(t, "rows", off, on)
 }
 
 // TestColumnarJoinAllNullKeyColumns: every key cell on one (then both)
-// sides is null. Whatever null-key semantics the row path implements,
-// the vector path must reproduce them, including left-outer padding.
+// sides is null. The vector path must reproduce the interpreter's
+// null-key semantics, including left-outer padding.
 func TestColumnarJoinAllNullKeyColumns(t *testing.T) {
 	var build, probe strings.Builder
 	build.WriteString("k,name\n")
@@ -115,8 +118,8 @@ func TestColumnarJoinFilterAnnihilatedBuild(t *testing.T) {
 
 // TestColumnarJoinDuplicateKeyFanOut: heavy duplicate-key fan-out (each
 // probe row matches many build rows) must keep build input order within
-// each probe row's matches, at one and several executors, identically
-// in both modes.
+// each probe row's matches, at one and several executors, as the
+// interpreter does.
 func TestColumnarJoinDuplicateKeyFanOut(t *testing.T) {
 	const buildN, probeN, keys = 200, 60, 5
 	buildRows := make([][]any, buildN)
@@ -156,8 +159,8 @@ func TestColumnarJoinDuplicateKeyFanOut(t *testing.T) {
 // TestColumnarJoinDirtyKeyPairsDiff: NC/EC join pairs — both sides
 // carry dirty key cells (bools and garbage in an int column) that land
 // on the exception path and must join consistently with the sharded
-// normal-case table, columnar vs boxed, inline and from files in many
-// small chunks.
+// normal-case table, compiled and on the fallback alone, inline and from
+// files in many small chunks.
 func TestColumnarJoinDirtyKeyPairsDiff(t *testing.T) {
 	var build, probe strings.Builder
 	build.WriteString("k,name\n")
@@ -217,7 +220,7 @@ func TestColumnarJoinDirtyKeyPairsDiff(t *testing.T) {
 // with a raising withColumn, a left join whose misses a vector `is None`
 // reads, and a unique → fan-out → unique chain, whose kernels after the
 // fan-out fall back to row closures. Rows and accounting must equal the
-// boxed plane's at 1–4 executors.
+// fallback-only run's at 1–4 executors.
 func TestColumnarJoinUniqueKeyVectorKernels(t *testing.T) {
 	var probe, build, dup strings.Builder
 	probe.WriteString("k,v\n")
@@ -267,5 +270,62 @@ func TestColumnarJoinUniqueKeyVectorKernels(t *testing.T) {
 				t.Fatalf("%s executors=%d: %d rows, %d vector rows; want both", tc.name, execs, len(on.Rows), on.Metrics.Batch.VectorRows)
 			}
 		}
+	}
+}
+
+// TestColumnarJoinFanOutFailure: a probe row matches three build rows
+// and the withColumn after the join raises on the second match only. The
+// source row goes to the fallback, which emits all three matches, the
+// failing one resolved; none of the compiled matches may stay besides,
+// whether the second match raises in a UDF or leaves the normal path at
+// a later join. An aggregate that raises on the second match folds the
+// other two once.
+func TestColumnarJoinFanOutFailure(t *testing.T) {
+	probe := [][]any{{int64(1), int64(10)}}
+	build := [][]any{{int64(1), int64(5)}, {int64(1), int64(0)}, {int64(1), int64(2)}}
+	joined := func(c *tuplex.Context) *tuplex.DataSet {
+		return c.Parallelize(probe, []string{"k", "v"}).Join(c.Parallelize(build, []string{"k", "d"}), "k", "k")
+	}
+	on, off := bothModes(t, func(c *tuplex.Context) (*tuplex.Result, error) {
+		return joined(c).
+			WithColumn("q", tuplex.UDF("lambda x: x['v'] // x['d']")).
+			Resolve(tuplex.ZeroDivisionError, tuplex.UDF("lambda x: -1")).
+			Collect()
+	})
+	wantSameRows(t, on, off)
+	want := [][]any{{int64(1), int64(10), int64(5), int64(2)}, {int64(1), int64(10), int64(0), int64(-1)}, {int64(1), int64(10), int64(2), int64(5)}}
+	if fmt.Sprint(on.Rows) != fmt.Sprint(want) {
+		t.Fatalf("rows %v, want %v", on.Rows, want)
+	}
+
+	// A second fan-out join whose build side holds d = 0 only as an
+	// exception row (an int name): the probe of the second match leaves
+	// the normal path after the first match has passed the join.
+	names := [][]any{{int64(0), int64(7)}}
+	for d := 1; d <= 20; d++ {
+		names = append(names, []any{int64(d), fmt.Sprintf("n%d", d)}, []any{int64(d), fmt.Sprintf("m%d", d)})
+	}
+	on, off = bothModes(t, func(c *tuplex.Context) (*tuplex.Result, error) {
+		return joined(c).Join(c.Parallelize(names, []string{"d", "name"}), "d", "d").Collect()
+	})
+	wantSameRows(t, on, off)
+	if len(on.Rows) != 5 {
+		t.Fatalf("rows %v, want 5", on.Rows)
+	}
+
+	var sums [2]any
+	for i, ref := range []bool{false, true} {
+		v, res, err := joined(tuplex.NewContext(tuplex.WithFallbackOnly(ref))).
+			Aggregate(tuplex.UDF("lambda acc, x: acc + x['v'] // x['d']"), tuplex.UDF("lambda a, b: a + b"), int64(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Metrics.Rows.Failed != 1 {
+			t.Fatalf("fallback only=%v: %d failed rows, want 1", ref, res.Metrics.Rows.Failed)
+		}
+		sums[i] = v
+	}
+	if sums[0] != int64(7) || sums[1] != int64(7) {
+		t.Fatalf("sum %v, reference %v; want 7", sums[0], sums[1])
 	}
 }

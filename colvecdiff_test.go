@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"testing"
 
 	tuplex "github.com/gotuplex/tuplex"
@@ -13,20 +14,25 @@ import (
 	"github.com/gotuplex/tuplex/internal/pipelines"
 )
 
-// The columnar batch data plane (column-vector partitions, vectorized
-// CSV ingest, batch UDF kernels with selection vectors) must be
-// invisible end to end. These differentials run every paper pipeline
-// twice — on the batch plane and on the row-at-a-time reference
-// (WithRowPlane) — over dirty data and require byte-identical CSV output
-// and identical row accounting (output/failed/ignored), the same
-// contract the compiler-optimization differentials enforce.
+// The compiled paths (vectorized CSV ingest, batch UDF kernels with
+// selection vectors, the general plan) must compute what the interpreter
+// computes. These differentials run every paper pipeline twice — as
+// compiled and with every row on the tree-walking fallback
+// (WithFallbackOnly) — over dirty data and require byte-identical CSV
+// output, the same failed rows in the same order, and the row accounting
+// both runs can agree on (requireSameRun).
 
-// colDiffCSV runs one CSV-sink pipeline in both execution modes and
-// compares bytes and accounting.
+// colDiffCSV runs one CSV-sink pipeline as compiled (col) and on the
+// fallback alone, and compares bytes and accounting.
 func colDiffCSV(t *testing.T, name string, run func(col bool) *tuplex.Result) {
 	t.Helper()
-	on := run(true)
-	off := run(false)
+	diffCSV(t, name, run(true), run(false))
+}
+
+// diffCSV compares a compiled run's CSV bytes and accounting (on) with
+// the fallback-only run's (off).
+func diffCSV(t *testing.T, name string, on, off *tuplex.Result) {
+	t.Helper()
 	if string(on.CSV) != string(off.CSV) {
 		a, b := on.CSV, off.CSV
 		i := 0
@@ -34,22 +40,15 @@ func colDiffCSV(t *testing.T, name string, run func(col bool) *tuplex.Result) {
 			i++
 		}
 		lo, hiA, hiB := max(0, i-40), min(len(a), i+40), min(len(b), i+40)
-		t.Fatalf("%s: CSV differs at byte %d:\n  columnar %q\n  boxed    %q",
+		t.Fatalf("%s: CSV differs at byte %d:\n  compiled  %q\n  reference %q",
 			name, i, a[lo:hiA], b[lo:hiB])
-	}
-	cOn, cOff := on.Metrics.Rows, off.Metrics.Rows
-	if cOn.Failed != cOff.Failed || cOn.Ignored != cOff.Ignored || cOn.Output != cOff.Output {
-		t.Fatalf("%s: row accounting differs:\n  columnar failed=%d ignored=%d output=%d\n  boxed    failed=%d ignored=%d output=%d",
-			name, cOn.Failed, cOn.Ignored, cOn.Output, cOff.Failed, cOff.Ignored, cOff.Output)
-	}
-	if len(on.Failed) != len(off.Failed) {
-		t.Fatalf("%s: failed-row lists differ: %d vs %d", name, len(on.Failed), len(off.Failed))
 	}
 	requireSameRun(t, name, off, on)
 }
 
+// ctxCol is a compiled context (col) or a fallback-only one.
 func ctxCol(col bool, extra ...tuplex.Option) *tuplex.Context {
-	opts := append([]tuplex.Option{tuplex.WithRowPlane(!col), tuplex.WithTracing(tuplex.TraceSamples)}, extra...)
+	opts := append([]tuplex.Option{tuplex.WithFallbackOnly(!col), tuplex.WithTracing(tuplex.TraceSamples)}, extra...)
 	return tuplex.NewContext(opts...)
 }
 
@@ -112,10 +111,11 @@ func TestColumnarDiffFlights(t *testing.T) {
 
 func TestColumnarDiffWeblogs(t *testing.T) {
 	logs, bad := data.Weblogs(data.WeblogConfig{Rows: 2500, Seed: 77})
+	// A fallback row draws its random endpoint letters from another
+	// generator than a compiled one, so the letters are masked.
+	randomized := regexp.MustCompile(`/~[A-Z]{10}`)
 	for _, variant := range []pipelines.WeblogVariant{pipelines.WeblogStrip, pipelines.WeblogSplit, pipelines.WeblogRegex} {
-		colDiffCSV(t, "weblogs/"+variant.String(), func(col bool) *tuplex.Result {
-			// A fixed seed pins the endpoint randomization so both
-			// modes compute the same rows.
+		run := func(col bool) *tuplex.Result {
 			c := ctxCol(col, tuplex.WithSeed(4242))
 			res, err := pipelines.Weblogs(
 				c.Text("", tuplex.TextData(logs)),
@@ -124,8 +124,10 @@ func TestColumnarDiffWeblogs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v: %v", variant, err)
 			}
+			res.CSV = randomized.ReplaceAll(res.CSV, []byte("/~*"))
 			return res
-		})
+		}
+		colDiffCSV(t, "weblogs/"+variant.String(), run)
 	}
 }
 
@@ -156,8 +158,10 @@ func TestColumnarDiffQ6Streamed(t *testing.T) {
 	}
 }
 
-// q6Diff runs Q6 over src in both modes and compares revenue, row
-// accounting and ledgers.
+// q6Diff runs Q6 over src compiled and on the fallback alone, and
+// compares revenue and row accounting. The fallback folds its rows
+// serially and the compiled run combines per-task partials, so the sums
+// may part in the last digits.
 func q6Diff(t *testing.T, name string, src func(col bool) *tuplex.DataSet) {
 	t.Helper()
 	var revenue [2]float64
@@ -169,8 +173,8 @@ func q6Diff(t *testing.T, name string, src func(col bool) *tuplex.DataSet) {
 		}
 		revenue[i], res[i] = v, r
 	}
-	if math.Abs(revenue[0]-revenue[1]) > 1e-9*math.Max(1, math.Abs(revenue[1])) {
-		t.Fatalf("%s revenue differs: columnar %.6f, boxed %.6f", name, revenue[0], revenue[1])
+	if !closeFloat(revenue[0], revenue[1]) {
+		t.Fatalf("%s revenue differs: compiled %v, reference %v", name, revenue[0], revenue[1])
 	}
 	requireSameRun(t, name, res[1], res[0])
 }
@@ -184,28 +188,38 @@ func writeTemp(t *testing.T, name string, b []byte) string {
 	return p
 }
 
-// requireSameRun asserts what no execution plane may change: the row
-// counters, the failed rows, and per stage the exception samples (in
-// pool order) and the routing ledger.
+// closeFloat reports whether two float results agree to 1e-12
+// relative: a serial fold and a combine of partials may round apart.
+func closeFloat(a, b float64) bool {
+	return a == b || math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b))
+}
+
+// requireSameRun asserts what a compiled run (got) must share with the
+// fallback-only reference run (base): the rows each stage reading a
+// source takes in, the output, failed and resolver-resolved row counters
+// and the failed rows, in order. The other counters, the exception
+// samples and the routing ledger record which path took a row, and on
+// the reference every row takes the fallback (a filter's drop there
+// counts as ignored). For the same reason the input counter compares per
+// source stage: an interior stage of the reference takes every row
+// carried over from the stage before, and none into its normal path.
 func requireSameRun(t *testing.T, name string, base, got *tuplex.Result) {
 	t.Helper()
-	if got.Metrics.Rows != base.Metrics.Rows {
-		t.Fatalf("%s: row counters %+v, reference %+v", name, got.Metrics.Rows, base.Metrics.Rows)
+	g, w := got.Metrics.Rows, base.Metrics.Rows
+	if g.Output != w.Output || g.Failed != w.Failed || g.ResolverResolved != w.ResolverResolved {
+		t.Fatalf("%s: row counters %+v, reference %+v", name, g, w)
+	}
+	gs, ws := got.Metrics.Stages, base.Metrics.Stages
+	if len(gs) != len(ws) {
+		t.Fatalf("%s: %d stages, reference %d", name, len(gs), len(ws))
+	}
+	for i := range ws {
+		if ws[i].Records != 0 && gs[i].Records != ws[i].Records {
+			t.Fatalf("%s: stage %d read %d rows, reference %d", name, i, gs[i].Records, ws[i].Records)
+		}
 	}
 	if !reflect.DeepEqual(got.Failed, base.Failed) {
 		t.Fatalf("%s: failed rows %v, reference %v", name, got.Failed, base.Failed)
-	}
-	g, w := stageSpans(got.Trace.Root), stageSpans(base.Trace.Root)
-	if len(g) != len(w) {
-		t.Fatalf("%s: %d stages, reference %d", name, len(g), len(w))
-	}
-	for i := range w {
-		if !reflect.DeepEqual(g[i].Samples, w[i].Samples) {
-			t.Fatalf("%s: stage %d exception samples\n  got  %v\n  want %v", name, i, g[i].Samples, w[i].Samples)
-		}
-		if !reflect.DeepEqual(g[i].Routing, w[i].Routing) {
-			t.Fatalf("%s: stage %d routing ledger\n  got  %+v\n  want %+v", name, i, g[i].Routing, w[i].Routing)
-		}
 	}
 }
 

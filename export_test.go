@@ -6,9 +6,10 @@ import "github.com/gotuplex/tuplex/internal/core"
 // test package.
 var DecodeJob = decodeJob
 
-// WithRowPlane(true) runs every stage on the row-at-a-time reference
-// executor instead of the batch plane: the reference the columnar
-// differentials compare against.
-func WithRowPlane(on bool) Option {
-	return Option{apply: func(o *core.Options) { o.RowPlane = on }}
+// WithFallbackOnly(true) sends every row of every stage to the
+// tree-walking fallback, with the values its normal path read: the
+// interpreter's answer, the reference the differentials hold the
+// compiled paths to.
+func WithFallbackOnly(on bool) Option {
+	return Option{apply: func(o *core.Options) { o.FallbackOnly = on }}
 }

@@ -11,16 +11,15 @@ package core
 // shared selection vector, joins probe the sharded build table and
 // append the build columns (remapping the batch only when a key fans
 // out), and filters shrink the selection instead of copying columns.
-// Exception rows go to the pooled boxed path exactly as on the
-// row-at-a-time reference executor (Options.RowPlane) — output bytes and
-// row accounting are identical by construction (enforced by the
-// columnar differential suites).
+// A row's first failure pools its SOURCE row once (unscaled key), and
+// resolve replays the source row through the stage's operators on the
+// slower paths. Output bytes and row accounting equal those of a run in
+// which every row goes through the tree-walking fallback
+// (Options.FallbackOnly); the differential suites hold the plane to it.
 //
-// Join fan-out replicates the row path's depth-first abort semantics:
-// the first failure downstream of a join pools the SOURCE row once
-// (unscaled key — resolve replays the stage's ops from source
-// values) and invalidates the same source's not-yet-processed output
-// rows, while already-emitted earlier matches stay.
+// A fan-out join keeps a source row's output rows consecutive. The first
+// failure of any of them drops all of them, earlier and later ones alike:
+// the replay emits every match of the source row again.
 
 import (
 	"bytes"
@@ -110,9 +109,6 @@ func kernelVec(k *stageOp) (*codegen.VecExpr, string) {
 // span, so a UDF that stopped vectorizing — and the node that stopped it —
 // shows without a profiler.
 func (pl *stagePlan) kernelModes() string {
-	if pl.entry != nil {
-		return ""
-	}
 	var parts []string
 	for _, k := range pl.ops {
 		switch {
@@ -175,9 +171,10 @@ type batchState struct {
 	// join's miss).
 	refs []buildRef
 
-	// dropped marks current-index rows invalidated by a same-source
-	// failure earlier in the pass; pooledSrc marks source rows already
-	// pooled (one pool entry per source row, like the row path's abort).
+	// dropped marks current-index rows of a source that failed in the
+	// current pass (runKernels removes them from the selection after it);
+	// pooledSrc marks source rows already pooled (one pool entry per
+	// source row).
 	dropped, pooledSrc    colvec.Bitmap
 	anyDropped, anyPooled bool
 
@@ -334,21 +331,22 @@ func (bst *batchState) sourceEx(p int, sr int32, ec ECode, op int32) exRow {
 	return ex
 }
 
-// failBatchRow handles a normal-path failure at current-index row r:
-// pool the source row once and invalidate the same source's later
-// output rows (the row path aborts the whole source row depth-first at
-// its first failure; earlier emitted matches stay). Returns 1 iff a new
-// pool entry was made, mirroring the row path's one exception per
-// source row.
+// failBatchRow handles a normal-path failure at current-index row r: it
+// pools the source row once and drops every output row of that source,
+// which the fallback's replay emits. Returns 1 iff a new pool entry was
+// made: one exception per source row.
 func (sr *stageRun) failBatchRow(ts *task, bst *batchState, p int, r int32, ec ECode, op int32) int64 {
 	src := bst.srcOf(r)
 	if bst.srcIdx != nil {
-		// Join fan-out keeps a source's output rows consecutive, so the
-		// forward scan covers exactly the not-yet-processed siblings.
-		for nr := int(r) + 1; nr < bst.n && bst.srcIdx[nr] == src; nr++ {
-			bst.dropped.Set(nr)
-			bst.anyDropped = true
+		// Join fan-out keeps a source's output rows consecutive.
+		lo := int(r)
+		for lo > 0 && bst.srcIdx[lo-1] == src {
+			lo--
 		}
+		for nr := lo; nr < bst.n && bst.srcIdx[nr] == src; nr++ {
+			bst.dropped.Set(nr)
+		}
+		bst.anyDropped = true
 	}
 	if bst.anyPooled && bst.pooledSrc.Get(int(src)) {
 		return 0
@@ -362,12 +360,11 @@ func (sr *stageRun) failBatchRow(ts *task, bst *batchState, p int, r int32, ec E
 	return 1
 }
 
-// runChunkColumnar is runRecords on the batch plan: each batch is one
+// runChunkColumnar runs a CSV chunk on the batch plan: each batch is one
 // csvio.ParseChunk call straight into the source vectors, with the
 // accepted records' spans in bst.raws and no record list for the chunk.
-// Order keys, pool entries, counters and routing-ledger arithmetic are
-// those of runRecords over csvio.SplitRecords(data), with the per-row
-// parse/step/render work replaced by per-batch vector loops.
+// The chunk's record i has order key i; a record the parser rejects is
+// pooled raw, and every other one enters the kernels.
 func (sr *stageRun) runChunkColumnar(ts *task, p int, data []byte) {
 	bst := sr.getBatchState(ts)
 	cb := &bst.chunk
@@ -421,9 +418,8 @@ func appendKeys(keys []uint64, k uint64, n int) []uint64 {
 // runTextColumnar is runChunkColumnar for a text source: each line of the
 // chunk is one row of the single string column, and its span goes in
 // bst.raws as a CSV record's does (a text stage's batch memory holds no
-// chunk parse, so bst.raws is its own list). Order keys and pool entries
-// are those of runRecords over splitPlainLines(data); a line never
-// rejects.
+// chunk parse, so bst.raws is its own list). The chunk's line i has
+// order key i; a line never rejects.
 func (sr *stageRun) runTextColumnar(ts *task, p int, data []byte) {
 	bst := sr.getBatchState(ts)
 	if bst.fresh() {
@@ -455,7 +451,7 @@ func (sr *stageRun) runTextColumnar(ts *task, p int, data []byte) {
 // Parallelize range (order keys are row indexes), whose non-conforming
 // rows pool boxed as classifier rejects, or an interior stage's share of
 // the previous stage's output (order keys travel with the rows), whose
-// rows all enter the normal case as the row path takes them. A row
+// rows all enter the normal case. A row
 // closure upstream may have left a cell whose kind its column's type
 // does not name (max(a, 2.5) is an int): AppendCell keeps it, widening
 // the batch's source vector, and a vector program over that column
@@ -506,18 +502,52 @@ func (sr *stageRun) runRowsColumnar(ts *task, p int) {
 }
 
 // runBatchBody executes the kernel groups and the terminal over one
-// ingested batch. Returns the normal-path exception count (one per
-// failed source row). The batch's pool entries start at ts.pool[pool0]:
-// the rejects its ingest pooled, then what each kernel pass and the
-// terminal pool. The row plane pools a row's failure when it reaches
-// the row, so the batch's entries are put in key order (keys ascend with
-// the input rows) once the body has run.
+// ingested batch, or under Options.FallbackOnly pools all of it
+// (poolBatch). Returns the normal-path exception count (one per failed
+// source row). The batch's pool entries start at ts.pool[pool0]: the
+// rejects its ingest pooled, then what each kernel pass and the terminal
+// pool. A pool lists its rows in input order, so the batch's entries are
+// put in key order (keys ascend with the input rows) once the body has
+// run.
 func (sr *stageRun) runBatchBody(ts *task, bst *batchState, p, pool0 int) int64 {
-	normalExc := sr.runKernels(ts, bst, p)
-	ts.columnarRows += int64(len(bst.sel))
-	normalExc += sr.runTerminal(ts, bst, p)
+	var normalExc int64
+	if ts.eng.opts.FallbackOnly {
+		normalExc = sr.poolBatch(ts, bst, p)
+	} else {
+		normalExc = sr.runKernels(ts, bst, p)
+		ts.columnarRows += int64(len(bst.sel))
+		normalExc += sr.runTerminal(ts, bst, p)
+	}
 	sortPool(ts.pool[pool0:])
 	return normalExc
+}
+
+// poolBatch pools every row of the batch for the fallback, with the
+// values the normal path read: the source vectors' cells, lazy ones
+// converted, or an in-memory row's slots. (Parsing the raw record again
+// could read a cell otherwise: csvio.GeneralFields types a cell by its
+// spelling, the normal path by its column.) A record keeps its raw bytes
+// too, so a failed row renders its input as in any run.
+func (sr *stageRun) poolBatch(ts *task, bst *batchState, p int) int64 {
+	bst.selectAll()
+	bst.ensure(bst.sel)
+	for i, key := range bst.keys {
+		ex := exRow{part: p, key: key, ec: pyvalue.ExcUnsupported}
+		if bst.srcRows != nil {
+			ex.vals = rows.RowToValues(bst.srcRows[i])
+		} else {
+			ex.raw = bst.raws[i]
+			ex.vals = make([]pyvalue.Value, len(bst.src))
+			for c, v := range bst.src {
+				ex.vals[c] = boxCell(v, i)
+			}
+		}
+		ts.pool = append(ts.pool, ex)
+	}
+	if ts.routeExc != nil {
+		ts.routeExc[0] += int64(len(bst.keys))
+	}
+	return int64(len(bst.keys))
 }
 
 // runTerminal runs the stage's terminal over the batch's surviving rows.
@@ -556,12 +586,7 @@ func sortPool(pooled []exRow) {
 // groups over it, leaving the survivors in bst.sel and their columns in
 // bst.cols. Returns the normal-path exception count.
 func (sr *stageRun) runKernels(ts *task, bst *batchState, p int) int64 {
-	n := len(bst.keys)
-	bst.n = n
-	bst.sel = bst.sel[:0]
-	for i := 0; i < n; i++ {
-		bst.sel = append(bst.sel, int32(i))
-	}
+	bst.selectAll()
 	bst.cols = append(bst.cols[:0], bst.src...)
 
 	var normalExc int64
@@ -582,8 +607,25 @@ func (sr *stageRun) runKernels(ts *task, bst *batchState, p int) int64 {
 		default:
 			normalExc += sr.runGroup(ts, bst, g, p)
 		}
+		if bst.anyDropped {
+			// A fan-out source failed after some of its rows had passed.
+			bst.sel = slices.DeleteFunc(bst.sel, func(r int32) bool { return bst.dropped.Get(int(r)) })
+			bst.dropped.Reset()
+			bst.anyDropped = false
+		}
 	}
 	return normalExc
+}
+
+// selectAll selects every ingested row of the batch, in the source index
+// space.
+func (bst *batchState) selectAll() {
+	n := len(bst.keys)
+	bst.n = n
+	bst.sel = bst.sel[:0]
+	for i := 0; i < n; i++ {
+		bst.sel = append(bst.sel, int32(i))
+	}
 }
 
 // layoutAfter simulates kernel k's column-layout transformation over an
@@ -673,10 +715,10 @@ func (sr *stageRun) argAccessor(ts *task, bst *batchState, k *stageOp, view []*c
 // runs of row kernels execute as one scan of the selection vector with
 // per-row filter short-circuits, and each vector kernel as one pass of
 // its own. Vector kernels run only on batches of at least vecMinRows
-// live rows, and not after a fan-out join has remapped the batch: there
-// one failing output row invalidates its not-yet-processed siblings, an
-// order only the row-major scan defines. A unique-key join keeps the
-// index space, and the vector path with it.
+// live rows, and only while the batch keeps its source index space:
+// after a fan-out join has remapped it, every kernel runs its row
+// closure. A unique-key join keeps the index space, and the vector path
+// with it.
 func (sr *stageRun) runGroup(ts *task, bst *batchState, group []*stageOp, p int) int64 {
 	n := bst.n
 	bst.viewArena = bst.viewArena[:0]
@@ -848,7 +890,8 @@ func (sr *stageRun) runVecKernel(ts *task, bst *batchState, k *stageOp, gi, p in
 // 256 through keyShift — the batch keeps its index space, and the vector
 // kernels after the join keep running. A fan-out table remaps the batch
 // to its output space (srcIdx tracks each output row's source; outKeys
-// carries the key*256+sub order keys the row path produces).
+// carries key*256+sub order keys, sub being the match's position among
+// its probe row's matches, capped at 255).
 //
 //tuplex:kernel
 func (sr *stageRun) runJoinKernel(ts *task, bst *batchState, k *stageOp, p int) int64 {
@@ -889,6 +932,17 @@ func (sr *stageRun) runJoinKernel(ts *task, bst *batchState, k *stageOp, p int) 
 			at = append(at, r)
 			refs = append(refs, ref)
 		}
+	}
+	if bst.anyDropped {
+		// A failing probe dropped rows of its source matched before it.
+		n := 0
+		for i, r := range at {
+			if !bst.dropped.Get(int(r)) {
+				at[n], refs[n] = r, refs[i]
+				n++
+			}
+		}
+		at, refs = at[:n], refs[:n]
 	}
 	bst.refs = refs
 	nIn, derived := k.inSchema.Len(), bst.derived[k.ki]
@@ -980,7 +1034,8 @@ func gatherArgView(k *stageOp, view []*colvec.Vec, bst *batchState, r int) rows.
 	return rows.Tuple(row)
 }
 
-// callKernelUDF is callNormalUDF with the argument already gathered.
+// callKernelUDF calls a UDF's compiled row closure on its gathered
+// argument (ExcUnsupported when the UDF has none).
 func callKernelUDF(ts *task, su *stageUDF, arg rows.Slot) (rows.Slot, ECode) {
 	if su.compiled == nil {
 		return rows.Slot{}, pyvalue.ExcUnsupported
@@ -1035,9 +1090,9 @@ func (sr *stageRun) renderBatchCSV(ts *task, bst *batchState) {
 	}
 }
 
-// uniqueBatch feeds the live rows into the task's open distinct set (the
-// columnar unique terminal — same encoded row keys and insertion order
-// as the row path's terminal step).
+// uniqueBatch feeds the live rows into the task's open distinct set in
+// selection order, keyed by their encoded cells (the columnar unique
+// terminal).
 //
 //tuplex:kernel
 func (sr *stageRun) uniqueBatch(ts *task, bst *batchState) {
@@ -1102,22 +1157,36 @@ func (sr *stageRun) foldBatch(ts *task, bst *batchState, f *codegen.VecFold, p i
 }
 
 // foldRows folds the given rows through the aggregate's row closure;
-// failures pool the source row like every other batch step.
+// failures pool the source row like every other batch step. After a
+// fan-out join a failure also takes back what the source's earlier rows
+// folded: the fallback folds all of them again.
 //
 //tuplex:kernel
 func (sr *stageRun) foldRows(ts *task, bst *batchState, sel []int32, p int) int64 {
 	bst.ensure(sel)
 	su := sr.aggUDF
 	var excs int64
+	// src is the fan-out source whose rows are folding, acc0 the
+	// accumulator before its first one.
+	src, acc0 := int32(-1), ts.aggSlot
+	fail := func(r int32, ec ECode) {
+		if bst.srcIdx != nil {
+			ts.aggSlot = acc0
+		}
+		excs += sr.failBatchRow(ts, bst, p, r, ec, sr.termRouteIdx)
+	}
 	for _, r := range sel {
 		if bst.anyDropped && bst.dropped.Get(int(r)) {
 			continue
+		}
+		if bst.srcIdx != nil && bst.srcIdx[r] != src {
+			src, acc0 = bst.srcIdx[r], ts.aggSlot
 		}
 		if ts.route != nil {
 			ts.route[sr.termRouteIdx]++
 		}
 		if su == nil || su.compiled == nil {
-			excs += sr.failBatchRow(ts, bst, p, r, pyvalue.ExcUnsupported, sr.termRouteIdx)
+			fail(r, pyvalue.ExcUnsupported)
 			continue
 		}
 		var arg rows.Slot
@@ -1132,7 +1201,7 @@ func (sr *stageRun) foldRows(ts *task, bst *batchState, sel []int32, p int) int6
 		}
 		v, ec := su.compiled.Call2(ts.frames[su.frameIdx], ts.aggSlot, arg)
 		if ec != 0 {
-			excs += sr.failBatchRow(ts, bst, p, r, ec, sr.termRouteIdx)
+			fail(r, ec)
 			continue
 		}
 		ts.aggSlot = v

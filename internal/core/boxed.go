@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -119,18 +120,20 @@ func (sr *stageRun) runBoxedRow(vals []pyvalue.Value) (out [][]pyvalue.Value, re
 	return cur, resolved, nil
 }
 
-// udfArg builds the boxed argument of a whole-row or scalar UDF; u is
-// its interpreter.
-func (op *stageOp) udfArg(u *boxedUDF, row []pyvalue.Value) pyvalue.Value {
+// udfArg builds the boxed argument of the operator's UDF or one of its
+// resolvers from the operator's input row: u is that UDF's interpreter,
+// accessCols the columns it reads (stageOp.accessCols,
+// resolverSpec.accessCols).
+func (op *stageOp) udfArg(u *boxedUDF, accessCols []int, row []pyvalue.Value) pyvalue.Value {
 	switch {
 	case op.scalar:
 		if op.argIdx >= len(row) {
 			return pyvalue.None{}
 		}
 		return row[op.argIdx]
-	case op.accessCols != nil:
+	case accessCols != nil:
 		d := pyvalue.NewDict()
-		for j, idx := range op.accessCols {
+		for j, idx := range accessCols {
 			if idx >= 0 && idx < len(row) {
 				d.Set(u.spec.Access.ByName[j], row[idx])
 			}
@@ -149,12 +152,13 @@ func (op *stageOp) udfArg(u *boxedUDF, row []pyvalue.Value) pyvalue.Value {
 	return &pyvalue.Tuple{Items: row}
 }
 
-// call runs the operator's UDF (ips[0]) on arg, with its ignore and
-// resolve handlers (§3: resolvers run on the exception paths only — here
-// on the fallback path); ips[1+j] runs resolver j. resolved reports that
-// a resolver produced v.
-func (op *stageOp) call(ips []*boxedUDF, arg pyvalue.Value) (v pyvalue.Value, resolved bool, err error) {
-	v, err = ips[0].call([]pyvalue.Value{arg})
+// call runs the operator's UDF (ips[0]) on its input row, with its
+// ignore and resolve handlers (§3: resolvers run on the exception paths
+// only — here on the fallback path); ips[1+j] runs resolver j, on its
+// own argument from the same row. resolved reports that a resolver
+// produced v.
+func (op *stageOp) call(ips []*boxedUDF, row []pyvalue.Value) (v pyvalue.Value, resolved bool, err error) {
+	v, err = ips[0].call([]pyvalue.Value{op.udfArg(ips[0], op.accessCols, row)})
 	if err == nil {
 		return v, false, nil
 	}
@@ -166,7 +170,7 @@ func (op *stageOp) call(ips []*boxedUDF, arg pyvalue.Value) (v pyvalue.Value, re
 		if r.exc != kind {
 			continue
 		}
-		rv, rerr := ips[1+j].call([]pyvalue.Value{arg})
+		rv, rerr := ips[1+j].call([]pyvalue.Value{op.udfArg(ips[1+j], r.accessCols, row)})
 		if rerr != nil {
 			// The resolver itself failed: surface its error.
 			return nil, false, rerr
@@ -179,7 +183,6 @@ func (op *stageOp) call(ips []*boxedUDF, arg pyvalue.Value) (v pyvalue.Value, re
 // apply runs the operator on one boxed row with the run's interpreters
 // for it (ips) and build tables (joins).
 func (op *stageOp) apply(ips []*boxedUDF, joins []*buildTable, row []pyvalue.Value) ([][]pyvalue.Value, bool, error) {
-	var arg pyvalue.Value
 	switch op.kind {
 	case opSelect:
 		out := make([]pyvalue.Value, len(op.sel))
@@ -196,11 +199,8 @@ func (op *stageOp) apply(ips []*boxedUDF, joins []*buildTable, row []pyvalue.Val
 		if op.colIdx >= len(row) {
 			return nil, false, pyvalue.Raise(pyvalue.ExcIndexError, "row too short for column %q", op.inSchema.Col(op.colIdx).Name)
 		}
-		arg = row[op.colIdx]
-	default:
-		arg = op.udfArg(ips[0], row)
 	}
-	v, res, err := op.call(ips, arg)
+	v, res, err := op.call(ips, row)
 	if err != nil {
 		return nil, res, err
 	}
@@ -299,8 +299,7 @@ func (eng *engine) resolveExceptions(sr *stageRun, out *mat) (generalStats, erro
 	pool := out.exceptional
 	out.exceptional = nil
 	// Input-materialization exceptions from the previous stage also run
-	// through this stage's ops. Source stages have no previous
-	// stage.
+	// through this stage's ops. Source stages have no previous stage.
 	if sr.input != nil {
 		n := len(pool)
 		pool = append(pool, sr.input.exceptional...)
@@ -310,6 +309,11 @@ func (eng *engine) resolveExceptions(sr *stageRun, out *mat) (generalStats, erro
 		for i := n; i < len(pool); i++ {
 			pool[i].op = 0
 		}
+		// Both parts run over the same partitions; the pool lists its
+		// rows in input order.
+		slices.SortStableFunc(pool, func(a, b exRow) int {
+			return cmp.Or(cmp.Compare(a.part, b.part), cmp.Compare(a.key, b.key))
+		})
 	}
 	sr.poolSize = len(pool)
 	// rt is this stage's routing ledger (nil below LevelRows); outcome

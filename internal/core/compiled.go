@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/gotuplex/tuplex/internal/logical"
@@ -177,6 +178,9 @@ func (cp *CompiledPlan) run(ctx context.Context, sinkNode *logical.Node, csvPath
 	res := &Result{Metrics: &metrics.Metrics{}}
 	t0 := time.Now()
 	eng := &engine{ctx: ctx, opts: opts, res: res, tr: trace.New(opts.Trace), generalCut: cp.generalCut}
+	if opts.FallbackOnly {
+		eng.generalCut = math.MaxInt // no general plan: every pool row runs on the fallback
+	}
 	// Live monitoring: only when opted in (or an introspection server is
 	// up) does a RunMonitor exist — with mon nil every hook below is a
 	// nil-receiver no-op and the execution path is the unmonitored one.

@@ -59,12 +59,13 @@ type Options struct {
 	// stream depends on its partition index, and partition cuts depend on
 	// Executors and ChunkSize, so output repeats only when those match.
 	Seed uint64
-	// RowPlane runs every stage on the row-at-a-time reference executor
-	// (the compiled step chain over slot rows) instead of the batch plane
-	// over column vectors. It exists for the columnar differentials,
-	// which compare the batch plane against it; no public option or wire
-	// field sets it, so the zero value is the production plane.
-	RowPlane bool
+	// FallbackOnly sends every row to the tree-walking fallback: each
+	// stage pools every row it ingests, before any kernel runs, with the
+	// values its normal path read, and resolves the pool with no general
+	// plan. That run is the interpreter's answer, the reference the
+	// differentials hold the compiled paths to; no public option or wire
+	// field sets it, so the zero value is the production run.
+	FallbackOnly bool
 	// ChunkSize caps the ingest chunk size in bytes (0 uses
 	// csvio.DefaultChunkSize); each source derives its own size below it
 	// from its byte count (engine.chunkSize).
@@ -409,7 +410,7 @@ func (eng *engine) execAndResolve(sr *stageRun, ssp *trace.Span) (*mat, error) {
 			trace.Int("vector_rows", bm.VectorRows.Load()-vector0),
 			trace.Int("vector_bail_rows", bm.VectorBailRows.Load()-vbail0))
 	}
-	if esp != nil && sr.parse != nil && sr.entry == nil {
+	if esp != nil && sr.parse != nil {
 		// Streamed records the chunk parser handed whole to the
 		// per-record parser: a '"' that does not open a cell.
 		var slow, lazy, converted int64

@@ -188,28 +188,23 @@ func (g *stageRun) runGeneralBatch(ts *task, pool []exRow, idx []int, outcomes [
 			}
 		}
 	}
-	failed := func(src int) bool { return bst.anyPooled && bst.pooledSrc.Get(src) }
+	// No row of a failed source is left in the selection.
 	nc := len(bst.cols)
 	slab := make([]pyvalue.Value, len(bst.sel)*nc)
 	for _, r := range bst.sel {
-		src := int(bst.srcOf(r))
-		if bst.anyDropped && bst.dropped.Get(int(r)) || failed(src) {
-			continue
-		}
 		row := slab[:nc:nc]
 		slab = slab[nc:]
 		for c, v := range bst.cols {
 			row[c] = boxCell(v, int(r))
 		}
-		oc := &outcomes[bst.keys[src]]
+		oc := &outcomes[bst.keys[bst.srcOf(r)]]
 		oc.outRows = append(oc.outRows, row)
 		produced++
 	}
 	for s, i := range bst.keys {
-		if failed(s) {
-			continue
+		if !bst.anyPooled || !bst.pooledSrc.Get(s) {
+			outcomes[i].general = true
 		}
-		outcomes[i].general = true
 	}
 	return produced
 }

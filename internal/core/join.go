@@ -21,9 +21,8 @@ import (
 // The normal side stores its contributed columns as column vectors, one
 // vector set per build partition (bparts), and the hash table holds
 // packed (partition, row) references instead of materialized rows: the
-// probe gathers match cells straight from the vectors — column-at-a-time
-// on the batch plane, slot-at-a-time on the row reference — so the build
-// never boxes and never allocates per row. Hashing is sharded over the
+// probe gathers match cells straight from the vectors, a column at a
+// time, so the build never boxes and never allocates per row. Hashing is sharded over the
 // canonical 64-bit key hash (internal/rows): shard = hash & shardMask,
 // and within a shard a map from hash to the (rare) list of entries
 // sharing it, each holding the encoded key bytes for exact equality.
@@ -110,17 +109,6 @@ func (bt *buildTable) lookup(h uint64, key []byte) []buildRef {
 func (bt *buildTable) insert(h uint64, key []byte, ref buildRef) {
 	bt.shards[h&bt.shardMask].insert(h, key, ref)
 	bt.buildRows++
-}
-
-// appendRow gathers the referenced build row's cells onto out (the row
-// reference's probe step).
-func (bt *buildTable) appendRow(out rows.Row, ref buildRef) rows.Row {
-	vecs := bt.bparts[ref>>32]
-	i := int(int32(ref))
-	for _, v := range vecs {
-		out = append(out, v.Slot(i))
-	}
-	return out
 }
 
 // boxRow boxes the referenced build row (the exception-path join).

@@ -49,20 +49,19 @@ func putCSVBuf(b []byte) {
 	csvBufPool.Put(&b)
 }
 
-// nstep is one compiled normal-path step (push model: each step calls
-// the next; a nonzero return code aborts the row, which the driver then
-// pools).
-type nstep func(ts *task, key uint64, row rows.Row) ECode
-
 // opHandlers are the resolvers/ignores attached to one UDF operator.
 type opHandlers struct {
 	resolvers []resolverSpec
 	ignores   []pyvalue.ExcKind
 }
 
+// resolverSpec is one resolver: the exception kind it takes, its UDF,
+// and, like stageOp.accessCols, the row positions of the columns that
+// UDF reads by name (nil: the whole row).
 type resolverSpec struct {
-	exc  pyvalue.ExcKind
-	spec *logical.UDFSpec
+	exc        pyvalue.ExcKind
+	spec       *logical.UDFSpec
+	accessCols []int
 }
 
 // opKind enumerates the stage operators that compile to a stageOp.
@@ -79,11 +78,11 @@ const (
 	opJoin
 )
 
-// stageOp is one stage operator as compileOps compiles it, once, for all
-// three of its readers: the batch plan runs it as a kernel (runKernels),
-// the row reference as a step (rowStep) and the fallback as a boxed
-// operator over the run's interpreters (apply). Only compileOps writes
-// it; every run of the plan reads it, concurrently.
+// stageOp is one stage operator as compileOps compiles it, once, for
+// both of its readers: the batch plan runs it as a kernel (runKernels)
+// and the fallback as a boxed operator over the run's interpreters
+// (apply). Only compileOps writes it; every run of the plan reads it,
+// concurrently.
 type stageOp struct {
 	kind opKind
 	// ridx is the operator's routing-ledger index, ki its index in the
@@ -109,9 +108,6 @@ type stageOp struct {
 	// marks a left join.
 	joinIdx   int
 	leftOuter bool
-	// scratch is the task scratch slot a row step builds its output row in
-	// (map, select, join).
-	scratch int
 
 	// The batch kernel's fields. vec is the UDF's vector program
 	// (codegen/vec.go) when the kernel can run it: a filter over any
@@ -155,13 +151,10 @@ type stagePlan struct {
 	// (sample.CasePlan.GeneralSchema over the projected columns).
 	generalIn *types.Schema
 
-	// ops are the stage's compiled operators. The batch plan, the normal
-	// path every stage runs, groups them into fused passes (groups); under
-	// Options.RowPlane a stage runs entry instead — the row-at-a-time step
-	// chain built from them — and entry != nil marks that plan.
+	// ops are the stage's compiled operators; the batch plan, the normal
+	// path every stage runs, groups them into fused passes (groups).
 	ops     []*stageOp
 	groups  [][]*stageOp
-	entry   nstep
 	maxCols int
 	nUDFs   int
 	// emit is the form the stage's tasks write (stageSlot.emit).
@@ -282,9 +275,8 @@ type task struct {
 	run  *stageRun
 	part int
 
-	frames  []*codegen.Frame
-	scratch [][]rows.Slot
-	rowBuf  []rows.Slot
+	frames []*codegen.Frame
+	rowBuf []rows.Slot
 	// keyBuf is the reusable scratch buffer for hash-key encodings (join
 	// probes, unique terminal) — the hot paths never allocate per row.
 	keyBuf []byte
@@ -293,10 +285,6 @@ type task struct {
 	// the stage emits: materialized outRows, outVecs or CSV lines.
 	outKeys []uint64
 	outRows []rows.Row
-	// outSlab backs materialized outRows: rows append here and slice
-	// capped views out, so materializing costs one amortized slab per
-	// task instead of one allocation per row.
-	outSlab []rows.Slot
 	// outVecs are the collect sink's output columns (emitVecs).
 	outVecs colSegs
 	pool    []exRow
@@ -336,16 +324,13 @@ type task struct {
 	// task timings (filled only when the tracer is on). route/routeExc
 	// are the task's routing-ledger counters, indexed like the plan's
 	// opNames (nil below trace.LevelRows — the default path carries none
-	// of this). excOp is the ledger index of the operator that raised the
-	// current row's normal-path exception; every raise site stores it,
-	// so it is valid exactly when the entry chain returns nonzero.
+	// of this).
 	worker   int
 	start    time.Time
 	dur      time.Duration
 	inRows   int64
 	route    []int64
 	routeExc []int64
-	excOp    int32
 	// rejects tallies why the task's classifier rejects left the normal
 	// case (trace.OpRouting.Rejects; LevelRows only).
 	rejects map[rejectWhy]int64
@@ -377,7 +362,6 @@ func (sr *stageRun) newTask(eng *engine, part int) *task {
 		ts.frames[i] = codegen.NewFrame(8)
 		ts.frames[i].Rand = pyre.NewPRNG(eng.opts.Seed + uint64(part)*1000003 + uint64(i))
 	}
-	ts.scratch = make([][]rows.Slot, sr.nUDFs+4)
 	ts.rowBuf = make([]rows.Slot, 0, sr.maxCols)
 	ts.keyBuf = make([]byte, 0, 64)
 	if sr.terminal == physical.TerminalUnique {
@@ -395,17 +379,6 @@ func (sr *stageRun) newTask(eng *engine, part int) *task {
 		ts.routeExc = make([]int64, len(sr.opNames))
 	}
 	return ts
-}
-
-// routeWrap counts rows entering the wrapped step into the task's
-// routing ledger. Wrappers are composed into the chain only at
-// trace.LevelRows and above, so the default normal path is exactly the
-// uninstrumented one.
-func routeWrap(next nstep, ridx int32) nstep {
-	return func(ts *task, key uint64, row rows.Row) ECode {
-		ts.route[ridx]++
-		return next(ts, key, row)
-	}
 }
 
 // mergedRouting folds the per-task ledger counters and the boxed-path
@@ -437,110 +410,17 @@ func (sr *stageRun) mergedRouting() []trace.OpRouting {
 	return out
 }
 
-// runUnit feeds one unit through the normal path: a streamed chunk
-// (order keys are record indexes) or an in-memory partition. Every
-// unit runs on the batch plane; the arms for a plan without one
-// (Options.RowPlane) are the row-at-a-time reference executor the
-// columnar differentials compare against.
+// runUnit feeds one unit through the batch plan: a streamed chunk
+// (order keys are record indexes) or an in-memory partition.
 func (sr *stageRun) runUnit(ts *task, u unit) {
-	if u.chunk == nil {
-		if sr.entry != nil {
-			sr.runPartition(ts, u.part)
-		} else {
-			sr.runRowsColumnar(ts, u.part)
-		}
-		return
-	}
-	data := u.chunk.Data
 	switch {
-	case sr.entry != nil && sr.isText:
-		sr.runRecords(ts, u.part, splitPlainLines(data))
-	case sr.entry != nil:
-		sr.runRecords(ts, u.part, csvio.SplitRecords(data))
+	case u.chunk == nil:
+		sr.runRowsColumnar(ts, u.part)
 	case sr.isText:
-		sr.runTextColumnar(ts, u.part, data)
+		sr.runTextColumnar(ts, u.part, u.chunk.Data)
 	default:
-		sr.runChunkColumnar(ts, u.part, data)
+		sr.runChunkColumnar(ts, u.part, u.chunk.Data)
 	}
-}
-
-// runRecords feeds raw source records through the row-at-a-time
-// reference path, record i with order key i.
-func (sr *stageRun) runRecords(ts *task, p int, recs [][]byte) {
-	var rejects, normalExc int64
-	for i, rec := range recs {
-		key := uint64(i)
-		var row rows.Row
-		var ec ECode
-		if sr.isText {
-			row = ts.rowBuf[:1]
-			row[0] = rows.Str(string(rec))
-		} else {
-			row = ts.rowBuf[:sr.nFields]
-			ec = sr.parse.ParseLine(rec, row)
-		}
-		if ec != 0 {
-			rejects++
-			ts.pool = append(ts.pool, exRow{part: p, key: key, raw: rec, ec: ec})
-			if ts.route != nil {
-				sr.countReject(ts, rec)
-			}
-			continue
-		}
-		if ec = sr.entry(ts, key, row); ec != 0 {
-			normalExc++
-			ts.pool = append(ts.pool, exRow{part: p, key: key, raw: rec, ec: ec, op: ts.excOp})
-			if ts.routeExc != nil {
-				ts.routeExc[ts.excOp]++
-			}
-			continue
-		}
-	}
-	ts.finishRows(int64(len(recs)), rejects, normalExc)
-}
-
-// runPartition feeds an in-memory partition — a Parallelize range or a
-// previous stage's output — through the row-at-a-time reference path.
-func (sr *stageRun) runPartition(ts *task, p int) {
-	r := sr.partRanges[p]
-	var input, rejects, normalExc int64
-	switch {
-	case sr.input == nil:
-		for i := r[0]; i < r[1]; i++ {
-			key := uint64(i)
-			input++
-			src := sr.inputSlots[i]
-			if !rowConforms(src, sr.inSchema) {
-				rejects++
-				ts.pool = append(ts.pool, exRow{part: p, key: key, vals: rows.RowToValues(src), ec: pyvalue.ExcBadParse})
-				continue
-			}
-			row := append(ts.rowBuf[:0], src...)
-			if ec := sr.entry(ts, key, row); ec != 0 {
-				normalExc++
-				ts.pool = append(ts.pool, exRow{part: p, key: key, vals: rows.RowToValues(src), ec: ec, op: ts.excOp})
-				if ts.routeExc != nil {
-					ts.routeExc[ts.excOp]++
-				}
-				continue
-			}
-		}
-	default:
-		in := sr.input
-		rowsP, keysP := in.parts[p], in.keys[p]
-		for i := range rowsP {
-			input++
-			row := append(ts.rowBuf[:0], rowsP[i]...)
-			if ec := sr.entry(ts, keysP[i], row); ec != 0 {
-				normalExc++
-				ts.pool = append(ts.pool, exRow{part: p, key: keysP[i], vals: rows.RowToValues(rowsP[i]), ec: ec, op: ts.excOp})
-				if ts.routeExc != nil {
-					ts.routeExc[ts.excOp]++
-				}
-			}
-		}
-	}
-	ts.finishRows(input, rejects, normalExc)
 }
 
 // finishRows flushes a task's local tallies into the run once per call —
@@ -677,7 +557,7 @@ const lazyMaxShare = 0.2
 // more than lazyMaxShare of the sample is lazy. With any other first
 // kernel every column is read at every row, and none is lazy.
 func (pl *stagePlan) markLazy(records [][]byte) {
-	if pl.parse == nil || pl.entry != nil || pl.generalCase {
+	if pl.parse == nil || pl.generalCase {
 		return
 	}
 	// run runs the program over sel and returns the rows every column is
@@ -770,9 +650,9 @@ func (pl *stagePlan) lazyCols() string {
 }
 
 // compileOps compiles the stage's operators, each once into its stageOp,
-// and then the plan's batch program (or, under Options.RowPlane, its
-// row-reference step chain). It sees only plan state — never the run
-// that triggered the compile — so nothing it closes over can be per-run.
+// and then the plan's batch program. It sees only plan state — never the
+// run that triggered the compile — so nothing it closes over can be
+// per-run.
 // srcFacts seeds the dataflow analysis for the first UDF: per-column type
 // facts plus sampled value statistics (constants, int ranges) for sources
 // that sample values; nil means type facts only.
@@ -815,7 +695,7 @@ func (eng *engine) compileOps(pl *stagePlan, sl *stageSlot, srcFacts []dataflow.
 			su := eng.compileUDF(spec, []types.Type{paramT}, facts, opName(op), pl.generalCase)
 			su.frameIdx = frameIdx
 			frameIdx++
-			rec.su, rec.handlers, rec.scalar, rec.scratch = su, &opHandlers{}, scalar, su.frameIdx
+			rec.su, rec.handlers, rec.scalar = su, &opHandlers{}, scalar
 			if !scalar {
 				rec.argCols = kernelArgCols(su, schema)
 				rec.accessCols = boxedAccessCols(spec, schema)
@@ -890,14 +770,19 @@ func (eng *engine) compileOps(pl *stagePlan, sl *stageSlot, srcFacts []dataflow.
 			}
 			colFacts = nf
 			schema = ns
-			rec.kind, rec.sel, rec.scratch = opSelect, append([]int(nil), idx...), frameIdx
-			frameIdx++
+			rec.kind, rec.sel = opSelect, append([]int(nil), idx...)
 
 		case *logical.ResolveOp:
 			if lastUDF == nil {
 				return fmt.Errorf("core: resolve() without a preceding UDF operator")
 			}
-			lastUDF.handlers.resolvers = append(lastUDF.handlers.resolvers, resolverSpec{exc: op.Exc, spec: op.UDF})
+			// A resolver takes the operator's input row and reads its own
+			// columns of it.
+			var cols []int
+			if !lastUDF.scalar {
+				cols = boxedAccessCols(op.UDF, lastUDF.inSchema)
+			}
+			lastUDF.handlers.resolvers = append(lastUDF.handlers.resolvers, resolverSpec{exc: op.Exc, spec: op.UDF, accessCols: cols})
 			// Dead-resolver lint: the compiled normal-case path provably
 			// never raises this kind. The resolver still applies on the
 			// general path (non-conforming rows run full Python
@@ -933,8 +818,6 @@ func (eng *engine) compileOps(pl *stagePlan, sl *stageSlot, srcFacts []dataflow.
 			outSchema := joinOutputSchema(schema, op, added)
 			rec.kind, rec.colIdx, rec.joinIdx, rec.leftOuter = opJoin, keyIdx, ji, op.Left
 			rec.outTypes = schemaTypes(outSchema)
-			rec.scratch = frameIdx
-			frameIdx++ // a scratch slot (no frame needed)
 			nf := append([]dataflow.ColFact(nil), colFacts...)
 			for i := schema.Len(); i < outSchema.Len(); i++ {
 				nf = append(nf, dataflow.ColFact{Type: outSchema.Col(i).Type})
@@ -958,34 +841,12 @@ func (eng *engine) compileOps(pl *stagePlan, sl *stageSlot, srcFacts []dataflow.
 		agg := st.TerminalOp.(*logical.AggregateOp)
 		eng.compileAggregate(pl, agg, schema)
 	}
-	if pl.generalCase || !eng.opts.RowPlane {
-		// The batch plan: every operator's kernel, adjacent per-row
-		// kernels grouped into fused passes that share one
-		// selection-vector scan, and the terminal run batched
-		// (runBatchBody). A general plan is the operators' kernels alone:
-		// resolve boxes what leaves them, and the stage's terminal takes
-		// it from there.
-		pl.groups = pl.fuseKernels()
-		return nil
-	}
-
-	// The row reference (Options.RowPlane): the steps composed back to
-	// front onto the terminal; at LevelRows every step (and the
-	// terminal) is preceded by its ledger counter.
-	entry, err := pl.makeTerminal()
-	if err != nil {
-		return err
-	}
-	if pl.traceRows {
-		entry = routeWrap(entry, pl.termRouteIdx)
-	}
-	for i := len(pl.ops) - 1; i >= 0; i-- {
-		entry = pl.rowStep(pl.ops[i], entry)
-		if pl.traceRows {
-			entry = routeWrap(entry, pl.ops[i].ridx)
-		}
-	}
-	pl.entry = entry
+	// The batch plan: every operator's kernel, adjacent per-row kernels
+	// grouped into fused passes that share one selection-vector scan, and
+	// the terminal run batched (runBatchBody). A general plan is the
+	// operators' kernels alone: resolve boxes what leaves them, and the
+	// stage's terminal takes it from there.
+	pl.groups = pl.fuseKernels()
 	return nil
 }
 
@@ -996,115 +857,6 @@ func schemaTypes(s *types.Schema) []types.Type {
 		ts[i] = s.Col(i).Type
 	}
 	return ts
-}
-
-// rowStep builds op's row-reference step in front of next.
-func (pl *stagePlan) rowStep(op *stageOp, next nstep) nstep {
-	su, ridx, scalar, argIdx := op.su, op.ridx, op.scalar, op.argIdx
-	switch op.kind {
-	case opMap:
-		nCols := op.outSchema.Len()
-		return func(ts *task, key uint64, row rows.Row) ECode {
-			v, ec := callNormalUDF(ts, su, row, argIdx, scalar)
-			if ec != 0 {
-				ts.excOp = ridx
-				return ec
-			}
-			out := ts.opScratch(op.scratch, pl.maxCols)
-			switch {
-			case len(v.Seq) > 0 && (v.Tag == types.KindDict || v.Tag == types.KindTuple):
-				if len(v.Seq) != nCols {
-					ts.excOp = ridx
-					return pyvalue.ExcUnsupported
-				}
-				out = append(out, v.Seq...)
-			case nCols == 1:
-				out = append(out, v)
-			default:
-				ts.excOp = ridx
-				return pyvalue.ExcUnsupported
-			}
-			return next(ts, key, out)
-		}
-	case opFilter:
-		return func(ts *task, key uint64, row rows.Row) ECode {
-			v, ec := callNormalUDF(ts, su, row, argIdx, scalar)
-			if ec != 0 {
-				ts.excOp = ridx
-				return ec
-			}
-			if !v.Truth() {
-				return 0
-			}
-			return next(ts, key, row)
-		}
-	case opWithColumn, opMapColumn:
-		colIdx := op.colIdx
-		return func(ts *task, key uint64, row rows.Row) ECode {
-			v, ec := callNormalUDF(ts, su, row, argIdx, scalar)
-			if ec != 0 {
-				ts.excOp = ridx
-				return ec
-			}
-			if colIdx >= 0 {
-				row[colIdx] = v
-			} else {
-				row = append(row, v)
-			}
-			return next(ts, key, row)
-		}
-	case opSelect:
-		return func(ts *task, key uint64, row rows.Row) ECode {
-			out := ts.opScratch(op.scratch, len(op.sel))
-			for _, i := range op.sel {
-				out = append(out, row[i])
-			}
-			return next(ts, key, out)
-		}
-	}
-	keyIdx, left, bAdd := op.colIdx, op.leftOuter, op.outSchema.Len()-op.inSchema.Len()
-	return func(ts *task, key uint64, row rows.Row) ECode {
-		bt := ts.run.joins[op.joinIdx]
-		// Probe: encode the key into the task scratch buffer, hash, and
-		// look up the shard — no allocation. (The string(buf) map index
-		// below does not allocate; Go optimizes byte-slice map probes,
-		// and the general map is only consulted when exception build
-		// rows exist.)
-		buf, ok := rows.AppendJoinKey(ts.keyBuf[:0], row[keyIdx])
-		ts.keyBuf = buf
-		var matches []buildRef
-		if ok {
-			if bt.genCount > 0 && len(bt.general[string(buf)]) > 0 {
-				// Normal×exception join pairs run on the exception path
-				// (§4.5 pairwise joins).
-				ts.excOp = ridx
-				return pyvalue.ExcUnsupported
-			}
-			matches = bt.lookup(rows.Hash64(buf), buf)
-		}
-		if len(matches) == 0 {
-			ts.probeMisses++
-			if !left {
-				return 0
-			}
-			out := ts.opScratch(op.scratch, pl.maxCols)
-			out = append(out, row...)
-			for range bAdd {
-				out = append(out, rows.Null())
-			}
-			return next(ts, key*256, out)
-		}
-		ts.probeHits++
-		for i, ref := range matches {
-			out := ts.opScratch(op.scratch, pl.maxCols)
-			out = append(out, row...)
-			out = bt.appendRow(out, ref)
-			if ec := next(ts, key*256+uint64(min(i, 255)), out); ec != 0 {
-				return ec
-			}
-		}
-		return 0
-	}
 }
 
 // opName names an operator for the routing ledger and trace output.
@@ -1146,33 +898,6 @@ func terminalName(k physical.TerminalKind, emit emitForm) string {
 		}
 		return "collect"
 	}
-}
-
-// opScratch returns a reusable slot buffer for op i.
-func (ts *task) opScratch(i, capHint int) []rows.Slot {
-	for i >= len(ts.scratch) {
-		ts.scratch = append(ts.scratch, nil)
-	}
-	if cap(ts.scratch[i]) < capHint {
-		ts.scratch[i] = make([]rows.Slot, 0, capHint+8)
-	}
-	return ts.scratch[i][:0]
-}
-
-// callNormalUDF invokes a compiled UDF with either the whole row or one
-// column value.
-func callNormalUDF(ts *task, su *stageUDF, row rows.Row, colIdx int, scalar bool) (rows.Slot, ECode) {
-	if su.compiled == nil {
-		return rows.Slot{}, pyvalue.ExcUnsupported
-	}
-	fr := ts.frames[su.frameIdx]
-	var arg rows.Slot
-	if scalar {
-		arg = row[colIdx]
-	} else {
-		arg = rows.Tuple(row)
-	}
-	return su.compiled.Call1(fr, arg)
 }
 
 func (su *stageUDF) returnType() types.Type {
@@ -1553,18 +1278,6 @@ func splitRange(n, size int) [][2]int {
 			end = n
 		}
 		out = append(out, [2]int{start, end})
-	}
-	return out
-}
-
-// splitPlainLines splits text content into its lines (the row
-// reference's record list).
-func splitPlainLines(data []byte) [][]byte {
-	var out [][]byte
-	for pos := 0; pos < len(data); {
-		var line []byte
-		line, pos = nextLine(data, pos)
-		out = append(out, line)
 	}
 	return out
 }

@@ -1,97 +1,15 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/gotuplex/tuplex/internal/codegen"
 	"github.com/gotuplex/tuplex/internal/csvio"
 	"github.com/gotuplex/tuplex/internal/inference"
 	"github.com/gotuplex/tuplex/internal/logical"
-	"github.com/gotuplex/tuplex/internal/physical"
-	"github.com/gotuplex/tuplex/internal/pyvalue"
 	"github.com/gotuplex/tuplex/internal/rows"
 	"github.com/gotuplex/tuplex/internal/types"
 )
-
-// makeTerminal builds the stage's final step.
-func (pl *stagePlan) makeTerminal() (nstep, error) {
-	switch pl.terminal {
-	case physical.TerminalSink, physical.TerminalMaterialize:
-		switch pl.emit {
-		case emitCSV:
-			// Render rows straight into the per-task writer — no copy,
-			// no boxing. Byte offsets let the engine splice resolved
-			// exception rows back into position.
-			return func(ts *task, key uint64, row rows.Row) ECode {
-				ts.csvW.WriteRow(row)
-				ts.lineEnds = append(ts.lineEnds, ts.csvW.Len())
-				ts.outKeys = append(ts.outKeys, key)
-				return 0
-			}, nil
-		case emitVecs:
-			// Append the cells to the task's output vectors, batchMaxRows
-			// rows to a set; finish boxes them.
-			schema := pl.outSchema
-			return func(ts *task, key uint64, row rows.Row) ECode {
-				if len(ts.outKeys)%batchMaxRows == 0 {
-					ts.outVecs = append(ts.outVecs, newVecs(schema))
-				}
-				for c, v := range ts.outVecs[len(ts.outVecs)-1] {
-					v.AppendCell(row[c])
-				}
-				ts.outKeys = append(ts.outKeys, key)
-				return 0
-			}, nil
-		}
-		// Materialize rows with order keys for the next consumer. Rows
-		// copy into the task's slot slab — one amortized backing array
-		// per task instead of one heap allocation per output row. Slices
-		// are capped so later slab growth can never write through an
-		// earlier row's view.
-		return func(ts *task, key uint64, row rows.Row) ECode {
-			start := len(ts.outSlab)
-			ts.outSlab = append(ts.outSlab, row...)
-			ts.outRows = append(ts.outRows, ts.outSlab[start:len(ts.outSlab):len(ts.outSlab)])
-			ts.outKeys = append(ts.outKeys, key)
-			return 0
-		}, nil
-	case physical.TerminalUnique:
-		// Per-task open set over encoded row keys: duplicate rows (the
-		// common case) cost one hash lookup and no allocation; the sets
-		// merge shard-parallel at finish (mergeUnique).
-		return func(ts *task, key uint64, row rows.Row) ECode {
-			buf := rows.AppendRowKey(ts.keyBuf[:0], row)
-			ts.keyBuf = buf
-			ts.uniq.insert(rows.Hash64(buf), buf, row, key)
-			return 0
-		}, nil
-	case physical.TerminalAggregate:
-		su := pl.aggUDF
-		scalar := pl.aggScalar
-		ridx := pl.termRouteIdx
-		return func(ts *task, key uint64, row rows.Row) ECode {
-			if su == nil || su.compiled == nil {
-				ts.excOp = ridx
-				return pyvalue.ExcUnsupported
-			}
-			fr := ts.frames[su.frameIdx]
-			arg := rows.Tuple(row)
-			if scalar {
-				arg = row[0]
-			}
-			v, ec := su.compiled.Call2(fr, ts.aggSlot, arg)
-			if ec != 0 {
-				ts.excOp = ridx
-				return ec
-			}
-			ts.aggSlot = v
-			return 0
-		}, nil
-	default:
-		return nil, fmt.Errorf("core: unknown terminal %d", pl.terminal)
-	}
-}
 
 // compileAggregate compiles the aggregate UDF against the accumulator
 // and row types, widening the accumulator type to a fixpoint (int

@@ -2,12 +2,11 @@ package core_test
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"reflect"
-	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -342,8 +341,7 @@ func TestVecPaperPipelinesSameAsRowPath(t *testing.T) {
 			"withColumn(price):vec", true},
 		{"flights", pipelines.Flights(pipelines.FlightsSources(c, data.Flights(data.FlightsConfig{Rows: 3000, Seed: 321}), data.Carriers(), data.Airports())),
 			"mapColumn(CrsArrTime):vec", false},
-		// A Parallelize source puts the log lines on the batch plane (a
-		// text source runs the row path, where there is nothing to strip).
+		// The log lines come from a Parallelize source.
 		{"weblogs", pipelines.Weblogs(c.Parallelize(lines, []string{"value"}), c.CSV("", tuplex.CSVData(bad)), pipelines.WeblogSplit),
 			"mapColumn(content_size):vec", false},
 	}
@@ -395,30 +393,55 @@ func BenchmarkVecZillowKernels(b *testing.B) {
 
 // ---- joins ---------------------------------------------------------------
 
-// boxedRun runs the plan on the row-at-a-time reference executor.
-// That plane meets a partition's classifier rejects ahead of its
-// normal-path exceptions, so its exception samples are left out and its
-// failed rows compare as a set (sortFailed).
-func boxedRun(t *testing.T, sink *logical.Node, executors int) runObs {
+// requireSameAsFallback runs the plan with every row on the tree-walking
+// fallback and requires what that run can share with a compiled one
+// (got): the result rows (a float to 1e-12 relative: the fallback folds
+// serially, the compiled run combines per-task partials), the input,
+// output, failed and resolver-resolved counters, and the failed rows in
+// order.
+func requireSameAsFallback(t *testing.T, sink *logical.Node, executors int, got runObs) {
 	t.Helper()
 	opts := core.DefaultOptions()
 	opts.Executors = executors
 	opts.Trace = trace.LevelSamples
-	opts.RowPlane = true
+	opts.FallbackOnly = true
 	res, _, err := core.CompileAndExecute(context.Background(), sink, core.SinkCollect, "", opts)
 	if err != nil {
-		t.Fatalf("boxed plane: %v", err)
+		t.Fatalf("fallback only: %v", err)
 	}
-	o := observe(t, res)
-	o.Samples = nil
-	sortFailed(o.Failed)
-	return o
+	ref := observe(t, res)
+	if !sameResult(got.Result, ref.Result) {
+		t.Fatalf("result differs:\n  compiled  %.300s\n  reference %.300s", got.Result, ref.Result)
+	}
+	for _, i := range []int{0, 6, 8, 9} { // input, resolver-resolved, failed, output
+		if got.Counters[i] != ref.Counters[i] {
+			t.Fatalf("counters %v, reference %v", got.Counters, ref.Counters)
+		}
+	}
+	if !reflect.DeepEqual(got.Failed, ref.Failed) {
+		t.Fatalf("failed rows %v, reference %v", got.Failed, ref.Failed)
+	}
 }
 
-func sortFailed(f []core.FailedRow) {
-	slices.SortFunc(f, func(a, b core.FailedRow) int {
-		return cmp.Or(cmp.Compare(a.Input, b.Input), cmp.Compare(a.Msg, b.Msg))
-	})
+// sameResult compares two observed results cell by cell, floats to
+// 1e-12 relative.
+func sameResult(a, b string) bool {
+	as, bs := strings.Fields(a), strings.Fields(b)
+	if len(as) != len(bs) {
+		return false
+	}
+	for i := range as {
+		if as[i] == bs[i] {
+			continue
+		}
+		fa, errA := strconv.ParseUint(strings.TrimPrefix(as[i], "f64:"), 0, 64)
+		fb, errB := strconv.ParseUint(strings.TrimPrefix(bs[i], "f64:"), 0, 64)
+		x, y := math.Float64frombits(fa), math.Float64frombits(fb)
+		if errA != nil || errB != nil || math.Abs(x-y) > 1e-12*math.Max(math.Abs(x), math.Abs(y)) {
+			return false
+		}
+	}
+	return true
 }
 
 // joinProbeCSV is the probe side of the join differentials. One key value
@@ -480,10 +503,11 @@ func joinOn(build []byte, key string, left bool) *logical.JoinOp {
 
 // TestVecAfterJoinSameAsRowAndBoxed: after a unique-key join the batch
 // keeps its index space, so the kernels behind it run as vector programs.
-// Each plan runs compiled, with its vector programs stripped and on the
-// boxed plane at 1–4 executors, and the three must agree on result bits,
-// counters, the per-op ledger, pool order and failed rows (and the first
-// two on exception samples).
+// Each plan runs compiled, with its vector programs stripped and with
+// every row on the fallback at 1–4 executors. The first two must agree on
+// result bits, counters, the per-op ledger, pool order, exception samples
+// and failed rows, and the fallback-only run on what requireSameAsFallback
+// compares.
 func TestVecAfterJoinSameAsRowAndBoxed(t *testing.T) {
 	const probeN, buildN = 3000, 300
 	clean, dirty := joinProbeCSV(probeN, buildN, false), joinProbeCSV(probeN, buildN, true)
@@ -540,9 +564,7 @@ func TestVecAfterJoinSameAsRowAndBoxed(t *testing.T) {
 				t.Fatalf("%s executors=%d: no row ran through a vector program after the join", tc.name, ex)
 			}
 			requireSameRun(t, on, off)
-			off.Samples = nil
-			sortFailed(off.Failed)
-			requireSameRun(t, boxedRun(t, tc.sink, ex), off)
+			requireSameAsFallback(t, tc.sink, ex, off)
 		}
 	}
 }

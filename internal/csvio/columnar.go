@@ -15,8 +15,8 @@ import (
 // ParseLine (one append per cell, zero per-cell boxing). vecs[i] receives
 // p.Fields[i]; all vectors must be the same length on entry. On any
 // mismatch the vectors are rolled back to their entry length and the
-// record's ExcBadParse routes the raw line to the exception pool, exactly
-// like the row path. The scan logic must mirror ParseLine byte for byte —
+// record's ExcBadParse routes the raw line to the exception pool, as
+// ParseLine's does. The scan logic must mirror ParseLine byte for byte —
 // the csvio equivalence tests enforce this.
 //
 //tuplex:kernel

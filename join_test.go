@@ -223,7 +223,8 @@ func TestUniqueParallelMatchesSerial(t *testing.T) {
 
 // TestJoinChainKeepsOrder: each join scales the order keys by 256, and
 // a pipeline of up to four joins — as many as the key layout holds —
-// returns its rows in input order on both planes: through a unique
+// returns its rows in input order, compiled and with every row on the
+// fallback: through a unique
 // terminal, which merges its partitions by key, and with dirty probe
 // keys the fallback resolves and merges back in by key. A fifth join is
 // refused.
@@ -264,9 +265,9 @@ func TestJoinChainKeepsOrder(t *testing.T) {
 	}
 	clean, dirty := input(false), input(true)
 	for ex := 1; ex <= 2; ex++ {
-		for _, rowPlane := range []bool{false, true} {
-			c := NewContext(WithExecutors(ex), WithChunkSize(4096), WithRowPlane(rowPlane))
-			label := fmt.Sprintf("executors=%d row_plane=%v", ex, rowPlane)
+		for _, ref := range []bool{false, true} {
+			c := NewContext(WithExecutors(ex), WithChunkSize(4096), WithFallbackOnly(ref))
+			label := fmt.Sprintf("executors=%d fallback_only=%v", ex, ref)
 			res, err := joined(c, clean, 4).SelectColumns("id").Unique().Collect()
 			if err != nil {
 				t.Fatalf("%s: unique: %v", label, err)

@@ -14,20 +14,19 @@ import (
 // Every stage runs on the batch plane: CSV, text and Parallelize sources,
 // interior stages (after Unique or Cache, and all but the first stage
 // under WithStageFusion(false)) and join build sides. These tests hold
-// interior stages and text sources to the row-at-a-time reference
-// (WithRowPlane), and pin that no stage of a default run leaves the
-// batch plane.
+// interior stages and text sources to the fallback-only reference
+// (WithFallbackOnly), and pin that every stage of a default run runs
+// batched.
 
 // planeDiff runs build's pipeline at 1–4 executors into Collect and
-// ToCSV, on the batch plane and on the row reference, and requires the
-// same rows (cell for cell, Go type included), the same CSV bytes, and
-// per sink the same row counters, failed rows, exception samples and
-// routing ledger.
+// ToCSV, as compiled and with every row on the fallback, and requires
+// the same rows (cell for cell, Go type included), the same CSV bytes,
+// and per sink the accounting requireSameRun compares.
 func planeDiff(t *testing.T, name string, build func(c *tuplex.Context) *tuplex.DataSet, opts ...tuplex.Option) {
 	t.Helper()
 	for ex := 1; ex <= 4; ex++ {
-		ctx := func(row bool) *tuplex.Context {
-			return tuplex.NewContext(append([]tuplex.Option{tuplex.WithExecutors(ex), tuplex.WithRowPlane(row),
+		ctx := func(ref bool) *tuplex.Context {
+			return tuplex.NewContext(append([]tuplex.Option{tuplex.WithExecutors(ex), tuplex.WithFallbackOnly(ref),
 				tuplex.WithTracing(tuplex.TraceSamples)}, opts...)...)
 		}
 		label := fmt.Sprintf("%s/executors=%d", name, ex)
@@ -44,7 +43,7 @@ func planeDiff(t *testing.T, name string, build func(c *tuplex.Context) *tuplex.
 		}
 		for i, row := range got.Rows {
 			if !sameRow(row, want.Rows[i]) {
-				t.Fatalf("%s: row %d\n  batch     %s\n  reference %s", label, i, typedRow(row), typedRow(want.Rows[i]))
+				t.Fatalf("%s: row %d\n  compiled  %s\n  reference %s", label, i, typedRow(row), typedRow(want.Rows[i]))
 			}
 		}
 		requireSameRun(t, label+"/collect", want, got)
@@ -58,7 +57,7 @@ func planeDiff(t *testing.T, name string, build func(c *tuplex.Context) *tuplex.
 			t.Fatalf("%s: reference tocsv: %v", label, err)
 		}
 		if string(gotCSV.CSV) != string(wantCSV.CSV) {
-			t.Fatalf("%s: CSV differs:\n  batch     %.300q\n  reference %.300q", label, gotCSV.CSV, wantCSV.CSV)
+			t.Fatalf("%s: CSV differs:\n  compiled  %.300q\n  reference %.300q", label, gotCSV.CSV, wantCSV.CSV)
 		}
 		requireSameRun(t, label+"/tocsv", wantCSV, gotCSV)
 	}
@@ -107,6 +106,33 @@ func TestPlaneDiffAfterCache(t *testing.T) {
 	planeDiff(t, "cache", func(c *tuplex.Context) *tuplex.DataSet {
 		return afterBarrier(c, c.CSV("", tuplex.CSVData(raw)).Cache())
 	}, tuplex.WithChunkSize(8<<10))
+}
+
+// TestResolverReadsItsOwnColumns: a resolver reads a column (s) that the
+// operator it resolves does not; it gets its own columns of the
+// operator's input row, before and after a Cache barrier, compiled and
+// with every row on the fallback.
+func TestResolverReadsItsOwnColumns(t *testing.T) {
+	raw := []byte("k,v,s\n1,7,s1\n2,3,s4\n3,7,s5\n")
+	want := [][]any{{int64(1), int64(7), "s1", int64(-1)}, {int64(2), int64(3), "s4", int64(-25)}, {int64(3), int64(7), "s5", int64(0)}}
+	for _, cache := range []bool{false, true} {
+		for _, ref := range []bool{false, true} {
+			ds := tuplex.NewContext(tuplex.WithFallbackOnly(ref)).CSV("", tuplex.CSVData(raw))
+			if cache {
+				ds = ds.Cache()
+			}
+			res, err := ds.
+				WithColumn("w", tuplex.UDF("lambda x: 100 // (x['v'] - 7)")).
+				Resolve(tuplex.ZeroDivisionError, tuplex.UDF("lambda x: -1 if x['s'] < 's3' else 0")).
+				Collect()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Failed) != 0 || fmt.Sprint(res.Rows) != fmt.Sprint(want) {
+				t.Fatalf("cache=%v fallback only=%v: rows %v, failed %v; want %v", cache, ref, res.Rows, res.Failed, want)
+			}
+		}
+	}
 }
 
 // TestPlaneDiffZillowUnfused: with stage fusion off every UDF operator
@@ -161,7 +187,7 @@ func TestPlaneDiffText(t *testing.T) {
 // stage of every source kind — CSV, text, Parallelize, interior stages
 // and join build sides — runs its normal path on the batch plane, so
 // each stage's execute span reports the rows its kernels finished
-// (columnar_rows); a stage on the row-at-a-time executor reports none.
+// (columnar_rows).
 func TestDefaultPlaneRunsEveryStageBatched(t *testing.T) {
 	csvRaw := interiorCSV()
 	text := []byte(strings.Repeat("a,1\nb,2\nc,3\n", 500))
@@ -203,28 +229,25 @@ func TestDefaultPlaneRunsEveryStageBatched(t *testing.T) {
 		if kind == "interior-unfused" {
 			opts = append(opts, tuplex.WithStageFusion(false))
 		}
-		for _, row := range []bool{false, true} {
-			c := tuplex.NewContext(append(opts, tuplex.WithRowPlane(row))...)
-			res, err := build(c).Collect()
-			if err != nil {
-				t.Fatalf("%s: %v", kind, err)
-			}
-			stages := stageSpans(res.Trace.Root)
-			if len(stages) < 2 && strings.HasPrefix(kind, "interior") {
-				t.Fatalf("%s: %d stages, want an interior stage", kind, len(stages))
-			}
-			for i, st := range stages {
-				batched := false
-				for _, ch := range st.Children {
-					for _, a := range ch.Attrs {
-						if ch.Name == "execute" && a.Key == "columnar_rows" && a.Val != "0" {
-							batched = true
-						}
+		res, err := build(tuplex.NewContext(opts...)).Collect()
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		stages := stageSpans(res.Trace.Root)
+		if len(stages) < 2 && strings.HasPrefix(kind, "interior") {
+			t.Fatalf("%s: %d stages, want an interior stage", kind, len(stages))
+		}
+		for i, st := range stages {
+			batched := false
+			for _, ch := range st.Children {
+				for _, a := range ch.Attrs {
+					if ch.Name == "execute" && a.Key == "columnar_rows" && a.Val != "0" {
+						batched = true
 					}
 				}
-				if batched == row {
-					t.Errorf("%s (row plane %v): stage %d of %d ran batched=%v", kind, row, i, len(stages), batched)
-				}
+			}
+			if !batched {
+				t.Errorf("%s: stage %d of %d did not run batched", kind, i, len(stages))
 			}
 		}
 	}
